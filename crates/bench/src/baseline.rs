@@ -1,14 +1,26 @@
-//! Frozen pre-optimization DP kernel, kept as the perf baseline.
+//! Frozen pre-optimization kernels, kept as perf baselines.
 //!
-//! This is a cost-faithful transcription of the mapper's original subset
-//! DP (closure-based child costs re-evaluated inside the innermost loop,
-//! fresh table allocations per node, no feasibility pruning), operating
-//! on the public [`Tree`] API. `chortle-bench --bin perf` times it
-//! against [`chortle::tree_lut_cost`] and asserts both kernels agree on
-//! every tree, so the recorded speedups compare identical answers. Do
-//! not "improve" this module — its slowness is the point.
+//! * [`baseline_tree_cost`] is a cost-faithful transcription of the
+//!   mapper's original subset DP (closure-based child costs re-evaluated
+//!   inside the innermost loop, fresh table allocations per node, no
+//!   feasibility pruning), operating on the public [`Tree`] API.
+//!   `chortle-bench --bin perf` times it against
+//!   [`chortle::tree_lut_cost`] and asserts both kernels agree on every
+//!   tree, so the recorded speedups compare identical answers.
+//! * [`baseline_check_equivalence`] is the original equivalence checker:
+//!   a bit-serial LUT simulator (64 × K shift-and-test steps and one
+//!   `Vec` per LUT per chunk) and per-chunk buffer allocation. `perf`
+//!   times it against [`chortle_netlist::check_equivalence`]; the
+//!   differential tests use it as the oracle that the word-parallel
+//!   checker reports the identical [`EquivalenceError`].
+//!
+//! Do not "improve" this module — its slowness is the point.
 
 use chortle::{Tree, TreeChild};
+use chortle_netlist::{
+    simulate_outputs, EquivalenceError, LutCircuit, LutSource, Network, NodeId, SplitMix64,
+    MAX_VARS, RANDOM_ROUNDS,
+};
 
 const INF: u32 = 1_000_000_000;
 
@@ -226,6 +238,167 @@ pub fn baseline_tree_cost(tree: &Tree, k: usize) -> u32 {
         nodes.push(dp);
     }
     nodes[tree.root_index()].node_cost[k].luts
+}
+
+/// [`chortle_netlist::check_equivalence`] as it was before word-parallel
+/// LUT evaluation: same patterns, same chunk order, same errors.
+///
+/// # Errors
+///
+/// Returns an [`EquivalenceError`] naming the first differing output
+/// with a counterexample.
+///
+/// # Panics
+///
+/// Panics if the circuit and network disagree on the number of outputs.
+pub fn baseline_check_equivalence(
+    network: &Network,
+    circuit: &LutCircuit,
+) -> Result<(), EquivalenceError> {
+    assert_eq!(
+        network.num_outputs(),
+        circuit.outputs().len(),
+        "network and circuit must have the same number of outputs"
+    );
+    let n = network.num_inputs();
+    let mut input_pos = vec![usize::MAX; network.len()];
+    for (i, &id) in network.inputs().iter().enumerate() {
+        input_pos[id.index()] = i;
+    }
+    let index = |id: NodeId| input_pos[id.index()];
+
+    if n <= MAX_VARS.min(20) {
+        // Exhaustive: sweep all 2^n assignments in 64-pattern chunks.
+        let total: u64 = 1u64 << n;
+        let mut base = 0u64;
+        while base < total {
+            let mut words = vec![0u64; n];
+            let chunk = (total - base).min(64);
+            for off in 0..chunk {
+                let bits = base + off;
+                for (i, w) in words.iter_mut().enumerate() {
+                    if (bits >> i) & 1 == 1 {
+                        *w |= 1 << off;
+                    }
+                }
+            }
+            compare_chunk(network, circuit, &words, chunk, base, &index)?;
+            base += 64;
+        }
+        Ok(())
+    } else {
+        let mut rng = SplitMix64::new(0xC0FF_EE00_D15E_A5ED);
+        for _ in 0..RANDOM_ROUNDS {
+            let words: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+            compare_random_chunk(network, circuit, &words, &index)?;
+        }
+        Ok(())
+    }
+}
+
+fn compare_chunk(
+    network: &Network,
+    circuit: &LutCircuit,
+    words: &[u64],
+    chunk: u64,
+    base: u64,
+    index: &dyn Fn(NodeId) -> usize,
+) -> Result<(), EquivalenceError> {
+    let want = simulate_outputs(network, words);
+    let got = bit_serial_simulate(circuit, words, index);
+    for (o, (w, g)) in want.iter().zip(&got).enumerate() {
+        let mask = if chunk == 64 {
+            u64::MAX
+        } else {
+            (1u64 << chunk) - 1
+        };
+        let diff = (w ^ g) & mask;
+        if diff != 0 {
+            return Err(EquivalenceError {
+                output: network.outputs()[o].name.clone(),
+                counterexample: base + diff.trailing_zeros() as u64,
+            });
+        }
+    }
+    Ok(())
+}
+
+fn compare_random_chunk(
+    network: &Network,
+    circuit: &LutCircuit,
+    words: &[u64],
+    index: &dyn Fn(NodeId) -> usize,
+) -> Result<(), EquivalenceError> {
+    let want = simulate_outputs(network, words);
+    let got = bit_serial_simulate(circuit, words, index);
+    for (o, (w, g)) in want.iter().zip(&got).enumerate() {
+        let diff = w ^ g;
+        if diff != 0 {
+            // Reconstruct the failing assignment from the packed words.
+            let bit = diff.trailing_zeros();
+            let mut assignment = 0u64;
+            for (i, iw) in words.iter().enumerate().take(64) {
+                if (iw >> bit) & 1 == 1 {
+                    assignment |= 1 << i;
+                }
+            }
+            return Err(EquivalenceError {
+                output: network.outputs()[o].name.clone(),
+                counterexample: assignment,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// The original `LutCircuit::simulate`: every LUT evaluated one pattern
+/// bit at a time through [`chortle_netlist::TruthTable::eval`].
+fn bit_serial_simulate(
+    circuit: &LutCircuit,
+    input_words: &[u64],
+    input_index: &dyn Fn(NodeId) -> usize,
+) -> Vec<u64> {
+    let source_word = |src: LutSource, lut_values: &[u64]| -> u64 {
+        match src {
+            LutSource::Input(id) => input_words[input_index(id)],
+            LutSource::Lut(id) => lut_values[id.index()],
+            LutSource::Const(true) => u64::MAX,
+            LutSource::Const(false) => 0,
+        }
+    };
+    let mut lut_values = vec![0u64; circuit.num_luts()];
+    for (i, lut) in circuit.luts().iter().enumerate() {
+        let in_words: Vec<u64> = lut
+            .inputs()
+            .iter()
+            .map(|s| source_word(*s, &lut_values))
+            .collect();
+        let mut out = 0u64;
+        for bit in 0..64 {
+            let mut idx = 0u32;
+            for (j, w) in in_words.iter().enumerate() {
+                if (w >> bit) & 1 == 1 {
+                    idx |= 1 << j;
+                }
+            }
+            if lut.table().eval(idx) {
+                out |= 1u64 << bit;
+            }
+        }
+        lut_values[i] = out;
+    }
+    circuit
+        .outputs()
+        .iter()
+        .map(|o| {
+            let w = source_word(o.source, &lut_values);
+            if o.inverted {
+                !w
+            } else {
+                w
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -310,6 +310,12 @@ mod tests {
     #[test]
     fn directions_follow_the_naming_convention() {
         assert_eq!(direction("kernel_total.speedup"), Direction::HigherIsBetter);
+        // The equivalence-checker section is gated like the DP kernel's.
+        assert_eq!(direction("verify_total.speedup"), Direction::HigherIsBetter);
+        assert_eq!(
+            direction("verify_total.optimized_s"),
+            Direction::LowerIsBetter
+        );
         assert_eq!(direction("warm.throughput_rps"), Direction::HigherIsBetter);
         assert_eq!(
             direction("overload.completion_rate"),

@@ -4,8 +4,8 @@
 //! cargo run --release -p chortle-bench --bin perf [-- OUTPUT.json]
 //! ```
 //!
-//! Runs the generator benchmark suite at K ∈ {2..5} and measures two
-//! things, asserting bit-identical LUT counts throughout:
+//! Runs the generator benchmark suite at K ∈ {2..5} and measures the
+//! sections below, asserting bit-identical LUT counts throughout:
 //!
 //! 1. **DP kernel**: the frozen pre-optimization kernel
 //!    ([`chortle_bench::baseline`]) against the current one
@@ -25,11 +25,16 @@
 //! 3. **Forest mapping**: [`chortle::map_network`] sequential (`jobs = 1`)
 //!    against the parallel wavefront scheduler at the host's resolved
 //!    auto job count (`--jobs 0`), full circuits compared for equality.
-//! 4. **Chunked mapping** (`mapping_chunked`): sequential against the
+//! 4. **Equivalence checking** (`verify`): [`check_equivalence`] on
+//!    the mapped suite against the frozen bit-serial checker
+//!    ([`chortle_bench::baseline::baseline_check_equivalence`]), both
+//!    required to accept every circuit; bench-diff gates
+//!    `verify_total.speedup`.
+//! 5. **Chunked mapping** (`mapping_chunked`): sequential against the
 //!    chunked work-stealing scheduler at a *forced* `>= 2` worker count
 //!    on the suite plus a 256-bit ALU, with the run's `sched.*`
 //!    echoes (chunks, steals, pooled/inline waves) recorded per row.
-//! 5. **Design mapping** (`design_mapping`): [`chortle::map_design`] on
+//! 6. **Design mapping** (`design_mapping`): [`chortle::map_design`] on
 //!    a generated register pipeline — latch-bounded combinational
 //!    clouds mapped sequentially against the cloud-axis fan-out at the
 //!    same forced worker count (DESIGN.md §17), assembled netlists
@@ -54,11 +59,11 @@ use chortle::{
     map_design, map_network, DesignOptions, Fingerprint, Forest, MapOptions, Telemetry, Tree,
     TreeChild, TreeMapper,
 };
-use chortle_bench::baseline::baseline_tree_cost;
+use chortle_bench::baseline::{baseline_check_equivalence, baseline_tree_cost};
 use chortle_bench::{optimized_suite, pipelined_design};
 use chortle_circuits::alu;
 use chortle_logic_opt::optimize;
-use chortle_netlist::{parse_design, NodeOp};
+use chortle_netlist::{check_equivalence, parse_design, NodeOp};
 
 const KS: [usize; 4] = [2, 3, 4, 5];
 const KERNEL_ROUNDS: usize = 5;
@@ -109,6 +114,16 @@ struct ForestRow {
     luts: u64,
     sequential_s: f64,
     parallel_s: f64,
+}
+
+struct VerifyRow {
+    k: usize,
+    luts: u64,
+    /// The frozen bit-serial checker over the mapped suite.
+    baseline_s: f64,
+    /// [`check_equivalence`] (word-parallel LUT evaluation) over the
+    /// same circuits.
+    optimized_s: f64,
 }
 
 struct ChunkedRow {
@@ -356,6 +371,7 @@ fn main() {
     let mut cached_rows = Vec::new();
     let mut fn_tier: Option<FnTier> = None;
     let mut forest_rows = Vec::new();
+    let mut verify_rows: Vec<VerifyRow> = Vec::new();
     let mut telemetry_rows = Vec::new();
     let mut chunked_rows: Vec<ChunkedRow> = Vec::new();
     let mut design_rows: Vec<DesignRow> = Vec::new();
@@ -516,6 +532,43 @@ fn main() {
             sequential_s / parallel_s
         );
 
+        // Equivalence checking of the mapped suite: the frozen
+        // bit-serial checker against the word-parallel one. Both must
+        // accept every circuit (the differential test pins identical
+        // errors on broken ones).
+        let checked: Vec<_> = suite
+            .iter()
+            .zip(&seq_maps)
+            .map(|((_, net, _), mapped)| (net, &mapped.circuit))
+            .collect();
+        let (base_ok, verify_base_s) = best_of(KERNEL_ROUNDS, || {
+            checked
+                .iter()
+                .all(|(net, c)| baseline_check_equivalence(net, c).is_ok())
+        });
+        let (opt_ok, verify_opt_s) = best_of(KERNEL_ROUNDS, || {
+            checked
+                .iter()
+                .all(|(net, c)| check_equivalence(net, c).is_ok())
+        });
+        assert!(
+            base_ok && opt_ok,
+            "a mapped suite circuit failed verification at k={k}"
+        );
+        verify_rows.push(VerifyRow {
+            k,
+            luts,
+            baseline_s: verify_base_s,
+            optimized_s: verify_opt_s,
+        });
+        eprintln!(
+            "perf: verify  k={k} {:>6} LUTs  bit-serial {:.4}s  word-parallel {:.4}s  ({:.2}x)",
+            luts,
+            verify_base_s,
+            verify_opt_s,
+            verify_base_s / verify_opt_s
+        );
+
         // Same suite with an enabled sink: per-stage breakdown plus the
         // cost of the instrumentation itself, relative to the parallel
         // row above (which runs with the default disabled handle).
@@ -651,6 +704,8 @@ fn main() {
     let kernel_cached_plain: f64 = cached_rows.iter().map(|r| r.optimized_s).sum();
     let map_seq: f64 = forest_rows.iter().map(|r| r.sequential_s).sum();
     let map_par: f64 = forest_rows.iter().map(|r| r.parallel_s).sum();
+    let verify_base: f64 = verify_rows.iter().map(|r| r.baseline_s).sum();
+    let verify_opt: f64 = verify_rows.iter().map(|r| r.optimized_s).sum();
     let chunk_seq: f64 = chunked_rows.iter().map(|r| r.sequential_s).sum();
     let chunk_par: f64 = chunked_rows.iter().map(|r| r.chunked_s).sum();
     let design_seq: f64 = design_rows.iter().map(|r| r.sequential_s).sum();
@@ -753,6 +808,28 @@ fn main() {
         map_par,
         map_seq / map_par
     );
+    let _ = writeln!(json, "  \"verify\": [");
+    for (i, r) in verify_rows.iter().enumerate() {
+        let comma = if i + 1 < verify_rows.len() { "," } else { "" };
+        let _ = writeln!(
+            json,
+            "    {{ \"k\": {}, \"luts\": {}, \"baseline_s\": {:.6}, \"optimized_s\": {:.6}, \
+             \"speedup\": {:.3} }}{comma}",
+            r.k,
+            r.luts,
+            r.baseline_s,
+            r.optimized_s,
+            r.baseline_s / r.optimized_s
+        );
+    }
+    let _ = writeln!(json, "  ],");
+    let _ = writeln!(
+        json,
+        "  \"verify_total\": {{ \"baseline_s\": {:.6}, \"optimized_s\": {:.6}, \"speedup\": {:.3} }},",
+        verify_base,
+        verify_opt,
+        verify_base / verify_opt
+    );
     let _ = writeln!(json, "  \"mapping_chunked\": [");
     for (i, r) in chunked_rows.iter().enumerate() {
         let comma = if i + 1 < chunked_rows.len() { "," } else { "" };
@@ -829,10 +906,11 @@ fn main() {
     }
     std::fs::write(&out_path, &json).expect("write report");
     eprintln!(
-        "perf: kernel {:.2}x, cached {:.2}x, mapping {:.2}x, chunked {:.2}x, design {:.2}x on {cores} core(s); report -> {out_path}",
+        "perf: kernel {:.2}x, cached {:.2}x, mapping {:.2}x, verify {:.2}x, chunked {:.2}x, design {:.2}x on {cores} core(s); report -> {out_path}",
         kernel_base / kernel_opt,
         kernel_cached_plain / kernel_cached,
         map_seq / map_par,
+        verify_base / verify_opt,
         chunk_seq / chunk_par,
         design_seq / design_par
     );

@@ -36,7 +36,9 @@
 
 use std::collections::HashMap;
 
-use chortle_netlist::{LutCircuit, LutId, LutSource, NodeId, TruthTable};
+use chortle_netlist::{
+    exhaustive_chunk, LutCircuit, LutId, LutSource, NodeId, TruthTable, MAX_VARS,
+};
 
 use crate::map::MapError;
 
@@ -290,58 +292,37 @@ fn reachable_vectors(
     work: &[Option<WorkLut>],
 ) -> Vec<u32> {
     let m = window.len();
-    let chunks = if m > 6 { 1usize << (m - 6) } else { 1 };
-    let mut reachable: Vec<u32> = Vec::new();
-    let mut seen: HashMap<u32, ()> = HashMap::new();
+    let chunks = if m > 6 { 1u64 << (m - 6) } else { 1 };
+    let valid = if m >= 6 { 64 } else { 1usize << m };
+    // Seen set over all 2^|inputs| vectors (|inputs| <= K), one bit each.
+    let mut seen = vec![0u64; (1usize << inputs.len()).div_ceil(64)];
+    let mut window_words = vec![0u64; m];
+    let mut input_words = vec![0u64; inputs.len()];
     // Values of live work LUTs for the current chunk, lazily filled.
     let mut lut_words: Vec<Option<u64>> = vec![None; work.len()];
     for chunk in 0..chunks {
-        for w in lut_words.iter_mut() {
-            *w = None;
-        }
+        lut_words.fill(None);
+        exhaustive_chunk(chunk, &mut window_words);
         let pi_word = |id: NodeId| -> u64 {
             let pos = window.iter().position(|&w| w == id).expect("in window");
-            pattern_word(pos, chunk)
+            window_words[pos]
         };
-        let input_words: Vec<u64> = inputs
-            .iter()
-            .map(|&src| source_word(src, &pi_word, work, &mut lut_words))
-            .collect();
-        let valid = if m >= 6 { 64 } else { 1usize << m };
+        for (w, &src) in input_words.iter_mut().zip(inputs) {
+            *w = source_word(src, &pi_word, work, &mut lut_words);
+        }
         for bit in 0..valid {
-            let mut v = 0u32;
+            let mut v = 0usize;
             for (j, w) in input_words.iter().enumerate() {
                 if (w >> bit) & 1 == 1 {
                     v |= 1 << j;
                 }
             }
-            if seen.insert(v, ()).is_none() {
-                reachable.push(v);
-            }
+            seen[v / 64] |= 1 << (v % 64);
         }
     }
-    reachable.sort_unstable();
-    reachable
-}
-
-/// Bit pattern of window variable `pos` within assignment chunk
-/// `chunk` (assignments are numbered `chunk * 64 + bit`).
-fn pattern_word(pos: usize, chunk: usize) -> u64 {
-    const VAR_WORDS: [u64; 6] = [
-        0xAAAA_AAAA_AAAA_AAAA,
-        0xCCCC_CCCC_CCCC_CCCC,
-        0xF0F0_F0F0_F0F0_F0F0,
-        0xFF00_FF00_FF00_FF00,
-        0xFFFF_0000_FFFF_0000,
-        0xFFFF_FFFF_0000_0000,
-    ];
-    if pos < 6 {
-        VAR_WORDS[pos]
-    } else if (chunk >> (pos - 6)) & 1 == 1 {
-        u64::MAX
-    } else {
-        0
-    }
+    (0..1u32 << inputs.len())
+        .filter(|&v| (seen[v as usize / 64] >> (v % 64)) & 1 == 1)
+        .collect()
 }
 
 /// 64-assignment value word of `src`, simulating live work LUTs on
@@ -368,24 +349,12 @@ fn source_word(
             let lut = work[id.index()]
                 .as_ref()
                 .expect("reachable sources resolve to live LUTs");
-            let in_words: Vec<u64> = lut
-                .inputs
-                .clone()
-                .iter()
-                .map(|&s| source_word(s, pi_word, work, lut_words))
-                .collect();
-            let mut out = 0u64;
-            for bit in 0..64 {
-                let mut idx = 0u32;
-                for (j, w) in in_words.iter().enumerate() {
-                    if (w >> bit) & 1 == 1 {
-                        idx |= 1 << j;
-                    }
-                }
-                if lut.table.eval(idx) {
-                    out |= 1u64 << bit;
-                }
+            let mut gathered = [0u64; MAX_VARS];
+            let fanin = &mut gathered[..lut.inputs.len()];
+            for (w, &s) in fanin.iter_mut().zip(&lut.inputs) {
+                *w = source_word(s, pi_word, work, lut_words);
             }
+            let out = lut.table.eval_words(fanin);
             lut_words[id.index()] = Some(out);
             out
         }

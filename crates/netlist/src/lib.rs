@@ -67,6 +67,6 @@ pub use network::{Network, Node, NodeId, NodeOp, Output, Signal};
 pub use rng::{mix64, SplitMix64};
 pub use sim::{simulate, simulate_outputs};
 pub use stats::{LutStats, NetworkStats};
-pub use truth_table::{TruthTable, MAX_VARS};
+pub use truth_table::{exhaustive_chunk, TruthTable, MAX_VARS};
 pub use verify::{check_equivalence, check_networks, EquivalenceError, RANDOM_ROUNDS};
 pub use verilog::write_lut_verilog;

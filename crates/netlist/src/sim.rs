@@ -5,7 +5,7 @@
 //! checking between a source [`Network`] and a mapped
 //! [`LutCircuit`](crate::LutCircuit).
 
-use crate::network::{Network, NodeOp};
+use crate::network::{Network, NodeOp, Output};
 
 /// Simulates `network` on 64 packed input patterns.
 ///
@@ -34,11 +34,31 @@ pub fn simulate(network: &Network, input_words: &[u64]) -> Vec<u64> {
         network.num_inputs(),
         "one input word per primary input"
     );
+    let mut values = Vec::new();
+    simulate_into(network, input_words, &input_positions(network), &mut values);
+    values
+}
+
+/// Position of every primary input in [`Network::inputs`], indexed by
+/// node (`usize::MAX` for non-inputs).
+pub(crate) fn input_positions(network: &Network) -> Vec<usize> {
     let mut input_pos = vec![usize::MAX; network.len()];
     for (i, &id) in network.inputs().iter().enumerate() {
         input_pos[id.index()] = i;
     }
-    let mut values = vec![0u64; network.len()];
+    input_pos
+}
+
+/// [`simulate`] into a reused buffer, with the [`input_positions`] map
+/// computed once by the caller. `values` is resized to one word per node;
+/// every word is overwritten.
+pub(crate) fn simulate_into(
+    network: &Network,
+    input_words: &[u64],
+    input_pos: &[usize],
+    values: &mut Vec<u64>,
+) {
+    values.resize(network.len(), 0);
     for (id, node) in network.nodes() {
         let v = match node.op() {
             NodeOp::Input => input_words[input_pos[id.index()]],
@@ -66,7 +86,6 @@ pub fn simulate(network: &Network, input_words: &[u64]) -> Vec<u64> {
         };
         values[id.index()] = v;
     }
-    values
 }
 
 /// Simulates `network` and returns one word per primary output (polarity
@@ -80,15 +99,18 @@ pub fn simulate_outputs(network: &Network, input_words: &[u64]) -> Vec<u64> {
     network
         .outputs()
         .iter()
-        .map(|o| {
-            let w = values[o.signal.node().index()];
-            if o.signal.is_inverted() {
-                !w
-            } else {
-                w
-            }
-        })
+        .map(|o| output_value(o, &values))
         .collect()
+}
+
+/// The word of output `o` (polarity applied) from per-node `values`.
+pub(crate) fn output_value(o: &Output, values: &[u64]) -> u64 {
+    let w = values[o.signal.node().index()];
+    if o.signal.is_inverted() {
+        !w
+    } else {
+        w
+    }
 }
 
 #[cfg(test)]

@@ -190,6 +190,51 @@ impl TruthTable {
         (self.words[(bits >> 6) as usize] >> (bits & 63)) & 1 == 1
     }
 
+    /// Evaluates the function on 64 packed assignments at once.
+    ///
+    /// `inputs[i]` holds the values of variable `i`, one assignment per
+    /// bit; bit `b` of the result is the function value on assignment
+    /// `b`. The table is reduced by a Shannon mux tree, one level per
+    /// variable (`f0 ^ ((f0 ^ f1) & x)`): every table word over
+    /// variables 0–5, then the word results over variables 6 and up.
+    /// Nothing is allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs.len()` differs from [`num_vars`].
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use chortle_netlist::TruthTable;
+    /// let and = TruthTable::var(2, 0).and(&TruthTable::var(2, 1));
+    /// assert_eq!(and.eval_words(&[0b1100, 0b1010]), 0b1000);
+    /// ```
+    ///
+    /// [`num_vars`]: TruthTable::num_vars
+    pub fn eval_words(&self, inputs: &[u64]) -> u64 {
+        assert_eq!(inputs.len(), self.vars, "one input word per variable");
+        let (low, high) = inputs.split_at(self.vars.min(6));
+        if high.is_empty() {
+            // One table word: no cross-word merge.
+            return reduce_word(self.words[0], low);
+        }
+        // Word results merge like a binary counter: `level[j]` holds a
+        // pending result over variables 6..6+j, muxed with its right
+        // sibling by variable `6 + j` as soon as that sibling exists.
+        let mut level = [0u64; MAX_VARS - 6 + 1];
+        for (i, &word) in self.words.iter().enumerate() {
+            let mut f = reduce_word(word, low);
+            let mut j = 0;
+            while (i >> j) & 1 == 1 {
+                f = mux(level[j], f, high[j]);
+                j += 1;
+            }
+            level[j] = f;
+        }
+        level[high.len()]
+    }
+
     /// Sets the function value on assignment `bits`.
     pub fn set(&mut self, bits: u32, value: bool) {
         assert!((bits as u64) < (1u64 << self.vars));
@@ -550,6 +595,63 @@ impl TruthTable {
             acc = acc.or(&term);
         }
         acc
+    }
+}
+
+/// Shannon multiplexer on packed words: `f1` where `x` is set, else `f0`.
+fn mux(f0: u64, f1: u64, x: u64) -> u64 {
+    f0 ^ ((f0 ^ f1) & x)
+}
+
+/// Evaluates the `2^x.len()`-entry table in the low bits of `word` on the
+/// 64 assignments packed in `x` (at most six variables).
+fn reduce_word(word: u64, x: &[u64]) -> u64 {
+    // Leaves are the 4-entry sub-tables over variables 0 and 1, muxed
+    // straight from the table bits (an absent variable reads as 0, which
+    // selects entry 0); each later pass muxes adjacent pairs by the next
+    // variable, halving the live prefix.
+    let var = |j: usize| x.get(j).copied().unwrap_or(0);
+    let (x0, x1) = (var(0), var(1));
+    let upper = x.get(2..).unwrap_or_default();
+    let mut f = [0u64; 16];
+    let mut live = 1usize << upper.len();
+    for (i, v) in f[..live].iter_mut().enumerate() {
+        let entry = |b: usize| 0u64.wrapping_sub((word >> (4 * i + b)) & 1);
+        *v = mux(mux(entry(0), entry(1), x0), mux(entry(2), entry(3), x0), x1);
+    }
+    for &xj in upper {
+        live /= 2;
+        for i in 0..live {
+            f[i] = mux(f[2 * i], f[2 * i + 1], xj);
+        }
+    }
+    f[0]
+}
+
+/// The 64-assignment words of exhaustive chunk `chunk`: `words[i]` gets
+/// the values of variable `i` on assignments `chunk * 64 ..
+/// chunk * 64 + 63`, one per bit — word `chunk` of
+/// [`TruthTable::var`]`(_, i)`. Sweeping `chunk` over `0..2^(n-6)`
+/// (just chunk 0 when `n ≤ 6`) enumerates every assignment of `n =
+/// words.len()` variables; for `n < 6` the bits from `2^n` up repeat
+/// earlier assignments and callers mask them off.
+///
+/// # Examples
+///
+/// ```
+/// use chortle_netlist::exhaustive_chunk;
+/// let mut words = [0u64; 8];
+/// exhaustive_chunk(3, &mut words);
+/// assert_eq!(words[0], 0xAAAA_AAAA_AAAA_AAAA);
+/// assert_eq!((words[6], words[7]), (u64::MAX, u64::MAX)); // 3 = 0b11
+/// ```
+pub fn exhaustive_chunk(chunk: u64, words: &mut [u64]) {
+    for (i, w) in words.iter_mut().enumerate() {
+        *w = match VAR_WORDS.get(i) {
+            Some(&pattern) => pattern,
+            None if chunk.checked_shr((i - 6) as u32).unwrap_or(0) & 1 == 1 => u64::MAX,
+            None => 0,
+        };
     }
 }
 

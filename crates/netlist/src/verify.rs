@@ -10,10 +10,10 @@ use std::error::Error;
 use std::fmt;
 
 use crate::lut::LutCircuit;
-use crate::network::Network;
+use crate::network::{Network, NodeId};
 use crate::rng::SplitMix64;
-use crate::sim::simulate_outputs;
-use crate::truth_table::MAX_VARS;
+use crate::sim::{input_positions, output_value, simulate_into};
+use crate::truth_table::{exhaustive_chunk, MAX_VARS};
 
 /// A verification failure: the mapped circuit disagrees with the network.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -22,6 +22,11 @@ pub struct EquivalenceError {
     pub output: String,
     /// An input assignment (bit `i` = primary input `i`) exhibiting the
     /// difference.
+    ///
+    /// Only primary inputs 0–63 fit: on a network wider than 64 inputs
+    /// (always a randomly checked one) the values of inputs 64 and up
+    /// are dropped, so replaying this assignment with them at 0 need
+    /// not reproduce the difference.
     pub counterexample: u64,
 }
 
@@ -41,6 +46,12 @@ impl Error for EquivalenceError {}
 /// network is too wide for exhaustive checking.
 pub const RANDOM_ROUNDS: usize = 256;
 
+/// Seed of [`check_equivalence`]'s random pattern stream.
+const CIRCUIT_SEED: u64 = 0xC0FF_EE00_D15E_A5ED;
+
+/// Seed of [`check_networks`]' random pattern stream.
+const NETWORKS_SEED: u64 = 0x5EED_CAFE_F00D_BEEF;
+
 /// Checks that `circuit` implements `network`.
 ///
 /// Outputs are matched by position (the mappers preserve output order).
@@ -51,7 +62,9 @@ pub const RANDOM_ROUNDS: usize = 256;
 /// # Errors
 ///
 /// Returns an [`EquivalenceError`] naming the first differing output with a
-/// counterexample.
+/// counterexample. On networks with more than 64 primary inputs the
+/// counterexample holds only inputs 0–63
+/// ([`EquivalenceError::counterexample`]).
 ///
 /// # Panics
 ///
@@ -82,40 +95,16 @@ pub fn check_equivalence(network: &Network, circuit: &LutCircuit) -> Result<(), 
         circuit.outputs().len(),
         "network and circuit must have the same number of outputs"
     );
-    let n = network.num_inputs();
-    let mut input_pos = vec![usize::MAX; network.len()];
-    for (i, &id) in network.inputs().iter().enumerate() {
-        input_pos[id.index()] = i;
-    }
-    let index = |id: crate::network::NodeId| input_pos[id.index()];
-
-    if n <= MAX_VARS.min(20) {
-        // Exhaustive: sweep all 2^n assignments in 64-pattern chunks.
-        let total: u64 = 1u64 << n;
-        let mut base = 0u64;
-        while base < total {
-            let mut words = vec![0u64; n];
-            let chunk = (total - base).min(64);
-            for off in 0..chunk {
-                let bits = base + off;
-                for (i, w) in words.iter_mut().enumerate() {
-                    if (bits >> i) & 1 == 1 {
-                        *w |= 1 << off;
-                    }
-                }
-            }
-            compare_chunk(network, circuit, &words, chunk, base, &index)?;
-            base += 64;
-        }
-        Ok(())
-    } else {
-        let mut rng = SplitMix64::new(0xC0FF_EE00_D15E_A5ED);
-        for _ in 0..RANDOM_ROUNDS {
-            let words: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
-            compare_random_chunk(network, circuit, &words, &index)?;
-        }
-        Ok(())
-    }
+    let input_pos = input_positions(network);
+    let index = |id: NodeId| input_pos[id.index()];
+    let (mut net_values, mut lut_values) = (Vec::new(), Vec::new());
+    sweep(network, CIRCUIT_SEED, |words, mask| {
+        simulate_into(network, words, &input_pos, &mut net_values);
+        circuit.simulate_luts(words, &index, &mut lut_values);
+        first_difference(network, &net_values, mask, |o| {
+            circuit.output_word(o, words, &index, &lut_values)
+        })
+    })
 }
 
 /// Checks that two networks with matching primary-input and output lists
@@ -128,7 +117,9 @@ pub fn check_equivalence(network: &Network, circuit: &LutCircuit) -> Result<(), 
 ///
 /// # Errors
 ///
-/// Returns an [`EquivalenceError`] naming the first differing output.
+/// Returns an [`EquivalenceError`] naming the first differing output. On
+/// networks with more than 64 primary inputs the counterexample holds
+/// only inputs 0–63 ([`EquivalenceError::counterexample`]).
 ///
 /// # Panics
 ///
@@ -160,117 +151,89 @@ pub fn check_networks(a: &Network, b: &Network) -> Result<(), EquivalenceError> 
         b.num_outputs(),
         "networks must have the same number of outputs"
     );
-    let n = a.num_inputs();
-    let compare =
-        |words: &[u64], mask: u64, describe: &dyn Fn(u32) -> u64| -> Result<(), EquivalenceError> {
-            let wa = simulate_outputs(a, words);
-            let wb = simulate_outputs(b, words);
-            for (o, (x, y)) in wa.iter().zip(&wb).enumerate() {
-                let diff = (x ^ y) & mask;
-                if diff != 0 {
-                    return Err(EquivalenceError {
-                        output: a.outputs()[o].name.clone(),
-                        counterexample: describe(diff.trailing_zeros()),
-                    });
-                }
-            }
-            Ok(())
-        };
+    let (pos_a, pos_b) = (input_positions(a), input_positions(b));
+    let (mut values_a, mut values_b) = (Vec::new(), Vec::new());
+    sweep(a, NETWORKS_SEED, |words, mask| {
+        simulate_into(a, words, &pos_a, &mut values_a);
+        simulate_into(b, words, &pos_b, &mut values_b);
+        first_difference(a, &values_a, mask, |o| {
+            output_value(&b.outputs()[o], &values_b)
+        })
+    })
+}
+
+/// Feeds `first_diff` every pattern chunk over the primary inputs of
+/// `reference`, in order, until it reports a difference: all `2^n`
+/// assignments in 64-pattern [`exhaustive_chunk`]s when `n ≤ MAX_VARS`,
+/// else [`RANDOM_ROUNDS`] chunks drawn from a [`SplitMix64`] seeded with
+/// `seed`. `first_diff(words, mask)` compares only the pattern bits in
+/// `mask` and returns the first differing output with the pattern bit
+/// it differs on; that output of `reference` and the assignment
+/// (truncated to inputs 0–63 on the random path) become the error.
+fn sweep(
+    reference: &Network,
+    seed: u64,
+    mut first_diff: impl FnMut(&[u64], u64) -> Option<(usize, u32)>,
+) -> Result<(), EquivalenceError> {
+    let fail = |o: usize, counterexample: u64| {
+        Err(EquivalenceError {
+            output: reference.outputs()[o].name.clone(),
+            counterexample,
+        })
+    };
+    let n = reference.num_inputs();
+    let mut words = vec![0u64; n];
     if n <= MAX_VARS {
         let total: u64 = 1u64 << n;
         let mut base = 0u64;
         while base < total {
+            exhaustive_chunk(base / 64, &mut words);
             let chunk = (total - base).min(64);
-            let mut words = vec![0u64; n];
-            for off in 0..chunk {
-                let bits = base + off;
-                for (i, w) in words.iter_mut().enumerate() {
-                    if (bits >> i) & 1 == 1 {
-                        *w |= 1 << off;
-                    }
-                }
-            }
             let mask = if chunk == 64 {
                 u64::MAX
             } else {
                 (1u64 << chunk) - 1
             };
-            compare(&words, mask, &|bit| base + u64::from(bit))?;
+            if let Some((o, bit)) = first_diff(&words, mask) {
+                return fail(o, base + u64::from(bit));
+            }
             base += 64;
         }
-        Ok(())
     } else {
-        let mut rng = SplitMix64::new(0x5EED_CAFE_F00D_BEEF);
+        let mut rng = SplitMix64::new(seed);
         for _ in 0..RANDOM_ROUNDS {
-            let words: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
-            let describe = |bit: u32| -> u64 {
+            for w in &mut words {
+                *w = rng.next_u64();
+            }
+            if let Some((o, bit)) = first_diff(&words, u64::MAX) {
+                // Reconstruct the failing assignment from the packed
+                // words; only inputs 0-63 fit in the u64.
                 let mut assignment = 0u64;
                 for (i, w) in words.iter().enumerate().take(64) {
                     if (w >> bit) & 1 == 1 {
                         assignment |= 1 << i;
                     }
                 }
-                assignment
-            };
-            compare(&words, u64::MAX, &describe)?;
-        }
-        Ok(())
-    }
-}
-
-fn compare_chunk(
-    network: &Network,
-    circuit: &LutCircuit,
-    words: &[u64],
-    chunk: u64,
-    base: u64,
-    index: &dyn Fn(crate::network::NodeId) -> usize,
-) -> Result<(), EquivalenceError> {
-    let want = simulate_outputs(network, words);
-    let got = circuit.simulate(words, index);
-    for (o, (w, g)) in want.iter().zip(&got).enumerate() {
-        let mask = if chunk == 64 {
-            u64::MAX
-        } else {
-            (1u64 << chunk) - 1
-        };
-        let diff = (w ^ g) & mask;
-        if diff != 0 {
-            return Err(EquivalenceError {
-                output: network.outputs()[o].name.clone(),
-                counterexample: base + diff.trailing_zeros() as u64,
-            });
-        }
-    }
-    Ok(())
-}
-
-fn compare_random_chunk(
-    network: &Network,
-    circuit: &LutCircuit,
-    words: &[u64],
-    index: &dyn Fn(crate::network::NodeId) -> usize,
-) -> Result<(), EquivalenceError> {
-    let want = simulate_outputs(network, words);
-    let got = circuit.simulate(words, index);
-    for (o, (w, g)) in want.iter().zip(&got).enumerate() {
-        let diff = w ^ g;
-        if diff != 0 {
-            // Reconstruct the failing assignment from the packed words.
-            let bit = diff.trailing_zeros();
-            let mut assignment = 0u64;
-            for (i, iw) in words.iter().enumerate().take(64) {
-                if (iw >> bit) & 1 == 1 {
-                    assignment |= 1 << i;
-                }
+                return fail(o, assignment);
             }
-            return Err(EquivalenceError {
-                output: network.outputs()[o].name.clone(),
-                counterexample: assignment,
-            });
         }
     }
     Ok(())
+}
+
+/// The first output of `reference` (node words `values`) whose word
+/// differs from `other(o)` under `mask`, with the lowest differing
+/// pattern bit.
+fn first_difference(
+    reference: &Network,
+    values: &[u64],
+    mask: u64,
+    other: impl Fn(usize) -> u64,
+) -> Option<(usize, u32)> {
+    reference.outputs().iter().enumerate().find_map(|(o, out)| {
+        let diff = (output_value(out, values) ^ other(o)) & mask;
+        (diff != 0).then(|| (o, diff.trailing_zeros()))
+    })
 }
 
 #[cfg(test)]
@@ -343,5 +306,50 @@ mod tests {
         }
         circuit.add_output("z", level[0], false);
         check_equivalence(&net, &circuit).expect("equivalent");
+    }
+
+    /// The assignment the random path reports when the first chunk drawn
+    /// from `seed` over `n` inputs differs on the patterns of `diff`:
+    /// the lowest such pattern, truncated to inputs 0-63.
+    fn first_round_counterexample(seed: u64, n: usize, diff: impl Fn(&[u64]) -> u64) -> u64 {
+        let mut rng = SplitMix64::new(seed);
+        let words: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
+        let bit = diff(&words).trailing_zeros();
+        (0..64).fold(0, |acc, i| acc | (((words[i] >> bit) & 1) << i))
+    }
+
+    #[test]
+    fn counterexamples_on_wide_networks_hold_only_inputs_0_to_63() {
+        // z = i63 & i69, against a circuit (and a second network) that
+        // drive z with constant 0: they differ exactly where both inputs
+        // are 1. Input 63 is the last one the counterexample can hold.
+        let mut net = Network::new();
+        let inputs: Vec<_> = (0..70).map(|i| net.add_input(format!("i{i}"))).collect();
+        let g = net.add_gate(NodeOp::And, vec![inputs[63].into(), inputs[69].into()]);
+        net.add_output("z", g.into());
+        let mut circuit = LutCircuit::new(2);
+        circuit.add_output("z", LutSource::Const(false), false);
+        let mut zero = Network::new();
+        for i in 0..70 {
+            zero.add_input(format!("i{i}"));
+        }
+        let low = zero.add_const(false);
+        zero.add_output("z", low.into());
+
+        let diff = |w: &[u64]| w[63] & w[69];
+        for (err, seed) in [
+            (check_equivalence(&net, &circuit).unwrap_err(), CIRCUIT_SEED),
+            (check_networks(&net, &zero).unwrap_err(), NETWORKS_SEED),
+        ] {
+            assert_eq!(err.output, "z");
+            assert_eq!(
+                err.counterexample,
+                first_round_counterexample(seed, 70, diff)
+            );
+            // Input 63 is kept; input 69 set the difference but has no
+            // bit, so replaying the counterexample with inputs 64+ at 0
+            // gives z = 0 on both sides and does not reproduce it.
+            assert_eq!(err.counterexample >> 63, 1);
+        }
     }
 }

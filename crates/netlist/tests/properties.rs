@@ -155,6 +155,48 @@ fn shrink_extend_roundtrip() {
     }
 }
 
+/// Asserts `eval_words` agrees with per-bit `eval` on all 64 packed
+/// assignments of `inputs`.
+fn assert_eval_words_per_bit(t: &TruthTable, inputs: &[u64]) {
+    let got = t.eval_words(inputs);
+    for bit in 0..64 {
+        let mut bits = 0u32;
+        for (j, w) in inputs.iter().enumerate() {
+            bits |= (((w >> bit) & 1) as u32) << j;
+        }
+        assert_eq!(
+            (got >> bit) & 1 == 1,
+            t.eval(bits),
+            "{t:?} on assignment {bits:#b} (pattern bit {bit})"
+        );
+    }
+}
+
+#[test]
+fn eval_words_matches_per_bit_eval() {
+    let mut rng = SplitMix64::new(0x9e87_000a);
+    for vars in (0..=8usize).chain([10, 16]) {
+        let words = 1usize << vars.saturating_sub(6);
+        let mut tables = vec![
+            TruthTable::constant(vars, false),
+            TruthTable::constant(vars, true),
+        ];
+        for _ in 0..8 {
+            let raw: Vec<u64> = (0..words).map(|_| rng.next_u64()).collect();
+            tables.push(TruthTable::from_words(vars, &raw));
+        }
+        for t in &tables {
+            let random: Vec<u64> = (0..vars).map(|_| rng.next_u64()).collect();
+            assert_eval_words_per_bit(t, &random);
+            // All-equal inputs: only the table's diagonal is reachable.
+            let shared = rng.next_u64();
+            for fill in [0, u64::MAX, shared] {
+                assert_eval_words_per_bit(t, &vec![fill; vars]);
+            }
+        }
+    }
+}
+
 #[test]
 fn simulation_agrees_with_truth_tables() {
     let mut rng = SplitMix64::new(0x9e87_0005);

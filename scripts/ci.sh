@@ -24,6 +24,12 @@ fi
 echo "==> cargo test -q"
 cargo test -q
 
+# The benchmark crate is a workspace of its own, so `cargo test` above
+# skips it; its tests include the metric-catalogue vs BENCHMARK.json
+# agreement check.
+echo "==> perfbench tests"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 smoke_blif='.model smoke\n.inputs a b c\n.outputs y\n.names a b t\n11 1\n.names t c y\n1- 1\n-1 1\n.end\n'
 
 echo "==> telemetry report smoke (--report json | report-check)"
