@@ -13,16 +13,32 @@
 //!   times it against [`chortle_netlist::check_equivalence`]; the
 //!   differential tests use it as the oracle that the word-parallel
 //!   checker reports the identical [`EquivalenceError`].
+//! * [`baseline_optimize`] is the optimization script with the original
+//!   whole-network `eliminate` and `extract_kernels`: every candidate
+//!   variable scans every node, and every extraction re-enumerates the
+//!   kernels of every node. `perf` times it against
+//!   [`chortle_logic_opt::optimize_with`], and the differential tests
+//!   require byte-identical networks and identical reports.
 //!
 //! Do not "improve" this module — its slowness is the point.
 
+use std::collections::HashMap;
+
 use chortle::{Tree, TreeChild};
+use chortle_logic_opt::{
+    extract_cubes, heuristic_minimize, kernels, minimize_exact, Cube, Literal, OptimizeOptions,
+    OptimizeReport, Sop, SopNetwork,
+};
 use chortle_netlist::{
-    simulate_outputs, EquivalenceError, LutCircuit, LutSource, Network, NodeId, SplitMix64,
-    MAX_VARS, RANDOM_ROUNDS,
+    simulate_outputs, EquivalenceError, LutCircuit, LutSource, Network, NetworkError, NodeId,
+    SplitMix64, MAX_VARS, RANDOM_ROUNDS,
 };
 
 const INF: u32 = 1_000_000_000;
+
+/// The per-node kernel enumeration caps of `extract_kernels`.
+const MAX_KERNELS_PER_NODE: usize = 200;
+const MAX_CUBES_FOR_KERNELING: usize = 120;
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 struct Cost {
@@ -399,6 +415,190 @@ fn bit_serial_simulate(
             }
         })
         .collect()
+}
+
+/// [`chortle_logic_opt::optimize_with`] with the original whole-network
+/// `eliminate` and `extract_kernels`; every other step is the same call.
+///
+/// # Errors
+///
+/// Propagates [`NetworkError`] from network reconstruction.
+pub fn baseline_optimize(
+    network: &Network,
+    options: &OptimizeOptions,
+) -> Result<(Network, OptimizeReport), NetworkError> {
+    let mut net = SopNetwork::from_network(network);
+    let mut report = OptimizeReport {
+        literals_before: net.literal_count(),
+        ..OptimizeReport::default()
+    };
+    report.eliminated = baseline_eliminate(&mut net, options.eliminate_threshold);
+    net.minimize_nodes();
+    if options.exact_node_minimization {
+        for var in net.node_vars() {
+            let sop = net.node_sop(var).expect("node").clone();
+            if let Ok(min) = minimize_exact(&sop) {
+                if min.num_literals() <= sop.num_literals() {
+                    net.set_node_sop(var, min);
+                }
+            }
+        }
+    }
+    if options.heuristic_node_minimization {
+        for var in net.node_vars() {
+            let sop = net.node_sop(var).expect("node").clone();
+            let min = heuristic_minimize(&sop);
+            if min.num_literals() <= sop.num_literals() {
+                net.set_node_sop(var, min);
+            }
+        }
+    }
+    if options.kernel_extraction {
+        report.extracted += baseline_extract_kernels(&mut net);
+    }
+    if options.cube_extraction {
+        report.extracted += extract_cubes(&mut net).extracted;
+    }
+    net.minimize_nodes();
+    report.literals_after = net.literal_count();
+    Ok((net.to_network()?, report))
+}
+
+/// `SopNetwork::eliminate` as it was: each candidate's literal delta and
+/// each inlining scan every node of the network.
+fn baseline_eliminate(net: &mut SopNetwork, threshold: isize) -> usize {
+    let mut eliminated = 0;
+    loop {
+        let mut progress = false;
+        let counts = net.use_counts();
+        for (var, &(pos, neg)) in counts.iter().enumerate() {
+            let Some(sop) = net.node_sop(var).cloned() else {
+                continue;
+            };
+            if neg > 0 || pos == 0 || net.outputs().iter().any(|(_, l)| l.var() == var) {
+                continue;
+            }
+            let x = Literal::positive(var);
+            if !(sop.is_zero() || sop.is_one()) {
+                let m = sop.num_cubes() as isize;
+                let lam = sop.num_literals() as isize;
+                let mut value = -lam;
+                for i in 0..net.len() {
+                    for c in net.node_sop(i).map_or(&[][..], Sop::cubes) {
+                        if c.has(x) {
+                            let len = c.len() as isize;
+                            value += m * (len - 1) + lam - len;
+                        }
+                    }
+                }
+                if value > threshold {
+                    continue;
+                }
+            }
+            for i in 0..net.len() {
+                if i == var {
+                    continue;
+                }
+                let consumer = match net.node_sop(i) {
+                    Some(s) if s.literal_counts().contains_key(&x) => s.clone(),
+                    _ => continue,
+                };
+                let mut new_cubes: Vec<Cube> = Vec::new();
+                for c in consumer.cubes() {
+                    if c.has(x) {
+                        let rest = c.without(&Cube::from_literals([x]).expect("lit cube"));
+                        for d in sop.cubes() {
+                            if let Some(p) = rest.product(d) {
+                                new_cubes.push(p);
+                            }
+                        }
+                    } else {
+                        new_cubes.push(c.clone());
+                    }
+                }
+                let mut new_sop = Sop::from_cubes(new_cubes);
+                new_sop.minimize();
+                net.set_node_sop(i, new_sop);
+            }
+            net.set_node_sop(var, Sop::zero());
+            eliminated += 1;
+            progress = true;
+        }
+        if !progress {
+            break;
+        }
+    }
+    eliminated
+}
+
+/// `extract_kernels` as it was: every round re-enumerates the kernels of
+/// every node and re-divides every (kernel, user) pair. Returns the
+/// number of kernels extracted.
+fn baseline_extract_kernels(net: &mut SopNetwork) -> usize {
+    let mut extracted = 0;
+    loop {
+        let mut candidates: HashMap<Sop, Vec<usize>> = HashMap::new();
+        for var in net.node_vars() {
+            let sop = net.node_sop(var).expect("node var").clone();
+            if sop.num_cubes() < 2 || sop.num_cubes() > MAX_CUBES_FOR_KERNELING {
+                continue;
+            }
+            for k in kernels(&sop).into_iter().take(MAX_KERNELS_PER_NODE) {
+                if k.kernel.num_cubes() < 2 {
+                    continue;
+                }
+                candidates.entry(k.kernel).or_default().push(var);
+            }
+        }
+        type BestKernel = (isize, Sop, Vec<usize>);
+        let mut best: Option<BestKernel> = None;
+        for (kernel, mut users) in candidates {
+            users.sort_unstable();
+            users.dedup();
+            let mut uses = Vec::new();
+            let mut total: isize = -(kernel.num_literals() as isize);
+            for &var in &users {
+                let f = net.node_sop(var).expect("node");
+                let (q, r) = f.divide(&kernel);
+                if q.is_zero() {
+                    continue;
+                }
+                let new_lits = q.num_literals() + q.num_cubes() + r.num_literals();
+                let v = f.num_literals() as isize - new_lits as isize;
+                if v > 0 {
+                    uses.push(var);
+                    total += v;
+                }
+            }
+            if uses.is_empty() || total <= 0 {
+                continue;
+            }
+            let better = match &best {
+                None => true,
+                Some((bt, bk, _)) => total > *bt || (total == *bt && kernel < *bk),
+            };
+            if better {
+                best = Some((total, kernel, uses));
+            }
+        }
+        let Some((_, kernel, uses)) = best else {
+            break;
+        };
+        let x = net.add_node(kernel.clone());
+        let x_cube = Cube::from_literals([Literal::positive(x)]).expect("fresh variable");
+        for var in uses {
+            let (q, r) = net.node_sop(var).expect("node").divide(&kernel);
+            let mut cubes: Vec<Cube> = q
+                .cubes()
+                .iter()
+                .map(|c| c.product(&x_cube).expect("fresh variable cannot clash"))
+                .collect();
+            cubes.extend(r.cubes().iter().cloned());
+            net.set_node_sop(var, Sop::from_cubes(cubes));
+        }
+        extracted += 1;
+    }
+    extracted
 }
 
 #[cfg(test)]

@@ -316,6 +316,13 @@ mod tests {
             direction("verify_total.optimized_s"),
             Direction::LowerIsBetter
         );
+        // So is the optimization-script section; its per-network rows
+        // are diagnostics.
+        assert_eq!(
+            direction("optimize_total.speedup"),
+            Direction::HigherIsBetter
+        );
+        assert_eq!(direction("optimize[12].speedup"), Direction::Neutral);
         assert_eq!(direction("warm.throughput_rps"), Direction::HigherIsBetter);
         assert_eq!(
             direction("overload.completion_rate"),

@@ -39,11 +39,19 @@
 //!    clouds mapped sequentially against the cloud-axis fan-out at the
 //!    same forced worker count (DESIGN.md §17), assembled netlists
 //!    asserted byte-identical; `speedup` is bench-diff-gated.
+//! 7. **Logic optimization** (`optimize`): [`optimize_with`] against the
+//!    frozen whole-network script
+//!    ([`chortle_bench::baseline::baseline_optimize`]) on the suite's
+//!    source networks plus a 64-wide, six-round DES-like network, once
+//!    (the script does not depend on K); every written BLIF and report
+//!    asserted identical; bench-diff gates `optimize_total.speedup`.
 //!
 //! Timings use [`std::time::Instant`] — no external benchmarking crate —
-//! taking the best of several rounds. The JSON report (default
-//! `results/BENCH_map.json`) records the host's core count next to every
-//! speedup, so numbers from single-core machines read as what they are.
+//! taking the best of several rounds, each repeating its workload for at
+//! least [`MIN_ROUND_S`] and reporting time per iteration. The JSON
+//! report (default `results/BENCH_map.json`) records the host's core
+//! count next to every speedup, so numbers from single-core machines
+//! read as what they are.
 //!
 //! A third pass per K re-maps the suite with an *enabled* telemetry sink
 //! and embeds the aggregated `chortle-telemetry/v1.7` report — per-stage
@@ -59,11 +67,11 @@ use chortle::{
     map_design, map_network, DesignOptions, Fingerprint, Forest, MapOptions, Telemetry, Tree,
     TreeChild, TreeMapper,
 };
-use chortle_bench::baseline::{baseline_check_equivalence, baseline_tree_cost};
+use chortle_bench::baseline::{baseline_check_equivalence, baseline_optimize, baseline_tree_cost};
 use chortle_bench::{optimized_suite, pipelined_design};
-use chortle_circuits::alu;
-use chortle_logic_opt::optimize;
-use chortle_netlist::{check_equivalence, parse_design, NodeOp};
+use chortle_circuits::{alu, des_like};
+use chortle_logic_opt::{optimize, optimize_with, OptimizeOptions};
+use chortle_netlist::{check_equivalence, parse_design, write_blif, Network, NodeOp};
 
 const KS: [usize; 4] = [2, 3, 4, 5];
 const KERNEL_ROUNDS: usize = 5;
@@ -126,6 +134,16 @@ struct VerifyRow {
     optimized_s: f64,
 }
 
+struct OptimizeRow {
+    name: String,
+    literals_before: usize,
+    literals_after: usize,
+    /// The frozen whole-network script on this network.
+    baseline_s: f64,
+    /// [`optimize_with`] (fanout-indexed eliminate, cached kernels).
+    optimized_s: f64,
+}
+
 struct ChunkedRow {
     k: usize,
     luts: u64,
@@ -161,14 +179,29 @@ struct TelemetryRow {
     report_json: String,
 }
 
+/// Wall time one timing round covers at least: a workload shorter than
+/// this repeats within the round, and the round reports time per
+/// iteration, so millisecond-scale rows are not at the mercy of one
+/// scheduler hiccup.
+const MIN_ROUND_S: f64 = 0.05;
+
+/// Runs `f` in `rounds` timing rounds of at least [`MIN_ROUND_S`] each;
+/// returns the last value and the best round's seconds per call.
 fn best_of<T>(rounds: usize, mut f: impl FnMut() -> T) -> (T, f64) {
     let mut best = f64::INFINITY;
     let mut value = None;
     for _ in 0..rounds {
         let t = Instant::now();
-        let v = f();
-        best = best.min(t.elapsed().as_secs_f64());
-        value = Some(v);
+        let mut iterations = 0u32;
+        let elapsed = loop {
+            value = Some(f());
+            iterations += 1;
+            let elapsed = t.elapsed().as_secs_f64();
+            if elapsed >= MIN_ROUND_S {
+                break elapsed;
+            }
+        };
+        best = best.min(elapsed / f64::from(iterations));
     }
     (value.expect("at least one round"), best)
 }
@@ -334,6 +367,41 @@ fn measure_fn_tier(cached_trees: &[Tree], k: usize) -> FnTier {
     }
 }
 
+/// The `optimize` section: both scripts on each network, outputs
+/// asserted byte-identical before timing.
+fn measure_optimize(nets: &[(String, Network)]) -> Vec<OptimizeRow> {
+    let options = OptimizeOptions::default();
+    nets.iter()
+        .map(|(name, net)| {
+            let (want, want_report) = baseline_optimize(net, &options).expect("acyclic");
+            let (got, report) = optimize_with(net, &options).expect("acyclic");
+            assert_eq!(report, want_report, "optimize report diverged on {name}");
+            assert!(
+                write_blif(&got, name) == write_blif(&want, name),
+                "optimized network diverged on {name}"
+            );
+            let (_, baseline_s) = best_of(MAP_ROUNDS, || baseline_optimize(net, &options));
+            let (_, optimized_s) = best_of(MAP_ROUNDS, || optimize_with(net, &options));
+            eprintln!(
+                "perf: optimize {name:<10} {:>6} -> {:>6} literals  baseline {:.4}s  \
+                 incremental {:.4}s  ({:.2}x)",
+                report.literals_before,
+                report.literals_after,
+                baseline_s,
+                optimized_s,
+                baseline_s / optimized_s
+            );
+            OptimizeRow {
+                name: name.clone(),
+                literals_before: report.literals_before,
+                literals_after: report.literals_after,
+                baseline_s,
+                optimized_s,
+            }
+        })
+        .collect()
+}
+
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -375,6 +443,17 @@ fn main() {
     let mut telemetry_rows = Vec::new();
     let mut chunked_rows: Vec<ChunkedRow> = Vec::new();
     let mut design_rows: Vec<DesignRow> = Vec::new();
+
+    // The script's source networks: the suite before optimization plus
+    // a 64-wide, six-round DES-like network, a size at which the
+    // quadratic whole-network passes take most of a second.
+    let mut optimize_nets: Vec<(String, Network)> = chortle_circuits::suite()
+        .into_iter()
+        .map(|b| (b.name.to_owned(), b.network))
+        .collect();
+    optimize_nets.push(("des64x6".to_owned(), des_like(0xde5, 64, 6)));
+    let optimize_rows = measure_optimize(&optimize_nets);
+
     for &k in &KS {
         let mut trees: Vec<Tree> = Vec::new();
         for (_, net, _) in &suite {
@@ -710,6 +789,8 @@ fn main() {
     let chunk_par: f64 = chunked_rows.iter().map(|r| r.chunked_s).sum();
     let design_seq: f64 = design_rows.iter().map(|r| r.sequential_s).sum();
     let design_par: f64 = design_rows.iter().map(|r| r.parallel_s).sum();
+    let optimize_base: f64 = optimize_rows.iter().map(|r| r.baseline_s).sum();
+    let optimize_opt: f64 = optimize_rows.iter().map(|r| r.optimized_s).sum();
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -830,6 +911,29 @@ fn main() {
         verify_opt,
         verify_base / verify_opt
     );
+    let _ = writeln!(json, "  \"optimize\": [");
+    for (i, r) in optimize_rows.iter().enumerate() {
+        let comma = if i + 1 < optimize_rows.len() { "," } else { "" };
+        let _ = writeln!(
+            json,
+            "    {{ \"name\": \"{}\", \"literals_before\": {}, \"literals_after\": {}, \
+             \"baseline_s\": {:.6}, \"optimized_s\": {:.6}, \"speedup\": {:.3} }}{comma}",
+            r.name,
+            r.literals_before,
+            r.literals_after,
+            r.baseline_s,
+            r.optimized_s,
+            r.baseline_s / r.optimized_s
+        );
+    }
+    let _ = writeln!(json, "  ],");
+    let _ = writeln!(
+        json,
+        "  \"optimize_total\": {{ \"baseline_s\": {:.6}, \"optimized_s\": {:.6}, \"speedup\": {:.3} }},",
+        optimize_base,
+        optimize_opt,
+        optimize_base / optimize_opt
+    );
     let _ = writeln!(json, "  \"mapping_chunked\": [");
     for (i, r) in chunked_rows.iter().enumerate() {
         let comma = if i + 1 < chunked_rows.len() { "," } else { "" };
@@ -906,11 +1010,12 @@ fn main() {
     }
     std::fs::write(&out_path, &json).expect("write report");
     eprintln!(
-        "perf: kernel {:.2}x, cached {:.2}x, mapping {:.2}x, verify {:.2}x, chunked {:.2}x, design {:.2}x on {cores} core(s); report -> {out_path}",
+        "perf: kernel {:.2}x, cached {:.2}x, mapping {:.2}x, verify {:.2}x, optimize {:.2}x, chunked {:.2}x, design {:.2}x on {cores} core(s); report -> {out_path}",
         kernel_base / kernel_opt,
         kernel_cached_plain / kernel_cached,
         map_seq / map_par,
         verify_base / verify_opt,
+        optimize_base / optimize_opt,
         chunk_seq / chunk_par,
         design_seq / design_par
     );

@@ -6,7 +6,9 @@
 //! literal count decreases — the objective the paper's "standard MIS II
 //! script" minimizes before technology mapping.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+
+use chortle_netlist::NetworkError;
 
 use crate::cube::{Cube, Literal};
 use crate::kernels::kernels;
@@ -27,11 +29,10 @@ pub struct ExtractReport {
     pub literals_saved: usize,
 }
 
-/// Literal-count value of substituting divisor `d` into node SOP `f`:
-/// `lits(f) - (lits(q) + cubes(q) + lits(r))`, or `None` when `d` does not
-/// divide `f`.
-fn substitution_value(f: &Sop, d: &Sop) -> Option<isize> {
-    let (q, r) = f.divide(d);
+/// Literal-count value of substituting a divisor into `f` given the weak
+/// division `f = q·d + r`: `lits(f) - (lits(q) + cubes(q) + lits(r))`, or
+/// `None` when the divisor does not divide `f`.
+fn substitution_value(f: &Sop, (q, r): &(Sop, Sop)) -> Option<isize> {
     if q.is_zero() {
         return None;
     }
@@ -39,10 +40,19 @@ fn substitution_value(f: &Sop, d: &Sop) -> Option<isize> {
     Some(f.num_literals() as isize - new_lits as isize)
 }
 
-/// Substitutes divisor node `x` (defined as `d`) into `f`: `f = x·q + r`.
-fn substitute(f: &Sop, d: &Sop, x: usize) -> Sop {
-    let (q, r) = f.divide(d);
-    debug_assert!(!q.is_zero());
+/// Substitutes divisor node `x` (defined as `d`) into node `var`'s SOP
+/// `f`: `f = x·q + r`. The division re-derives the substitution value,
+/// which must equal the `cached` one the extraction was chosen by.
+fn substitute(f: &Sop, d: &Sop, x: usize, var: usize, cached: isize) -> Result<Sop, NetworkError> {
+    let division = f.divide(d);
+    let value = substitution_value(f, &division);
+    if value != Some(cached) {
+        return Err(NetworkError::Structure(format!(
+            "kernel cache out of date: node v{var} has substitution value {value:?} \
+             for the chosen kernel, cache holds {cached}"
+        )));
+    }
+    let (q, r) = division;
     let x_cube = Cube::from_literals([Literal::positive(x)]).expect("fresh variable");
     let mut cubes: Vec<Cube> = q
         .cubes()
@@ -50,14 +60,118 @@ fn substitute(f: &Sop, d: &Sop, x: usize) -> Sop {
         .map(|c| c.product(&x_cube).expect("fresh variable cannot clash"))
         .collect();
     cubes.extend(r.cubes().iter().cloned());
-    Sop::from_cubes(cubes)
+    Ok(Sop::from_cubes(cubes))
+}
+
+/// A candidate divisor of [`extract_kernels`].
+struct Candidate {
+    kernel: Sop,
+    literals: isize,
+    /// Contributing nodes whose substitution value is positive, with
+    /// that value.
+    uses: BTreeMap<usize, isize>,
+    /// The sum of `uses`' values.
+    gain: isize,
+}
+
+/// The kernels every node contributes and their per-node substitution
+/// values. A value depends only on the node's SOP and the kernel, so an
+/// extraction invalidates exactly the nodes it rewrites.
+#[derive(Default)]
+struct KernelIndex {
+    candidates: Vec<Candidate>,
+    /// Kernel -> its position in `candidates`.
+    ids: HashMap<Sop, usize>,
+    /// Candidate ids each node contributes, indexed by variable.
+    contributed: Vec<Vec<usize>>,
+}
+
+impl KernelIndex {
+    /// Enumerates node `var`'s kernels (within the per-node caps) and
+    /// records its substitution value for each.
+    fn add_node(&mut self, net: &SopNetwork, var: usize) {
+        let sop = net.node_sop(var).expect("node var");
+        if self.contributed.len() <= var {
+            self.contributed.resize_with(var + 1, Vec::new);
+        }
+        if sop.num_cubes() < 2 || sop.num_cubes() > MAX_CUBES_FOR_KERNELING {
+            return;
+        }
+        let mut ids: Vec<usize> = Vec::new();
+        for k in kernels(sop).into_iter().take(MAX_KERNELS_PER_NODE) {
+            if k.kernel.num_cubes() < 2 {
+                continue;
+            }
+            let id = match self.ids.get(&k.kernel) {
+                Some(&id) => id,
+                None => {
+                    let id = self.candidates.len();
+                    self.ids.insert(k.kernel.clone(), id);
+                    self.candidates.push(Candidate {
+                        literals: k.kernel.num_literals() as isize,
+                        kernel: k.kernel,
+                        uses: BTreeMap::new(),
+                        gain: 0,
+                    });
+                    id
+                }
+            };
+            ids.push(id);
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        for &id in &ids {
+            let c = &mut self.candidates[id];
+            if let Some(v) = substitution_value(sop, &sop.divide(&c.kernel)) {
+                if v > 0 {
+                    c.uses.insert(var, v);
+                    c.gain += v;
+                }
+            }
+        }
+        self.contributed[var] = ids;
+    }
+
+    /// Forgets node `var`'s contributions (before its SOP is rewritten).
+    fn remove_node(&mut self, var: usize) {
+        for id in std::mem::take(&mut self.contributed[var]) {
+            let c = &mut self.candidates[id];
+            if let Some(v) = c.uses.remove(&var) {
+                c.gain -= v;
+            }
+        }
+    }
+
+    /// The candidate with the largest positive total saving, ties broken
+    /// toward the smallest kernel.
+    fn best(&self) -> Option<(isize, usize)> {
+        self.candidates
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| !c.uses.is_empty())
+            .map(|(id, c)| (c.gain - c.literals, id))
+            .filter(|&(total, _)| total > 0)
+            .max_by(|(ta, a), (tb, b)| {
+                ta.cmp(tb)
+                    .then_with(|| self.candidates[*b].kernel.cmp(&self.candidates[*a].kernel))
+            })
+    }
 }
 
 /// One greedy kernel-extraction sweep: finds the kernel with the best total
 /// literal saving across all nodes, extracts it as a new node, substitutes
 /// it everywhere it pays, and repeats until no kernel saves literals.
 ///
+/// Kernels and substitution values are enumerated once per node and kept
+/// in an index; after an extraction only the rewritten nodes and the new
+/// one are enumerated again.
+///
 /// Returns the number of extractions and literals saved.
+///
+/// # Errors
+///
+/// Returns [`NetworkError::Structure`] if a substitution's value differs
+/// from the one the index recorded for it (a stale index).
 ///
 /// # Examples
 ///
@@ -80,66 +194,32 @@ fn substitute(f: &Sop, d: &Sop, x: usize) -> Sop {
 /// net.add_output("f", Literal::positive(nf));
 /// net.add_output("g", Literal::positive(ng));
 ///
-/// let report = extract_kernels(&mut net);
+/// let report = extract_kernels(&mut net)?;
 /// assert_eq!(report.extracted, 1);
+/// # Ok::<(), chortle_netlist::NetworkError>(())
 /// ```
-pub fn extract_kernels(net: &mut SopNetwork) -> ExtractReport {
+pub fn extract_kernels(net: &mut SopNetwork) -> Result<ExtractReport, NetworkError> {
     let mut report = ExtractReport::default();
-    loop {
-        // Candidate kernels across all nodes, deduplicated by SOP value.
-        let mut candidates: HashMap<Sop, Vec<usize>> = HashMap::new();
-        for var in net.node_vars() {
-            let sop = net.node_sop(var).expect("node var").clone();
-            if sop.num_cubes() < 2 || sop.num_cubes() > MAX_CUBES_FOR_KERNELING {
-                continue;
-            }
-            for k in kernels(&sop).into_iter().take(MAX_KERNELS_PER_NODE) {
-                if k.kernel.num_cubes() < 2 {
-                    continue;
-                }
-                candidates.entry(k.kernel).or_default().push(var);
-            }
-        }
-        // Evaluate each candidate's total saving.
-        type BestKernel = (isize, Sop, Vec<(usize, isize)>);
-        let mut best: Option<BestKernel> = None;
-        for (kernel, mut users) in candidates {
-            users.sort_unstable();
-            users.dedup();
-            let mut uses = Vec::new();
-            let mut total: isize = -(kernel.num_literals() as isize);
-            for &var in &users {
-                let f = net.node_sop(var).expect("node");
-                if let Some(v) = substitution_value(f, &kernel) {
-                    if v > 0 {
-                        uses.push((var, v));
-                        total += v;
-                    }
-                }
-            }
-            if uses.is_empty() || total <= 0 {
-                continue;
-            }
-            let better = match &best {
-                None => true,
-                Some((bt, bk, _)) => total > *bt || (total == *bt && kernel < *bk),
-            };
-            if better {
-                best = Some((total, kernel, uses));
-            }
-        }
-        let Some((total, kernel, uses)) = best else {
-            break;
-        };
+    let mut index = KernelIndex::default();
+    for var in net.node_vars() {
+        index.add_node(net, var);
+    }
+    while let Some((total, id)) = index.best() {
+        let kernel = index.candidates[id].kernel.clone();
+        let uses = index.candidates[id].uses.clone();
         let x = net.add_node(kernel.clone());
-        for (var, _) in uses {
-            let f = net.node_sop(var).expect("node").clone();
-            net.set_node_sop(var, substitute(&f, &kernel, x));
+        for (var, value) in uses {
+            let f = net.node_sop(var).expect("node");
+            let g = substitute(f, &kernel, x, var, value)?;
+            index.remove_node(var);
+            net.set_node_sop(var, g);
+            index.add_node(net, var);
         }
+        index.add_node(net, x);
         report.extracted += 1;
         report.literals_saved += total as usize;
     }
-    report
+    Ok(report)
 }
 
 /// One greedy cube-extraction sweep: finds the multi-literal cube shared by
@@ -259,7 +339,7 @@ mod tests {
 
         let before = net.clone();
         let lits_before = net.literal_count();
-        let report = extract_kernels(&mut net);
+        let report = extract_kernels(&mut net).expect("fresh index");
         assert!(report.extracted >= 1);
         assert!(net.literal_count() < lits_before);
         check_preserved(&net, &before, 5);
@@ -294,8 +374,24 @@ mod tests {
         let b = net.add_input("b");
         let nf = net.add_node(sop(&[&[(a, false)], &[(b, false)]]));
         net.add_output("f", Literal::positive(nf));
-        assert_eq!(extract_kernels(&mut net).extracted, 0);
+        assert_eq!(extract_kernels(&mut net).expect("fresh index").extracted, 0);
         assert_eq!(extract_cubes(&mut net).extracted, 0);
+    }
+
+    #[test]
+    fn substitute_rejects_a_stale_cached_value() {
+        // f = ac + bc, d = a + b: the division re-derives value 2.
+        let f = sop(&[&[(0, false), (2, false)], &[(1, false), (2, false)]]);
+        let d = sop(&[&[(0, false)], &[(1, false)]]);
+        let x = 5;
+        let g = substitute(&f, &d, x, 4, 2).expect("matching value");
+        assert_eq!(g, sop(&[&[(2, false), (x, false)]]));
+        assert!(matches!(
+            substitute(&f, &d, x, 4, 3),
+            Err(NetworkError::Structure(_))
+        ));
+        let unrelated = sop(&[&[(3, false)], &[(4, false)]]);
+        assert!(substitute(&f, &unrelated, x, 4, 2).is_err());
     }
 
     #[test]
@@ -304,8 +400,8 @@ mod tests {
         // value = 4 - (1 + 1 + 0) = 2.
         let f = sop(&[&[(0, false), (2, false)], &[(1, false), (2, false)]]);
         let d = sop(&[&[(0, false)], &[(1, false)]]);
-        assert_eq!(substitution_value(&f, &d), Some(2));
+        assert_eq!(substitution_value(&f, &f.divide(&d)), Some(2));
         let unrelated = sop(&[&[(3, false)], &[(4, false)]]);
-        assert_eq!(substitution_value(&f, &unrelated), None);
+        assert_eq!(substitution_value(&f, &f.divide(&unrelated)), None);
     }
 }

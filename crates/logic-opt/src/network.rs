@@ -232,110 +232,107 @@ impl SopNetwork {
     /// `threshold` (MIS' `eliminate` with a value threshold).
     ///
     /// Only positive-phase uses can be inlined algebraically; nodes with
-    /// inverted uses or output drivers keep their definition (but positive
-    /// uses may still be substituted away when the node then becomes dead).
+    /// inverted uses or output drivers keep their definition.
     ///
     /// Returns the number of nodes eliminated.
     pub fn eliminate(&mut self, threshold: isize) -> usize {
+        let n = self.items.len();
+        let mut drives_output = vec![false; n];
+        for (_, l) in &self.outputs {
+            drives_output[l.var()] = true;
+        }
+        // Fanout index: var -> nodes that may hold its positive literal.
+        // Each rewrite adds its consumers under the inlined SOP's support.
+        // Absorption and inlining leave stale entries, so the index is a
+        // superset and every read filters it with `Cube::has`.
+        let mut fanout: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (i, item) in self.items.iter().enumerate() {
+            if let Item::Node(s) = item {
+                for v in s.support() {
+                    fanout[v].push(i);
+                }
+            }
+        }
         let mut eliminated = 0;
         // Repeat until a fixed point: inlining can enable more inlining.
         loop {
             let mut progress = false;
             let counts = self.use_counts();
-            #[allow(clippy::needless_range_loop)] // items are mutated inside
-            for var in 0..self.items.len() {
-                let sop = match &self.items[var] {
-                    Item::Node(s) => s.clone(),
-                    Item::Input(_) => continue,
-                };
+            for var in 0..n {
                 let (pos, neg) = counts[var];
-                // Inline only pure positive-phase, non-output nodes whose
-                // SOP would not blow up the consumers.
-                if neg > 0 || pos == 0 {
+                // Inline only pure positive-phase, non-output nodes.
+                if neg > 0 || pos == 0 || drives_output[var] {
                     continue;
                 }
-                if self.outputs.iter().any(|(_, l)| l.var() == var) {
+                let Item::Node(sop) = &self.items[var] else {
                     continue;
-                }
-                if sop.is_zero() || sop.is_one() {
-                    // Constants always inline (handled below uniformly).
-                } else {
-                    // Exact literal delta of distributing the node's SOP
-                    // into every consuming cube: a cube of length L whose
-                    // literal x is replaced by an m-cube SOP with λ
-                    // literals becomes m cubes totalling m(L-1) + λ
-                    // literals; the node's own λ literals disappear.
+                };
+                let x = Literal::positive(var);
+                let mut users = std::mem::take(&mut fanout[var]);
+                users.sort_unstable();
+                users.dedup();
+                users.retain(|&i| {
+                    self.node_sop(i)
+                        .is_some_and(|s| s.cubes().iter().any(|c| c.has(x)))
+                });
+                // `users` may be empty when absorption removed every use
+                // since the snapshot; the node is then inlined (and
+                // counted) with no consumer to rewrite.
+                //
+                // Constants always inline. Otherwise take the exact
+                // literal delta of distributing the node's SOP into every
+                // consuming cube: a cube of length L whose literal x is
+                // replaced by an m-cube SOP with λ literals becomes m
+                // cubes totalling m(L-1) + λ literals; the node's own λ
+                // literals disappear.
+                if !(sop.is_zero() || sop.is_one()) {
                     let m = sop.num_cubes() as isize;
                     let lam = sop.num_literals() as isize;
                     let mut value = -lam;
-                    let x = Literal::positive(var);
-                    for item in &self.items {
-                        if let Item::Node(s) = item {
-                            for c in s.cubes() {
-                                if c.has(x) {
-                                    let len = c.len() as isize;
-                                    value += m * (len - 1) + lam - len;
-                                }
-                            }
+                    for &i in &users {
+                        let s = self.node_sop(i).expect("users are nodes");
+                        for c in s.cubes().iter().filter(|c| c.has(x)) {
+                            let len = c.len() as isize;
+                            value += m * (len - 1) + lam - len;
                         }
                     }
-                    let _ = pos;
                     if value > threshold {
+                        fanout[var] = users;
                         continue;
                     }
                 }
-                if self.inline_node(var, &sop) {
-                    eliminated += 1;
-                    progress = true;
+                let sop = self.node_sop(var).expect("var is a node").clone();
+                self.set_node_sop(var, Sop::zero());
+                let x_cube = Cube::from_literals([x]).expect("single literal cube");
+                for &i in &users {
+                    let Item::Node(consumer) = &mut self.items[i] else {
+                        continue;
+                    };
+                    let mut new_cubes: Vec<Cube> = Vec::new();
+                    for c in consumer.cubes() {
+                        if c.has(x) {
+                            // sop == 0 simply drops the cube; contradictions
+                            // drop the offending product.
+                            let rest = c.without(&x_cube);
+                            new_cubes.extend(sop.cubes().iter().filter_map(|d| rest.product(d)));
+                        } else {
+                            new_cubes.push(c.clone());
+                        }
+                    }
+                    *consumer = Sop::from_cubes(new_cubes);
+                    consumer.minimize();
                 }
+                for v in sop.support() {
+                    fanout[v].extend_from_slice(&users);
+                }
+                eliminated += 1;
+                progress = true;
             }
             if !progress {
                 break;
             }
         }
         eliminated
-    }
-
-    /// Substitutes node `var`'s SOP into every positive use. Returns `true`
-    /// if all uses were removed (the node is then dead and emptied).
-    fn inline_node(&mut self, var: usize, sop: &Sop) -> bool {
-        let lit = Literal::positive(var);
-        let mut all_inlined = true;
-        for i in 0..self.items.len() {
-            if i == var {
-                continue;
-            }
-            let consumer = match &self.items[i] {
-                Item::Node(s) if s.literal_counts().contains_key(&lit) => s.clone(),
-                _ => continue,
-            };
-            let mut new_cubes: Vec<Cube> = Vec::new();
-            for c in consumer.cubes() {
-                if c.has(lit) {
-                    let rest = c.without(&Cube::from_literals([lit]).expect("lit cube"));
-                    for d in sop.cubes() {
-                        if let Some(p) = rest.product(d) {
-                            new_cubes.push(p);
-                        }
-                    }
-                    // sop == 0 simply drops the cube; contradictions drop
-                    // the offending product.
-                } else {
-                    new_cubes.push(c.clone());
-                }
-            }
-            let mut new_sop = Sop::from_cubes(new_cubes);
-            new_sop.minimize();
-            self.items[i] = Item::Node(new_sop);
-        }
-        // Outputs referencing the node keep it alive.
-        if self.outputs.iter().any(|(_, l)| l.var() == var) {
-            all_inlined = false;
-        }
-        if all_inlined {
-            self.items[var] = Item::Node(Sop::zero());
-        }
-        all_inlined
     }
 
     /// Evaluates every output on an input assignment (bit `i` of `bits` is
@@ -577,6 +574,28 @@ mod tests {
         assert_eq!(
             n.node_sop(z).unwrap(),
             &sop(&[&[(a, false), (b, false), (c, false)]])
+        );
+    }
+
+    #[test]
+    fn eliminate_counts_each_consumer_once() {
+        // Inlining w = u into c re-reaches c under u's index entry; u's
+        // second-round delta must still count c once: -2 + 1 (c) + 1 (d).
+        let mut n = SopNetwork::new();
+        let a = n.add_input("a");
+        let b = n.add_input("b");
+        let p = n.add_input("p");
+        let q = n.add_input("q");
+        let u = n.add_node(sop(&[&[(a, false), (b, false)]]));
+        let w = n.add_node(sop(&[&[(u, false)]]));
+        let c = n.add_node(sop(&[&[(u, false), (p, false)], &[(w, false), (p, false)]]));
+        let d = n.add_node(sop(&[&[(u, false), (q, false)]]));
+        n.add_output("c", Literal::positive(c));
+        n.add_output("d", Literal::positive(d));
+        assert_eq!(n.eliminate(0), 2, "w in round one, u in round two");
+        assert_eq!(
+            n.node_sop(c).unwrap(),
+            &sop(&[&[(a, false), (b, false), (p, false)]])
         );
     }
 

@@ -200,7 +200,7 @@ pub fn optimize_sop_network_with_telemetry(
     }
     if options.kernel_extraction {
         let _s = telemetry.span(stats::STAGE_KERNELS);
-        report.extracted += extract_kernels(sop_net).extracted;
+        report.extracted += extract_kernels(sop_net)?.extracted;
     }
     if options.cube_extraction {
         let _s = telemetry.span(stats::STAGE_CUBES);
