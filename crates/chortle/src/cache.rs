@@ -7,13 +7,15 @@
 //! (chains, balanced pairs, the halves produced by wide-node splitting),
 //! and this module lets the mapper pay for each shape once:
 //!
-//! * [`TreeCache`] — a plain, unsynchronized map for the sequential
-//!   mapper and for per-worker private caching ([`CacheMode::Tree`]).
-//! * [`SharedCache`] — an N-way sharded map behind [`std::sync::Mutex`]
-//!   shards, shared by every wavefront worker ([`CacheMode::Shared`]);
-//!   hash-partitioning keeps workers from serializing on one lock. The
-//!   single-threaded path never constructs it (it uses the unsharded
-//!   [`TreeCache`] fast path instead).
+//! * [`TreeStore`] — a plain, unsynchronized map: the private store of
+//!   the tree-order loop (`jobs = 1`) when no warm cache applies.
+//! * [`SharedStore`] — an N-way sharded map behind [`std::sync::Mutex`]
+//!   shards, shared by every wavefront chunk of a pooled run (and by
+//!   every run attached to a [`WarmCache`]); hash-partitioning keeps
+//!   workers from serializing on one lock.
+//!
+//! The mapping step reaches either through a [`Store`], which also
+//! spells "this tier is off".
 //!
 //! Insertion is first-writer-wins: two workers racing on the same key
 //! have computed bit-identical solutions (the DP is deterministic), so
@@ -38,8 +40,9 @@ pub enum CacheMode {
     /// No memoization: every tree runs the full subset DP (the pre-cache
     /// behavior).
     Off,
-    /// Each mapping thread keeps a private cache; nothing is shared
-    /// across workers.
+    /// Structural caching scoped to one run: the run's executors share
+    /// one store, but it never attaches to a [`WarmCache`], so nothing
+    /// carries over to the next run.
     Tree,
     /// One sharded cache shared across the whole parallel wavefront (the
     /// default): a shape mapped by any worker is a hit for all of them.
@@ -60,8 +63,8 @@ impl CacheMode {
         !matches!(self, CacheMode::Off)
     }
 
-    /// Whether this mode uses the wavefront/process-shared structural
-    /// store (as opposed to per-run or per-worker private stores).
+    /// Whether this mode's structural tier attaches to a [`WarmCache`]
+    /// when the run carries one ([`CacheMode::Tree`] stays run-scoped).
     pub(crate) fn uses_shared(self) -> bool {
         matches!(self, CacheMode::Shared | CacheMode::Fn)
     }
@@ -162,18 +165,12 @@ impl ShardKey for FnKey {
     }
 }
 
-/// An unsynchronized solution store: the sequential fast path and the
-/// per-worker store of [`CacheMode::Tree`].
+/// An unsynchronized solution store: the private store of the
+/// tree-order loop.
 #[derive(Default)]
 pub(crate) struct TreeStore<K> {
     map: HashMap<K, Arc<ShapeSolution>>,
 }
-
-/// The structural [`TreeStore`].
-pub(crate) type TreeCache = TreeStore<CacheKey>;
-
-/// The functional-tier [`TreeStore`].
-pub(crate) type FnTreeCache = TreeStore<FnKey>;
 
 impl<K: std::hash::Hash + Eq> TreeStore<K> {
     pub(crate) fn new() -> Self {
@@ -186,8 +183,9 @@ impl<K: std::hash::Hash + Eq> TreeStore<K> {
         self.map.get(key).cloned()
     }
 
-    pub(crate) fn insert(&mut self, key: K, sol: Arc<ShapeSolution>) {
-        self.map.entry(key).or_insert(sol);
+    /// First-writer-wins insert, like [`SharedStore::insert`].
+    pub(crate) fn insert(&mut self, key: K, sol: Arc<ShapeSolution>) -> Arc<ShapeSolution> {
+        self.map.entry(key).or_insert(sol).clone()
     }
 }
 
@@ -277,6 +275,57 @@ impl<K: ShardKey> SharedStore<K> {
     }
 }
 
+/// One cache tier as an executor sees it: off, a private store, or a
+/// store shared with the run's other executors (and, when warm, with
+/// other runs).
+pub(crate) enum Store<'a, K> {
+    /// The tier is off: lookups miss and inserts keep nothing.
+    Off,
+    /// A store private to this executor.
+    Local(TreeStore<K>),
+    /// A sharded store shared across executors.
+    Shared(&'a SharedStore<K>),
+}
+
+impl<'a, K: ShardKey + Copy> Store<'a, K> {
+    /// The shared store when there is one, else a private store if the
+    /// tier is on, else [`Store::Off`].
+    pub(crate) fn new(shared: Option<&'a SharedStore<K>>, on: bool) -> Self {
+        match shared {
+            Some(s) => Store::Shared(s),
+            None if on => Store::Local(TreeStore::new()),
+            None => Store::Off,
+        }
+    }
+
+    /// Whether the tier is on.
+    pub(crate) fn is_on(&self) -> bool {
+        !matches!(self, Store::Off)
+    }
+
+    /// Looks `key` up; a missing key (the tree has none) misses without
+    /// touching the store or its tallies.
+    pub(crate) fn get(&self, key: Option<K>) -> Option<Arc<ShapeSolution>> {
+        let key = key?;
+        match self {
+            Store::Off => None,
+            Store::Local(s) => s.get(&key),
+            Store::Shared(s) => s.get(&key),
+        }
+    }
+
+    /// First-writer-wins insert; returns the solution that ended up
+    /// stored, so racing duplicates share one allocation (`sol` itself
+    /// when nothing is stored).
+    pub(crate) fn insert(&mut self, key: Option<K>, sol: Arc<ShapeSolution>) -> Arc<ShapeSolution> {
+        match (self, key) {
+            (Store::Local(s), Some(key)) => s.insert(key, sol),
+            (Store::Shared(s), Some(key)) => s.insert(key, sol),
+            _ => sol,
+        }
+    }
+}
+
 /// A process-lifetime DP cache reused *across* mapping runs.
 ///
 /// A [`CacheKey`] fingerprints a tree's canonical shape and leaf depths
@@ -290,8 +339,8 @@ impl<K: ShardKey> SharedStore<K> {
 /// canonicalization, so an identical canonical shape is an identical DP
 /// problem regardless of how it was produced.
 ///
-/// Runs only consult the handle under [`CacheMode::Shared`] — the other
-/// modes keep their per-run/per-worker semantics unchanged — and every
+/// Runs only consult the handle under [`CacheMode::Shared`] and
+/// [`CacheMode::Fn`] — the other modes stay run-scoped — and every
 /// mode still produces the bit-identical circuit (replays are verbatim
 /// and first-writer-wins keeps racing duplicates harmless, exactly as
 /// within one run).
@@ -498,7 +547,7 @@ mod tests {
         let a = dummy_solution(&tree, 4);
         let b = dummy_solution(&tree, 4);
 
-        let mut private = TreeCache::new();
+        let mut private = TreeStore::new();
         private.insert(key, a.clone());
         private.insert(key, b.clone());
         assert!(Arc::ptr_eq(&private.get(&key).unwrap(), &a));

@@ -3,9 +3,9 @@
 //! Long-lived callers (the `chortle-serve` daemon, search loops that
 //! re-map candidate decompositions) need to abandon a mapping run that
 //! has outlived its usefulness without killing the thread it runs on.
-//! A [`CancelToken`] carries that request: the mapping drivers poll it
-//! at **tree boundaries** — before each tree of the sequential walk and
-//! before each tree a wavefront worker claims — and return
+//! A [`CancelToken`] carries that request: both mapping schedules poll
+//! it at **tree boundaries** — before each tree of the `jobs = 1`
+//! tree-order loop and before each tree a wavefront chunk maps — and return
 //! [`MapError::Cancelled`](crate::MapError::Cancelled) once it fires.
 //! Partial work is discarded; no partial circuit ever escapes.
 //!

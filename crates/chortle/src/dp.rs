@@ -158,9 +158,10 @@ pub(crate) struct DpScratch {
     /// singleton-allotment loop scans `{1} ∪ wlo..=u` and skips the
     /// infeasible middle exactly.
     wlo: Vec<u8>,
-    /// `ncost[n * (k+1) + u]` — `minmap(n, u)` per tree node, used by the
-    /// cost-only kernel ([`tree_cost_with`]) in place of per-node
-    /// [`NodeDp`] allocations.
+    /// `ncost[n * (k+1) + u]` — `minmap(n, u)` per tree node: where
+    /// [`run_dp`] writes each node's row and its parent reads it back.
+    /// The full kernel copies the row into [`NodeDp::node_cost`]; the
+    /// cost-only kernel reads the root's row and keeps nothing else.
     ncost: Vec<Cost>,
     /// Deterministic kernel work counters, accumulated across every tree
     /// mapped through this scratch (see [`DpCounters`]).
@@ -363,7 +364,8 @@ pub(crate) fn map_tree_with(
 }
 
 /// Runs the Chortle DP over a tree and packages the result as a
-/// replayable [`ShapeSolution`].
+/// replayable [`ShapeSolution`]: [`run_dp`] with the full decision
+/// recorder.
 ///
 /// `leaf_depth` supplies the arrival depth (in LUT levels) of every leaf
 /// signal; pass `|_| 0` for pure-area mapping of an isolated tree.
@@ -388,15 +390,98 @@ pub(crate) fn map_tree_solution(
     leaf_depth: &dyn Fn(NodeId) -> u32,
     scratch: &mut DpScratch,
 ) -> Result<ShapeSolution, MapError> {
-    assert!(k >= 2, "lookup tables must have at least two inputs");
     let mut nodes: Vec<NodeDp> = Vec::with_capacity(tree.nodes.len());
-    // Tree-local tallies; flushed into `scratch.counters` once per tree so
-    // the totals are scheduling-independent (see `DpCounters`). Skipped
-    // wholesale unless a telemetry sink asked for them.
+    let tally = run_dp(tree, k, objective, leaf_depth, scratch, &mut nodes)?;
+    Ok(ShapeSolution {
+        dp: TreeDp { nodes, k },
+        tally,
+    })
+}
+
+/// The cost-only kernel: [`run_dp`] with the no-op recorder, which
+/// monomorphizes away every decision write, so a run performs **no
+/// allocation at all** once the scratch arena has grown to the tree's
+/// size. Cost queries ([`crate::tree_lut_cost`], the duplication
+/// search's probe mappings) dominate some workloads; this path serves
+/// them without paying for reconstruction state nobody reads. Unlike
+/// [`map_tree_solution`], the tally is folded into `scratch.counters`.
+///
+/// Returns `minmap(root, K)` — the whole-tree cost; `luts` is the LUT
+/// count and `depth` the root LUT's entering-wire depth.
+///
+/// # Errors
+///
+/// Returns [`MapError::FaninTooWide`] like [`map_tree_solution`].
+pub(crate) fn tree_cost_with(
+    tree: &Tree,
+    k: usize,
+    objective: Objective,
+    leaf_depth: &dyn Fn(NodeId) -> u32,
+    scratch: &mut DpScratch,
+) -> Result<Cost, MapError> {
+    let tally = run_dp(tree, k, objective, leaf_depth, scratch, &mut ())?;
+    if scratch.counting {
+        scratch.counters.add(&tally);
+    }
+    Ok(scratch.ncost[tree.root_index() * (k + 1) + k])
+}
+
+/// What a DP pass keeps beyond the `minmap` rows, which always land in
+/// [`DpScratch::ncost`]: `Vec<NodeDp>` records every decision cover
+/// reconstruction replays; `()` records nothing.
+trait Recorder {
+    /// Opens the next tree node (fanin `fanin`) and returns its decision
+    /// tables, or `None` when decisions are not kept.
+    fn open_node(&mut self, fanin: usize, k: usize) -> Option<&mut NodeDp>;
+}
+
+impl Recorder for () {
+    #[inline(always)]
+    fn open_node(&mut self, _: usize, _: usize) -> Option<&mut NodeDp> {
+        None
+    }
+}
+
+impl Recorder for Vec<NodeDp> {
+    fn open_node(&mut self, fanin: usize, k: usize) -> Option<&mut NodeDp> {
+        let sets = 1usize << fanin;
+        self.push(NodeDp {
+            fanin,
+            fchoice: vec![Choice::None; sets * (k + 1)],
+            ndbest_u: vec![0; sets],
+            node_cost: Vec::new(),
+            node_best_u: vec![0; k + 1],
+        });
+        self.last_mut()
+    }
+}
+
+/// The Chortle recurrence over a whole tree, written once for both
+/// kernels. Nodes are visited in [`Tree::nodes`] order (children before
+/// parents); node `n`'s `minmap(n, u)` row lands in
+/// `scratch.ncost[n * (k+1) ..]`, where its parent reads it, and every
+/// decision goes to the node tables `rec` opens. Returns the tree-local work tally (zero when
+/// `scratch.counting` is off).
+fn run_dp<R: Recorder>(
+    tree: &Tree,
+    k: usize,
+    objective: Objective,
+    leaf_depth: &dyn Fn(NodeId) -> u32,
+    scratch: &mut DpScratch,
+    rec: &mut R,
+) -> Result<DpCounters, MapError> {
+    assert!(k >= 2, "lookup tables must have at least two inputs");
+    let nstates = tree.nodes.len() * (k + 1);
+    if scratch.ncost.len() < nstates {
+        scratch.ncost.resize(nstates, Cost::INFEASIBLE);
+    }
+    // Tree-local tallies, so the totals are scheduling-independent (see
+    // `DpCounters`). Skipped wholesale unless a telemetry sink asked for
+    // them.
     let counting = scratch.counting;
     let mut tally = DpCounters::default();
     let mut hwm = 0usize;
-    for node in &tree.nodes {
+    for (ni, node) in tree.nodes.iter().enumerate() {
         let f = node.children.len();
         if f > MAX_DP_FANIN {
             return Err(MapError::FaninTooWide {
@@ -415,17 +500,16 @@ pub(crate) fn map_tree_solution(
                 hwm = needed;
             }
         }
+        let mut dp = rec.open_node(f, k);
+        let DpScratch {
+            fcost,
+            ndcost,
+            ccost,
+            wlo: wlos,
+            ncost,
+            ..
+        } = &mut *scratch;
         let full: u32 = (1u32 << f) - 1;
-        let states = (full as usize + 1) * (k + 1);
-        let mut dp = NodeDp {
-            fanin: f,
-            fchoice: vec![Choice::None; states],
-            ndbest_u: vec![0; full as usize + 1],
-            node_cost: vec![Cost::INFEASIBLE; k + 1],
-            node_best_u: vec![0; k + 1],
-        };
-        let fcost = &mut scratch.fcost;
-        let ndcost = &mut scratch.ndcost;
         // Row 0: F(∅)[0] = 0, F(∅)[u > 0] infeasible.
         fcost[0] = Cost::ZERO;
         fcost[1..=k].fill(Cost::INFEASIBLE);
@@ -437,24 +521,22 @@ pub(crate) fn map_tree_solution(
         // utilization, so feasibility is monotone in `w`).
         for (i, child) in node.children.iter().enumerate() {
             let row = i * (k + 1);
-            scratch.ccost[row] = Cost::INFEASIBLE;
+            ccost[row] = Cost::INFEASIBLE;
             match *child {
                 TreeChild::Leaf(sig) => {
-                    scratch.ccost[row + 1] = Cost {
+                    ccost[row + 1] = Cost {
                         depth: leaf_depth(sig.node()),
                         luts: 0,
                     };
-                    for w in 2..=k {
-                        scratch.ccost[row + w] = Cost::INFEASIBLE;
-                    }
-                    scratch.wlo[i] = (k + 1) as u8;
+                    ccost[row + 2..=row + k].fill(Cost::INFEASIBLE);
+                    wlos[i] = (k + 1) as u8;
                 }
                 TreeChild::Node { index, .. } => {
-                    let child_dp = &nodes[index];
+                    let child_row = index * (k + 1);
                     // w == 1: the child keeps its own root LUT and feeds
                     // one wire: minmap(child, K), arriving one level up.
-                    let c = child_dp.node_cost[k];
-                    scratch.ccost[row + 1] = if c.is_infeasible() {
+                    let c = ncost[child_row + k];
+                    ccost[row + 1] = if c.is_infeasible() {
                         Cost::INFEASIBLE
                     } else {
                         Cost {
@@ -467,8 +549,8 @@ pub(crate) fn map_tree_solution(
                     // wires become this region's wires.
                     let mut wlo = (k + 1) as u8;
                     for w in (2..=k).rev() {
-                        let c = child_dp.node_cost[w];
-                        scratch.ccost[row + w] = if c.is_infeasible() {
+                        let c = ncost[child_row + w];
+                        ccost[row + w] = if c.is_infeasible() {
                             Cost::INFEASIBLE
                         } else {
                             wlo = w as u8;
@@ -478,7 +560,7 @@ pub(crate) fn map_tree_solution(
                             }
                         };
                     }
-                    scratch.wlo[i] = wlo;
+                    wlos[i] = wlo;
                 }
             }
         }
@@ -494,7 +576,7 @@ pub(crate) fn map_tree_solution(
             let rest_base = set & !ibit;
             let row = set as usize * (k + 1);
             let crow = i * (k + 1);
-            let wlo = scratch.wlo[i] as usize;
+            let wlo = wlos[i] as usize;
             // Reset the two slots of this row the scan below may read
             // before writing (u = 0, and the own-set intermediate node).
             fcost[row] = Cost::INFEASIBLE;
@@ -512,7 +594,7 @@ pub(crate) fn map_tree_solution(
                 let mut best_choice = Choice::None;
                 // Singleton block for child i with allotment w: w = 1,
                 // then the feasible tail wlo..=u (see DpScratch::wlo).
-                let c1 = scratch.ccost[crow + 1];
+                let c1 = ccost[crow + 1];
                 if !c1.is_infeasible() {
                     let rest = fcost[rest_base as usize * (k + 1) + (u - 1)];
                     let total = c1.combine(rest);
@@ -522,7 +604,7 @@ pub(crate) fn map_tree_solution(
                     }
                 }
                 for w in wlo..=u {
-                    let c = scratch.ccost[crow + w];
+                    let c = ccost[crow + w];
                     let rest = fcost[rest_base as usize * (k + 1) + (u - w)];
                     let total = c.combine(rest);
                     if total.better_than(best, objective) {
@@ -560,7 +642,9 @@ pub(crate) fn map_tree_solution(
                     }
                 }
                 fcost[row + u] = best;
-                dp.fchoice[row + u] = best_choice;
+                if let Some(dp) = dp.as_deref_mut() {
+                    dp.fchoice[row + u] = best_choice;
+                }
             }
             // Intermediate node over `set` (needs |set| ≥ 2): its root LUT
             // uses the best exact utilization in 2..=K.
@@ -582,7 +666,9 @@ pub(crate) fn map_tree_solution(
                     }
                 }
                 ndcost[set as usize] = best;
-                dp.ndbest_u[set as usize] = best_u;
+                if let Some(dp) = dp.as_deref_mut() {
+                    dp.ndbest_u[set as usize] = best_u;
+                }
                 if !best.is_infeasible() {
                     nd_feasible += 1;
                 }
@@ -590,7 +676,7 @@ pub(crate) fn map_tree_solution(
             // u == 1: the whole subset feeds one input — either a lone
             // child wire or one intermediate node covering everything.
             let (c1, ch1) = if set.count_ones() == 1 {
-                (scratch.ccost[crow + 1], Choice::Singleton { w: 1 })
+                (ccost[crow + 1], Choice::Singleton { w: 1 })
             } else {
                 let ndc = ndcost[set as usize];
                 let wire = if ndc.is_infeasible() {
@@ -604,15 +690,20 @@ pub(crate) fn map_tree_solution(
                 (wire, Choice::Group { group: set })
             };
             fcost[row + 1] = c1;
-            dp.fchoice[row + 1] = if c1.is_infeasible() {
-                Choice::None
-            } else {
-                ch1
-            };
+            if let Some(dp) = dp.as_deref_mut() {
+                dp.fchoice[row + 1] = if c1.is_infeasible() {
+                    Choice::None
+                } else {
+                    ch1
+                };
+            }
         }
 
-        // minmap(n, u): root LUT + best exact utilization ≤ u.
+        // minmap(n, u): root LUT + best exact utilization ≤ u. Entries 0
+        // and 1 are infeasible.
         let full_row = full as usize * (k + 1);
+        let nrow = ni * (k + 1);
+        ncost[nrow..nrow + 2].fill(Cost::INFEASIBLE);
         let mut running = Cost::INFEASIBLE;
         let mut running_u = 0u8;
         for u in 2..=k {
@@ -627,21 +718,22 @@ pub(crate) fn map_tree_solution(
                     running_u = u as u8;
                 }
             }
-            dp.node_cost[u] = running;
-            dp.node_best_u[u] = running_u;
+            ncost[nrow + u] = running;
+            if let Some(dp) = dp.as_deref_mut() {
+                dp.node_best_u[u] = running_u;
+            }
         }
-        nodes.push(dp);
+        if let Some(dp) = dp {
+            dp.node_cost = ncost[nrow..=nrow + k].to_vec();
+        }
     }
-    Ok(ShapeSolution {
-        dp: TreeDp { nodes, k },
-        tally,
-    })
+    Ok(tally)
 }
 
-/// Area-objective mapping with zero leaf depths (the paper's setting).
-/// Production cost queries go through the allocation-free
-/// [`tree_cost_with`]; this full-kernel wrapper remains as the oracle the
-/// unit tests compare against.
+/// Area-objective mapping with zero leaf depths (the paper's setting),
+/// through the full kernel. Production cost queries go through the
+/// allocation-free [`tree_cost_with`]; this wrapper serves the unit
+/// tests.
 ///
 /// # Panics
 ///
@@ -651,214 +743,6 @@ pub(crate) fn map_tree(tree: &Tree, k: usize) -> TreeDp {
     let mut scratch = DpScratch::new();
     map_tree_with(tree, k, Objective::Area, &|_| 0, &mut scratch)
         .expect("fanin within the subset-DP bound; split wide nodes first")
-}
-
-/// Cost-only twin of [`map_tree_with`]: the identical recurrence in the
-/// identical iteration order, but no decision recording — per-node
-/// `minmap` summaries live in the scratch arena, so a run performs **no
-/// allocation at all** once the arena has grown to the tree's size. Cost
-/// queries ([`crate::tree_lut_cost`], the duplication search's probe
-/// mappings) dominate some workloads; this path serves them without
-/// paying for reconstruction state nobody reads.
-///
-/// Returns `minmap(root, K)` — the whole-tree cost; `luts` is the LUT
-/// count and `depth` the root LUT's entering-wire depth.
-///
-/// # Errors
-///
-/// Returns [`MapError::FaninTooWide`] like [`map_tree_with`].
-pub(crate) fn tree_cost_with(
-    tree: &Tree,
-    k: usize,
-    objective: Objective,
-    leaf_depth: &dyn Fn(NodeId) -> u32,
-    scratch: &mut DpScratch,
-) -> Result<Cost, MapError> {
-    assert!(k >= 2, "lookup tables must have at least two inputs");
-    let nstates = tree.nodes.len() * (k + 1);
-    if scratch.ncost.len() < nstates {
-        scratch.ncost.resize(nstates, Cost::INFEASIBLE);
-    }
-    // Same tree-local tallies as `map_tree_with`: both kernels report the
-    // identical counts for the identical tree.
-    let counting = scratch.counting;
-    let mut tally = DpCounters::default();
-    let mut hwm = 0usize;
-    for (ni, node) in tree.nodes.iter().enumerate() {
-        let f = node.children.len();
-        if f > MAX_DP_FANIN {
-            return Err(MapError::FaninTooWide {
-                fanin: f,
-                limit: MAX_DP_FANIN,
-            });
-        }
-        scratch.reserve(f, k);
-        if counting {
-            tally.tree_nodes += 1;
-            let needed = (1usize << f) * (k + 1);
-            if needed <= hwm {
-                tally.scratch_hits += 1;
-            } else {
-                tally.scratch_grows += 1;
-                hwm = needed;
-            }
-        }
-        let full: u32 = (1u32 << f) - 1;
-        scratch.fcost[0] = Cost::ZERO;
-        scratch.fcost[1..=k].fill(Cost::INFEASIBLE);
-
-        for (i, child) in node.children.iter().enumerate() {
-            let row = i * (k + 1);
-            scratch.ccost[row] = Cost::INFEASIBLE;
-            match *child {
-                TreeChild::Leaf(sig) => {
-                    scratch.ccost[row + 1] = Cost {
-                        depth: leaf_depth(sig.node()),
-                        luts: 0,
-                    };
-                    for w in 2..=k {
-                        scratch.ccost[row + w] = Cost::INFEASIBLE;
-                    }
-                    scratch.wlo[i] = (k + 1) as u8;
-                }
-                TreeChild::Node { index, .. } => {
-                    let crow = index * (k + 1);
-                    let c = scratch.ncost[crow + k];
-                    scratch.ccost[row + 1] = if c.is_infeasible() {
-                        Cost::INFEASIBLE
-                    } else {
-                        Cost {
-                            depth: c.depth + 1,
-                            luts: c.luts,
-                        }
-                    };
-                    let mut wlo = (k + 1) as u8;
-                    for w in (2..=k).rev() {
-                        let c = scratch.ncost[crow + w];
-                        scratch.ccost[row + w] = if c.is_infeasible() {
-                            Cost::INFEASIBLE
-                        } else {
-                            wlo = w as u8;
-                            Cost {
-                                depth: c.depth,
-                                luts: c.luts - 1,
-                            }
-                        };
-                    }
-                    scratch.wlo[i] = wlo;
-                }
-            }
-        }
-
-        let mut nd_feasible = 0usize;
-        for set in 1..=full {
-            let i = set.trailing_zeros() as usize;
-            let ibit = 1u32 << i;
-            let rest_base = set & !ibit;
-            let row = set as usize * (k + 1);
-            let crow = i * (k + 1);
-            let wlo = scratch.wlo[i] as usize;
-            scratch.fcost[row] = Cost::INFEASIBLE;
-            scratch.ndcost[set as usize] = Cost::INFEASIBLE;
-            if counting {
-                tally.tally_set(k, wlo, rest_base, nd_feasible > 0);
-            }
-            for u in (2..=k).rev() {
-                let mut best = Cost::INFEASIBLE;
-                let c1 = scratch.ccost[crow + 1];
-                if !c1.is_infeasible() {
-                    let rest = scratch.fcost[rest_base as usize * (k + 1) + (u - 1)];
-                    let total = c1.combine(rest);
-                    if total.better_than(best, objective) {
-                        best = total;
-                    }
-                }
-                for w in wlo..=u {
-                    let c = scratch.ccost[crow + w];
-                    let rest = scratch.fcost[rest_base as usize * (k + 1) + (u - w)];
-                    let total = c.combine(rest);
-                    if total.better_than(best, objective) {
-                        best = total;
-                    }
-                }
-                if nd_feasible > 0 {
-                    let mut g = rest_base;
-                    while g != 0 {
-                        let block = g | ibit;
-                        let ndc = scratch.ndcost[block as usize];
-                        if !ndc.is_infeasible() {
-                            let rest_set = set & !block;
-                            let rest = scratch.fcost[rest_set as usize * (k + 1) + (u - 1)];
-                            let wire = Cost {
-                                depth: ndc.depth + 1,
-                                luts: ndc.luts,
-                            };
-                            let total = wire.combine(rest);
-                            if total.better_than(best, objective) {
-                                best = total;
-                            }
-                        }
-                        g = (g - 1) & rest_base;
-                    }
-                }
-                scratch.fcost[row + u] = best;
-            }
-            if set.count_ones() >= 2 {
-                let mut best = Cost::INFEASIBLE;
-                for u in 2..=k {
-                    let c = scratch.fcost[row + u];
-                    if c.is_infeasible() {
-                        continue;
-                    }
-                    let with_root = Cost {
-                        depth: c.depth,
-                        luts: c.luts + 1,
-                    };
-                    if with_root.better_than(best, objective) {
-                        best = with_root;
-                    }
-                }
-                scratch.ndcost[set as usize] = best;
-                if !best.is_infeasible() {
-                    nd_feasible += 1;
-                }
-            }
-            scratch.fcost[row + 1] = if set.count_ones() == 1 {
-                scratch.ccost[crow + 1]
-            } else {
-                let ndc = scratch.ndcost[set as usize];
-                if ndc.is_infeasible() {
-                    Cost::INFEASIBLE
-                } else {
-                    Cost {
-                        depth: ndc.depth + 1,
-                        luts: ndc.luts,
-                    }
-                }
-            };
-        }
-
-        let full_row = full as usize * (k + 1);
-        let nrow = ni * (k + 1);
-        let mut running = Cost::INFEASIBLE;
-        for u in 2..=k {
-            let c = scratch.fcost[full_row + u];
-            if !c.is_infeasible() {
-                let with_root = Cost {
-                    depth: c.depth,
-                    luts: c.luts + 1,
-                };
-                if with_root.better_than(running, objective) {
-                    running = with_root;
-                }
-            }
-            scratch.ncost[nrow + u] = running;
-        }
-    }
-    if counting {
-        scratch.counters.add(&tally);
-    }
-    Ok(scratch.ncost[tree.root_index() * (k + 1) + k])
 }
 
 #[cfg(test)]
@@ -871,6 +755,48 @@ mod tests {
         let forest = Forest::of(net);
         assert_eq!(forest.trees.len(), 1);
         forest.trees.into_iter().next().expect("one tree")
+    }
+
+    /// A random multi-level fanout-free tree, drawn like the property
+    /// suite's `random_tree_network`: gates of 2..=`max_arity` fanins
+    /// taken from a shrinking pool of inputs and earlier gates, a quarter
+    /// of the edges inverted.
+    fn random_tree(seed: u64, leaves: usize, max_arity: usize) -> Tree {
+        let mut rng = chortle_netlist::SplitMix64::new(seed);
+        let mut net = Network::new();
+        let mut pool: Vec<Signal> = (0..leaves)
+            .map(|i| Signal::new(net.add_input(format!("i{i}"))))
+            .collect();
+        while pool.len() > 1 {
+            let take = rng.next_range(2, (max_arity + 1).min(pool.len() + 1));
+            let mut fanins = Vec::with_capacity(take);
+            for _ in 0..take {
+                let mut s = pool.swap_remove(rng.choose_index(&pool));
+                if rng.next_bool(1, 4) {
+                    s = !s;
+                }
+                fanins.push(s);
+            }
+            let op = if rng.next_bool(1, 2) {
+                NodeOp::And
+            } else {
+                NodeOp::Or
+            };
+            pool.push(Signal::new(net.add_gate(op, fanins)));
+        }
+        net.add_output("z", pool[0]);
+        single_tree(&net)
+    }
+
+    /// Multi-level inputs for the kernel-agreement tests.
+    fn random_trees() -> Vec<Tree> {
+        let mut rng = chortle_netlist::SplitMix64::new(0xd9_0001);
+        (0..24)
+            .map(|_| {
+                let leaves = rng.next_range(3, 11);
+                random_tree(rng.next_u64(), leaves, 5)
+            })
+            .collect()
     }
 
     fn wide_gate(fanin: usize, op: NodeOp) -> Tree {
@@ -1015,6 +941,26 @@ mod tests {
                 }
             }
         }
+        // Multi-level trees: child costs flow through `ncost` rows.
+        for (t, tree) in random_trees().iter().enumerate() {
+            let depths = |id: NodeId| (id.index() % 4) as u32;
+            for k in 2..=6usize {
+                for objective in [Objective::Area, Objective::Depth] {
+                    let full =
+                        map_tree_with(tree, k, objective, &depths, &mut DpScratch::new()).unwrap();
+                    let cost = tree_cost_with(tree, k, objective, &depths, &mut shared).unwrap();
+                    for (n, node) in full.nodes.iter().enumerate() {
+                        assert_eq!(
+                            node.node_cost[..],
+                            shared.ncost[n * (k + 1)..=n * (k + 1) + k],
+                            "tree {t} node {n} k={k} {objective:?}"
+                        );
+                    }
+                    let root = &full.nodes[tree.root_index()];
+                    assert_eq!(cost, root.node_cost[k], "tree {t} k={k} {objective:?}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1101,6 +1047,31 @@ mod tests {
                 assert!(ca.divisions > 0);
                 map_tree_with(&tree, k, Objective::Area, &|_| 0, &mut a).unwrap();
                 assert_eq!(a.counters.take(), ca, "rerun must tally identically");
+            }
+        }
+        // Multi-level trees under both objectives and nonzero depths.
+        let depths = |id: NodeId| (id.index() % 3) as u32;
+        for (t, tree) in random_trees().iter().enumerate() {
+            for k in 2..=5usize {
+                for objective in [Objective::Area, Objective::Depth] {
+                    let mut a = DpScratch::new();
+                    let mut b = DpScratch::new();
+                    a.counting = true;
+                    b.counting = true;
+                    map_tree_with(tree, k, objective, &depths, &mut a).unwrap();
+                    tree_cost_with(tree, k, objective, &depths, &mut b).unwrap();
+                    let (ca, cb) = (a.counters.take(), b.counters.take());
+                    let ctx = format!("tree {t} k={k} {objective:?}");
+                    assert_eq!(ca, cb, "{ctx}");
+                    assert_eq!(ca.tree_nodes, tree.nodes.len() as u64, "{ctx}");
+                    assert!(ca.divisions > 0, "{ctx}");
+                    map_tree_with(tree, k, objective, &depths, &mut a).unwrap();
+                    assert_eq!(
+                        a.counters.take(),
+                        ca,
+                        "rerun must tally identically ({ctx})"
+                    );
+                }
             }
         }
     }

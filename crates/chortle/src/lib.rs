@@ -58,7 +58,6 @@ mod duplication;
 pub mod figures;
 mod map;
 mod pack;
-mod parallel;
 pub mod reference;
 mod sched;
 mod tree;
@@ -73,7 +72,8 @@ pub use design::{
 pub use dp::Objective;
 pub use duplication::{duplicate_fanout_gates, map_network_best};
 pub use map::{
-    map_network, resolve_jobs, stats, MapError, MapOptions, MapOptionsBuilder, MapReport, Mapping,
+    map_network, resolve_jobs, stats, LutCheck, MapError, MapOptions, MapOptionsBuilder, MapReport,
+    Mapping,
 };
 pub use pack::PackMode;
 pub use sched::ChunkPolicy;

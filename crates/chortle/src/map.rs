@@ -1,24 +1,17 @@
 //! Top-level mapping API: network in, LUT circuit out.
 
+use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
-use std::collections::{HashMap, HashSet};
-
-use chortle_netlist::{
-    check_equivalence, LutCircuit, LutError, LutSource, Network, NodeId, NodeOp,
-};
+use chortle_netlist::{check_equivalence, LutCircuit, LutError, LutSource, Network, NodeId};
 use chortle_telemetry::{Histogram, Telemetry, TraceScope};
 
-use crate::cache::{
-    CacheKey, CacheMode, FnKey, FnTreeCache, SharedCache, SharedFnCache, TreeCache, WarmCache,
-    SHARED_CACHE_SHARDS,
-};
+use crate::cache::{CacheKey, CacheMode, FnKey, WarmCache, SHARED_CACHE_SHARDS};
 use crate::cancel::CancelToken;
 use crate::cover::emit_forest;
-use crate::dp::{map_tree_solution, DpCounters, DpScratch, Objective, ShapeSolution};
+use crate::dp::{DpCounters, Objective, ShapeSolution};
 use crate::pack::PackMode;
 use crate::sched::ChunkPolicy;
 use crate::tree::{Fingerprint, FingerprintScratch, Forest, Tree};
@@ -38,8 +31,8 @@ pub mod stats {
     /// [`crate::Tree::canonicalize`]); runs in every cache mode so the
     /// produced circuit never depends on the cache setting.
     pub const STAGE_CANON: &str = "map.canon";
-    /// Stage: the subset-DP mapping of every tree (sequential or
-    /// wavefront-parallel).
+    /// Stage: the subset-DP mapping of every tree (in tree order or in
+    /// wavefronts on the pool).
     pub const STAGE_DP: &str = "map.dp";
     /// Stage: functional-tier key material — packed truth tables and
     /// their NPN canonical forms (memoized per distinct table) plus
@@ -85,9 +78,9 @@ pub mod stats {
     /// for a full subset-DP run. `hits + misses == map.trees`.
     pub const CACHE_MISSES: &str = "cache.misses";
     /// Counter: shards of the DP-result cache. A configuration echo (16
-    /// for the shared cache under parallel mapping, 1 otherwise) —
-    /// excluded, like the `sched.*` family, from the
-    /// any-`jobs`-identical contract.
+    /// under the wavefront schedule, whose chunks share one sharded
+    /// store; 1 under the `jobs = 1` tree-order loop) — excluded, like
+    /// the `sched.*` family, from the any-`jobs`-identical contract.
     pub const CACHE_SHARDS: &str = "cache.shards";
     /// Counter: LUTs emitted from replayed (cache-hit) solutions.
     pub const CACHE_REPLAYED_LUTS: &str = "cache.replayed_luts";
@@ -107,7 +100,7 @@ pub mod stats {
     pub const CACHE_FN_REPLAYED_LUTS: &str = "cache.fn_replayed_luts";
     /// Trace span: one tree's DP mapping (`Tree` scope, index = tree
     /// order; begin arg = tree node count, end arg = the tree's LUT
-    /// cost). Emitted by both drivers with identical sequences — only
+    /// cost). Emitted by both schedules with identical sequences — only
     /// the worker id and timestamps differ between `jobs` settings.
     pub const TRACE_TREE: &str = "map.tree";
     /// Trace instant: the tree is the *first* occurrence of its cache
@@ -127,16 +120,15 @@ pub mod stats {
     /// wavefronts contribute none). Deterministic given the options and
     /// the host, but — like every `sched.*` counter — a *schedule*
     /// echo, excluded from the any-`jobs`-identical counter contract
-    /// (the parallel driver emits the family, the sequential driver
-    /// does not).
+    /// (only the wavefront schedule, `jobs >= 2`, emits the family).
     pub const SCHED_CHUNKS: &str = "sched.chunks";
     /// Counter: chunks taken from a deque other than their owner's —
     /// the work-stealing traffic. Nondeterministic by nature; see
     /// [`SCHED_CHUNKS`] for the exclusion.
     pub const SCHED_STEALS: &str = "sched.steals";
-    /// Counter: wavefronts that fell through to the inline sequential
-    /// path (too little estimated work, or a single chunk or executor).
-    /// See [`SCHED_CHUNKS`] for the exclusion.
+    /// Counter: wavefronts that fell through to running inline on the
+    /// submitting thread (too little estimated work, or a single chunk
+    /// or executor). See [`SCHED_CHUNKS`] for the exclusion.
     pub const SCHED_INLINE_WAVES: &str = "sched.inline_waves";
     /// Counter: wavefronts executed on the process-wide chunk pool.
     /// See [`SCHED_CHUNKS`] for the exclusion.
@@ -227,11 +219,11 @@ pub struct MapOptions {
     /// What to minimize: LUT count (the paper's objective, with a depth
     /// tie-break) or LUT depth (with an area tie-break).
     pub objective: Objective,
-    /// Worker threads for mapping the forest (1 = sequential). Trees are
-    /// scheduled in dependency wavefronts on the process-wide chunk
-    /// pool; any value produces a circuit identical to the sequential
-    /// one. The builder resolves 0 to the host's available parallelism,
-    /// capped — see [`resolve_jobs`].
+    /// Worker threads for mapping the forest. 1 maps the trees in tree
+    /// order on the calling thread; more schedules them in dependency
+    /// wavefronts on the process-wide chunk pool. Any value produces the
+    /// identical circuit. The builder resolves 0 to the host's available
+    /// parallelism, capped — see [`resolve_jobs`].
     pub jobs: usize,
     /// How the wavefront scheduler groups trees into chunks
     /// ([`ChunkPolicy::Auto`] by default). Every policy produces the
@@ -247,7 +239,7 @@ pub struct MapOptions {
     /// bit-identity contract on [`CacheMode`].
     pub cache: CacheMode,
     /// Cooperative cancellation, polled at tree boundaries by both
-    /// mapping drivers. The default token is inert; a fired token makes
+    /// mapping schedules. The default token is inert; a fired token makes
     /// [`map_network`] return [`MapError::Cancelled`] with all partial
     /// work discarded.
     pub cancel: CancelToken,
@@ -448,6 +440,49 @@ pub enum MapError {
         /// Name of the first mismatching output.
         output: String,
     },
+    /// A LUT-count invariant failed — the emitted circuit disagrees with
+    /// the DP's predicted cost, or packing grew the circuit. The circuit
+    /// was discarded; this indicates an internal bug, never bad input.
+    LutCount {
+        /// Which invariant failed.
+        check: LutCheck,
+        /// The LUT count the invariant is measured against.
+        expected: u64,
+        /// The LUT count the circuit actually has.
+        actual: u64,
+    },
+}
+
+/// The LUT-count invariants [`map_network`] checks in every build.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum LutCheck {
+    /// The emitted circuit has exactly the LUTs the DP predicted.
+    Emit,
+    /// Don't-care packing never adds LUTs.
+    Pack,
+}
+
+/// Checks one [`LutCheck`] invariant: `actual` must equal `expected`
+/// ([`LutCheck::Emit`]) or not exceed it ([`LutCheck::Pack`]).
+///
+/// # Errors
+///
+/// Returns [`MapError::LutCount`] when the invariant fails.
+pub(crate) fn check_lut_count(check: LutCheck, expected: u64, actual: u64) -> Result<(), MapError> {
+    let holds = match check {
+        LutCheck::Emit => actual == expected,
+        LutCheck::Pack => actual <= expected,
+    };
+    if holds {
+        Ok(())
+    } else {
+        Err(MapError::LutCount {
+            check,
+            expected,
+            actual,
+        })
+    }
 }
 
 impl fmt::Display for MapError {
@@ -486,6 +521,24 @@ impl fmt::Display for MapError {
                     "don't-care packing broke output {output:?}; packed circuit discarded"
                 )
             }
+            MapError::LutCount {
+                check: LutCheck::Emit,
+                expected,
+                actual,
+            } => write!(
+                f,
+                "emitted circuit has {actual} LUTs but the DP predicted {expected}; \
+                 circuit discarded"
+            ),
+            MapError::LutCount {
+                check: LutCheck::Pack,
+                expected,
+                actual,
+            } => write!(
+                f,
+                "don't-care packing grew the circuit from {expected} to {actual} LUTs; \
+                 circuit discarded"
+            ),
         }
     }
 }
@@ -568,12 +621,9 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
         return Err(MapError::Cancelled);
     }
     let telemetry = &options.telemetry;
-    // Arc-wrapped so the wavefront driver can share it with the
-    // process-wide chunk pool without copying; the sequential driver
-    // borrows straight through.
     let normal = {
         let _s = telemetry.span(stats::STAGE_NORMALIZE);
-        Arc::new(network.simplified())
+        network.simplified()
     };
     let mut forest = {
         let _s = telemetry.span(stats::STAGE_FOREST);
@@ -601,11 +651,11 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
     // memoized per distinct packed table) and the per-tree `FnKey` is
     // assembled at DP time from this plus the depth hash the structural
     // key already carries. Empty outside `CacheMode::Fn`.
-    let fn_metas: Arc<Vec<Option<FnMeta>>> = if options.cache.uses_fn() {
+    let fn_metas = if options.cache.uses_fn() {
         let _s = telemetry.span(stats::STAGE_FNMETA);
-        Arc::new(compute_fn_metas(&forest.trees))
+        compute_fn_metas(&forest.trees)
     } else {
-        Arc::new(Vec::new())
+        Vec::new()
     };
 
     let mut report = MapReport {
@@ -614,17 +664,7 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
     };
     let mapped = {
         let _s = telemetry.span(stats::STAGE_DP);
-        if options.jobs > 1 {
-            crate::parallel::map_forest_wavefront(
-                &normal,
-                forest.trees,
-                &shapes,
-                &fn_metas,
-                options,
-            )?
-        } else {
-            map_forest_sequential(&normal, forest.trees, &shapes, &fn_metas, options)?
-        }
+        crate::sched::map_forest(normal.len(), forest.trees, &shapes, fn_metas, options)?
     };
     // Kernel tallies are summed here, once per tree in tree order —
     // cached replays contribute the tally of the shape they share, and a
@@ -657,10 +697,7 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
         emit_forest(&normal, &mapped, &input_source, options.k)?
     };
     report.luts = circuit.num_luts();
-    debug_assert_eq!(
-        report.luts as u64, predicted,
-        "DP predicted cost must match the emitted circuit"
-    );
+    check_lut_count(LutCheck::Emit, predicted, report.luts as u64)?;
     if options.pack == PackMode::Dc {
         let _s = telemetry.span(stats::STAGE_PACK);
         let (packed, pstats) = crate::pack::pack_circuit(&circuit)?;
@@ -669,7 +706,7 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
         // clever precisely because it is never trusted.
         check_equivalence(network, &packed)
             .map_err(|e| MapError::PackVerification { output: e.output })?;
-        debug_assert!(packed.num_luts() <= report.luts, "packing never adds LUTs");
+        check_lut_count(LutCheck::Pack, report.luts as u64, packed.num_luts() as u64)?;
         telemetry.add_counter(stats::PACK_DROPPED_INPUTS, pstats.dropped_inputs);
         telemetry.add_counter(stats::PACK_REMOVED_LUTS, pstats.removed_luts);
         report.luts = packed.num_luts();
@@ -819,7 +856,7 @@ fn report_cache_counters(telemetry: &Telemetry, options: &MapOptions, mapped: &[
         telemetry.add_counter(stats::CACHE_FN_MISSES, fn_misses);
         telemetry.add_counter(stats::CACHE_FN_REPLAYED_LUTS, fn_replayed);
     }
-    let shards = if options.cache.uses_shared() && options.jobs > 1 {
+    let shards = if options.jobs > 1 {
         SHARED_CACHE_SHARDS
     } else {
         1
@@ -861,14 +898,12 @@ fn trace_classification(
         return;
     }
     let mut buf = telemetry.trace_buffer(0);
-    let mut depth_of: HashMap<NodeId, u32> = HashMap::new();
+    let mut arrivals = vec![0u32; normal.len()];
     let mut seen: HashSet<CacheKey> = HashSet::with_capacity(mapped.len());
     for (ti, m) in mapped.iter().enumerate() {
-        let key = m.key.unwrap_or_else(|| {
-            CacheKey::of(&m.tree, shapes[ti], &|id| {
-                leaf_arrival(normal, &depth_of, id)
-            })
-        });
+        let key = m
+            .key
+            .unwrap_or_else(|| CacheKey::of(&m.tree, shapes[ti], &|id| arrivals[id.index()]));
         let name = if seen.insert(key) {
             stats::TRACE_SOLVE
         } else {
@@ -880,198 +915,9 @@ fn trace_classification(
             name,
             u64::from(m.sol.dp.tree_cost(&m.tree)),
         );
-        depth_of.insert(m.tree.root, m.sol.dp.tree_depth(&m.tree));
+        arrivals[m.tree.root.index()] = m.sol.dp.tree_depth(&m.tree);
     }
     telemetry.trace_flush(&mut buf);
-}
-
-/// Arrival depth of a tree leaf: primary inputs and constants arrive at
-/// 0; gate leaves are other trees' roots and arrive at their mapped
-/// depth, which must already be recorded in `depth_of`.
-pub(crate) fn leaf_arrival(normal: &Network, depth_of: &HashMap<NodeId, u32>, id: NodeId) -> u32 {
-    match normal.node(id).op() {
-        NodeOp::Input | NodeOp::Const(_) => 0,
-        NodeOp::And | NodeOp::Or => *depth_of
-            .get(&id)
-            .expect("tree leaves are mapped before the tree that reads them"),
-    }
-}
-
-/// Selects the warm-cache structural segment for a run, when one
-/// applies: the options carry a [`WarmCache`] handle *and* the mode
-/// shares across runs ([`CacheMode::Shared`] or [`CacheMode::Fn`]; the
-/// other modes keep their run-scoped semantics).
-pub(crate) fn warm_segment(options: &MapOptions) -> Option<Arc<SharedCache>> {
-    if !options.cache.uses_shared() {
-        return None;
-    }
-    options
-        .warm_cache
-        .as_ref()
-        .map(|w| w.segment(options.k, options.objective))
-}
-
-/// Selects the warm-cache *functional* segment for a run: only under
-/// [`CacheMode::Fn`] with a [`WarmCache`] attached.
-pub(crate) fn warm_fn_segment(options: &MapOptions) -> Option<Arc<SharedFnCache>> {
-    if !options.cache.uses_fn() {
-        return None;
-    }
-    options
-        .warm_cache
-        .as_ref()
-        .map(|w| w.fn_segment(options.k, options.objective))
-}
-
-/// Maps every tree of the forest in order on the calling thread, one
-/// [`DpScratch`] arena reused throughout. The forest is topologically
-/// ordered, so leaves of a tree are always mapped first. Caching modes
-/// use one unsharded, unsynchronized [`TreeCache`] — the single-threaded
-/// fast path ([`CacheMode::Tree`] and [`CacheMode::Shared`] coincide
-/// here) — unless a warm cross-run segment is attached, which wins so
-/// repeated runs share solutions. Under [`CacheMode::Fn`] a functional
-/// store (warm segment or run-private) is consulted *before* the
-/// structural one; a structural hit back-fills the functional store so
-/// later N/P/N variants hit. Cancellation is polled per tree.
-fn map_forest_sequential(
-    normal: &Network,
-    trees: Vec<Tree>,
-    shapes: &[Fingerprint],
-    fn_metas: &[Option<FnMeta>],
-    options: &MapOptions,
-) -> Result<Vec<MappedTree>, MapError> {
-    let telemetry = &options.telemetry;
-    let enabled = telemetry.is_enabled();
-    let mut mapped: Vec<MappedTree> = Vec::with_capacity(trees.len());
-    let mut scratch = DpScratch::new();
-    scratch.counting = enabled;
-    let warm = warm_segment(options);
-    let mut cache = (options.cache.is_enabled() && warm.is_none()).then(TreeCache::new);
-    let warm_fn = warm_fn_segment(options);
-    let mut fn_cache = (options.cache.uses_fn() && warm_fn.is_none()).then(FnTreeCache::new);
-    let mut depth_of: HashMap<NodeId, u32> = HashMap::new();
-    let mut buf = telemetry.trace_buffer(0);
-    let mut tree_ns = Histogram::new();
-    for (ti, tree) in trees.into_iter().enumerate() {
-        if options.cancel.is_cancelled() {
-            // A fired token stops *between* trees, so no tree span is
-            // open: the trace flushes with every begin already closed.
-            telemetry.trace_flush(&mut buf);
-            return Err(MapError::Cancelled);
-        }
-        let t0 = enabled.then(Instant::now);
-        if buf.is_enabled() {
-            buf.begin(
-                TraceScope::Tree,
-                ti as u64,
-                stats::TRACE_TREE,
-                tree.nodes.len() as u64,
-            );
-        }
-        let leaf_depth = |id: NodeId| leaf_arrival(normal, &depth_of, id);
-        let key = options
-            .cache
-            .is_enabled()
-            .then(|| CacheKey::of(&tree, shapes[ti], &leaf_depth));
-        let fn_key = match (fn_metas.get(ti).and_then(Option::as_ref), &key) {
-            (Some(meta), Some(k)) => Some(meta.key(k)),
-            _ => None,
-        };
-        // Functional tier first, then structural, then solve.
-        let cached_fn = fn_key.and_then(|fk| match (&warm_fn, &fn_cache) {
-            (Some(w), _) => w.get(&fk),
-            (None, Some(c)) => c.get(&fk),
-            _ => None,
-        });
-        let via_fn = cached_fn.is_some();
-        let cached = cached_fn.or_else(|| {
-            key.and_then(|k| match (&warm, &cache) {
-                (Some(w), _) => w.get(&k),
-                (None, Some(c)) => c.get(&k),
-                _ => None,
-            })
-        });
-        let sol = match cached {
-            Some(sol) => {
-                // A structural hit back-fills the functional tier (a
-                // functional hit implies the key is already present).
-                if !via_fn {
-                    if let Some(fk) = fn_key {
-                        match (&warm_fn, &mut fn_cache) {
-                            (Some(w), _) => {
-                                w.insert(fk, sol.clone());
-                            }
-                            (None, Some(c)) => c.insert(fk, sol.clone()),
-                            _ => {}
-                        }
-                    }
-                }
-                sol
-            }
-            None => {
-                let sol = match map_tree_solution(
-                    &tree,
-                    options.k,
-                    options.objective,
-                    &leaf_depth,
-                    &mut scratch,
-                ) {
-                    Ok(sol) => Arc::new(sol),
-                    Err(e) => {
-                        // The tree span is open: close it explicitly so
-                        // every begin stays matched even on the error
-                        // path.
-                        buf.cancelled(TraceScope::Tree, ti as u64, stats::TRACE_TREE, 0);
-                        telemetry.trace_flush(&mut buf);
-                        return Err(e);
-                    }
-                };
-                let sol = match (&warm, &mut cache) {
-                    // First writer wins; adopt whatever landed so a
-                    // concurrent run's duplicate shares one allocation.
-                    (Some(w), _) => w.insert(key.expect("caching modes key every tree"), sol),
-                    (None, Some(c)) => {
-                        c.insert(key.expect("caching modes key every tree"), sol.clone());
-                        sol
-                    }
-                    _ => sol,
-                };
-                if let Some(fk) = fn_key {
-                    match (&warm_fn, &mut fn_cache) {
-                        (Some(w), _) => {
-                            w.insert(fk, sol.clone());
-                        }
-                        (None, Some(c)) => c.insert(fk, sol.clone()),
-                        _ => {}
-                    }
-                }
-                sol
-            }
-        };
-        if buf.is_enabled() {
-            buf.end(
-                TraceScope::Tree,
-                ti as u64,
-                stats::TRACE_TREE,
-                u64::from(sol.dp.tree_cost(&tree)),
-            );
-        }
-        if let Some(t0) = t0 {
-            tree_ns.record_duration(t0.elapsed());
-        }
-        depth_of.insert(tree.root, sol.dp.tree_depth(&tree));
-        mapped.push(MappedTree {
-            tree,
-            sol,
-            key,
-            fn_key,
-        });
-    }
-    telemetry.trace_flush(&mut buf);
-    if !tree_ns.is_empty() {
-        telemetry.merge_histogram(stats::HIST_TREE_NS, &tree_ns);
-    }
-    Ok(mapped)
 }
 
 #[cfg(test)]
@@ -1085,6 +931,29 @@ mod tests {
         check_equivalence(net, &mapped.circuit).expect("equivalent");
         assert!(mapped.circuit.luts().iter().all(|l| l.utilization() <= k));
         mapped
+    }
+
+    #[test]
+    fn lut_count_checks_pass_and_fail_typed() {
+        assert_eq!(check_lut_count(LutCheck::Emit, 7, 7), Ok(()));
+        assert_eq!(check_lut_count(LutCheck::Pack, 7, 7), Ok(()));
+        assert_eq!(check_lut_count(LutCheck::Pack, 7, 5), Ok(()));
+        for (check, expected, actual) in [
+            (LutCheck::Emit, 7, 6),
+            (LutCheck::Emit, 7, 8),
+            (LutCheck::Pack, 7, 8),
+        ] {
+            let err = check_lut_count(check, expected, actual).unwrap_err();
+            assert_eq!(
+                err,
+                MapError::LutCount {
+                    check,
+                    expected,
+                    actual
+                }
+            );
+            assert!(err.to_string().contains("circuit discarded"), "{err}");
+        }
     }
 
     #[test]

@@ -1,11 +1,28 @@
-//! Adaptive chunked work-stealing scheduler (DESIGN.md §14).
+//! The forest mapping driver and its adaptive chunked work-stealing
+//! scheduler (DESIGN.md §14).
 //!
-//! The wavefront driver ([`crate::parallel`]) used to hand workers one
-//! tree at a time through a shared cursor and spawn fresh threads per
-//! wavefront. Both costs dominate on real forests, where most trees are
-//! a handful of nodes: claiming a tree costs about as much as mapping
-//! it, and a 1-core host still paid for two threads. This module
-//! replaces that with three pieces:
+//! Every tree goes through one step, [`map_tree_step`]: compute its
+//! cache key, try the functional tier, then the structural tier, then
+//! solve the subset DP. [`map_forest`] runs that step on one of two
+//! schedules:
+//!
+//! * **Tree order** (`jobs <= 1`): a plain loop on the calling thread.
+//!   The forest is topologically ordered (leaf trees precede their
+//!   consumers), so every leaf depth is published before a tree reads
+//!   it. No pool, no wavefront bookkeeping, no `sched.*` counters.
+//! * **Wavefronts** (`jobs >= 2`): trees depend on each other only
+//!   through leaf depths, so the forest *levelizes*: wavefront 0 holds
+//!   every tree whose leaves are all primary inputs or constants,
+//!   wavefront `L+1` the trees whose deepest tree-leaf lives in
+//!   wavefront `L`. Within one wavefront the trees are independent and
+//!   map concurrently.
+//!
+//! Both schedules publish root depths into the same `NodeId`-indexed
+//! arrival array and produce the same per-tree results, so the circuit,
+//! every work counter, and the trace identity are bit-identical for any
+//! `jobs` value.
+//!
+//! The wavefront schedule has three pieces:
 //!
 //! 1. **Chunks.** Trees of one wavefront are grouped, in tree order,
 //!    into contiguous chunks carrying at least [`AUTO_CHUNK_WORK`]
@@ -36,14 +53,13 @@
 //!    [`MIN_POOLED_WAVE_WORK`] units overall) runs as a single chunk
 //!    on the submitting thread — no locks, no wake-ups.
 //!
-//! Determinism is unchanged from the per-tree scheduler: every chunk
-//! writes solutions into a slot-per-tree buffer and the driver
-//! publishes root depths in tree order between wavefronts, so the
-//! produced circuit, every telemetry counter, and the trace identity
-//! are bit-identical across `jobs × chunk × cache-mode`. The only new
-//! observable state is the `sched.*` counter family, which (like
-//! `cache.shards`) echoes the schedule rather than the work and is
-//! excluded from that contract.
+//! Every chunk writes solutions into a slot-per-tree buffer and the
+//! driver publishes root depths in tree order between wavefronts, so
+//! leaf depths never depend on intra-wavefront completion order. The
+//! only schedule-dependent observable state is the `sched.*` counter
+//! family and the wavefront records, which (like `cache.shards`) echo
+//! the schedule rather than the work and are excluded from the
+//! identity contract.
 //!
 //! Failure handling: the first chunk to observe a fired cancel token
 //! or a mapping error records it in the wavefront's error slot and
@@ -68,20 +84,22 @@
 //! tree chunks of concurrent runs interleave on one thread set without
 //! oversubscription or deadlock.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once, OnceLock};
 use std::time::Instant;
 
-use chortle_netlist::{Network, NodeId};
-use chortle_telemetry::{Histogram, Telemetry, TraceScope};
+use chortle_netlist::NodeId;
+use chortle_telemetry::{Histogram, Telemetry, TraceBuffer, TraceScope, WavefrontStat};
 
-use crate::cache::{CacheKey, FnKey, SharedCache, SharedFnCache, TreeCache};
+use crate::cache::{
+    CacheKey, CacheMode, FnKey, ShardKey, SharedCache, SharedFnCache, SharedStore, Store,
+};
 use crate::cancel::CancelToken;
 use crate::dp::{map_tree_solution, DpScratch, Objective, ShapeSolution};
-use crate::map::{stats, FnMeta, MapError};
-use crate::tree::{Fingerprint, Tree};
+use crate::map::{stats, FnMeta, MapError, MapOptions, MappedTree};
+use crate::tree::{Fingerprint, Tree, TreeChild};
 
 /// How the wavefront driver groups trees into scheduler chunks.
 ///
@@ -187,6 +205,411 @@ pub(crate) fn build_chunks(
     chunks
 }
 
+/// One tree's mapped solution plus the structural and functional cache
+/// keys it was (re)computed under, if the run is keyed.
+pub(crate) type TreeResult = (Arc<ShapeSolution>, Option<CacheKey>, Option<FnKey>);
+
+/// The run-invariant inputs of [`map_tree_step`]: the forest's key
+/// material, the DP options, and the stores the run's executors share.
+/// Borrowed by the tree-order loop; shared behind an `Arc` by every
+/// wavefront chunk.
+pub(crate) struct ForestRun {
+    /// Canonical shape fingerprints, indexed by tree.
+    shapes: Arc<Vec<Fingerprint>>,
+    /// Per-tree functional metadata (truth-table canon, blind shape),
+    /// indexed by tree; empty unless the mode has a functional tier.
+    fn_metas: Vec<Option<FnMeta>>,
+    /// LUT input count.
+    k: usize,
+    /// Mapping objective.
+    objective: Objective,
+    /// The run's cache mode.
+    mode: CacheMode,
+    /// The structural store every executor shares: the warm segment
+    /// when one applies, else on the wavefront schedule a run-scoped
+    /// store. `None` with caching on leaves the tree-order loop a
+    /// private store.
+    cache: Option<Arc<SharedCache>>,
+    /// The functional tier's shared store, chosen the same way.
+    fn_cache: Option<Arc<SharedFnCache>>,
+    /// Cooperative cancellation, polled at every tree boundary.
+    cancel: CancelToken,
+    /// The run's telemetry sink.
+    telemetry: Telemetry,
+}
+
+/// The shared store of one cache tier: the warm segment when one
+/// applies, else — when several executors need one — a fresh run-scoped
+/// store.
+fn shared_tier<K: ShardKey>(
+    on: bool,
+    warm: Option<Arc<SharedStore<K>>>,
+    pooled: bool,
+) -> Option<Arc<SharedStore<K>>> {
+    if !on {
+        return None;
+    }
+    warm.or_else(|| pooled.then(|| Arc::new(SharedStore::new())))
+}
+
+impl ForestRun {
+    fn new(
+        shapes: &Arc<Vec<Fingerprint>>,
+        fn_metas: Vec<Option<FnMeta>>,
+        options: &MapOptions,
+        pooled: bool,
+    ) -> ForestRun {
+        let (k, objective, mode) = (options.k, options.objective, options.cache);
+        // The warm cache, for a tier that attaches to it.
+        let warm = |attaches: bool| options.warm_cache.as_ref().filter(|_| attaches);
+        ForestRun {
+            shapes: Arc::clone(shapes),
+            fn_metas,
+            k,
+            objective,
+            mode,
+            cache: shared_tier(
+                mode.is_enabled(),
+                warm(mode.uses_shared()).map(|w| w.segment(k, objective)),
+                pooled,
+            ),
+            fn_cache: shared_tier(
+                mode.uses_fn(),
+                warm(mode.uses_fn()).map(|w| w.fn_segment(k, objective)),
+                pooled,
+            ),
+            cancel: options.cancel.clone(),
+            telemetry: options.telemetry.clone(),
+        }
+    }
+
+    /// State for one executor (trace worker id `worker`) of this run.
+    fn executor(&self, worker: u32) -> Executor<'_> {
+        Executor {
+            structural: Store::new(self.cache.as_deref(), self.mode.is_enabled()),
+            functional: Store::new(self.fn_cache.as_deref(), self.mode.uses_fn()),
+            buf: self.telemetry.trace_buffer(worker),
+            tree_ns: self.telemetry.is_enabled().then(Histogram::new),
+        }
+    }
+}
+
+/// One executor's state across the trees it maps: its view of both cache
+/// tiers, its trace buffer and, when telemetry is on, its per-tree
+/// wall-time histogram.
+pub(crate) struct Executor<'a> {
+    structural: Store<'a, CacheKey>,
+    functional: Store<'a, FnKey>,
+    buf: TraceBuffer,
+    tree_ns: Option<Histogram>,
+}
+
+impl Executor<'_> {
+    /// Hands the buffered events and timings to the sink.
+    fn flush(&mut self, telemetry: &Telemetry) {
+        telemetry.trace_flush(&mut self.buf);
+        if let Some(hist) = self.tree_ns.take().filter(|h| !h.is_empty()) {
+            telemetry.merge_histogram(stats::HIST_TREE_NS, &hist);
+        }
+    }
+}
+
+/// Maps `tree`, tree `ti` of the forest: the one per-tree step both
+/// schedules share. `arrivals` holds the published depth of every
+/// earlier tree's root (0 for primary inputs and constants). The
+/// functional tier is consulted first, then the structural one, then
+/// the subset DP runs; a structural hit back-fills the functional tier,
+/// and a solve inserts into both. The tree's trace span opens and closes
+/// here — closed as cancelled when the DP fails, so every begin stays
+/// matched.
+///
+/// # Errors
+///
+/// Returns the DP's [`MapError`] (a node too wide for the subset DP).
+pub(crate) fn map_tree_step(
+    run: &ForestRun,
+    ti: usize,
+    tree: &Tree,
+    arrivals: &[u32],
+    exec: &mut Executor<'_>,
+    scratch: &mut DpScratch,
+) -> Result<TreeResult, MapError> {
+    let t0 = exec.tree_ns.is_some().then(Instant::now);
+    let traced = exec.buf.is_enabled();
+    if traced {
+        let size = tree.nodes.len() as u64;
+        exec.buf
+            .begin(TraceScope::Tree, ti as u64, stats::TRACE_TREE, size);
+    }
+    let leaf_depth = |id: NodeId| arrivals[id.index()];
+    let key = exec
+        .structural
+        .is_on()
+        .then(|| CacheKey::of(tree, run.shapes[ti], &leaf_depth));
+    let fn_key = match (run.fn_metas.get(ti).and_then(Option::as_ref), &key) {
+        (Some(meta), Some(k)) => Some(meta.key(k)),
+        _ => None,
+    };
+    let sol = if let Some(sol) = exec.functional.get(fn_key) {
+        sol
+    } else if let Some(sol) = exec.structural.get(key) {
+        exec.functional.insert(fn_key, Arc::clone(&sol));
+        sol
+    } else {
+        match map_tree_solution(tree, run.k, run.objective, &leaf_depth, scratch) {
+            Ok(sol) => {
+                let sol = exec.structural.insert(key, Arc::new(sol));
+                exec.functional.insert(fn_key, Arc::clone(&sol));
+                sol
+            }
+            Err(e) => {
+                exec.buf
+                    .cancelled(TraceScope::Tree, ti as u64, stats::TRACE_TREE, 0);
+                return Err(e);
+            }
+        }
+    };
+    if traced {
+        let cost = u64::from(sol.dp.tree_cost(tree));
+        exec.buf
+            .end(TraceScope::Tree, ti as u64, stats::TRACE_TREE, cost);
+    }
+    if let (Some(t0), Some(hist)) = (t0, exec.tree_ns.as_mut()) {
+        hist.record_duration(t0.elapsed());
+    }
+    Ok((sol, key, fn_key))
+}
+
+/// Maps every tree of the canonicalized forest and returns them, in tree
+/// order, with their (possibly shared) solutions. `nodes` is the node
+/// count of the normalized network the trees index into.
+///
+/// With one executor (`jobs <= 1`) the trees run in tree order on the
+/// calling thread; otherwise the forest levelizes into wavefronts on the
+/// process-wide pool. Either way every tree goes through
+/// [`map_tree_step`] with the same leaf depths, so the result is
+/// bit-identical for any `jobs`.
+///
+/// # Errors
+///
+/// [`MapError::Cancelled`] when the run's token fires,
+/// [`MapError::WorkerPanicked`] when a pool worker panics, and the DP's
+/// own errors.
+pub(crate) fn map_forest(
+    nodes: usize,
+    trees: Vec<Tree>,
+    shapes: &Arc<Vec<Fingerprint>>,
+    fn_metas: Vec<Option<FnMeta>>,
+    options: &MapOptions,
+) -> Result<Vec<MappedTree>, MapError> {
+    let pooled = options.jobs > 1;
+    let run = ForestRun::new(shapes, fn_metas, options, pooled);
+    if pooled {
+        map_wavefronts(run, trees, nodes, options)
+    } else {
+        map_in_tree_order(&run, trees, nodes)
+    }
+}
+
+/// The one-executor schedule: every tree in tree order on the calling
+/// thread, one scratch arena and one private store per tier throughout.
+/// Cancellation is polled between trees, so no tree span is open when
+/// it fires.
+fn map_in_tree_order(
+    run: &ForestRun,
+    trees: Vec<Tree>,
+    nodes: usize,
+) -> Result<Vec<MappedTree>, MapError> {
+    let mut scratch = DpScratch::new();
+    scratch.counting = run.telemetry.is_enabled();
+    let mut exec = run.executor(0);
+    let mut arrivals = vec![0u32; nodes];
+    let mut mapped = Vec::with_capacity(trees.len());
+    let outcome = trees.into_iter().enumerate().try_for_each(|(ti, tree)| {
+        if run.cancel.is_cancelled() {
+            return Err(MapError::Cancelled);
+        }
+        let (sol, key, fn_key) = map_tree_step(run, ti, &tree, &arrivals, &mut exec, &mut scratch)?;
+        arrivals[tree.root.index()] = sol.dp.tree_depth(&tree);
+        mapped.push(MappedTree {
+            tree,
+            sol,
+            key,
+            fn_key,
+        });
+        Ok(())
+    });
+    exec.flush(&run.telemetry);
+    outcome.map(|()| mapped)
+}
+
+/// The wavefront schedule: levelizes the forest and maps each wavefront
+/// on the process-wide chunk pool (up to `options.jobs` executors per
+/// wavefront), publishing root depths in tree order between
+/// wavefronts.
+fn map_wavefronts(
+    run: ForestRun,
+    trees: Vec<Tree>,
+    nodes: usize,
+    options: &MapOptions,
+) -> Result<Vec<MappedTree>, MapError> {
+    let mut tree_of_root: HashMap<NodeId, usize> = HashMap::with_capacity(trees.len());
+    for (i, tree) in trees.iter().enumerate() {
+        tree_of_root.insert(tree.root, i);
+    }
+    // Levelize. The forest is topologically ordered, so one forward
+    // pass suffices.
+    let mut level = vec![0u32; trees.len()];
+    let mut max_level = 0u32;
+    for (i, tree) in trees.iter().enumerate() {
+        let mut lv = 0u32;
+        for node in &tree.nodes {
+            for child in &node.children {
+                if let TreeChild::Leaf(sig) = child {
+                    if let Some(&dep) = tree_of_root.get(&sig.node()) {
+                        lv = lv.max(level[dep] + 1);
+                    }
+                }
+            }
+        }
+        level[i] = lv;
+        max_level = max_level.max(lv);
+    }
+    let mut waves: Vec<Vec<usize>> = vec![Vec::new(); max_level as usize + 1];
+    for (i, &lv) in level.iter().enumerate() {
+        waves[lv as usize].push(i);
+    }
+    // Static per-tree work estimates drive chunk sizing and the inline
+    // fall-through; computed once for the whole forest.
+    let est: Vec<u64> = trees
+        .iter()
+        .map(|t| estimate_tree_work(t, options.k))
+        .collect();
+
+    let run = Arc::new(run);
+    let trees = Arc::new(trees);
+    let mut sols: Vec<Option<TreeResult>> = (0..trees.len()).map(|_| None).collect();
+    // Leaf arrival depths, indexed by NodeId — the array the tree-order
+    // loop keeps, snapshotted per wavefront behind an `Arc`.
+    let mut arrivals: Arc<Vec<u32>> = Arc::new(vec![0u32; nodes]);
+    // Scratch for chunks run on this thread (inline wavefronts and
+    // helping); pool workers keep their own thread-persistent arenas.
+    let mut inline_scratch = DpScratch::new();
+
+    let telemetry = &options.telemetry;
+    let enabled = telemetry.is_enabled();
+    // Executors a wavefront can occupy: the requested jobs, bounded by
+    // the pool plus this thread. An explicit `--jobs N` is honored even
+    // on a small host (the fall-through below still protects small
+    // wavefronts); only `--jobs 0` auto-sizing caps at the host.
+    let fanout = options.jobs.min(Pool::global().size() + 1);
+    let (mut chunks_built, mut steals, mut inline_waves, mut pooled_waves) =
+        (0u64, 0u64, 0u64, 0u64);
+    for (wi, wave) in waves.iter().enumerate() {
+        // Timing is gated on the sink being enabled: the disabled path
+        // never touches the clock.
+        let wave_start = enabled.then(Instant::now);
+        let chunks = build_chunks(wave, &est, options.chunk);
+        let total_work: u64 = wave.iter().map(|&ti| est[ti]).sum();
+        let pooled = fanout >= 2 && chunks.len() >= 2 && total_work >= MIN_POOLED_WAVE_WORK;
+        let ctx = Arc::new(WaveCtx {
+            run: Arc::clone(&run),
+            trees: Arc::clone(&trees),
+            arrivals: Arc::clone(&arrivals),
+            indices: wave.clone(),
+            wave_index: wi,
+            // `fanout` executor slots counting this thread (pre-joined):
+            // placement below seeds `fanout - 1` deques, and the budget
+            // keeps stealing from recruiting a larger crew than --jobs.
+            budget: ExecutorBudget::new(fanout),
+            results: Mutex::new((0..wave.len()).map(|_| None).collect()),
+            error: Mutex::new(None),
+            failed: AtomicBool::new(false),
+            steals: AtomicU64::new(0),
+            occupancy: Mutex::new(Vec::new()),
+        });
+        if pooled {
+            pooled_waves += 1;
+            chunks_built += chunks.len() as u64;
+            let pool = Pool::global();
+            let latch = Arc::new(Latch::new(chunks.len()));
+            pool.submit(&ctx, &latch, &chunks, fanout - 1);
+            // Help drain our own wavefront, newest chunk first, then
+            // wait for chunks still running on the pool.
+            while let Some(task) = pool.grab_wave(&ctx) {
+                run_task(task, &mut inline_scratch, 0);
+            }
+            latch.wait();
+            steals += ctx.steals.load(Ordering::Relaxed);
+        } else {
+            // Inline fall-through: the whole wavefront as one chunk on
+            // this thread — no hand-off, no wake-ups.
+            inline_waves += 1;
+            run_chunk(&ctx, (0, wave.len()), &mut inline_scratch, 0);
+        }
+        if let Some(e) = ctx.error.lock().expect("wave error slot poisoned").take() {
+            // Partial results are dropped with the wavefront.
+            return Err(e);
+        }
+        {
+            let mut results = ctx.results.lock().expect("wave results poisoned");
+            for (pos, slot) in results.iter_mut().enumerate() {
+                sols[wave[pos]] = Some(slot.take().expect("wavefront mapped every tree"));
+            }
+        }
+        if let Some(t0) = wave_start {
+            let mut occ = std::mem::take(&mut *ctx.occupancy.lock().expect("occupancy poisoned"));
+            occ.sort_by_key(|o| o.worker);
+            telemetry.record_wavefront(WavefrontStat {
+                index: wi,
+                trees: wave.len(),
+                workers: occ.len().max(1),
+                seconds: t0.elapsed().as_secs_f64(),
+                claimed: occ.iter().map(|o| o.claimed).collect(),
+                busy_s: occ.iter().map(|o| o.busy_s).collect(),
+            });
+        }
+        // Drop the wavefront context before publishing depths: the
+        // arrivals array is then uniquely owned again and `make_mut`
+        // updates it in place.
+        drop(ctx);
+
+        // Publish this wavefront's root depths, in tree order, before
+        // the next wavefront reads them.
+        let published = Arc::make_mut(&mut arrivals);
+        for &ti in wave {
+            let (sol, ..) = sols[ti].as_ref().expect("wavefront mapped every tree");
+            published[trees[ti].root.index()] = sol.dp.tree_depth(&trees[ti]);
+        }
+    }
+    if enabled {
+        // Schedule echoes, like `cache.shards`: excluded from the
+        // any-`jobs`-identical counter contract (see `stats`).
+        telemetry.add_counter(stats::SCHED_CHUNKS, chunks_built);
+        telemetry.add_counter(stats::SCHED_STEALS, steals);
+        telemetry.add_counter(stats::SCHED_INLINE_WAVES, inline_waves);
+        telemetry.add_counter(stats::SCHED_POOLED_WAVES, pooled_waves);
+    }
+
+    // Every chunk dropped its context before arriving at its latch, so
+    // the driver holds the only strong reference by now; the fallback
+    // clone only runs if a worker was still tearing down mid-unwind.
+    let trees = Arc::try_unwrap(trees).unwrap_or_else(|arc| (*arc).clone());
+    Ok(trees
+        .into_iter()
+        .zip(sols)
+        .map(|(tree, sol)| {
+            let (sol, key, fn_key) = sol.expect("every wavefront tree mapped");
+            MappedTree {
+                tree,
+                sol,
+                key,
+                fn_key,
+            }
+        })
+        .collect())
+}
+
 /// Per-executor occupancy of one wavefront, aggregated across the
 /// chunks that executor ran.
 pub(crate) struct Occupancy {
@@ -197,23 +620,6 @@ pub(crate) struct Occupancy {
     /// Wall time this executor spent inside the wavefront's chunks.
     pub busy_s: f64,
 }
-
-/// Which cache a wavefront's chunks consult. `PerChunk` is
-/// [`crate::CacheMode::Tree`] under the pool: workers are process-wide
-/// and outlive any one run, so the private cache shrinks to chunk
-/// scope — a pure hit-rate trade, invisible in the produced circuit.
-pub(crate) enum WaveCache {
-    /// No memoization.
-    Off,
-    /// A fresh private [`TreeCache`] per chunk.
-    PerChunk,
-    /// The run- (or warm-) scoped sharded cache.
-    Shared(Arc<SharedCache>),
-}
-
-/// One tree's mapped solution plus the structural and functional cache
-/// keys it was (re)computed under, if the run is keyed.
-pub(crate) type TreeResult = (Arc<ShapeSolution>, Option<CacheKey>, Option<FnKey>);
 
 /// Locks a mutex, proceeding through poison: the protected state here
 /// (latch counts, error slots, budgets) must stay reachable even after
@@ -270,13 +676,10 @@ impl ExecutorBudget {
 /// by `Arc` between the submitting thread and the pool; all mutation
 /// funnels through the interior locks.
 pub(crate) struct WaveCtx {
-    /// The normalized network (leaf-op lookups during key recompute).
-    #[allow(dead_code)] // retained: keeps the network alive for the tasks
-    pub normal: Arc<Network>,
+    /// The run this wavefront belongs to.
+    pub run: Arc<ForestRun>,
     /// The whole forest, canonicalized, in tree order.
     pub trees: Arc<Vec<Tree>>,
-    /// Canonical shape fingerprints, indexed like `trees`.
-    pub shapes: Arc<Vec<Fingerprint>>,
     /// Leaf arrival depths indexed by [`NodeId`]: 0 for primary inputs
     /// and constants, the mapped root depth for earlier trees' roots.
     /// Snapshotted per wavefront — within a wavefront it is immutable.
@@ -285,29 +688,9 @@ pub(crate) struct WaveCtx {
     pub indices: Vec<usize>,
     /// Wavefront number (trace span index).
     pub wave_index: usize,
-    /// LUT input count.
-    pub k: usize,
-    /// Mapping objective.
-    pub objective: Objective,
-    /// Whether trees are keyed for caching (any enabled cache mode).
-    pub keyed: bool,
-    /// The cache chunks consult.
-    pub cache: WaveCache,
-    /// Per-tree functional metadata (truth-table canon, blind shape),
-    /// indexed like `trees`; empty unless the run's mode has a
-    /// functional tier.
-    pub fn_metas: Arc<Vec<Option<FnMeta>>>,
-    /// The run-shared functional tier, present under
-    /// [`crate::CacheMode::Fn`]. Never per-chunk: the mode implies
-    /// shared semantics.
-    pub fn_cache: Option<Arc<SharedFnCache>>,
-    /// Cooperative cancellation, polled at every tree boundary.
-    pub cancel: CancelToken,
     /// Executor slots: `jobs` distinct executors at most, stealing
     /// included.
     pub budget: ExecutorBudget,
-    /// The run's telemetry sink.
-    pub telemetry: Telemetry,
     /// Slot-per-tree results, indexed by wavefront position. Buffered
     /// here and drained by the driver in tree order — the determinism
     /// safety rail.
@@ -799,157 +1182,57 @@ where
 }
 
 /// Maps one chunk: the trees at `wave.indices[start..end]`, in order,
-/// publishing solutions into the wavefront's slot-per-tree buffer.
-/// Identical per-tree logic to the sequential driver — cache lookup by
-/// canonical key, subset-DP solve on miss, first-writer-wins insert —
-/// so the buffered results are bit-identical to sequential mapping.
+/// through [`map_tree_step`], publishing solutions into the wavefront's
+/// slot-per-tree buffer.
 pub(crate) fn run_chunk(
     wave: &WaveCtx,
     (start, end): (usize, usize),
     scratch: &mut DpScratch,
     worker: u32,
 ) {
-    let telemetry = &wave.telemetry;
+    let run = &*wave.run;
+    let telemetry = &run.telemetry;
     let enabled = telemetry.is_enabled();
     scratch.counting = enabled;
     let busy_start = enabled.then(Instant::now);
-    let mut buf = telemetry.trace_buffer(worker);
-    let mut hist = Histogram::new();
-    // CacheMode::Tree under the pool: one private cache per chunk.
-    let mut private = matches!(wave.cache, WaveCache::PerChunk).then(TreeCache::new);
-    let shared = match &wave.cache {
-        WaveCache::Shared(s) => Some(s.as_ref()),
-        _ => None,
-    };
-    let arrivals: &[u32] = &wave.arrivals;
-    let leaf_depth = |id: NodeId| arrivals[id.index()];
-    let fn_cache = wave.fn_cache.as_deref();
-    // One buffered result per tree: slot index, the (shared) solution,
-    // and the structural/functional keys it was stored under.
-    type ChunkResult = (usize, Arc<ShapeSolution>, Option<CacheKey>, Option<FnKey>);
-    let mut out: Vec<ChunkResult> = Vec::with_capacity(end - start);
-    if buf.is_enabled() {
-        buf.begin(
-            TraceScope::Sched,
-            wave.wave_index as u64,
-            stats::TRACE_WORKER,
-            0,
-        );
+    let mut exec = run.executor(worker);
+    // One buffered result per tree, with its wavefront position.
+    let mut out: Vec<(usize, TreeResult)> = Vec::with_capacity(end - start);
+    let traced = exec.buf.is_enabled();
+    let wave_index = wave.wave_index as u64;
+    if traced {
+        exec.buf
+            .begin(TraceScope::Sched, wave_index, stats::TRACE_WORKER, 0);
     }
     for pos in start..end {
         // Cancellation and sibling failures land between tree
         // boundaries: no tree span is open when this chunk stops.
-        if wave.cancel.is_cancelled() {
+        if run.cancel.is_cancelled() {
             wave.fail(MapError::Cancelled);
         }
         if wave.failed.load(Ordering::Acquire) {
             break;
         }
         let ti = wave.indices[pos];
-        let tree = &wave.trees[ti];
-        let t0 = enabled.then(Instant::now);
-        if buf.is_enabled() {
-            buf.begin(
-                TraceScope::Tree,
-                ti as u64,
-                stats::TRACE_TREE,
-                tree.nodes.len() as u64,
-            );
-        }
-        let key = wave
-            .keyed
-            .then(|| CacheKey::of(tree, wave.shapes[ti], &leaf_depth));
-        // The fn-tier lookup must mirror the sequential driver exactly
-        // here: functional first, then structural, then solve; a
-        // structural hit back-fills the functional tier; a solve
-        // inserts into both. `fn_metas` is indexed by the *global*
-        // tree index, like `shapes`.
-        let fn_key = match (wave.fn_metas.get(ti).and_then(Option::as_ref), &key) {
-            (Some(meta), Some(k)) => Some(meta.key(k)),
-            _ => None,
-        };
-        let cached_fn = match (fn_key, fn_cache) {
-            (Some(fk), Some(f)) => f.get(&fk),
-            _ => None,
-        };
-        let via_fn = cached_fn.is_some();
-        let cached = cached_fn.or_else(|| {
-            key.and_then(|k| match (shared, &private) {
-                (Some(s), _) => s.get(&k),
-                (None, Some(p)) => p.get(&k),
-                _ => None,
-            })
-        });
-        let sol = match cached {
-            Some(sol) => {
-                // A structural hit back-fills the functional tier (a
-                // functional hit implies the key is already present).
-                if !via_fn {
-                    if let (Some(fk), Some(f)) = (fn_key, fn_cache) {
-                        f.insert(fk, sol.clone());
-                    }
-                }
-                sol
+        match map_tree_step(run, ti, &wave.trees[ti], &wave.arrivals, &mut exec, scratch) {
+            Ok(result) => out.push((pos, result)),
+            Err(e) => {
+                wave.fail(e);
+                break;
             }
-            None => {
-                let sol =
-                    match map_tree_solution(tree, wave.k, wave.objective, &leaf_depth, scratch) {
-                        Ok(sol) => Arc::new(sol),
-                        Err(e) => {
-                            // A mid-tree error leaves the span open; close
-                            // it explicitly so every begin stays matched.
-                            buf.cancelled(TraceScope::Tree, ti as u64, stats::TRACE_TREE, 0);
-                            wave.fail(e);
-                            break;
-                        }
-                    };
-                let sol = match (shared, &mut private) {
-                    // First writer wins; adopt whatever landed so
-                    // racing duplicates share one allocation.
-                    (Some(s), _) => s.insert(k_unwrap(key), sol),
-                    (None, Some(p)) => {
-                        p.insert(k_unwrap(key), sol.clone());
-                        sol
-                    }
-                    _ => sol,
-                };
-                if let (Some(fk), Some(f)) = (fn_key, fn_cache) {
-                    f.insert(fk, sol.clone());
-                }
-                sol
-            }
-        };
-        if buf.is_enabled() {
-            buf.end(
-                TraceScope::Tree,
-                ti as u64,
-                stats::TRACE_TREE,
-                u64::from(sol.dp.tree_cost(tree)),
-            );
         }
-        if let Some(t0) = t0 {
-            hist.record_duration(t0.elapsed());
-        }
-        out.push((pos, sol, key, fn_key));
     }
     let claimed = out.len() as u64;
-    if buf.is_enabled() {
-        buf.end(
-            TraceScope::Sched,
-            wave.wave_index as u64,
-            stats::TRACE_WORKER,
-            claimed,
-        );
+    if traced {
+        exec.buf
+            .end(TraceScope::Sched, wave_index, stats::TRACE_WORKER, claimed);
     }
     // Flush even on error — a stopped chunk's events are all matched.
-    telemetry.trace_flush(&mut buf);
-    if !hist.is_empty() {
-        telemetry.merge_histogram(stats::HIST_TREE_NS, &hist);
-    }
+    exec.flush(telemetry);
     {
         let mut results = wave.results.lock().expect("wave results poisoned");
-        for (pos, sol, key, fn_key) in out {
-            results[pos] = Some((sol, key, fn_key));
+        for (pos, result) in out {
+            results[pos] = Some(result);
         }
     }
     if let Some(t0) = busy_start {
@@ -969,15 +1252,10 @@ pub(crate) fn run_chunk(
     }
 }
 
-/// Unwraps a cache key on the insert path, where the mode being enabled
-/// guarantees it was computed.
-fn k_unwrap(key: Option<CacheKey>) -> CacheKey {
-    key.expect("caching modes key every tree")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::map_network;
     use crate::tree::Forest;
     use chortle_netlist::{Network, NodeOp, Signal};
 
@@ -1054,24 +1332,19 @@ mod tests {
             net.add_output("z", g);
             net
         };
-        let arrivals = vec![0u32; net.len()];
-        let trees = Forest::of(&net).trees;
+        let options = crate::MapOptions::builder(4)
+            .cache(CacheMode::Off)
+            .cancel(CancelToken::armed())
+            .build()
+            .unwrap();
+        let run = ForestRun::new(&Arc::new(Vec::new()), Vec::new(), &options, true);
         let wave = Arc::new(WaveCtx {
-            normal: Arc::new(net),
-            trees: Arc::new(trees),
-            shapes: Arc::new(Vec::new()),
-            arrivals: Arc::new(arrivals),
+            run: Arc::new(run),
+            trees: Arc::new(Forest::of(&net).trees),
+            arrivals: Arc::new(vec![0u32; net.len()]),
             indices: vec![0],
             wave_index: 0,
-            k: 4,
-            objective: Objective::Area,
-            keyed: false,
-            cache: WaveCache::Off,
-            fn_metas: Arc::new(Vec::new()),
-            fn_cache: None,
-            cancel: crate::cancel::CancelToken::armed(),
             budget: ExecutorBudget::new(2),
-            telemetry: chortle_telemetry::Telemetry::disabled(),
             results: Mutex::new(vec![None]),
             error: Mutex::new(None),
             failed: AtomicBool::new(false),
@@ -1175,5 +1448,76 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
+    }
+
+    /// A network with a three-level tree dependency chain plus
+    /// independent cones, exercising multi-tree wavefronts.
+    fn layered_network() -> Network {
+        let mut net = Network::new();
+        let inputs: Vec<Signal> = (0..8)
+            .map(|i| Signal::new(net.add_input(format!("i{i}"))))
+            .collect();
+        // Two shared gates (roots by fanout) feeding two consumers each.
+        let s1 = Signal::new(net.add_gate(NodeOp::And, vec![inputs[0], inputs[1], inputs[2]]));
+        let s2 = Signal::new(net.add_gate(NodeOp::Or, vec![inputs[3], inputs[4]]));
+        let m1 = Signal::new(net.add_gate(NodeOp::Or, vec![s1, inputs[5]]));
+        let m2 = Signal::new(net.add_gate(NodeOp::And, vec![s1, s2, inputs[6]]));
+        let top = Signal::new(net.add_gate(NodeOp::Or, vec![m1, m2, inputs[7]]));
+        net.add_output("t", top);
+        net.add_output("m2", !m2);
+        net.add_output("s2", s2);
+        net
+    }
+
+    #[test]
+    fn parallel_matches_sequential_exactly() {
+        let net = layered_network();
+        for k in 2..=5 {
+            for objective in [Objective::Area, Objective::Depth] {
+                let opts = MapOptions::builder(k).objective(objective).build().unwrap();
+                let seq = map_network(&net, &opts).unwrap();
+                for jobs in [2, 3, 8] {
+                    let par_opts = MapOptions::builder(k)
+                        .objective(objective)
+                        .jobs(jobs)
+                        .build()
+                        .unwrap();
+                    let par = map_network(&net, &par_opts).unwrap();
+                    assert_eq!(seq.circuit, par.circuit, "k={k} jobs={jobs}");
+                    assert_eq!(seq.report, par.report, "k={k} jobs={jobs}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_policies_match_sequential_exactly() {
+        let net = layered_network();
+        let seq = map_network(&net, &MapOptions::builder(4).build().unwrap()).unwrap();
+        for chunk in [
+            ChunkPolicy::Auto,
+            ChunkPolicy::Fixed(1),
+            ChunkPolicy::Fixed(1 << 20),
+        ] {
+            let opts = MapOptions::builder(4)
+                .jobs(4)
+                .chunk(chunk)
+                .unwrap()
+                .build()
+                .unwrap();
+            let par = map_network(&net, &opts).unwrap();
+            assert_eq!(seq.circuit, par.circuit, "{chunk:?}");
+            assert_eq!(seq.report, par.report, "{chunk:?}");
+        }
+    }
+
+    #[test]
+    fn jobs_zero_selects_host_parallelism() {
+        let opts = MapOptions::builder(4).jobs(0).build().unwrap();
+        assert!(opts.jobs >= 1);
+        let net = layered_network();
+        let seq = map_network(&net, &MapOptions::builder(4).build().unwrap()).unwrap();
+        let par = map_network(&net, &opts).unwrap();
+        assert_eq!(seq.circuit, par.circuit);
     }
 }

@@ -1,8 +1,9 @@
 //! Determinism of the parallel wavefront mapper: for any worker count,
 //! [`map_network`] must produce a circuit *bit-identical* to the
-//! sequential mapper's — same LUTs, same order, same truth tables — and
-//! the identical [`MapReport`]. Randomized networks come from the in-repo
-//! [`SplitMix64`] generator, so the suite runs fully offline.
+//! `jobs = 1` tree-order mapper's — same LUTs, same order, same truth
+//! tables — and the identical [`MapReport`]. Randomized networks come
+//! from the in-repo [`SplitMix64`] generator, so the suite runs fully
+//! offline.
 
 use chortle::{map_network, MapOptions, Objective};
 use chortle_netlist::{check_equivalence, Network, NodeOp, Signal, SplitMix64};

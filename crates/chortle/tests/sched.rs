@@ -1,12 +1,13 @@
 //! Properties of the adaptive chunked work-stealing scheduler: every
 //! point of the `jobs × chunk × cache` grid produces a circuit, report,
-//! counter tally, and trace identity bit-identical to the sequential
-//! mapper's; the pooled path is actually exercised (not vacuously
+//! counter tally, and trace identity bit-identical to the `jobs = 1`
+//! tree-order mapper's; the pooled path is actually exercised (not vacuously
 //! skipped) on wide wavefronts; and cancellation mid-chunk never leaves
 //! a `begin` without a closing event.
 
 use chortle::{
     map_network, stats, CacheMode, CancelToken, ChunkPolicy, MapError, MapOptions, Telemetry,
+    WarmCache,
 };
 use chortle::{TraceKind, TraceScope};
 use chortle_netlist::{Network, NodeOp, Signal, SplitMix64};
@@ -188,6 +189,124 @@ fn wide_wavefronts_are_bit_identical_through_the_pooled_path() {
     }
 }
 
+/// Adds `count` small two-level cones (4 leaves each) that are
+/// input-negation and DeMorgan variants of one function: structural
+/// misses of each other that the functional tier unites.
+fn add_npn_cones(net: &mut Network, count: usize) {
+    for c in 0..count {
+        let ins: Vec<Signal> = (0..4)
+            .map(|i| Signal::new(net.add_input(format!("n{c}i{i}"))))
+            .collect();
+        let leaf = |i: usize| if (c >> i) & 1 == 1 { !ins[i] } else { ins[i] };
+        let (inner, outer) = if c % 2 == 0 {
+            (NodeOp::And, NodeOp::Or)
+        } else {
+            (NodeOp::Or, NodeOp::And)
+        };
+        let g1 = Signal::new(net.add_gate(inner, vec![leaf(0), leaf(1)]));
+        let g2 = Signal::new(net.add_gate(inner, vec![leaf(2), leaf(3)]));
+        let z = net.add_gate(outer, vec![g1, g2]);
+        net.add_output(format!("n{c}z"), z.into());
+    }
+}
+
+/// Like [`map_traced`], with an optional warm cache attached; also
+/// returns the raw counter snapshot.
+fn map_traced_warm(
+    net: &Network,
+    k: usize,
+    jobs: usize,
+    chunk: ChunkPolicy,
+    cache: CacheMode,
+    warm: Option<&WarmCache>,
+) -> (
+    chortle::Mapping,
+    Vec<(String, u64)>,
+    Vec<chortle_telemetry::IdentityEvent>,
+    chortle::MapStats,
+) {
+    let telemetry = Telemetry::traced();
+    let mut builder = MapOptions::builder(k)
+        .jobs(jobs)
+        .chunk(chunk)
+        .expect("valid chunk")
+        .cache(cache)
+        .telemetry(telemetry.clone());
+    if let Some(warm) = warm {
+        builder = builder.warm_cache(warm.clone());
+    }
+    let mapping = map_network(net, &builder.build().expect("valid options")).expect("maps");
+    let report = telemetry.snapshot();
+    let counters = report
+        .counters
+        .iter()
+        .filter(|c| {
+            !c.name.starts_with("cache.")
+                && !c.name.starts_with("sched.")
+                && !c.name.starts_with("trace.")
+        })
+        .map(|c| (c.name.clone(), c.value))
+        .collect();
+    let identity = telemetry.trace_snapshot().identity();
+    (mapping, counters, identity, report)
+}
+
+#[test]
+fn fn_tier_and_warm_runs_are_bit_identical_through_the_pooled_path() {
+    // The functional tier and warm-attached runs through the pooled
+    // scheduler: each mode at jobs {2,4} × every chunk policy must
+    // match the same mode at jobs = 1. Wide cones clear the inline
+    // threshold; the small NPN-variant cones give the functional tier
+    // work (and, with a warm cache, later runs replay from it).
+    let mut net = wide_network(16, 6);
+    add_npn_cones(&mut net, 16);
+    for (cache, attach) in [
+        (CacheMode::Fn, false),
+        (CacheMode::Shared, true),
+        (CacheMode::Fn, true),
+    ] {
+        let warm = attach.then(WarmCache::new);
+        let (reference, ref_counters, ref_identity, ref_report) =
+            map_traced_warm(&net, 5, 1, ChunkPolicy::Auto, cache, warm.as_ref());
+        if cache == CacheMode::Fn {
+            assert!(
+                ref_report.counter(stats::CACHE_FN_HITS).unwrap_or(0) > 0,
+                "the functional tier found no reuse (warm={attach})"
+            );
+        }
+        for jobs in [2, 4] {
+            for chunk in chunk_grid() {
+                let (mapping, counters, identity, report) =
+                    map_traced_warm(&net, 5, jobs, chunk, cache, warm.as_ref());
+                let ctx = format!("jobs={jobs} chunk={chunk:?} cache={cache:?} warm={attach}");
+                assert_eq!(
+                    reference.circuit, mapping.circuit,
+                    "circuit diverged ({ctx})"
+                );
+                assert_eq!(reference.report, mapping.report, "report diverged ({ctx})");
+                assert_eq!(ref_counters, counters, "counters diverged ({ctx})");
+                assert_eq!(ref_identity, identity, "trace identity diverged ({ctx})");
+                if chunk == ChunkPolicy::Fixed(1) {
+                    assert!(
+                        report.counter(stats::SCHED_POOLED_WAVES).unwrap_or(0) >= 1,
+                        "wide wave fell through to inline ({ctx})"
+                    );
+                }
+            }
+        }
+        if let Some(warm) = warm {
+            let served = warm.stats();
+            assert!(
+                served.hits + served.fn_hits > 0,
+                "warm runs never replayed ({cache:?})"
+            );
+            if cache == CacheMode::Fn {
+                assert!(served.fn_hits > 0, "no warm functional replay");
+            }
+        }
+    }
+}
+
 #[test]
 fn pooled_path_is_actually_exercised_on_wide_wavefronts() {
     // Guard against the threshold silently swallowing all parallelism:
@@ -287,7 +406,7 @@ fn jobs_one_never_touches_the_pool() {
         .expect("valid options");
     map_network(&net, &options).expect("maps");
     let report = telemetry.snapshot();
-    // The sequential driver emits no schedule echoes at all.
+    // The tree-order loop emits no schedule echoes at all.
     assert!(report
         .counters
         .iter()

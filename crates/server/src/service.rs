@@ -92,10 +92,7 @@ pub(crate) fn execute_map(
 
     let mapping = {
         let _s = telemetry.span(STAGE_MAP);
-        map_network(&network, &options).map_err(|e| match e {
-            MapError::Cancelled => deadline_rejection(),
-            other => (RejectReason::Internal, format!("mapping failed: {other}")),
-        })?
+        map_network(&network, &options).map_err(map_rejection)?
     };
 
     let netlist = {
@@ -183,6 +180,17 @@ pub(crate) fn execute_design(
     })
 }
 
+/// The wire rejection for a failed [`map_network`] run: an expired
+/// deadline is `deadline_exceeded`; anything else — a failed
+/// release-mode invariant such as [`MapError::LutCount`] included — is
+/// a typed `internal` rejection carrying the error's message.
+fn map_rejection(e: MapError) -> (RejectReason, String) {
+    match e {
+        MapError::Cancelled => deadline_rejection(),
+        other => (RejectReason::Internal, format!("mapping failed: {other}")),
+    }
+}
+
 fn deadline_rejection() -> (RejectReason, String) {
     (
         RejectReason::DeadlineExceeded,
@@ -194,4 +202,23 @@ fn deadline_rejection() -> (RejectReason, String) {
 /// deadline; without one the token is inert (zero per-tree cost).
 pub(crate) fn cancel_for(deadline: Option<Instant>) -> CancelToken {
     deadline.map_or_else(CancelToken::default, CancelToken::with_deadline)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn invariant_failures_reject_as_internal() {
+        let e = MapError::LutCount {
+            check: chortle::LutCheck::Emit,
+            expected: 3,
+            actual: 4,
+        };
+        let (reason, detail) = map_rejection(e.clone());
+        assert_eq!(reason, RejectReason::Internal);
+        assert!(detail.ends_with(&e.to_string()), "{detail}");
+        let (reason, _) = map_rejection(MapError::Cancelled);
+        assert_eq!(reason, RejectReason::DeadlineExceeded);
+    }
 }

@@ -7,7 +7,7 @@
 # Typical flow: copy the committed snapshot aside, regenerate it, diff:
 #
 #   cp results/BENCH_map.json /tmp/base.json
-#   cargo run --release -p chortle-bench --bin perf
+#   ./scripts/perf-pinned.sh
 #   ./scripts/bench-diff.sh /tmp/base.json results/BENCH_map.json 25
 #
 # Exit codes: 0 = no guarded regression, 1 = regression or usage error.

@@ -315,10 +315,10 @@ if [[ "$quick" == 0 ]]; then
   # Regenerate both benchmark snapshots and gate them against the
   # committed ones. The generous threshold absorbs host noise; a real
   # scheduler regression (like the pre-chunking 0.62x mapping_total)
-  # blows well past it.
+  # blows well past it. The perf run is pinned to one CPU, like the
+  # snapshot it is compared with (see scripts/perf-pinned.sh).
   bench_tmp="$(mktemp -d)"
-  cargo run -q --release -p chortle-bench --bin perf -- \
-    "$bench_tmp/map.json" > /dev/null
+  ./scripts/perf-pinned.sh "$bench_tmp/map.json" > /dev/null
   ./scripts/bench-diff.sh results/BENCH_map.json "$bench_tmp/map.json" 40
   cargo run -q --release -p chortle-bench --bin loadgen -- \
     "$bench_tmp/serve.json" > /dev/null

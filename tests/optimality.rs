@@ -4,9 +4,13 @@
 //! enumeration), on real trees extracted from the benchmark suite.
 
 use chortle::reference::reference_tree_cost;
-use chortle::{tree_lut_cost, Forest};
+use chortle::{
+    map_network, stats, tree_lut_cost, CacheMode, Forest, MapOptions, Telemetry, TraceKind,
+    TraceScope, WarmCache,
+};
 use chortle_circuits::benchmark;
 use chortle_logic_opt::optimize;
+use chortle_netlist::{check_equivalence, Network, NodeOp, Signal};
 
 #[test]
 fn production_dp_is_optimal_on_suite_trees() {
@@ -74,4 +78,104 @@ fn single_lut_trees_are_recognized() {
         }
     }
     assert!(seen > 0, "no small trees found to check");
+}
+
+/// An N/P/N variant of `net`: primary inputs declared in reverse order
+/// (permutation), every input whose position has bit `variant` set
+/// read inverted (input negation), and every output inverted when
+/// `variant` is odd (output negation).
+fn npn_variant(net: &Network, variant: usize) -> Network {
+    let mut out = Network::new();
+    let mut map: Vec<Option<Signal>> = vec![None; net.len()];
+    for (pos, &id) in net.inputs().iter().enumerate().rev() {
+        let name = net.node(id).name().expect("inputs are named");
+        let sig = Signal::new(out.add_input(name));
+        map[id.index()] = Some(sig.with_inversion((pos >> variant) & 1 == 1));
+    }
+    let remap = |map: &[Option<Signal>], s: Signal| {
+        let base = map[s.node().index()].expect("fanins precede their gates");
+        base.with_inversion(base.is_inverted() ^ s.is_inverted())
+    };
+    for (id, node) in net.nodes() {
+        let sig = match node.op() {
+            NodeOp::Input => continue,
+            NodeOp::Const(value) => Signal::new(out.add_const(value)),
+            op => {
+                let fanins = node.fanins().iter().map(|&s| remap(&map, s)).collect();
+                Signal::new(out.add_gate(op, fanins))
+            }
+        };
+        map[id.index()] = Some(sig);
+    }
+    for o in net.outputs() {
+        let sig = remap(&map, o.signal);
+        out.add_output(
+            o.name.clone(),
+            sig.with_inversion(sig.is_inverted() ^ (variant % 2 == 1)),
+        );
+    }
+    out
+}
+
+#[test]
+fn fn_tier_replays_match_the_reference_optimum() {
+    // Suite circuits and their N/P/N variants, mapped under the
+    // functional tier with one warm cache shared by every run: later
+    // runs are served by functional replay, where a key collision
+    // would hide. Every tree's LUT count (the `map.tree` span's end
+    // argument) must still equal the reference optimum.
+    let k = 4;
+    let warm = WarmCache::new();
+    let (mut fn_hits, mut checked) = (0u64, 0usize);
+    for name in ["alu2", "count", "frg1", "apex7"] {
+        let (optimized, _) = optimize(&benchmark(name).expect("known")).expect("acyclic");
+        for variant in 0..4 {
+            let net = if variant == 0 {
+                optimized.clone()
+            } else {
+                npn_variant(&optimized, variant)
+            };
+            let telemetry = Telemetry::traced();
+            let options = MapOptions::builder(k)
+                .cache(CacheMode::Fn)
+                .warm_cache(warm.clone())
+                .telemetry(telemetry.clone())
+                .build()
+                .expect("valid options");
+            let mapped = map_network(&net, &options).expect("maps");
+            check_equivalence(&net, &mapped.circuit)
+                .unwrap_or_else(|e| panic!("{name} variant {variant}: {e:?}"));
+            fn_hits += telemetry
+                .snapshot()
+                .counter(stats::CACHE_FN_HITS)
+                .expect("fn counters reported");
+            let costs: Vec<u64> = telemetry
+                .trace_snapshot()
+                .events
+                .iter()
+                .filter(|e| {
+                    e.scope == TraceScope::Tree
+                        && e.name == stats::TRACE_TREE
+                        && e.kind == TraceKind::End
+                })
+                .map(|e| e.arg)
+                .collect();
+            let mut forest = Forest::of(&net.simplified());
+            forest.split_wide_nodes(10);
+            assert_eq!(costs.len(), forest.trees.len(), "{name} variant {variant}");
+            for (ti, tree) in forest.trees.iter().enumerate() {
+                // The reference mapper is exponential; keep it to small
+                // trees — which include every functional-tier tree.
+                if tree.nodes.len() > 12 || tree.max_fanin() > 6 {
+                    continue;
+                }
+                let optimum = u64::from(reference_tree_cost(tree, k));
+                assert_eq!(costs[ti], optimum, "{name} variant {variant} tree {ti}");
+                checked += 1;
+            }
+        }
+    }
+    assert!(fn_hits > 0, "no run was served by the functional tier");
+    assert!(warm.stats().fn_hits > 0, "no warm functional replay");
+    assert!(checked >= 200, "too few trees exercised ({checked})");
 }
