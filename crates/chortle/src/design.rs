@@ -8,14 +8,15 @@
 //! fan out tree chunks underneath, so a many-cloud design saturates the
 //! pool even when individual clouds are small.
 //!
-//! Every cloud travels through the *same* path the single-model front
-//! end uses: it is serialized to standalone BLIF, re-parsed, optionally
-//! preprocessed (the CLI hooks its `--optimize` pass in here), mapped
-//! with [`map_network`], equivalence-checked, and rendered with
+//! Every cloud's [`Network`] comes straight from [`Design::clouds`],
+//! which builds it exactly as the single-model reader would elaborate
+//! the cloud's standalone BLIF. It is optionally preprocessed (the CLI
+//! hooks its `--optimize` pass in here), mapped with [`map_network`],
+//! equivalence-checked, and rendered with
 //! [`chortle_netlist::write_lut_blif`]. That shared canonical form is
 //! what makes a cloud mapped inside a design byte-identical to the same
-//! cloud mapped as a standalone file — the property the CI smoke checks
-//! with `cmp`.
+//! cloud written with [`chortle_netlist::write_blif`] and mapped as a
+//! standalone file — the property the CI smoke checks with `cmp`.
 //!
 //! The mapped clouds are reassembled around the untouched `.latch`
 //! lines by [`chortle_netlist::write_mapped_design_blif`], and the
@@ -25,8 +26,8 @@
 use std::sync::Arc;
 
 use chortle_netlist::{
-    check_equivalence, parse_blif, parse_design, write_blif, write_lut_blif,
-    write_mapped_design_blif, Design, LutCircuit, Network, ParseBlifError, ParseStats,
+    check_equivalence, parse_design, write_lut_blif, write_mapped_design_blif, Design, LutCircuit,
+    Network, ParseBlifError, ParseStats,
 };
 use chortle_telemetry::Telemetry;
 
@@ -47,7 +48,7 @@ pub struct DesignOptions {
     /// counters and every cloud's `map.*` family.
     pub map: MapOptions,
     /// Optional per-cloud preprocess (e.g. network optimization) run
-    /// after the cloud is re-parsed and before it is mapped.
+    /// on the cloud's network before it is mapped.
     pub preprocess: Option<CloudPreprocess>,
     /// Equivalence-check every mapped cloud against its (preprocessed)
     /// source network. On by default; servers may disable it.
@@ -68,14 +69,12 @@ impl DesignOptions {
 /// One mapped combinational cloud.
 #[derive(Clone, Debug)]
 pub struct MappedCloud {
-    /// The cloud as standalone BLIF — exactly what an offline
-    /// `chortle-map` run would be given.
-    pub source: String,
-    /// The mapped cloud as standalone LUT BLIF — exactly what that
-    /// offline run would produce.
+    /// The mapped cloud as standalone LUT BLIF — exactly what an offline
+    /// `chortle-map` run over the cloud's [`chortle_netlist::write_blif`]
+    /// text would produce.
     pub mapped: String,
-    /// The (re-parsed, possibly preprocessed) network the circuit's
-    /// input ids refer to.
+    /// The (possibly preprocessed) cloud network the circuit's input ids
+    /// refer to.
     pub network: Network,
     /// The cloud's LUT circuit; outputs are named after its sink nets.
     pub circuit: LutCircuit,
@@ -109,8 +108,8 @@ pub struct MappedDesign {
 /// Errors of the sequential-design pipeline.
 #[derive(Debug)]
 pub enum DesignError {
-    /// A BLIF parse failed — the input design, or (internal bug) a
-    /// generated cloud or the assembled output.
+    /// A BLIF parse failed — the input design, or (internal bug) the
+    /// assembled output.
     Parse(ParseBlifError),
     /// Mapping one cloud failed.
     Map {
@@ -188,10 +187,10 @@ pub fn record_parse_stats(telemetry: &Telemetry, parse: &ParseStats) {
 ///
 /// Returns [`DesignError::Map`] / [`DesignError::Preprocess`] /
 /// [`DesignError::Verification`] attributed to the first failing cloud
-/// (in cloud order), or [`DesignError::Parse`] if an internally
-/// generated netlist fails to re-parse.
+/// (in cloud order), or [`DesignError::Parse`] if the assembled netlist
+/// fails to re-parse.
 pub fn map_design(design: &Design, opts: &DesignOptions) -> Result<MappedDesign, DesignError> {
-    let cut = design.clouds();
+    let cut = Arc::new(design.clouds());
     let telemetry = &opts.map.telemetry;
     telemetry.add_counter(stats::DESIGN_CLOUDS, cut.clouds.len() as u64);
     telemetry.add_counter(stats::DESIGN_LATCHES, design.latches().len() as u64);
@@ -200,29 +199,14 @@ pub fn map_design(design: &Design, opts: &DesignOptions) -> Result<MappedDesign,
         telemetry.record_value(stats::HIST_CLOUD_WORK, cloud.gates as u64);
     }
 
-    // The canonical per-cloud form: standalone BLIF text. Mapping
-    // re-parses it so a cloud inside a design and the same cloud as a
-    // file travel one code path.
-    let sources: Arc<Vec<String>> = Arc::new(
-        cut.clouds
-            .iter()
-            .enumerate()
-            .map(|(i, cloud)| write_blif(&cloud.network, &format!("cloud{i}")))
-            .collect(),
-    );
     let jobs = resolve_jobs(opts.map.jobs);
     let map_opts = Arc::new(opts.map.clone());
     let preprocess = opts.preprocess.clone();
     let verify = opts.verify;
-    let worker_sources = Arc::clone(&sources);
-    let results = run_indexed(sources.len(), jobs, move |i| {
-        map_cloud(
-            i,
-            &worker_sources[i],
-            &map_opts,
-            preprocess.as_ref(),
-            verify,
-        )
+    let worker_cut = Arc::clone(&cut);
+    let results = run_indexed(cut.clouds.len(), jobs, move |i| {
+        let network = &worker_cut.clouds[i].network;
+        map_cloud(i, network, &map_opts, preprocess.as_ref(), verify)
     })
     .map_err(DesignError::Scheduler)?;
     let mut clouds = Vec::with_capacity(results.len());
@@ -252,22 +236,21 @@ pub fn map_design(design: &Design, opts: &DesignOptions) -> Result<MappedDesign,
     })
 }
 
-/// The per-cloud pipeline: parse the canonical cloud BLIF, preprocess,
-/// map, verify, render. Runs as one scheduler item.
+/// The per-cloud pipeline: preprocess, map, verify, render. Runs as one
+/// scheduler item.
 fn map_cloud(
     index: usize,
-    source: &str,
+    network: &Network,
     opts: &MapOptions,
     preprocess: Option<&CloudPreprocess>,
     verify: bool,
 ) -> Result<MappedCloud, DesignError> {
-    let network = parse_blif(source)?;
     let network = match preprocess {
-        Some(pre) => pre(&network).map_err(|message| DesignError::Preprocess {
+        Some(pre) => pre(network).map_err(|message| DesignError::Preprocess {
             cloud: index,
             message,
         })?,
-        None => network,
+        None => network.clone(),
     };
     let mapping = map_network(&network, opts).map_err(|error| DesignError::Map {
         cloud: index,
@@ -281,7 +264,6 @@ fn map_cloud(
     }
     let mapped = write_lut_blif(&network, &mapping.circuit, "mapped");
     Ok(MappedCloud {
-        source: source.to_owned(),
         mapped,
         luts: mapping.report.luts,
         depth: mapping.circuit.depth(),
@@ -293,7 +275,7 @@ fn map_cloud(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chortle_netlist::{read_design, simulate_outputs};
+    use chortle_netlist::{parse_blif, read_design, simulate_outputs, write_blif};
 
     const TWO_CLOUDS: &str = "\
 .model two_clouds
@@ -383,8 +365,10 @@ mod tests {
         let (design, _) = parse_design(TWO_CLOUDS).expect("parses");
         let mapped = map_design(&design, &options(2)).expect("maps");
         let opts = MapOptions::builder(4).build().unwrap();
+        let cut = design.clouds();
         for (i, cloud) in mapped.clouds.iter().enumerate() {
-            let net = parse_blif(&cloud.source).expect("cloud parses");
+            let source = write_blif(&cut.clouds[i].network, &format!("cloud{i}"));
+            let net = parse_blif(&source).expect("cloud parses");
             let offline = map_network(&net, &opts).expect("offline maps");
             let text = write_lut_blif(&net, &offline.circuit, "mapped");
             assert_eq!(text, cloud.mapped, "cloud {i} diverged from offline run");

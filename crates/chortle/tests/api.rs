@@ -5,7 +5,10 @@ use chortle::{
     crf_network_cost, map_network, tree_lut_cost, CacheMode, Forest, MapOptions, Objective,
     TreeChild,
 };
-use chortle_netlist::{Network, NodeOp, Signal};
+use chortle_netlist::{
+    check_equivalence, check_networks, parse_blif, write_blif, write_lut_blif, Network, NodeOp,
+    Signal,
+};
 
 fn demo_network() -> Network {
     let mut net = Network::new();
@@ -141,4 +144,47 @@ fn figures_are_exposed() {
     assert_eq!(figures::figure1_network().num_inputs(), 5);
     assert_eq!(figures::figure3_network().num_outputs(), 2);
     assert_eq!(figures::figure7_network().num_inputs(), 6);
+}
+
+#[test]
+fn writers_step_generated_names_aside_for_user_nets() {
+    // User nets named like the writers' generated names: `n<i>` for
+    // unnamed nodes, `lut<i>` and `const<v>` for LUTs and constants.
+    // Both writers' text must re-parse to the circuit they describe.
+    let cases = [
+        // An output named like its own LUT, which must not turn into the
+        // self-loop `.names lut0 lut0`.
+        ".model a\n.inputs a b c\n.outputs lut0\n.names a b c lut0\n111 1\n.end\n",
+        // An output named like a LUT that drives something else.
+        ".model b\n.inputs a b c d e\n.outputs lut0 x\n.names a b c d x\n1111 1\n\
+         .names x e lut1\n11 1\n.names lut1 a lut0\n10 1\n01 1\n.end\n",
+        // Inputs named n3, lut0 and const1, and a constant-1 output.
+        ".model c\n.inputs n3 lut0 const1\n.outputs n4 one n3x\n.names n3 lut0 t\n11 1\n\
+         .names t const1 n4\n1- 1\n-1 1\n.names one\n1\n.names n4 n3 n3x\n10 1\n.end\n",
+        // Constant outputs named like the generated constant names.
+        ".model e\n.inputs a b\n.outputs const1 const0 y\n.names const1\n1\n.names const0\n\
+         .names a b y\n11 1\n.end\n",
+        // Outputs named n3 and n5 that other nodes drive.
+        ".model d\n.inputs a b c\n.outputs n3 n5\n.names a b t\n11 1\n.names t c n5\n01 1\n\
+         .names n5 n3\n0 1\n.end\n",
+    ];
+    for src in cases {
+        let net = parse_blif(src).expect("fixture parses");
+        let text = write_blif(&net, "w");
+        let again =
+            parse_blif(&text).unwrap_or_else(|e| panic!("write_blif text re-parses: {e}\n{text}"));
+        check_networks(&net, &again).expect("write_blif keeps the function");
+        for k in [2, 4] {
+            let opts = MapOptions::builder(k).build().expect("valid K");
+            let mapping = map_network(&net, &opts).expect("maps");
+            let text = write_lut_blif(&net, &mapping.circuit, "mapped");
+            let again = parse_blif(&text)
+                .unwrap_or_else(|e| panic!("write_lut_blif text re-parses: {e}\n{text}"));
+            check_equivalence(&again, &mapping.circuit)
+                .unwrap_or_else(|e| panic!("LUT text matches its circuit: {e}\n{text}"));
+        }
+    }
+    // Without a collision the generated names are untouched.
+    let text = write_blif(&demo_network(), "demo");
+    assert!(text.contains(".names a b n3\n"), "{text}");
 }

@@ -5,7 +5,9 @@
 //! counters.
 
 use chortle::{map_design, stats, CacheMode, DesignOptions, MapOptions, Telemetry};
-use chortle_netlist::{parse_design, read_design, write_lut_blif};
+use chortle_netlist::{
+    check_networks, parse_blif, parse_design, read_design, write_blif, write_lut_blif,
+};
 
 /// A hierarchical two-model design with two register stages. After
 /// `.subckt` flattening the combinational logic splits at the latch
@@ -87,13 +89,15 @@ fn multi_model_design_cuts_into_the_expected_clouds() {
 #[test]
 fn per_cloud_results_match_the_offline_mapper() {
     // Each cloud's `mapped` bytes must equal an offline `map_network`
-    // run over that cloud's standalone `source` BLIF — the in-design
-    // mapping is the offline mapping, not an approximation of it.
+    // run over that cloud's standalone BLIF — the in-design mapping is
+    // the offline mapping, not an approximation of it.
     let (mapped, _) = map_with(1, CacheMode::Off);
     let options = MapOptions::builder(4).build().expect("valid options");
+    let (design, _) = parse_design(MULTI_MODEL).expect("fixture parses");
+    let cut = design.clouds();
     for (i, cloud) in mapped.clouds.iter().enumerate() {
-        let net = chortle_netlist::parse_blif(&cloud.source)
-            .unwrap_or_else(|e| panic!("cloud {i} source parses: {e}"));
+        let source = write_blif(&cut.clouds[i].network, &format!("cloud{i}"));
+        let net = parse_blif(&source).unwrap_or_else(|e| panic!("cloud {i} source parses: {e}"));
         let offline = chortle::map_network(&net, &options)
             .unwrap_or_else(|e| panic!("cloud {i} maps offline: {e}"));
         let rendered = write_lut_blif(&net, &offline.circuit, "mapped");
@@ -117,7 +121,7 @@ fn design_mapping_is_bit_identical_across_jobs_and_caches() {
                     got.mapped, want.mapped,
                     "cloud {i} diverged at jobs={jobs} cache={cache:?}"
                 );
-                assert_eq!(got.source, want.source, "cloud {i} source changed");
+                assert_eq!(got.network, want.network, "cloud {i} network changed");
             }
             // The design.* counters are part of the determinism
             // contract too: same clouds, same latches, same LUT tally.
@@ -149,4 +153,57 @@ fn counter_value(report_json: &str, name: &str) -> u64 {
         .find(|c| c.get("name").and_then(Value::as_str) == Some(name))
         .and_then(|c| c.get("value").and_then(Value::as_u64))
         .unwrap_or_else(|| panic!("missing counter {name:?}"))
+}
+
+/// Maps `src` as a design and checks the per-cloud contracts: each
+/// cloud's network is what its own standalone BLIF parses back to, each
+/// cloud maps exactly as that text maps offline, and the assembled
+/// netlist re-parses to logic equivalent to the input design.
+fn assert_design_maps_like_offline(src: &str) -> chortle::MappedDesign {
+    let (design, _) = parse_design(src).expect("design parses");
+    let options = MapOptions::builder(4).build().expect("valid options");
+    let mapped = map_design(&design, &DesignOptions::new(options.clone()))
+        .unwrap_or_else(|e| panic!("design maps: {e}"));
+    let cut = design.clouds();
+    assert_eq!(mapped.clouds.len(), cut.clouds.len());
+    for (i, (cloud, got)) in cut.clouds.iter().zip(&mapped.clouds).enumerate() {
+        let source = write_blif(&cloud.network, &format!("cloud{i}"));
+        let net = parse_blif(&source).unwrap_or_else(|e| panic!("cloud {i} re-parses: {e}"));
+        assert_eq!(
+            net, cloud.network,
+            "cloud {i} text round trip is not the identity"
+        );
+        let offline = chortle::map_network(&net, &options).expect("cloud maps offline");
+        let rendered = write_lut_blif(&net, &offline.circuit, "mapped");
+        assert_eq!(got.mapped, rendered, "cloud {i} diverged from offline");
+        parse_blif(&got.mapped).unwrap_or_else(|e| panic!("cloud {i} mapped text parses: {e}"));
+    }
+    let (reread, _) = parse_design(&mapped.netlist).expect("assembled netlist re-parses");
+    assert_eq!(reread.latches().len(), design.latches().len());
+    check_networks(design.logic(), reread.logic()).expect("assembled netlist is equivalent");
+    mapped
+}
+
+#[test]
+fn nets_named_like_generated_names_map_and_verify() {
+    // `n3` is also the name the BLIF writer generates for the cloud's
+    // fourth node; the cloud must still map, verify and re-parse.
+    let mapped = assert_design_maps_like_offline(
+        ".model c3\n.inputs a b\n.outputs n3\n.latch a q re clk 0\n\
+         .names q a t\n11 1\n.names t b n3\n11 1\n.end\n",
+    );
+    assert_eq!(mapped.clouds.len(), 1);
+}
+
+#[test]
+fn same_valued_constants_feeding_one_and_collapse_like_the_reader() {
+    // Two distinct constant-1 nets feed one AND: the cloud shares one
+    // constant node, so the AND sees a duplicate literal, which the
+    // reader's reduction removes.
+    let mapped = assert_design_maps_like_offline(
+        ".model k2\n.inputs a b\n.outputs y z\n.latch y q re clk 0\n\
+         .names one1\n1\n.names one2\n1\n.names one1 one2 a y\n111 1\n\
+         .names zero1\n.names zero2\n.names zero1 zero2 q b z\n0011 1\n.end\n",
+    );
+    assert!(mapped.luts >= 1);
 }

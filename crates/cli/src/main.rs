@@ -23,6 +23,7 @@ use chortle_cli::{
     run_design_flow, run_flow, CacheMode, ChunkPolicy, FlowOptions, MapOptions, Mapper,
     OutputFormat, PackMode, Telemetry,
 };
+use chortle_netlist::write_blif;
 
 /// Telemetry report format requested on the command line.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -288,12 +289,22 @@ fn run_design(blif: &str, cli: &Cli) -> ExitCode {
     }
 
     if let Some(dir) = &cli.clouds {
+        // Each cloud's standalone source is its network written as BLIF,
+        // the same network the flow mapped.
+        let cut = match chortle_netlist::parse_design(blif) {
+            Ok((design, _)) => design.clouds(),
+            Err(e) => {
+                eprintln!("chortle-map: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create {dir}: {e}");
             return ExitCode::FAILURE;
         }
-        for (i, cloud) in result.clouds.iter().enumerate() {
-            for (suffix, text) in [("blif", &cloud.source), ("mapped.blif", &cloud.mapped)] {
+        for (i, (cloud, mapped)) in cut.clouds.iter().zip(&result.clouds).enumerate() {
+            let source = write_blif(&cloud.network, &format!("cloud{i}"));
+            for (suffix, text) in [("blif", &source), ("mapped.blif", &mapped.mapped)] {
                 let path = format!("{dir}/cloud{i}.{suffix}");
                 if let Err(e) = std::fs::write(&path, text) {
                     eprintln!("cannot write {path}: {e}");

@@ -161,6 +161,17 @@ impl Flattener<'_> {
     }
 }
 
+/// Rejects a blackbox top model: it declares an interface but no logic.
+pub(crate) fn check_top(root: &RawModel) -> Result<(), ParseBlifError> {
+    if root.blackbox {
+        return Err(ParseBlifError::Syntax {
+            line: root.line,
+            message: format!("top model {:?} is a blackbox", root.name),
+        });
+    }
+    Ok(())
+}
+
 /// Flattens a raw multi-model design into one flat model rooted at the
 /// file's first `.model`.
 ///
@@ -171,12 +182,7 @@ impl Flattener<'_> {
 /// [`ParseBlifError::Syntax`] for unknown models and port-binding errors.
 pub(crate) fn flatten(design: &RawDesign) -> Result<FlatModel, ParseBlifError> {
     let root: &RawModel = design.models.first().ok_or(ParseBlifError::UnexpectedEof)?;
-    if root.blackbox {
-        return Err(ParseBlifError::Syntax {
-            line: root.line,
-            message: format!("top model {:?} is a blackbox", root.name),
-        });
-    }
+    check_top(root)?;
     let mut flattener = Flattener {
         design,
         on_stack: vec![false; design.models.len()],

@@ -2,17 +2,17 @@
 //!
 //! The MCNC-89 benchmarks the paper evaluates on are distributed as BLIF,
 //! so a downstream user of this crate maps real designs by parsing them
-//! here. Two readers share one streaming lexer ([`stream::LogicalLines`])
-//! that strips `#` comments and joins `\` continuations one logical line
-//! at a time:
+//! here. Both readers sit on the one directive loop,
+//! [`stream::ModelReader`], which yields one raw model at a time and
+//! fixes each directive's outcome (parsed, skipped or rejected) once:
 //!
-//! - [`parse_blif`] — the combinational entry point: a single `.model`
-//!   with `.inputs`, `.outputs`, `.names` cube rows and `.end`. Sequential
-//!   and hierarchical constructs (`.latch`, `.subckt`) are routed to the
-//!   design reader instead.
+//! - [`parse_blif`] — the combinational entry point: a check over the
+//!   first model only. Sequential and hierarchical constructs (`.latch`,
+//!   `.subckt`) are routed to the design reader, and a second `.model`
+//!   before `.end` is an error; nothing after the first model is read.
 //! - [`crate::design::read_design`] — the full-spec sequential reader:
-//!   multiple `.model` blocks, `.latch` in every spec form, `.subckt`
-//!   hierarchy flattening, `.exdc` sections and common yosys extensions.
+//!   every model, `.latch` in every spec form and `.subckt` hierarchy
+//!   flattening.
 //!
 //! `.names` functions are translated into the AND/OR node representation of
 //! [`Network`]: each cube becomes an AND node over polarized literals and
@@ -22,12 +22,13 @@
 pub(crate) mod flatten;
 pub(crate) mod stream;
 
-use std::collections::HashMap;
+use std::borrow::Cow;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 use crate::error::ParseBlifError;
-use crate::lut::{LutCircuit, LutSource};
-use crate::network::{Network, NodeOp, Signal};
+use crate::lut::{LutCircuit, LutId, LutSource};
+use crate::network::{Network, NodeId, NodeOp, Signal};
 
 /// Widest line the writers emit before breaking with a `\` continuation.
 pub(crate) const MAX_LINE_WIDTH: usize = 80;
@@ -123,13 +124,15 @@ pub(crate) fn parse_cube_row<'a>(
     Ok(())
 }
 
-/// Parses a BLIF model into a [`Network`].
+/// Parses the first BLIF model of `text` into a [`Network`]; nothing
+/// after that model is read.
 ///
 /// # Errors
 ///
-/// Returns a [`ParseBlifError`] on malformed syntax, undefined signals,
-/// combinational cycles, or sequential constructs (`.latch`, `.subckt`),
-/// which belong to [`crate::design::read_design`].
+/// Returns a [`ParseBlifError`] on malformed or unsupported directives,
+/// undefined signals, combinational cycles, a second `.model` before
+/// `.end`, a `.blackbox` model, or sequential constructs (`.latch`,
+/// `.subckt`), which belong to [`crate::design::read_design`].
 ///
 /// # Examples
 ///
@@ -150,80 +153,34 @@ pub(crate) fn parse_cube_row<'a>(
 /// # Ok::<(), chortle_netlist::ParseBlifError>(())
 /// ```
 pub fn parse_blif(text: &str) -> Result<Network, ParseBlifError> {
-    let mut inputs: Vec<String> = Vec::new();
-    let mut outputs: Vec<String> = Vec::new();
-    let mut blocks: Vec<NamesBlock> = Vec::new();
-    let mut current: Option<NamesBlock> = None;
-    let mut saw_model = false;
-    let mut saw_end = false;
-
-    let mut lex = stream::LogicalLines::new(text.as_bytes());
-    while let Some((line_no, line)) = lex.next_line()? {
-        let mut tokens = line.split_whitespace();
-        let first = match tokens.next() {
-            Some(t) => t,
-            None => continue,
-        };
-        if saw_end {
-            continue; // ignore anything after .end (e.g. extra models)
-        }
-        match first {
-            // One model per parse: a second .model before .end means the
-            // file lost its .end (or two models were concatenated), and
-            // silently merging their blocks would build a chimera net.
-            // Models *after* .end are still skipped above, as before.
-            ".model" => {
-                if saw_model {
-                    return Err(ParseBlifError::Syntax {
-                        line: line_no,
-                        message: "duplicate .model before .end".into(),
-                    });
-                }
-                saw_model = true;
-            }
-            ".inputs" => inputs.extend(tokens.map(str::to_owned)),
-            ".outputs" => outputs.extend(tokens.map(str::to_owned)),
-            ".names" => {
-                if let Some(block) = current.take() {
-                    blocks.push(block);
-                }
-                current = Some(start_names_block(tokens, line_no)?);
-            }
-            ".end" => {
-                if let Some(block) = current.take() {
-                    blocks.push(block);
-                }
-                saw_end = true;
-            }
-            ".latch" | ".subckt" => {
-                return Err(ParseBlifError::Syntax {
-                    line: line_no,
-                    message: format!(
-                        "sequential construct {first} — use the design reader (read_design) \
-                         for latches and hierarchy"
-                    ),
-                });
-            }
-            ".gate" | ".mlatch" => {
-                return Err(ParseBlifError::Syntax {
-                    line: line_no,
-                    message: format!(
-                        "unsupported construct {first} (library gates are not supported)"
-                    ),
-                });
-            }
-            _ if first.starts_with('.') => {
-                // Ignore unknown dot-directives (.default_input_arrival etc.)
-            }
-            _ => parse_cube_row(current.as_mut(), first, tokens, line_no)?,
-        }
+    let Some((model, end)) = stream::ModelReader::new(text.as_bytes()).next_model()? else {
+        return Ok(Network::new());
+    };
+    let latch = model.latches.first().map(|l| (l.line, ".latch"));
+    let subckt = model.subckts.first().map(|s| (s.line, ".subckt"));
+    let sequential = latch.into_iter().chain(subckt).min();
+    if let Some((line, first)) = sequential {
+        return Err(ParseBlifError::Syntax {
+            line,
+            message: format!(
+                "sequential construct {first} — use the design reader (read_design) \
+                 for latches and hierarchy"
+            ),
+        });
     }
-    if let Some(block) = current.take() {
-        blocks.push(block);
+    // One model per parse: a second .model before .end means the file
+    // lost its .end (or two models were concatenated), and merging their
+    // blocks would build a chimera net. Nothing after .end is read.
+    if let stream::ModelEnd::Model(line) = end {
+        return Err(ParseBlifError::Syntax {
+            line,
+            message: "duplicate .model before .end".into(),
+        });
     }
+    flatten::check_top(&model)?;
 
-    let (mut net, signals) = elaborate_blocks(&inputs, blocks)?;
-    for name in &outputs {
+    let (mut net, signals) = elaborate_blocks(&model.inputs, model.blocks)?;
+    for name in &model.outputs {
         let sig = signals
             .get(name)
             .copied()
@@ -247,10 +204,12 @@ pub(crate) fn elaborate_blocks(
         signals.insert(name.clone(), Signal::new(id));
     }
 
-    // Index blocks by output name for dependency-driven elaboration.
+    // Index blocks by output name for dependency-driven elaboration. A
+    // block may not redefine an input: readers of that net would see
+    // one definition or the other depending on elaboration order.
     let mut by_output: HashMap<String, usize> = HashMap::new();
     for (i, b) in blocks.iter().enumerate() {
-        if by_output.insert(b.output.clone(), i).is_some() {
+        if signals.contains_key(&b.output) || by_output.insert(b.output.clone(), i).is_some() {
             return Err(ParseBlifError::Syntax {
                 line: b.line,
                 message: format!("signal {:?} defined twice", b.output),
@@ -381,7 +340,7 @@ fn synthesize_block(
 /// reducing degenerate cases: a contradictory pair `x, !x` makes an AND
 /// constant false and an OR constant true; a single remaining literal is
 /// returned as-is.
-fn reduce_gate(net: &mut Network, op: NodeOp, literals: &mut Vec<Signal>) -> Signal {
+pub(crate) fn reduce_gate(net: &mut Network, op: NodeOp, literals: &mut Vec<Signal>) -> Signal {
     let mut seen = std::collections::HashSet::new();
     literals.retain(|s| seen.insert(*s));
     let contradictory = literals.iter().any(|s| seen.contains(&!*s));
@@ -426,8 +385,10 @@ pub(crate) fn push_wrapped(out: &mut String, line: &str) {
 /// Serializes a network as a BLIF model named `model`.
 ///
 /// Every gate becomes a `.names` block; AND gates emit a single cube, OR
-/// gates one single-literal cube per fanin. Directive lines wider than 80
-/// columns are broken with `\` continuations.
+/// gates one single-literal cube per fanin. Unnamed nodes are named
+/// `n<index>`, with `_` appended where that equals a user net name.
+/// Directive lines wider than 80 columns are broken with `\`
+/// continuations.
 ///
 /// # Examples
 ///
@@ -443,14 +404,11 @@ pub(crate) fn push_wrapped(out: &mut String, line: &str) {
 pub fn write_blif(network: &Network, model: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, ".model {model}");
-    let names: Vec<String> = network
-        .nodes()
-        .map(|(id, node)| {
-            node.name()
-                .map(str::to_owned)
-                .unwrap_or_else(|| format!("n{}", id.index()))
-        })
-        .collect();
+    let sinks = network
+        .outputs()
+        .iter()
+        .map(|o| (o.name.as_str(), o.signal));
+    let names = net_names(network, sinks);
     let mut line = String::from(".inputs");
     for &id in network.inputs() {
         let _ = write!(line, " {}", names[id.index()]);
@@ -471,6 +429,49 @@ pub fn write_blif(network: &Network, model: &str) -> String {
     }
     let _ = writeln!(out, ".end");
     out
+}
+
+/// A node's BLIF net name: its own name, or the generated `n<index>`.
+pub(crate) fn net_name(network: &Network, id: NodeId) -> Cow<'_, str> {
+    match network.node(id).name() {
+        Some(name) => Cow::Borrowed(name),
+        None => Cow::Owned(format!("n{}", id.index())),
+    }
+}
+
+/// [`net_name`] for every node, with one change that keeps the text
+/// parseable: a generated name that equals a user net name — a named
+/// node, or a sink (output or latch D net) other than an unnamed node's
+/// own non-inverted signal under that name — gets `_` appended until it
+/// is free.
+/// Without such a collision the names are exactly [`net_name`]'s.
+pub(crate) fn net_names<'a>(
+    network: &'a Network,
+    sinks: impl Iterator<Item = (&'a str, Signal)>,
+) -> Vec<String> {
+    let mut taken: HashSet<&str> = network.nodes().filter_map(|(_, n)| n.name()).collect();
+    for (name, signal) in sinks {
+        // Such a sink needs no buffer block, so its name stays the node's.
+        let own = !signal.is_inverted() && net_name(network, signal.node()) == name;
+        if !own {
+            taken.insert(name);
+        }
+    }
+    network
+        .nodes()
+        .map(|(id, node)| match node.name() {
+            Some(name) => name.to_owned(),
+            None => fresh(format!("n{}", id.index()), &taken),
+        })
+        .collect()
+}
+
+/// `name`, with `_` appended while it equals a name in `taken`.
+fn fresh(mut name: String, taken: &HashSet<&str>) -> String {
+    while taken.contains(name.as_str()) {
+        name.push('_');
+    }
+    name
 }
 
 /// Emits one `.names` block per gate or constant node, using `names` for
@@ -544,21 +545,16 @@ pub(crate) fn write_buffer_block(out: &mut String, drv: &str, name: &str, signal
 /// Serializes a mapped lookup-table circuit as BLIF (each LUT becomes a
 /// `.names` block listing its on-set minterms).
 ///
-/// `network` supplies the primary-input and output names. Directive lines
-/// wider than 80 columns are broken with `\` continuations.
+/// `network` supplies the primary-input and output names. LUTs are named
+/// `lut<i>` and constants `const<v>`, with `_` appended where that equals
+/// an input or output name. Directive lines wider than 80 columns are
+/// broken with `\` continuations.
 pub fn write_lut_blif(network: &Network, circuit: &LutCircuit, model: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, ".model {model}");
-    let input_name = |id: crate::network::NodeId| {
-        network
-            .node(id)
-            .name()
-            .map(str::to_owned)
-            .unwrap_or_else(|| format!("n{}", id.index()))
-    };
     let mut line = String::from(".inputs");
     for &id in network.inputs() {
-        let _ = write!(line, " {}", input_name(id));
+        let _ = write!(line, " {}", net_name(network, id));
     }
     push_wrapped(&mut out, &line);
     line.clear();
@@ -568,41 +564,67 @@ pub fn write_lut_blif(network: &Network, circuit: &LutCircuit, model: &str) -> S
     }
     push_wrapped(&mut out, &line);
 
+    // Generated LUT and constant names step aside for user net names.
+    let inputs = network
+        .inputs()
+        .iter()
+        .filter_map(|&id| network.node(id).name());
+    let taken: HashSet<&str> = inputs
+        .chain(circuit.outputs().iter().map(|o| o.name.as_str()))
+        .collect();
+    let luts: Vec<String> = (0..circuit.luts().len())
+        .map(|i| fresh(format!("lut{i}"), &taken))
+        .collect();
+    let consts = [false, true].map(|v| fresh(format!("const{}", v as u8), &taken));
     let src_name = |s: LutSource| match s {
-        LutSource::Input(id) => input_name(id),
-        LutSource::Lut(id) => format!("lut{}", id.index()),
-        LutSource::Const(v) => format!("const{}", v as u8),
+        LutSource::Input(id) => net_name(network, id),
+        LutSource::Lut(id) => Cow::Borrowed(luts[id.index()].as_str()),
+        LutSource::Const(v) => Cow::Borrowed(consts[v as usize].as_str()),
     };
-    let mut used_consts = [false; 2];
-    for lut in circuit.luts() {
-        for &s in lut.inputs() {
-            if let LutSource::Const(v) = s {
-                used_consts[v as usize] = true;
-            }
-        }
-    }
+    write_lut_blocks(&mut out, circuit, src_name);
     for o in circuit.outputs() {
-        if let LutSource::Const(v) = o.source {
+        line.clear();
+        let _ = write!(line, ".names {} {}", src_name(o.source), o.name);
+        push_wrapped(&mut out, &line);
+        let _ = writeln!(out, "{} 1", if o.inverted { '0' } else { '1' });
+    }
+    let _ = writeln!(out, ".end");
+    out
+}
+
+/// Emits the constants `circuit` uses and one `.names` block per LUT
+/// listing its on-set minterms. `src` names every LUT source, and LUT `i`
+/// is defined under the name of `LutSource::Lut` for `i`.
+pub(crate) fn write_lut_blocks<'a>(
+    out: &mut String,
+    circuit: &LutCircuit,
+    src: impl Fn(LutSource) -> Cow<'a, str>,
+) {
+    let lut_inputs = circuit.luts().iter().flat_map(|lut| lut.inputs().iter());
+    let sources = lut_inputs.chain(circuit.outputs().iter().map(|o| &o.source));
+    let mut used_consts = [false; 2];
+    for s in sources {
+        if let LutSource::Const(v) = *s {
             used_consts[v as usize] = true;
         }
     }
-    for (v, used) in used_consts.iter().enumerate() {
-        if *used {
-            let _ = writeln!(out, ".names const{v}");
-            if v == 1 {
+    for v in [false, true] {
+        if used_consts[v as usize] {
+            let _ = writeln!(out, ".names {}", src(LutSource::Const(v)));
+            if v {
                 let _ = writeln!(out, "1");
             }
         }
     }
-
+    let mut line = String::new();
     for (i, lut) in circuit.luts().iter().enumerate() {
         line.clear();
         line.push_str(".names");
         for &s in lut.inputs() {
-            let _ = write!(line, " {}", src_name(s));
+            let _ = write!(line, " {}", src(s));
         }
-        let _ = write!(line, " lut{i}");
-        push_wrapped(&mut out, &line);
+        let _ = write!(line, " {}", src(LutSource::Lut(LutId::from_index(i))));
+        push_wrapped(out, &line);
         let vars = lut.table().num_vars();
         for bits in 0..(1u32 << vars) {
             if lut.table().eval(bits) {
@@ -613,14 +635,6 @@ pub fn write_lut_blif(network: &Network, circuit: &LutCircuit, model: &str) -> S
             }
         }
     }
-    for o in circuit.outputs() {
-        line.clear();
-        let _ = write!(line, ".names {} {}", src_name(o.source), o.name);
-        push_wrapped(&mut out, &line);
-        let _ = writeln!(out, "{} 1", if o.inverted { '0' } else { '1' });
-    }
-    let _ = writeln!(out, ".end");
-    out
 }
 
 #[cfg(test)]
@@ -728,6 +742,15 @@ mod tests {
         let src = ".model u\n.inputs a\n.outputs z\n.names a ghost z\n11 1\n.end\n";
         let err = parse_blif(src).unwrap_err();
         assert_eq!(err, ParseBlifError::UndefinedSignal("ghost".into()));
+    }
+
+    #[test]
+    fn a_block_may_not_redefine_an_input() {
+        assert_syntax_error(
+            ".model m\n.inputs a b\n.outputs z\n.names b a\n0 1\n.names a z\n1 1\n.end\n",
+            "signal \"a\" defined twice",
+            4,
+        );
     }
 
     #[test]

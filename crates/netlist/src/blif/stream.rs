@@ -1,4 +1,4 @@
-//! Streaming BLIF lexing and full-spec raw design parsing.
+//! Streaming BLIF lexing and the one BLIF directive loop.
 //!
 //! [`LogicalLines`] consumes any [`BufRead`] one physical line at a time,
 //! strips `#` comments, joins `\` continuations, and yields non-blank
@@ -6,15 +6,27 @@
 //! Only one logical line is ever buffered, so arbitrarily large designs
 //! stream through a bounded amount of memory.
 //!
-//! [`read_raw_design`] parses the full sequential subset on top of the
-//! lexer: multiple `.model` blocks, `.latch` in every spec form, `.subckt`
-//! instantiations, `.exdc` sections (skipped), and the common yosys
-//! extensions (`.attr`/`.param`/`.cname` ignored, `.conn` as a buffer,
-//! `.blackbox` as an interface-only marker). The result is a *raw* design:
-//! nets are still hierarchical names, ready for
-//! [`flatten`](super::flatten::flatten).
+//! [`ModelReader`] is the only place BLIF directives are dispatched. It
+//! yields one raw model at a time, with how that model ended
+//! ([`ModelEnd`]). Every directive has exactly one outcome, in both
+//! entry points:
+//!
+//! - parsed: `.model`, `.inputs`, `.outputs`, `.names` and its cube
+//!   rows, `.latch` in every spec form, `.subckt`, `.conn` (a buffer),
+//!   `.blackbox` (an interface-only marker) and `.end`;
+//! - skipped: `.exdc` sections up to the model's end (counted in
+//!   [`ParseStats::exdc_blocks`]), and every other dot-directive that
+//!   carries no body (`.attr`, `.param`, `.cname`, `.clock`, ...);
+//! - rejected with a line-precise error: `.gate`, `.mlatch` and
+//!   `.start_kiss`.
+//!
+//! Directives before the first `.model` open an implicit model named
+//! `top`, and a missing final `.end` is tolerated. [`read_raw_design`]
+//! consumes every model, producing a *raw* design whose nets are still
+//! hierarchical names, ready for [`flatten`](super::flatten::flatten);
+//! [`crate::parse_blif`] checks the first model only.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::io::BufRead;
 
 use super::{parse_cube_row, start_names_block, NamesBlock};
@@ -274,6 +286,166 @@ fn parse_subckt<'a>(
     })
 }
 
+/// How a raw model ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ModelEnd {
+    /// An explicit `.end`.
+    End,
+    /// The `.model` directive on this line opened the next model.
+    Model(usize),
+    /// The input ended without a `.end`.
+    Eof,
+}
+
+/// Reads a BLIF file one raw model at a time, streaming one logical line
+/// at a time.
+pub(crate) struct ModelReader<R> {
+    lex: LogicalLines<R>,
+    /// The `.model` name and line that ended the previous model.
+    pending: Option<(String, usize)>,
+    /// Model names opened so far; a repeat is an error.
+    names: HashSet<String>,
+    stats: ParseStats,
+}
+
+impl<R: BufRead> ModelReader<R> {
+    pub(crate) fn new(reader: R) -> Self {
+        ModelReader {
+            lex: LogicalLines::new(reader),
+            pending: None,
+            names: HashSet::new(),
+            stats: ParseStats::default(),
+        }
+    }
+
+    /// Statistics over everything read so far.
+    pub(crate) fn stats(&self) -> ParseStats {
+        ParseStats {
+            logical_lines: self.lex.logical_lines,
+            max_line_bytes: self.lex.max_line_bytes,
+            ..self.stats
+        }
+    }
+
+    /// Reads the next model and how it ended, or `None` at end of input.
+    ///
+    /// # Errors
+    ///
+    /// Returns a line-precise [`ParseBlifError`] for malformed or
+    /// unsupported directives, duplicate model names, or reader failures.
+    pub(crate) fn next_model(&mut self) -> Result<Option<(RawModel, ModelEnd)>, ParseBlifError> {
+        let mut model = match self.pending.take() {
+            Some((name, line)) => Some(open_model(&mut self.names, &mut self.stats, name, line)?),
+            None => None,
+        };
+        let mut block: Option<NamesBlock> = None;
+        let mut in_exdc = false;
+        let end = loop {
+            let Some((line_no, line)) = self.lex.next_line()? else {
+                break ModelEnd::Eof;
+            };
+            let mut tokens = line.split_whitespace();
+            let Some(first) = tokens.next() else { continue };
+            // `.exdc` opens a don't-care section that runs to the model's
+            // end; nothing in it is read.
+            if in_exdc && first != ".end" && first != ".model" {
+                continue;
+            }
+            if first == ".model" {
+                let name = tokens.next().unwrap_or("top").to_owned();
+                if model.is_some() {
+                    self.pending = Some((name, line_no));
+                    break ModelEnd::Model(line_no);
+                }
+                model = Some(open_model(&mut self.names, &mut self.stats, name, line_no)?);
+                continue;
+            }
+            if model.is_none() && self.names.is_empty() {
+                let top = open_model(&mut self.names, &mut self.stats, "top".into(), line_no)?;
+                model = Some(top);
+            }
+            let Some(m) = model.as_mut() else {
+                return Err(syntax(line_no, format!("{first:?} outside a .model block")));
+            };
+            match first {
+                ".inputs" => m.inputs.extend(tokens.map(str::to_owned)),
+                ".outputs" => m.outputs.extend(tokens.map(str::to_owned)),
+                ".names" => {
+                    m.blocks.extend(block.take());
+                    block = Some(start_names_block(tokens, line_no)?);
+                }
+                ".latch" => {
+                    m.blocks.extend(block.take());
+                    let toks: Vec<&str> = tokens.collect();
+                    m.latches.push(parse_latch(line_no, &toks)?);
+                    self.stats.latches += 1;
+                }
+                ".subckt" => {
+                    m.blocks.extend(block.take());
+                    m.subckts.push(parse_subckt(line_no, tokens)?);
+                    self.stats.subckts += 1;
+                }
+                ".conn" => {
+                    // yosys extension: a direct wire `.conn from to`.
+                    m.blocks.extend(block.take());
+                    let toks: Vec<&str> = tokens.collect();
+                    if toks.len() != 2 {
+                        return Err(syntax(line_no, ".conn requires exactly two signals"));
+                    }
+                    m.blocks.push(NamesBlock {
+                        inputs: vec![toks[0].to_owned()],
+                        output: toks[1].to_owned(),
+                        cubes: vec![vec![b'1']],
+                        on_set: true,
+                        line: line_no,
+                    });
+                }
+                ".blackbox" => m.blackbox = true,
+                ".exdc" => {
+                    m.blocks.extend(block.take());
+                    in_exdc = true;
+                    self.stats.exdc_blocks += 1;
+                }
+                ".end" => break ModelEnd::End,
+                ".gate" | ".mlatch" => {
+                    return Err(syntax(
+                        line_no,
+                        format!("unsupported construct {first} (library gates are not supported)"),
+                    ));
+                }
+                ".start_kiss" => {
+                    return Err(syntax(
+                        line_no,
+                        "unsupported construct .start_kiss (KISS state machines are not supported)",
+                    ));
+                }
+                // Body-less metadata (`.attr`, `.param`, `.cname`, `.clock`,
+                // `.default_input_arrival`, ...) is skipped.
+                _ if first.starts_with('.') => {}
+                _ => parse_cube_row(block.as_mut(), first, tokens, line_no)?,
+            }
+        };
+        Ok(model.map(|mut m| {
+            m.blocks.extend(block);
+            (m, end)
+        }))
+    }
+}
+
+/// Opens the model `name` declared on `line`.
+fn open_model(
+    names: &mut HashSet<String>,
+    stats: &mut ParseStats,
+    name: String,
+    line: usize,
+) -> Result<RawModel, ParseBlifError> {
+    if !names.insert(name.clone()) {
+        return Err(syntax(line, format!("duplicate model {name:?}")));
+    }
+    stats.models += 1;
+    Ok(RawModel::new(name, line))
+}
+
 /// Parses a complete (possibly hierarchical, possibly sequential) BLIF file
 /// from a buffered reader, streaming one logical line at a time.
 ///
@@ -284,134 +456,10 @@ fn parse_subckt<'a>(
 pub(crate) fn read_raw_design<R: BufRead>(
     reader: R,
 ) -> Result<(RawDesign, ParseStats), ParseBlifError> {
-    let mut lex = LogicalLines::new(reader);
+    let mut reader = ModelReader::new(reader);
     let mut design = RawDesign::default();
-    let mut names: HashMap<String, usize> = HashMap::new();
-    let mut current: Option<RawModel> = None;
-    let mut block: Option<NamesBlock> = None;
-    let mut in_exdc = false;
-    let mut stats = ParseStats::default();
-
-    fn finish_model(
-        current: &mut Option<RawModel>,
-        block: &mut Option<NamesBlock>,
-        design: &mut RawDesign,
-    ) {
-        if let Some(mut model) = current.take() {
-            if let Some(b) = block.take() {
-                model.blocks.push(b);
-            }
-            design.models.push(model);
-        }
+    while let Some((model, _)) = reader.next_model()? {
+        design.models.push(model);
     }
-
-    while let Some((line_no, line)) = lex.next_line()? {
-        let mut tokens = line.split_whitespace();
-        let Some(first) = tokens.next() else { continue };
-        if in_exdc {
-            // `.exdc` introduces a don't-care section we skip entirely; the
-            // model's `.end` terminates both the section and the model.
-            match first {
-                ".end" => {
-                    in_exdc = false;
-                    finish_model(&mut current, &mut block, &mut design);
-                }
-                ".model" => {
-                    in_exdc = false;
-                    // Fall through to regular `.model` handling below.
-                }
-                _ => continue,
-            }
-            if in_exdc {
-                continue;
-            }
-            if first == ".end" {
-                continue;
-            }
-        }
-        if first == ".model" {
-            finish_model(&mut current, &mut block, &mut design);
-            let name = tokens.next().unwrap_or("top").to_owned();
-            if names.insert(name.clone(), design.models.len()).is_some() {
-                return Err(syntax(line_no, format!("duplicate model {name:?}")));
-            }
-            stats.models += 1;
-            current = Some(RawModel::new(name, line_no));
-            continue;
-        }
-        let Some(model) = current.as_mut() else {
-            return Err(syntax(line_no, format!("{first:?} outside a .model block")));
-        };
-        match first {
-            ".inputs" => model.inputs.extend(tokens.map(str::to_owned)),
-            ".outputs" => model.outputs.extend(tokens.map(str::to_owned)),
-            ".names" => {
-                if let Some(b) = block.take() {
-                    model.blocks.push(b);
-                }
-                block = Some(start_names_block(tokens, line_no)?);
-            }
-            ".latch" => {
-                if let Some(b) = block.take() {
-                    model.blocks.push(b);
-                }
-                let toks: Vec<&str> = tokens.collect();
-                model.latches.push(parse_latch(line_no, &toks)?);
-                stats.latches += 1;
-            }
-            ".subckt" => {
-                if let Some(b) = block.take() {
-                    model.blocks.push(b);
-                }
-                model.subckts.push(parse_subckt(line_no, tokens)?);
-                stats.subckts += 1;
-            }
-            ".conn" => {
-                // yosys extension: a direct wire `.conn from to`.
-                if let Some(b) = block.take() {
-                    model.blocks.push(b);
-                }
-                let toks: Vec<&str> = tokens.collect();
-                if toks.len() != 2 {
-                    return Err(syntax(line_no, ".conn requires exactly two signals"));
-                }
-                model.blocks.push(NamesBlock {
-                    inputs: vec![toks[0].to_owned()],
-                    output: toks[1].to_owned(),
-                    cubes: vec![vec![b'1']],
-                    on_set: true,
-                    line: line_no,
-                });
-            }
-            ".blackbox" => model.blackbox = true,
-            ".exdc" => {
-                if let Some(b) = block.take() {
-                    model.blocks.push(b);
-                }
-                in_exdc = true;
-                stats.exdc_blocks += 1;
-            }
-            ".end" => finish_model(&mut current, &mut block, &mut design),
-            ".gate" | ".mlatch" => {
-                return Err(syntax(
-                    line_no,
-                    format!("unsupported construct {first} (library gates are not supported)"),
-                ));
-            }
-            ".attr" | ".param" | ".cname" => {
-                // yosys metadata extensions: ignored.
-            }
-            _ if first.starts_with('.') => {
-                // Unknown dot-directives (.default_input_arrival etc.) are
-                // ignored, as in the combinational reader.
-            }
-            _ => parse_cube_row(block.as_mut(), first, tokens, line_no)?,
-        }
-    }
-    // A missing final `.end` is tolerated, as in the combinational reader.
-    finish_model(&mut current, &mut block, &mut design);
-
-    stats.logical_lines = lex.logical_lines;
-    stats.max_line_bytes = lex.max_line_bytes;
-    Ok((design, stats))
+    Ok((design, reader.stats()))
 }

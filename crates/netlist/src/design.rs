@@ -1,8 +1,9 @@
 //! Sequential designs: flattened BLIF netlists with registers.
 //!
-//! [`read_design`] is the full-spec front end: it streams a (possibly
-//! hierarchical, possibly sequential) BLIF file through the incremental
-//! lexer, flattens every `.subckt`, and produces a [`Design`] — one
+//! [`read_design`] is the full-spec front end: it reads every model of a
+//! (possibly hierarchical, possibly sequential) BLIF file through the
+//! streaming model reader that [`crate::parse_blif`] also uses, flattens
+//! every `.subckt`, and produces a [`Design`] — one
 //! combinational [`Network`] plus the design's [`Latch`]es. Latch outputs
 //! (Q nets) become primary inputs of the combinational network and latch
 //! data nets (D) are tracked as named signals, so the network stays acyclic
@@ -11,13 +12,19 @@
 //! [`Design::clouds`] then cuts the logic at register and primary-I/O
 //! boundaries into independent *combinational clouds* — the unit of
 //! parallel mapping — plus trivial passthrough sinks (outputs driven
-//! directly by an input or a constant) that need no mapping at all.
+//! directly by an input or a constant) that need no mapping at all. Each
+//! cloud is built gate by gate through the reader's own gate reduction,
+//! so it is already the network its standalone BLIF text would parse to;
+//! no text round trip is needed to reach that form.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::BufRead;
 
-use crate::blif::{elaborate_blocks, push_wrapped, stream};
+use crate::blif::{
+    elaborate_blocks, net_name, net_names, push_wrapped, reduce_gate, stream, write_lut_blocks,
+};
 use crate::error::ParseBlifError;
 use crate::lut::{LutCircuit, LutSource};
 use crate::network::{Network, NodeId, NodeOp, Signal};
@@ -28,7 +35,8 @@ pub struct ParseStats {
     /// Non-blank logical lines after comment stripping and continuation
     /// joining.
     pub logical_lines: u64,
-    /// `.model` blocks seen.
+    /// Models read, counting an implicit `top` opened by directives
+    /// before any `.model`.
     pub models: u64,
     /// `.subckt` instantiations seen (before flattening).
     pub subckts: u64,
@@ -164,7 +172,9 @@ pub struct Cloud {
     /// The cloud as a standalone network: inputs are boundary nets
     /// (primary inputs or latch Q nets), outputs are the sink nets it
     /// drives (primary outputs or latch D nets), all keeping their design
-    /// net names.
+    /// net names. It is built the way [`crate::parse_blif`] elaborates
+    /// `.names` blocks, so it equals the network that
+    /// [`crate::write_blif`]'s text of it parses back to.
     pub network: Network,
     /// Gate count in the cloud — a work estimate for scheduling.
     pub gates: usize,
@@ -248,12 +258,6 @@ pub fn parse_design(text: &str) -> Result<(Design, ParseStats), ParseBlifError> 
 }
 
 fn build_design(flat: crate::blif::flatten::FlatModel) -> Result<Design, ParseBlifError> {
-    let name = if flat.name.is_empty() {
-        "top".to_owned()
-    } else {
-        flat.name
-    };
-
     // Latch Q nets join the primary inputs of the combinational network —
     // this breaks every sequential feedback path, so the combinational
     // cycle detector only fires on genuine combinational loops.
@@ -307,7 +311,7 @@ fn build_design(flat: crate::blif::flatten::FlatModel) -> Result<Design, ParseBl
         .collect::<Result<_, ParseBlifError>>()?;
 
     Ok(Design {
-        name,
+        name: flat.name,
         logic,
         latches,
         primary_inputs,
@@ -367,15 +371,10 @@ fn cut_clouds(design: &Design) -> DesignClouds {
         let node = signal.node();
         match logic.node(node).op() {
             NodeOp::Input => {
-                let driver = logic
-                    .node(node)
-                    .name()
-                    .map(str::to_owned)
-                    .unwrap_or_else(|| format!("n{}", node.index()));
                 passthroughs.push(Passthrough {
                     name,
                     driver: PassthroughDriver::Input {
-                        name: driver,
+                        name: net_name(logic, node).into_owned(),
                         inverted: signal.is_inverted(),
                     },
                 });
@@ -438,19 +437,17 @@ fn extract_cloud(logic: &Network, members: &[NodeId], sinks: &[(String, Signal)]
     }
     for &id in logic.inputs() {
         if used_inputs.contains_key(&id) {
-            let name = logic
-                .node(id)
-                .name()
-                .map(str::to_owned)
-                .unwrap_or_else(|| format!("n{}", id.index()));
+            let name = net_name(logic, id).into_owned();
             map.insert(id, Signal::new(net.add_input(name)));
         }
     }
 
-    // Members are in ascending node order, which is topological.
+    // Members are in ascending node order, which is topological. Each
+    // gate goes through the reader's own reduction, so the cloud is the
+    // network its standalone BLIF text parses back to.
     for &id in members {
         let node = logic.node(id);
-        let fanins: Vec<Signal> = node
+        let mut fanins: Vec<Signal> = node
             .fanins()
             .iter()
             .map(|s| {
@@ -467,7 +464,7 @@ fn extract_cloud(logic: &Network, members: &[NodeId], sinks: &[(String, Signal)]
                 }
             })
             .collect();
-        map.insert(id, Signal::new(net.add_gate(node.op(), fanins)));
+        map.insert(id, reduce_gate(&mut net, node.op(), &mut fanins));
     }
 
     for (name, signal) in sinks {
@@ -491,40 +488,13 @@ fn extract_cloud(logic: &Network, members: &[NodeId], sinks: &[(String, Signal)]
 pub fn write_design_blif(design: &Design) -> String {
     let logic = design.logic();
     let mut out = String::new();
-    let _ = writeln!(out, ".model {}", design.name());
-    let names: Vec<String> = logic
-        .nodes()
-        .map(|(id, node)| {
-            node.name()
-                .map(str::to_owned)
-                .unwrap_or_else(|| format!("n{}", id.index()))
-        })
-        .collect();
-    let mut line = String::from(".inputs");
-    for &id in design.primary_inputs() {
-        let _ = write!(line, " {}", names[id.index()]);
-    }
-    push_wrapped(&mut out, &line);
-    line.clear();
-    line.push_str(".outputs");
-    for o in logic.outputs() {
-        let _ = write!(line, " {}", o.name);
-    }
-    push_wrapped(&mut out, &line);
-    for latch in design.latches() {
-        line.clear();
-        let _ = write!(line, ".latch {} {}", latch.data_name, latch.output);
-        if let Some(kind) = latch.kind.token() {
-            let _ = write!(
-                line,
-                " {kind} {}",
-                latch.control.as_deref().unwrap_or("NIL")
-            );
-        }
-        let _ = write!(line, " {}", latch.init.token());
-        push_wrapped(&mut out, &line);
-    }
-
+    write_design_header(&mut out, design);
+    let outputs = logic.outputs().iter().map(|o| (o.name.as_str(), o.signal));
+    let latches = design.latches().iter();
+    let names = net_names(
+        logic,
+        outputs.chain(latches.map(|l| (l.data_name.as_str(), l.data))),
+    );
     crate::blif::write_gate_blocks(&mut out, logic, &names);
     // A net may be both a primary output and a latch D (or feed two
     // latches); define each sink name at most once.
@@ -622,40 +592,8 @@ pub fn write_mapped_design_blif(
     }
 
     let mut out = String::new();
-    let _ = writeln!(out, ".model {}", design.name());
-    let mut line = String::from(".inputs");
-    for &id in design.primary_inputs() {
-        let _ = write!(
-            line,
-            " {}",
-            logic
-                .node(id)
-                .name()
-                .map(str::to_owned)
-                .unwrap_or_else(|| format!("n{}", id.index()))
-        );
-    }
-    push_wrapped(&mut out, &line);
-    line.clear();
-    line.push_str(".outputs");
-    for o in logic.outputs() {
-        let _ = write!(line, " {}", o.name);
-    }
-    push_wrapped(&mut out, &line);
-    for latch in design.latches() {
-        line.clear();
-        let _ = write!(line, ".latch {} {}", latch.data_name, latch.output);
-        if let Some(kind) = latch.kind.token() {
-            let _ = write!(
-                line,
-                " {kind} {}",
-                latch.control.as_deref().unwrap_or("NIL")
-            );
-        }
-        let _ = write!(line, " {}", latch.init.token());
-        push_wrapped(&mut out, &line);
-    }
-
+    write_design_header(&mut out, design);
+    let mut line = String::new();
     for p in &cut.passthroughs {
         match &p.driver {
             PassthroughDriver::Input { name, inverted } => {
@@ -676,57 +614,12 @@ pub fn write_mapped_design_blif(
     }
 
     for (i, (network, circuit)) in mapped.iter().enumerate() {
-        let input_name = |id: NodeId| {
-            network
-                .node(id)
-                .name()
-                .map(str::to_owned)
-                .unwrap_or_else(|| format!("n{}", id.index()))
-        };
         let src_name = |s: LutSource| match s {
-            LutSource::Input(id) => input_name(id),
-            LutSource::Lut(id) => format!("{base}{i}n{}", id.index()),
-            LutSource::Const(v) => format!("{base}{i}c{}", v as u8),
+            LutSource::Input(id) => net_name(network, id),
+            LutSource::Lut(id) => Cow::Owned(format!("{base}{i}n{}", id.index())),
+            LutSource::Const(v) => Cow::Owned(format!("{base}{i}c{}", v as u8)),
         };
-        let mut used_consts = [false; 2];
-        for lut in circuit.luts() {
-            for &s in lut.inputs() {
-                if let LutSource::Const(v) = s {
-                    used_consts[v as usize] = true;
-                }
-            }
-        }
-        for o in circuit.outputs() {
-            if let LutSource::Const(v) = o.source {
-                used_consts[v as usize] = true;
-            }
-        }
-        for (v, used) in used_consts.iter().enumerate() {
-            if *used {
-                let _ = writeln!(out, ".names {base}{i}c{v}");
-                if v == 1 {
-                    let _ = writeln!(out, "1");
-                }
-            }
-        }
-        for (j, lut) in circuit.luts().iter().enumerate() {
-            line.clear();
-            line.push_str(".names");
-            for &s in lut.inputs() {
-                let _ = write!(line, " {}", src_name(s));
-            }
-            let _ = write!(line, " {base}{i}n{j}");
-            push_wrapped(&mut out, &line);
-            let vars = lut.table().num_vars();
-            for bits in 0..(1u32 << vars) {
-                if lut.table().eval(bits) {
-                    for v in 0..vars {
-                        let _ = write!(out, "{}", (bits >> v) & 1);
-                    }
-                    let _ = writeln!(out, " 1");
-                }
-            }
-        }
+        write_lut_blocks(&mut out, circuit, src_name);
         for o in circuit.outputs() {
             let drv = src_name(o.source);
             if drv != o.name || o.inverted {
@@ -739,6 +632,37 @@ pub fn write_mapped_design_blif(
     }
     let _ = writeln!(out, ".end");
     out
+}
+
+/// Writes the `.model`, `.inputs`, `.outputs` and `.latch` lines both
+/// design writers open with.
+fn write_design_header(out: &mut String, design: &Design) {
+    let logic = design.logic();
+    let _ = writeln!(out, ".model {}", design.name());
+    let mut line = String::from(".inputs");
+    for &id in design.primary_inputs() {
+        let _ = write!(line, " {}", net_name(logic, id));
+    }
+    push_wrapped(out, &line);
+    line.clear();
+    line.push_str(".outputs");
+    for o in logic.outputs() {
+        let _ = write!(line, " {}", o.name);
+    }
+    push_wrapped(out, &line);
+    for latch in design.latches() {
+        line.clear();
+        let _ = write!(line, ".latch {} {}", latch.data_name, latch.output);
+        if let Some(kind) = latch.kind.token() {
+            let _ = write!(
+                line,
+                " {kind} {}",
+                latch.control.as_deref().unwrap_or("NIL")
+            );
+        }
+        let _ = write!(line, " {}", latch.init.token());
+        push_wrapped(out, &line);
+    }
 }
 
 #[cfg(test)]

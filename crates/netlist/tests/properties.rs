@@ -442,18 +442,20 @@ fn fuzzed_designs_never_panic_and_errors_stay_in_range() {
         for _ in 0..rng.next_range(1, 4) {
             text = mutate(&text, &mut rng);
         }
-        // The only contract under fire: a Result, never a panic — and
-        // syntax errors must point inside the input.
-        match parse_design(&text) {
-            Ok(_) => {}
-            Err(ParseBlifError::Syntax { line, .. }) => {
-                let max = text.lines().count().max(1);
-                assert!(
-                    line >= 1 && line <= max + 1,
-                    "case {case}: error line {line} outside input of {max} lines"
-                );
+        // The only contract under fire, for both entry points: a Result,
+        // never a panic — and syntax errors must point inside the input.
+        for result in [parse_design(&text).map(drop), parse_blif(&text).map(drop)] {
+            match result {
+                Ok(_) => {}
+                Err(ParseBlifError::Syntax { line, .. }) => {
+                    let max = text.lines().count().max(1);
+                    assert!(
+                        line >= 1 && line <= max + 1,
+                        "case {case}: error line {line} outside input of {max} lines"
+                    );
+                }
+                Err(_) => {}
             }
-            Err(_) => {}
         }
     }
 }
@@ -478,13 +480,37 @@ fn fuzz_reports_the_exact_offending_line() {
         (".model m\n.inputs a\n.outputs z\n.latch \\\na\n.end\n", 4),
     ];
     for (src, expected) in cases {
-        match parse_design(src) {
-            Err(ParseBlifError::Syntax { line, .. }) => {
-                assert_eq!(line, *expected, "wrong line for {src:?}");
+        for result in [parse_design(src).map(drop), parse_blif(src).map(drop)] {
+            match result {
+                Err(ParseBlifError::Syntax { line, .. }) => {
+                    assert_eq!(line, *expected, "wrong line for {src:?}");
+                }
+                other => panic!("expected a syntax error for {src:?}, got {other:?}"),
             }
-            other => panic!("expected a syntax error for {src:?}, got {other:?}"),
         }
     }
+}
+
+#[test]
+fn design_clouds_are_their_own_blif_round_trip() {
+    // A cloud is built the way the reader elaborates `.names` blocks, so
+    // writing it as BLIF and parsing it back must give the same network.
+    let mut rng = SplitMix64::new(0xc10d_0001);
+    let mut designs: Vec<String> = (0..64)
+        .map(|_| random_design_blif(rng.next_u64()))
+        .collect();
+    designs.extend((0..16).map(|seed| write_blif(&random_network(seed, 6, 24), "comb")));
+    let mut clouds = 0;
+    for src in &designs {
+        let (design, _) = parse_design(src).expect("generated design parses");
+        for (i, cloud) in design.clouds().clouds.iter().enumerate() {
+            let text = write_blif(&cloud.network, &format!("cloud{i}"));
+            let again = parse_blif(&text).expect("cloud text parses");
+            assert_eq!(again, cloud.network, "cloud {i} of\n{src}");
+            clouds += 1;
+        }
+    }
+    assert!(clouds > 100, "only {clouds} clouds checked");
 }
 
 /// An `io::Read` that synthesizes an arbitrarily long logic chain on

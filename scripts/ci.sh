@@ -205,6 +205,30 @@ done
 cargo run -q -p chortle-cli --bin chortle-map -- -k 4 --design \
   "$design_tmp/mapped.blif" > /dev/null \
   || { echo "ci: the assembled netlist does not re-parse as a design" >&2; exit 1; }
+# A second design whose nets are named like the writers' generated names
+# (n3 for unnamed nodes, lut0 for LUTs): every cloud still matches its
+# offline run, and every mapped cloud and the assembled netlist re-parse.
+printf '.model gen\n.inputs a b c\n.outputs n3 lut0\n.latch lut0 q re clk 0\n.names q a t\n11 1\n.names t b n3\n11 1\n.names a b c lut0\n111 1\n.end\n' \
+  > "$design_tmp/gen.blif"
+cargo run -q -p chortle-cli --bin chortle-map -- -k 4 --design \
+  --clouds "$design_tmp/gen_clouds" "$design_tmp/gen.blif" > "$design_tmp/gen_mapped.blif" \
+  || { echo "ci: the generated-name design does not map" >&2; exit 1; }
+gen_count=0
+for cloud in "$design_tmp"/gen_clouds/cloud*.blif; do
+  case "$cloud" in *.mapped.blif) continue ;; esac
+  cargo run -q -p chortle-cli --bin chortle-map -- -k 4 "$cloud" \
+    > "${cloud%.blif}.offline.blif"
+  cmp -s "${cloud%.blif}.mapped.blif" "${cloud%.blif}.offline.blif" \
+    || { echo "ci: $cloud diverged from the offline mapper" >&2; exit 1; }
+  cargo run -q -p chortle-cli --bin chortle-map -- -k 4 "${cloud%.blif}.mapped.blif" > /dev/null \
+    || { echo "ci: ${cloud%.blif}.mapped.blif does not re-parse" >&2; exit 1; }
+  gen_count=$((gen_count + 1))
+done
+[[ "$gen_count" -ge 2 ]] \
+  || { echo "ci: expected >= 2 generated-name clouds, saw $gen_count" >&2; exit 1; }
+cargo run -q -p chortle-cli --bin chortle-map -- -k 4 --design \
+  "$design_tmp/gen_mapped.blif" > /dev/null \
+  || { echo "ci: the generated-name netlist does not re-parse as a design" >&2; exit 1; }
 
 # op:"map_design" against a dedicated daemon (the main daemon's final
 # report above pins exact request counts), byte-identical to the

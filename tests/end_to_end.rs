@@ -148,3 +148,26 @@ fn unoptimized_networks_also_map_correctly() {
         check_equivalence(&net, &mapped.circuit).unwrap_or_else(|e| panic!("{name}: {e}"));
     }
 }
+
+#[test]
+fn design_clouds_equal_their_standalone_blif() {
+    // Each cloud the design path maps is built directly, the way the
+    // reader elaborates BLIF: its own standalone text parses back to it.
+    use chortle_netlist::{parse_blif, parse_design, write_blif};
+    let designs = [
+        write_blif(&chortle_circuits::des_like(0xde5, 16, 2), "des16x2"),
+        write_blif(&chortle_circuits::des_like(7, 32, 3), "des32x3"),
+        chortle_bench::pipelined_design("pipe4x16", 4, 16),
+        chortle_bench::pipelined_design("pipe8x24", 8, 24),
+    ];
+    for src in &designs {
+        let (design, _) = parse_design(src).expect("design parses");
+        let cut = design.clouds();
+        assert!(!cut.clouds.is_empty());
+        for (i, cloud) in cut.clouds.iter().enumerate() {
+            let text = write_blif(&cloud.network, &format!("cloud{i}"));
+            let again = parse_blif(&text).expect("cloud text parses");
+            assert_eq!(again, cloud.network, "{}: cloud {i}", design.name());
+        }
+    }
+}
