@@ -26,8 +26,8 @@
 use std::sync::Arc;
 
 use chortle_netlist::{
-    check_equivalence, parse_design, write_lut_blif, write_mapped_design_blif, Design, LutCircuit,
-    Network, ParseBlifError, ParseStats,
+    check_equivalence, parse_design, write_lut_blif, write_mapped_design_blif, Design,
+    DesignClouds, LutCircuit, Network, ParseBlifError, ParseStats,
 };
 use chortle_telemetry::Telemetry;
 
@@ -95,6 +95,10 @@ pub struct MappedDesign {
     pub netlist: String,
     /// Per-cloud results, in cloud order.
     pub clouds: Vec<MappedCloud>,
+    /// The register-boundary cut the clouds were mapped from; each
+    /// cloud's standalone source is its network written with
+    /// [`chortle_netlist::write_blif`].
+    pub cut: Arc<DesignClouds>,
     /// Sinks that bypassed mapping (input- or constant-driven).
     pub passthroughs: usize,
     /// Registers in the design.
@@ -230,6 +234,7 @@ pub fn map_design(design: &Design, opts: &DesignOptions) -> Result<MappedDesign,
         netlist,
         clouds,
         passthroughs: cut.passthroughs.len(),
+        cut,
         latches: design.latches().len(),
         luts,
         depth,
@@ -365,9 +370,8 @@ mod tests {
         let (design, _) = parse_design(TWO_CLOUDS).expect("parses");
         let mapped = map_design(&design, &options(2)).expect("maps");
         let opts = MapOptions::builder(4).build().unwrap();
-        let cut = design.clouds();
         for (i, cloud) in mapped.clouds.iter().enumerate() {
-            let source = write_blif(&cut.clouds[i].network, &format!("cloud{i}"));
+            let source = write_blif(&mapped.cut.clouds[i].network, &format!("cloud{i}"));
             let net = parse_blif(&source).expect("cloud parses");
             let offline = map_network(&net, &opts).expect("offline maps");
             let text = write_lut_blif(&net, &offline.circuit, "mapped");

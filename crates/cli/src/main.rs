@@ -289,20 +289,11 @@ fn run_design(blif: &str, cli: &Cli) -> ExitCode {
     }
 
     if let Some(dir) = &cli.clouds {
-        // Each cloud's standalone source is its network written as BLIF,
-        // the same network the flow mapped.
-        let cut = match chortle_netlist::parse_design(blif) {
-            Ok((design, _)) => design.clouds(),
-            Err(e) => {
-                eprintln!("chortle-map: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create {dir}: {e}");
             return ExitCode::FAILURE;
         }
-        for (i, (cloud, mapped)) in cut.clouds.iter().zip(&result.clouds).enumerate() {
+        for (i, (cloud, mapped)) in result.cut.clouds.iter().zip(&result.clouds).enumerate() {
             let source = write_blif(&cloud.network, &format!("cloud{i}"));
             for (suffix, text) in [("blif", &source), ("mapped.blif", &mapped.mapped)] {
                 let path = format!("{dir}/cloud{i}.{suffix}");

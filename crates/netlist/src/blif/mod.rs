@@ -172,10 +172,7 @@ pub fn parse_blif(text: &str) -> Result<Network, ParseBlifError> {
     // lost its .end (or two models were concatenated), and merging their
     // blocks would build a chimera net. Nothing after .end is read.
     if let stream::ModelEnd::Model(line) = end {
-        return Err(ParseBlifError::Syntax {
-            line,
-            message: "duplicate .model before .end".into(),
-        });
+        return Err(stream::duplicate_model(line));
     }
     flatten::check_top(&model)?;
 

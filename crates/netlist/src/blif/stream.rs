@@ -21,7 +21,11 @@
 //!   `.start_kiss`.
 //!
 //! Directives before the first `.model` open an implicit model named
-//! `top`, and a missing final `.end` is tolerated. [`read_raw_design`]
+//! `top`, which only `.end` or the end of input may close (a `.model`
+//! right after it is `duplicate .model before .end`). If it ends with
+//! nothing declared in it (only metadata, an `.exdc` section or a stray
+//! `.end` came first) it is dropped and the next model is read instead.
+//! A missing final `.end` is tolerated. [`read_raw_design`]
 //! consumes every model, producing a *raw* design whose nets are still
 //! hierarchical names, ready for [`flatten`](super::flatten::flatten);
 //! [`crate::parse_blif`] checks the first model only.
@@ -158,6 +162,16 @@ impl RawModel {
             subckts: Vec::new(),
             blackbox: false,
         }
+    }
+
+    /// True when the model declares and contains nothing.
+    fn is_empty(&self) -> bool {
+        self.inputs.is_empty()
+            && self.outputs.is_empty()
+            && self.blocks.is_empty()
+            && self.latches.is_empty()
+            && self.subckts.is_empty()
+            && !self.blackbox
     }
 }
 
@@ -334,6 +348,32 @@ impl<R: BufRead> ModelReader<R> {
     /// Returns a line-precise [`ParseBlifError`] for malformed or
     /// unsupported directives, duplicate model names, or reader failures.
     pub(crate) fn next_model(&mut self) -> Result<Option<(RawModel, ModelEnd)>, ParseBlifError> {
+        loop {
+            let Some((model, end, implicit)) = self.read_model()? else {
+                return Ok(None);
+            };
+            if !implicit {
+                return Ok(Some((model, end)));
+            }
+            // An implicit `top` with nothing in it (only metadata, an
+            // `.exdc` or a stray `.end` came first) is dropped so it never
+            // shadows the real first model; one with logic must not run
+            // into a `.model`.
+            if !model.is_empty() {
+                if let ModelEnd::Model(line) = end {
+                    return Err(duplicate_model(line));
+                }
+                return Ok(Some((model, end)));
+            }
+            self.names.clear();
+            self.stats.models -= 1;
+        }
+    }
+
+    /// [`Self::next_model`], also telling whether the model is the
+    /// implicit `top` opened by directives before any `.model`.
+    fn read_model(&mut self) -> Result<Option<(RawModel, ModelEnd, bool)>, ParseBlifError> {
+        let mut implicit = false;
         let mut model = match self.pending.take() {
             Some((name, line)) => Some(open_model(&mut self.names, &mut self.stats, name, line)?),
             None => None,
@@ -363,6 +403,7 @@ impl<R: BufRead> ModelReader<R> {
             if model.is_none() && self.names.is_empty() {
                 let top = open_model(&mut self.names, &mut self.stats, "top".into(), line_no)?;
                 model = Some(top);
+                implicit = true;
             }
             let Some(m) = model.as_mut() else {
                 return Err(syntax(line_no, format!("{first:?} outside a .model block")));
@@ -427,9 +468,15 @@ impl<R: BufRead> ModelReader<R> {
         };
         Ok(model.map(|mut m| {
             m.blocks.extend(block);
-            (m, end)
+            (m, end, implicit)
         }))
     }
+}
+
+/// The error for a `.model` on `line` that opens before the open model
+/// may end that way.
+pub(crate) fn duplicate_model(line: usize) -> ParseBlifError {
+    syntax(line, "duplicate .model before .end")
 }
 
 /// Opens the model `name` declared on `line`.

@@ -36,7 +36,7 @@ pub struct ParseStats {
     /// joining.
     pub logical_lines: u64,
     /// Models read, counting an implicit `top` opened by directives
-    /// before any `.model`.
+    /// before any `.model` unless it was dropped as empty.
     pub models: u64,
     /// `.subckt` instantiations seen (before flattening).
     pub subckts: u64,

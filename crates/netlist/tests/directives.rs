@@ -84,6 +84,23 @@ const MATRIX: &[(&str, &str, Outcome)] = &[
         Parsed(AND),
     ),
     (
+        "metadata before the first .model",
+        ".search lib.blif\n.default_input_arrival 0 0\n.attr src x\n\
+         .model m\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end\n",
+        Skipped(AND),
+    ),
+    (
+        "stray .end and .exdc before the first .model",
+        ".end\n.exdc\n.names a y\n0 1\n.end\n\
+         .model m\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end\n",
+        Skipped(AND),
+    ),
+    (
+        "logic before the first .model",
+        ".inputs a b\n.model m\n.outputs y\n.names a b y\n11 1\n.end\n",
+        Rejected("duplicate .model before .end", 2),
+    ),
+    (
         "missing .end",
         ".model m\n.inputs a b\n.outputs y\n.names a b y\n11 1\n",
         Parsed(AND),
