@@ -19,6 +19,11 @@
 //!   kernels of every node. `perf` times it against
 //!   [`chortle_logic_opt::optimize_with`], and the differential tests
 //!   require byte-identical networks and identical reports.
+//! * [`baseline_parse_blif`] is the string-keyed BLIF reader: one
+//!   `String` per token, one `Vec` per cube row, `HashMap<String, _>`
+//!   elaboration and a `HashSet` per reduced gate. `perf` times it
+//!   against [`chortle_netlist::parse_blif`], and the differential tests
+//!   require an equal network or an equal error.
 //!
 //! Do not "improve" this module — its slowness is the point.
 
@@ -33,6 +38,10 @@ use chortle_netlist::{
     simulate_outputs, EquivalenceError, LutCircuit, LutSource, Network, NetworkError, NodeId,
     SplitMix64, MAX_VARS, RANDOM_ROUNDS,
 };
+
+mod parse;
+
+pub use parse::baseline_parse_blif;
 
 const INF: u32 = 1_000_000_000;
 

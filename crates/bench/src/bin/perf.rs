@@ -45,6 +45,13 @@
 //!    source networks plus a 64-wide, six-round DES-like network, once
 //!    (the script does not depend on K); every written BLIF and report
 //!    asserted identical; bench-diff gates `optimize_total.speedup`.
+//! 8. **BLIF parsing** (`parse`): [`parse_blif`] against the frozen
+//!    string-keyed reader
+//!    ([`chortle_bench::baseline::baseline_parse_blif`]) on the written
+//!    BLIF of the `map_large` netlists (a ≈7k-gate `random_logic`, a
+//!    64-wide six-round `des_like` and a 256-bit `alu`, each optimized)
+//!    and of the whole paper suite; the networks are asserted equal
+//!    before timing, and bench-diff gates `parse_total.speedup`.
 //!
 //! Timings use [`std::time::Instant`] — no external benchmarking crate —
 //! taking the best of several rounds, each repeating its workload for at
@@ -67,11 +74,15 @@ use chortle::{
     map_design, map_network, DesignOptions, Fingerprint, Forest, MapOptions, Telemetry, Tree,
     TreeChild, TreeMapper,
 };
-use chortle_bench::baseline::{baseline_check_equivalence, baseline_optimize, baseline_tree_cost};
+use chortle_bench::baseline::{
+    baseline_check_equivalence, baseline_optimize, baseline_parse_blif, baseline_tree_cost,
+};
 use chortle_bench::{optimized_suite, pipelined_design};
-use chortle_circuits::{alu, des_like};
+use chortle_circuits::{alu, des_like, random_logic};
 use chortle_logic_opt::{optimize, optimize_with, OptimizeOptions};
-use chortle_netlist::{check_equivalence, parse_design, write_blif, Network, NodeOp};
+use chortle_netlist::{
+    check_equivalence, parse_blif, parse_design, write_blif, Network, NodeOp, ParseBlifError,
+};
 
 const KS: [usize; 4] = [2, 3, 4, 5];
 const KERNEL_ROUNDS: usize = 5;
@@ -141,6 +152,16 @@ struct OptimizeRow {
     /// The frozen whole-network script on this network.
     baseline_s: f64,
     /// [`optimize_with`] (fanout-indexed eliminate, cached kernels).
+    optimized_s: f64,
+}
+
+struct ParseRow {
+    name: String,
+    /// BLIF text parsed per iteration.
+    bytes: usize,
+    /// The frozen string-keyed reader.
+    baseline_s: f64,
+    /// [`parse_blif`] (interned symbols, cube arena).
     optimized_s: f64,
 }
 
@@ -402,6 +423,41 @@ fn measure_optimize(nets: &[(String, Network)]) -> Vec<OptimizeRow> {
         .collect()
 }
 
+/// The `parse` section: both readers on each text, networks asserted
+/// equal before timing.
+fn measure_parse(texts: &[(String, Vec<String>)]) -> Vec<ParseRow> {
+    texts
+        .iter()
+        .map(|(name, blifs)| {
+            for blif in blifs {
+                let want = baseline_parse_blif(blif).expect("baseline parses");
+                let got = parse_blif(blif).expect("parses");
+                assert!(got == want, "parsed network diverged on {name}");
+            }
+            let parse_all = |parse: fn(&str) -> Result<Network, ParseBlifError>| {
+                blifs
+                    .iter()
+                    .map(|blif| parse(blif).expect("parses").len())
+                    .sum::<usize>()
+            };
+            let (_, baseline_s) = best_of(KERNEL_ROUNDS, || parse_all(baseline_parse_blif));
+            let (_, optimized_s) = best_of(KERNEL_ROUNDS, || parse_all(parse_blif));
+            let bytes = blifs.iter().map(String::len).sum();
+            eprintln!(
+                "perf: parse {name:<10} {bytes:>8} bytes  baseline {baseline_s:.4}s  \
+                 interned {optimized_s:.4}s  ({:.2}x)",
+                baseline_s / optimized_s
+            );
+            ParseRow {
+                name: name.clone(),
+                bytes,
+                baseline_s,
+                optimized_s,
+            }
+        })
+        .collect()
+}
+
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -453,6 +509,24 @@ fn main() {
         .collect();
     optimize_nets.push(("des64x6".to_owned(), des_like(0xde5, 64, 6)));
     let optimize_rows = measure_optimize(&optimize_nets);
+
+    // The parse workload: the `map_large` netlists as that workload
+    // writes them, and the whole paper suite as one row.
+    let optimized = |net| optimize(&net).expect("generated netlists are acyclic").0;
+    let mut parse_texts: Vec<(String, Vec<String>)> = [
+        ("random7k", optimized(random_logic(7, 600, 7000, 400, 4))),
+        ("des64x6", optimized(des_like(11, 64, 6))),
+        ("alu256", alu_net.clone()),
+    ]
+    .into_iter()
+    .map(|(name, net)| (name.to_owned(), vec![write_blif(&net, name)]))
+    .collect();
+    let suite_blifs = chortle_circuits::suite()
+        .into_iter()
+        .map(|b| write_blif(&b.network, b.name))
+        .collect();
+    parse_texts.push(("suite".to_owned(), suite_blifs));
+    let parse_rows = measure_parse(&parse_texts);
 
     for &k in &KS {
         let mut trees: Vec<Tree> = Vec::new();
@@ -791,6 +865,8 @@ fn main() {
     let design_par: f64 = design_rows.iter().map(|r| r.parallel_s).sum();
     let optimize_base: f64 = optimize_rows.iter().map(|r| r.baseline_s).sum();
     let optimize_opt: f64 = optimize_rows.iter().map(|r| r.optimized_s).sum();
+    let parse_base: f64 = parse_rows.iter().map(|r| r.baseline_s).sum();
+    let parse_opt: f64 = parse_rows.iter().map(|r| r.optimized_s).sum();
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -934,6 +1010,28 @@ fn main() {
         optimize_opt,
         optimize_base / optimize_opt
     );
+    let _ = writeln!(json, "  \"parse\": [");
+    for (i, r) in parse_rows.iter().enumerate() {
+        let comma = if i + 1 < parse_rows.len() { "," } else { "" };
+        let _ = writeln!(
+            json,
+            "    {{ \"name\": \"{}\", \"bytes\": {}, \"baseline_s\": {:.6}, \
+             \"optimized_s\": {:.6}, \"speedup\": {:.3} }}{comma}",
+            r.name,
+            r.bytes,
+            r.baseline_s,
+            r.optimized_s,
+            r.baseline_s / r.optimized_s
+        );
+    }
+    let _ = writeln!(json, "  ],");
+    let _ = writeln!(
+        json,
+        "  \"parse_total\": {{ \"baseline_s\": {:.6}, \"optimized_s\": {:.6}, \"speedup\": {:.3} }},",
+        parse_base,
+        parse_opt,
+        parse_base / parse_opt
+    );
     let _ = writeln!(json, "  \"mapping_chunked\": [");
     for (i, r) in chunked_rows.iter().enumerate() {
         let comma = if i + 1 < chunked_rows.len() { "," } else { "" };
@@ -1010,12 +1108,13 @@ fn main() {
     }
     std::fs::write(&out_path, &json).expect("write report");
     eprintln!(
-        "perf: kernel {:.2}x, cached {:.2}x, mapping {:.2}x, verify {:.2}x, optimize {:.2}x, chunked {:.2}x, design {:.2}x on {cores} core(s); report -> {out_path}",
+        "perf: kernel {:.2}x, cached {:.2}x, mapping {:.2}x, verify {:.2}x, optimize {:.2}x, parse {:.2}x, chunked {:.2}x, design {:.2}x on {cores} core(s); report -> {out_path}",
         kernel_base / kernel_opt,
         kernel_cached_plain / kernel_cached,
         map_seq / map_par,
         verify_base / verify_opt,
         optimize_base / optimize_opt,
+        parse_base / parse_opt,
         chunk_seq / chunk_par,
         design_seq / design_par
     );

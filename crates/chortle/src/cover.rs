@@ -81,127 +81,140 @@ pub(crate) struct CoverBuilder<'a> {
     pub circuit: &'a mut LutCircuit,
 }
 
+/// What a finished [`Walk`] hands back.
+#[derive(Clone, Copy)]
+enum Return {
+    /// The tree's root LUT: the emission result.
+    Root,
+    /// A LUT of its own, read by the parent through a (possibly
+    /// inverted) wire.
+    Wire { inverted: bool },
+    /// A child root region absorbed into the parent's LUT (Figure 6c:
+    /// the inner root LUT is eliminated).
+    Absorb { inverted: bool },
+}
+
+/// One node's `F` decisions being walked: the children of `set` still to
+/// place, with `u` inputs left, and the operands produced so far.
+struct Walk {
+    node: usize,
+    set: u32,
+    u: usize,
+    parts: Vec<Expr>,
+    ret: Return,
+}
+
 impl CoverBuilder<'_> {
     /// Emits the full mapping of the tree; returns the root LUT's source.
+    ///
+    /// The recurrence's reconstruction nests once per tree level, so it
+    /// keeps its path on explicit stacks — one [`Walk`] per region under
+    /// construction and one slot list per open LUT — and a tree as deep as
+    /// the network costs heap, not call stack. LUTs are added in the
+    /// order a depth-first emission finishes them.
     ///
     /// # Errors
     ///
     /// Propagates [`LutError`] from circuit construction (which indicates
     /// an internal inconsistency between DP cost and reconstruction).
     pub fn emit_tree(&mut self) -> Result<LutSource, LutError> {
-        self.emit_node(self.tree.root_index(), self.dp.k)
-    }
-
-    /// Emits the mapping `minmap(node, w)` and returns its root LUT.
-    fn emit_node(&mut self, node: usize, w: usize) -> Result<LutSource, LutError> {
-        let mut slots: Vec<LutSource> = Vec::new();
-        let expr = self.region_expr(node, w, &mut slots)?;
-        self.finish_lut(slots, expr)
-    }
-
-    /// Builds the root-region expression of `minmap(node, w)`, pushing
-    /// input slots; child LUTs outside the region are emitted on the fly.
-    fn region_expr(
-        &mut self,
-        node: usize,
-        w: usize,
-        slots: &mut Vec<LutSource>,
-    ) -> Result<Expr, LutError> {
-        let dp = &self.dp.nodes[node];
-        let u = dp.node_best_u[w];
-        debug_assert!(u >= 2, "node regions use at least two inputs");
-        let full: u32 = (1u32 << dp.fanin) - 1;
-        let parts = self.walk(node, full, u as usize, slots)?;
-        Ok(Expr::Gate {
-            op: self.tree.nodes[node].op,
-            inverted: false,
-            parts,
-        })
-    }
-
-    /// Emits the intermediate node over `group` of `node`'s children as a
-    /// separate LUT.
-    fn emit_group(&mut self, node: usize, group: u32) -> Result<LutSource, LutError> {
-        let dp = &self.dp.nodes[node];
-        let u = dp.ndbest_u[group as usize];
-        debug_assert!(u >= 2);
-        let mut slots: Vec<LutSource> = Vec::new();
-        let parts = self.walk(node, group, u as usize, slots.as_mut())?;
-        let expr = Expr::Gate {
-            op: self.tree.nodes[node].op,
-            inverted: false,
-            parts,
-        };
-        self.finish_lut(slots, expr)
-    }
-
-    /// Walks the `F` decisions for `(set, u)` of `node`, producing the
-    /// operand expressions contributed by that child subset.
-    fn walk(
-        &mut self,
-        node: usize,
-        set: u32,
-        u: usize,
-        slots: &mut Vec<LutSource>,
-    ) -> Result<Vec<Expr>, LutError> {
         let k = self.dp.k;
-        let mut parts = Vec::new();
-        let mut set = set;
-        let mut u = u;
-        while set != 0 {
+        let mut slots: Vec<Vec<LutSource>> = vec![Vec::new()];
+        let mut walks = vec![self.region(self.tree.root_index(), k, Return::Root)];
+        loop {
+            let walk = walks.last_mut().expect("the root walk returns");
+            if walk.set == 0 {
+                debug_assert_eq!(walk.u, 0, "utilization must be fully consumed");
+                let walk = walks.pop().expect("just inspected");
+                let expr = Expr::Gate {
+                    op: self.tree.nodes[walk.node].op,
+                    inverted: false,
+                    parts: walk.parts,
+                };
+                let (src, inverted) = match walk.ret {
+                    Return::Absorb { inverted } => {
+                        let parent = walks.last_mut().expect("absorbed regions have a parent");
+                        parent.parts.push(expr.invert(inverted));
+                        continue;
+                    }
+                    Return::Root => {
+                        let lut = slots.pop().expect("one slot list per open LUT");
+                        return self.finish_lut(lut, expr);
+                    }
+                    Return::Wire { inverted } => {
+                        let lut = slots.pop().expect("one slot list per open LUT");
+                        (self.finish_lut(lut, expr)?, inverted)
+                    }
+                };
+                let parent = walks.last_mut().expect("wired LUTs have a parent");
+                let lut = slots.last_mut().expect("the parent's LUT is open");
+                parent.parts.push(Expr::Slot {
+                    index: lut.len(),
+                    inverted,
+                });
+                lut.push(src);
+                continue;
+            }
+            let (node, set, u) = (walk.node, walk.set, walk.u);
             let i = set.trailing_zeros() as usize;
-            let choice = self.dp.nodes[node].fchoice_at(set, u, k);
-            match choice {
+            match self.dp.nodes[node].fchoice_at(set, u, k) {
                 Choice::None => {
                     unreachable!("reconstruction reached an infeasible state (set={set:b}, u={u})")
                 }
                 Choice::Singleton { w } => {
                     let w = w as usize;
-                    let child = self.tree.nodes[node].children[i];
-                    let expr = match child {
+                    walk.set &= !(1u32 << i);
+                    walk.u -= w;
+                    match self.tree.nodes[node].children[i] {
                         TreeChild::Leaf(sig) => {
-                            let slot = slots.len();
-                            slots.push((self.leaf_source)(sig.node()));
-                            Expr::Slot {
-                                index: slot,
+                            let lut = slots.last_mut().expect("the walk's LUT is open");
+                            walk.parts.push(Expr::Slot {
+                                index: lut.len(),
                                 inverted: sig.is_inverted(),
-                            }
+                            });
+                            lut.push((self.leaf_source)(sig.node()));
+                        }
+                        TreeChild::Node { index, inverted } if w == 1 => {
+                            slots.push(Vec::new());
+                            walks.push(self.region(index, k, Return::Wire { inverted }));
                         }
                         TreeChild::Node { index, inverted } => {
-                            if w == 1 {
-                                let src = self.emit_node(index, k)?;
-                                let slot = slots.len();
-                                slots.push(src);
-                                Expr::Slot {
-                                    index: slot,
-                                    inverted,
-                                }
-                            } else {
-                                // Absorb the child's root region (Figure
-                                // 6c: the inner root LUT is eliminated).
-                                self.region_expr(index, w, slots)?.invert(inverted)
-                            }
+                            walks.push(self.region(index, w, Return::Absorb { inverted }));
                         }
-                    };
-                    parts.push(expr);
-                    set &= !(1u32 << i);
-                    u -= w;
+                    }
                 }
                 Choice::Group { group } => {
-                    let src = self.emit_group(node, group)?;
-                    let slot = slots.len();
-                    slots.push(src);
-                    parts.push(Expr::Slot {
-                        index: slot,
-                        inverted: false,
+                    // The intermediate node over `group` is a LUT of its
+                    // own, feeding one wire.
+                    walk.set &= !group;
+                    walk.u -= 1;
+                    let u = self.dp.nodes[node].ndbest_u[group as usize];
+                    debug_assert!(u >= 2);
+                    slots.push(Vec::new());
+                    walks.push(Walk {
+                        node,
+                        set: group,
+                        u: u as usize,
+                        parts: Vec::new(),
+                        ret: Return::Wire { inverted: false },
                     });
-                    set &= !group;
-                    u -= 1;
                 }
             }
         }
-        debug_assert_eq!(u, 0, "utilization must be fully consumed");
-        Ok(parts)
+    }
+
+    /// The walk building the root region of `minmap(node, w)`.
+    fn region(&self, node: usize, w: usize, ret: Return) -> Walk {
+        let dp = &self.dp.nodes[node];
+        let u = dp.node_best_u[w];
+        debug_assert!(u >= 2, "node regions use at least two inputs");
+        Walk {
+            node,
+            set: (1u32 << dp.fanin) - 1,
+            u: u as usize,
+            parts: Vec::new(),
+            ret,
+        }
     }
 
     /// Computes the truth table of `expr` over `slots` and adds the LUT.

@@ -176,6 +176,7 @@ pub fn record_parse_stats(telemetry: &Telemetry, parse: &ParseStats) {
     telemetry.add_counter(stats::BLIF_SUBCKTS, parse.subckts);
     telemetry.add_counter(stats::BLIF_LATCHES, parse.latches);
     telemetry.add_counter(stats::BLIF_EXDC_BLOCKS, parse.exdc_blocks);
+    telemetry.add_counter(stats::BLIF_SKIPPED_DIRECTIVES, parse.skipped_directives);
 }
 
 /// Maps a sequential design: cuts it into combinational clouds, maps

@@ -167,6 +167,9 @@ pub mod stats {
     pub const BLIF_LATCHES: &str = "blif.latches";
     /// Counter: `.exdc` blocks skipped by the reader.
     pub const BLIF_EXDC_BLOCKS: &str = "blif.exdc_blocks";
+    /// Counter: body-less metadata directives (`.attr`, `.param`,
+    /// `.cname`, `.clock`, ...) skipped by the reader.
+    pub const BLIF_SKIPPED_DIRECTIVES: &str = "blif.skipped_directives";
 }
 
 /// Flushes a scratch arena's accumulated kernel counters into a

@@ -401,17 +401,25 @@ impl Tree {
             tokens.sort_unstable();
             fps.push(node_fingerprint(self.nodes[i].op, &tokens));
         }
-        // Pass 2: renumber into the post-order walk of the sorted tree.
-        fn walk(nodes: &[TreeNode], i: usize, order: &mut Vec<usize>) {
-            for c in &nodes[i].children {
-                if let TreeChild::Node { index, .. } = c {
-                    walk(nodes, *index, order);
+        // Pass 2: renumber into the post-order walk of the sorted tree,
+        // with an explicit stack of (node, next child) so depth costs
+        // heap, not call stack.
+        let mut order = Vec::with_capacity(self.nodes.len());
+        let mut stack: Vec<(usize, usize)> = vec![(self.root_index(), 0)];
+        while let Some(&mut (i, ref mut next)) = stack.last_mut() {
+            match self.nodes[i].children.get(*next) {
+                Some(child) => {
+                    *next += 1;
+                    if let TreeChild::Node { index, .. } = *child {
+                        stack.push((index, 0));
+                    }
+                }
+                None => {
+                    order.push(i);
+                    stack.pop();
                 }
             }
-            order.push(i);
         }
-        let mut order = Vec::with_capacity(self.nodes.len());
-        walk(&self.nodes, self.root_index(), &mut order);
         debug_assert_eq!(order.len(), self.nodes.len(), "every node is reachable");
         let mut new_index = vec![0usize; self.nodes.len()];
         for (new, &old) in order.iter().enumerate() {
@@ -644,37 +652,59 @@ impl Forest {
 }
 
 /// Extracts the fanout-free tree rooted at `root` (a gate).
+///
+/// Nodes are emitted in post order, so children precede parents; the
+/// walk keeps its path on an explicit stack, so a tree as deep as the
+/// network costs heap, not call stack.
 fn extract_tree(network: &Network, root: NodeId, is_root: &[bool]) -> Tree {
-    let mut nodes: Vec<TreeNode> = Vec::new();
-    // Post-order emission so children precede parents.
-    fn visit(network: &Network, id: NodeId, is_root: &[bool], nodes: &mut Vec<TreeNode>) -> usize {
+    /// A gate on the current path: its id, the next fanin to visit and
+    /// the children built so far.
+    struct Frame {
+        id: NodeId,
+        next: usize,
+        children: Vec<TreeChild>,
+    }
+    let open = |id: NodeId| {
         let node = network.node(id);
         debug_assert!(node.op().is_gate());
         assert!(
             node.fanin_count() >= 2,
             "gate {id:?} has fewer than two fanins; simplify the network first"
         );
-        let mut children = Vec::with_capacity(node.fanin_count());
-        for s in node.fanins() {
-            let child = network.node(s.node());
-            let is_internal = child.op().is_gate() && !is_root[s.node().index()];
-            if is_internal {
-                let idx = visit(network, s.node(), is_root, nodes);
-                children.push(TreeChild::Node {
-                    index: idx,
-                    inverted: s.is_inverted(),
-                });
-            } else {
-                children.push(TreeChild::Leaf(*s));
-            }
+        Frame {
+            id,
+            next: 0,
+            children: Vec::with_capacity(node.fanin_count()),
         }
+    };
+    let mut nodes: Vec<TreeNode> = Vec::new();
+    let mut stack = vec![open(root)];
+    while let Some(frame) = stack.last_mut() {
+        let node = network.node(frame.id);
+        if let Some(&s) = node.fanins().get(frame.next) {
+            frame.next += 1;
+            let child = network.node(s.node());
+            if child.op().is_gate() && !is_root[s.node().index()] {
+                stack.push(open(s.node()));
+            } else {
+                frame.children.push(TreeChild::Leaf(s));
+            }
+            continue;
+        }
+        let children = std::mem::take(&mut frame.children);
+        stack.pop();
         nodes.push(TreeNode {
             op: node.op(),
             children,
         });
-        nodes.len() - 1
+        if let Some(parent) = stack.last_mut() {
+            let edge = network.node(parent.id).fanins()[parent.next - 1];
+            parent.children.push(TreeChild::Node {
+                index: nodes.len() - 1,
+                inverted: edge.is_inverted(),
+            });
+        }
     }
-    visit(network, root, is_root, &mut nodes);
     Tree { root, nodes }
 }
 

@@ -3,14 +3,15 @@
 //! The first `.model` in a file is the top; every `.subckt` is expanded
 //! in place by renaming the child's nets: bound formals take the parent's
 //! actual net, everything else gets a unique `model$N$` instance prefix.
+//! Renaming maps symbol ids to symbol ids; each prefixed name is interned
+//! into the reader's table once per instance, the first time it is used.
 //! Expansion is cycle-safe (a model may not instantiate itself, directly
 //! or transitively) and budgeted in both depth and total instance count so
 //! a hostile file cannot blow the stack or memory.
 
 use std::collections::{HashMap, HashSet};
 
-use super::stream::{RawDesign, RawLatch, RawModel};
-use super::NamesBlock;
+use super::stream::{Blocks, RawLatch, RawModel, Sym, Symbols};
 use crate::error::ParseBlifError;
 
 /// Maximum `.subckt` nesting depth before flattening gives up.
@@ -22,37 +23,35 @@ pub(crate) const MAX_INSTANCES: usize = 4096;
 #[derive(Debug, Clone)]
 pub(crate) struct FlatModel {
     pub name: String,
-    pub inputs: Vec<String>,
-    pub outputs: Vec<String>,
-    pub blocks: Vec<NamesBlock>,
+    pub inputs: Vec<Sym>,
+    pub outputs: Vec<Sym>,
+    pub logic: Blocks,
     pub latches: Vec<RawLatch>,
 }
 
 /// Per-instance net renaming: bound formals map to parent actuals, every
-/// other net gets the instance prefix. The top model uses no renaming.
+/// other net gets the instance prefix (interned on first use). The top
+/// model has no prefix and keeps every net.
 struct Rename {
-    bound: HashMap<String, String>,
-    prefix: String,
+    map: HashMap<Sym, Sym>,
+    prefix: Option<String>,
 }
 
 impl Rename {
-    fn resolve(&self, net: &str) -> String {
-        self.bound
-            .get(net)
-            .cloned()
-            .unwrap_or_else(|| format!("{}{}", self.prefix, net))
-    }
-}
-
-fn resolve(rename: Option<&Rename>, net: &str) -> String {
-    match rename {
-        None => net.to_owned(),
-        Some(r) => r.resolve(net),
+    fn resolve(&mut self, symbols: &mut Symbols, net: Sym) -> Sym {
+        let Some(prefix) = &self.prefix else {
+            return net;
+        };
+        *self.map.entry(net).or_insert_with(|| {
+            let name = format!("{prefix}{}", symbols.name(net));
+            symbols.intern(&name)
+        })
     }
 }
 
 struct Flattener<'a> {
-    design: &'a RawDesign,
+    models: &'a [RawModel],
+    symbols: &'a mut Symbols,
     /// Models currently on the instantiation stack (cycle detection).
     on_stack: Vec<bool>,
     instances: usize,
@@ -62,41 +61,39 @@ struct Flattener<'a> {
 }
 
 impl Flattener<'_> {
+    /// Emits model `index` under `rename`. Recursion is one level per
+    /// `.subckt` nesting level, bounded by [`MAX_DEPTH`].
     fn emit(
         &mut self,
         index: usize,
-        rename: Option<&Rename>,
+        rename: &mut Rename,
         depth: usize,
     ) -> Result<(), ParseBlifError> {
-        let model = &self.design.models[index];
-        for block in &model.blocks {
-            self.flat.blocks.push(NamesBlock {
-                inputs: block.inputs.iter().map(|n| resolve(rename, n)).collect(),
-                output: resolve(rename, &block.output),
-                cubes: block.cubes.clone(),
-                on_set: block.on_set,
-                line: block.line,
-            });
-        }
+        let model = &self.models[index];
+        let symbols = &mut *self.symbols;
+        self.flat
+            .logic
+            .extend_renamed(&model.logic, |net| rename.resolve(symbols, net));
         for latch in &model.latches {
             self.flat.latches.push(RawLatch {
                 line: latch.line,
-                input: resolve(rename, &latch.input),
-                output: resolve(rename, &latch.output),
+                input: rename.resolve(symbols, latch.input),
+                output: rename.resolve(symbols, latch.output),
                 kind: latch.kind,
-                control: latch.control.as_deref().map(|c| resolve(rename, c)),
+                control: latch.control.map(|c| rename.resolve(symbols, c)),
                 init: latch.init,
             });
         }
         for subckt in &model.subckts {
-            let child_index =
-                self.design
-                    .model_index(&subckt.model)
-                    .ok_or_else(|| ParseBlifError::Syntax {
-                        line: subckt.line,
-                        message: format!("unknown model {:?} in .subckt", subckt.model),
-                    })?;
-            let child = &self.design.models[child_index];
+            let child_index = self
+                .models
+                .iter()
+                .position(|m| m.name == subckt.model)
+                .ok_or_else(|| ParseBlifError::Syntax {
+                    line: subckt.line,
+                    message: format!("unknown model {:?} in .subckt", subckt.model),
+                })?;
+            let child = &self.models[child_index];
             if child.blackbox {
                 return Err(ParseBlifError::Syntax {
                     line: subckt.line,
@@ -122,39 +119,41 @@ impl Flattener<'_> {
                     message: format!("instantiation budget exceeded ({MAX_INSTANCES} instances)"),
                 });
             }
-            let ports: HashSet<&str> = child
-                .inputs
-                .iter()
-                .chain(child.outputs.iter())
-                .map(String::as_str)
-                .collect();
-            let mut bound: HashMap<String, String> = HashMap::new();
-            for (formal, actual) in &subckt.conns {
-                if !ports.contains(formal.as_str()) {
+            let ports: HashSet<Sym> = child.inputs.iter().chain(&child.outputs).copied().collect();
+            let mut bound: HashMap<Sym, Sym> = HashMap::new();
+            for &(formal, actual) in &subckt.conns {
+                if !ports.contains(&formal) {
                     return Err(ParseBlifError::Syntax {
                         line: subckt.line,
-                        message: format!("model {:?} has no port {formal:?}", child.name),
+                        message: format!(
+                            "model {:?} has no port {:?}",
+                            child.name,
+                            self.symbols.name(formal)
+                        ),
                     });
                 }
-                bound.insert(formal.clone(), resolve(rename, actual));
+                let actual = rename.resolve(self.symbols, actual);
+                bound.insert(formal, actual);
             }
-            for input in &child.inputs {
-                if !bound.contains_key(input) {
-                    return Err(ParseBlifError::Syntax {
-                        line: subckt.line,
-                        message: format!("input {input:?} of model {:?} is unbound", child.name),
-                    });
-                }
+            if let Some(&input) = child.inputs.iter().find(|i| !bound.contains_key(i)) {
+                return Err(ParseBlifError::Syntax {
+                    line: subckt.line,
+                    message: format!(
+                        "input {:?} of model {:?} is unbound",
+                        self.symbols.name(input),
+                        child.name
+                    ),
+                });
             }
             // Unbound child outputs fall through to the prefix and become
             // dangling internal nets, matching common tool behaviour.
             self.counter += 1;
-            let child_rename = Rename {
-                bound,
-                prefix: format!("{}${}$", child.name, self.counter),
+            let mut child_rename = Rename {
+                map: bound,
+                prefix: Some(format!("{}${}$", child.name, self.counter)),
             };
             self.on_stack[child_index] = true;
-            self.emit(child_index, Some(&child_rename), depth + 1)?;
+            self.emit(child_index, &mut child_rename, depth + 1)?;
             self.on_stack[child_index] = false;
         }
         Ok(())
@@ -173,30 +172,39 @@ pub(crate) fn check_top(root: &RawModel) -> Result<(), ParseBlifError> {
 }
 
 /// Flattens a raw multi-model design into one flat model rooted at the
-/// file's first `.model`.
+/// file's first `.model`, interning hierarchical net names into
+/// `symbols`.
 ///
 /// # Errors
 ///
 /// Returns [`ParseBlifError::UnexpectedEof`] for an empty design,
 /// [`ParseBlifError::Hierarchy`] on recursion or budget exhaustion, and
 /// [`ParseBlifError::Syntax`] for unknown models and port-binding errors.
-pub(crate) fn flatten(design: &RawDesign) -> Result<FlatModel, ParseBlifError> {
-    let root: &RawModel = design.models.first().ok_or(ParseBlifError::UnexpectedEof)?;
+pub(crate) fn flatten(
+    models: &[RawModel],
+    symbols: &mut Symbols,
+) -> Result<FlatModel, ParseBlifError> {
+    let root: &RawModel = models.first().ok_or(ParseBlifError::UnexpectedEof)?;
     check_top(root)?;
     let mut flattener = Flattener {
-        design,
-        on_stack: vec![false; design.models.len()],
+        models,
+        symbols,
+        on_stack: vec![false; models.len()],
         instances: 0,
         counter: 0,
         flat: FlatModel {
             name: root.name.clone(),
             inputs: root.inputs.clone(),
             outputs: root.outputs.clone(),
-            blocks: Vec::new(),
+            logic: Blocks::default(),
             latches: Vec::new(),
         },
     };
     flattener.on_stack[0] = true;
-    flattener.emit(0, None, 0)?;
+    let mut top = Rename {
+        map: HashMap::new(),
+        prefix: None,
+    };
+    flattener.emit(0, &mut top, 0)?;
     Ok(flattener.flat)
 }

@@ -18,111 +18,29 @@
 //! [`Network`]: each cube becomes an AND node over polarized literals and
 //! multiple cubes are joined by an OR node; an off-set table (output column
 //! `0`) yields an inverted signal.
+//!
+//! The reader interns every signal name once ([`stream::Symbols`]) and
+//! keeps each model's fanins and cube rows in two flat arenas
+//! ([`stream::Blocks`]). Elaboration ([`elaborate_blocks`]) resolves
+//! nets through tables indexed by symbol id, and [`reduce_gate`] reduces
+//! literal lists with reusable per-node marks instead of a hash set; the
+//! only strings it makes are the network's input and output names and
+//! error text.
 
 pub(crate) mod flatten;
 pub(crate) mod stream;
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
 use crate::error::ParseBlifError;
 use crate::lut::{LutCircuit, LutId, LutSource};
 use crate::network::{Network, NodeId, NodeOp, Signal};
+use stream::{Blocks, NamesBlock, Sym, Symbols};
 
 /// Widest line the writers emit before breaking with a `\` continuation.
 pub(crate) const MAX_LINE_WIDTH: usize = 80;
-
-/// A parsed `.names` block before structural conversion.
-#[derive(Debug, Clone)]
-pub(crate) struct NamesBlock {
-    pub(crate) inputs: Vec<String>,
-    pub(crate) output: String,
-    /// Cube rows: per input, one of `'0' | '1' | '-'`.
-    pub(crate) cubes: Vec<Vec<u8>>,
-    /// Output phase: `true` when rows describe the on-set.
-    pub(crate) on_set: bool,
-    pub(crate) line: usize,
-}
-
-/// Starts a `.names` block from the tokens following the directive.
-pub(crate) fn start_names_block<'a>(
-    tokens: impl Iterator<Item = &'a str>,
-    line_no: usize,
-) -> Result<NamesBlock, ParseBlifError> {
-    let mut names: Vec<String> = tokens.map(str::to_owned).collect();
-    let output = names.pop().ok_or_else(|| ParseBlifError::Syntax {
-        line: line_no,
-        message: ".names requires at least an output signal".into(),
-    })?;
-    Ok(NamesBlock {
-        inputs: names,
-        output,
-        cubes: Vec::new(),
-        on_set: true,
-        line: line_no,
-    })
-}
-
-/// Parses one cube row into the current `.names` block.
-pub(crate) fn parse_cube_row<'a>(
-    block: Option<&mut NamesBlock>,
-    first: &str,
-    mut tokens: impl Iterator<Item = &'a str>,
-    line_no: usize,
-) -> Result<(), ParseBlifError> {
-    let block = block.ok_or_else(|| ParseBlifError::Syntax {
-        line: line_no,
-        message: format!("cube row {first:?} outside a .names block"),
-    })?;
-    let (mask, value) = if block.inputs.is_empty() {
-        (String::new(), first)
-    } else {
-        let v = tokens.next().ok_or_else(|| ParseBlifError::Syntax {
-            line: line_no,
-            message: "cube row is missing the output column".into(),
-        })?;
-        (first.to_owned(), v)
-    };
-    if mask.len() != block.inputs.len() {
-        return Err(ParseBlifError::Syntax {
-            line: line_no,
-            message: format!(
-                "cube has {} columns but .names has {} inputs",
-                mask.len(),
-                block.inputs.len()
-            ),
-        });
-    }
-    for c in mask.bytes() {
-        if !matches!(c, b'0' | b'1' | b'-') {
-            return Err(ParseBlifError::Syntax {
-                line: line_no,
-                message: format!("invalid cube character {:?}", c as char),
-            });
-        }
-    }
-    let on = match value {
-        "1" => true,
-        "0" => false,
-        other => {
-            return Err(ParseBlifError::Syntax {
-                line: line_no,
-                message: format!("invalid output column {other:?}"),
-            })
-        }
-    };
-    if block.cubes.is_empty() {
-        block.on_set = on;
-    } else if block.on_set != on {
-        return Err(ParseBlifError::Syntax {
-            line: line_no,
-            message: "mixed on-set and off-set rows in one .names".into(),
-        });
-    }
-    block.cubes.push(mask.into_bytes());
-    Ok(())
-}
 
 /// Parses the first BLIF model of `text` into a [`Network`]; nothing
 /// after that model is read.
@@ -153,7 +71,8 @@ pub(crate) fn parse_cube_row<'a>(
 /// # Ok::<(), chortle_netlist::ParseBlifError>(())
 /// ```
 pub fn parse_blif(text: &str) -> Result<Network, ParseBlifError> {
-    let Some((model, end)) = stream::ModelReader::new(text.as_bytes()).next_model()? else {
+    let mut reader = stream::ModelReader::new(text.as_bytes());
+    let Some((model, end)) = reader.next_model()? else {
         return Ok(Network::new());
     };
     let latch = model.latches.first().map(|l| (l.line, ".latch"));
@@ -176,42 +95,60 @@ pub fn parse_blif(text: &str) -> Result<Network, ParseBlifError> {
     }
     flatten::check_top(&model)?;
 
-    let (mut net, signals) = elaborate_blocks(&model.inputs, model.blocks)?;
-    for name in &model.outputs {
-        let sig = signals
-            .get(name)
-            .copied()
-            .ok_or_else(|| ParseBlifError::UndefinedSignal(name.clone()))?;
-        net.add_output(name.clone(), sig);
+    let symbols = reader.symbols();
+    let (mut net, signals) = elaborate_blocks(symbols, &model.inputs, &model.logic)?;
+    for &name in &model.outputs {
+        net.add_output(symbols.name(name), signals.resolve(symbols, name)?);
     }
     Ok(net)
 }
 
+/// The signal each reader symbol elaborated to, indexed by [`Sym`].
+pub(crate) struct Signals(Vec<Option<Signal>>);
+
+impl Signals {
+    /// The signal of `name`.
+    ///
+    /// # Errors
+    ///
+    /// [`ParseBlifError::UndefinedSignal`] when nothing defines `name`.
+    pub(crate) fn resolve(&self, symbols: &Symbols, name: Sym) -> Result<Signal, ParseBlifError> {
+        self.0[name as usize]
+            .ok_or_else(|| ParseBlifError::UndefinedSignal(symbols.name(name).to_owned()))
+    }
+}
+
 /// Elaborates `.names` blocks over the given primary inputs into a
-/// [`Network`], returning the network and the name → signal map so callers
-/// can resolve outputs (and, for sequential designs, latch data nets).
+/// [`Network`], returning the network and every symbol's signal so
+/// callers can resolve outputs (and, for sequential designs, latch data
+/// nets). Every table is indexed by [`Sym`]; strings are only made for
+/// input names and error text.
 pub(crate) fn elaborate_blocks(
-    inputs: &[String],
-    blocks: Vec<NamesBlock>,
-) -> Result<(Network, HashMap<String, Signal>), ParseBlifError> {
+    symbols: &Symbols,
+    inputs: &[Sym],
+    logic: &Blocks,
+) -> Result<(Network, Signals), ParseBlifError> {
     let mut net = Network::new();
-    let mut signals: HashMap<String, Signal> = HashMap::new();
-    for name in inputs {
-        let id = net.add_input(name.clone());
-        signals.insert(name.clone(), Signal::new(id));
+    let mut signals: Vec<Option<Signal>> = vec![None; symbols.len()];
+    for &name in inputs {
+        let id = net.add_input(symbols.name(name));
+        signals[name as usize] = Some(Signal::new(id));
     }
 
-    // Index blocks by output name for dependency-driven elaboration. A
-    // block may not redefine an input: readers of that net would see
-    // one definition or the other depending on elaboration order.
-    let mut by_output: HashMap<String, usize> = HashMap::new();
-    for (i, b) in blocks.iter().enumerate() {
-        if signals.contains_key(&b.output) || by_output.insert(b.output.clone(), i).is_some() {
+    // Index blocks by output for dependency-driven elaboration. A block
+    // may not redefine an input: readers of that net would see one
+    // definition or the other depending on elaboration order.
+    const UNDEFINED: u32 = u32::MAX;
+    let mut by_output: Vec<u32> = vec![UNDEFINED; symbols.len()];
+    for (i, b) in logic.list.iter().enumerate() {
+        let out = b.output as usize;
+        if signals[out].is_some() || by_output[out] != UNDEFINED {
             return Err(ParseBlifError::Syntax {
                 line: b.line,
-                message: format!("signal {:?} defined twice", b.output),
+                message: format!("signal {:?} defined twice", symbols.name(b.output)),
             });
         }
+        by_output[out] = i as u32;
     }
 
     #[derive(Clone, Copy, PartialEq)]
@@ -220,18 +157,16 @@ pub(crate) fn elaborate_blocks(
         Grey,
         Black,
     }
+    let blocks = &logic.list;
     let mut marks = vec![Mark::White; blocks.len()];
-
+    let mut synth = Synthesizer::default();
     // Iterative DFS elaboration so deep netlists do not overflow the stack.
-    fn elaborate(
-        idx: usize,
-        blocks: &[NamesBlock],
-        by_output: &HashMap<String, usize>,
-        marks: &mut [Mark],
-        net: &mut Network,
-        signals: &mut HashMap<String, Signal>,
-    ) -> Result<(), ParseBlifError> {
-        let mut stack: Vec<(usize, usize)> = vec![(idx, 0)];
+    let mut stack: Vec<(usize, usize)> = Vec::new();
+    for root in 0..blocks.len() {
+        if marks[root] != Mark::White {
+            continue;
+        }
+        stack.push((root, 0));
         while let Some(&mut (i, ref mut child)) = stack.last_mut() {
             if marks[i] == Mark::Black {
                 stack.pop();
@@ -239,115 +174,161 @@ pub(crate) fn elaborate_blocks(
             }
             marks[i] = Mark::Grey;
             let block = &blocks[i];
-            if *child < block.inputs.len() {
-                let dep = &block.inputs[*child];
+            let deps = logic.inputs(block);
+            if *child < deps.len() {
+                let dep = deps[*child];
                 *child += 1;
-                if signals.contains_key(dep) {
+                if signals[dep as usize].is_some() {
                     continue;
                 }
-                match by_output.get(dep) {
-                    Some(&j) => {
+                match by_output[dep as usize] {
+                    UNDEFINED => {
+                        return Err(ParseBlifError::UndefinedSignal(
+                            symbols.name(dep).to_owned(),
+                        ))
+                    }
+                    j => {
+                        let j = j as usize;
                         if marks[j] == Mark::Grey {
                             return Err(ParseBlifError::Syntax {
                                 line: block.line,
-                                message: format!("combinational cycle through {dep:?}"),
+                                message: format!(
+                                    "combinational cycle through {:?}",
+                                    symbols.name(dep)
+                                ),
                             });
                         }
                         if marks[j] == Mark::White {
                             stack.push((j, 0));
                         }
                     }
-                    None => return Err(ParseBlifError::UndefinedSignal(dep.clone())),
                 }
             } else {
-                let sig = synthesize_block(block, net, signals)?;
-                signals.insert(block.output.clone(), sig);
+                let sig = synth.block(logic, block, &mut net, &signals);
+                signals[block.output as usize] = Some(sig);
                 marks[i] = Mark::Black;
                 stack.pop();
             }
         }
-        Ok(())
     }
 
-    for i in 0..blocks.len() {
-        if marks[i] == Mark::White {
-            elaborate(i, &blocks, &by_output, &mut marks, &mut net, &mut signals)?;
-        }
-    }
-
-    Ok((net, signals))
+    Ok((net, Signals(signals)))
 }
 
-/// Builds the AND/OR structure for one `.names` block; returns the signal
-/// of the block's output.
-fn synthesize_block(
-    block: &NamesBlock,
-    net: &mut Network,
-    signals: &HashMap<String, Signal>,
-) -> Result<Signal, ParseBlifError> {
-    let fanin_signals: Vec<Signal> = block
-        .inputs
-        .iter()
-        .map(|name| {
-            signals
-                .get(name)
-                .copied()
-                .ok_or_else(|| ParseBlifError::UndefinedSignal(name.clone()))
-        })
-        .collect::<Result<_, _>>()?;
+/// Scratch buffers [`Synthesizer::block`] reuses from block to block.
+#[derive(Default)]
+struct Synthesizer {
+    fanins: Vec<Signal>,
+    literals: Vec<Signal>,
+    cubes: Vec<Signal>,
+    marks: LiteralMarks,
+}
 
-    // Constant blocks: `.names z` with zero or one `1` rows.
-    if block.inputs.is_empty() {
-        let value = !block.cubes.is_empty() && block.on_set;
-        let id = net.add_const(value);
-        return Ok(Signal::new(id));
-    }
-    if block.cubes.is_empty() {
-        // No rows: constant 0.
-        let id = net.add_const(false);
-        return Ok(Signal::new(id));
-    }
+impl Synthesizer {
+    /// Builds the AND/OR structure for one `.names` block whose fanins
+    /// are all elaborated; returns the signal of the block's output.
+    fn block(
+        &mut self,
+        logic: &Blocks,
+        block: &NamesBlock,
+        net: &mut Network,
+        signals: &[Option<Signal>],
+    ) -> Signal {
+        let inputs = logic.inputs(block);
+        // Constant blocks: `.names z` with zero or one `1` rows.
+        if inputs.is_empty() {
+            let value = block.has_rows() && block.on_set;
+            return Signal::new(net.add_const(value));
+        }
+        if !block.has_rows() {
+            // No rows: constant 0.
+            return Signal::new(net.add_const(false));
+        }
+        self.fanins.clear();
+        self.fanins.extend(
+            inputs
+                .iter()
+                .map(|&name| signals[name as usize].expect("fanins elaborate first")),
+        );
 
-    let mut cube_signals: Vec<Signal> = Vec::new();
-    for cube in &block.cubes {
-        let mut literals: Vec<Signal> = Vec::new();
-        for (i, &c) in cube.iter().enumerate() {
-            match c {
-                b'1' => literals.push(fanin_signals[i]),
-                b'0' => literals.push(!fanin_signals[i]),
-                _ => {}
+        self.cubes.clear();
+        for cube in logic.rows(block) {
+            self.literals.clear();
+            for (&c, &fanin) in cube.iter().zip(&self.fanins) {
+                match c {
+                    b'1' => self.literals.push(fanin),
+                    b'0' => self.literals.push(!fanin),
+                    _ => {}
+                }
             }
+            let sig = if self.literals.is_empty() {
+                // A fully don't-care cube: the function is constant true.
+                Signal::new(net.add_const(true))
+            } else {
+                reduce_gate(net, NodeOp::And, &mut self.literals, &mut self.marks)
+            };
+            self.cubes.push(sig);
         }
-        let sig = if literals.is_empty() {
-            // A fully don't-care cube: the function is constant true.
-            Signal::new(net.add_const(true))
+        let result = reduce_gate(net, NodeOp::Or, &mut self.cubes, &mut self.marks);
+        if block.on_set {
+            result
         } else {
-            reduce_gate(net, NodeOp::And, &mut literals)
-        };
-        cube_signals.push(sig);
+            !result
+        }
     }
-    let mut result = reduce_gate(net, NodeOp::Or, &mut cube_signals);
-    if !block.on_set {
-        result = !result;
-    }
-    Ok(result)
 }
 
-/// Builds an AND/OR gate over a literal list, after removing duplicates and
-/// reducing degenerate cases: a contradictory pair `x, !x` makes an AND
-/// constant false and an OR constant true; a single remaining literal is
-/// returned as-is.
-pub(crate) fn reduce_gate(net: &mut Network, op: NodeOp, literals: &mut Vec<Signal>) -> Signal {
-    let mut seen = std::collections::HashSet::new();
-    literals.retain(|s| seen.insert(*s));
-    let contradictory = literals.iter().any(|s| seen.contains(&!*s));
+/// Per-node polarity marks that [`reduce_gate`] reuses across calls. An
+/// entry is `(call, polarities seen)` and counts only when its stamp is
+/// the current call's, so no call clears the table.
+#[derive(Debug, Default)]
+pub(crate) struct LiteralMarks {
+    seen: Vec<(u32, u8)>,
+    call: u32,
+}
+
+/// Builds an AND/OR gate over a literal list, after removing duplicates
+/// (keeping first occurrences in order) and reducing degenerate cases: a
+/// contradictory pair `x, !x` makes an AND constant false and an OR
+/// constant true; a single remaining literal is returned as-is. Linear
+/// in the number of literals.
+pub(crate) fn reduce_gate(
+    net: &mut Network,
+    op: NodeOp,
+    literals: &mut Vec<Signal>,
+    marks: &mut LiteralMarks,
+) -> Signal {
+    marks.call = marks.call.wrapping_add(1);
+    if marks.call == 0 {
+        // The stamps wrapped: forget every old mark.
+        marks.seen.fill((0, 0));
+        marks.call = 1;
+    }
+    if marks.seen.len() < net.len() {
+        marks.seen.resize(net.len(), (0, 0));
+    }
+    let call = marks.call;
+    let mut contradictory = false;
+    literals.retain(|s| {
+        let entry = &mut marks.seen[s.node().index()];
+        if entry.0 != call {
+            *entry = (call, 0);
+        }
+        let polarity = 1u8 << u8::from(s.is_inverted());
+        if entry.1 & polarity != 0 {
+            return false;
+        }
+        entry.1 |= polarity;
+        contradictory |= entry.1 == 0b11;
+        true
+    });
     if contradictory {
         return Signal::new(net.add_const(op == NodeOp::Or));
     }
     match literals.len() {
         0 => Signal::new(net.add_const(op == NodeOp::And)),
         1 => literals[0],
-        _ => Signal::new(net.add_gate(op, std::mem::take(literals))),
+        _ => Signal::new(net.add_gate(op, literals.clone())),
     }
 }
 

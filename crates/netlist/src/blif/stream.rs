@@ -29,11 +29,18 @@
 //! consumes every model, producing a *raw* design whose nets are still
 //! hierarchical names, ready for [`flatten`](super::flatten::flatten);
 //! [`crate::parse_blif`] checks the first model only.
+//!
+//! Every signal token is interned once into the reader's [`Symbols`]
+//! table, so raw models name nets by [`Sym`] id, never by `String`. A
+//! model's `.names` blocks live in one [`Blocks`]: fanin ids in one
+//! arena, cube rows in another with a stride of the block's fanin
+//! count.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
+use std::hash::BuildHasher;
 use std::io::BufRead;
 
-use super::{parse_cube_row, start_names_block, NamesBlock};
 use crate::design::{LatchInit, LatchKind, ParseStats};
 use crate::error::ParseBlifError;
 
@@ -117,14 +124,182 @@ impl<R: BufRead> LogicalLines<R> {
     }
 }
 
-/// One `.latch` directive, still in source-level net names.
+/// A signal name's id in a reader's [`Symbols`] table.
+pub(crate) type Sym = u32;
+
+/// The reader's signal names, each stored once and known by its [`Sym`].
+///
+/// Names sit end to end in one string arena. The index is an
+/// open-addressing table of ids, probed linearly from each name's hash
+/// and kept at most half full; the hash is computed once per token and
+/// stored, so growing the table rehashes no string. Hashes come from
+/// std's keyed `RandomState` (SipHash with per-process random keys): the
+/// daemon parses untrusted text, and an unkeyed hash would let a client
+/// pick names that all land in one probe run.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Symbols {
+    /// Every name, end to end.
+    text: String,
+    /// End offset of each name in `text`; a name starts where the
+    /// previous one ends.
+    ends: Vec<usize>,
+    /// Each name's hash.
+    hashes: Vec<u64>,
+    /// Open-addressing index: a [`Sym`], or [`EMPTY_SLOT`].
+    slots: Vec<Sym>,
+    keys: RandomState,
+}
+
+const EMPTY_SLOT: Sym = Sym::MAX;
+
+impl Symbols {
+    /// The id of `name`, adding it on first sight.
+    pub(crate) fn intern(&mut self, name: &str) -> Sym {
+        if 2 * (self.ends.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let hash = self.keys.hash_one(name);
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            let id = self.slots[slot];
+            if id == EMPTY_SLOT {
+                break;
+            }
+            if self.hashes[id as usize] == hash && self.name(id) == name {
+                return id;
+            }
+            slot = (slot + 1) & mask;
+        }
+        let id = Sym::try_from(self.ends.len())
+            .ok()
+            .filter(|&id| id != EMPTY_SLOT)
+            .expect("fewer than 2^32 - 1 signal names");
+        self.text.push_str(name);
+        self.ends.push(self.text.len());
+        self.hashes.push(hash);
+        self.slots[slot] = id;
+        id
+    }
+
+    /// Doubles the index (at least 64 slots) and reinserts every id from
+    /// its stored hash.
+    fn grow(&mut self) {
+        let size = (2 * self.slots.len()).max(64);
+        self.slots = vec![EMPTY_SLOT; size];
+        for (id, &hash) in self.hashes.iter().enumerate() {
+            let mut slot = hash as usize & (size - 1);
+            while self.slots[slot] != EMPTY_SLOT {
+                slot = (slot + 1) & (size - 1);
+            }
+            self.slots[slot] = id as Sym;
+        }
+    }
+
+    /// The name of `id`.
+    pub(crate) fn name(&self, id: Sym) -> &str {
+        let id = id as usize;
+        let start = if id == 0 { 0 } else { self.ends[id - 1] };
+        &self.text[start..self.ends[id]]
+    }
+
+    /// Number of names interned so far; every [`Sym`] is below it.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+}
+
+/// One `.names` block (or `.conn` wire): its fanins and cube rows live in
+/// the arenas of the [`Blocks`] that holds it.
+#[derive(Debug, Clone)]
+pub(crate) struct NamesBlock {
+    pub(crate) output: Sym,
+    /// Start of the fanins in [`Blocks::fanins`].
+    fanin_start: usize,
+    /// Fanin count, which is also the cube-row stride.
+    width: usize,
+    /// Start of the rows in [`Blocks::cubes`].
+    cube_start: usize,
+    /// Cube rows; a row has no bytes when the block has no fanins.
+    rows: usize,
+    /// Output phase: `true` when rows describe the on-set.
+    pub(crate) on_set: bool,
+    pub(crate) line: usize,
+}
+
+impl NamesBlock {
+    /// Whether the block has any cube rows.
+    pub(crate) fn has_rows(&self) -> bool {
+        self.rows > 0
+    }
+}
+
+/// A list of `.names` blocks over two flat arenas: every fanin in one
+/// `Vec<Sym>`, every cube row (one of `'0' | '1' | '-'` per fanin) in one
+/// `Vec<u8>`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Blocks {
+    pub(crate) list: Vec<NamesBlock>,
+    fanins: Vec<Sym>,
+    cubes: Vec<u8>,
+}
+
+impl Blocks {
+    /// Opens a block driving `output` from `fanins`, with no rows yet.
+    pub(crate) fn open(&mut self, fanins: &[Sym], output: Sym, line: usize) {
+        self.list.push(NamesBlock {
+            output,
+            fanin_start: self.fanins.len(),
+            width: fanins.len(),
+            cube_start: self.cubes.len(),
+            rows: 0,
+            on_set: true,
+            line,
+        });
+        self.fanins.extend_from_slice(fanins);
+    }
+
+    /// The fanins of `block`.
+    pub(crate) fn inputs(&self, block: &NamesBlock) -> &[Sym] {
+        &self.fanins[block.fanin_start..block.fanin_start + block.width]
+    }
+
+    /// The cube rows of `block`, `block`'s fanin count bytes each. Only
+    /// meaningful for a block with fanins; see [`NamesBlock::has_rows`].
+    pub(crate) fn rows(&self, block: &NamesBlock) -> std::slice::ChunksExact<'_, u8> {
+        self.cube_bytes(block).chunks_exact(block.width.max(1))
+    }
+
+    fn cube_bytes(&self, block: &NamesBlock) -> &[u8] {
+        &self.cubes[block.cube_start..block.cube_start + block.rows * block.width]
+    }
+
+    /// Appends `src`'s blocks with every net passed through `rename`.
+    pub(crate) fn extend_renamed(&mut self, src: &Blocks, mut rename: impl FnMut(Sym) -> Sym) {
+        for block in &src.list {
+            let fanin_start = self.fanins.len();
+            self.fanins
+                .extend(src.inputs(block).iter().map(|&net| rename(net)));
+            let cube_start = self.cubes.len();
+            self.cubes.extend_from_slice(src.cube_bytes(block));
+            self.list.push(NamesBlock {
+                output: rename(block.output),
+                fanin_start,
+                cube_start,
+                ..*block
+            });
+        }
+    }
+}
+
+/// One `.latch` directive, in reader symbols.
 #[derive(Debug, Clone)]
 pub(crate) struct RawLatch {
     pub line: usize,
-    pub input: String,
-    pub output: String,
+    pub input: Sym,
+    pub output: Sym,
     pub kind: LatchKind,
-    pub control: Option<String>,
+    pub control: Option<Sym>,
     pub init: LatchInit,
 }
 
@@ -134,7 +309,7 @@ pub(crate) struct RawSubckt {
     pub line: usize,
     pub model: String,
     /// `formal=actual` connections in source order.
-    pub conns: Vec<(String, String)>,
+    pub conns: Vec<(Sym, Sym)>,
 }
 
 /// One `.model` block as parsed, before flattening.
@@ -142,9 +317,9 @@ pub(crate) struct RawSubckt {
 pub(crate) struct RawModel {
     pub name: String,
     pub line: usize,
-    pub inputs: Vec<String>,
-    pub outputs: Vec<String>,
-    pub blocks: Vec<NamesBlock>,
+    pub inputs: Vec<Sym>,
+    pub outputs: Vec<Sym>,
+    pub logic: Blocks,
     pub latches: Vec<RawLatch>,
     pub subckts: Vec<RawSubckt>,
     pub blackbox: bool,
@@ -157,7 +332,7 @@ impl RawModel {
             line,
             inputs: Vec::new(),
             outputs: Vec::new(),
-            blocks: Vec::new(),
+            logic: Blocks::default(),
             latches: Vec::new(),
             subckts: Vec::new(),
             blackbox: false,
@@ -168,24 +343,19 @@ impl RawModel {
     fn is_empty(&self) -> bool {
         self.inputs.is_empty()
             && self.outputs.is_empty()
-            && self.blocks.is_empty()
+            && self.logic.list.is_empty()
             && self.latches.is_empty()
             && self.subckts.is_empty()
             && !self.blackbox
     }
 }
 
-/// A parsed multi-model BLIF file before hierarchy flattening.
+/// A parsed multi-model BLIF file before hierarchy flattening, with the
+/// symbol table every model's nets index.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct RawDesign {
     pub models: Vec<RawModel>,
-}
-
-impl RawDesign {
-    /// Index of the model named `name`, if any.
-    pub(crate) fn model_index(&self, name: &str) -> Option<usize> {
-        self.models.iter().position(|m| m.name == name)
-    }
+    pub symbols: Symbols,
 }
 
 fn syntax(line: usize, message: impl Into<String>) -> ParseBlifError {
@@ -195,7 +365,11 @@ fn syntax(line: usize, message: impl Into<String>) -> ParseBlifError {
     }
 }
 
-fn parse_latch(line_no: usize, tokens: &[&str]) -> Result<RawLatch, ParseBlifError> {
+fn parse_latch(
+    line_no: usize,
+    tokens: &[&str],
+    symbols: &mut Symbols,
+) -> Result<RawLatch, ParseBlifError> {
     if tokens.len() < 2 {
         return Err(syntax(
             line_no,
@@ -211,14 +385,10 @@ fn parse_latch(line_no: usize, tokens: &[&str]) -> Result<RawLatch, ParseBlifErr
     let (kind, control, init_tok) = match tokens.len() {
         2 => (LatchKind::Unspecified, None, None),
         3 => (LatchKind::Unspecified, None, Some(tokens[2])),
-        4 => (
-            parse_latch_kind(line_no, tokens[2])?,
-            control_net(tokens[3]),
-            None,
-        ),
+        4 => (parse_latch_kind(line_no, tokens[2])?, Some(tokens[3]), None),
         _ => (
             parse_latch_kind(line_no, tokens[2])?,
-            control_net(tokens[3]),
+            Some(tokens[3]),
             Some(tokens[4]),
         ),
     };
@@ -236,10 +406,11 @@ fn parse_latch(line_no: usize, tokens: &[&str]) -> Result<RawLatch, ParseBlifErr
     };
     Ok(RawLatch {
         line: line_no,
-        input: tokens[0].to_owned(),
-        output: tokens[1].to_owned(),
+        input: symbols.intern(tokens[0]),
+        output: symbols.intern(tokens[1]),
         kind,
-        control,
+        // `NIL` names no clock: the latch is free-running.
+        control: control.filter(|&c| c != "NIL").map(|c| symbols.intern(c)),
         init,
     })
 }
@@ -255,23 +426,16 @@ fn parse_latch_kind(line_no: usize, token: &str) -> Result<LatchKind, ParseBlifE
     }
 }
 
-fn control_net(token: &str) -> Option<String> {
-    if token == "NIL" {
-        None
-    } else {
-        Some(token.to_owned())
-    }
-}
-
 fn parse_subckt<'a>(
     line_no: usize,
     mut tokens: impl Iterator<Item = &'a str>,
+    symbols: &mut Symbols,
 ) -> Result<RawSubckt, ParseBlifError> {
     let model = tokens
         .next()
         .ok_or_else(|| syntax(line_no, ".subckt requires a model name"))?;
-    let mut conns: Vec<(String, String)> = Vec::new();
-    let mut formals: HashSet<String> = HashSet::new();
+    let mut conns: Vec<(Sym, Sym)> = Vec::new();
+    let mut formals: HashSet<Sym> = HashSet::new();
     for tok in tokens {
         let (formal, actual) = tok.split_once('=').ok_or_else(|| {
             syntax(
@@ -285,19 +449,80 @@ fn parse_subckt<'a>(
                 format!("invalid .subckt connection {tok:?} (expected formal=actual)"),
             ));
         }
-        if !formals.insert(formal.to_owned()) {
+        let formal_id = symbols.intern(formal);
+        if !formals.insert(formal_id) {
             return Err(syntax(
                 line_no,
                 format!("formal {formal:?} connected twice"),
             ));
         }
-        conns.push((formal.to_owned(), actual.to_owned()));
+        conns.push((formal_id, symbols.intern(actual)));
     }
     Ok(RawSubckt {
         line: line_no,
         model: model.to_owned(),
         conns,
     })
+}
+
+/// Appends one cube row to the open `.names` block, the last of `blocks`
+/// (`open` is false when no block is open).
+fn parse_cube_row<'a>(
+    blocks: &mut Blocks,
+    open: bool,
+    first: &str,
+    mut tokens: impl Iterator<Item = &'a str>,
+    line_no: usize,
+) -> Result<(), ParseBlifError> {
+    let block = match blocks.list.last_mut() {
+        Some(block) if open => block,
+        _ => {
+            return Err(syntax(
+                line_no,
+                format!("cube row {first:?} outside a .names block"),
+            ))
+        }
+    };
+    let (mask, value) = if block.width == 0 {
+        ("", first)
+    } else {
+        let v = tokens
+            .next()
+            .ok_or_else(|| syntax(line_no, "cube row is missing the output column"))?;
+        (first, v)
+    };
+    if mask.len() != block.width {
+        return Err(syntax(
+            line_no,
+            format!(
+                "cube has {} columns but .names has {} inputs",
+                mask.len(),
+                block.width
+            ),
+        ));
+    }
+    if let Some(c) = mask.bytes().find(|c| !matches!(c, b'0' | b'1' | b'-')) {
+        return Err(syntax(
+            line_no,
+            format!("invalid cube character {:?}", c as char),
+        ));
+    }
+    let on = match value {
+        "1" => true,
+        "0" => false,
+        other => return Err(syntax(line_no, format!("invalid output column {other:?}"))),
+    };
+    if block.rows == 0 {
+        block.on_set = on;
+    } else if block.on_set != on {
+        return Err(syntax(
+            line_no,
+            "mixed on-set and off-set rows in one .names",
+        ));
+    }
+    block.rows += 1;
+    blocks.cubes.extend_from_slice(mask.as_bytes());
+    Ok(())
 }
 
 /// How a raw model ended.
@@ -312,13 +537,16 @@ pub(crate) enum ModelEnd {
 }
 
 /// Reads a BLIF file one raw model at a time, streaming one logical line
-/// at a time.
+/// at a time and interning every signal name into one [`Symbols`] table.
 pub(crate) struct ModelReader<R> {
     lex: LogicalLines<R>,
     /// The `.model` name and line that ended the previous model.
     pending: Option<(String, usize)>,
     /// Model names opened so far; a repeat is an error.
     names: HashSet<String>,
+    symbols: Symbols,
+    /// Scratch for one `.names` line's fanin ids.
+    fanins: Vec<Sym>,
     stats: ParseStats,
 }
 
@@ -328,6 +556,8 @@ impl<R: BufRead> ModelReader<R> {
             lex: LogicalLines::new(reader),
             pending: None,
             names: HashSet::new(),
+            symbols: Symbols::default(),
+            fanins: Vec::new(),
             stats: ParseStats::default(),
         }
     }
@@ -339,6 +569,11 @@ impl<R: BufRead> ModelReader<R> {
             max_line_bytes: self.lex.max_line_bytes,
             ..self.stats
         }
+    }
+
+    /// The names of every signal read so far.
+    pub(crate) fn symbols(&self) -> &Symbols {
+        &self.symbols
     }
 
     /// Reads the next model and how it ended, or `None` at end of input.
@@ -378,8 +613,10 @@ impl<R: BufRead> ModelReader<R> {
             Some((name, line)) => Some(open_model(&mut self.names, &mut self.stats, name, line)?),
             None => None,
         };
-        let mut block: Option<NamesBlock> = None;
+        // Whether cube rows still belong to the model's last block.
+        let mut open = false;
         let mut in_exdc = false;
+        let symbols = &mut self.symbols;
         let end = loop {
             let Some((line_no, line)) = self.lex.next_line()? else {
                 break ModelEnd::Eof;
@@ -409,41 +646,43 @@ impl<R: BufRead> ModelReader<R> {
                 return Err(syntax(line_no, format!("{first:?} outside a .model block")));
             };
             match first {
-                ".inputs" => m.inputs.extend(tokens.map(str::to_owned)),
-                ".outputs" => m.outputs.extend(tokens.map(str::to_owned)),
+                ".inputs" => m.inputs.extend(tokens.map(|t| symbols.intern(t))),
+                ".outputs" => m.outputs.extend(tokens.map(|t| symbols.intern(t))),
                 ".names" => {
-                    m.blocks.extend(block.take());
-                    block = Some(start_names_block(tokens, line_no)?);
+                    self.fanins.clear();
+                    self.fanins.extend(tokens.map(|t| symbols.intern(t)));
+                    let output = self.fanins.pop().ok_or_else(|| {
+                        syntax(line_no, ".names requires at least an output signal")
+                    })?;
+                    m.logic.open(&self.fanins, output, line_no);
+                    open = true;
                 }
                 ".latch" => {
-                    m.blocks.extend(block.take());
+                    open = false;
                     let toks: Vec<&str> = tokens.collect();
-                    m.latches.push(parse_latch(line_no, &toks)?);
+                    m.latches.push(parse_latch(line_no, &toks, symbols)?);
                     self.stats.latches += 1;
                 }
                 ".subckt" => {
-                    m.blocks.extend(block.take());
-                    m.subckts.push(parse_subckt(line_no, tokens)?);
+                    open = false;
+                    m.subckts.push(parse_subckt(line_no, tokens, symbols)?);
                     self.stats.subckts += 1;
                 }
                 ".conn" => {
-                    // yosys extension: a direct wire `.conn from to`.
-                    m.blocks.extend(block.take());
+                    // yosys extension: a direct wire `.conn from to`, read
+                    // as the buffer `.names from to` with the row `1 1`.
+                    open = false;
                     let toks: Vec<&str> = tokens.collect();
                     if toks.len() != 2 {
                         return Err(syntax(line_no, ".conn requires exactly two signals"));
                     }
-                    m.blocks.push(NamesBlock {
-                        inputs: vec![toks[0].to_owned()],
-                        output: toks[1].to_owned(),
-                        cubes: vec![vec![b'1']],
-                        on_set: true,
-                        line: line_no,
-                    });
+                    let (from, to) = (symbols.intern(toks[0]), symbols.intern(toks[1]));
+                    m.logic.open(&[from], to, line_no);
+                    parse_cube_row(&mut m.logic, true, "1", std::iter::once("1"), line_no)?;
                 }
                 ".blackbox" => m.blackbox = true,
                 ".exdc" => {
-                    m.blocks.extend(block.take());
+                    open = false;
                     in_exdc = true;
                     self.stats.exdc_blocks += 1;
                 }
@@ -462,14 +701,11 @@ impl<R: BufRead> ModelReader<R> {
                 }
                 // Body-less metadata (`.attr`, `.param`, `.cname`, `.clock`,
                 // `.default_input_arrival`, ...) is skipped.
-                _ if first.starts_with('.') => {}
-                _ => parse_cube_row(block.as_mut(), first, tokens, line_no)?,
+                _ if first.starts_with('.') => self.stats.skipped_directives += 1,
+                _ => parse_cube_row(&mut m.logic, open, first, tokens, line_no)?,
             }
         };
-        Ok(model.map(|mut m| {
-            m.blocks.extend(block);
-            (m, end, implicit)
-        }))
+        Ok(model.map(|m| (m, end, implicit)))
     }
 }
 
@@ -504,9 +740,14 @@ pub(crate) fn read_raw_design<R: BufRead>(
     reader: R,
 ) -> Result<(RawDesign, ParseStats), ParseBlifError> {
     let mut reader = ModelReader::new(reader);
-    let mut design = RawDesign::default();
+    let mut models = Vec::new();
     while let Some((model, _)) = reader.next_model()? {
-        design.models.push(model);
+        models.push(model);
     }
-    Ok((design, reader.stats()))
+    let stats = reader.stats();
+    let design = RawDesign {
+        models,
+        symbols: reader.symbols,
+    };
+    Ok((design, stats))
 }

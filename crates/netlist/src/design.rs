@@ -24,6 +24,7 @@ use std::io::BufRead;
 
 use crate::blif::{
     elaborate_blocks, net_name, net_names, push_wrapped, reduce_gate, stream, write_lut_blocks,
+    LiteralMarks,
 };
 use crate::error::ParseBlifError;
 use crate::lut::{LutCircuit, LutSource};
@@ -44,6 +45,9 @@ pub struct ParseStats {
     pub latches: u64,
     /// `.exdc` sections skipped.
     pub exdc_blocks: u64,
+    /// Body-less metadata directives skipped (`.attr`, `.param`,
+    /// `.cname`, `.clock`, `.default_input_arrival`, ...).
+    pub skipped_directives: u64,
     /// Longest logical line buffered, in bytes — the reader's memory
     /// high-water mark, independent of total input size.
     pub max_line_bytes: usize,
@@ -242,9 +246,9 @@ pub struct DesignClouds {
 /// # Ok::<(), chortle_netlist::ParseBlifError>(())
 /// ```
 pub fn read_design<R: BufRead>(reader: R) -> Result<(Design, ParseStats), ParseBlifError> {
-    let (raw, stats) = stream::read_raw_design(reader)?;
-    let flat = crate::blif::flatten::flatten(&raw)?;
-    let design = build_design(flat)?;
+    let (mut raw, stats) = stream::read_raw_design(reader)?;
+    let flat = crate::blif::flatten::flatten(&raw.models, &mut raw.symbols)?;
+    let design = build_design(flat, &raw.symbols)?;
     Ok((design, stats))
 }
 
@@ -257,35 +261,37 @@ pub fn parse_design(text: &str) -> Result<(Design, ParseStats), ParseBlifError> 
     read_design(text.as_bytes())
 }
 
-fn build_design(flat: crate::blif::flatten::FlatModel) -> Result<Design, ParseBlifError> {
+fn build_design(
+    flat: crate::blif::flatten::FlatModel,
+    symbols: &stream::Symbols,
+) -> Result<Design, ParseBlifError> {
     // Latch Q nets join the primary inputs of the combinational network —
     // this breaks every sequential feedback path, so the combinational
     // cycle detector only fires on genuine combinational loops.
-    let mut defined: HashMap<&str, ()> = HashMap::new();
-    for input in &flat.inputs {
-        defined.insert(input, ());
+    let mut defined = vec![false; symbols.len()];
+    for &input in &flat.inputs {
+        defined[input as usize] = true;
     }
-    for block in &flat.blocks {
-        defined.insert(&block.output, ());
+    for block in &flat.logic.list {
+        defined[block.output as usize] = true;
     }
-    let mut all_inputs: Vec<String> = flat.inputs.clone();
+    let mut all_inputs = flat.inputs.clone();
     for latch in &flat.latches {
-        if defined.insert(&latch.output, ()).is_some() {
+        if std::mem::replace(&mut defined[latch.output as usize], true) {
             return Err(ParseBlifError::Syntax {
                 line: latch.line,
-                message: format!("latch output {:?} defined twice", latch.output),
+                message: format!(
+                    "latch output {:?} defined twice",
+                    symbols.name(latch.output)
+                ),
             });
         }
-        all_inputs.push(latch.output.clone());
+        all_inputs.push(latch.output);
     }
 
-    let (mut logic, signals) = elaborate_blocks(&all_inputs, flat.blocks)?;
-    for output in &flat.outputs {
-        let sig = signals
-            .get(output)
-            .copied()
-            .ok_or_else(|| ParseBlifError::UndefinedSignal(output.clone()))?;
-        logic.add_output(output.clone(), sig);
+    let (mut logic, signals) = elaborate_blocks(symbols, &all_inputs, &flat.logic)?;
+    for &output in &flat.outputs {
+        logic.add_output(symbols.name(output), signals.resolve(symbols, output)?);
     }
 
     let primary_inputs = flat.inputs.len();
@@ -294,17 +300,13 @@ fn build_design(flat: crate::blif::flatten::FlatModel) -> Result<Design, ParseBl
         .into_iter()
         .enumerate()
         .map(|(i, raw)| {
-            let data = signals
-                .get(&raw.input)
-                .copied()
-                .ok_or_else(|| ParseBlifError::UndefinedSignal(raw.input.clone()))?;
             Ok(Latch {
-                data,
-                data_name: raw.input,
+                data: signals.resolve(symbols, raw.input)?,
+                data_name: symbols.name(raw.input).to_owned(),
                 q: logic.inputs()[primary_inputs + i],
-                output: raw.output,
+                output: symbols.name(raw.output).to_owned(),
                 kind: raw.kind,
-                control: raw.control,
+                control: raw.control.map(|c| symbols.name(c).to_owned()),
                 init: raw.init,
             })
         })
@@ -424,6 +426,8 @@ fn cut_clouds(design: &Design) -> DesignClouds {
 fn extract_cloud(logic: &Network, members: &[NodeId], sinks: &[(String, Signal)]) -> Cloud {
     let mut net = Network::new();
     let mut map: HashMap<NodeId, Signal> = HashMap::new();
+    let mut marks = LiteralMarks::default();
+    let mut fanins: Vec<Signal> = Vec::new();
     let mut consts: [Option<Signal>; 2] = [None, None];
 
     // Boundary inputs in the design's input order for determinism.
@@ -447,24 +451,24 @@ fn extract_cloud(logic: &Network, members: &[NodeId], sinks: &[(String, Signal)]
     // network its standalone BLIF text parses back to.
     for &id in members {
         let node = logic.node(id);
-        let mut fanins: Vec<Signal> = node
-            .fanins()
-            .iter()
-            .map(|s| {
-                let translated = match logic.node(s.node()).op() {
-                    NodeOp::Const(v) => {
-                        *consts[v as usize].get_or_insert_with(|| Signal::new(net.add_const(v)))
-                    }
-                    _ => map[&s.node()],
-                };
-                if s.is_inverted() {
-                    !translated
-                } else {
-                    translated
+        fanins.clear();
+        fanins.extend(node.fanins().iter().map(|s| {
+            let translated = match logic.node(s.node()).op() {
+                NodeOp::Const(v) => {
+                    *consts[v as usize].get_or_insert_with(|| Signal::new(net.add_const(v)))
                 }
-            })
-            .collect();
-        map.insert(id, reduce_gate(&mut net, node.op(), &mut fanins));
+                _ => map[&s.node()],
+            };
+            if s.is_inverted() {
+                !translated
+            } else {
+                translated
+            }
+        }));
+        map.insert(
+            id,
+            reduce_gate(&mut net, node.op(), &mut fanins, &mut marks),
+        );
     }
 
     for (name, signal) in sinks {

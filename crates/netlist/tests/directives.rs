@@ -4,7 +4,7 @@
 //! `parse_design`, and records the one outcome both must agree on: the
 //! directive is parsed, skipped, or rejected with a given error text and
 //! line. Parsed and skipped rows name the plain BLIF their logic must
-//! equal.
+//! equal; skipped rows also pin the skipped-metadata count.
 
 use chortle_netlist::{check_networks, parse_blif, parse_design, Network, ParseBlifError};
 
@@ -12,8 +12,9 @@ enum Outcome {
     /// The directive is read; the logic equals this plain BLIF.
     Parsed(&'static str),
     /// The directive (and any body it carries) is skipped; the logic
-    /// equals this plain BLIF.
-    Skipped(&'static str),
+    /// equals this plain BLIF, and the design reader counts this many
+    /// body-less metadata directives in `skipped_directives`.
+    Skipped(&'static str, u64),
     /// Both readers fail with a syntax error containing this text, at
     /// this line.
     Rejected(&'static str, usize),
@@ -38,13 +39,13 @@ const MATRIX: &[(&str, &str, Outcome)] = &[
     (
         ".exdc rows right after a cover",
         ".model e\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.exdc\n00 1\n.end\n",
-        Skipped(AND),
+        Skipped(AND, 0),
     ),
     (
         ".exdc redefining an output",
         ".model e\n.inputs a b\n.outputs y\n.names a b y\n11 1\n\
          .exdc\n.inputs a b\n.outputs y\n.names a b y\n00 1\n.end\n",
-        Skipped(AND),
+        Skipped(AND, 0),
     ),
     (
         ".conn",
@@ -55,13 +56,13 @@ const MATRIX: &[(&str, &str, Outcome)] = &[
         ".cname, .attr and .param",
         ".model m\n.inputs a b\n.outputs y\n.names a b y\n.cname g1\n11 1\n\
          .attr src \"top.v:3\"\n.param WIDTH 1\n.end\n",
-        Skipped(AND),
+        Skipped(AND, 3),
     ),
     (
         ".clock and unknown metadata",
         ".model m\n.inputs a b\n.outputs y\n.clock clk\n.default_input_arrival 0 0\n\
          .names a b y\n11 1\n.end\n",
-        Skipped(AND),
+        Skipped(AND, 2),
     ),
     (
         ".blackbox top model",
@@ -87,13 +88,13 @@ const MATRIX: &[(&str, &str, Outcome)] = &[
         "metadata before the first .model",
         ".search lib.blif\n.default_input_arrival 0 0\n.attr src x\n\
          .model m\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end\n",
-        Skipped(AND),
+        Skipped(AND, 3),
     ),
     (
         "stray .end and .exdc before the first .model",
         ".end\n.exdc\n.names a y\n0 1\n.end\n\
          .model m\n.inputs a b\n.outputs y\n.names a b y\n11 1\n.end\n",
-        Skipped(AND),
+        Skipped(AND, 0),
     ),
     (
         "logic before the first .model",
@@ -125,9 +126,19 @@ fn assert_rejected(result: Result<Network, ParseBlifError>, needle: &str, line: 
 fn directive_matrix_has_one_outcome_in_both_readers() {
     for (name, src, outcome) in MATRIX {
         let blif = parse_blif(src);
-        let design = parse_design(src).map(|(design, _)| design.logic().clone());
+        let design = parse_design(src);
+        let skipped = design
+            .as_ref()
+            .map_or(0, |(_, stats)| stats.skipped_directives);
+        let design = design.map(|(design, _)| design.logic().clone());
         match outcome {
-            Parsed(want) | Skipped(want) => {
+            Parsed(want) | Skipped(want, _) => {
+                let count = if let Skipped(_, count) = outcome {
+                    *count
+                } else {
+                    0
+                };
+                assert_eq!(skipped, count, "{name}: skipped_directives");
                 let want = parse_blif(want).expect("reference parses");
                 for (who, got) in [("parse_blif", blif), ("parse_design", design)] {
                     let got = got.unwrap_or_else(|e| panic!("{name}: {who} failed: {e}"));

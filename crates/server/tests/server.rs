@@ -1086,3 +1086,44 @@ fn metrics_endpoint_serves_valid_prometheus_exposition() {
 
     shut_down(&addr, run);
 }
+
+#[test]
+fn deeply_nested_frames_are_bad_requests_and_the_connection_survives() {
+    // A v2 map frame whose `blif` value opens 50 000 arrays.
+    let hostile = format!(
+        "{{\"proto\":\"chortle-serve/v2\",\"op\":\"map\",\"id\":\"deep\",\"blif\":{}}}",
+        "[".repeat(50_000)
+    );
+    // The frame parser fails typed, even on a small stack.
+    let frame = hostile.clone();
+    let parsed = thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(move || proto::parse_request(&frame).map(drop).map_err(|e| e.detail))
+        .expect("spawn")
+        .join()
+        .expect("no stack overflow");
+    let detail = parsed.unwrap_err();
+    assert!(detail.contains("nesting deeper than 64"), "{detail}");
+
+    // The daemon answers bad_request, then serves the next frame on the
+    // same connection.
+    let blif = write_blif(&benchmark("count").unwrap(), "count");
+    let (addr, run) = start(ServeOptions::default());
+    let stream = TcpStream::connect(&addr).expect("connect");
+    let frames = vec![
+        hostile,
+        proto::render_map_request(ProtocolVersion::V2, "next", &request(&blif)),
+    ];
+    let responses = burst(&stream, &frames, 2);
+    match &responses[""] {
+        Response::Rejected { rejection, .. } => assert_eq!(rejection.reason, "bad_request"),
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+    match &responses["next"] {
+        Response::MapOk { netlist, .. } => {
+            assert_eq!(netlist, &offline(&blif, 4, Objective::Area, true));
+        }
+        other => panic!("expected MapOk, got {other:?}"),
+    }
+    shut_down(&addr, run);
+}

@@ -4,7 +4,9 @@
 //! The parser accepts the full JSON grammar (RFC 8259): objects, arrays,
 //! strings with escapes, numbers (including exponents), booleans and
 //! null. Object keys keep their source order, which the schema checker
-//! relies on for stable shape listings.
+//! relies on for stable shape listings. Objects and arrays nest at most
+//! [`MAX_DEPTH`] deep; deeper input is a [`ParseError`], so hostile
+//! input cannot exhaust the stack of the recursive parser.
 
 use std::fmt;
 
@@ -145,15 +147,20 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest nesting of objects and arrays [`parse`] accepts.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one JSON document (trailing whitespace allowed, nothing else).
 ///
 /// # Errors
 ///
-/// Returns [`ParseError`] on any deviation from the JSON grammar.
+/// Returns [`ParseError`] on any deviation from the JSON grammar, and on
+/// objects and arrays nested deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -167,6 +174,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Objects and arrays open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -207,8 +216,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -216,6 +225,20 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one object or array with `container`, one level deeper.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Value, ParseError> {
@@ -418,6 +441,36 @@ pub fn write_f64(out: &mut String, v: f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `depth` arrays, one inside the other.
+    fn nested_arrays(depth: usize) -> String {
+        "[".repeat(depth) + &"]".repeat(depth)
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        assert!(parse(&nested_arrays(MAX_DEPTH)).is_ok());
+        let err = parse(&nested_arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.message, "nesting deeper than 64 levels");
+        assert_eq!(err.offset, MAX_DEPTH);
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).is_err());
+        // The depth is released on the way out: siblings do not add up.
+        let siblings = format!("[{0},{0}]", nested_arrays(MAX_DEPTH - 1));
+        assert!(parse(&siblings).is_ok());
+    }
+
+    #[test]
+    fn hostile_nesting_fails_on_a_small_stack() {
+        // 50 000 unclosed `[`: an unbounded recursive descent overflows a
+        // 256 KiB stack long before the end.
+        let handle = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(|| parse(&"[".repeat(50_000)).map(drop))
+            .expect("spawn");
+        let err = handle.join().expect("no stack overflow").unwrap_err();
+        assert!(err.message.contains("nesting deeper"), "{err}");
+    }
 
     #[test]
     fn to_json_round_trips() {

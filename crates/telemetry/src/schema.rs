@@ -81,6 +81,7 @@ pub const BLIF_COUNTERS: &[&str] = &[
     "blif.subckts",
     "blif.latches",
     "blif.exdc_blocks",
+    "blif.skipped_directives",
 ];
 
 /// The documented counters of the reserved `log.` namespace — volume
