@@ -16,7 +16,9 @@
 //! * [`baseline_optimize`] is the optimization script with the original
 //!   whole-network `eliminate` and `extract_kernels`: every candidate
 //!   variable scans every node, and every extraction re-enumerates the
-//!   kernels of every node. `perf` times it against
+//!   kernels of every node. It runs on the frozen `Vec<Literal>` cube
+//!   algebra of [`algebra`] (division, minimization, kernels, factoring,
+//!   cube extraction and network emission). `perf` times it against
 //!   [`chortle_logic_opt::optimize_with`], and the differential tests
 //!   require byte-identical networks and identical reports.
 //! * [`baseline_parse_blif`] is the string-keyed BLIF reader: one
@@ -31,15 +33,21 @@ use std::collections::HashMap;
 
 use chortle::{Tree, TreeChild};
 use chortle_logic_opt::{
-    extract_cubes, heuristic_minimize, kernels, minimize_exact, Cube, Literal, OptimizeOptions,
-    OptimizeReport, Sop, SopNetwork,
+    heuristic_minimize, minimize_exact, Cube, Literal, OptimizeOptions, OptimizeReport, Sop,
+    SopNetwork,
 };
 use chortle_netlist::{
     simulate_outputs, EquivalenceError, LutCircuit, LutSource, Network, NetworkError, NodeId,
-    SplitMix64, MAX_VARS, RANDOM_ROUNDS,
+    NodeOp, SplitMix64, MAX_VARS, RANDOM_ROUNDS,
 };
 
+pub mod algebra;
 mod parse;
+
+use algebra::{
+    baseline_divide, baseline_extract_cubes, baseline_kernels, baseline_minimize,
+    baseline_to_network,
+};
 
 pub use parse::baseline_parse_blif;
 
@@ -442,7 +450,7 @@ pub fn baseline_optimize(
         ..OptimizeReport::default()
     };
     report.eliminated = baseline_eliminate(&mut net, options.eliminate_threshold);
-    net.minimize_nodes();
+    minimize_nodes(&mut net);
     if options.exact_node_minimization {
         for var in net.node_vars() {
             let sop = net.node_sop(var).expect("node").clone();
@@ -466,11 +474,29 @@ pub fn baseline_optimize(
         report.extracted += baseline_extract_kernels(&mut net);
     }
     if options.cube_extraction {
-        report.extracted += extract_cubes(&mut net).extracted;
+        report.extracted += baseline_extract_cubes(&mut net);
     }
-    net.minimize_nodes();
+    minimize_nodes(&mut net);
     report.literals_after = net.literal_count();
-    Ok((net.to_network()?, report))
+    // `SopNetwork::from_network` names the inputs like this, in node order.
+    let input_names: Vec<String> = network
+        .nodes()
+        .filter(|(_, node)| node.op() == NodeOp::Input)
+        .map(|(id, node)| {
+            node.name()
+                .map(str::to_owned)
+                .unwrap_or_else(|| format!("n{}", id.index()))
+        })
+        .collect();
+    Ok((baseline_to_network(&net, &input_names)?, report))
+}
+
+/// `SopNetwork::minimize_nodes` over the frozen minimization.
+fn minimize_nodes(net: &mut SopNetwork) {
+    for var in net.node_vars() {
+        let min = baseline_minimize(net.node_sop(var).expect("node"));
+        net.set_node_sop(var, min);
+    }
 }
 
 /// `SopNetwork::eliminate` as it was: each candidate's literal delta and
@@ -525,9 +551,7 @@ fn baseline_eliminate(net: &mut SopNetwork, threshold: isize) -> usize {
                         new_cubes.push(c.clone());
                     }
                 }
-                let mut new_sop = Sop::from_cubes(new_cubes);
-                new_sop.minimize();
-                net.set_node_sop(i, new_sop);
+                net.set_node_sop(i, baseline_minimize(&Sop::from_cubes(new_cubes)));
             }
             net.set_node_sop(var, Sop::zero());
             eliminated += 1;
@@ -552,7 +576,7 @@ fn baseline_extract_kernels(net: &mut SopNetwork) -> usize {
             if sop.num_cubes() < 2 || sop.num_cubes() > MAX_CUBES_FOR_KERNELING {
                 continue;
             }
-            for k in kernels(&sop).into_iter().take(MAX_KERNELS_PER_NODE) {
+            for k in baseline_kernels(&sop).into_iter().take(MAX_KERNELS_PER_NODE) {
                 if k.kernel.num_cubes() < 2 {
                     continue;
                 }
@@ -568,7 +592,7 @@ fn baseline_extract_kernels(net: &mut SopNetwork) -> usize {
             let mut total: isize = -(kernel.num_literals() as isize);
             for &var in &users {
                 let f = net.node_sop(var).expect("node");
-                let (q, r) = f.divide(&kernel);
+                let (q, r) = baseline_divide(f, &kernel);
                 if q.is_zero() {
                     continue;
                 }
@@ -596,7 +620,7 @@ fn baseline_extract_kernels(net: &mut SopNetwork) -> usize {
         let x = net.add_node(kernel.clone());
         let x_cube = Cube::from_literals([Literal::positive(x)]).expect("fresh variable");
         for var in uses {
-            let (q, r) = net.node_sop(var).expect("node").divide(&kernel);
+            let (q, r) = baseline_divide(net.node_sop(var).expect("node"), &kernel);
             let mut cubes: Vec<Cube> = q
                 .cubes()
                 .iter()
