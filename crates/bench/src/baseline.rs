@@ -576,7 +576,10 @@ fn baseline_extract_kernels(net: &mut SopNetwork) -> usize {
             if sop.num_cubes() < 2 || sop.num_cubes() > MAX_CUBES_FOR_KERNELING {
                 continue;
             }
-            for k in baseline_kernels(&sop).into_iter().take(MAX_KERNELS_PER_NODE) {
+            for k in baseline_kernels(&sop)
+                .into_iter()
+                .take(MAX_KERNELS_PER_NODE)
+            {
                 if k.kernel.num_cubes() < 2 {
                     continue;
                 }

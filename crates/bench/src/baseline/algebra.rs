@@ -58,7 +58,12 @@ fn make_cube_free(f: &Sop) -> (Cube, Sop) {
 }
 
 fn divide_by_cube(f: &Sop, d: &Cube) -> Sop {
-    Sop::from_cubes(f.cubes().iter().filter(|c| d.covers(c)).map(|c| c.without(d)))
+    Sop::from_cubes(
+        f.cubes()
+            .iter()
+            .filter(|c| d.covers(c))
+            .map(|c| c.without(d)),
+    )
 }
 
 fn intersect_cubes(a: &Sop, b: &Sop) -> Sop {

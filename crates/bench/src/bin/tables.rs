@@ -19,9 +19,7 @@
 
 use std::process::ExitCode;
 
-use chortle::clb::{pack_clbs, ClbOptions};
-use chortle::{crf_network_cost, map_network, MapOptions};
-use chortle_bench::{format_table, optimized_suite, run_table, HarnessOptions};
+use chortle_bench::{paper_tables, HarnessOptions, TableSections};
 
 fn main() -> ExitCode {
     let mut ks: Vec<usize> = vec![2, 3, 4, 5];
@@ -62,99 +60,11 @@ fn main() -> ExitCode {
         }
     }
 
-    println!("Benchmark suite (after MIS-script optimization):");
-    println!(
-        "{:<10} {:>6} {:>6} {:>7} {:>9} {:>6}",
-        "Circuit", "in", "out", "gates", "literals", "depth"
-    );
-    let suite = optimized_suite();
-    for (name, _, stats) in &suite {
-        println!(
-            "{:<10} {:>6} {:>6} {:>7} {:>9} {:>6}",
-            name, stats.inputs, stats.outputs, stats.gates, stats.literals, stats.depth
-        );
-    }
-    println!();
-
-    for &k in &ks {
-        let table = run_table(k, &options);
-        print!("{}", format_table(&table));
-        println!();
-    }
-
-    if ablate_crf {
-        println!("Ablation: optimal DP vs Chortle-crf-style bin packing (LUT counts)");
-        println!(
-            "{:<10} {:>8} {:>8} {:>8} {:>8}",
-            "Circuit", "DP-K3", "crf-K3", "DP-K5", "crf-K5"
-        );
-        for (name, net, _) in &suite {
-            let dp3 = map_network(net, &MapOptions::builder(3).build().unwrap())
-                .expect("maps")
-                .report
-                .luts;
-            let crf3 = crf_network_cost(net, 3);
-            let dp5 = map_network(net, &MapOptions::builder(5).build().unwrap())
-                .expect("maps")
-                .report
-                .luts;
-            let crf5 = crf_network_cost(net, 5);
-            println!("{:<10} {:>8} {:>8} {:>8} {:>8}", name, dp3, crf3, dp5, crf5);
-        }
-        println!();
-    }
-
-    if report_clb {
-        println!("Extension: XC3000-style CLB packing of the K=4 mapping");
-        println!(
-            "{:<10} {:>7} {:>7} {:>9}",
-            "Circuit", "LUTs", "CLBs", "saving%"
-        );
-        for (name, net, _) in &suite {
-            let mapped = map_network(net, &MapOptions::builder(4).build().unwrap()).expect("maps");
-            let packing = pack_clbs(&mapped.circuit, &ClbOptions::xc3000());
-            let saving = (mapped.report.luts - packing.block_count()) as f64
-                / mapped.report.luts.max(1) as f64
-                * 100.0;
-            println!(
-                "{:<10} {:>7} {:>7} {:>8.1}",
-                name,
-                mapped.report.luts,
-                packing.block_count(),
-                saving
-            );
-        }
-        println!();
-    }
-
-    if ablate_split {
-        println!("Ablation: Chortle split threshold (K=5, LUT counts)");
-        println!(
-            "{:<10} {:>6} {:>6} {:>6} {:>6} {:>6}",
-            "Circuit", "t=5", "t=6", "t=8", "t=10", "t=12"
-        );
-        for (name, net, _) in &suite {
-            let counts: Vec<usize> = [5usize, 6, 8, 10, 12]
-                .iter()
-                .map(|&t| {
-                    map_network(
-                        net,
-                        &MapOptions::builder(5)
-                            .split_threshold(t)
-                            .unwrap()
-                            .build()
-                            .unwrap(),
-                    )
-                    .expect("maps")
-                    .report
-                    .luts
-                })
-                .collect();
-            println!(
-                "{:<10} {:>6} {:>6} {:>6} {:>6} {:>6}",
-                name, counts[0], counts[1], counts[2], counts[3], counts[4]
-            );
-        }
-    }
+    let sections = TableSections {
+        ablate_split,
+        ablate_crf,
+        clb: report_clb,
+    };
+    print!("{}", paper_tables(&ks, &options, &sections));
     ExitCode::SUCCESS
 }

@@ -14,7 +14,8 @@ pub mod baseline;
 
 use std::time::{Duration, Instant};
 
-use chortle::{map_network, MapOptions};
+use chortle::clb::{pack_clbs, ClbOptions};
+use chortle::{crf_network_cost, map_network, MapOptions};
 use chortle_circuits::{suite, Benchmark};
 use chortle_logic_opt::optimize;
 use chortle_mis::{map_network as mis_map, Library, MisOptions};
@@ -246,6 +247,134 @@ pub fn format_table(table: &Table) -> String {
         mtt.as_secs_f64(),
         ctt.as_secs_f64(),
     );
+    out
+}
+
+/// The optional sections of [`paper_tables`] after Tables 1–4.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TableSections {
+    /// Sweep Chortle's node-splitting threshold at K = 5.
+    pub ablate_split: bool,
+    /// Compare the optimal DP with Chortle-crf-style bin packing.
+    pub ablate_crf: bool,
+    /// XC3000-style CLB packing of the K = 4 mapping.
+    pub clb: bool,
+}
+
+/// The full report of the `tables` binary: the optimized suite's
+/// statistics, the results table for each K in `ks`, and the requested
+/// `sections`.
+///
+/// # Panics
+///
+/// Panics if a mapping fails or (with `options.verify`) is not
+/// equivalent to its network.
+pub fn paper_tables(ks: &[usize], options: &HarnessOptions, sections: &TableSections) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let map = |net: &Network, k: usize| {
+        map_network(net, &MapOptions::builder(k).build().unwrap()).expect("maps")
+    };
+    let _ = writeln!(out, "Benchmark suite (after MIS-script optimization):");
+    let _ = writeln!(
+        out,
+        "{:<10} {:>6} {:>6} {:>7} {:>9} {:>6}",
+        "Circuit", "in", "out", "gates", "literals", "depth"
+    );
+    let suite = optimized_suite();
+    for (name, _, stats) in &suite {
+        let _ = writeln!(
+            out,
+            "{:<10} {:>6} {:>6} {:>7} {:>9} {:>6}",
+            name, stats.inputs, stats.outputs, stats.gates, stats.literals, stats.depth
+        );
+    }
+    let _ = writeln!(out);
+
+    for &k in ks {
+        let table = run_table(k, options);
+        out.push_str(&format_table(&table));
+        let _ = writeln!(out);
+    }
+
+    if sections.ablate_crf {
+        let _ = writeln!(
+            out,
+            "Ablation: optimal DP vs Chortle-crf-style bin packing (LUT counts)"
+        );
+        let _ = writeln!(
+            out,
+            "{:<10} {:>8} {:>8} {:>8} {:>8}",
+            "Circuit", "DP-K3", "crf-K3", "DP-K5", "crf-K5"
+        );
+        for (name, net, _) in &suite {
+            let dp3 = map(net, 3).report.luts;
+            let crf3 = crf_network_cost(net, 3);
+            let dp5 = map(net, 5).report.luts;
+            let crf5 = crf_network_cost(net, 5);
+            let _ = writeln!(
+                out,
+                "{:<10} {:>8} {:>8} {:>8} {:>8}",
+                name, dp3, crf3, dp5, crf5
+            );
+        }
+        let _ = writeln!(out);
+    }
+
+    if sections.clb {
+        let _ = writeln!(
+            out,
+            "Extension: XC3000-style CLB packing of the K=4 mapping"
+        );
+        let _ = writeln!(
+            out,
+            "{:<10} {:>7} {:>7} {:>9}",
+            "Circuit", "LUTs", "CLBs", "saving%"
+        );
+        for (name, net, _) in &suite {
+            let mapped = map(net, 4);
+            let packing = pack_clbs(&mapped.circuit, &ClbOptions::xc3000());
+            let saving = (mapped.report.luts - packing.block_count()) as f64
+                / mapped.report.luts.max(1) as f64
+                * 100.0;
+            let _ = writeln!(
+                out,
+                "{:<10} {:>7} {:>7} {:>8.1}",
+                name,
+                mapped.report.luts,
+                packing.block_count(),
+                saving
+            );
+        }
+        let _ = writeln!(out);
+    }
+
+    if sections.ablate_split {
+        let _ = writeln!(out, "Ablation: Chortle split threshold (K=5, LUT counts)");
+        let _ = writeln!(
+            out,
+            "{:<10} {:>6} {:>6} {:>6} {:>6} {:>6}",
+            "Circuit", "t=5", "t=6", "t=8", "t=10", "t=12"
+        );
+        for (name, net, _) in &suite {
+            let counts: Vec<usize> = [5usize, 6, 8, 10, 12]
+                .iter()
+                .map(|&t| {
+                    let options = MapOptions::builder(5)
+                        .split_threshold(t)
+                        .unwrap()
+                        .build()
+                        .unwrap();
+                    map_network(net, &options).expect("maps").report.luts
+                })
+                .collect();
+            let _ = writeln!(
+                out,
+                "{:<10} {:>6} {:>6} {:>6} {:>6} {:>6}",
+                name, counts[0], counts[1], counts[2], counts[3], counts[4]
+            );
+        }
+    }
     out
 }
 

@@ -7,6 +7,15 @@
 //!
 //! Algebraic optimization treats `x` and `!x` as unrelated literals, which
 //! is exactly what makes division, kernels and factoring fast.
+//!
+//! `Cube` is the public, heap-allocated form. Inside the hot loops —
+//! weak division, kernel enumeration, `eliminate`'s rewrite, containment
+//! minimization and factoring — a node's cubes become *bit rows* over
+//! its local support (`rows.rs`): bit `2i` is the `i`-th support
+//! variable in ascending order, bit `2i+1` its complement. That layout
+//! keeps literal-code order, so rows sort exactly as `Cube`'s `Ord` sorts
+//! the cubes they stand for, and results leave the loops as the same
+//! cubes in the same order.
 
 use std::fmt;
 
@@ -126,6 +135,12 @@ impl Cube {
             }
         }
         Some(Cube { literals: lits })
+    }
+
+    /// A cube of literals already ascending over distinct variables.
+    pub(crate) fn from_sorted(literals: Vec<Literal>) -> Self {
+        debug_assert!(literals.windows(2).all(|p| p[0].var() < p[1].var()));
+        Cube { literals }
     }
 
     /// The cube's literals in ascending order.

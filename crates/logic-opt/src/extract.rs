@@ -11,8 +11,9 @@ use std::collections::{BTreeMap, HashMap};
 use chortle_netlist::NetworkError;
 
 use crate::cube::{Cube, Literal};
-use crate::kernels::kernels;
+use crate::kernels::{kernel_rows, KERNEL_BUDGET};
 use crate::network::SopNetwork;
+use crate::rows::{Division, Rows, Space};
 use crate::sop::Sop;
 
 /// Caps kernel enumeration per node to keep extraction fast on wide SOPs.
@@ -87,8 +88,9 @@ struct KernelIndex {
 }
 
 impl KernelIndex {
-    /// Enumerates node `var`'s kernels (within the per-node caps) and
-    /// records its substitution value for each.
+    /// Enumerates node `var`'s kernels (within the per-node caps and the
+    /// enumeration budget) and records its substitution value for each,
+    /// dividing on the node's word rows.
     fn add_node(&mut self, net: &SopNetwork, var: usize) {
         let sop = net.node_sop(var).expect("node var");
         if self.contributed.len() <= var {
@@ -97,19 +99,29 @@ impl KernelIndex {
         if sop.num_cubes() < 2 || sop.num_cubes() > MAX_CUBES_FOR_KERNELING {
             return;
         }
+        let space = Space::of(&[sop]);
+        let f = space.rows(sop);
+        let Some(kernels) = kernel_rows(&f, KERNEL_BUDGET) else {
+            return;
+        };
         let mut ids: Vec<usize> = Vec::new();
-        for k in kernels(sop).into_iter().take(MAX_KERNELS_PER_NODE) {
-            if k.kernel.num_cubes() < 2 {
+        // Kernels come sorted, so equal kernels (under different
+        // co-kernels) are adjacent and each is divided once.
+        let mut previous: Option<&Rows> = None;
+        for k in kernels.iter().take(MAX_KERNELS_PER_NODE) {
+            if k.kernel.len() < 2 || previous == Some(&k.kernel) {
                 continue;
             }
-            let id = match self.ids.get(&k.kernel) {
+            previous = Some(&k.kernel);
+            let kernel = space.sop(&k.kernel);
+            let id = match self.ids.get(&kernel) {
                 Some(&id) => id,
                 None => {
                     let id = self.candidates.len();
-                    self.ids.insert(k.kernel.clone(), id);
+                    self.ids.insert(kernel.clone(), id);
                     self.candidates.push(Candidate {
-                        literals: k.kernel.num_literals() as isize,
-                        kernel: k.kernel,
+                        literals: kernel.num_literals() as isize,
+                        kernel,
                         uses: BTreeMap::new(),
                         gain: 0,
                     });
@@ -117,18 +129,14 @@ impl KernelIndex {
                 }
             };
             ids.push(id);
-        }
-        ids.sort_unstable();
-        ids.dedup();
-        for &id in &ids {
-            let c = &mut self.candidates[id];
-            if let Some(v) = substitution_value(sop, &sop.divide(&c.kernel)) {
-                if v > 0 {
-                    c.uses.insert(var, v);
-                    c.gain += v;
-                }
+            let value = Division::of(&f, &k.kernel).map(|d| d.value(&f));
+            if let Some(v) = value.filter(|&v| v > 0) {
+                let c = &mut self.candidates[id];
+                c.uses.insert(var, v);
+                c.gain += v;
             }
         }
+        ids.sort_unstable();
         self.contributed[var] = ids;
     }
 

@@ -5,10 +5,13 @@
 //! forms become the AND/OR nodes of the network handed to technology
 //! mapping. The algorithm is the classic kernel-driven *quick factoring*:
 //! pick a level-0 kernel `d`, divide `f = q·d + r`, and recurse on `q`, `d`
-//! and `r`.
+//! and `r`. It runs on the word rows of the SOP's support (see `rows.rs`);
+//! an SOP with more kernels than the enumeration budget is divided by its
+//! most frequent literal instead.
 
-use crate::cube::{Cube, Literal};
-use crate::kernels::{is_level0_kernel, kernels};
+use crate::cube::Literal;
+use crate::kernels::{kernel_rows, KERNEL_BUDGET};
+use crate::rows::{ones, Division, Rows, Space};
 use crate::sop::Sop;
 
 /// A factored Boolean expression over literal leaves.
@@ -106,83 +109,103 @@ impl Factored {
 /// this module's tests) and typically has far fewer literals for SOPs with
 /// shared sub-expressions.
 pub fn factor(f: &Sop) -> Factored {
-    if f.is_zero() {
+    let space = Space::of(&[f]);
+    factor_rows(&space, &space.rows(f))
+}
+
+/// [`factor`] of the sorted, duplicate-free rows `f`.
+fn factor_rows(space: &Space, f: &Rows) -> Factored {
+    if f.is_empty() {
         return Factored::Const(false);
     }
-    if f.is_one() {
+    if f.iter().any(|r| r.iter().all(|&w| w == 0)) {
         return Factored::Const(true);
     }
-    if f.is_single_cube() {
-        return cube_to_factored(&f.cubes()[0]);
+    if f.len() == 1 {
+        return cube_to_factored(space, f.row(0));
     }
     // Peel off the common cube first: f = c · f'.
-    let (common, free) = f.make_cube_free();
-    let inner = factor_cube_free(&free);
-    if common.is_empty() {
-        inner
-    } else {
-        Factored::and(vec![cube_to_factored(&common), inner])
+    let common = f.common();
+    if common.iter().all(|&w| w == 0) {
+        return factor_cube_free(space, f);
     }
+    let inner = factor_cube_free(space, &f.without(&common).sorted());
+    Factored::and(vec![cube_to_factored(space, &common), inner])
 }
 
-fn cube_to_factored(c: &Cube) -> Factored {
-    match c.len() {
+fn cube_to_factored(space: &Space, c: &[u64]) -> Factored {
+    let mut lits: Vec<Factored> = ones(c)
+        .map(|b| Factored::Literal(space.literal(b)))
+        .collect();
+    match lits.len() {
         0 => Factored::Const(true),
-        1 => Factored::Literal(c.literals()[0]),
-        _ => Factored::And(c.literals().iter().map(|&l| Factored::Literal(l)).collect()),
+        1 => lits.pop().expect("one literal"),
+        _ => Factored::And(lits),
     }
 }
 
-fn factor_cube_free(f: &Sop) -> Factored {
-    debug_assert!(f.num_cubes() >= 2);
-    if is_level0_kernel(f) {
+fn factor_cube_free(space: &Space, f: &Rows) -> Factored {
+    debug_assert!(f.len() >= 2);
+    if f.is_level0() {
         // No proper divisors: f is a sum of variable-disjoint cubes.
-        return Factored::or(f.cubes().iter().map(cube_to_factored).collect());
+        return Factored::or(f.iter().map(|c| cube_to_factored(space, c)).collect());
     }
-    let divisor = choose_divisor(f);
-    let divisor = match divisor {
-        Some(d) => d,
-        None => {
-            // Fall back to dividing by the most frequent literal; always
-            // strictly reduces because f is not level-0.
-            return factor_by_best_literal(f);
-        }
+    let Some(divisor) = choose_divisor(f) else {
+        // Fall back to dividing by the most frequent literal; always
+        // strictly reduces because f is not level-0.
+        return factor_by_best_literal(space, f);
     };
-    let (q, r) = f.divide(&divisor);
-    debug_assert!(!q.is_zero(), "a kernel always divides its SOP");
+    let (q, r) = Division::split(f, &divisor);
+    debug_assert!(!q.is_empty(), "a kernel always divides its SOP");
     Factored::or(vec![
-        Factored::and(vec![factor(&q), factor(&divisor)]),
-        factor(&r),
+        Factored::and(vec![factor_rows(space, &q), factor_rows(space, &divisor)]),
+        factor_rows(space, &r),
     ])
 }
 
-/// Picks a level-0 kernel with maximal literal count as the divisor; `None`
-/// if the only kernel is `f` itself.
-fn choose_divisor(f: &Sop) -> Option<Sop> {
-    kernels(f)
+/// Picks a level-0 kernel with maximal literal count (the last of the
+/// ties in kernel order) as the divisor; `None` if the only kernel is `f`
+/// itself or `f` has more kernels than the budget.
+fn choose_divisor(f: &Rows) -> Option<Rows> {
+    kernel_rows(f, KERNEL_BUDGET)?
         .into_iter()
-        .filter(|k| k.kernel != *f && is_level0_kernel(&k.kernel))
-        .max_by_key(|k| (k.kernel.num_literals(), k.kernel.num_cubes()))
+        .filter(|k| k.kernel != *f && k.kernel.is_level0())
+        .max_by_key(|k| (k.kernel.literal_count(), k.kernel.len()))
         .map(|k| k.kernel)
 }
 
-fn factor_by_best_literal(f: &Sop) -> Factored {
-    let counts = f.literal_counts();
-    let (&lit, _) = counts
+/// Divides by the literal in the most cubes (the lowest-coded of ties).
+fn factor_by_best_literal(space: &Space, f: &Rows) -> Factored {
+    let mut counts: Vec<usize> = Vec::new();
+    for r in f.iter() {
+        for b in ones(r) {
+            if counts.len() <= b {
+                counts.resize(b + 1, 0);
+            }
+            counts[b] += 1;
+        }
+    }
+    let (bit, _) = counts
         .iter()
-        .max_by_key(|&(l, c)| (*c, std::cmp::Reverse(l.code())))
+        .enumerate()
+        .max_by_key(|&(b, &c)| (c, std::cmp::Reverse(b)))
         .expect("non-constant SOP has literals");
-    let d = Sop::from_cubes([Cube::from_literals([lit]).expect("single literal")]);
-    let (q, r) = f.divide(&d);
+    let mut d = Rows::new(f.row(0).len());
+    d.push_zero()[bit / 64] |= 1 << (bit % 64);
+    let (q, r) = Division::split(f, &d);
     Factored::or(vec![
-        Factored::and(vec![Factored::Literal(lit), factor(&q)]),
-        factor(&r),
+        Factored::and(vec![
+            Factored::Literal(space.literal(bit)),
+            factor_rows(space, &q),
+        ]),
+        factor_rows(space, &r),
     ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cube::Cube;
 
     fn sop(cubes: &[&[(usize, bool)]]) -> Sop {
         Sop::try_from_slices(cubes).unwrap()

@@ -8,9 +8,23 @@
 //! *Level-0* kernels contain no kernels other than themselves — no literal
 //! appears in two of their cubes. The MIS library construction in the paper
 //! (Section 4.1) is built from level-0 kernels with at most K literals.
+//!
+//! Enumeration runs on a node's word rows (see `rows.rs`) with an explicit
+//! stack instead of recursion. Its output is ordered by `(kernel,
+//! co_kernel)` under `Sop`/`Cube` `Ord` and deduplicated: callers cut the
+//! list (`extract_kernels` keeps the first 200) and break ties by that
+//! order. The optimizer enumerates within [`KERNEL_BUDGET`] kernels: a
+//! node with `n` cubes can have on the order of `2ⁿ` kernels, so past the
+//! budget kernel extraction skips the node and factoring divides by its
+//! most frequent literal instead. The public [`kernels`] is unbounded.
 
 use crate::cube::Cube;
+use crate::rows::{cmp_rows, cmp_sops, ones, Rows, Space};
 use crate::sop::Sop;
+
+/// Kernels the optimizer enumerates per SOP before giving up on it (the
+/// largest count on the benchmark corpus is a few hundred).
+pub(crate) const KERNEL_BUDGET: usize = 4096;
 
 /// A kernel together with its co-kernel cube.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -19,6 +33,12 @@ pub struct Kernel {
     pub co_kernel: Cube,
     /// The cube-free quotient.
     pub kernel: Sop,
+}
+
+/// A kernel as rows of its SOP's [`Space`].
+pub(crate) struct KernelRows {
+    pub(crate) kernel: Rows,
+    pub(crate) co_kernel: Vec<u64>,
 }
 
 /// Computes all kernels of `f` (including `f` itself, made cube-free, with
@@ -46,70 +66,70 @@ pub struct Kernel {
 /// assert!(ks.iter().any(|k| k.kernel == cd));
 /// ```
 pub fn kernels(f: &Sop) -> Vec<Kernel> {
-    let mut out = Vec::new();
-    if f.num_cubes() < 2 {
-        return out;
-    }
-    let (common, free) = f.make_cube_free();
-    out.push(Kernel {
-        co_kernel: common.clone(),
-        kernel: free.clone(),
-    });
-    // Literals that can still seed a quotient, in ascending code order.
-    let lits = sorted_multi_literals(&free);
-    kernel_rec(&free, &common, &lits, 0, &mut out);
-    dedup_kernels(&mut out);
-    out
-}
-
-/// Literals appearing in at least two cubes, ascending by code.
-fn sorted_multi_literals(f: &Sop) -> Vec<crate::cube::Literal> {
-    let counts = f.literal_counts();
-    let mut lits: Vec<_> = counts
+    let space = Space::of(&[f]);
+    kernel_rows(&space.rows(f), usize::MAX)
+        .expect("no budget")
         .into_iter()
-        .filter(|&(_, c)| c >= 2)
-        .map(|(l, _)| l)
-        .collect();
-    lits.sort_unstable();
-    lits
+        .map(|k| Kernel {
+            co_kernel: space.cube(&k.co_kernel),
+            kernel: space.sop(&k.kernel),
+        })
+        .collect()
 }
 
-fn kernel_rec(
-    g: &Sop,
-    co_kernel: &Cube,
-    lits: &[crate::cube::Literal],
-    start: usize,
-    out: &mut Vec<Kernel>,
-) {
-    for (i, &lit) in lits.iter().enumerate().skip(start) {
-        let cube_lit = Cube::from_literals([lit]).expect("single literal cube");
-        let quotient = g.divide_by_cube(&cube_lit);
-        if quotient.num_cubes() < 2 {
-            continue;
-        }
-        let (extra, free) = quotient.make_cube_free();
-        // Skip if the co-kernel extension contains a literal earlier in the
-        // order — that kernel is found via the earlier literal.
-        let full_extra = extra
-            .product(&cube_lit)
-            .expect("literal not in quotient common cube");
-        if full_extra.literals().iter().any(|l| lits[..i].contains(l)) {
-            continue;
-        }
-        let new_co = co_kernel
-            .product(&full_extra)
-            .expect("co-kernel cubes are variable-disjoint");
-        out.push(Kernel {
-            co_kernel: new_co.clone(),
-            kernel: free.clone(),
-        });
-        kernel_rec(&free, &new_co, lits, i + 1, out);
+/// The kernels of the sorted rows `f`, ordered by `(kernel, co_kernel)`
+/// and deduplicated; `None` once more than `budget` are found.
+///
+/// Each stack entry is a cube-free SOP `g`, its co-kernel and the first
+/// literal that may still seed a quotient. Dividing `g` by a literal
+/// `l` shared by two cubes gives a kernel unless the quotient's common
+/// cube holds a seeding literal before `l` (that kernel is reached from
+/// the earlier literal).
+pub(crate) fn kernel_rows(f: &Rows, budget: usize) -> Option<Vec<KernelRows>> {
+    if f.len() < 2 {
+        return Some(Vec::new());
     }
-}
-
-fn dedup_kernels(ks: &mut Vec<Kernel>) {
-    ks.sort_by(|a, b| (&a.kernel, &a.co_kernel).cmp(&(&b.kernel, &b.co_kernel)));
-    ks.dedup();
+    let common = f.common();
+    let free = f.without(&common).sorted();
+    let seeds = free.multi_literals();
+    let mut out = vec![KernelRows {
+        kernel: free.clone(),
+        co_kernel: common.clone(),
+    }];
+    let mut stack = vec![(free, common, 0)];
+    while let Some((g, co_kernel, start)) = stack.pop() {
+        for lit in ones(&seeds).filter(|&b| b >= start) {
+            let quotient = g.divide_by_literal(lit);
+            if quotient.len() < 2 {
+                continue;
+            }
+            let extra = quotient.common();
+            let earlier = |w: usize| match (lit / 64).cmp(&w) {
+                std::cmp::Ordering::Greater => !0,
+                std::cmp::Ordering::Equal => (1u64 << (lit % 64)) - 1,
+                std::cmp::Ordering::Less => 0,
+            };
+            if (0..extra.len()).any(|w| extra[w] & seeds[w] & earlier(w) != 0) {
+                continue;
+            }
+            let kernel = quotient.without(&extra).sorted();
+            let mut co: Vec<u64> = co_kernel.iter().zip(&extra).map(|(c, e)| c | e).collect();
+            co[lit / 64] |= 1 << (lit % 64);
+            if out.len() >= budget {
+                return None;
+            }
+            out.push(KernelRows {
+                kernel: kernel.clone(),
+                co_kernel: co.clone(),
+            });
+            stack.push((kernel, co, lit + 1));
+        }
+    }
+    out.sort_unstable_by(|a, b| {
+        cmp_sops(&a.kernel, &b.kernel).then_with(|| cmp_rows(&a.co_kernel, &b.co_kernel))
+    });
+    out.dedup_by(|a, b| a.kernel == b.kernel && a.co_kernel == b.co_kernel);
+    Some(out)
 }
 
 /// Whether `k` is a level-0 kernel: cube-free and no literal occurring in

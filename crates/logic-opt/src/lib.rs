@@ -42,6 +42,7 @@ mod extract;
 mod factor;
 mod kernels;
 mod network;
+mod rows;
 mod script;
 mod sop;
 mod two_level;

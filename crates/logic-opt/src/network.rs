@@ -12,6 +12,7 @@ use chortle_netlist::{Network, NetworkError, NodeOp, Signal};
 
 use crate::cube::{Cube, Literal};
 use crate::factor::{factor, Factored};
+use crate::rows::{contradictory, Space};
 use crate::sop::Sop;
 
 /// An item of the global variable space.
@@ -303,24 +304,11 @@ impl SopNetwork {
                 }
                 let sop = self.node_sop(var).expect("var is a node").clone();
                 self.set_node_sop(var, Sop::zero());
-                let x_cube = Cube::from_literals([x]).expect("single literal cube");
                 for &i in &users {
                     let Item::Node(consumer) = &mut self.items[i] else {
                         continue;
                     };
-                    let mut new_cubes: Vec<Cube> = Vec::new();
-                    for c in consumer.cubes() {
-                        if c.has(x) {
-                            // sop == 0 simply drops the cube; contradictions
-                            // drop the offending product.
-                            let rest = c.without(&x_cube);
-                            new_cubes.extend(sop.cubes().iter().filter_map(|d| rest.product(d)));
-                        } else {
-                            new_cubes.push(c.clone());
-                        }
-                    }
-                    *consumer = Sop::from_cubes(new_cubes);
-                    consumer.minimize();
+                    *consumer = inline(consumer, x, &sop);
                 }
                 for v in sop.support() {
                     fanout[v].extend_from_slice(&users);
@@ -480,6 +468,38 @@ impl SopNetwork {
         }
         Ok(net)
     }
+}
+
+/// `consumer` with the positive literal `x` replaced by `sop`, minimized:
+/// each cube holding `x` becomes one product per cube of `sop` (`sop == 0`
+/// drops it; contradictory products are dropped).
+fn inline(consumer: &Sop, x: Literal, sop: &Sop) -> Sop {
+    let space = Space::of(&[consumer, sop]);
+    let xb = space.bit(x).expect("users hold x");
+    let (xw, xm) = (xb / 64, 1u64 << (xb % 64));
+    let divisor = space.rows(sop);
+    let mut rows = space.rows(consumer);
+    for c in 0..rows.len() {
+        if rows.row(c)[xw] & xm == 0 {
+            continue;
+        }
+        for d in divisor.iter() {
+            let p = rows.push_product(c, d);
+            p[xw] &= !xm;
+            if contradictory(p) {
+                rows.pop();
+            }
+        }
+    }
+    // Drop the consumer cubes that held x (each was replaced above).
+    let mut c = 0;
+    rows.retain(|r| {
+        c += 1;
+        c > consumer.num_cubes() || r[xw] & xm == 0
+    });
+    let mut rows = rows.sorted();
+    rows.minimize();
+    space.sop(&rows)
 }
 
 /// Emits gates for a factored expression; returns the polarized signal of

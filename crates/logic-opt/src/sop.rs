@@ -1,9 +1,16 @@
 //! Sums of products and algebraic (weak) division.
+//!
+//! [`Sop::divide`] and [`Sop::minimize`] run on word rows over the
+//! operands' joint support (see `rows.rs`): containment is
+//! `d & !c == 0` and a quotient cube is `c & !d`. Their results are the
+//! cubes the literal-list algebra would produce, in the same sorted
+//! order — the cube-order contract every caller's tie-breaks rely on.
 
 use std::collections::HashMap;
 use std::fmt;
 
 use crate::cube::{Cube, Literal};
+use crate::rows::{Division, Space};
 
 /// A sum of products: a set of [`Cube`]s, kept sorted and duplicate-free.
 ///
@@ -46,6 +53,12 @@ impl Sop {
         v.sort_unstable();
         v.dedup();
         Sop { cubes: v }
+    }
+
+    /// An SOP of cubes already sorted and duplicate-free.
+    pub(crate) fn from_sorted(cubes: Vec<Cube>) -> Self {
+        debug_assert!(cubes.windows(2).all(|p| p[0] < p[1]));
+        Sop { cubes }
     }
 
     /// Convenience constructor from `(var, inverted)` pair slices; returns
@@ -111,21 +124,12 @@ impl Sop {
     /// assert_eq!(f.num_cubes(), 1); // a·b absorbed by a
     /// ```
     pub fn minimize(&mut self) {
-        if self.is_one() {
-            *self = Sop::one();
+        if self.cubes.len() < 2 {
             return;
         }
-        let cubes = std::mem::take(&mut self.cubes);
-        let mut kept: Vec<Cube> = Vec::with_capacity(cubes.len());
-        'outer: for (i, c) in cubes.iter().enumerate() {
-            for (j, other) in cubes.iter().enumerate() {
-                if i != j && other.covers(c) && (other.len() < c.len() || j < i) {
-                    continue 'outer;
-                }
-            }
-            kept.push(c.clone());
-        }
-        self.cubes = kept;
+        let keep = Space::of(&[self]).rows(self).uncovered();
+        let mut keep = keep.into_iter();
+        self.cubes.retain(|_| keep.next().unwrap_or(true));
     }
 
     /// The largest cube dividing every cube of the SOP (the intersection of
@@ -190,53 +194,22 @@ impl Sop {
     /// assert_eq!(r, Sop::try_from_slices(&[&[(4, false)]]).unwrap());
     /// ```
     pub fn divide(&self, divisor: &Sop) -> (Sop, Sop) {
-        if divisor.is_zero() {
+        let space = Space::of(&[self, divisor]);
+        let f = space.rows(self);
+        let Some(div) = Division::of(&f, &space.rows(divisor)) else {
             return (Sop::zero(), self.clone());
-        }
-        let mut quotient: Option<Sop> = None;
-        for d in &divisor.cubes {
-            let qi = self.divide_by_cube(d);
-            quotient = Some(match quotient {
-                None => qi,
-                Some(q) => q.intersect_cubes(&qi),
-            });
-            if quotient.as_ref().is_some_and(Sop::is_zero) {
-                break;
-            }
-        }
-        let quotient = quotient.unwrap_or_else(Sop::zero);
-        if quotient.is_zero() {
-            return (Sop::zero(), self.clone());
-        }
-        // remainder = self - quotient*divisor
-        let mut product: Vec<Cube> = Vec::new();
-        for q in &quotient.cubes {
-            for d in &divisor.cubes {
-                if let Some(p) = q.product(d) {
-                    product.push(p);
-                }
-            }
-        }
-        let product = Sop::from_cubes(product);
-        let remainder = Sop::from_cubes(
-            self.cubes
-                .iter()
-                .filter(|c| !product.cubes.contains(c))
-                .cloned(),
-        );
-        (quotient, remainder)
-    }
-
-    /// Set intersection of cube lists (both operands sorted).
-    fn intersect_cubes(&self, other: &Sop) -> Sop {
-        Sop {
-            cubes: self
-                .cubes
-                .iter()
-                .filter(|c| other.cubes.binary_search(c).is_ok())
-                .cloned()
-                .collect(),
-        }
+        };
+        let remainder = self
+            .cubes
+            .iter()
+            .zip(&div.in_product)
+            .filter(|(_, &p)| !p)
+            .map(|(c, _)| c.clone())
+            .collect();
+        (
+            space.sop(&div.quotient.sorted()),
+            Sop::from_sorted(remainder),
+        )
     }
 
     /// Occurrence count of every literal across the cubes.

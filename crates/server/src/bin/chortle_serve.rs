@@ -307,9 +307,11 @@ fn client_main(mut args: impl Iterator<Item = String>) -> ExitCode {
                 quota,
                 queue_depth,
                 batch_limit,
+                max_frame_bytes,
             } => {
                 eprintln!(
-                    "server speaks {}; quota {quota}, queue {queue_depth}, batch limit {batch_limit}",
+                    "server speaks {}; quota {quota}, queue {queue_depth}, batch limit \
+                     {batch_limit}, max frame {max_frame_bytes} bytes",
                     versions.join(", ")
                 );
                 ExitCode::SUCCESS

@@ -71,6 +71,8 @@ pub enum Response {
         queue_depth: usize,
         /// Maximum requests per `map_batch` frame.
         batch_limit: usize,
+        /// Maximum bytes of one request frame.
+        max_frame_bytes: usize,
     },
     /// `status: "ok"` for `op: "flush"`.
     FlushOk {
@@ -208,6 +210,8 @@ pub enum HelloReply {
         queue_depth: usize,
         /// Maximum requests per `map_batch` frame.
         batch_limit: usize,
+        /// Maximum bytes of one request frame.
+        max_frame_bytes: usize,
     },
     /// The handshake was rejected (e.g. sent over v1).
     Rejected(Rejection),
@@ -382,6 +386,7 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
                     quota: u64_field("quota")? as usize,
                     queue_depth: u64_field("queue")? as usize,
                     batch_limit: u64_field("batch_limit")? as usize,
+                    max_frame_bytes: u64_field("max_frame_bytes")? as usize,
                 })
             }
             "flush" => Ok(Response::FlushOk {
@@ -733,12 +738,14 @@ impl Client {
                 quota,
                 queue_depth,
                 batch_limit,
+                max_frame_bytes,
                 ..
             } => Ok(HelloReply::Hello {
                 versions,
                 quota,
                 queue_depth,
                 batch_limit,
+                max_frame_bytes,
             }),
             Response::Rejected { rejection, .. } => Ok(HelloReply::Rejected(rejection)),
             other => Err(unexpected("hello", &other)),
@@ -1027,6 +1034,7 @@ mod tests {
                 quota: 8,
                 queue_depth: 64,
                 batch_limit: 32,
+                max_frame_bytes: 4096,
             },
         );
         match parse_response(&hello).expect("parses") {
@@ -1035,10 +1043,12 @@ mod tests {
                 quota,
                 queue_depth,
                 batch_limit,
+                max_frame_bytes,
                 ..
             } => {
                 assert_eq!(versions, PROTOCOLS);
                 assert_eq!((quota, queue_depth, batch_limit), (8, 64, 32));
+                assert_eq!(max_frame_bytes, 4096);
             }
             other => panic!("expected HelloOk, got {other:?}"),
         }

@@ -10,9 +10,19 @@
 //! `write` calls as the kernel accepts — many ready responses for one
 //! client coalesce into a single syscall/TCP segment instead of one
 //! frame per write (the PR-6 small-frame inefficiency).
+//!
+//! A request frame is at most [`MAX_FRAME_BYTES`] bytes. The newline
+//! scan resumes where the previous read's scan stopped, so every byte is
+//! scanned once however slowly a long frame arrives. A longer frame is
+//! never buffered: the connection reports it through
+//! [`Conn::take_oversized`], discards the rest of its input, and closes
+//! its write side once the answers already owed (and the rejection) are
+//! flushed.
 
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
+
+use crate::proto::MAX_FRAME_BYTES;
 
 /// How much to ask the kernel for per `read` call.
 const READ_CHUNK: usize = 64 * 1024;
@@ -22,6 +32,14 @@ pub(crate) struct Conn {
     stream: TcpStream,
     /// Bytes received but not yet split into complete lines.
     rbuf: Vec<u8>,
+    /// Length of the prefix of `rbuf` already scanned: it holds no
+    /// newline.
+    scanned: usize,
+    /// The length (so far) of a frame over [`MAX_FRAME_BYTES`], until the
+    /// event loop takes it to answer.
+    oversized: Option<usize>,
+    /// A frame was over the cap: input is read and dropped from then on.
+    discarding: bool,
     /// Rendered response bytes not yet accepted by the kernel.
     wbuf: Vec<u8>,
     /// The peer half-closed (EOF) or errored its read side.
@@ -40,6 +58,9 @@ impl Conn {
         Ok(Conn {
             stream,
             rbuf: Vec::new(),
+            scanned: 0,
+            oversized: None,
+            discarding: false,
             wbuf: Vec::new(),
             read_closed: false,
             write_dead: false,
@@ -65,7 +86,10 @@ impl Conn {
                 }
                 Ok(n) => {
                     progressed = true;
-                    self.rbuf.extend_from_slice(&chunk[..n]);
+                    if !self.discarding {
+                        self.rbuf.extend_from_slice(&chunk[..n]);
+                        self.split_lines(lines);
+                    }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -75,7 +99,6 @@ impl Conn {
                 }
             }
         }
-        self.split_lines(lines);
         if self.read_closed && !self.rbuf.is_empty() {
             // EOF with a trailing unterminated line: deliver it.
             let tail = std::mem::take(&mut self.rbuf);
@@ -84,18 +107,52 @@ impl Conn {
         progressed
     }
 
-    /// Splits complete `\n`-terminated lines out of `rbuf`.
+    /// Splits complete `\n`-terminated lines out of `rbuf`, scanning only
+    /// the bytes not scanned before. A line, or an unterminated tail,
+    /// longer than [`MAX_FRAME_BYTES`] stops reading.
     fn split_lines(&mut self, lines: &mut Vec<String>) {
         let mut start = 0;
-        while let Some(pos) = self.rbuf[start..].iter().position(|&b| b == b'\n') {
-            let end = start + pos;
-            let line = String::from_utf8_lossy(&self.rbuf[start..end]).into_owned();
-            lines.push(line);
+        while let Some(pos) = self.rbuf[self.scanned..].iter().position(|&b| b == b'\n') {
+            let end = self.scanned + pos;
+            if end - start > MAX_FRAME_BYTES {
+                return self.reject(end - start);
+            }
+            lines.push(String::from_utf8_lossy(&self.rbuf[start..end]).into_owned());
             start = end + 1;
+            self.scanned = start;
         }
-        if start > 0 {
-            self.rbuf.drain(..start);
+        self.rbuf.drain(..start);
+        self.scanned = self.rbuf.len();
+        if self.rbuf.len() > MAX_FRAME_BYTES {
+            self.reject(self.rbuf.len());
         }
+    }
+
+    /// Drops the over-long frame of `len` bytes and everything after it.
+    fn reject(&mut self, len: usize) {
+        self.oversized = Some(len);
+        self.discarding = true;
+        self.rbuf = Vec::new();
+        self.scanned = 0;
+    }
+
+    /// The length seen of a frame over [`MAX_FRAME_BYTES`], once: the
+    /// caller answers it with a `bad_request`.
+    pub fn take_oversized(&mut self) -> Option<usize> {
+        self.oversized.take()
+    }
+
+    /// `true` once the connection discards its input and still has to
+    /// close its write side.
+    pub fn closing(&self) -> bool {
+        self.discarding && !self.write_dead
+    }
+
+    /// Closes the write side (the peer reads EOF after the answers
+    /// already delivered); later frames for this connection are dropped.
+    pub fn close_write(&mut self) {
+        let _ = self.stream.shutdown(Shutdown::Write);
+        self.write_dead = true;
     }
 
     /// Appends one response frame to the write buffer. Returns `true`
@@ -200,6 +257,75 @@ mod tests {
         }
         assert_eq!(lines, ["one", "two", "three more", "last"]);
         assert!(conn.read_closed);
+    }
+
+    /// Writes `bytes` from a thread while `conn` reads, until `done`.
+    fn feed(mut peer: TcpStream, bytes: Vec<u8>) -> std::thread::JoinHandle<TcpStream> {
+        std::thread::spawn(move || {
+            let _ = peer.write_all(&bytes);
+            peer
+        })
+    }
+
+    fn read_until(
+        conn: &mut Conn,
+        lines: &mut Vec<String>,
+        done: impl Fn(&Conn, &[String]) -> bool,
+    ) {
+        for _ in 0..20_000 {
+            conn.read_available(lines);
+            if done(conn, lines) {
+                return;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        panic!("timed out");
+    }
+
+    #[test]
+    fn a_frame_at_the_cap_is_delivered() {
+        let (peer, mut conn) = pair();
+        let mut bytes = vec![b'x'; MAX_FRAME_BYTES];
+        bytes.extend_from_slice(b"\nnext\n");
+        let writer = feed(peer, bytes);
+        let mut lines = Vec::new();
+        read_until(&mut conn, &mut lines, |_, l| l.len() == 2);
+        assert_eq!(lines[0].len(), MAX_FRAME_BYTES);
+        assert_eq!(lines[1], "next");
+        assert_eq!(conn.take_oversized(), None);
+        assert!(!conn.closing());
+        drop(writer.join());
+    }
+
+    #[test]
+    fn a_frame_past_the_cap_is_dropped_and_closes_the_connection() {
+        let (peer, mut conn) = pair();
+        let mut bytes = b"before\n".to_vec();
+        bytes.extend(std::iter::repeat_n(b'x', MAX_FRAME_BYTES + 1));
+        bytes.extend_from_slice(b"\nafter\n");
+        let writer = feed(peer, bytes);
+        let mut lines = Vec::new();
+        read_until(&mut conn, &mut lines, |c, _| c.closing());
+        let len = conn.take_oversized().expect("the long frame is reported");
+        assert!(len > MAX_FRAME_BYTES);
+        assert_eq!(conn.take_oversized(), None, "reported once");
+        // Nothing past the long frame is delivered, and nothing of it
+        // stays buffered.
+        let mut peer = writer.join().expect("writer");
+        read_until(&mut conn, &mut lines, |_, _| true);
+        assert_eq!(lines, ["before"]);
+        assert!(conn.rbuf.capacity() == 0);
+        // The answer goes out, then the write side closes.
+        conn.queue_frame("rejected");
+        while !conn.flushed() {
+            conn.flush();
+        }
+        conn.close_write();
+        assert!(!conn.closing());
+        peer.shutdown(Shutdown::Write).expect("half-close");
+        let mut got = String::new();
+        peer.read_to_string(&mut got).expect("read to EOF");
+        assert_eq!(got, "rejected\n");
     }
 
     #[test]

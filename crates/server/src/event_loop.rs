@@ -250,6 +250,22 @@ pub(crate) fn run(listener: &TcpListener, metrics: Option<&TcpListener>, shared:
                 dispatch(shared, cid, line);
                 progressed = true;
             }
+            if let Some(len) = conn.take_oversized() {
+                shared.telemetry.add_counter(stats::REJECTED_BAD_REQUEST, 1);
+                let detail = format!(
+                    "frame of {len}+ bytes exceeds the {}-byte frame limit; closing",
+                    proto::MAX_FRAME_BYTES
+                );
+                let frame = proto::render_rejected(
+                    ProtocolVersion::V1,
+                    "",
+                    RejectReason::BadRequest,
+                    &detail,
+                    None,
+                );
+                shared.completions.push(cid, frame);
+                progressed = true;
+            }
         }
 
         // 3. Snapshot removal candidates BEFORE draining completions:
@@ -261,6 +277,14 @@ pub(crate) fn run(listener: &TcpListener, metrics: Option<&TcpListener>, shared:
             .filter(|(cid, c)| {
                 c.read_closed && (c.write_dead || shared.admission.outstanding(**cid) == 0)
             })
+            .map(|(cid, _)| *cid)
+            .collect();
+
+        // Connections that dropped an over-long frame close their write
+        // side once every answer owed is delivered (same snapshot rule).
+        let closing: Vec<u64> = conns
+            .iter()
+            .filter(|(cid, c)| c.closing() && shared.admission.outstanding(**cid) == 0)
             .map(|(cid, _)| *cid)
             .collect();
 
@@ -279,6 +303,13 @@ pub(crate) fn run(listener: &TcpListener, metrics: Option<&TcpListener>, shared:
         // 5. Flush as far as the kernel allows.
         for conn in conns.values_mut() {
             if conn.flush() {
+                progressed = true;
+            }
+        }
+
+        for cid in closing {
+            if let Some(conn) = conns.get_mut(&cid).filter(|c| c.flushed()) {
+                conn.close_write();
                 progressed = true;
             }
         }

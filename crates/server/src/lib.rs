@@ -79,8 +79,8 @@ pub use client::{
 };
 pub use proto::{
     BatchItem, BatchRequest, MapPayload, MapRequest, MetricsSnapshot, Op, ProtocolVersion,
-    RejectReason, Request, RequestTrace, ServerLimits, ShedHint, MAX_PRIORITY, PROTOCOLS,
-    PROTOCOL_V1, PROTOCOL_V2,
+    RejectReason, Request, RequestTrace, ServerLimits, ShedHint, MAX_FRAME_BYTES, MAX_PRIORITY,
+    PROTOCOLS, PROTOCOL_V1, PROTOCOL_V2,
 };
 pub use server::{
     run_daemon, serve_stdio, stats, ServeOptions, ServeOptionsBuilder, Server, ServerHandle,

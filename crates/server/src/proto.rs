@@ -31,7 +31,8 @@
 //!
 //! - `op: "hello"` — version negotiation: the response lists the
 //!   protocol versions the server accepts plus its admission limits
-//!   (`quota`, `queue`, `batch_limit`).
+//!   (`quota`, `queue`, `batch_limit`) and the longest frame it reads
+//!   (`max_frame_bytes`).
 //! - `op: "map_batch"` — many netlists in one frame: a `requests`
 //!   array of per-netlist objects (same knobs as a v1 `map`, plus
 //!   `priority`); the response is a single frame with a `results`
@@ -76,6 +77,11 @@ pub const PROTOCOLS: &[&str] = &[PROTOCOL_V1, PROTOCOL_V2];
 
 /// The highest request priority (`priority` is `0..=MAX_PRIORITY`).
 pub const MAX_PRIORITY: u8 = 9;
+
+/// The longest request frame (one line, without its newline) the server
+/// reads, in bytes; `hello` advertises it. A longer frame is answered
+/// with a `bad_request` and the connection is closed.
+pub const MAX_FRAME_BYTES: usize = 16 << 20;
 
 /// Which protocol version a frame spoke. Responses always mirror the
 /// request's version.
@@ -312,6 +318,8 @@ pub struct ServerLimits {
     pub queue_depth: usize,
     /// Maximum netlists per `map_batch` frame.
     pub batch_limit: usize,
+    /// Maximum bytes of one request frame ([`MAX_FRAME_BYTES`]).
+    pub max_frame_bytes: usize,
 }
 
 /// A protocol-level parse failure: the rejection detail plus whatever
@@ -885,8 +893,8 @@ pub fn render_hello_ok(id: &str, limits: &ServerLimits) -> String {
     }
     let _ = write!(
         out,
-        "],\"quota\":{},\"queue\":{},\"batch_limit\":{}}}",
-        limits.quota, limits.queue_depth, limits.batch_limit
+        "],\"quota\":{},\"queue\":{},\"batch_limit\":{},\"max_frame_bytes\":{}}}",
+        limits.quota, limits.queue_depth, limits.batch_limit, limits.max_frame_bytes
     );
     out
 }
@@ -1523,13 +1531,14 @@ mod tests {
                 quota: 8,
                 queue_depth: 64,
                 batch_limit: 64,
+                max_frame_bytes: 1024,
             },
         );
         assert_eq!(
             hello,
             "{\"proto\":\"chortle-serve/v2\",\"id\":\"h\",\"status\":\"ok\",\"op\":\"hello\",\
              \"versions\":[\"chortle-serve/v1\",\"chortle-serve/v2\"],\
-             \"quota\":8,\"queue\":64,\"batch_limit\":64}"
+             \"quota\":8,\"queue\":64,\"batch_limit\":64,\"max_frame_bytes\":1024}"
         );
 
         let line = render_admin_request(V2, "h", &Op::Hello);

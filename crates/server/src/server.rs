@@ -307,6 +307,7 @@ impl Shared {
                 quota,
                 queue_depth,
                 batch_limit,
+                max_frame_bytes: proto::MAX_FRAME_BYTES,
             },
         }
     }

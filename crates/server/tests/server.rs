@@ -1127,3 +1127,72 @@ fn deeply_nested_frames_are_bad_requests_and_the_connection_survives() {
     }
     shut_down(&addr, run);
 }
+
+#[test]
+fn frames_are_capped_at_max_frame_bytes() {
+    let blif = write_blif(&benchmark("count").unwrap(), "count");
+    // A v2 map frame of exactly `len` bytes: the netlist behind a BLIF
+    // comment padded to fit.
+    let frame_of = |len: usize, id: &str| {
+        let render = |pad: usize| {
+            let padded = format!("#{}\n{blif}", "x".repeat(pad));
+            proto::render_map_request(ProtocolVersion::V2, id, &request(&padded))
+        };
+        let frame = render(len - render(0).len());
+        assert_eq!(frame.len(), len);
+        frame
+    };
+    let (addr, run) = start(ServeOptions::default());
+
+    let mut client = Client::connect(&addr).expect("connect");
+    match client.hello("h").expect("hello") {
+        HelloReply::Hello {
+            max_frame_bytes, ..
+        } => assert_eq!(max_frame_bytes, chortle_server::MAX_FRAME_BYTES),
+        other => panic!("expected Hello, got {other:?}"),
+    }
+
+    // At the cap: mapped, and the connection serves the next frame.
+    let stream = TcpStream::connect(&addr).expect("connect");
+    let frames = vec![
+        frame_of(chortle_server::MAX_FRAME_BYTES, "at-cap"),
+        proto::render_admin_request(ProtocolVersion::V2, "next", &proto::Op::Hello),
+    ];
+    let responses = burst(&stream, &frames, 2);
+    match &responses["at-cap"] {
+        Response::MapOk { netlist, .. } => {
+            assert_eq!(netlist, &offline(&blif, 4, Objective::Area, true));
+        }
+        other => panic!("expected MapOk, got {other:?}"),
+    }
+    assert!(matches!(responses["next"], Response::HelloOk { .. }));
+
+    // One byte over: a typed bad_request, then the server closes the
+    // connection without reading the frames behind it.
+    let stream = TcpStream::connect(&addr).expect("connect");
+    let frames = vec![
+        proto::render_admin_request(ProtocolVersion::V2, "before", &proto::Op::Hello),
+        frame_of(chortle_server::MAX_FRAME_BYTES + 1, "over"),
+        proto::render_admin_request(ProtocolVersion::V2, "after", &proto::Op::Hello),
+    ];
+    let responses = burst(&stream, &frames, 2);
+    assert!(matches!(responses["before"], Response::HelloOk { .. }));
+    match &responses[""] {
+        Response::Rejected { rejection, .. } => {
+            assert_eq!(rejection.reason, "bad_request");
+            assert!(
+                rejection.detail.contains("frame limit"),
+                "{}",
+                rejection.detail
+            );
+        }
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+    let mut rest = String::new();
+    let n = BufReader::new(&stream)
+        .read_line(&mut rest)
+        .expect("read after the rejection");
+    assert_eq!(n, 0, "connection closed, got {rest:?}");
+    drop(stream);
+    shut_down(&addr, run);
+}

@@ -1,16 +1,25 @@
-//! Hostile-depth inputs on a deliberately small stack.
+//! Hostile inputs on a deliberately small stack.
 //!
 //! Every walk whose depth the input controls must be iterative: here a
 //! fanout-free chain of 10^5 two-input gates — one tree 10^5 levels deep
 //! — goes through `parse_blif` → `map_network` → `write_lut_blif` on a
 //! thread with a 256 KiB stack, so a new unbounded recursion fails this
 //! test instead of aborting a daemon worker or the CLI.
+//!
+//! Work the input controls must be bounded too: a 40-cube node with
+//! about 2^40 kernels goes through `optimize` and the CLI flow within the
+//! kernel-enumeration budget.
 
 use std::fmt::Write as _;
 use std::thread;
+use std::time::{Duration, Instant};
 
 use chortle::{map_network, MapOptions};
-use chortle_netlist::{parse_blif, write_lut_blif};
+use chortle_cli::{run_flow, FlowOptions};
+use chortle_logic_opt::optimize;
+use chortle_netlist::{
+    check_equivalence, parse_blif, simulate_outputs, write_lut_blif, SplitMix64,
+};
 
 /// Stack of the thread the hostile inputs run on.
 const SMALL_STACK: usize = 256 * 1024;
@@ -60,4 +69,55 @@ fn a_deep_chain_maps_on_a_small_stack() {
     // the gate count.
     assert!((GATES / 4..=GATES / 2).contains(&luts), "{luts} LUTs");
     assert!(text.starts_with(".model chain\n"));
+}
+
+/// One `.names` of `n` cubes over `n` inputs, cube `i` omitting input
+/// `i`: every set of at least two cubes has a common cube, so the node
+/// has on the order of 2^n kernels.
+fn omit_one_blif(n: usize) -> String {
+    let mut blif = String::from(".model omit\n.inputs");
+    for i in 0..n {
+        let _ = write!(blif, " a{i}");
+    }
+    blif.push_str("\n.outputs y\n.names");
+    for i in 0..n {
+        let _ = write!(blif, " a{i}");
+    }
+    blif.push_str(" y\n");
+    for i in 0..n {
+        let row: String = (0..n).map(|j| if j == i { '-' } else { '1' }).collect();
+        let _ = writeln!(blif, "{row} 1");
+    }
+    blif.push_str(".end\n");
+    blif
+}
+
+#[test]
+fn a_kernel_rich_node_optimizes_within_the_budget() {
+    const INPUTS: usize = 40;
+    let blif = omit_one_blif(INPUTS);
+    let elapsed = on_small_stack(move || {
+        let started = Instant::now();
+        let network = parse_blif(&blif).expect("the node parses");
+        let (optimized, _) = optimize(&network).expect("optimizes");
+        let mut rng = SplitMix64::new(0x0b17);
+        for _ in 0..64 {
+            let words: Vec<u64> = (0..INPUTS).map(|_| rng.next_u64()).collect();
+            assert_eq!(
+                simulate_outputs(&network, &words),
+                simulate_outputs(&optimized, &words),
+                "optimize changed the function"
+            );
+        }
+        let options = MapOptions::builder(4).jobs(1).build().expect("valid");
+        let mapping = map_network(&optimized, &options).expect("maps");
+        check_equivalence(&optimized, &mapping.circuit).expect("mapping is equivalent");
+        let flow = FlowOptions {
+            map: options,
+            ..FlowOptions::default()
+        };
+        run_flow(&blif, &flow).expect("the verified flow succeeds");
+        started.elapsed()
+    });
+    assert!(elapsed < Duration::from_secs(2), "took {elapsed:?}");
 }
