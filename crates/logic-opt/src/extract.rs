@@ -13,7 +13,7 @@ use chortle_netlist::NetworkError;
 use crate::cube::{Cube, Literal};
 use crate::kernels::{kernel_rows, KERNEL_BUDGET};
 use crate::network::SopNetwork;
-use crate::rows::{Division, Rows, Space};
+use crate::rows::{ones, Division, Rows, Space};
 use crate::sop::Sop;
 
 /// Caps kernel enumeration per node to keep extraction fast on wide SOPs.
@@ -81,8 +81,11 @@ struct Candidate {
 #[derive(Default)]
 struct KernelIndex {
     candidates: Vec<Candidate>,
-    /// Kernel -> its position in `candidates`.
-    ids: HashMap<Sop, usize>,
+    /// Kernel -> its position in `candidates`. A kernel's key is its
+    /// global literal codes, cube by cube, each cube closed by
+    /// `u32::MAX`: one flat buffer to build and hash, where a `Sop` key
+    /// would allocate every cube.
+    ids: HashMap<Vec<u32>, usize>,
     /// Candidate ids each node contributes, indexed by variable.
     contributed: Vec<Vec<usize>>,
 }
@@ -105,6 +108,7 @@ impl KernelIndex {
             return;
         };
         let mut ids: Vec<usize> = Vec::new();
+        let mut key: Vec<u32> = Vec::new();
         // Kernels come sorted, so equal kernels (under different
         // co-kernels) are adjacent and each is divided once.
         let mut previous: Option<&Rows> = None;
@@ -113,12 +117,17 @@ impl KernelIndex {
                 continue;
             }
             previous = Some(&k.kernel);
-            let kernel = space.sop(&k.kernel);
-            let id = match self.ids.get(&kernel) {
+            key.clear();
+            for row in k.kernel.iter() {
+                key.extend(ones(row).map(|b| space.literal(b).code() as u32));
+                key.push(u32::MAX);
+            }
+            let id = match self.ids.get(&key) {
                 Some(&id) => id,
                 None => {
                     let id = self.candidates.len();
-                    self.ids.insert(kernel.clone(), id);
+                    let kernel = space.sop(&k.kernel);
+                    self.ids.insert(key.clone(), id);
                     self.candidates.push(Candidate {
                         literals: kernel.num_literals() as isize,
                         kernel,

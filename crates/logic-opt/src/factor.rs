@@ -129,7 +129,7 @@ fn factor_rows(space: &Space, f: &Rows) -> Factored {
     if common.iter().all(|&w| w == 0) {
         return factor_cube_free(space, f);
     }
-    let inner = factor_cube_free(space, &f.without(&common).sorted());
+    let inner = factor_cube_free(space, &f.clone().without(&common).sorted());
     Factored::and(vec![cube_to_factored(space, &common), inner])
 }
 

@@ -80,8 +80,8 @@ pub fn kernels(f: &Sop) -> Vec<Kernel> {
 /// The kernels of the sorted rows `f`, ordered by `(kernel, co_kernel)`
 /// and deduplicated; `None` once more than `budget` are found.
 ///
-/// Each stack entry is a cube-free SOP `g`, its co-kernel and the first
-/// literal that may still seed a quotient. Dividing `g` by a literal
+/// Each stack entry is a kernel `g` found so far and the first literal
+/// that may still seed a quotient of it. Dividing `g` by a literal
 /// `l` shared by two cubes gives a kernel unless the quotient's common
 /// cube holds a seeding literal before `l` (that kernel is reached from
 /// the earlier literal).
@@ -90,16 +90,18 @@ pub(crate) fn kernel_rows(f: &Rows, budget: usize) -> Option<Vec<KernelRows>> {
         return Some(Vec::new());
     }
     let common = f.common();
-    let free = f.without(&common).sorted();
+    let free = f.clone().without(&common).sorted();
     let seeds = free.multi_literals();
     let mut out = vec![KernelRows {
-        kernel: free.clone(),
-        co_kernel: common.clone(),
+        kernel: free,
+        co_kernel: common,
     }];
-    let mut stack = vec![(free, common, 0)];
-    while let Some((g, co_kernel, start)) = stack.pop() {
+    // Kernels still to divide further, as positions in `out`, with the
+    // first literal that may seed their quotients.
+    let mut stack = vec![(0, 0)];
+    while let Some((g, start)) = stack.pop() {
         for lit in ones(&seeds).filter(|&b| b >= start) {
-            let quotient = g.divide_by_literal(lit);
+            let quotient = out[g].kernel.divide_by_literal(lit);
             if quotient.len() < 2 {
                 continue;
             }
@@ -112,17 +114,21 @@ pub(crate) fn kernel_rows(f: &Rows, budget: usize) -> Option<Vec<KernelRows>> {
             if (0..extra.len()).any(|w| extra[w] & seeds[w] & earlier(w) != 0) {
                 continue;
             }
-            let kernel = quotient.without(&extra).sorted();
-            let mut co: Vec<u64> = co_kernel.iter().zip(&extra).map(|(c, e)| c | e).collect();
-            co[lit / 64] |= 1 << (lit % 64);
             if out.len() >= budget {
                 return None;
             }
+            let mut co_kernel: Vec<u64> = out[g]
+                .co_kernel
+                .iter()
+                .zip(&extra)
+                .map(|(c, e)| c | e)
+                .collect();
+            co_kernel[lit / 64] |= 1 << (lit % 64);
             out.push(KernelRows {
-                kernel: kernel.clone(),
-                co_kernel: co.clone(),
+                kernel: quotient.without(&extra).sorted(),
+                co_kernel,
             });
-            stack.push((kernel, co, lit + 1));
+            stack.push((out.len() - 1, lit + 1));
         }
     }
     out.sort_unstable_by(|a, b| {

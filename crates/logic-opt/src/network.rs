@@ -479,6 +479,7 @@ fn inline(consumer: &Sop, x: Literal, sop: &Sop) -> Sop {
     let (xw, xm) = (xb / 64, 1u64 << (xb % 64));
     let divisor = space.rows(sop);
     let mut rows = space.rows(consumer);
+    rows.reserve(consumer.num_cubes() * divisor.len());
     for c in 0..rows.len() {
         if rows.row(c)[xw] & xm == 0 {
             continue;

@@ -34,19 +34,15 @@ pub(crate) struct Space {
 
 impl Space {
     /// The space of every variable referenced by `sops`.
-    ///
-    /// The support is kept sorted as it is collected (a node's support
-    /// is small next to its literal count), so building it costs a
-    /// binary search per literal and nothing per unused variable.
     pub(crate) fn of(sops: &[&Sop]) -> Space {
-        let mut vars: Vec<usize> = Vec::new();
-        for c in sops.iter().flat_map(|s| s.cubes()) {
-            for l in c.literals() {
-                if let Err(pos) = vars.binary_search(&l.var()) {
-                    vars.insert(pos, l.var());
-                }
+        let mut vars: Vec<usize> = Vec::with_capacity(sops.iter().map(|s| s.num_literals()).sum());
+        for s in sops {
+            for c in s.cubes() {
+                vars.extend(c.literals().iter().map(|l| l.var()));
             }
         }
+        vars.sort_unstable();
+        vars.dedup();
         let width = (2 * vars.len()).div_ceil(64).max(1);
         Space { vars, width }
     }
@@ -69,7 +65,10 @@ impl Space {
     ///
     /// Panics if `sop` references a variable outside the space.
     pub(crate) fn rows(&self, sop: &Sop) -> Rows {
-        let mut rows = Rows::new(self.width);
+        let mut rows = Rows {
+            width: self.width,
+            bits: Vec::with_capacity(sop.num_cubes() * self.width),
+        };
         for c in sop.cubes() {
             let row = rows.push_zero();
             for &l in c.literals() {
@@ -219,6 +218,11 @@ impl Rows {
         p
     }
 
+    /// Reserves room for `rows` more rows.
+    pub(crate) fn reserve(&mut self, rows: usize) {
+        self.bits.reserve(rows * self.width);
+    }
+
     /// Drops the last row.
     pub(crate) fn pop(&mut self) {
         self.bits.truncate(self.bits.len() - self.width);
@@ -245,14 +249,13 @@ impl Rows {
     }
 
     /// The rows with the literals of `cube` removed, in the same order.
-    pub(crate) fn without(&self, cube: &[u64]) -> Rows {
-        let mut out = Rows::new(self.width);
-        for r in self.iter() {
-            for (o, (&w, &c)) in out.push_zero().iter_mut().zip(r.iter().zip(cube)) {
-                *o = w & !c;
+    pub(crate) fn without(mut self, cube: &[u64]) -> Rows {
+        for r in self.bits.chunks_exact_mut(self.width) {
+            for (w, &c) in r.iter_mut().zip(cube) {
+                *w &= !c;
             }
         }
-        out
+        self
     }
 
     /// The quotient by the single literal `bit`: every row holding it,
@@ -311,23 +314,19 @@ impl Rows {
         None
     }
 
-    /// Per row of these distinct rows, whether single-cube containment
-    /// keeps it: no other row covers it.
+    /// The positions, ascending, of the rows single-cube containment
+    /// keeps among these distinct rows: those no other row covers.
     ///
     /// Rows are visited by ascending literal count, so a row's proper
     /// divisors come before it. A row is dropped iff a kept row with
     /// fewer literals covers it (every dropped row is itself covered by a
     /// kept one), so each row is checked against that prefix of the kept
     /// rows only.
-    pub(crate) fn uncovered(&self) -> Vec<bool> {
-        let mut keep = vec![true; self.len()];
-        if self.len() < 2 {
-            return keep;
-        }
+    pub(crate) fn uncovered(&self) -> impl Iterator<Item = usize> {
         let mut order: Vec<(usize, usize)> = self.iter().map(literals).zip(0..self.len()).collect();
         order.sort_unstable();
-        // The kept rows, as indexes, overwrite the visited prefix of
-        // `order`; `smaller` of them have fewer literals than the row.
+        // The kept rows overwrite the visited prefix of `order`;
+        // `smaller` of them have fewer literals than the row.
         let (mut kept, mut smaller) = (0, 0);
         for n in 0..order.len() {
             let (lits, i) = order[n];
@@ -335,29 +334,33 @@ impl Rows {
                 smaller = kept;
             }
             let c = self.row(i);
-            if order[..smaller]
+            if !order[..smaller]
                 .iter()
                 .any(|&(_, k)| covers(self.row(k), c))
             {
-                keep[i] = false;
-            } else {
                 order[kept] = (lits, i);
                 kept += 1;
             }
         }
-        keep
+        order.truncate(kept);
+        order.sort_unstable_by_key(|&(_, i)| i);
+        order.into_iter().map(|(_, i)| i)
     }
 
     /// Single-cube-containment minimization of these distinct rows,
     /// keeping their order; constant true (an empty row) absorbs
     /// everything.
     pub(crate) fn minimize(&mut self) {
-        let keep = self.uncovered();
-        let mut i = 0;
-        self.retain(|_| {
-            i += 1;
-            keep[i - 1]
-        });
+        if self.len() < 2 {
+            return;
+        }
+        let w = self.width;
+        let mut kept = 0;
+        for i in self.uncovered() {
+            self.bits.copy_within(i * w..(i + 1) * w, kept * w);
+            kept += 1;
+        }
+        self.bits.truncate(kept * w);
     }
 
     /// Whether the rows form a level-0 kernel: at least two cubes and no

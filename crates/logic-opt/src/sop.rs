@@ -127,9 +127,12 @@ impl Sop {
         if self.cubes.len() < 2 {
             return;
         }
-        let keep = Space::of(&[self]).rows(self).uncovered();
-        let mut keep = keep.into_iter();
-        self.cubes.retain(|_| keep.next().unwrap_or(true));
+        let mut kept = Space::of(&[self]).rows(self).uncovered().peekable();
+        let mut i = 0;
+        self.cubes.retain(|_| {
+            i += 1;
+            kept.next_if_eq(&(i - 1)).is_some()
+        });
     }
 
     /// The largest cube dividing every cube of the SOP (the intersection of
