@@ -142,9 +142,10 @@ pub(crate) fn cmp_rows(a: &[u64], b: &[u64]) -> Ordering {
             (x, &a[w + 1..], false)
         };
         let other_continues = other & above != 0 || other_rest.iter().any(|&v| v != 0);
-        return match (holder_is_a, other_continues) {
-            (true, true) | (false, false) => Ordering::Less,
-            (true, false) | (false, true) => Ordering::Greater,
+        return if holder_is_a == other_continues {
+            Ordering::Less
+        } else {
+            Ordering::Greater
         };
     }
     Ordering::Equal
