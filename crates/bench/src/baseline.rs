@@ -9,10 +9,12 @@
 //!   tree, so the recorded speedups compare identical answers.
 //! * [`baseline_check_equivalence`] is the original equivalence checker:
 //!   a bit-serial LUT simulator (64 × K shift-and-test steps and one
-//!   `Vec` per LUT per chunk) and per-chunk buffer allocation. `perf`
-//!   times it against [`chortle_netlist::check_equivalence`]; the
-//!   differential tests use it as the oracle that the word-parallel
-//!   checker reports the identical [`EquivalenceError`].
+//!   `Vec` per LUT per chunk), per-chunk buffer allocation, and the
+//!   frozen word-per-round network simulator of [`sim`]. `perf` times it
+//!   against [`chortle_netlist::check_equivalence`]; the differential
+//!   tests use it as the oracle that the block checker reports the
+//!   identical [`EquivalenceError`]. [`baseline_check_networks`] is the
+//!   same oracle for [`chortle_netlist::check_networks`].
 //! * [`baseline_optimize`] is the optimization script with the original
 //!   whole-network `eliminate` and `extract_kernels`: every candidate
 //!   variable scans every node, and every extraction re-enumerates the
@@ -37,12 +39,13 @@ use chortle_logic_opt::{
     SopNetwork,
 };
 use chortle_netlist::{
-    simulate_outputs, EquivalenceError, LutCircuit, LutSource, Network, NetworkError, NodeId,
-    NodeOp, SplitMix64, MAX_VARS, RANDOM_ROUNDS,
+    EquivalenceError, LutCircuit, LutSource, Network, NetworkError, NodeId, NodeOp, SplitMix64,
+    MAX_VARS, RANDOM_ROUNDS,
 };
 
 pub mod algebra;
 mod parse;
+pub mod sim;
 
 use algebra::{
     baseline_divide, baseline_extract_cubes, baseline_kernels, baseline_minimize,
@@ -50,6 +53,7 @@ use algebra::{
 };
 
 pub use parse::baseline_parse_blif;
+pub use sim::{baseline_check_networks, baseline_simulate_outputs};
 
 const INF: u32 = 1_000_000_000;
 
@@ -337,7 +341,7 @@ fn compare_chunk(
     base: u64,
     index: &dyn Fn(NodeId) -> usize,
 ) -> Result<(), EquivalenceError> {
-    let want = simulate_outputs(network, words);
+    let want = baseline_simulate_outputs(network, words);
     let got = bit_serial_simulate(circuit, words, index);
     for (o, (w, g)) in want.iter().zip(&got).enumerate() {
         let mask = if chunk == 64 {
@@ -362,7 +366,7 @@ fn compare_random_chunk(
     words: &[u64],
     index: &dyn Fn(NodeId) -> usize,
 ) -> Result<(), EquivalenceError> {
-    let want = simulate_outputs(network, words);
+    let want = baseline_simulate_outputs(network, words);
     let got = bit_serial_simulate(circuit, words, index);
     for (o, (w, g)) in want.iter().zip(&got).enumerate() {
         let diff = w ^ g;
