@@ -53,7 +53,10 @@ use algebra::{
 };
 
 pub use parse::baseline_parse_blif;
-pub use sim::{baseline_check_networks, baseline_simulate_outputs};
+pub use sim::{baseline_check_networks, baseline_simulate_outputs, NETWORKS_SEED};
+
+/// Seed of `check_equivalence`'s random pattern stream.
+pub const CIRCUIT_SEED: u64 = 0xC0FF_EE00_D15E_A5ED;
 
 const INF: u32 = 1_000_000_000;
 
@@ -324,7 +327,7 @@ pub fn baseline_check_equivalence(
         }
         Ok(())
     } else {
-        let mut rng = SplitMix64::new(0xC0FF_EE00_D15E_A5ED);
+        let mut rng = SplitMix64::new(CIRCUIT_SEED);
         for _ in 0..RANDOM_ROUNDS {
             let words: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
             compare_random_chunk(network, circuit, &words, &index)?;

@@ -1,7 +1,7 @@
 //! The frozen word-per-round network simulator and the network-vs-network
 //! checker built on it, as they were before block-parallel checking.
 //!
-//! [`simulate_outputs`] re-dispatches on [`NodeOp`] inside the fanin loop
+//! [`baseline_simulate_outputs`] re-dispatches on [`NodeOp`] inside the fanin loop
 //! and evaluates one 64-pattern word per call; [`baseline_check_networks`]
 //! sweeps the same chunks as `chortle_netlist::check_networks` one word
 //! at a time. Both are the oracles the block checker is compared with.
@@ -12,7 +12,7 @@ use chortle_netlist::{
 };
 
 /// Seed of `check_networks`' random pattern stream.
-const NETWORKS_SEED: u64 = 0x5EED_CAFE_F00D_BEEF;
+pub const NETWORKS_SEED: u64 = 0x5EED_CAFE_F00D_BEEF;
 
 /// Position of every primary input in [`Network::inputs`], indexed by
 /// node (`usize::MAX` for non-inputs).

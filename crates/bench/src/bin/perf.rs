@@ -140,7 +140,7 @@ struct VerifyRow {
     luts: u64,
     /// The frozen bit-serial checker over the mapped suite.
     baseline_s: f64,
-    /// [`check_equivalence`] (word-parallel LUT evaluation) over the
+    /// [`check_equivalence`] (block-parallel tape simulation) over the
     /// same circuits.
     optimized_s: f64,
 }
@@ -686,7 +686,7 @@ fn main() {
         );
 
         // Equivalence checking of the mapped suite: the frozen
-        // bit-serial checker against the word-parallel one. Both must
+        // bit-serial checker against the block-parallel one. Both must
         // accept every circuit (the differential test pins identical
         // errors on broken ones).
         let checked: Vec<_> = suite
@@ -715,7 +715,7 @@ fn main() {
             optimized_s: verify_opt_s,
         });
         eprintln!(
-            "perf: verify  k={k} {:>6} LUTs  bit-serial {:.4}s  word-parallel {:.4}s  ({:.2}x)",
+            "perf: verify  k={k} {:>6} LUTs  bit-serial {:.4}s  block-parallel {:.4}s  ({:.2}x)",
             luts,
             verify_base_s,
             verify_opt_s,

@@ -12,7 +12,8 @@ use std::fmt;
 
 use crate::error::LutError;
 use crate::network::NodeId;
-use crate::truth_table::{TruthTable, MAX_VARS};
+use crate::sim::{Block, Tape};
+use crate::truth_table::TruthTable;
 
 /// Identifier of a lookup table within a [`LutCircuit`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -248,65 +249,12 @@ impl LutCircuit {
     ///
     /// [`Network::inputs`]: crate::Network::inputs
     pub fn simulate(&self, input_words: &[u64], input_index: &dyn Fn(NodeId) -> usize) -> Vec<u64> {
-        let mut lut_values = Vec::new();
-        self.simulate_luts(input_words, input_index, &mut lut_values);
-        (0..self.outputs.len())
-            .map(|o| self.output_word(o, input_words, input_index, &lut_values))
-            .collect()
-    }
-
-    /// Evaluates every LUT on 64 packed patterns into `lut_values` (one
-    /// word per LUT, resized to fit), reusing the buffer across calls.
-    pub(crate) fn simulate_luts(
-        &self,
-        input_words: &[u64],
-        input_index: &dyn Fn(NodeId) -> usize,
-        lut_values: &mut Vec<u64>,
-    ) {
-        lut_values.clear();
-        lut_values.reserve(self.luts.len());
-        let mut gathered = [0u64; MAX_VARS];
-        for lut in &self.luts {
-            let fanin = &mut gathered[..lut.inputs.len()];
-            for (w, &src) in fanin.iter_mut().zip(&lut.inputs) {
-                *w = self.source_word(src, input_words, input_index, lut_values);
-            }
-            let value = lut.table.eval_words(fanin);
-            lut_values.push(value);
-        }
-    }
-
-    /// The word of output `o` (polarity applied) given the LUT values of
-    /// [`simulate_luts`](Self::simulate_luts).
-    pub(crate) fn output_word(
-        &self,
-        o: usize,
-        input_words: &[u64],
-        input_index: &dyn Fn(NodeId) -> usize,
-        lut_values: &[u64],
-    ) -> u64 {
-        let out = &self.outputs[o];
-        let w = self.source_word(out.source, input_words, input_index, lut_values);
-        if out.inverted {
-            !w
-        } else {
-            w
-        }
-    }
-
-    fn source_word(
-        &self,
-        src: LutSource,
-        input_words: &[u64],
-        input_index: &dyn Fn(NodeId) -> usize,
-        lut_values: &[u64],
-    ) -> u64 {
-        match src {
-            LutSource::Input(id) => input_words[input_index(id)],
-            LutSource::Lut(id) => lut_values[id.index()],
-            LutSource::Const(true) => u64::MAX,
-            LutSource::Const(false) => 0,
-        }
+        let mut tape = Tape::new(input_words.len());
+        let outputs = tape.add_circuit(self, input_index);
+        let mut block = Block::new(&tape, 1);
+        block.set_inputs(0, input_words);
+        tape.run(&mut block, 1);
+        outputs.into_iter().map(|sig| block.word(sig, 0)).collect()
     }
 }
 

@@ -1,11 +1,274 @@
-//! Bit-parallel simulation of Boolean networks.
+//! Bit-parallel simulation of Boolean networks and LUT circuits.
 //!
 //! Simulation evaluates 64 input patterns at once by packing one pattern
-//! per bit of a `u64`. It is the workhorse of randomized equivalence
-//! checking between a source [`Network`] and a mapped
+//! per bit of a `u64`. It is the workhorse of equivalence checking
+//! between a source [`Network`] and a mapped
 //! [`LutCircuit`](crate::LutCircuit).
+//!
+//! Every simulation runs a [`Tape`]: the networks and circuits of one run
+//! compiled once into flat slot arrays. A [`Block`] holds `width` pattern
+//! words per slot, and each gate or LUT visit evaluates all of them in
+//! loops over the block. [`simulate`], [`simulate_outputs`] and
+//! [`LutCircuit::simulate`](crate::LutCircuit::simulate) run a tape at
+//! width 1; the equivalence checker runs wider blocks.
 
-use crate::network::{Network, NodeOp, Output};
+use crate::lut::{LutCircuit, LutSource};
+use crate::network::{Network, NodeId, NodeOp};
+use crate::truth_table::{TruthTable, MAX_VARS};
+
+/// A compiled signal: slot `sig >> 1`, inverted when bit 0 is set.
+pub(crate) type Sig = u32;
+
+/// The slot that holds all-zero words.
+const ZERO: Sig = 0;
+/// The slot that holds all-one words.
+const ONES: Sig = 2;
+/// Slots before the primary inputs: [`ZERO`] and [`ONES`].
+const FIXED_SLOTS: usize = 2;
+
+/// The XOR mask of a signal's polarity.
+fn mask(sig: Sig) -> u64 {
+    0u64.wrapping_sub(u64::from(sig & 1))
+}
+
+/// One gate or LUT of a tape: it writes slot `out` from the fanins
+/// `start..end` of its fanin list.
+#[derive(Clone, Copy)]
+struct Step {
+    out: u32,
+    start: u32,
+    end: u32,
+}
+
+/// Networks and LUT circuits over one list of primary inputs, compiled
+/// into flat slot arrays.
+///
+/// Slots are allocated in increasing order: the two constant slots, one
+/// slot per primary input, then one per gate and per LUT. Every fanin
+/// therefore lives in a lower slot than the step that reads it. A gate is
+/// the AND of its fanin signals, each with its inversion folded in as an
+/// XOR mask; an OR gate is stored as the AND of its inverted fanins and
+/// read through an inverted signal. Gates of fewer than two fanins and
+/// constants compile to signals of the slots they alias, and write no
+/// slot.
+pub(crate) struct Tape<'a> {
+    inputs: usize,
+    slots: usize,
+    gates: Vec<Step>,
+    gate_fanins: Vec<Sig>,
+    luts: Vec<(Step, &'a TruthTable)>,
+    lut_fanins: Vec<u32>,
+}
+
+impl<'a> Tape<'a> {
+    /// An empty tape over `inputs` primary inputs.
+    pub(crate) fn new(inputs: usize) -> Self {
+        Tape {
+            inputs,
+            slots: FIXED_SLOTS + inputs,
+            gates: Vec::new(),
+            gate_fanins: Vec::new(),
+            luts: Vec::new(),
+            lut_fanins: Vec::new(),
+        }
+    }
+
+    /// Number of primary inputs.
+    pub(crate) fn inputs(&self) -> usize {
+        self.inputs
+    }
+
+    /// Number of slots, constants and inputs included.
+    pub(crate) fn slots(&self) -> usize {
+        self.slots
+    }
+
+    fn alloc(&mut self) -> u32 {
+        let slot = u32::try_from(self.slots)
+            .ok()
+            .filter(|&s| s <= Sig::MAX >> 1)
+            .expect("slot count fits a compiled signal");
+        self.slots += 1;
+        slot
+    }
+
+    /// Compiles `network`, whose primary inputs in [`Network::inputs`]
+    /// order are the tape's inputs. Returns the signal of every node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network has a different number of primary inputs.
+    pub(crate) fn add_network(&mut self, network: &Network) -> Vec<Sig> {
+        assert_eq!(
+            network.num_inputs(),
+            self.inputs,
+            "one input word per primary input"
+        );
+        let mut sigs = vec![ZERO; network.len()];
+        for (i, id) in network.inputs().iter().enumerate() {
+            sigs[id.index()] = ((FIXED_SLOTS + i) as Sig) << 1;
+        }
+        for (id, node) in network.nodes() {
+            let or = match node.op() {
+                NodeOp::Input => continue,
+                NodeOp::Const(value) => {
+                    sigs[id.index()] = if value { ONES } else { ZERO };
+                    continue;
+                }
+                NodeOp::And => 0,
+                NodeOp::Or => 1,
+            };
+            let start = self.gate_fanins.len();
+            self.gate_fanins.extend(
+                node.fanins()
+                    .iter()
+                    .map(|s| sigs[s.node().index()] ^ Sig::from(s.is_inverted()) ^ or),
+            );
+            sigs[id.index()] = match self.gate_fanins.len() - start {
+                0 => ONES ^ or,
+                1 => self.gate_fanins.pop().expect("one fanin") ^ or,
+                _ => {
+                    let out = self.alloc();
+                    self.gates.push(Step {
+                        out,
+                        start: start as u32,
+                        end: self.gate_fanins.len() as u32,
+                    });
+                    (out << 1) | or
+                }
+            };
+        }
+        sigs
+    }
+
+    /// The signals of `network`'s primary outputs, given its node
+    /// signals from [`add_network`](Self::add_network).
+    pub(crate) fn network_outputs(network: &Network, sigs: &[Sig]) -> Vec<Sig> {
+        network
+            .outputs()
+            .iter()
+            .map(|o| sigs[o.signal.node().index()] ^ Sig::from(o.signal.is_inverted()))
+            .collect()
+    }
+
+    /// Compiles `circuit`, whose primary input `id` is tape input
+    /// `input_index(id)`. Returns the signal of every circuit output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input_index` returns a position out of range.
+    pub(crate) fn add_circuit(
+        &mut self,
+        circuit: &'a LutCircuit,
+        input_index: &dyn Fn(NodeId) -> usize,
+    ) -> Vec<Sig> {
+        let first = self.slots;
+        let inputs = self.inputs;
+        let slot = |src: LutSource| -> u32 {
+            match src {
+                LutSource::Input(id) => {
+                    let i = input_index(id);
+                    assert!(i < inputs, "LUT input {id:?} is no primary input");
+                    (FIXED_SLOTS + i) as u32
+                }
+                LutSource::Lut(id) => (first + id.index()) as u32,
+                LutSource::Const(value) => (if value { ONES } else { ZERO }) >> 1,
+            }
+        };
+        for lut in circuit.luts() {
+            let start = self.lut_fanins.len() as u32;
+            self.lut_fanins
+                .extend(lut.inputs().iter().map(|&src| slot(src)));
+            let step = Step {
+                out: self.alloc(),
+                start,
+                end: self.lut_fanins.len() as u32,
+            };
+            self.luts.push((step, lut.table()));
+        }
+        circuit
+            .outputs()
+            .iter()
+            .map(|o| (slot(o.source) << 1) | Sig::from(o.inverted))
+            .collect()
+    }
+
+    /// Evaluates every gate, then every LUT, on the first `len` words of
+    /// each slot of `block`.
+    pub(crate) fn run(&self, block: &mut Block, len: usize) {
+        let width = block.width;
+        assert!(len <= width, "a run covers at most the block width");
+        for step in &self.gates {
+            let (lower, upper) = block.values.split_at_mut(step.out as usize * width);
+            let out = &mut upper[..len];
+            let fanins = &self.gate_fanins[step.start as usize..step.end as usize];
+            let word = |sig: Sig| (&lower[(sig >> 1) as usize * width..][..len], mask(sig));
+            let (first, m) = word(fanins[0]);
+            for (o, &x) in out.iter_mut().zip(first) {
+                *o = x ^ m;
+            }
+            for &sig in &fanins[1..] {
+                let (x, m) = word(sig);
+                for (o, &x) in out.iter_mut().zip(x) {
+                    *o &= x ^ m;
+                }
+            }
+        }
+        for &(step, table) in &self.luts {
+            let mut ins: [&[u64]; MAX_VARS] = [&[]; MAX_VARS];
+            let (lower, upper) = block.values.split_at_mut(step.out as usize * width);
+            let fanins = &self.lut_fanins[step.start as usize..step.end as usize];
+            for (x, &slot) in ins.iter_mut().zip(fanins) {
+                *x = &lower[slot as usize * width..][..len];
+            }
+            table.eval_block(&ins[..fanins.len()], &mut upper[..len]);
+        }
+    }
+}
+
+/// `width` pattern words for every slot of a [`Tape`], slot-major.
+pub(crate) struct Block {
+    width: usize,
+    values: Vec<u64>,
+}
+
+impl Block {
+    /// A zeroed block for `tape`, with the constant slots filled.
+    pub(crate) fn new(tape: &Tape, width: usize) -> Self {
+        let mut values = vec![0u64; tape.slots * width];
+        values[width..2 * width].fill(u64::MAX);
+        Block { width, values }
+    }
+
+    /// Sets word `w` of every primary input: `words[i]` to input `i`.
+    pub(crate) fn set_inputs(&mut self, w: usize, words: &[u64]) {
+        for (i, &word) in words.iter().enumerate() {
+            self.values[(FIXED_SLOTS + i) * self.width + w] = word;
+        }
+    }
+
+    /// Word `w` of primary input `i`.
+    pub(crate) fn input(&self, i: usize, w: usize) -> u64 {
+        self.values[(FIXED_SLOTS + i) * self.width + w]
+    }
+
+    /// Word `w` of `sig`, polarity applied.
+    pub(crate) fn word(&self, sig: Sig, w: usize) -> u64 {
+        self.values[(sig >> 1) as usize * self.width + w] ^ mask(sig)
+    }
+
+    /// Whether `a` and `b` differ, under `mask`, on any of the first
+    /// `len` words.
+    pub(crate) fn differ(&self, a: Sig, b: Sig, len: usize, within: u64) -> bool {
+        let words = |sig: Sig| &self.values[(sig >> 1) as usize * self.width..][..len];
+        let flip = mask(a) ^ mask(b);
+        let diff = words(a)
+            .iter()
+            .zip(words(b))
+            .fold(0, |acc, (x, y)| acc | (x ^ y ^ flip));
+        diff & within != 0
+    }
+}
 
 /// Simulates `network` on 64 packed input patterns.
 ///
@@ -29,63 +292,8 @@ use crate::network::{Network, NodeOp, Output};
 /// assert_eq!(values[g.index()] & 0xF, 0b1000);
 /// ```
 pub fn simulate(network: &Network, input_words: &[u64]) -> Vec<u64> {
-    assert_eq!(
-        input_words.len(),
-        network.num_inputs(),
-        "one input word per primary input"
-    );
-    let mut values = Vec::new();
-    simulate_into(network, input_words, &input_positions(network), &mut values);
-    values
-}
-
-/// Position of every primary input in [`Network::inputs`], indexed by
-/// node (`usize::MAX` for non-inputs).
-pub(crate) fn input_positions(network: &Network) -> Vec<usize> {
-    let mut input_pos = vec![usize::MAX; network.len()];
-    for (i, &id) in network.inputs().iter().enumerate() {
-        input_pos[id.index()] = i;
-    }
-    input_pos
-}
-
-/// [`simulate`] into a reused buffer, with the [`input_positions`] map
-/// computed once by the caller. `values` is resized to one word per node;
-/// every word is overwritten.
-pub(crate) fn simulate_into(
-    network: &Network,
-    input_words: &[u64],
-    input_pos: &[usize],
-    values: &mut Vec<u64>,
-) {
-    values.resize(network.len(), 0);
-    for (id, node) in network.nodes() {
-        let v = match node.op() {
-            NodeOp::Input => input_words[input_pos[id.index()]],
-            NodeOp::Const(true) => u64::MAX,
-            NodeOp::Const(false) => 0,
-            NodeOp::And | NodeOp::Or => {
-                let mut acc = if node.op() == NodeOp::And {
-                    u64::MAX
-                } else {
-                    0
-                };
-                for s in node.fanins() {
-                    let mut w = values[s.node().index()];
-                    if s.is_inverted() {
-                        w = !w;
-                    }
-                    acc = if node.op() == NodeOp::And {
-                        acc & w
-                    } else {
-                        acc | w
-                    };
-                }
-                acc
-            }
-        };
-        values[id.index()] = v;
-    }
+    let (block, sigs) = run_network(network, input_words);
+    sigs.iter().map(|&sig| block.word(sig, 0)).collect()
 }
 
 /// Simulates `network` and returns one word per primary output (polarity
@@ -95,22 +303,21 @@ pub(crate) fn simulate_into(
 ///
 /// Panics if `input_words.len()` differs from the number of primary inputs.
 pub fn simulate_outputs(network: &Network, input_words: &[u64]) -> Vec<u64> {
-    let values = simulate(network, input_words);
-    network
-        .outputs()
-        .iter()
-        .map(|o| output_value(o, &values))
+    let (block, sigs) = run_network(network, input_words);
+    Tape::network_outputs(network, &sigs)
+        .into_iter()
+        .map(|sig| block.word(sig, 0))
         .collect()
 }
 
-/// The word of output `o` (polarity applied) from per-node `values`.
-pub(crate) fn output_value(o: &Output, values: &[u64]) -> u64 {
-    let w = values[o.signal.node().index()];
-    if o.signal.is_inverted() {
-        !w
-    } else {
-        w
-    }
+/// Runs `network` at width 1; returns the block and every node's signal.
+fn run_network(network: &Network, input_words: &[u64]) -> (Block, Vec<Sig>) {
+    let mut tape = Tape::new(input_words.len());
+    let sigs = tape.add_network(network);
+    let mut block = Block::new(&tape, 1);
+    block.set_inputs(0, input_words);
+    tape.run(&mut block, 1);
+    (block, sigs)
 }
 
 #[cfg(test)]

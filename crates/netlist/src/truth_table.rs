@@ -194,10 +194,8 @@ impl TruthTable {
     ///
     /// `inputs[i]` holds the values of variable `i`, one assignment per
     /// bit; bit `b` of the result is the function value on assignment
-    /// `b`. The table is reduced by a Shannon mux tree, one level per
-    /// variable (`f0 ^ ((f0 ^ f1) & x)`): every table word over
-    /// variables 0–5, then the word results over variables 6 and up.
-    /// Nothing is allocated.
+    /// `b`. This is the one-word case of the block kernel the simulator
+    /// runs; nothing is allocated.
     ///
     /// # Panics
     ///
@@ -214,20 +212,77 @@ impl TruthTable {
     /// [`num_vars`]: TruthTable::num_vars
     pub fn eval_words(&self, inputs: &[u64]) -> u64 {
         assert_eq!(inputs.len(), self.vars, "one input word per variable");
+        let mut blocks: [&[u64]; MAX_VARS] = [&[]; MAX_VARS];
+        for (block, word) in blocks.iter_mut().zip(inputs) {
+            *block = std::slice::from_ref(word);
+        }
+        let mut out = 0;
+        self.eval_block(&blocks[..self.vars], std::slice::from_mut(&mut out));
+        out
+    }
+
+    /// Evaluates the function on `out.len()` words of packed assignments:
+    /// word `w` of `inputs[i]` holds variable `i` on the assignments of
+    /// `out[w]`.
+    ///
+    /// The table is reduced by a Shannon mux tree (`f0 ^ ((f0 ^ f1) &
+    /// x)`), one level per variable, in loops over [`LANES`] words at a
+    /// time: the entries of a one-word table (six variables or fewer) are
+    /// broadcast once per call, the muxes over variables 0–5 run per
+    /// table word, and the word results merge over variables 6 and up.
+    /// Words past the last full group of lanes run one at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `inputs.len()` differs from [`num_vars`], or if an input
+    /// block is shorter than `out`.
+    ///
+    /// [`num_vars`]: TruthTable::num_vars
+    pub(crate) fn eval_block(&self, inputs: &[&[u64]], out: &mut [u64]) {
+        assert_eq!(inputs.len(), self.vars, "one input word per variable");
+        let single = (self.words.len() == 1).then(|| broadcast(self.words[0]));
+        let full = out.len() - out.len() % LANES;
+        let (head, tail) = out.split_at_mut(full);
+        if !head.is_empty() {
+            let mut scratch = [[0u64; LANES]; 32];
+            for (c, group) in head.chunks_exact_mut(LANES).enumerate() {
+                let f = self.eval_lanes(inputs, c * LANES, single.as_ref(), &mut scratch);
+                group.copy_from_slice(&f);
+            }
+        }
+        let mut scratch = [[0u64; 1]; 32];
+        for (w, word) in tail.iter_mut().enumerate() {
+            *word = self.eval_lanes(inputs, full + w, single.as_ref(), &mut scratch)[0];
+        }
+    }
+
+    /// The function on words `at..at + L` of `inputs`; `single` holds the
+    /// broadcast entries of a one-word table.
+    fn eval_lanes<const L: usize>(
+        &self,
+        inputs: &[&[u64]],
+        at: usize,
+        single: Option<&[u64; 64]>,
+        scratch: &mut [[u64; L]; 32],
+    ) -> [u64; L] {
+        let lanes = |x: &[u64]| -> [u64; L] {
+            x[at..at + L]
+                .try_into()
+                .expect("an input block covers the lanes")
+        };
         let (low, high) = inputs.split_at(self.vars.min(6));
-        if high.is_empty() {
-            // One table word: no cross-word merge.
-            return reduce_word(self.words[0], low);
+        if let Some(entries) = single {
+            return reduce_lanes(entries, low, at, scratch);
         }
         // Word results merge like a binary counter: `level[j]` holds a
         // pending result over variables 6..6+j, muxed with its right
         // sibling by variable `6 + j` as soon as that sibling exists.
-        let mut level = [0u64; MAX_VARS - 6 + 1];
+        let mut level = [[0u64; L]; MAX_VARS - 6 + 1];
         for (i, &word) in self.words.iter().enumerate() {
-            let mut f = reduce_word(word, low);
+            let mut f = reduce_lanes(&broadcast(word), low, at, scratch);
             let mut j = 0;
             while (i >> j) & 1 == 1 {
-                f = mux(level[j], f, high[j]);
+                f = mux_lanes(&level[j], &f, &lanes(high[j]));
                 j += 1;
             }
             level[j] = f;
@@ -598,31 +653,55 @@ impl TruthTable {
     }
 }
 
+/// Words per group of the block kernel's inner loops: fixed-length
+/// loops the compiler unrolls and vectorizes, on a stack scratch of a few
+/// KiB.
+const LANES: usize = 8;
+
 /// Shannon multiplexer on packed words: `f1` where `x` is set, else `f0`.
 fn mux(f0: u64, f1: u64, x: u64) -> u64 {
     f0 ^ ((f0 ^ f1) & x)
 }
 
-/// Evaluates the `2^x.len()`-entry table in the low bits of `word` on the
-/// 64 assignments packed in `x` (at most six variables).
-fn reduce_word(word: u64, x: &[u64]) -> u64 {
-    // Leaves are the 4-entry sub-tables over variables 0 and 1, muxed
-    // straight from the table bits (an absent variable reads as 0, which
-    // selects entry 0); each later pass muxes adjacent pairs by the next
-    // variable, halving the live prefix.
-    let var = |j: usize| x.get(j).copied().unwrap_or(0);
-    let (x0, x1) = (var(0), var(1));
-    let upper = x.get(2..).unwrap_or_default();
-    let mut f = [0u64; 16];
-    let mut live = 1usize << upper.len();
-    for (i, v) in f[..live].iter_mut().enumerate() {
-        let entry = |b: usize| 0u64.wrapping_sub((word >> (4 * i + b)) & 1);
-        *v = mux(mux(entry(0), entry(1), x0), mux(entry(2), entry(3), x0), x1);
+/// [`mux`] lane by lane.
+fn mux_lanes<const L: usize>(f0: &[u64; L], f1: &[u64; L], x: &[u64; L]) -> [u64; L] {
+    std::array::from_fn(|w| mux(f0[w], f1[w], x[w]))
+}
+
+/// Every bit of `word` as an all-zero or all-one word.
+fn broadcast(word: u64) -> [u64; 64] {
+    std::array::from_fn(|b| 0u64.wrapping_sub((word >> b) & 1))
+}
+
+/// Evaluates the `2^x.len()`-entry table of broadcast `entries` on words
+/// `at..at + L` of the blocks `x` (at most six variables).
+fn reduce_lanes<const L: usize>(
+    entries: &[u64; 64],
+    x: &[&[u64]],
+    at: usize,
+    f: &mut [[u64; L]; 32],
+) -> [u64; L] {
+    let lanes = |j: usize| -> &[u64; L] {
+        x[j][at..at + L]
+            .try_into()
+            .expect("an input block covers the lanes")
+    };
+    if x.is_empty() {
+        return [entries[0]; L];
     }
-    for &xj in upper {
+    // Leaves pair adjacent entries by variable 0; each later pass muxes
+    // adjacent pairs by the next variable, halving the live prefix.
+    let mut live = 1usize << (x.len() - 1);
+    let x0 = lanes(0);
+    for (i, v) in f[..live].iter_mut().enumerate() {
+        let (e0, e1) = (entries[2 * i], entries[2 * i + 1]);
+        *v = std::array::from_fn(|w| mux(e0, e1, x0[w]));
+    }
+    for j in 1..x.len() {
         live /= 2;
+        let xj = lanes(j);
         for i in 0..live {
-            f[i] = mux(f[2 * i], f[2 * i + 1], xj);
+            f[i] = mux_lanes(&f[2 * i], &f[2 * i + 1], xj);
         }
     }
     f[0]

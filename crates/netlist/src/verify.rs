@@ -5,6 +5,12 @@
 //! when the network is small enough, and with packed random vectors
 //! otherwise. A failed check reports the first differing output and a
 //! counterexample assignment.
+//!
+//! A check compiles both sides once into one [`Tape`] and simulates it a
+//! block of up to [`MAX_WIDTH`] pattern words at a time, as many as fit
+//! [`BUDGET_BYTES`]. The patterns and their order do not depend on the
+//! block width, and neither does the reported difference: the lowest
+//! differing chunk, then the first output in order, then the lowest bit.
 
 use std::error::Error;
 use std::fmt;
@@ -12,7 +18,7 @@ use std::fmt;
 use crate::lut::LutCircuit;
 use crate::network::{Network, NodeId};
 use crate::rng::SplitMix64;
-use crate::sim::{input_positions, output_value, simulate_into};
+use crate::sim::{Block, Sig, Tape};
 use crate::truth_table::{exhaustive_chunk, MAX_VARS};
 
 /// A verification failure: the mapped circuit disagrees with the network.
@@ -51,6 +57,22 @@ const CIRCUIT_SEED: u64 = 0xC0FF_EE00_D15E_A5ED;
 
 /// Seed of [`check_networks`]' random pattern stream.
 const NETWORKS_SEED: u64 = 0x5EED_CAFE_F00D_BEEF;
+
+/// Bytes of pattern words one check's block may hold.
+const BUDGET_BYTES: usize = 256 << 10;
+
+/// Most pattern words per slot in one block.
+const MAX_WIDTH: usize = 64;
+
+/// Pattern words per slot of a block over `slots` slots: the largest
+/// power of two that fits [`BUDGET_BYTES`], between 1 and [`MAX_WIDTH`].
+/// A power of two divides every chunk count (exhaustive chunk counts and
+/// [`RANDOM_ROUNDS`] are powers of two too) and fills whole groups of the
+/// LUT kernel's lanes.
+fn block_width(slots: usize) -> usize {
+    let fit = (BUDGET_BYTES / (8 * slots.max(1))).clamp(1, MAX_WIDTH);
+    1 << fit.ilog2()
+}
 
 /// Checks that `circuit` implements `network`.
 ///
@@ -95,16 +117,15 @@ pub fn check_equivalence(network: &Network, circuit: &LutCircuit) -> Result<(), 
         circuit.outputs().len(),
         "network and circuit must have the same number of outputs"
     );
-    let input_pos = input_positions(network);
-    let index = |id: NodeId| input_pos[id.index()];
-    let (mut net_values, mut lut_values) = (Vec::new(), Vec::new());
-    sweep(network, CIRCUIT_SEED, |words, mask| {
-        simulate_into(network, words, &input_pos, &mut net_values);
-        circuit.simulate_luts(words, &index, &mut lut_values);
-        first_difference(network, &net_values, mask, |o| {
-            circuit.output_word(o, words, &index, &lut_values)
-        })
-    })
+    let mut input_pos = vec![usize::MAX; network.len()];
+    for (i, &id) in network.inputs().iter().enumerate() {
+        input_pos[id.index()] = i;
+    }
+    let mut tape = Tape::new(network.num_inputs());
+    let sigs = tape.add_network(network);
+    let want = Tape::network_outputs(network, &sigs);
+    let got = tape.add_circuit(circuit, &|id: NodeId| input_pos[id.index()]);
+    sweep(network, &tape, CIRCUIT_SEED, &want, &got)
 }
 
 /// Checks that two networks with matching primary-input and output lists
@@ -151,88 +172,91 @@ pub fn check_networks(a: &Network, b: &Network) -> Result<(), EquivalenceError> 
         b.num_outputs(),
         "networks must have the same number of outputs"
     );
-    let (pos_a, pos_b) = (input_positions(a), input_positions(b));
-    let (mut values_a, mut values_b) = (Vec::new(), Vec::new());
-    sweep(a, NETWORKS_SEED, |words, mask| {
-        simulate_into(a, words, &pos_a, &mut values_a);
-        simulate_into(b, words, &pos_b, &mut values_b);
-        first_difference(a, &values_a, mask, |o| {
-            output_value(&b.outputs()[o], &values_b)
-        })
-    })
+    let mut tape = Tape::new(a.num_inputs());
+    let sigs_a = tape.add_network(a);
+    let sigs_b = tape.add_network(b);
+    let want = Tape::network_outputs(a, &sigs_a);
+    let got = Tape::network_outputs(b, &sigs_b);
+    sweep(a, &tape, NETWORKS_SEED, &want, &got)
 }
 
-/// Feeds `first_diff` every pattern chunk over the primary inputs of
-/// `reference`, in order, until it reports a difference: all `2^n`
-/// assignments in 64-pattern [`exhaustive_chunk`]s when `n ≤ MAX_VARS`,
-/// else [`RANDOM_ROUNDS`] chunks drawn from a [`SplitMix64`] seeded with
-/// `seed`. `first_diff(words, mask)` compares only the pattern bits in
-/// `mask` and returns the first differing output with the pattern bit
-/// it differs on; that output of `reference` and the assignment
-/// (truncated to inputs 0–63 on the random path) become the error.
+/// Runs `tape` on every pattern chunk over its inputs, in order, until
+/// outputs `want` and `got` differ: all `2^n` assignments in 64-pattern
+/// [`exhaustive_chunk`]s when `n ≤ MAX_VARS`, else [`RANDOM_ROUNDS`]
+/// chunks drawn from a [`SplitMix64`] seeded with `seed`, word `r` of
+/// every input drawn in round `r`. The first difference names its output
+/// of `reference`, and its assignment (truncated to inputs 0–63 on the
+/// random path) becomes the counterexample.
 fn sweep(
     reference: &Network,
+    tape: &Tape,
     seed: u64,
-    mut first_diff: impl FnMut(&[u64], u64) -> Option<(usize, u32)>,
+    want: &[Sig],
+    got: &[Sig],
 ) -> Result<(), EquivalenceError> {
-    let fail = |o: usize, counterexample: u64| {
-        Err(EquivalenceError {
-            output: reference.outputs()[o].name.clone(),
-            counterexample,
-        })
-    };
-    let n = reference.num_inputs();
-    let mut words = vec![0u64; n];
-    if n <= MAX_VARS {
-        let total: u64 = 1u64 << n;
-        let mut base = 0u64;
-        while base < total {
-            exhaustive_chunk(base / 64, &mut words);
-            let chunk = (total - base).min(64);
-            let mask = if chunk == 64 {
-                u64::MAX
-            } else {
-                (1u64 << chunk) - 1
-            };
-            if let Some((o, bit)) = first_diff(&words, mask) {
-                return fail(o, base + u64::from(bit));
-            }
-            base += 64;
-        }
+    let n = tape.inputs();
+    let exhaustive = n <= MAX_VARS;
+    let (chunks, mask) = if exhaustive {
+        let patterns = 1u64 << n;
+        (
+            patterns.div_ceil(64) as usize,
+            u64::MAX >> (64 - patterns.min(64)),
+        )
     } else {
-        let mut rng = SplitMix64::new(seed);
-        for _ in 0..RANDOM_ROUNDS {
-            for w in &mut words {
-                *w = rng.next_u64();
+        (RANDOM_ROUNDS, u64::MAX)
+    };
+    let width = block_width(tape.slots()).min(chunks);
+    let mut block = Block::new(tape, width);
+    let mut words = vec![0u64; n];
+    let mut rng = SplitMix64::new(seed);
+    let mut first = 0;
+    while first < chunks {
+        let len = (chunks - first).min(width);
+        for w in 0..len {
+            if exhaustive {
+                exhaustive_chunk((first + w) as u64, &mut words);
+            } else {
+                words.fill_with(|| rng.next_u64());
             }
-            if let Some((o, bit)) = first_diff(&words, u64::MAX) {
-                // Reconstruct the failing assignment from the packed
-                // words; only inputs 0-63 fit in the u64.
-                let mut assignment = 0u64;
-                for (i, w) in words.iter().enumerate().take(64) {
-                    if (w >> bit) & 1 == 1 {
-                        assignment |= 1 << i;
-                    }
-                }
-                return fail(o, assignment);
-            }
+            block.set_inputs(w, &words);
         }
+        tape.run(&mut block, len);
+        if let Some((w, o, bit)) = block_difference(&block, len, mask, want, got) {
+            let counterexample = if exhaustive {
+                (first + w) as u64 * 64 + u64::from(bit)
+            } else {
+                // Only inputs 0-63 fit in the u64.
+                (0..n.min(64)).fold(0, |acc, i| acc | ((block.input(i, w) >> bit) & 1) << i)
+            };
+            return Err(EquivalenceError {
+                output: reference.outputs()[o].name.clone(),
+                counterexample,
+            });
+        }
+        first += len;
     }
     Ok(())
 }
 
-/// The first output of `reference` (node words `values`) whose word
-/// differs from `other(o)` under `mask`, with the lowest differing
-/// pattern bit.
-fn first_difference(
-    reference: &Network,
-    values: &[u64],
+/// The first difference between outputs `want` and `got` under `mask`
+/// on the first `len` words of `block`: its word, then its output, then
+/// its lowest pattern bit.
+fn block_difference(
+    block: &Block,
+    len: usize,
     mask: u64,
-    other: impl Fn(usize) -> u64,
-) -> Option<(usize, u32)> {
-    reference.outputs().iter().enumerate().find_map(|(o, out)| {
-        let diff = (output_value(out, values) ^ other(o)) & mask;
-        (diff != 0).then(|| (o, diff.trailing_zeros()))
+    want: &[Sig],
+    got: &[Sig],
+) -> Option<(usize, usize, u32)> {
+    let pairs = || want.iter().zip(got).enumerate();
+    if !pairs().any(|(_, (&a, &b))| block.differ(a, b, len, mask)) {
+        return None;
+    }
+    (0..len).find_map(|w| {
+        pairs().find_map(|(o, (&a, &b))| {
+            let diff = (block.word(a, w) ^ block.word(b, w)) & mask;
+            (diff != 0).then(|| (w, o, diff.trailing_zeros()))
+        })
     })
 }
 
@@ -306,6 +330,25 @@ mod tests {
         }
         circuit.add_output("z", level[0], false);
         check_equivalence(&net, &circuit).expect("equivalent");
+    }
+
+    #[test]
+    fn blocks_stay_within_the_budget() {
+        for slots in 1..=1_000_000 {
+            let width = block_width(slots);
+            assert!(
+                width.is_power_of_two() && width <= MAX_WIDTH,
+                "{slots} slots"
+            );
+            // Only one word per slot, the least a block holds, may
+            // exceed the budget.
+            assert!(
+                width == 1 || 8 * slots * width <= BUDGET_BYTES,
+                "{slots} slots x {width} words"
+            );
+        }
+        assert_eq!(block_width(1), MAX_WIDTH);
+        assert_eq!(block_width(1_000_000), 1);
     }
 
     /// The assignment the random path reports when the first chunk drawn

@@ -2,8 +2,8 @@
 //!
 //! Every walk whose depth the input controls must be iterative: here a
 //! fanout-free chain of 10^5 two-input gates — one tree 10^5 levels deep
-//! — goes through `parse_blif` → `map_network` → `write_lut_blif` on a
-//! thread with a 256 KiB stack, so a new unbounded recursion fails this
+//! — goes through `parse_blif` → `map_network` → `check_equivalence` →
+//! `write_lut_blif` on a thread with a 256 KiB stack, so a new unbounded recursion fails this
 //! test instead of aborting a daemon worker or the CLI.
 //!
 //! Work the input controls must be bounded too: a 40-cube node with
@@ -62,6 +62,7 @@ fn a_deep_chain_maps_on_a_small_stack() {
             .build()
             .expect("valid options");
         let mapping = map_network(&network, &options).expect("the chain maps");
+        check_equivalence(&network, &mapping.circuit).expect("the cover is equivalent");
         let text = write_lut_blif(&network, &mapping.circuit, "chain");
         (mapping.circuit.num_luts(), text)
     });
