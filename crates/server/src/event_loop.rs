@@ -251,19 +251,7 @@ pub(crate) fn run(listener: &TcpListener, metrics: Option<&TcpListener>, shared:
                 progressed = true;
             }
             if let Some(len) = conn.take_oversized() {
-                shared.telemetry.add_counter(stats::REJECTED_BAD_REQUEST, 1);
-                let detail = format!(
-                    "frame of {len}+ bytes exceeds the {}-byte frame limit; closing",
-                    proto::MAX_FRAME_BYTES
-                );
-                let frame = proto::render_rejected(
-                    ProtocolVersion::V1,
-                    "",
-                    RejectReason::BadRequest,
-                    &detail,
-                    None,
-                );
-                shared.completions.push(cid, frame);
+                reject_oversized(shared, cid, len);
                 progressed = true;
             }
         }
@@ -343,6 +331,24 @@ pub(crate) fn run(listener: &TcpListener, metrics: Option<&TcpListener>, shared:
             shared.completions.wait(timeout);
         }
     }
+}
+
+/// Answers a frame of `len`+ bytes over [`proto::MAX_FRAME_BYTES`] from
+/// connection `cid` with a `bad_request`; the caller stops reading it.
+pub(crate) fn reject_oversized(shared: &Shared, cid: u64, len: usize) {
+    shared.telemetry.add_counter(stats::REJECTED_BAD_REQUEST, 1);
+    let detail = format!(
+        "frame of {len}+ bytes exceeds the {}-byte frame limit; closing",
+        proto::MAX_FRAME_BYTES
+    );
+    let frame = proto::render_rejected(
+        ProtocolVersion::V1,
+        "",
+        RejectReason::BadRequest,
+        &detail,
+        None,
+    );
+    shared.completions.push(cid, frame);
 }
 
 /// Handles one request line from connection `cid`. Admin operations are
@@ -676,9 +682,11 @@ fn serve_metrics_scrape(stream: TcpStream, shared: &Arc<Shared>) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
     let mut buf = [0u8; 1024];
     let mut request = Vec::new();
-    // Only the request line matters; read until we have it (or give
-    // up at 8 KiB — no legitimate scraper sends that much).
-    while !request.contains(&b'\n') && request.len() < 8192 {
+    // Only the request line matters, but read through the blank line
+    // that ends the headers (or give up at 8 KiB — no legitimate scraper
+    // sends that much): closing with request bytes unread makes the
+    // kernel reset the connection, and the scraper can lose the page.
+    while !ends_headers(&request) && request.len() < 8192 {
         match stream.read(&mut buf) {
             Ok(0) | Err(_) => break,
             Ok(n) => request.extend_from_slice(&buf[..n]),
@@ -699,4 +707,10 @@ fn serve_metrics_scrape(stream: TcpStream, shared: &Arc<Shared>) {
     );
     let _ = stream.write_all(header.as_bytes());
     let _ = stream.write_all(body.as_bytes());
+}
+
+/// Whether `request` holds the blank line that ends an HTTP header
+/// block (`\r\n\r\n`, or bare `\n\n`).
+fn ends_headers(request: &[u8]) -> bool {
+    request.windows(4).any(|w| w == b"\r\n\r\n") || request.windows(2).any(|w| w == b"\n\n")
 }

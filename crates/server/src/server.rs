@@ -41,7 +41,7 @@
 //! [`Server::run`] returns the final aggregate [`ServerSummary`].
 
 use std::collections::VecDeque;
-use std::io::{self, BufRead};
+use std::io::{self, BufRead, Read};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -665,7 +665,11 @@ pub fn run_daemon(invocation: &str, args: impl Iterator<Item = String>) -> std::
 /// Implementation: the caller's thread reads stdin (connection id 0); a
 /// writer thread drains the completions queue to stdout, so pipelined
 /// and batched requests stream answers as they finish, exactly like the
-/// TCP loop.
+/// TCP loop. Lines are read like TCP frames: at most
+/// [`proto::MAX_FRAME_BYTES`] are buffered, a longer line gets a
+/// `bad_request` and stops reading (the owed answers still drain), and
+/// invalid UTF-8 is decoded lossily, so it gets a `bad_request` and
+/// serving continues.
 pub fn serve_stdio(options: &ServeOptions) -> ServerSummary {
     let shared = Arc::new(Shared::new(options, resolve_workers(options.workers)));
     let workers = spawn_workers(&shared, resolve_workers(options.workers));
@@ -676,8 +680,26 @@ pub fn serve_stdio(options: &ServeOptions) -> ServerSummary {
             .spawn(move || stdio_writer(&shared))
             .expect("spawn stdout writer")
     };
-    for line in io::stdin().lock().lines() {
-        let Ok(line) = line else { break };
+    let mut stdin = io::stdin().lock();
+    let mut frame = Vec::new();
+    loop {
+        frame.clear();
+        // One byte past the cap tells an over-long line from a full one.
+        let limit = proto::MAX_FRAME_BYTES as u64 + 1;
+        match (&mut stdin).take(limit).read_until(b'\n', &mut frame) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if frame.last() == Some(&b'\n') {
+            frame.pop();
+            if frame.last() == Some(&b'\r') {
+                frame.pop();
+            }
+        } else if frame.len() > proto::MAX_FRAME_BYTES {
+            event_loop::reject_oversized(&shared, 0, frame.len());
+            break;
+        }
+        let line = String::from_utf8_lossy(&frame);
         if line.trim().is_empty() {
             continue;
         }

@@ -80,12 +80,20 @@ fn burst(stream: &TcpStream, frames: &[String], expect: usize) -> BTreeMap<Strin
     }
     writer.write_all(bytes.as_bytes()).expect("write burst");
     writer.flush().expect("flush burst");
-    let mut responses = BTreeMap::new();
     let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    for _ in 0..expect {
+    let lines = (0..expect).map(|_| {
         let mut line = String::new();
         let n = reader.read_line(&mut line).expect("read response");
         assert!(n > 0, "server closed before answering every frame");
+        line
+    });
+    by_id(lines)
+}
+
+/// Response lines parsed and indexed by id; each id must answer once.
+fn by_id(lines: impl IntoIterator<Item = String>) -> BTreeMap<String, Response> {
+    let mut responses = BTreeMap::new();
+    for line in lines {
         let response = parse_response(line.trim_end()).expect("well-formed response");
         let id = match &response {
             Response::MapOk { id, .. }
@@ -98,13 +106,10 @@ fn burst(stream: &TcpStream, frames: &[String], expect: usize) -> BTreeMap<Strin
             | Response::Rejected { id, .. } => id.clone(),
             other => panic!("unknown response shape {other:?}"),
         };
-        let prior = responses.insert(id.clone(), (line, response));
+        let prior = responses.insert(id.clone(), response);
         assert!(prior.is_none(), "id {id:?} answered more than once");
     }
     responses
-        .into_iter()
-        .map(|(id, (_, response))| (id, response))
-        .collect()
 }
 
 #[test]
@@ -1088,6 +1093,58 @@ fn metrics_endpoint_serves_valid_prometheus_exposition() {
 }
 
 #[test]
+fn metrics_scrapes_sending_headers_after_a_pause_get_the_whole_page() {
+    use std::io::Read as _;
+    use std::time::Duration;
+
+    let options = ServeOptions::builder()
+        .metrics_addr(Some("127.0.0.1:0".to_owned()))
+        .build();
+    let server = Server::bind(&options).expect("bind ephemeral ports");
+    let addr = server.local_addr().expect("bound address").to_string();
+    let scrape_addr = server.metrics_addr().expect("metrics listener bound");
+    let run = thread::spawn(move || server.run());
+
+    // The request line, a pause well inside the daemon's 500 ms read
+    // timeout, then the headers: a daemon that answers after the request
+    // line closes with the headers unread, and the kernel resets the
+    // connection under the page.
+    let mut scrape = TcpStream::connect(scrape_addr).expect("connect to /metrics");
+    scrape
+        .write_all(b"GET /metrics HTTP/1.0\r\n")
+        .expect("write request line");
+    thread::sleep(Duration::from_millis(100));
+    // Nothing is answered before the headers end.
+    scrape.set_nonblocking(true).expect("non-blocking peek");
+    let early = scrape.peek(&mut [0u8; 1]);
+    assert!(
+        matches!(&early, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+        "answered before the headers ended: {early:?}"
+    );
+    scrape.set_nonblocking(false).expect("blocking again");
+    scrape
+        .write_all(b"Host: test\r\nUser-Agent: split-writes\r\n\r\n")
+        .expect("write headers");
+    thread::sleep(Duration::from_millis(100));
+    let mut page = String::new();
+    scrape
+        .read_to_string(&mut page)
+        .expect("the page arrives without a reset");
+    assert!(page.starts_with("HTTP/1.0 200 OK\r\n"), "{page}");
+    let (head, body) = page.split_once("\r\n\r\n").expect("headers then body");
+    let length: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .expect("Content-Length header")
+        .parse()
+        .expect("numeric length");
+    assert_eq!(body.len(), length, "the whole body arrived");
+    chortle_telemetry::prom::validate_exposition(body).expect("valid exposition");
+
+    shut_down(&addr, run);
+}
+
+#[test]
 fn deeply_nested_frames_are_bad_requests_and_the_connection_survives() {
     // A v2 map frame whose `blif` value opens 50 000 arrays.
     let hostile = format!(
@@ -1128,20 +1185,22 @@ fn deeply_nested_frames_are_bad_requests_and_the_connection_survives() {
     shut_down(&addr, run);
 }
 
+/// A v2 map frame of `blif` of exactly `len` bytes: the netlist behind a
+/// BLIF comment padded to fit.
+fn frame_of_len(blif: &str, len: usize, id: &str) -> String {
+    let render = |pad: usize| {
+        let padded = format!("#{}\n{blif}", "x".repeat(pad));
+        proto::render_map_request(ProtocolVersion::V2, id, &request(&padded))
+    };
+    let frame = render(len - render(0).len());
+    assert_eq!(frame.len(), len);
+    frame
+}
+
 #[test]
 fn frames_are_capped_at_max_frame_bytes() {
     let blif = write_blif(&benchmark("count").unwrap(), "count");
-    // A v2 map frame of exactly `len` bytes: the netlist behind a BLIF
-    // comment padded to fit.
-    let frame_of = |len: usize, id: &str| {
-        let render = |pad: usize| {
-            let padded = format!("#{}\n{blif}", "x".repeat(pad));
-            proto::render_map_request(ProtocolVersion::V2, id, &request(&padded))
-        };
-        let frame = render(len - render(0).len());
-        assert_eq!(frame.len(), len);
-        frame
-    };
+    let frame_of = |len: usize, id: &str| frame_of_len(&blif, len, id);
     let (addr, run) = start(ServeOptions::default());
 
     let mut client = Client::connect(&addr).expect("connect");
@@ -1195,4 +1254,90 @@ fn frames_are_capped_at_max_frame_bytes() {
     assert_eq!(n, 0, "connection closed, got {rest:?}");
     drop(stream);
     shut_down(&addr, run);
+}
+
+/// Runs `chortle-serve --stdio` on `input` (written from another thread,
+/// then closed); returns its stdout lines once it exits, and asserts it
+/// exited successfully.
+fn run_stdio(input: Vec<u8>) -> Vec<String> {
+    use std::process::{Command, Stdio};
+    let mut child = Command::new(env!("CARGO_BIN_EXE_chortle-serve"))
+        .args(["--stdio", "--workers", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn chortle-serve");
+    let mut stdin = child.stdin.take().expect("piped stdin");
+    // The daemon may stop reading early; the rest of the input is
+    // dropped with the pipe.
+    let writer = thread::spawn(move || {
+        let _ = stdin.write_all(&input);
+    });
+    let stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let lines: Vec<String> = stdout
+        .lines()
+        .map(|line| line.expect("read stdout"))
+        .collect();
+    writer.join().expect("stdin writer");
+    assert!(
+        child.wait().expect("wait").success(),
+        "chortle-serve failed"
+    );
+    lines
+}
+
+fn hello_frame(id: &str) -> String {
+    proto::render_admin_request(ProtocolVersion::V2, id, &proto::Op::Hello)
+}
+
+#[test]
+fn stdio_answers_invalid_utf8_with_bad_request_and_keeps_serving() {
+    let mut input = b"{\"proto\":\"chortle-serve/v2\",\"op\":\"\xff\xfe\"}\n".to_vec();
+    input.extend_from_slice(b"\xc3\x28 not json\r\n");
+    input.extend_from_slice(hello_frame("next").as_bytes());
+    input.push(b'\n');
+    let lines = run_stdio(input);
+    assert_eq!(lines.len(), 3, "{lines:?}");
+    let rejected: Vec<&String> = lines.iter().filter(|l| l.contains("bad_request")).collect();
+    assert_eq!(rejected.len(), 2, "{lines:?}");
+    let responses = by_id(lines.iter().filter(|l| !l.contains("bad_request")).cloned());
+    assert!(matches!(responses["next"], Response::HelloOk { .. }));
+}
+
+#[test]
+fn stdio_frames_are_capped_at_max_frame_bytes() {
+    let blif = write_blif(&benchmark("count").unwrap(), "count");
+    let mut input = Vec::new();
+    for frame in [
+        hello_frame("before"),
+        frame_of_len(&blif, chortle_server::MAX_FRAME_BYTES, "at-cap"),
+        "x".repeat(chortle_server::MAX_FRAME_BYTES + 1),
+        hello_frame("after"),
+    ] {
+        input.extend_from_slice(frame.as_bytes());
+        input.push(b'\n');
+    }
+    // The over-long line is answered, the frames before it are served,
+    // and the daemon stops reading there.
+    let responses = by_id(run_stdio(input));
+    assert_eq!(responses.len(), 3, "{:?}", responses.keys());
+    assert!(matches!(responses["before"], Response::HelloOk { .. }));
+    match &responses["at-cap"] {
+        Response::MapOk { netlist, .. } => {
+            assert_eq!(netlist, &offline(&blif, 4, Objective::Area, true));
+        }
+        other => panic!("expected MapOk, got {other:?}"),
+    }
+    match &responses[""] {
+        Response::Rejected { rejection, .. } => {
+            assert_eq!(rejection.reason, "bad_request");
+            assert!(
+                rejection.detail.contains("frame limit"),
+                "{}",
+                rejection.detail
+            );
+        }
+        other => panic!("expected a rejection, got {other:?}"),
+    }
 }
