@@ -240,19 +240,19 @@ impl TruthTable {
     /// [`num_vars`]: TruthTable::num_vars
     pub(crate) fn eval_block(&self, inputs: &[&[u64]], out: &mut [u64]) {
         assert_eq!(inputs.len(), self.vars, "one input word per variable");
-        let single = (self.words.len() == 1).then(|| broadcast(self.words[0]));
+        let mut entries = [0u64; 64];
+        let single = (self.words.len() == 1).then(|| {
+            broadcast(self.words[0], &mut entries[..1 << self.vars]);
+            &entries
+        });
         let full = out.len() - out.len() % LANES;
         let (head, tail) = out.split_at_mut(full);
-        if !head.is_empty() {
-            let mut scratch = [[0u64; LANES]; 32];
-            for (c, group) in head.chunks_exact_mut(LANES).enumerate() {
-                let f = self.eval_lanes(inputs, c * LANES, single.as_ref(), &mut scratch);
-                group.copy_from_slice(&f);
-            }
+        for (c, group) in head.chunks_exact_mut(LANES).enumerate() {
+            let f: [u64; LANES] = self.eval_lanes(inputs, c * LANES, single);
+            group.copy_from_slice(&f);
         }
-        let mut scratch = [[0u64; 1]; 32];
         for (w, word) in tail.iter_mut().enumerate() {
-            *word = self.eval_lanes(inputs, full + w, single.as_ref(), &mut scratch)[0];
+            *word = self.eval_lanes::<1>(inputs, full + w, single)[0];
         }
     }
 
@@ -263,7 +263,6 @@ impl TruthTable {
         inputs: &[&[u64]],
         at: usize,
         single: Option<&[u64; 64]>,
-        scratch: &mut [[u64; L]; 32],
     ) -> [u64; L] {
         let lanes = |x: &[u64]| -> [u64; L] {
             x[at..at + L]
@@ -272,14 +271,16 @@ impl TruthTable {
         };
         let (low, high) = inputs.split_at(self.vars.min(6));
         if let Some(entries) = single {
-            return reduce_lanes(entries, low, at, scratch);
+            return reduce_lanes(entries, low, at);
         }
         // Word results merge like a binary counter: `level[j]` holds a
         // pending result over variables 6..6+j, muxed with its right
         // sibling by variable `6 + j` as soon as that sibling exists.
         let mut level = [[0u64; L]; MAX_VARS - 6 + 1];
+        let mut entries = [0u64; 64];
         for (i, &word) in self.words.iter().enumerate() {
-            let mut f = reduce_lanes(&broadcast(word), low, at, scratch);
+            broadcast(word, &mut entries);
+            let mut f = reduce_lanes(&entries, low, at);
             let mut j = 0;
             while (i >> j) & 1 == 1 {
                 f = mux_lanes(&level[j], &f, &lanes(high[j]));
@@ -656,7 +657,7 @@ impl TruthTable {
 /// Words per group of the block kernel's inner loops: fixed-length
 /// loops the compiler unrolls and vectorizes, on a stack scratch of a few
 /// KiB.
-const LANES: usize = 8;
+const LANES: usize = 16;
 
 /// Shannon multiplexer on packed words: `f1` where `x` is set, else `f0`.
 fn mux(f0: u64, f1: u64, x: u64) -> u64 {
@@ -668,43 +669,67 @@ fn mux_lanes<const L: usize>(f0: &[u64; L], f1: &[u64; L], x: &[u64; L]) -> [u64
     std::array::from_fn(|w| mux(f0[w], f1[w], x[w]))
 }
 
-/// Every bit of `word` as an all-zero or all-one word.
-fn broadcast(word: u64) -> [u64; 64] {
-    std::array::from_fn(|b| 0u64.wrapping_sub((word >> b) & 1))
+/// Bit `b` of `word` as an all-zero or all-one word in `entries[b]`,
+/// for every entry.
+fn broadcast(word: u64, entries: &mut [u64]) {
+    for (b, entry) in entries.iter_mut().enumerate() {
+        *entry = 0u64.wrapping_sub((word >> b) & 1);
+    }
 }
 
 /// Evaluates the `2^x.len()`-entry table of broadcast `entries` on words
 /// `at..at + L` of the blocks `x` (at most six variables).
-fn reduce_lanes<const L: usize>(
-    entries: &[u64; 64],
-    x: &[&[u64]],
-    at: usize,
-    f: &mut [[u64; L]; 32],
-) -> [u64; L] {
-    let lanes = |j: usize| -> &[u64; L] {
-        x[j][at..at + L]
+fn reduce_lanes<const L: usize>(entries: &[u64; 64], x: &[&[u64]], at: usize) -> [u64; L] {
+    let zero = [0u64; L];
+    let mut v = [&zero; 6];
+    for (v, x) in v.iter_mut().zip(x) {
+        *v = x[at..at + L]
             .try_into()
-            .expect("an input block covers the lanes")
-    };
-    if x.is_empty() {
-        return [entries[0]; L];
+            .expect("an input block covers the lanes");
     }
-    // Leaves pair adjacent entries by variable 0; each later pass muxes
-    // adjacent pairs by the next variable, halving the live prefix.
-    let mut live = 1usize << (x.len() - 1);
-    let x0 = lanes(0);
-    for (i, v) in f[..live].iter_mut().enumerate() {
-        let (e0, e1) = (entries[2 * i], entries[2 * i + 1]);
-        *v = std::array::from_fn(|w| mux(e0, e1, x0[w]));
+    match x.len() {
+        0 => [entries[0]; L],
+        1 => shannon1(entries, &v),
+        2 => shannon2(entries, &v),
+        3 => shannon3(entries, &v),
+        4 => shannon4(entries, &v),
+        5 => shannon5(entries, &v),
+        _ => shannon6(entries, &v),
     }
-    for j in 1..x.len() {
-        live /= 2;
-        let xj = lanes(j);
-        for i in 0..live {
-            f[i] = mux_lanes(&f[2 * i], &f[2 * i + 1], xj);
-        }
-    }
-    f[0]
+}
+
+// The Shannon mux tree over variables 0..k of the first `2^k` entries of
+// `e`, one function per k: each inlines the one below it twice, so every
+// tree is straight-line code that keeps its cofactors in registers.
+
+#[inline(always)]
+fn shannon1<const L: usize>(e: &[u64], x: &[&[u64; L]; 6]) -> [u64; L] {
+    let (e0, flip) = (e[0], e[0] ^ e[1]);
+    std::array::from_fn(|w| e0 ^ (flip & x[0][w]))
+}
+
+#[inline(always)]
+fn shannon2<const L: usize>(e: &[u64], x: &[&[u64; L]; 6]) -> [u64; L] {
+    mux_lanes(&shannon1(&e[..2], x), &shannon1(&e[2..4], x), x[1])
+}
+
+#[inline(always)]
+fn shannon3<const L: usize>(e: &[u64], x: &[&[u64; L]; 6]) -> [u64; L] {
+    mux_lanes(&shannon2(&e[..4], x), &shannon2(&e[4..8], x), x[2])
+}
+
+#[inline(always)]
+fn shannon4<const L: usize>(e: &[u64], x: &[&[u64; L]; 6]) -> [u64; L] {
+    mux_lanes(&shannon3(&e[..8], x), &shannon3(&e[8..16], x), x[3])
+}
+
+#[inline(always)]
+fn shannon5<const L: usize>(e: &[u64], x: &[&[u64; L]; 6]) -> [u64; L] {
+    mux_lanes(&shannon4(&e[..16], x), &shannon4(&e[16..32], x), x[4])
+}
+
+fn shannon6<const L: usize>(e: &[u64], x: &[&[u64; L]; 6]) -> [u64; L] {
+    mux_lanes(&shannon5(&e[..32], x), &shannon5(&e[32..64], x), x[5])
 }
 
 /// The 64-assignment words of exhaustive chunk `chunk`: `words[i]` gets
@@ -759,6 +784,31 @@ impl fmt::Display for TruthTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SplitMix64;
+
+    #[test]
+    fn eval_block_agrees_with_eval_words_word_by_word() {
+        // Two full groups of lanes and a tail, on one-word and multi-word
+        // tables.
+        let width = 2 * LANES + 5;
+        let mut rng = SplitMix64::new(0xb10c_4e41);
+        for vars in (0..=8).chain([10]) {
+            let words: Vec<u64> = (0..TruthTable::word_count(vars))
+                .map(|_| rng.next_u64())
+                .collect();
+            let t = TruthTable::from_words(vars, &words);
+            let inputs: Vec<Vec<u64>> = (0..vars)
+                .map(|_| (0..width).map(|_| rng.next_u64()).collect())
+                .collect();
+            let blocks: Vec<&[u64]> = inputs.iter().map(Vec::as_slice).collect();
+            let mut out = vec![0u64; width];
+            t.eval_block(&blocks, &mut out);
+            for (w, &got) in out.iter().enumerate() {
+                let word: Vec<u64> = inputs.iter().map(|x| x[w]).collect();
+                assert_eq!(got, t.eval_words(&word), "{vars} vars, word {w}");
+            }
+        }
+    }
 
     #[test]
     fn constants() {
