@@ -40,17 +40,23 @@ struct Step {
     end: u32,
 }
 
+impl Step {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..self.end as usize
+    }
+}
+
 /// Networks and LUT circuits over one list of primary inputs, compiled
 /// into flat slot arrays.
 ///
 /// Slots are allocated in increasing order: the two constant slots, one
-/// slot per primary input, then one per gate and per LUT. Every fanin
-/// therefore lives in a lower slot than the step that reads it. A gate is
-/// the AND of its fanin signals, each with its inversion folded in as an
-/// XOR mask; an OR gate is stored as the AND of its inverted fanins and
-/// read through an inverted signal. Gates of fewer than two fanins and
-/// constants compile to signals of the slots they alias, and write no
-/// slot.
+/// slot per primary input, then one per gate and per LUT, until
+/// [`reuse_slots`](Self::reuse_slots) lets later steps take over the
+/// slots of dead results. A gate is the AND of its fanin signals, each
+/// with its inversion folded in as an XOR mask; an OR gate is stored as
+/// the AND of its inverted fanins and read through an inverted signal.
+/// Gates of fewer than two fanins and constants compile to signals of the
+/// slots they alias, and write no slot.
 pub(crate) struct Tape<'a> {
     inputs: usize,
     slots: usize,
@@ -193,16 +199,64 @@ impl<'a> Tape<'a> {
             .collect()
     }
 
+    /// Lets a gate or LUT reuse the slot of a result whose last reader
+    /// has run, so a block holds the live values only. The signals of
+    /// `keep`, the inputs and the constants hold their slots to the end;
+    /// `keep` is renumbered in place. A step's output slot is never one
+    /// of its own fanins' slots, since those are still live when it is
+    /// placed.
+    pub(crate) fn reuse_slots(&mut self, keep: &mut [&mut Vec<Sig>]) {
+        let steps = self.gates.len() + self.luts.len();
+        let mut slots = SlotPlan {
+            pinned: FIXED_SLOTS + self.inputs,
+            last_read: vec![UNREAD; self.slots],
+            slot_of: (0..self.slots as u32).collect(),
+            free: Vec::new(),
+            next: (FIXED_SLOTS + self.inputs) as u32,
+        };
+        for (i, step) in self.gates.iter().enumerate() {
+            for &sig in &self.gate_fanins[step.range()] {
+                slots.last_read[(sig >> 1) as usize] = i;
+            }
+        }
+        for (i, (step, _)) in self.luts.iter().enumerate() {
+            for &slot in &self.lut_fanins[step.range()] {
+                slots.last_read[slot as usize] = self.gates.len() + i;
+            }
+        }
+        for &sig in keep.iter().flat_map(|list| list.iter()) {
+            slots.last_read[(sig >> 1) as usize] = steps;
+        }
+        let remap = |slot_of: &[u32], sig: Sig| (slot_of[(sig >> 1) as usize] << 1) | (sig & 1);
+        for (i, step) in self.gates.iter_mut().enumerate() {
+            let fanins = &mut self.gate_fanins[step.range()];
+            step.out = slots.place(i, step.out, fanins.iter().map(|&sig| sig >> 1));
+            for sig in fanins {
+                *sig = remap(&slots.slot_of, *sig);
+            }
+        }
+        for (i, (step, _)) in self.luts.iter_mut().enumerate() {
+            let fanins = &mut self.lut_fanins[step.range()];
+            step.out = slots.place(self.gates.len() + i, step.out, fanins.iter().copied());
+            for slot in fanins {
+                *slot = slots.slot_of[*slot as usize];
+            }
+        }
+        for sig in keep.iter_mut().flat_map(|list| list.iter_mut()) {
+            *sig = remap(&slots.slot_of, *sig);
+        }
+        self.slots = slots.next as usize;
+    }
+
     /// Evaluates every gate, then every LUT, on the first `len` words of
     /// each slot of `block`.
     pub(crate) fn run(&self, block: &mut Block, len: usize) {
         let width = block.width;
         assert!(len <= width, "a run covers at most the block width");
         for step in &self.gates {
-            let (lower, upper) = block.values.split_at_mut(step.out as usize * width);
-            let out = &mut upper[..len];
-            let fanins = &self.gate_fanins[step.start as usize..step.end as usize];
-            let word = |sig: Sig| (&lower[(sig >> 1) as usize * width..][..len], mask(sig));
+            let (fanin, out) = around(&mut block.values, step.out as usize, width, len);
+            let fanins = &self.gate_fanins[step.range()];
+            let word = |sig: Sig| (fanin.slot((sig >> 1) as usize), mask(sig));
             let (first, m) = word(fanins[0]);
             for (o, &x) in out.iter_mut().zip(first) {
                 *o = x ^ m;
@@ -215,14 +269,90 @@ impl<'a> Tape<'a> {
             }
         }
         for &(step, table) in &self.luts {
+            let (fanin, out) = around(&mut block.values, step.out as usize, width, len);
+            let fanins = &self.lut_fanins[step.range()];
             let mut ins: [&[u64]; MAX_VARS] = [&[]; MAX_VARS];
-            let (lower, upper) = block.values.split_at_mut(step.out as usize * width);
-            let fanins = &self.lut_fanins[step.start as usize..step.end as usize];
             for (x, &slot) in ins.iter_mut().zip(fanins) {
-                *x = &lower[slot as usize * width..][..len];
+                *x = fanin.slot(slot as usize);
             }
-            table.eval_block(&ins[..fanins.len()], &mut upper[..len]);
+            table.eval_block(&ins[..fanins.len()], out);
         }
+    }
+}
+
+/// [`Tape::reuse_slots`]' slot of a result nobody reads.
+const UNREAD: usize = usize::MAX;
+/// [`Tape::reuse_slots`]' slot whose last reader has freed it.
+const FREED: usize = usize::MAX - 1;
+
+/// The slot assignment [`Tape::reuse_slots`] builds, step by step.
+struct SlotPlan {
+    pinned: usize,
+    /// The last step that reads each compiled slot; one past the last
+    /// step for kept slots.
+    last_read: Vec<usize>,
+    /// The block slot of each compiled slot placed so far.
+    slot_of: Vec<u32>,
+    free: Vec<u32>,
+    next: u32,
+}
+
+impl SlotPlan {
+    /// Gives step `step`, which writes compiled slot `out` and reads
+    /// `reads`, a block slot, and frees the slots it reads last.
+    fn place(&mut self, step: usize, out: u32, reads: impl Iterator<Item = u32>) -> u32 {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.next += 1;
+            self.next - 1
+        });
+        self.slot_of[out as usize] = slot;
+        if self.last_read[out as usize] == UNREAD {
+            self.free.push(slot);
+        }
+        for read in reads.map(|r| r as usize) {
+            if read >= self.pinned && self.last_read[read] == step {
+                self.last_read[read] = FREED;
+                self.free.push(self.slot_of[read]);
+            }
+        }
+        slot
+    }
+}
+
+/// The first `len` words of slot `out` of `values` (`width` words per
+/// slot), and read access to every other slot.
+fn around(values: &mut [u64], out: usize, width: usize, len: usize) -> (Fanins<'_>, &mut [u64]) {
+    let (below, rest) = values.split_at_mut(out * width);
+    let (out_words, above) = rest.split_at_mut(width);
+    let fanins = Fanins {
+        below,
+        above,
+        out,
+        width,
+        len,
+    };
+    (fanins, &mut out_words[..len])
+}
+
+/// The slots of a block other than one step's output slot.
+struct Fanins<'v> {
+    below: &'v [u64],
+    above: &'v [u64],
+    out: usize,
+    width: usize,
+    len: usize,
+}
+
+impl<'v> Fanins<'v> {
+    /// The first `len` words of `slot`.
+    fn slot(&self, slot: usize) -> &'v [u64] {
+        let words = if slot < self.out {
+            &self.below[slot * self.width..]
+        } else {
+            assert_ne!(slot, self.out, "a step reads its own output slot");
+            &self.above[(slot - self.out - 1) * self.width..]
+        };
+        &words[..self.len]
     }
 }
 
@@ -351,6 +481,47 @@ mod tests {
         for bits in 0..8u32 {
             assert_eq!((out[0] >> bits) & 1 == 1, f.eval(bits));
         }
+    }
+
+    #[test]
+    fn reused_slots_hold_only_live_results() {
+        // A chain of 100 gates over 4 inputs, with its last gate and one
+        // early gate as outputs.
+        let mut net = Network::new();
+        let inputs: Vec<Signal> = (0..4)
+            .map(|i| net.add_input(format!("i{i}")).into())
+            .collect();
+        let mut last = inputs[0];
+        let mut early = last;
+        for g in 1..=100 {
+            let op = if g % 2 == 0 { NodeOp::And } else { NodeOp::Or };
+            last = net.add_gate(op, vec![!last, inputs[g % 4]]).into();
+            if g == 3 {
+                early = last;
+            }
+        }
+        net.add_output("z", last);
+        net.add_output("e", !early);
+
+        let mut tape = Tape::new(4);
+        let sigs = tape.add_network(&net);
+        let mut outputs = Tape::network_outputs(&net, &sigs);
+        assert_eq!(tape.slots(), FIXED_SLOTS + 4 + 100);
+        tape.reuse_slots(&mut [&mut outputs]);
+        // The two kept results, the one being computed and its last
+        // fanin's predecessor at most.
+        assert!(
+            tape.slots() <= FIXED_SLOTS + 4 + 3,
+            "{} slots",
+            tape.slots()
+        );
+
+        let words = [0x0123_4567_89ab_cdef, !0x5555, 0xf0f0_f0f0, 77];
+        let mut block = Block::new(&tape, 1);
+        block.set_inputs(0, &words);
+        tape.run(&mut block, 1);
+        let got: Vec<u64> = outputs.iter().map(|&sig| block.word(sig, 0)).collect();
+        assert_eq!(got, simulate_outputs(&net, &words));
     }
 
     #[test]

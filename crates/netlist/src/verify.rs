@@ -123,8 +123,9 @@ pub fn check_equivalence(network: &Network, circuit: &LutCircuit) -> Result<(), 
     }
     let mut tape = Tape::new(network.num_inputs());
     let sigs = tape.add_network(network);
-    let want = Tape::network_outputs(network, &sigs);
-    let got = tape.add_circuit(circuit, &|id: NodeId| input_pos[id.index()]);
+    let mut want = Tape::network_outputs(network, &sigs);
+    let mut got = tape.add_circuit(circuit, &|id: NodeId| input_pos[id.index()]);
+    tape.reuse_slots(&mut [&mut want, &mut got]);
     sweep(network, &tape, CIRCUIT_SEED, &want, &got)
 }
 
@@ -175,8 +176,9 @@ pub fn check_networks(a: &Network, b: &Network) -> Result<(), EquivalenceError> 
     let mut tape = Tape::new(a.num_inputs());
     let sigs_a = tape.add_network(a);
     let sigs_b = tape.add_network(b);
-    let want = Tape::network_outputs(a, &sigs_a);
-    let got = Tape::network_outputs(b, &sigs_b);
+    let mut want = Tape::network_outputs(a, &sigs_a);
+    let mut got = Tape::network_outputs(b, &sigs_b);
+    tape.reuse_slots(&mut [&mut want, &mut got]);
     sweep(a, &tape, NETWORKS_SEED, &want, &got)
 }
 
