@@ -280,9 +280,9 @@ impl<'a> Tape<'a> {
     }
 }
 
-/// [`Tape::reuse_slots`]' slot of a result nobody reads.
+/// `SlotPlan::last_read` of a result nobody reads.
 const UNREAD: usize = usize::MAX;
-/// [`Tape::reuse_slots`]' slot whose last reader has freed it.
+/// `SlotPlan::last_read` of a slot its last reader has freed.
 const FREED: usize = usize::MAX - 1;
 
 /// The slot assignment [`Tape::reuse_slots`] builds, step by step.
@@ -508,8 +508,8 @@ mod tests {
         let mut outputs = Tape::network_outputs(&net, &sigs);
         assert_eq!(tape.slots(), FIXED_SLOTS + 4 + 100);
         tape.reuse_slots(&mut [&mut outputs]);
-        // The two kept results, the one being computed and its last
-        // fanin's predecessor at most.
+        // The two kept results, and at most the gate being computed and
+        // the chain value it reads.
         assert!(
             tape.slots() <= FIXED_SLOTS + 4 + 3,
             "{} slots",
