@@ -28,6 +28,11 @@
 //!   elaboration and a `HashSet` per reduced gate. `perf` times it
 //!   against [`chortle_netlist::parse_blif`], and the differential tests
 //!   require an equal network or an equal error.
+//! * [`baseline_simplified`] and [`baseline_write_lut_blif`] are the
+//!   mapper's normalization and LUT writer before their hot paths lost
+//!   their per-gate hash sets and per-character `write!`s (see
+//!   [`render`]). `perf` times them against `Network::simplified` and
+//!   [`chortle_netlist::write_lut_blif`] after asserting equal outputs.
 //!
 //! Do not "improve" this module — its slowness is the point.
 
@@ -45,6 +50,7 @@ use chortle_netlist::{
 
 pub mod algebra;
 mod parse;
+pub mod render;
 pub mod sim;
 
 use algebra::{
@@ -53,6 +59,7 @@ use algebra::{
 };
 
 pub use parse::baseline_parse_blif;
+pub use render::{baseline_simplified, baseline_write_lut_blif};
 pub use sim::{baseline_check_networks, baseline_simulate_outputs, NETWORKS_SEED};
 
 /// Seed of `check_equivalence`'s random pattern stream.
