@@ -4,19 +4,17 @@
 //! Each mapped tree node becomes a *root region*: the sub-tree of logic
 //! covered by one LUT. Walking the recorded `F` choices reconstructs, for
 //! every LUT, an expression over its input slots; evaluating that
-//! expression yields the LUT's truth table. Children used with allotment
-//! `ui = 1` contribute a wire from their own root LUT; children with
-//! `ui ≥ 2` have their root region inlined (the "elimination" of the inner
-//! root lookup table shown in Figure 6c); intermediate-node blocks become
-//! separate LUTs feeding one wire.
-
-use std::collections::HashMap;
+//! expression once over truth-table words yields the LUT's truth table.
+//! Children used with allotment `ui = 1` contribute a wire from their own
+//! root LUT; children with `ui ≥ 2` have their root region inlined (the
+//! "elimination" of the inner root lookup table shown in Figure 6c);
+//! intermediate-node blocks become separate LUTs feeding one wire.
 
 use chortle_netlist::{LutCircuit, LutError, LutSource, Network, NodeId, NodeOp, TruthTable};
 
 use crate::dp::{Choice, TreeDp};
 use crate::map::MappedTree;
-use crate::tree::{Tree, TreeChild};
+use crate::tree::{Tree, TreeChild, PT_VAR_MASKS};
 
 /// An expression over the input slots of one LUT under construction.
 #[derive(Clone, Debug)]
@@ -32,21 +30,54 @@ enum Expr {
 }
 
 impl Expr {
-    fn eval(&self, bits: u32) -> bool {
-        match self {
-            Expr::Slot { index, inverted } => ((bits >> index) & 1 == 1) != *inverted,
+    /// The expression's truth table over at most six slots, as one word:
+    /// bit `b` is the value on the assignment whose bit `i` is slot `i`.
+    fn eval_word(&self) -> u64 {
+        let (v, inverted) = match self {
+            Expr::Slot { index, inverted } => (PT_VAR_MASKS[*index], *inverted),
             Expr::Gate {
                 op,
                 inverted,
                 parts,
             } => {
                 let v = match op {
-                    NodeOp::And => parts.iter().all(|p| p.eval(bits)),
-                    NodeOp::Or => parts.iter().any(|p| p.eval(bits)),
+                    NodeOp::And => parts.iter().fold(u64::MAX, |v, p| v & p.eval_word()),
+                    NodeOp::Or => parts.iter().fold(0, |v, p| v | p.eval_word()),
                     _ => unreachable!("expressions contain gates only"),
                 };
-                v != *inverted
+                (v, *inverted)
             }
+        };
+        if inverted {
+            !v
+        } else {
+            v
+        }
+    }
+
+    /// The expression's truth table over `vars` slots, for tables wider
+    /// than one word.
+    fn eval_table(&self, vars: usize) -> TruthTable {
+        let (t, inverted) = match self {
+            Expr::Slot { index, inverted } => (TruthTable::var(vars, *index), *inverted),
+            Expr::Gate {
+                op,
+                inverted,
+                parts,
+            } => {
+                let tables = parts.iter().map(|p| p.eval_table(vars));
+                let t = match op {
+                    NodeOp::And => tables.fold(TruthTable::constant(vars, true), |t, p| t.and(&p)),
+                    NodeOp::Or => tables.fold(TruthTable::constant(vars, false), |t, p| t.or(&p)),
+                    _ => unreachable!("expressions contain gates only"),
+                };
+                (t, *inverted)
+            }
+        };
+        if inverted {
+            t.not()
+        } else {
+            t
         }
     }
 
@@ -218,8 +249,15 @@ impl CoverBuilder<'_> {
     }
 
     /// Computes the truth table of `expr` over `slots` and adds the LUT.
+    /// The expression is evaluated once over whole truth-table words,
+    /// not once per input assignment.
     fn finish_lut(&mut self, slots: Vec<LutSource>, expr: Expr) -> Result<LutSource, LutError> {
-        let table = TruthTable::from_fn(slots.len(), |bits| expr.eval(bits));
+        let vars = slots.len();
+        let table = if vars <= PT_VAR_MASKS.len() {
+            TruthTable::from_words(vars, &[expr.eval_word()])
+        } else {
+            expr.eval_table(vars)
+        };
         let id = self.circuit.add_lut(slots, table)?;
         Ok(LutSource::Lut(id))
     }
@@ -244,7 +282,8 @@ pub(crate) fn emit_forest(
     k: usize,
 ) -> Result<LutCircuit, LutError> {
     let mut circuit = LutCircuit::new(k);
-    let mut root_luts: HashMap<NodeId, LutSource> = HashMap::new();
+    // The root LUT of every tree emitted so far, indexed by root node.
+    let mut root_luts: Vec<Option<LutSource>> = vec![None; network.len()];
     for m in trees {
         let (tree, dp) = (&m.tree, &m.sol.dp);
         let root = tree.root;
@@ -252,8 +291,7 @@ pub(crate) fn emit_forest(
             match network.node(id).op() {
                 NodeOp::Input => input_source(id),
                 NodeOp::Const(v) => LutSource::Const(v),
-                NodeOp::And | NodeOp::Or => *root_luts
-                    .get(&id)
+                NodeOp::And | NodeOp::Or => root_luts[id.index()]
                     .expect("forest is topologically ordered: leaf tree emitted first"),
             }
         };
@@ -266,14 +304,16 @@ pub(crate) fn emit_forest(
             };
             builder.emit_tree()?
         };
-        root_luts.insert(root, src);
+        root_luts[root.index()] = Some(src);
     }
     for o in network.outputs() {
         let node = o.signal.node();
         let source = match network.node(node).op() {
             NodeOp::Input => input_source(node),
             NodeOp::Const(v) => LutSource::Const(v),
-            NodeOp::And | NodeOp::Or => root_luts[&node],
+            NodeOp::And | NodeOp::Or => {
+                root_luts[node.index()].expect("every gate output roots a tree")
+            }
         };
         circuit.add_output(o.name.clone(), source, o.signal.is_inverted());
     }

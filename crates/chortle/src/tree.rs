@@ -146,7 +146,7 @@ fn blind_node_fingerprint(tokens: &[Fingerprint]) -> Fingerprint {
 
 /// Bit patterns of the first six truth-table variables within a 64-bit
 /// word (variable `i` is true on the minterms whose bit `i` is set).
-const PT_VAR_MASKS: [u64; 6] = [
+pub(crate) const PT_VAR_MASKS: [u64; 6] = [
     0xAAAA_AAAA_AAAA_AAAA,
     0xCCCC_CCCC_CCCC_CCCC,
     0xF0F0_F0F0_F0F0_F0F0,

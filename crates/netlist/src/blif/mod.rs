@@ -31,12 +31,13 @@ pub(crate) mod flatten;
 pub(crate) mod stream;
 
 use std::borrow::Cow;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
 use crate::error::ParseBlifError;
 use crate::lut::{LutCircuit, LutId, LutSource};
 use crate::network::{Network, NodeId, NodeOp, Signal};
+use crate::truth_table::MAX_VARS;
 use stream::{Blocks, NamesBlock, Sym, Symbols};
 
 /// Widest line the writers emit before breaking with a `\` continuation.
@@ -278,13 +279,48 @@ impl Synthesizer {
     }
 }
 
-/// Per-node polarity marks that [`reduce_gate`] reuses across calls. An
-/// entry is `(call, polarities seen)` and counts only when its stamp is
-/// the current call's, so no call clears the table.
+/// Per-node polarity marks that [`reduce_gate`] and
+/// `Network::simplified` reuse across calls. An entry is
+/// `(call, polarities seen)` and counts only when its stamp is the
+/// current call's, so no call clears the table.
 #[derive(Debug, Default)]
 pub(crate) struct LiteralMarks {
     seen: Vec<(u32, u8)>,
     call: u32,
+}
+
+impl LiteralMarks {
+    /// Removes repeated literals from `literals`, keeping first
+    /// occurrences in order, and returns whether a contradictory pair
+    /// `x, !x` remains. `nodes` bounds the node indices the literals
+    /// refer to. Linear in the number of literals.
+    pub(crate) fn retain_distinct(&mut self, literals: &mut Vec<Signal>, nodes: usize) -> bool {
+        self.call = self.call.wrapping_add(1);
+        if self.call == 0 {
+            // The stamps wrapped: forget every old mark.
+            self.seen.fill((0, 0));
+            self.call = 1;
+        }
+        if self.seen.len() < nodes {
+            self.seen.resize(nodes, (0, 0));
+        }
+        let call = self.call;
+        let mut contradictory = false;
+        literals.retain(|s| {
+            let entry = &mut self.seen[s.node().index()];
+            if entry.0 != call {
+                *entry = (call, 0);
+            }
+            let polarity = 1u8 << u8::from(s.is_inverted());
+            if entry.1 & polarity != 0 {
+                return false;
+            }
+            entry.1 |= polarity;
+            contradictory |= entry.1 == 0b11;
+            true
+        });
+        contradictory
+    }
 }
 
 /// Builds an AND/OR gate over a literal list, after removing duplicates
@@ -298,31 +334,7 @@ pub(crate) fn reduce_gate(
     literals: &mut Vec<Signal>,
     marks: &mut LiteralMarks,
 ) -> Signal {
-    marks.call = marks.call.wrapping_add(1);
-    if marks.call == 0 {
-        // The stamps wrapped: forget every old mark.
-        marks.seen.fill((0, 0));
-        marks.call = 1;
-    }
-    if marks.seen.len() < net.len() {
-        marks.seen.resize(net.len(), (0, 0));
-    }
-    let call = marks.call;
-    let mut contradictory = false;
-    literals.retain(|s| {
-        let entry = &mut marks.seen[s.node().index()];
-        if entry.0 != call {
-            *entry = (call, 0);
-        }
-        let polarity = 1u8 << u8::from(s.is_inverted());
-        if entry.1 & polarity != 0 {
-            return false;
-        }
-        entry.1 |= polarity;
-        contradictory |= entry.1 == 0b11;
-        true
-    });
-    if contradictory {
+    if marks.retain_distinct(literals, net.len()) {
         return Signal::new(net.add_const(op == NodeOp::Or));
     }
     match literals.len() {
@@ -529,16 +541,20 @@ pub(crate) fn write_buffer_block(out: &mut String, drv: &str, name: &str, signal
 /// broken with `\` continuations.
 pub fn write_lut_blif(network: &Network, circuit: &LutCircuit, model: &str) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, ".model {model}");
+    out.push_str(".model ");
+    out.push_str(model);
+    out.push('\n');
     let mut line = String::from(".inputs");
     for &id in network.inputs() {
-        let _ = write!(line, " {}", net_name(network, id));
+        line.push(' ');
+        push_net_name(&mut line, network, id);
     }
     push_wrapped(&mut out, &line);
     line.clear();
     line.push_str(".outputs");
     for o in circuit.outputs() {
-        let _ = write!(line, " {}", o.name);
+        line.push(' ');
+        line.push_str(&o.name);
     }
     push_wrapped(&mut out, &line);
 
@@ -550,33 +566,114 @@ pub fn write_lut_blif(network: &Network, circuit: &LutCircuit, model: &str) -> S
     let taken: HashSet<&str> = inputs
         .chain(circuit.outputs().iter().map(|o| o.name.as_str()))
         .collect();
-    let luts: Vec<String> = (0..circuit.luts().len())
-        .map(|i| fresh(format!("lut{i}"), &taken))
-        .collect();
+    let luts = GeneratedNames::new("lut", &taken);
     let consts = [false, true].map(|v| fresh(format!("const{}", v as u8), &taken));
-    let src_name = |s: LutSource| match s {
-        LutSource::Input(id) => net_name(network, id),
-        LutSource::Lut(id) => Cow::Borrowed(luts[id.index()].as_str()),
-        LutSource::Const(v) => Cow::Borrowed(consts[v as usize].as_str()),
+    let src_name = |out: &mut String, s: LutSource| match s {
+        LutSource::Input(id) => push_net_name(out, network, id),
+        LutSource::Lut(id) => luts.push(out, id.index()),
+        LutSource::Const(v) => out.push_str(&consts[v as usize]),
     };
     write_lut_blocks(&mut out, circuit, src_name);
     for o in circuit.outputs() {
         line.clear();
-        let _ = write!(line, ".names {} {}", src_name(o.source), o.name);
+        line.push_str(".names ");
+        src_name(&mut line, o.source);
+        line.push(' ');
+        line.push_str(&o.name);
         push_wrapped(&mut out, &line);
-        let _ = writeln!(out, "{} 1", if o.inverted { '0' } else { '1' });
+        out.push_str(if o.inverted { "0 1\n" } else { "1 1\n" });
     }
-    let _ = writeln!(out, ".end");
+    out.push_str(".end\n");
     out
 }
 
+/// Appends [`net_name`] of `id` to `out`.
+pub(crate) fn push_net_name(out: &mut String, network: &Network, id: NodeId) {
+    match network.node(id).name() {
+        Some(name) => out.push_str(name),
+        None => {
+            out.push('n');
+            push_decimal(out, id.index());
+        }
+    }
+}
+
+/// Appends `n` in decimal to `out`.
+pub(crate) fn push_decimal(out: &mut String, mut n: usize) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// The generated names `<prefix><i>`, each with the `_`s [`fresh`] would
+/// append, written without building a `String` per name: only indices
+/// whose name a taken name could equal are looked up.
+struct GeneratedNames<'a> {
+    prefix: &'a str,
+    /// Underscores appended to `<prefix><i>`, for the `i` that need any.
+    bumps: HashMap<usize, usize>,
+}
+
+impl<'a> GeneratedNames<'a> {
+    fn new(prefix: &'a str, taken: &HashSet<&str>) -> Self {
+        // Every taken name of the form `<prefix><i>` plus underscores,
+        // with `i` in canonical decimal, as `(i, underscores)`.
+        let clashes: HashSet<(usize, usize)> = taken
+            .iter()
+            .filter_map(|name| {
+                let rest = name.strip_prefix(prefix)?;
+                let digits = rest.trim_end_matches('_');
+                if digits.is_empty() || (digits.len() > 1 && digits.starts_with('0')) {
+                    return None;
+                }
+                if !digits.bytes().all(|b| b.is_ascii_digit()) {
+                    return None;
+                }
+                Some((digits.parse().ok()?, rest.len() - digits.len()))
+            })
+            .collect();
+        let mut bumps = HashMap::new();
+        for &(i, _) in &clashes {
+            let mut n = 0;
+            while clashes.contains(&(i, n)) {
+                n += 1;
+            }
+            if n > 0 {
+                bumps.insert(i, n);
+            }
+        }
+        GeneratedNames { prefix, bumps }
+    }
+
+    /// Appends the name of index `i` to `out`.
+    fn push(&self, out: &mut String, i: usize) {
+        out.push_str(self.prefix);
+        push_decimal(out, i);
+        if !self.bumps.is_empty() {
+            for _ in 0..self.bumps.get(&i).copied().unwrap_or(0) {
+                out.push('_');
+            }
+        }
+    }
+}
+
 /// Emits the constants `circuit` uses and one `.names` block per LUT
-/// listing its on-set minterms. `src` names every LUT source, and LUT `i`
-/// is defined under the name of `LutSource::Lut` for `i`.
-pub(crate) fn write_lut_blocks<'a>(
+/// listing its on-set minterms. `src` appends the name of a LUT source
+/// to a line, and LUT `i` is defined under the name of `LutSource::Lut`
+/// for `i`. Names, cube characters and row ends are pushed as bytes and
+/// `&str`s, and each table is scanned word by word for its on-set.
+pub(crate) fn write_lut_blocks(
     out: &mut String,
     circuit: &LutCircuit,
-    src: impl Fn(LutSource) -> Cow<'a, str>,
+    src: impl Fn(&mut String, LutSource),
 ) {
     let lut_inputs = circuit.luts().iter().flat_map(|lut| lut.inputs().iter());
     let sources = lut_inputs.chain(circuit.outputs().iter().map(|o| &o.source));
@@ -588,28 +685,41 @@ pub(crate) fn write_lut_blocks<'a>(
     }
     for v in [false, true] {
         if used_consts[v as usize] {
-            let _ = writeln!(out, ".names {}", src(LutSource::Const(v)));
-            if v {
-                let _ = writeln!(out, "1");
-            }
+            out.push_str(".names ");
+            src(out, LutSource::Const(v));
+            out.push_str(if v { "\n1\n" } else { "\n" });
         }
     }
     let mut line = String::new();
+    let mut row = [0u8; MAX_VARS + 3];
     for (i, lut) in circuit.luts().iter().enumerate() {
         line.clear();
         line.push_str(".names");
         for &s in lut.inputs() {
-            let _ = write!(line, " {}", src(s));
+            line.push(' ');
+            src(&mut line, s);
         }
-        let _ = write!(line, " {}", src(LutSource::Lut(LutId::from_index(i))));
+        line.push(' ');
+        src(&mut line, LutSource::Lut(LutId::from_index(i)));
         push_wrapped(out, &line);
-        let vars = lut.table().num_vars();
-        for bits in 0..(1u32 << vars) {
-            if lut.table().eval(bits) {
-                for v in 0..vars {
-                    let _ = write!(out, "{}", (bits >> v) & 1);
+        let table = lut.table();
+        let vars = table.num_vars();
+        row[vars..vars + 3].copy_from_slice(b" 1\n");
+        let row_len = vars + 3;
+        let valid = if vars < 6 {
+            (1u64 << (1 << vars)) - 1
+        } else {
+            u64::MAX
+        };
+        for (w, &word) in table.words().iter().enumerate() {
+            let mut rest = word & valid;
+            while rest != 0 {
+                let bits = (w << 6) | rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                for (v, cell) in row[..vars].iter_mut().enumerate() {
+                    *cell = b'0' + ((bits >> v) & 1) as u8;
                 }
-                let _ = writeln!(out, " 1");
+                out.push_str(std::str::from_utf8(&row[..row_len]).expect("ASCII row"));
             }
         }
     }

@@ -17,14 +17,13 @@
 //! so it is already the network its standalone BLIF text would parse to;
 //! no text round trip is needed to reach that form.
 
-use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::BufRead;
 
 use crate::blif::{
-    elaborate_blocks, net_name, net_names, push_wrapped, reduce_gate, stream, write_lut_blocks,
-    LiteralMarks,
+    elaborate_blocks, net_name, net_names, push_decimal, push_net_name, push_wrapped, reduce_gate,
+    stream, write_lut_blocks, LiteralMarks,
 };
 use crate::error::ParseBlifError;
 use crate::lut::{LutCircuit, LutSource};
@@ -618,19 +617,30 @@ pub fn write_mapped_design_blif(
     }
 
     for (i, (network, circuit)) in mapped.iter().enumerate() {
-        let src_name = |s: LutSource| match s {
-            LutSource::Input(id) => net_name(network, id),
-            LutSource::Lut(id) => Cow::Owned(format!("{base}{i}n{}", id.index())),
-            LutSource::Const(v) => Cow::Owned(format!("{base}{i}c{}", v as u8)),
+        let src_name = |out: &mut String, s: LutSource| match s {
+            LutSource::Input(id) => push_net_name(out, network, id),
+            LutSource::Lut(id) => {
+                out.push_str(&base);
+                push_decimal(out, i);
+                out.push('n');
+                push_decimal(out, id.index());
+            }
+            LutSource::Const(v) => {
+                out.push_str(&base);
+                push_decimal(out, i);
+                out.push_str(if v { "c1" } else { "c0" });
+            }
         };
         write_lut_blocks(&mut out, circuit, src_name);
         for o in circuit.outputs() {
-            let drv = src_name(o.source);
-            if drv != o.name || o.inverted {
-                line.clear();
-                let _ = write!(line, ".names {drv} {}", o.name);
+            line.clear();
+            line.push_str(".names ");
+            src_name(&mut line, o.source);
+            if line[".names ".len()..] != o.name || o.inverted {
+                line.push(' ');
+                line.push_str(&o.name);
                 push_wrapped(&mut out, &line);
-                let _ = writeln!(out, "{} 1", if o.inverted { '0' } else { '1' });
+                out.push_str(if o.inverted { "0 1\n" } else { "1 1\n" });
             }
         }
     }

@@ -5,8 +5,7 @@
 //! constant inputs; [`Network::simplified`] establishes that normal form
 //! without changing any output function.
 
-use std::collections::HashSet;
-
+use crate::blif::LiteralMarks;
 use crate::network::{Network, NodeId, NodeOp, Signal};
 
 /// A node's replacement during simplification.
@@ -53,6 +52,7 @@ impl Network {
         // Pass 1: compute replacements with folding.
         let mut repl: Vec<Repl> = Vec::with_capacity(self.len());
         let mut scratch = Network::new();
+        let mut folder = Folder::default();
         // We first rebuild everything into `scratch` (keeping possibly-dead
         // gates), then sweep unreachable gates in pass 2.
         for (_, node) in self.nodes() {
@@ -63,7 +63,7 @@ impl Network {
                 }
                 NodeOp::Const(v) => Repl::Const(v),
                 op @ (NodeOp::And | NodeOp::Or) => {
-                    fold_gate(op, node.fanins(), &repl, &mut scratch)
+                    folder.fold(op, node.fanins(), &repl, &mut scratch)
                 }
             };
             repl.push(r);
@@ -75,7 +75,7 @@ impl Network {
         }
 
         // Pass 2: sweep gates unreachable from outputs.
-        let mut live: HashSet<NodeId> = HashSet::new();
+        let mut live = vec![false; scratch.len()];
         let mut stack: Vec<NodeId> = outputs
             .iter()
             .filter_map(|(_, r)| match r {
@@ -84,7 +84,7 @@ impl Network {
             })
             .collect();
         while let Some(id) = stack.pop() {
-            if !live.insert(id) {
+            if std::mem::replace(&mut live[id.index()], true) {
                 continue;
             }
             for s in scratch.node(id).fanins() {
@@ -97,7 +97,7 @@ impl Network {
         for (id, node) in scratch.nodes() {
             let keep = match node.op() {
                 NodeOp::Input => true, // inputs always preserved
-                _ => live.contains(&id),
+                _ => live[id.index()],
             };
             if !keep {
                 continue;
@@ -140,32 +140,47 @@ impl Network {
     }
 }
 
-/// Folds one gate given the replacements of its fanins; may add a gate to
-/// `scratch`.
-fn fold_gate(op: NodeOp, fanins: &[Signal], repl: &[Repl], scratch: &mut Network) -> Repl {
-    let identity = op.identity();
-    let mut sigs: Vec<Signal> = Vec::with_capacity(fanins.len());
-    for f in fanins {
-        match repl[f.node().index()].apply_inversion(f.is_inverted()) {
-            Repl::Const(v) => {
-                if v == identity {
-                    continue; // neutral element
+/// Scratch [`Folder::fold`] reuses from gate to gate: the folded fanin
+/// list and per-node polarity marks stamped once per gate.
+#[derive(Default)]
+struct Folder {
+    sigs: Vec<Signal>,
+    marks: LiteralMarks,
+}
+
+impl Folder {
+    /// Folds one gate given the replacements of its fanins; may add a
+    /// gate to `scratch`.
+    fn fold(
+        &mut self,
+        op: NodeOp,
+        fanins: &[Signal],
+        repl: &[Repl],
+        scratch: &mut Network,
+    ) -> Repl {
+        let identity = op.identity();
+        let sigs = &mut self.sigs;
+        sigs.clear();
+        for f in fanins {
+            match repl[f.node().index()].apply_inversion(f.is_inverted()) {
+                Repl::Const(v) => {
+                    if v == identity {
+                        continue; // neutral element
+                    }
+                    return Repl::Const(!identity); // absorbing element
                 }
-                return Repl::Const(!identity); // absorbing element
+                Repl::Signal(s) => sigs.push(s),
             }
-            Repl::Signal(s) => sigs.push(s),
         }
-    }
-    // Deduplicate; detect contradictions.
-    let mut seen = HashSet::new();
-    sigs.retain(|s| seen.insert(*s));
-    if sigs.iter().any(|s| seen.contains(&!*s)) {
-        return Repl::Const(!identity);
-    }
-    match sigs.len() {
-        0 => Repl::Const(identity),
-        1 => Repl::Signal(sigs[0]),
-        _ => Repl::Signal(Signal::new(scratch.add_gate(op, sigs))),
+        // Deduplicate; detect contradictions.
+        if self.marks.retain_distinct(sigs, scratch.len()) {
+            return Repl::Const(!identity);
+        }
+        match sigs.len() {
+            0 => Repl::Const(identity),
+            1 => Repl::Signal(sigs[0]),
+            _ => Repl::Signal(Signal::new(scratch.add_gate(op, sigs.clone()))),
+        }
     }
 }
 
