@@ -188,7 +188,7 @@ impl CoverBuilder<'_> {
             }
             let (node, set, u) = (walk.node, walk.set, walk.u);
             let i = set.trailing_zeros() as usize;
-            match self.dp.nodes[node].fchoice_at(set, u, k) {
+            match self.dp.fchoice_at(node, set, u) {
                 Choice::None => {
                     unreachable!("reconstruction reached an infeasible state (set={set:b}, u={u})")
                 }
@@ -219,7 +219,7 @@ impl CoverBuilder<'_> {
                     // own, feeding one wire.
                     walk.set &= !group;
                     walk.u -= 1;
-                    let u = self.dp.nodes[node].ndbest_u[group as usize];
+                    let u = self.dp.ndbest_u(node, group);
                     debug_assert!(u >= 2);
                     slots.push(Vec::new());
                     walks.push(Walk {
@@ -236,12 +236,11 @@ impl CoverBuilder<'_> {
 
     /// The walk building the root region of `minmap(node, w)`.
     fn region(&self, node: usize, w: usize, ret: Return) -> Walk {
-        let dp = &self.dp.nodes[node];
-        let u = dp.node_best_u[w];
+        let u = self.dp.node_best_u(node, w);
         debug_assert!(u >= 2, "node regions use at least two inputs");
         Walk {
             node,
-            set: (1u32 << dp.fanin) - 1,
+            set: (1u32 << self.dp.fanin(node)) - 1,
             u: u as usize,
             parts: Vec::new(),
             ret,

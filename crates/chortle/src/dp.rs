@@ -108,34 +108,67 @@ pub(crate) enum Choice {
     },
 }
 
-/// Per-node DP results retained for reconstruction.
-///
-/// The `Cost` tables themselves (`F(S)[u]` and the intermediate-node
-/// costs) live in a [`DpScratch`] arena reused across nodes; only the
-/// *decisions* — which the cover reconstruction replays — and the root
-/// cost summary are kept per node.
-#[derive(Debug)]
-pub(crate) struct NodeDp {
+/// Marks a packed [`Choice::Singleton`]; groups fit in
+/// [`MAX_DP_FANIN`] < 31 bits.
+const PACKED_SINGLETON: u32 = 1 << 31;
+const _: () = assert!(MAX_DP_FANIN < 31);
+
+impl Choice {
+    /// The choice in the 4 bytes a [`TreeDp`] stores it in: `0` for
+    /// `None` (no group is empty), the group mask for `Group`, and
+    /// [`PACKED_SINGLETON`] plus `w` for `Singleton`.
+    fn packed(self) -> u32 {
+        match self {
+            Choice::None => 0,
+            Choice::Singleton { w } => PACKED_SINGLETON | u32::from(w),
+            Choice::Group { group } => group,
+        }
+    }
+
+    /// Inverts [`Choice::packed`].
+    fn unpacked(bits: u32) -> Choice {
+        if bits == 0 {
+            Choice::None
+        } else if bits & PACKED_SINGLETON != 0 {
+            Choice::Singleton { w: bits as u8 }
+        } else {
+            Choice::Group { group: bits }
+        }
+    }
+}
+
+/// One tree node's place in a [`TreeDp`]'s arenas.
+#[derive(Clone, Copy, Debug)]
+struct NodeSpan {
     /// Number of children.
-    pub fanin: usize,
-    /// Decision per `F(S)[u]` state, laid out `S * (k+1) + u`.
-    pub fchoice: Vec<Choice>,
-    /// Chosen exact root utilization for each intermediate node (fanin
+    fanin: usize,
+    /// Start of the node's `F(S)[u]` decisions in [`TreeDp::choices`].
+    choices: usize,
+    /// Start of the node's intermediate-node utilizations in
+    /// [`TreeDp::ndbest_u`].
+    groups: usize,
+}
+
+/// One node's decision tables while [`run_dp`] fills them: views into
+/// the [`TreeDp`] arenas.
+struct NodeRec<'a> {
+    /// [`Choice::packed`] decision per `F(S)[u]` state, laid out
+    /// `S * (k+1) + u`.
+    fchoice: &'a mut [u32],
+    /// Chosen exact root utilization per intermediate node (fanin
     /// subset `g`, `|g| ≥ 2`).
-    pub ndbest_u: Vec<u8>,
-    /// `node_cost[u]` = cost of `minmap(n, u)` (root utilization ≤ u):
-    /// `luts` includes the root LUT, `depth` is the region's `din`.
-    /// Entries 0 and 1 are infeasible.
-    pub node_cost: Vec<Cost>,
+    ndbest_u: &'a mut [u8],
+    /// `minmap(n, u)` for `u ∈ 0..=K`.
+    node_cost: &'a mut [Cost],
     /// The exact utilization realizing `node_cost[u]`.
-    pub node_best_u: Vec<u8>,
+    node_best_u: &'a mut [u8],
 }
 
 /// Reusable scratch buffers for the per-node subset DP.
 ///
 /// The recurrence fills an `F(S)[u]` cost table of `2^f · (K+1)` entries
 /// and an intermediate-node table of `2^f` entries per node, but only the
-/// recorded *choices* outlive the node (see [`NodeDp`]). Allocating the
+/// recorded *choices* outlive the node (see [`TreeDp`]). Allocating the
 /// cost tables once per tree walk — sized to the widest node seen so far —
 /// removes the dominant allocation traffic of the mapper's hot loop.
 /// Buffers grow monotonically and are re-initialized per node by the
@@ -160,7 +193,7 @@ pub(crate) struct DpScratch {
     wlo: Vec<u8>,
     /// `ncost[n * (k+1) + u]` — `minmap(n, u)` per tree node: where
     /// [`run_dp`] writes each node's row and its parent reads it back.
-    /// The full kernel copies the row into [`NodeDp::node_cost`]; the
+    /// The full kernel copies the row into [`TreeDp::node_cost`]; the
     /// cost-only kernel reads the root's row and keeps nothing else.
     ncost: Vec<Cost>,
     /// Deterministic kernel work counters, accumulated across every tree
@@ -268,39 +301,106 @@ impl DpScratch {
     }
 }
 
-impl NodeDp {
-    pub(crate) fn fchoice_at(&self, set: u32, u: usize, k: usize) -> Choice {
-        self.fchoice[set as usize * (k + 1) + u]
-    }
-}
-
 /// The DP result for a whole tree.
+///
+/// Only the *decisions* — which cover reconstruction replays — and each
+/// node's `minmap` row outlive the kernel. They sit in flat arenas, one
+/// per kind of table, and each node reaches its blocks through a
+/// [`NodeSpan`], so a solution costs a handful of allocations whatever
+/// the tree's size.
 #[derive(Debug)]
 pub(crate) struct TreeDp {
-    /// Per-tree-node tables, indexed like [`Tree::nodes`].
-    pub nodes: Vec<NodeDp>,
     /// The LUT input limit.
     pub k: usize,
+    /// Per tree node, indexed like [`Tree::nodes`].
+    spans: Vec<NodeSpan>,
+    /// Every node's `F(S)[u]` decisions ([`Choice::packed`]), a block
+    /// of `2^fanin · (K+1)` per node.
+    choices: Vec<u32>,
+    /// Every node's intermediate-node utilizations, a block of
+    /// `2^fanin` per node.
+    ndbest_u: Vec<u8>,
+    /// `node_cost[n·(K+1) + u]` = cost of `minmap(n, u)` (root
+    /// utilization ≤ u): `luts` includes the root LUT, `depth` is the
+    /// region's `din`. Entries 0 and 1 are infeasible.
+    node_cost: Vec<Cost>,
+    /// The exact utilization realizing each `node_cost` entry.
+    node_best_u: Vec<u8>,
 }
 
 impl TreeDp {
+    /// Empty tables for `tree` at LUT size `k`, with the arenas sized
+    /// for every node the kernel can map.
+    fn for_tree(tree: &Tree, k: usize) -> TreeDp {
+        let sets: usize = tree
+            .nodes
+            .iter()
+            .map(|n| n.children.len())
+            .filter(|&f| f <= MAX_DP_FANIN)
+            .map(|f| 1usize << f)
+            .sum();
+        let rows = tree.nodes.len() * (k + 1);
+        TreeDp {
+            k,
+            spans: Vec::with_capacity(tree.nodes.len()),
+            choices: Vec::with_capacity(sets * (k + 1)),
+            ndbest_u: Vec::with_capacity(sets),
+            node_cost: Vec::with_capacity(rows),
+            node_best_u: Vec::with_capacity(rows),
+        }
+    }
+
+    /// Number of tree nodes mapped.
+    #[cfg(test)]
+    pub fn len(&self) -> usize {
+        self.spans.len()
+    }
+
+    /// Number of children of tree node `node`.
+    pub fn fanin(&self, node: usize) -> usize {
+        self.spans[node].fanin
+    }
+
+    /// The decision of `F(set)[u]` at tree node `node`.
+    pub fn fchoice_at(&self, node: usize, set: u32, u: usize) -> Choice {
+        Choice::unpacked(self.choices[self.spans[node].choices + set as usize * (self.k + 1) + u])
+    }
+
+    /// The exact root utilization of the intermediate node over `group`
+    /// at tree node `node`.
+    pub fn ndbest_u(&self, node: usize, group: u32) -> u8 {
+        self.ndbest_u[self.spans[node].groups + group as usize]
+    }
+
+    /// The exact utilization realizing `minmap(node, w)`.
+    pub fn node_best_u(&self, node: usize, w: usize) -> u8 {
+        self.node_best_u[node * (self.k + 1) + w]
+    }
+
+    /// `minmap(node, u)` for `u ∈ 0..=K`.
+    #[cfg(test)]
+    pub fn node_cost(&self, node: usize) -> &[Cost] {
+        let row = node * (self.k + 1);
+        &self.node_cost[row..=row + self.k]
+    }
+
     /// LUT count of the best mapping of the whole tree
     /// (`minmap(root, K)`).
     pub fn tree_cost(&self, tree: &Tree) -> u32 {
-        debug_assert_eq!(self.nodes.len(), tree.nodes.len());
+        debug_assert_eq!(self.spans.len(), tree.nodes.len());
         self.root_cost().luts
     }
 
     /// Output depth of the tree's root LUT (entering-wire depth plus
     /// one).
     pub fn tree_depth(&self, tree: &Tree) -> u32 {
-        debug_assert_eq!(self.nodes.len(), tree.nodes.len());
+        debug_assert_eq!(self.spans.len(), tree.nodes.len());
         self.root_depth()
     }
 
     /// `minmap(root, K)` — the whole-tree cost summary.
     pub fn root_cost(&self) -> Cost {
-        self.nodes[self.nodes.len() - 1].node_cost[self.k]
+        self.node_cost[self.node_cost.len() - 1]
     }
 
     /// Output depth of the root LUT without needing the tree (the root
@@ -390,12 +490,9 @@ pub(crate) fn map_tree_solution(
     leaf_depth: &dyn Fn(NodeId) -> u32,
     scratch: &mut DpScratch,
 ) -> Result<ShapeSolution, MapError> {
-    let mut nodes: Vec<NodeDp> = Vec::with_capacity(tree.nodes.len());
-    let tally = run_dp(tree, k, objective, leaf_depth, scratch, &mut nodes)?;
-    Ok(ShapeSolution {
-        dp: TreeDp { nodes, k },
-        tally,
-    })
+    let mut dp = TreeDp::for_tree(tree, k);
+    let tally = run_dp(tree, k, objective, leaf_depth, scratch, &mut dp)?;
+    Ok(ShapeSolution { dp, tally })
 }
 
 /// The cost-only kernel: [`run_dp`] with the no-op recorder, which
@@ -427,32 +524,41 @@ pub(crate) fn tree_cost_with(
 }
 
 /// What a DP pass keeps beyond the `minmap` rows, which always land in
-/// [`DpScratch::ncost`]: `Vec<NodeDp>` records every decision cover
+/// [`DpScratch::ncost`]: a [`TreeDp`] records every decision cover
 /// reconstruction replays; `()` records nothing.
 trait Recorder {
     /// Opens the next tree node (fanin `fanin`) and returns its decision
     /// tables, or `None` when decisions are not kept.
-    fn open_node(&mut self, fanin: usize, k: usize) -> Option<&mut NodeDp>;
+    fn open_node(&mut self, fanin: usize, k: usize) -> Option<NodeRec<'_>>;
 }
 
 impl Recorder for () {
     #[inline(always)]
-    fn open_node(&mut self, _: usize, _: usize) -> Option<&mut NodeDp> {
+    fn open_node(&mut self, _: usize, _: usize) -> Option<NodeRec<'_>> {
         None
     }
 }
 
-impl Recorder for Vec<NodeDp> {
-    fn open_node(&mut self, fanin: usize, k: usize) -> Option<&mut NodeDp> {
+impl Recorder for TreeDp {
+    fn open_node(&mut self, fanin: usize, k: usize) -> Option<NodeRec<'_>> {
         let sets = 1usize << fanin;
-        self.push(NodeDp {
+        let span = NodeSpan {
             fanin,
-            fchoice: vec![Choice::None; sets * (k + 1)],
-            ndbest_u: vec![0; sets],
-            node_cost: Vec::new(),
-            node_best_u: vec![0; k + 1],
-        });
-        self.last_mut()
+            choices: self.choices.len(),
+            groups: self.ndbest_u.len(),
+        };
+        self.spans.push(span);
+        self.choices.resize(span.choices + sets * (k + 1), 0);
+        self.ndbest_u.resize(span.groups + sets, 0);
+        let row = self.node_cost.len();
+        self.node_cost.resize(row + k + 1, Cost::INFEASIBLE);
+        self.node_best_u.resize(row + k + 1, 0);
+        Some(NodeRec {
+            fchoice: &mut self.choices[span.choices..],
+            ndbest_u: &mut self.ndbest_u[span.groups..],
+            node_cost: &mut self.node_cost[row..],
+            node_best_u: &mut self.node_best_u[row..],
+        })
     }
 }
 
@@ -642,8 +748,8 @@ fn run_dp<R: Recorder>(
                     }
                 }
                 fcost[row + u] = best;
-                if let Some(dp) = dp.as_deref_mut() {
-                    dp.fchoice[row + u] = best_choice;
+                if let Some(dp) = dp.as_mut() {
+                    dp.fchoice[row + u] = best_choice.packed();
                 }
             }
             // Intermediate node over `set` (needs |set| ≥ 2): its root LUT
@@ -666,7 +772,7 @@ fn run_dp<R: Recorder>(
                     }
                 }
                 ndcost[set as usize] = best;
-                if let Some(dp) = dp.as_deref_mut() {
+                if let Some(dp) = dp.as_mut() {
                     dp.ndbest_u[set as usize] = best_u;
                 }
                 if !best.is_infeasible() {
@@ -690,12 +796,13 @@ fn run_dp<R: Recorder>(
                 (wire, Choice::Group { group: set })
             };
             fcost[row + 1] = c1;
-            if let Some(dp) = dp.as_deref_mut() {
+            if let Some(dp) = dp.as_mut() {
                 dp.fchoice[row + 1] = if c1.is_infeasible() {
                     Choice::None
                 } else {
                     ch1
-                };
+                }
+                .packed();
             }
         }
 
@@ -719,12 +826,12 @@ fn run_dp<R: Recorder>(
                 }
             }
             ncost[nrow + u] = running;
-            if let Some(dp) = dp.as_deref_mut() {
+            if let Some(dp) = dp.as_mut() {
                 dp.node_best_u[u] = running_u;
             }
         }
         if let Some(dp) = dp {
-            dp.node_cost = ncost[nrow..=nrow + k].to_vec();
+            dp.node_cost.copy_from_slice(&ncost[nrow..=nrow + k]);
         }
     }
     Ok(tally)
@@ -852,14 +959,28 @@ mod tests {
     }
 
     #[test]
+    fn choices_survive_packing() {
+        let full = (1u32 << MAX_DP_FANIN) - 1;
+        for c in [
+            Choice::None,
+            Choice::Singleton { w: 1 },
+            Choice::Singleton { w: 8 },
+            Choice::Group { group: 0b11 },
+            Choice::Group { group: full },
+        ] {
+            assert_eq!(Choice::unpacked(c.packed()), c);
+        }
+    }
+
+    #[test]
     fn monotone_in_utilization() {
         // cost(minmap(n, U)) >= cost(minmap(n, K)) — the paper's
         // inequality, by construction of the running minimum.
         let tree = wide_gate(7, NodeOp::Or);
         let dp = map_tree(&tree, 5);
-        let root = &dp.nodes[tree.root_index()];
+        let root = dp.node_cost(tree.root_index());
         for u in 2..5 {
-            assert!(root.node_cost[u].luts >= root.node_cost[u + 1].luts);
+            assert!(root[u].luts >= root[u + 1].luts);
         }
     }
 
@@ -936,8 +1057,11 @@ mod tests {
                     let full =
                         map_tree_with(&tree, k, objective, &depths, &mut DpScratch::new()).unwrap();
                     let cost = tree_cost_with(&tree, k, objective, &depths, &mut shared).unwrap();
-                    let root = &full.nodes[tree.root_index()];
-                    assert_eq!(cost, root.node_cost[k], "f={f} k={k} {objective:?}");
+                    assert_eq!(
+                        cost,
+                        full.node_cost(tree.root_index())[k],
+                        "f={f} k={k} {objective:?}"
+                    );
                 }
             }
         }
@@ -949,15 +1073,18 @@ mod tests {
                     let full =
                         map_tree_with(tree, k, objective, &depths, &mut DpScratch::new()).unwrap();
                     let cost = tree_cost_with(tree, k, objective, &depths, &mut shared).unwrap();
-                    for (n, node) in full.nodes.iter().enumerate() {
+                    for n in 0..full.len() {
                         assert_eq!(
-                            node.node_cost[..],
-                            shared.ncost[n * (k + 1)..=n * (k + 1) + k],
+                            full.node_cost(n),
+                            &shared.ncost[n * (k + 1)..=n * (k + 1) + k],
                             "tree {t} node {n} k={k} {objective:?}"
                         );
                     }
-                    let root = &full.nodes[tree.root_index()];
-                    assert_eq!(cost, root.node_cost[k], "tree {t} k={k} {objective:?}");
+                    assert_eq!(
+                        cost,
+                        full.node_cost(tree.root_index())[k],
+                        "tree {t} k={k} {objective:?}"
+                    );
                 }
             }
         }

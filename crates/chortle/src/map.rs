@@ -14,7 +14,7 @@ use crate::cover::emit_forest;
 use crate::dp::{DpCounters, Objective, ShapeSolution};
 use crate::pack::PackMode;
 use crate::sched::ChunkPolicy;
-use crate::tree::{Fingerprint, FingerprintScratch, Forest, Tree};
+use crate::tree::{shape_histogram_of, Fingerprint, FingerprintScratch, Forest, Tree};
 
 /// Names of the stages and counters the mapper reports into its
 /// [`Telemetry`] sink (see `DESIGN.md` §10 for the full catalogue and
@@ -584,6 +584,11 @@ pub struct Mapping {
     pub circuit: LutCircuit,
     /// Mapping statistics.
     pub report: MapReport,
+    /// The split forest's `(shape fingerprint, tree count)` pairs, most
+    /// common first, as [`Forest::shape_histogram`] counts them.
+    /// `1 - distinct/total` bounds the DP cache's hit rate. Filled only
+    /// when [`MapOptions::telemetry`] is enabled; empty otherwise.
+    pub shape_histogram: Vec<(Fingerprint, usize)>,
 }
 
 /// Maps a Boolean network into a circuit of K-input lookup tables using
@@ -647,6 +652,13 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
     let shapes = {
         let _s = telemetry.span(stats::STAGE_CANON);
         Arc::new(forest.canonicalize())
+    };
+    // Canonical fingerprints equal `Tree::fingerprint`, so these counts
+    // are `Forest::shape_histogram` of the split forest.
+    let shape_histogram = if telemetry.is_enabled() {
+        shape_histogram_of(&shapes)
+    } else {
+        Vec::new()
     };
 
     // Functional-tier key material: depths-independent, so it is
@@ -715,7 +727,11 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
         report.luts = packed.num_luts();
         circuit = packed;
     }
-    Ok(Mapping { circuit, report })
+    Ok(Mapping {
+        circuit,
+        report,
+        shape_histogram,
+    })
 }
 
 /// The depths-independent part of a functional-tier key: leaf-slot

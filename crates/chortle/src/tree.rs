@@ -75,6 +75,19 @@ pub struct FingerprintScratch {
     tokens: Vec<Fingerprint>,
 }
 
+/// Reusable buffers for [`Tree::canonicalize`]: per-node full and blind
+/// fingerprints, one node's keyed children and tokens, the post-order
+/// walk's stack and every node's new index.
+#[derive(Default)]
+struct CanonScratch {
+    fps: Vec<Fingerprint>,
+    blind: Vec<Fingerprint>,
+    keyed: Vec<((Fingerprint, Fingerprint), TreeChild)>,
+    tokens: Vec<Fingerprint>,
+    stack: Vec<(usize, usize)>,
+    new_index: Vec<usize>,
+}
+
 /// Domain tags keeping leaf tokens, edge tokens, and node fingerprints in
 /// disjoint hash families.
 const TAG_LEAF: u64 = 0x1EAF;
@@ -375,37 +388,56 @@ impl Tree {
     /// reads operations or polarities, onto any tree with the same
     /// blind skeleton — see [`Tree::blind_fingerprint`]).
     pub fn canonicalize(&mut self) -> Fingerprint {
+        self.canonicalize_with(&mut CanonScratch::default())
+    }
+
+    /// [`Tree::canonicalize`] with caller-owned scratch buffers, so a
+    /// forest canonicalizes without allocating per tree or per node.
+    fn canonicalize_with(&mut self, scratch: &mut CanonScratch) -> Fingerprint {
+        let CanonScratch {
+            fps,
+            blind,
+            keyed,
+            tokens,
+            stack,
+            new_index,
+        } = scratch;
         // Pass 1: sort every node's children by (blind token, full
         // token), recording each node's full and blind fingerprints.
-        let mut fps: Vec<Fingerprint> = Vec::with_capacity(self.nodes.len());
-        let mut blind: Vec<Fingerprint> = Vec::with_capacity(self.nodes.len());
-        let mut keyed: Vec<((Fingerprint, Fingerprint), TreeChild)> = Vec::new();
-        for i in 0..self.nodes.len() {
+        fps.clear();
+        blind.clear();
+        for node in &mut self.nodes {
             keyed.clear();
             keyed.extend(
-                self.nodes[i]
-                    .children
+                node.children
                     .iter()
-                    .map(|c| ((blind_child_token(&blind, c), child_token(&fps, c)), *c)),
+                    .map(|c| ((blind_child_token(blind, c), child_token(fps, c)), *c)),
             );
             keyed.sort_by_key(|entry| entry.0);
-            for (slot, (_, child)) in keyed.iter().enumerate() {
-                self.nodes[i].children[slot] = *child;
+            for (slot, (_, child)) in node.children.iter_mut().zip(keyed.iter()) {
+                *slot = *child;
             }
             // Blind tokens are already sorted (they are the primary sort
             // key); full tokens must be re-sorted so the fingerprint
             // value matches the order-insensitive `fingerprint()` hash.
-            let btokens: Vec<Fingerprint> = keyed.iter().map(|((b, _), _)| *b).collect();
-            blind.push(blind_node_fingerprint(&btokens));
-            let mut tokens: Vec<Fingerprint> = keyed.iter().map(|((_, t), _)| *t).collect();
+            tokens.clear();
+            tokens.extend(keyed.iter().map(|((b, _), _)| *b));
+            blind.push(blind_node_fingerprint(tokens));
+            tokens.clear();
+            tokens.extend(keyed.iter().map(|((_, t), _)| *t));
             tokens.sort_unstable();
-            fps.push(node_fingerprint(self.nodes[i].op, &tokens));
+            fps.push(node_fingerprint(node.op, tokens));
         }
-        // Pass 2: renumber into the post-order walk of the sorted tree,
-        // with an explicit stack of (node, next child) so depth costs
-        // heap, not call stack.
-        let mut order = Vec::with_capacity(self.nodes.len());
-        let mut stack: Vec<(usize, usize)> = vec![(self.root_index(), 0)];
+        let fp = fps[self.root_index()];
+        // Pass 2: number the nodes in the post-order walk of the sorted
+        // tree, with an explicit stack of (node, next child) so depth
+        // costs heap, not call stack.
+        let n = self.nodes.len();
+        new_index.clear();
+        new_index.resize(n, 0);
+        let mut next_new = 0;
+        stack.clear();
+        stack.push((self.root_index(), 0));
         while let Some(&mut (i, ref mut next)) = stack.last_mut() {
             match self.nodes[i].children.get(*next) {
                 Some(child) => {
@@ -415,38 +447,30 @@ impl Tree {
                     }
                 }
                 None => {
-                    order.push(i);
+                    new_index[i] = next_new;
+                    next_new += 1;
                     stack.pop();
                 }
             }
         }
-        debug_assert_eq!(order.len(), self.nodes.len(), "every node is reachable");
-        let mut new_index = vec![0usize; self.nodes.len()];
-        for (new, &old) in order.iter().enumerate() {
-            new_index[old] = new;
-        }
-        let mut nodes = std::mem::take(&mut self.nodes);
-        let mut remapped: Vec<TreeNode> = order
-            .iter()
-            .map(|&old| {
-                std::mem::replace(
-                    &mut nodes[old],
-                    TreeNode {
-                        op: NodeOp::And,
-                        children: Vec::new(),
-                    },
-                )
-            })
-            .collect();
-        for node in &mut remapped {
+        debug_assert_eq!(next_new, n, "every node is reachable");
+        // Renumber child references, then move every node to its new
+        // index in place, cycle by cycle.
+        for node in &mut self.nodes {
             for c in &mut node.children {
                 if let TreeChild::Node { index, .. } = c {
                     *index = new_index[*index];
                 }
             }
         }
-        self.nodes = remapped;
-        fps[order[self.nodes.len() - 1]]
+        for i in 0..n {
+            while new_index[i] != i {
+                let j = new_index[i];
+                self.nodes.swap(i, j);
+                new_index.swap(i, j);
+            }
+        }
+        fp
     }
 
     /// Splits every node with more than `threshold` children into a
@@ -625,7 +649,11 @@ impl Forest {
     /// Applies [`Tree::canonicalize`] to every tree; returns the
     /// fingerprints in tree order.
     pub fn canonicalize(&mut self) -> Vec<Fingerprint> {
-        self.trees.iter_mut().map(Tree::canonicalize).collect()
+        let mut scratch = CanonScratch::default();
+        self.trees
+            .iter_mut()
+            .map(|tree| tree.canonicalize_with(&mut scratch))
+            .collect()
     }
 
     /// Counts the forest's trees by structural shape.
@@ -637,18 +665,28 @@ impl Forest {
     /// `1 - entries / trees` predicts the hit rate of the mapper's
     /// shape cache on this forest.
     pub fn shape_histogram(&self) -> Vec<(Fingerprint, usize)> {
-        let mut counts: std::collections::HashMap<Fingerprint, usize> =
-            std::collections::HashMap::new();
         let mut scratch = FingerprintScratch::default();
-        for tree in &self.trees {
-            *counts
-                .entry(tree.fingerprint_with(&mut scratch))
-                .or_insert(0) += 1;
-        }
-        let mut histogram: Vec<(Fingerprint, usize)> = counts.into_iter().collect();
-        histogram.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        histogram
+        let shapes: Vec<Fingerprint> = self
+            .trees
+            .iter()
+            .map(|tree| tree.fingerprint_with(&mut scratch))
+            .collect();
+        shape_histogram_of(&shapes)
     }
+}
+
+/// Counts `shapes` by fingerprint, most common first (ties by
+/// fingerprint): [`Forest::shape_histogram`] of a forest whose tree
+/// fingerprints are `shapes`.
+pub(crate) fn shape_histogram_of(shapes: &[Fingerprint]) -> Vec<(Fingerprint, usize)> {
+    let mut counts: std::collections::HashMap<Fingerprint, usize> =
+        std::collections::HashMap::new();
+    for &fp in shapes {
+        *counts.entry(fp).or_insert(0) += 1;
+    }
+    let mut histogram: Vec<(Fingerprint, usize)> = counts.into_iter().collect();
+    histogram.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    histogram
 }
 
 /// Extracts the fanout-free tree rooted at `root` (a gate).

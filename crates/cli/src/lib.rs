@@ -143,7 +143,7 @@ pub struct FlowResult {
     /// The mapped circuit serialized in the requested format.
     pub output_blif: String,
     /// The forest's `(shape fingerprint, tree count)` pairs, most common
-    /// first — [`chortle::Forest::shape_histogram`] of the forest the
+    /// first — [`chortle::Mapping::shape_histogram`] of the forest the
     /// Chortle mapper saw. `1 - distinct/total` bounds the DP cache's hit
     /// rate. Populated only when telemetry is attached and the Chortle
     /// mapper ran; empty otherwise.
@@ -238,27 +238,19 @@ pub fn run_flow(blif: &str, options: &FlowOptions) -> Result<FlowResult, FlowErr
         parsed
     };
 
-    // The shape histogram reproduces the forest the mapper sees (same
-    // normalization and splitting), so its distinct-shape count predicts
-    // the DP cache's hit rate exactly. Only computed when someone is
-    // watching: it re-extracts the forest.
-    let shape_histogram = if telemetry.is_enabled() && options.mapper == Mapper::Chortle {
-        let mut forest = chortle::Forest::of(&network.simplified());
-        forest.split_wide_nodes(options.map.split_threshold.max(options.map.k));
-        forest.shape_histogram()
-    } else {
-        Vec::new()
-    };
-
-    let circuit = {
+    let (circuit, shape_histogram) = {
         let _s = telemetry.span(stats::STAGE_MAP);
         match options.mapper {
-            Mapper::Chortle => map_network(&network, &options.map)?.circuit,
+            Mapper::Chortle => {
+                let mapping = map_network(&network, &options.map)?;
+                (mapping.circuit, mapping.shape_histogram)
+            }
             Mapper::Mis => {
                 let lib = Library::for_paper(k);
-                mis_map(&network, &lib, &MisOptions::new(k))
+                let circuit = mis_map(&network, &lib, &MisOptions::new(k))
                     .map_err(|e| FlowError::Internal(e.to_string()))?
-                    .circuit
+                    .circuit;
+                (circuit, Vec::new())
             }
         }
     };

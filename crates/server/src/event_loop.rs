@@ -32,12 +32,19 @@
 //! instead of a spin. With no `poll(2)` in std this O(connections) scan
 //! is the honest trade; the constant is one `read` syscall per open
 //! connection per iteration.
+//!
+//! Prometheus scrapes (`--metrics-addr`) are the one exception to
+//! non-blocking I/O: the loop accepts each scrape socket and hands it to
+//! a dedicated scrape thread, which answers scrapes one at a time under
+//! an overall [`SCRAPE_DEADLINE`], so a scraper that stalls or trickles
+//! bytes holds only that thread.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use chortle_telemetry::log::{self, FieldValue, Level};
@@ -177,10 +184,16 @@ const ACTIVE_WINDOW: Duration = Duration::from_millis(20);
 const FAST_POLL: Duration = Duration::from_micros(200);
 const IDLE_POLL: Duration = Duration::from_millis(2);
 
+/// Longest one Prometheus scrape may take, reading the request and
+/// writing the page together. A scraper that stalls or trickles bytes is
+/// answered with what it sent by then (or dropped) at this deadline.
+const SCRAPE_DEADLINE: Duration = Duration::from_secs(1);
+
 /// Runs the event loop until shutdown completes its drain. `metrics`
 /// is the optional Prometheus exposition listener (`--metrics-addr`) —
-/// scrapes are answered inline on this thread, one short-lived
-/// HTTP/1.0 connection per scrape.
+/// this thread accepts scrapes and a dedicated scrape thread answers
+/// them, one short-lived HTTP/1.0 connection per scrape; the scrape
+/// thread is joined before this returns.
 pub(crate) fn run(listener: &TcpListener, metrics: Option<&TcpListener>, shared: &Arc<Shared>) {
     listener
         .set_nonblocking(true)
@@ -190,6 +203,24 @@ pub(crate) fn run(listener: &TcpListener, metrics: Option<&TcpListener>, shared:
             .set_nonblocking(true)
             .expect("metrics listener supports non-blocking mode");
     }
+    let scraper = metrics.map(|_| {
+        let (tx, rx) = mpsc::channel::<TcpStream>();
+        let shared = Arc::clone(shared);
+        let handle = thread::Builder::new()
+            .name("chortle-scrape".to_owned())
+            .spawn(move || {
+                // Scrapes queued once shutdown began are dropped unread,
+                // so a backlog of stalled scrapers cannot hold the exit
+                // for more than the one scrape in flight.
+                for stream in rx {
+                    if !shared.stopping() {
+                        serve_metrics_scrape(stream, &shared);
+                    }
+                }
+            })
+            .expect("spawn scrape thread");
+        (tx, handle)
+    });
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_cid: u64 = 1;
     let mut lines: Vec<String> = Vec::new();
@@ -206,10 +237,10 @@ pub(crate) fn run(listener: &TcpListener, metrics: Option<&TcpListener>, shared:
             shared.window.observe(sec, &now);
         }
 
-        // 0b. Answer any pending Prometheus scrapes.
-        if let Some(metrics) = metrics {
+        // 0b. Hand pending Prometheus scrapes to the scrape thread.
+        if let (Some(metrics), Some((tx, _))) = (metrics, &scraper) {
             while let Ok((stream, _)) = metrics.accept() {
-                serve_metrics_scrape(stream, shared);
+                let _ = tx.send(stream);
                 progressed = true;
             }
         }
@@ -330,6 +361,10 @@ pub(crate) fn run(listener: &TcpListener, metrics: Option<&TcpListener>, shared:
             };
             shared.completions.wait(timeout);
         }
+    }
+    if let Some((tx, handle)) = scraper {
+        drop(tx);
+        let _ = handle.join();
     }
 }
 
@@ -669,17 +704,21 @@ fn exposition(shared: &Arc<Shared>) -> String {
     prom::render_exposition(&report, gauges)
 }
 
-/// Answers one Prometheus scrape connection, inline on the event-loop
-/// thread. HTTP/1.0, `Connection: close`, 500 ms I/O timeouts so a
-/// stalled scraper cannot wedge the loop for long. `GET /metrics` gets
-/// the exposition; anything else a 404.
-fn serve_metrics_scrape(stream: TcpStream, shared: &Arc<Shared>) {
-    let mut stream = stream;
+/// Answers one Prometheus scrape connection on the scrape thread.
+/// HTTP/1.0, `Connection: close`, and one [`SCRAPE_DEADLINE`] for the
+/// whole exchange: each read and write may block only for what is left
+/// of it. `GET /metrics` gets the exposition; anything else a 404.
+fn serve_metrics_scrape(mut stream: TcpStream, shared: &Arc<Shared>) {
+    let deadline = Instant::now() + SCRAPE_DEADLINE;
+    // What is left of the deadline, or `None` once it has passed.
+    let left = || {
+        deadline
+            .checked_duration_since(Instant::now())
+            .filter(|d| !d.is_zero())
+    };
     // The accepted socket does not inherit the listener's non-blocking
-    // mode on every platform — pin it to blocking with short timeouts.
+    // mode on every platform — pin it to blocking.
     let _ = stream.set_nonblocking(false);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
     let mut buf = [0u8; 1024];
     let mut request = Vec::new();
     // Only the request line matters, but read through the blank line
@@ -687,6 +726,8 @@ fn serve_metrics_scrape(stream: TcpStream, shared: &Arc<Shared>) {
     // sends that much): closing with request bytes unread makes the
     // kernel reset the connection, and the scraper can lose the page.
     while !ends_headers(&request) && request.len() < 8192 {
+        let Some(timeout) = left() else { break };
+        let _ = stream.set_read_timeout(Some(timeout));
         match stream.read(&mut buf) {
             Ok(0) | Err(_) => break,
             Ok(n) => request.extend_from_slice(&buf[..n]),
@@ -700,13 +741,20 @@ fn serve_metrics_scrape(stream: TcpStream, shared: &Arc<Shared>) {
     } else {
         ("404 Not Found", "only GET /metrics is served\n".to_owned())
     };
-    let header = format!(
+    let page = format!(
         "HTTP/1.0 {status}\r\nContent-Type: text/plain; version=0.0.4\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n",
+         Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    let _ = stream.write_all(header.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
+    let mut unsent = page.as_bytes();
+    while !unsent.is_empty() {
+        let Some(timeout) = left() else { break };
+        let _ = stream.set_write_timeout(Some(timeout));
+        match stream.write(unsent) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => unsent = &unsent[n..],
+        }
+    }
 }
 
 /// Whether `request` holds the blank line that ends an HTTP header

@@ -1105,8 +1105,8 @@ fn metrics_scrapes_sending_headers_after_a_pause_get_the_whole_page() {
     let scrape_addr = server.metrics_addr().expect("metrics listener bound");
     let run = thread::spawn(move || server.run());
 
-    // The request line, a pause well inside the daemon's 500 ms read
-    // timeout, then the headers: a daemon that answers after the request
+    // The request line, a pause well inside the daemon's 1 s scrape
+    // deadline, then the headers: a daemon that answers after the request
     // line closes with the headers unread, and the kernel resets the
     // connection under the page.
     let mut scrape = TcpStream::connect(scrape_addr).expect("connect to /metrics");
@@ -1141,6 +1141,104 @@ fn metrics_scrapes_sending_headers_after_a_pause_get_the_whole_page() {
     assert_eq!(body.len(), length, "the whole body arrived");
     chortle_telemetry::prom::validate_exposition(body).expect("valid exposition");
 
+    shut_down(&addr, run);
+}
+
+/// Longest a v2 `hello` may take while another socket holds a scrape
+/// open. Answered inline by the event loop it takes well under 1 ms; a
+/// loop blocked on the scrape would take up to the scrape deadline.
+const HELLO_BOUND: std::time::Duration = std::time::Duration::from_millis(50);
+
+/// Starts a server with a `/metrics` listener; returns the client
+/// address, the scrape address and the run thread.
+fn start_with_metrics() -> (
+    String,
+    std::net::SocketAddr,
+    thread::JoinHandle<ServerSummary>,
+) {
+    let options = ServeOptions::builder()
+        .metrics_addr(Some("127.0.0.1:0".to_owned()))
+        .build();
+    let server = Server::bind(&options).expect("bind ephemeral ports");
+    let addr = server.local_addr().expect("bound address").to_string();
+    let scrape_addr = server.metrics_addr().expect("metrics listener bound");
+    (addr, scrape_addr, thread::spawn(move || server.run()))
+}
+
+/// Asserts a v2 `hello` on `client` answers within [`HELLO_BOUND`].
+fn assert_prompt_hello(client: &mut Client, what: &str) {
+    let start = std::time::Instant::now();
+    client.hello("h").expect("hello answered");
+    let waited = start.elapsed();
+    assert!(
+        waited < HELLO_BOUND,
+        "hello took {waited:?} while {what} (bound {HELLO_BOUND:?})"
+    );
+}
+
+#[test]
+fn a_stalled_scraper_does_not_delay_other_clients() {
+    use std::time::Duration;
+
+    let (addr, scrape_addr, run) = start_with_metrics();
+    let mut client = Client::connect(&addr).expect("connect");
+    client.hello("warm").expect("hello answered");
+    // A scraper that sends its request line and then nothing.
+    let mut scrape = TcpStream::connect(scrape_addr).expect("connect to /metrics");
+    scrape
+        .write_all(b"GET /metrics HTTP/1.0\r\n")
+        .expect("write request line");
+    // Long enough for the daemon to accept the scrape and block on it.
+    thread::sleep(Duration::from_millis(50));
+    assert_prompt_hello(&mut client, "a scraper stalled after its request line");
+    drop(scrape);
+    shut_down(&addr, run);
+}
+
+#[test]
+fn a_trickling_scraper_does_not_delay_other_clients_and_is_cut_off() {
+    use std::io::Read as _;
+    use std::time::{Duration, Instant};
+
+    let (addr, scrape_addr, run) = start_with_metrics();
+    let mut client = Client::connect(&addr).expect("connect");
+    client.hello("warm").expect("hello answered");
+    // A scraper that never ends its headers: one byte every 20 ms, which
+    // a per-read timeout would never cut off before the 8 KiB cap.
+    let connected = Instant::now();
+    let mut scrape = TcpStream::connect(scrape_addr).expect("connect to /metrics");
+    scrape
+        .write_all(b"GET /metrics HTTP/1.0\r\n")
+        .expect("write request line");
+    let mut writer = scrape.try_clone().expect("clone scrape socket");
+    let trickle = thread::spawn(move || {
+        while connected.elapsed() < Duration::from_secs(3) {
+            if writer.write_all(b"X").is_err() {
+                break;
+            }
+            thread::sleep(Duration::from_millis(20));
+        }
+    });
+    thread::sleep(Duration::from_millis(50));
+    assert_prompt_hello(&mut client, "a scraper trickled bytes");
+    // The daemon ends the scrape at its deadline: the socket closes
+    // (with the page, or reset over the unread trickle) well before the
+    // trickler would have stopped.
+    scrape
+        .set_read_timeout(Some(Duration::from_secs(3)))
+        .expect("read timeout");
+    let mut sink = Vec::new();
+    let end = scrape.read_to_end(&mut sink);
+    let closed_after = connected.elapsed();
+    assert!(
+        !matches!(&end, Err(e) if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut)),
+        "the scrape was never cut off: {end:?}"
+    );
+    assert!(
+        closed_after < Duration::from_millis(2500),
+        "the scrape ran {closed_after:?}"
+    );
+    trickle.join().expect("trickler exits");
     shut_down(&addr, run);
 }
 

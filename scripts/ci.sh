@@ -90,6 +90,7 @@ cleanup_serve() {
 }
 trap cleanup_serve EXIT
 
+: > "$serve_tmp/daemon.log"  # exists before the polls below read it
 cargo run -q -p chortle-server --bin chortle-serve -- --port 0 --workers 2 \
   > "$serve_tmp/report.json" 2> "$serve_tmp/daemon.log" &
 serve_pid=$!
@@ -233,6 +234,7 @@ cargo run -q -p chortle-cli --bin chortle-map -- -k 4 --design \
 # op:"map_design" against a dedicated daemon (the main daemon's final
 # report above pins exact request counts), byte-identical to the
 # offline --design run under the same flags.
+: > "$design_tmp/daemon.log"  # exists before the polls below read it
 cargo run -q -p chortle-server --bin chortle-serve -- --port 0 --workers 2 \
   > /dev/null 2> "$design_tmp/daemon.log" &
 design_pid=$!
@@ -269,6 +271,7 @@ echo "==> observability smoke (/metrics scrape, JSONL logs, trace correlation)"
 # A dedicated daemon (the main daemon's final report above pins exact
 # request counts) with the Prometheus endpoint and debug logging on.
 obs_tmp="$(mktemp -d)"
+: > "$obs_tmp/daemon.log"  # exists before the polls below read it
 cargo run -q -p chortle-server --bin chortle-serve -- --port 0 --workers 2 \
   --metrics-addr 127.0.0.1:0 --log-level debug --log-file "$obs_tmp/daemon.jsonl" \
   > /dev/null 2> "$obs_tmp/daemon.log" &
