@@ -52,6 +52,14 @@
 //!    64-wide six-round `des_like` and a 256-bit `alu`, each optimized)
 //!    and of the whole paper suite; the networks are asserted equal
 //!    before timing, and bench-diff gates `parse_total.speedup`.
+//! 9. **Mapper layers** (`normalize`, `render`): `Network::simplified`
+//!    against the frozen hash-set copy
+//!    ([`chortle_bench::baseline::baseline_simplified`]), and
+//!    [`write_lut_blif`] against the frozen `write!`-per-character copy
+//!    ([`chortle_bench::baseline::baseline_write_lut_blif`]) on each
+//!    network's K = 4 mapping, over the `parse` section's networks; the
+//!    outputs are asserted equal before timing, and bench-diff gates
+//!    `normalize_total.speedup` and `render_total.speedup`.
 //!
 //! Timings use [`std::time::Instant`] — no external benchmarking crate —
 //! taking the best of several rounds, each repeating its workload for at
@@ -75,13 +83,15 @@ use chortle::{
     TreeChild, TreeMapper,
 };
 use chortle_bench::baseline::{
-    baseline_check_equivalence, baseline_optimize, baseline_parse_blif, baseline_tree_cost,
+    baseline_check_equivalence, baseline_optimize, baseline_parse_blif, baseline_simplified,
+    baseline_tree_cost, baseline_write_lut_blif,
 };
 use chortle_bench::{optimized_suite, pipelined_design};
 use chortle_circuits::{alu, des_like, random_logic};
 use chortle_logic_opt::{optimize, optimize_with, OptimizeOptions};
 use chortle_netlist::{
-    check_equivalence, parse_blif, parse_design, write_blif, Network, NodeOp, ParseBlifError,
+    check_equivalence, parse_blif, parse_design, write_blif, write_lut_blif, Network, NodeOp,
+    ParseBlifError,
 };
 
 const KS: [usize; 4] = [2, 3, 4, 5];
@@ -458,6 +468,112 @@ fn measure_parse(texts: &[(String, Vec<String>)]) -> Vec<ParseRow> {
         .collect()
 }
 
+/// One row of a mapper-layer section: the frozen copy and the live code
+/// on one network (or the suite as a whole), seconds per iteration.
+struct LayerRow {
+    name: String,
+    baseline_s: f64,
+    optimized_s: f64,
+}
+
+/// The `normalize` and `render` sections over `nets` (each a named list
+/// of networks): outputs asserted equal, then both copies timed.
+fn measure_layers(nets: &[(String, Vec<Network>)]) -> (Vec<LayerRow>, Vec<LayerRow>) {
+    let mut normalize = Vec::new();
+    let mut render = Vec::new();
+    for (name, networks) in nets {
+        let options = MapOptions::builder(4)
+            .jobs(1)
+            .build()
+            .expect("K = 4 is valid");
+        let circuits: Vec<_> = networks
+            .iter()
+            .map(|net| map_network(net, &options).expect("maps").circuit)
+            .collect();
+        for (net, circuit) in networks.iter().zip(&circuits) {
+            assert!(
+                baseline_simplified(net) == net.simplified(),
+                "normalized network diverged on {name}"
+            );
+            assert!(
+                baseline_write_lut_blif(net, circuit, "mapped")
+                    == write_lut_blif(net, circuit, "mapped"),
+                "rendered netlist diverged on {name}"
+            );
+        }
+        let simplify_all = |simplify: fn(&Network) -> Network| {
+            networks
+                .iter()
+                .map(|net| simplify(net).len())
+                .sum::<usize>()
+        };
+        let (_, baseline_s) = best_of(KERNEL_ROUNDS, || simplify_all(baseline_simplified));
+        let (_, optimized_s) = best_of(KERNEL_ROUNDS, || simplify_all(Network::simplified));
+        eprintln!(
+            "perf: normalize {name:<10} baseline {baseline_s:.4}s  marks {optimized_s:.4}s  ({:.2}x)",
+            baseline_s / optimized_s
+        );
+        normalize.push(LayerRow {
+            name: name.clone(),
+            baseline_s,
+            optimized_s,
+        });
+        type Write = fn(&Network, &chortle_netlist::LutCircuit, &str) -> String;
+        let render_all = |write: Write| {
+            networks
+                .iter()
+                .zip(&circuits)
+                .map(|(net, circuit)| write(net, circuit, "mapped").len())
+                .sum::<usize>()
+        };
+        let (_, baseline_s) = best_of(KERNEL_ROUNDS, || render_all(baseline_write_lut_blif));
+        let (_, optimized_s) = best_of(KERNEL_ROUNDS, || render_all(write_lut_blif));
+        eprintln!(
+            "perf: render {name:<10} baseline {baseline_s:.4}s  direct {optimized_s:.4}s  ({:.2}x)",
+            baseline_s / optimized_s
+        );
+        render.push(LayerRow {
+            name: name.clone(),
+            baseline_s,
+            optimized_s,
+        });
+    }
+    (normalize, render)
+}
+
+/// Summed baseline over summed live time of a layer section.
+fn layer_speedup(rows: &[LayerRow]) -> f64 {
+    let base: f64 = rows.iter().map(|r| r.baseline_s).sum();
+    let opt: f64 = rows.iter().map(|r| r.optimized_s).sum();
+    base / opt
+}
+
+/// Appends `"<section>": [rows], "<section>_total": {..}` to `json`.
+fn write_layer_section(json: &mut String, section: &str, rows: &[LayerRow]) {
+    let _ = writeln!(json, "  \"{section}\": [");
+    for (i, r) in rows.iter().enumerate() {
+        let comma = if i + 1 < rows.len() { "," } else { "" };
+        let _ = writeln!(
+            json,
+            "    {{ \"name\": \"{}\", \"baseline_s\": {:.6}, \"optimized_s\": {:.6}, \
+             \"speedup\": {:.3} }}{comma}",
+            r.name,
+            r.baseline_s,
+            r.optimized_s,
+            r.baseline_s / r.optimized_s
+        );
+    }
+    let _ = writeln!(json, "  ],");
+    let base: f64 = rows.iter().map(|r| r.baseline_s).sum();
+    let opt: f64 = rows.iter().map(|r| r.optimized_s).sum();
+    let _ = writeln!(
+        json,
+        "  \"{section}_total\": {{ \"baseline_s\": {base:.6}, \"optimized_s\": {opt:.6}, \
+         \"speedup\": {:.3} }},",
+        base / opt
+    );
+}
+
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -527,6 +643,14 @@ fn main() {
         .collect();
     parse_texts.push(("suite".to_owned(), suite_blifs));
     let parse_rows = measure_parse(&parse_texts);
+    let layer_nets: Vec<(String, Vec<Network>)> = parse_texts
+        .iter()
+        .map(|(name, blifs)| {
+            let nets = blifs.iter().map(|b| parse_blif(b).expect("parses"));
+            (name.clone(), nets.collect())
+        })
+        .collect();
+    let (normalize_rows, render_rows) = measure_layers(&layer_nets);
 
     for &k in &KS {
         let mut trees: Vec<Tree> = Vec::new();
@@ -1032,6 +1156,8 @@ fn main() {
         parse_opt,
         parse_base / parse_opt
     );
+    write_layer_section(&mut json, "normalize", &normalize_rows);
+    write_layer_section(&mut json, "render", &render_rows);
     let _ = writeln!(json, "  \"mapping_chunked\": [");
     for (i, r) in chunked_rows.iter().enumerate() {
         let comma = if i + 1 < chunked_rows.len() { "," } else { "" };
@@ -1108,13 +1234,15 @@ fn main() {
     }
     std::fs::write(&out_path, &json).expect("write report");
     eprintln!(
-        "perf: kernel {:.2}x, cached {:.2}x, mapping {:.2}x, verify {:.2}x, optimize {:.2}x, parse {:.2}x, chunked {:.2}x, design {:.2}x on {cores} core(s); report -> {out_path}",
+        "perf: kernel {:.2}x, cached {:.2}x, mapping {:.2}x, verify {:.2}x, optimize {:.2}x, parse {:.2}x, normalize {:.2}x, render {:.2}x, chunked {:.2}x, design {:.2}x on {cores} core(s); report -> {out_path}",
         kernel_base / kernel_opt,
         kernel_cached_plain / kernel_cached,
         map_seq / map_par,
         verify_base / verify_opt,
         optimize_base / optimize_opt,
         parse_base / parse_opt,
+        layer_speedup(&normalize_rows),
+        layer_speedup(&render_rows),
         chunk_seq / chunk_par,
         design_seq / design_par
     );

@@ -976,6 +976,48 @@ mod tests {
     }
 
     #[test]
+    fn shape_histogram_is_the_split_forests_and_needs_telemetry() {
+        let net = shaped_network();
+        for k in [2, 4] {
+            let quiet = MapOptions::builder(k).build().unwrap();
+            assert!(map_network(&net, &quiet)
+                .unwrap()
+                .shape_histogram
+                .is_empty());
+            let watched = MapOptions::builder(k)
+                .telemetry(Telemetry::enabled())
+                .build()
+                .unwrap();
+            let mut forest = Forest::of(&net.simplified());
+            forest.split_wide_nodes(watched.split_threshold.max(k));
+            assert_eq!(
+                map_network(&net, &watched).unwrap().shape_histogram,
+                forest.shape_histogram()
+            );
+        }
+    }
+
+    /// Repeated and distinct cone shapes, a wide gate that splits, and
+    /// shared fanout.
+    fn shaped_network() -> Network {
+        let mut net = Network::new();
+        let x: Vec<Signal> = (0..12)
+            .map(|i| Signal::new(net.add_input(format!("x{i}"))))
+            .collect();
+        let mut outs = Vec::new();
+        for w in x.windows(3) {
+            let g = net.add_gate(NodeOp::And, w[..2].to_vec());
+            outs.push(net.add_gate(NodeOp::Or, vec![g.into(), !w[2]]));
+        }
+        let wide = net.add_gate(NodeOp::And, x.clone());
+        outs.push(net.add_gate(NodeOp::Or, vec![wide.into(), outs[0].into()]));
+        for (i, o) in outs.into_iter().enumerate() {
+            net.add_output(format!("z{i}"), o.into());
+        }
+        net
+    }
+
+    #[test]
     fn maps_figure1_style_network_for_all_k() {
         // A two-output network with shared logic and inversions.
         let mut net = Network::new();

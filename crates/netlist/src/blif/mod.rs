@@ -31,7 +31,7 @@ pub(crate) mod flatten;
 pub(crate) mod stream;
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::fmt::Write as _;
 
 use crate::error::ParseBlifError;
@@ -566,11 +566,23 @@ pub fn write_lut_blif(network: &Network, circuit: &LutCircuit, model: &str) -> S
     let taken: HashSet<&str> = inputs
         .chain(circuit.outputs().iter().map(|o| o.name.as_str()))
         .collect();
-    let luts = GeneratedNames::new("lut", &taken);
+    // Only a user name starting with `lut` can push a LUT name aside;
+    // without one, every LUT name is written straight from its index.
+    let luts: Option<Vec<String>> = taken.iter().any(|n| n.starts_with("lut")).then(|| {
+        (0..circuit.luts().len())
+            .map(|i| fresh(format!("lut{i}"), &taken))
+            .collect()
+    });
     let consts = [false, true].map(|v| fresh(format!("const{}", v as u8), &taken));
     let src_name = |out: &mut String, s: LutSource| match s {
         LutSource::Input(id) => push_net_name(out, network, id),
-        LutSource::Lut(id) => luts.push(out, id.index()),
+        LutSource::Lut(id) => match &luts {
+            Some(names) => out.push_str(&names[id.index()]),
+            None => {
+                out.push_str("lut");
+                push_decimal(out, id.index());
+            }
+        },
         LutSource::Const(v) => out.push_str(&consts[v as usize]),
     };
     write_lut_blocks(&mut out, circuit, src_name);
@@ -611,58 +623,6 @@ pub(crate) fn push_decimal(out: &mut String, mut n: usize) {
         }
     }
     out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
-}
-
-/// The generated names `<prefix><i>`, each with the `_`s [`fresh`] would
-/// append, written without building a `String` per name: only indices
-/// whose name a taken name could equal are looked up.
-struct GeneratedNames<'a> {
-    prefix: &'a str,
-    /// Underscores appended to `<prefix><i>`, for the `i` that need any.
-    bumps: HashMap<usize, usize>,
-}
-
-impl<'a> GeneratedNames<'a> {
-    fn new(prefix: &'a str, taken: &HashSet<&str>) -> Self {
-        // Every taken name of the form `<prefix><i>` plus underscores,
-        // with `i` in canonical decimal, as `(i, underscores)`.
-        let clashes: HashSet<(usize, usize)> = taken
-            .iter()
-            .filter_map(|name| {
-                let rest = name.strip_prefix(prefix)?;
-                let digits = rest.trim_end_matches('_');
-                if digits.is_empty() || (digits.len() > 1 && digits.starts_with('0')) {
-                    return None;
-                }
-                if !digits.bytes().all(|b| b.is_ascii_digit()) {
-                    return None;
-                }
-                Some((digits.parse().ok()?, rest.len() - digits.len()))
-            })
-            .collect();
-        let mut bumps = HashMap::new();
-        for &(i, _) in &clashes {
-            let mut n = 0;
-            while clashes.contains(&(i, n)) {
-                n += 1;
-            }
-            if n > 0 {
-                bumps.insert(i, n);
-            }
-        }
-        GeneratedNames { prefix, bumps }
-    }
-
-    /// Appends the name of index `i` to `out`.
-    fn push(&self, out: &mut String, i: usize) {
-        out.push_str(self.prefix);
-        push_decimal(out, i);
-        if !self.bumps.is_empty() {
-            for _ in 0..self.bumps.get(&i).copied().unwrap_or(0) {
-                out.push('_');
-            }
-        }
-    }
 }
 
 /// Emits the constants `circuit` uses and one `.names` block per LUT
@@ -729,6 +689,7 @@ pub(crate) fn write_lut_blocks(
 mod tests {
     use super::*;
     use crate::network::Signal;
+    use crate::truth_table::TruthTable;
 
     #[test]
     fn parses_simple_model() {
@@ -953,6 +914,34 @@ mod tests {
         let f = net2.signal_function(net2.outputs()[0].signal).unwrap();
         assert!(!f.eval(1));
         assert!(f.eval(0));
+    }
+
+    #[test]
+    fn generated_lut_names_step_aside_for_user_names() {
+        let mut net = Network::new();
+        let a = net.add_input("lut0");
+        let b = net.add_input("b");
+        let mut circuit = LutCircuit::new(2);
+        let and = TruthTable::var(2, 0).and(&TruthTable::var(2, 1));
+        let l0 = circuit
+            .add_lut(vec![LutSource::Input(a), LutSource::Input(b)], and.clone())
+            .unwrap();
+        let l1 = circuit
+            .add_lut(vec![LutSource::Lut(l0), LutSource::Input(b)], and.clone())
+            .unwrap();
+        let l2 = circuit
+            .add_lut(vec![LutSource::Lut(l1), LutSource::Const(true)], and)
+            .unwrap();
+        circuit.add_output("lut1", LutSource::Lut(l1), false);
+        circuit.add_output("z", LutSource::Lut(l2), true);
+        let text = write_lut_blif(&net, &circuit, "m");
+        assert_eq!(
+            text,
+            ".model m\n.inputs lut0 b\n.outputs lut1 z\n.names const1\n1\n\
+             .names lut0 b lut0_\n11 1\n.names lut0_ b lut1_\n11 1\n\
+             .names lut1_ const1 lut2\n11 1\n.names lut1_ lut1\n1 1\n\
+             .names lut2 z\n0 1\n.end\n"
+        );
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! Every walk whose depth the input controls must be iterative: here a
 //! fanout-free chain of 10^5 two-input gates — one tree 10^5 levels deep
 //! — goes through `parse_blif` → `map_network` → `check_equivalence` →
-//! `write_lut_blif` on a thread with a 256 KiB stack, so a new unbounded recursion fails this
-//! test instead of aborting a daemon worker or the CLI.
+//! `write_lut_blif` on a thread with a 256 KiB stack, so a new unbounded
+//! recursion fails this test instead of aborting a daemon worker or the
+//! CLI. A 10^6-gate chain goes through `parse_blif` → `map_network` →
+//! `write_lut_blif` the same way, within a stated time budget.
 //!
 //! Work the input controls must be bounded too: a 40-cube node with
 //! about 2^40 kernels goes through `optimize` and the CLI flow within the
@@ -70,6 +72,39 @@ fn a_deep_chain_maps_on_a_small_stack() {
     // the gate count.
     assert!((GATES / 4..=GATES / 2).contains(&luts), "{luts} LUTs");
     assert!(text.starts_with(".model chain\n"));
+}
+
+/// Wall-time budget of the 10^6-gate chain: parse, map and render. It
+/// takes about 2.6 s in a release build on one core of a shared 2-vCPU
+/// host; the budget leaves room for the test profile's debug
+/// assertions and a loaded machine, and still fails a walk that went
+/// quadratic.
+const MILLION_CHAIN_BUDGET: Duration = Duration::from_secs(30);
+
+#[test]
+fn a_million_gate_chain_maps_on_a_small_stack_within_the_budget() {
+    const GATES: usize = 1_000_000;
+    let blif = chain_blif(GATES);
+    let (luts, lines, elapsed) = on_small_stack(move || {
+        let started = Instant::now();
+        let network = parse_blif(&blif).expect("the chain parses");
+        drop(blif);
+        let options = MapOptions::builder(4)
+            .jobs(1)
+            .build()
+            .expect("valid options");
+        let mapping = map_network(&network, &options).expect("the chain maps");
+        let text = write_lut_blif(&network, &mapping.circuit, "chain");
+        let elapsed = started.elapsed();
+        (mapping.circuit.num_luts(), text.lines().count(), elapsed)
+    });
+    assert!((GATES / 4..=GATES / 2).contains(&luts), "{luts} LUTs");
+    // Every LUT writes a `.names` line and at least one cube row.
+    assert!(lines > 2 * luts, "{lines} lines for {luts} LUTs");
+    assert!(
+        elapsed < MILLION_CHAIN_BUDGET,
+        "took {elapsed:?}, budget {MILLION_CHAIN_BUDGET:?}"
+    );
 }
 
 /// One `.names` of `n` cubes over `n` inputs, cube `i` omitting input
