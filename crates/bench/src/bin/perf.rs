@@ -541,10 +541,16 @@ fn measure_layers(nets: &[(String, Vec<Network>)]) -> (Vec<LayerRow>, Vec<LayerR
     (normalize, render)
 }
 
+/// Summed baseline and summed live seconds of a layer section.
+fn layer_totals(rows: &[LayerRow]) -> (f64, f64) {
+    let base = rows.iter().map(|r| r.baseline_s).sum();
+    let opt = rows.iter().map(|r| r.optimized_s).sum();
+    (base, opt)
+}
+
 /// Summed baseline over summed live time of a layer section.
 fn layer_speedup(rows: &[LayerRow]) -> f64 {
-    let base: f64 = rows.iter().map(|r| r.baseline_s).sum();
-    let opt: f64 = rows.iter().map(|r| r.optimized_s).sum();
+    let (base, opt) = layer_totals(rows);
     base / opt
 }
 
@@ -564,8 +570,7 @@ fn write_layer_section(json: &mut String, section: &str, rows: &[LayerRow]) {
         );
     }
     let _ = writeln!(json, "  ],");
-    let base: f64 = rows.iter().map(|r| r.baseline_s).sum();
-    let opt: f64 = rows.iter().map(|r| r.optimized_s).sum();
+    let (base, opt) = layer_totals(rows);
     let _ = writeln!(
         json,
         "  \"{section}_total\": {{ \"baseline_s\": {base:.6}, \"optimized_s\": {opt:.6}, \
