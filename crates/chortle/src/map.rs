@@ -584,11 +584,18 @@ pub struct Mapping {
     pub circuit: LutCircuit,
     /// Mapping statistics.
     pub report: MapReport,
+    /// The canonical fingerprint of every tree of the split forest, in
+    /// tree order; each equals the tree's [`Tree::fingerprint`].
+    shapes: Arc<Vec<Fingerprint>>,
+}
+
+impl Mapping {
     /// The split forest's `(shape fingerprint, tree count)` pairs, most
     /// common first, as [`Forest::shape_histogram`] counts them.
-    /// `1 - distinct/total` bounds the DP cache's hit rate. Filled only
-    /// when [`MapOptions::telemetry`] is enabled; empty otherwise.
-    pub shape_histogram: Vec<(Fingerprint, usize)>,
+    /// `1 - distinct/total` bounds the DP cache's hit rate.
+    pub fn shape_histogram(&self) -> Vec<(Fingerprint, usize)> {
+        shape_histogram_of(&self.shapes)
+    }
 }
 
 /// Maps a Boolean network into a circuit of K-input lookup tables using
@@ -652,13 +659,6 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
     let shapes = {
         let _s = telemetry.span(stats::STAGE_CANON);
         Arc::new(forest.canonicalize())
-    };
-    // Canonical fingerprints equal `Tree::fingerprint`, so these counts
-    // are `Forest::shape_histogram` of the split forest.
-    let shape_histogram = if telemetry.is_enabled() {
-        shape_histogram_of(&shapes)
-    } else {
-        Vec::new()
     };
 
     // Functional-tier key material: depths-independent, so it is
@@ -730,7 +730,7 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
     Ok(Mapping {
         circuit,
         report,
-        shape_histogram,
+        shapes,
     })
 }
 
@@ -976,22 +976,14 @@ mod tests {
     }
 
     #[test]
-    fn shape_histogram_is_the_split_forests_and_needs_telemetry() {
+    fn shape_histogram_is_the_split_forests() {
         let net = shaped_network();
         for k in [2, 4] {
-            let quiet = MapOptions::builder(k).build().unwrap();
-            assert!(map_network(&net, &quiet)
-                .unwrap()
-                .shape_histogram
-                .is_empty());
-            let watched = MapOptions::builder(k)
-                .telemetry(Telemetry::enabled())
-                .build()
-                .unwrap();
+            let options = MapOptions::builder(k).build().unwrap();
             let mut forest = Forest::of(&net.simplified());
-            forest.split_wide_nodes(watched.split_threshold.max(k));
+            forest.split_wide_nodes(options.split_threshold.max(k));
             assert_eq!(
-                map_network(&net, &watched).unwrap().shape_histogram,
+                map_network(&net, &options).unwrap().shape_histogram(),
                 forest.shape_histogram()
             );
         }

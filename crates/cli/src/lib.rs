@@ -243,7 +243,12 @@ pub fn run_flow(blif: &str, options: &FlowOptions) -> Result<FlowResult, FlowErr
         match options.mapper {
             Mapper::Chortle => {
                 let mapping = map_network(&network, &options.map)?;
-                (mapping.circuit, mapping.shape_histogram)
+                let shapes = if telemetry.is_enabled() {
+                    mapping.shape_histogram()
+                } else {
+                    Vec::new()
+                };
+                (mapping.circuit, shapes)
             }
             Mapper::Mis => {
                 let lib = Library::for_paper(k);
