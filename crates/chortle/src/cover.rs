@@ -170,11 +170,11 @@ impl CoverBuilder<'_> {
                     }
                     Return::Root => {
                         let lut = slots.pop().expect("one slot list per open LUT");
-                        return self.finish_lut(lut, expr);
+                        return add_lut(self.circuit, lut, &expr);
                     }
                     Return::Wire { inverted } => {
                         let lut = slots.pop().expect("one slot list per open LUT");
-                        (self.finish_lut(lut, expr)?, inverted)
+                        (add_lut(self.circuit, lut, &expr)?, inverted)
                     }
                 };
                 let parent = walks.last_mut().expect("wired LUTs have a parent");
@@ -246,20 +246,70 @@ impl CoverBuilder<'_> {
             ret,
         }
     }
+}
 
-    /// Computes the truth table of `expr` over `slots` and adds the LUT.
-    /// The expression is evaluated once over whole truth-table words,
-    /// not once per input assignment.
-    fn finish_lut(&mut self, slots: Vec<LutSource>, expr: Expr) -> Result<LutSource, LutError> {
-        let vars = slots.len();
-        let table = if vars <= PT_VAR_MASKS.len() {
-            TruthTable::from_words(vars, &[expr.eval_word()])
-        } else {
-            expr.eval_table(vars)
-        };
-        let id = self.circuit.add_lut(slots, table)?;
-        Ok(LutSource::Lut(id))
+/// Computes the truth table of `expr` over `slots` and adds the LUT to
+/// `circuit`. The expression is evaluated once over whole truth-table
+/// words, not once per input assignment.
+fn add_lut(
+    circuit: &mut LutCircuit,
+    slots: Vec<LutSource>,
+    expr: &Expr,
+) -> Result<LutSource, LutError> {
+    let vars = slots.len();
+    let table = if vars <= PT_VAR_MASKS.len() {
+        TruthTable::from_words(vars, &[expr.eval_word()])
+    } else {
+        expr.eval_table(vars)
+    };
+    let id = circuit.add_lut(slots, table)?;
+    Ok(LutSource::Lut(id))
+}
+
+/// Emits a tree that fits one LUT (see `sched::single_lut_depth`) as
+/// that LUT: every node is absorbed, and leaves become slots in
+/// depth-first, child-index order — the order the DP reconstruction in
+/// [`CoverBuilder::emit_tree`] visits them, so the LUT is byte-identical
+/// to the one the DP would have emitted.
+pub(crate) fn emit_single_lut(
+    tree: &Tree,
+    leaf_source: &dyn Fn(NodeId) -> LutSource,
+    circuit: &mut LutCircuit,
+) -> Result<LutSource, LutError> {
+    // Recursion depth is bounded by the node count, which is below the
+    // leaf count and hence below K.
+    fn expr_of(
+        tree: &Tree,
+        node: usize,
+        leaf_source: &dyn Fn(NodeId) -> LutSource,
+        slots: &mut Vec<LutSource>,
+    ) -> Expr {
+        let node = &tree.nodes[node];
+        let parts = node
+            .children
+            .iter()
+            .map(|child| match *child {
+                TreeChild::Leaf(sig) => {
+                    slots.push(leaf_source(sig.node()));
+                    Expr::Slot {
+                        index: slots.len() - 1,
+                        inverted: sig.is_inverted(),
+                    }
+                }
+                TreeChild::Node { index, inverted } => {
+                    expr_of(tree, index, leaf_source, slots).invert(inverted)
+                }
+            })
+            .collect();
+        Expr::Gate {
+            op: node.op,
+            inverted: false,
+            parts,
+        }
     }
+    let mut slots = Vec::new();
+    let expr = expr_of(tree, tree.root_index(), leaf_source, &mut slots);
+    add_lut(circuit, slots, &expr)
 }
 
 /// Maps every tree of a forest and binds the network's outputs, producing
@@ -274,6 +324,7 @@ impl CoverBuilder<'_> {
 /// same shape: reconstruction reads only node indices, child masks and
 /// utilizations from the solution, while leaf *signals* come from the
 /// concrete tree — which is why replayed solutions emit correct circuits.
+/// A tree without a solution fits one LUT and is emitted as one.
 pub(crate) fn emit_forest(
     network: &Network,
     trees: &[MappedTree],
@@ -284,7 +335,7 @@ pub(crate) fn emit_forest(
     // The root LUT of every tree emitted so far, indexed by root node.
     let mut root_luts: Vec<Option<LutSource>> = vec![None; network.len()];
     for m in trees {
-        let (tree, dp) = (&m.tree, &m.sol.dp);
+        let tree = &m.tree;
         let root = tree.root;
         let leaf_source = |id: NodeId| -> LutSource {
             match network.node(id).op() {
@@ -294,14 +345,15 @@ pub(crate) fn emit_forest(
                     .expect("forest is topologically ordered: leaf tree emitted first"),
             }
         };
-        let src = {
-            let mut builder = CoverBuilder {
+        let src = match &m.result.sol {
+            Some(sol) => CoverBuilder {
                 tree,
-                dp,
+                dp: &sol.dp,
                 leaf_source: &leaf_source,
                 circuit: &mut circuit,
-            };
-            builder.emit_tree()?
+            }
+            .emit_tree()?,
+            None => emit_single_lut(tree, &leaf_source, &mut circuit)?,
         };
         root_luts[root.index()] = Some(src);
     }
@@ -317,4 +369,104 @@ pub(crate) fn emit_forest(
         circuit.add_output(o.name.clone(), source, o.signal.is_inverted());
     }
     Ok(circuit)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dp::{map_tree_solution, DpScratch, Objective};
+    use crate::sched::single_lut_depth;
+    use crate::tree::Forest;
+    use chortle_netlist::{Signal, SplitMix64};
+
+    /// A random fanout-free tree with `leaves` leaf occurrences drawn
+    /// from fewer inputs, so some inputs feed it more than once: gates of
+    /// 2..=4 fanins over a shrinking pool, a quarter of the edges
+    /// inverted. Returns the network too, whose node count sizes the
+    /// arrival array.
+    fn random_tree(rng: &mut SplitMix64, leaves: usize) -> (Network, Tree) {
+        let mut net = Network::new();
+        let inputs: Vec<Signal> = (0..rng.next_range(1, leaves + 1))
+            .map(|i| Signal::new(net.add_input(format!("i{i}"))))
+            .collect();
+        let mut pool: Vec<Signal> = (0..leaves)
+            .map(|_| inputs[rng.choose_index(&inputs)])
+            .collect();
+        while pool.len() > 1 {
+            let take = rng.next_range(2, 5.min(pool.len() + 1));
+            let fanins = (0..take)
+                .map(|_| {
+                    let s = pool.swap_remove(rng.choose_index(&pool));
+                    if rng.next_bool(1, 4) {
+                        !s
+                    } else {
+                        s
+                    }
+                })
+                .collect();
+            let op = if rng.next_bool(1, 2) {
+                NodeOp::And
+            } else {
+                NodeOp::Or
+            };
+            pool.push(Signal::new(net.add_gate(op, fanins)));
+        }
+        net.add_output("z", pool[0]);
+        let mut forest = Forest::of(&net);
+        assert_eq!(forest.trees.len(), 1, "every gate has one fanout");
+        forest.canonicalize();
+        let tree = forest.trees.remove(0);
+        (net, tree)
+    }
+
+    #[test]
+    fn the_single_lut_path_matches_the_dp() {
+        // Trees with at most K leaf occurrences, random leaf depths, both
+        // objectives: the DP's cover must be exactly the LUT the
+        // single-LUT path emits (same slots in the same order, same
+        // table) at the same root depth.
+        let mut rng = SplitMix64::new(0x5116_0001);
+        let mut scratch = DpScratch::new();
+        for case in 0..400 {
+            let k = rng.next_range(2, 9);
+            let leaves = rng.next_range(2, k + 1);
+            let (net, tree) = random_tree(&mut rng, leaves);
+            let arrivals: Vec<u32> = (0..net.len())
+                .map(|_| rng.next_range(0, 4) as u32)
+                .collect();
+            let depth = single_lut_depth(&tree, k, &arrivals).expect("fits one LUT");
+            let source = |id: NodeId| LutSource::Input(id);
+            let mut direct = LutCircuit::new(k);
+            emit_single_lut(&tree, &source, &mut direct).expect("one LUT");
+            for objective in [Objective::Area, Objective::Depth] {
+                let leaf_depth = |id: NodeId| arrivals[id.index()];
+                let sol = map_tree_solution(&tree, k, objective, &leaf_depth, &mut scratch)
+                    .expect("narrow tree");
+                let context = format!("case {case}, K={k}, {objective:?}");
+                assert_eq!(sol.dp.tree_cost(&tree), 1, "{context}");
+                assert_eq!(sol.dp.tree_depth(&tree), depth, "{context}");
+                let mut by_dp = LutCircuit::new(k);
+                CoverBuilder {
+                    tree: &tree,
+                    dp: &sol.dp,
+                    leaf_source: &source,
+                    circuit: &mut by_dp,
+                }
+                .emit_tree()
+                .expect("DP cover");
+                assert_eq!(by_dp, direct, "{context}");
+            }
+        }
+    }
+
+    #[test]
+    fn trees_wider_than_k_take_the_dp() {
+        let mut rng = SplitMix64::new(0x5116_0002);
+        for _ in 0..100 {
+            let k = rng.next_range(2, 9);
+            let leaves = rng.next_range(k + 1, k + 6);
+            let (net, tree) = random_tree(&mut rng, leaves);
+            assert!(single_lut_depth(&tree, k, &vec![0; net.len()]).is_none());
+        }
+    }
 }

@@ -11,9 +11,9 @@ use chortle_telemetry::{Histogram, Telemetry, TraceScope};
 use crate::cache::{CacheKey, CacheMode, FnKey, WarmCache, SHARED_CACHE_SHARDS};
 use crate::cancel::CancelToken;
 use crate::cover::emit_forest;
-use crate::dp::{DpCounters, Objective, ShapeSolution};
+use crate::dp::{DpCounters, Objective};
 use crate::pack::PackMode;
-use crate::sched::ChunkPolicy;
+use crate::sched::{ChunkPolicy, TreeResult};
 use crate::tree::{shape_histogram_of, Fingerprint, FingerprintScratch, Forest, Tree};
 
 /// Names of the stages and counters the mapper reports into its
@@ -68,6 +68,10 @@ pub mod stats {
     pub const MAP_NODES_SPLIT: &str = "map.nodes_split";
     /// Counter: fanout-free trees in the mapped forest.
     pub const MAP_TREES: &str = "map.trees";
+    /// Counter: trees with at most K leaf occurrences, mapped to one LUT
+    /// without a cache key, a lookup or a DP solve. A pure function of
+    /// the forest and K, identical for every `jobs` value and cache mode.
+    pub const MAP_SINGLE_LUT_TREES: &str = "map.single_lut_trees";
     /// Counter: trees whose DP solution replays a cache key seen earlier
     /// in tree order. Derived from the forest, not from lock traffic, so
     /// the total is identical for every `jobs` value. Reported only when
@@ -75,7 +79,8 @@ pub mod stats {
     /// counters).
     pub const CACHE_HITS: &str = "cache.hits";
     /// Counter: distinct cache keys in the forest — the trees that pay
-    /// for a full subset-DP run. `hits + misses == map.trees`.
+    /// for a full subset-DP run.
+    /// `hits + misses + map.single_lut_trees == map.trees`.
     pub const CACHE_MISSES: &str = "cache.misses";
     /// Counter: shards of the DP-result cache. A configuration echo (16
     /// under the wavefront schedule, whose chunks share one sharded
@@ -89,7 +94,8 @@ pub mod stats {
     /// earlier in tree order. Derived like [`CACHE_HITS`] (a pure
     /// function of the forest, identical for any `jobs`); emitted only
     /// under [`crate::CacheMode::Fn`]. In that mode
-    /// `cache.hits + cache.fn_hits + cache.misses == map.trees`.
+    /// `cache.hits + cache.fn_hits + cache.misses + map.single_lut_trees
+    /// == map.trees`.
     pub const CACHE_FN_HITS: &str = "cache.fn_hits";
     /// Counter: functional-tier-eligible trees (≤ 6 leaves) that missed
     /// both tiers and paid for a full solve. Emitted only under
@@ -111,6 +117,9 @@ pub mod stats {
     /// Trace instant: the tree replays a key seen earlier in tree order
     /// (arg = LUT cost). See [`TRACE_SOLVE`].
     pub const TRACE_REPLAY: &str = "dp.replay";
+    /// Trace instant: the tree fits one LUT and skipped the DP (arg = 1,
+    /// its LUT cost). See [`MAP_SINGLE_LUT_TREES`].
+    pub const TRACE_SINGLE_LUT: &str = "map.single_lut";
     /// Trace span: one executor running one chunk of one wavefront
     /// (`Sched` scope, index = wavefront; end arg = trees claimed).
     /// Schedule-dependent by nature — excluded from the deterministic
@@ -138,8 +147,10 @@ pub mod stats {
     /// run to run.
     pub const HIST_TREE_NS: &str = "map.tree_ns";
     /// Histogram: per-tree DP work, measured in utilization divisions
-    /// (not nanoseconds) — a deterministic work distribution that is
-    /// bit-identical for every `jobs` value and cache mode.
+    /// (not nanoseconds), one sample per tree that went through the DP
+    /// (single-LUT trees record none) — a deterministic work
+    /// distribution that is bit-identical for every `jobs` value and
+    /// cache mode.
     pub const HIST_TREE_WORK: &str = "dp.tree_work";
     /// Counter: combinational clouds cut from a sequential design and
     /// mapped by [`crate::map_design`]. Deterministic — a function of
@@ -668,7 +679,7 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
     // key already carries. Empty outside `CacheMode::Fn`.
     let fn_metas = if options.cache.uses_fn() {
         let _s = telemetry.span(stats::STAGE_FNMETA);
-        compute_fn_metas(&forest.trees)
+        compute_fn_metas(&forest.trees, options.k)
     } else {
         Vec::new()
     };
@@ -686,13 +697,18 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
     // racing duplicate computation contributes nothing extra — so the
     // dp.* totals are identical to the uncached mapper for any schedule.
     let mut predicted: u64 = 0;
+    let mut single_lut_trees: u64 = 0;
     let mut kernel_tally = DpCounters::default();
     for m in &mapped {
         report.tree_nodes += m.tree.nodes.len();
         report.max_fanin = report.max_fanin.max(m.tree.max_fanin());
-        predicted += u64::from(m.sol.dp.tree_cost(&m.tree));
-        kernel_tally.add(&m.sol.tally);
+        predicted += u64::from(m.luts());
+        match &m.result.sol {
+            Some(sol) => kernel_tally.add(&sol.tally),
+            None => single_lut_trees += 1,
+        }
     }
+    telemetry.add_counter(stats::MAP_SINGLE_LUT_TREES, single_lut_trees);
     flush_dp_counters(telemetry, &mut kernel_tally);
     report_cache_counters(telemetry, options, &mapped);
     record_tree_work(telemetry, &mapped);
@@ -738,7 +754,7 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
 /// count, NPN canonical form of the packed truth table, and the blind
 /// skeleton fingerprint. `None` for trees wider than
 /// `chortle_mis::MAX_CANON_VARS` leaves, which only the structural tier
-/// serves.
+/// serves, and for trees that fit one LUT, which no tier serves.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct FnMeta {
     /// Leaf-slot count (≤ 6).
@@ -768,12 +784,12 @@ impl FnMeta {
 /// 6-variable canonical search (720 permutations × a 64-step Gray walk)
 /// is far too expensive to rerun per tree, or even per request in the
 /// daemon.
-fn compute_fn_metas(trees: &[Tree]) -> Vec<Option<FnMeta>> {
+fn compute_fn_metas(trees: &[Tree], k: usize) -> Vec<Option<FnMeta>> {
     let mut scratch = FingerprintScratch::default();
     trees
         .iter()
         .map(|tree| {
-            let (table, vars) = tree.packed_truth_table()?;
+            let (table, vars) = tree.packed_truth_table().filter(|&(_, vars)| vars > k)?;
             Some(FnMeta {
                 vars: vars as u8,
                 canon: chortle_mis::canonical_npn_u64_cached(table, vars),
@@ -783,22 +799,24 @@ fn compute_fn_metas(trees: &[Tree]) -> Vec<Option<FnMeta>> {
         .collect()
 }
 
-/// One mapped tree: the concrete (canonicalized) tree, the DP solution it
-/// shares with every other tree of the same cache key, and that key (when
-/// caching was on). This is what flows from the mapping drivers into
-/// cover emission — reconstruction reads decisions from `sol.dp` and leaf
+/// One mapped tree: the concrete (canonicalized) tree and its mapping —
+/// the DP solution it shares with every other tree of the same cache key
+/// and that key (when caching was on), or no solution when the tree fits
+/// one LUT. This is what flows from the mapping drivers into cover
+/// emission — reconstruction reads decisions from the solution and leaf
 /// identities from `tree`.
 pub(crate) struct MappedTree {
     /// The canonicalized tree.
     pub tree: Tree,
-    /// The (possibly shared) DP solution for the tree's shape and leaf
-    /// depths.
-    pub sol: Arc<ShapeSolution>,
-    /// The tree's cache key; `None` under [`CacheMode::Off`].
-    pub key: Option<CacheKey>,
-    /// The tree's functional-tier key; `None` outside
-    /// [`CacheMode::Fn`] and for trees wider than 6 leaves.
-    pub fn_key: Option<FnKey>,
+    /// The tree's solution, root depth and keys.
+    pub result: TreeResult,
+}
+
+impl MappedTree {
+    /// LUTs in the tree's cover.
+    pub(crate) fn luts(&self) -> u32 {
+        self.result.luts(&self.tree)
+    }
 }
 
 /// Derives the deterministic `cache.*` counters from the per-tree key
@@ -816,27 +834,31 @@ fn report_cache_counters(telemetry: &Telemetry, options: &MapOptions, mapped: &[
     let (mut hits, mut misses, mut replayed) = (0u64, 0u64, 0u64);
     let (mut fn_hits, mut fn_misses, mut fn_replayed) = (0u64, 0u64, 0u64);
     for m in mapped {
-        let key = m.key.expect("caching modes key every tree");
+        // Single-LUT trees have no key: they are neither hits nor misses.
+        let Some(key) = m.result.key else {
+            continue;
+        };
         // Attribution is structural-first: a tree both tiers could
         // serve counts as a structural hit, so `cache.hits` is
         // unchanged from `CacheMode::Shared` and `cache.fn_hits` is
         // exactly the *additional* reuse the functional tier unlocks.
         // (The runtime lookup order is functional-first, which is
         // equivalent work-wise: either tier's hit skips the solve.)
+        let fn_key = m.result.fn_key;
         if seen.contains(&key) {
             hits += 1;
-            replayed += u64::from(m.sol.dp.tree_cost(&m.tree));
-        } else if m.fn_key.is_some_and(|fk| seen_fn.contains(&fk)) {
+            replayed += u64::from(m.luts());
+        } else if fn_key.is_some_and(|fk| seen_fn.contains(&fk)) {
             fn_hits += 1;
-            fn_replayed += u64::from(m.sol.dp.tree_cost(&m.tree));
+            fn_replayed += u64::from(m.luts());
         } else {
             misses += 1;
-            if m.fn_key.is_some() {
+            if fn_key.is_some() {
                 fn_misses += 1;
             }
         }
         seen.insert(key);
-        if let Some(fk) = m.fn_key {
+        if let Some(fk) = fn_key {
             seen_fn.insert(fk);
         }
     }
@@ -884,26 +906,26 @@ fn report_cache_counters(telemetry: &Telemetry, options: &MapOptions, mapped: &[
 }
 
 /// Records the deterministic per-tree work histogram
-/// ([`stats::HIST_TREE_WORK`]): one sample per tree, in tree order, of
-/// the utilization divisions its solution cost. Replayed trees carry
-/// the tally of the shape they share, so the distribution is identical
-/// for every `jobs` value and every cache mode.
+/// ([`stats::HIST_TREE_WORK`]): one sample per DP-mapped tree, in tree
+/// order, of the utilization divisions its solution cost. Replayed trees
+/// carry the tally of the shape they share, so the distribution is
+/// identical for every `jobs` value and every cache mode.
 fn record_tree_work(telemetry: &Telemetry, mapped: &[MappedTree]) {
     if !telemetry.is_enabled() {
         return;
     }
     let mut work = Histogram::new();
-    for m in mapped {
-        work.record(m.sol.tally.divisions);
+    for sol in mapped.iter().filter_map(|m| m.result.sol.as_ref()) {
+        work.record(sol.tally.divisions);
     }
     if !work.is_empty() {
         telemetry.merge_histogram(stats::HIST_TREE_WORK, &work);
     }
 }
 
-/// Emits the solve-vs-replay classification instants
-/// ([`stats::TRACE_SOLVE`] / [`stats::TRACE_REPLAY`]) for a tracing
-/// sink. Classification uses the same deterministic first-occurrence
+/// Emits the classification instants ([`stats::TRACE_SINGLE_LUT`],
+/// [`stats::TRACE_SOLVE`] / [`stats::TRACE_REPLAY`]) for a tracing
+/// sink. Solve-vs-replay uses the same deterministic first-occurrence
 /// definition as [`report_cache_counters`], but recomputes the keys
 /// here so [`CacheMode::Off`] runs classify identically to caching runs
 /// — the trace identity is a pure function of the forest.
@@ -920,21 +942,21 @@ fn trace_classification(
     let mut arrivals = vec![0u32; normal.len()];
     let mut seen: HashSet<CacheKey> = HashSet::with_capacity(mapped.len());
     for (ti, m) in mapped.iter().enumerate() {
-        let key = m
-            .key
-            .unwrap_or_else(|| CacheKey::of(&m.tree, shapes[ti], &|id| arrivals[id.index()]));
-        let name = if seen.insert(key) {
-            stats::TRACE_SOLVE
+        let name = if m.result.sol.is_none() {
+            stats::TRACE_SINGLE_LUT
         } else {
-            stats::TRACE_REPLAY
+            let key = m
+                .result
+                .key
+                .unwrap_or_else(|| CacheKey::of(&m.tree, shapes[ti], &|id| arrivals[id.index()]));
+            if seen.insert(key) {
+                stats::TRACE_SOLVE
+            } else {
+                stats::TRACE_REPLAY
+            }
         };
-        buf.instant(
-            TraceScope::Tree,
-            ti as u64,
-            name,
-            u64::from(m.sol.dp.tree_cost(&m.tree)),
-        );
-        arrivals[m.tree.root.index()] = m.sol.dp.tree_depth(&m.tree);
+        buf.instant(TraceScope::Tree, ti as u64, name, u64::from(m.luts()));
+        arrivals[m.tree.root.index()] = m.result.depth;
     }
     telemetry.trace_flush(&mut buf);
 }

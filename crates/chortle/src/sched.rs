@@ -1,10 +1,11 @@
 //! The forest mapping driver and its adaptive chunked work-stealing
 //! scheduler (DESIGN.md §14).
 //!
-//! Every tree goes through one step, [`map_tree_step`]: compute its
-//! cache key, try the functional tier, then the structural tier, then
-//! solve the subset DP. [`map_forest`] runs that step on one of two
-//! schedules:
+//! Every tree goes through one step, [`map_tree_step`]: a tree with at
+//! most K leaf occurrences becomes one LUT outright; any other tree
+//! computes its cache key, tries the functional tier, then the
+//! structural tier, then solves the subset DP. [`map_forest`] runs that
+//! step on one of two schedules:
 //!
 //! * **Tree order** (`jobs <= 1`): a plain loop on the calling thread.
 //!   The forest is topologically ordered (leaf trees precede their
@@ -154,8 +155,13 @@ pub(crate) fn pool_size() -> usize {
 /// clamped at 20 so a pathological unsplit node saturates instead of
 /// overflowing.
 pub(crate) fn estimate_tree_work(tree: &Tree, k: usize) -> u64 {
+    // Fixed per-tree overhead: key, bookkeeping. A tree that fits one
+    // LUT costs only this; it never reaches the kernel.
+    let mut work: u64 = 16;
+    if tree.leaf_count() <= k {
+        return work;
+    }
     let k = k as u64;
-    let mut work: u64 = 16; // fixed per-tree overhead: key, bookkeeping
     for node in &tree.nodes {
         let f = node.children.len().min(20) as u32;
         let divisions = (1u64 << f).saturating_mul(k + 1) / 2;
@@ -205,9 +211,57 @@ pub(crate) fn build_chunks(
     chunks
 }
 
-/// One tree's mapped solution plus the structural and functional cache
-/// keys it was (re)computed under, if the run is keyed.
-pub(crate) type TreeResult = (Arc<ShapeSolution>, Option<CacheKey>, Option<FnKey>);
+/// One tree's mapping: its DP solution, the depth of its root LUT's
+/// output, and the structural and functional cache keys the solution was
+/// (re)computed under, if the run is keyed. A tree that fits one LUT has
+/// no solution and no keys (see [`single_lut_depth`]).
+pub(crate) struct TreeResult {
+    /// The (possibly shared) DP solution; `None` on the single-LUT path.
+    pub sol: Option<Arc<ShapeSolution>>,
+    /// Depth of the root LUT's output.
+    pub depth: u32,
+    /// The structural cache key; `None` under [`CacheMode::Off`] and on
+    /// the single-LUT path.
+    pub key: Option<CacheKey>,
+    /// The functional-tier key; `None` outside [`CacheMode::Fn`], for
+    /// trees wider than 6 leaves, and on the single-LUT path.
+    pub fn_key: Option<FnKey>,
+}
+
+impl TreeResult {
+    /// LUTs in the tree's cover: the DP's count, or 1 on the single-LUT
+    /// path.
+    pub(crate) fn luts(&self, tree: &Tree) -> u32 {
+        self.sol.as_ref().map_or(1, |sol| sol.dp.tree_cost(tree))
+    }
+}
+
+/// The root depth of `tree` if it fits one K-input LUT, or `None` when
+/// its leaf occurrences outnumber `k` and the subset DP must decide.
+///
+/// A tree with at most K leaf occurrences (counted per occurrence, as
+/// the DP counts them) always maps to one LUT absorbing every node:
+/// one LUT is the fewest possible, and "deepest leaf + 1" is the lowest
+/// possible root depth, because every leaf reaches the root through at
+/// least one LUT. Both objectives therefore agree with the DP, which
+/// finds the same unique one-LUT cover; `cover::emit_single_lut` emits
+/// it with the DP reconstruction's slot order.
+pub(crate) fn single_lut_depth(tree: &Tree, k: usize, arrivals: &[u32]) -> Option<u32> {
+    let mut leaves = 0usize;
+    let mut deepest = 0u32;
+    for node in &tree.nodes {
+        for child in &node.children {
+            if let TreeChild::Leaf(sig) = child {
+                leaves += 1;
+                if leaves > k {
+                    return None;
+                }
+                deepest = deepest.max(arrivals[sig.node().index()]);
+            }
+        }
+    }
+    Some(deepest + 1)
+}
 
 /// The run-invariant inputs of [`map_tree_step`]: the forest's key
 /// material, the DP options, and the stores the run's executors share.
@@ -316,12 +370,13 @@ impl Executor<'_> {
 
 /// Maps `tree`, tree `ti` of the forest: the one per-tree step both
 /// schedules share. `arrivals` holds the published depth of every
-/// earlier tree's root (0 for primary inputs and constants). The
-/// functional tier is consulted first, then the structural one, then
-/// the subset DP runs; a structural hit back-fills the functional tier,
-/// and a solve inserts into both. The tree's trace span opens and closes
-/// here — closed as cancelled when the DP fails, so every begin stays
-/// matched.
+/// earlier tree's root (0 for primary inputs and constants). A tree
+/// that fits one LUT takes the single-LUT path: no key, no lookup, no
+/// DP. Otherwise the functional tier is consulted first, then the
+/// structural one, then the subset DP runs; a structural hit back-fills
+/// the functional tier, and a solve inserts into both. The tree's trace
+/// span opens and closes here — closed as cancelled when the DP fails,
+/// so every begin stays matched.
 ///
 /// # Errors
 ///
@@ -341,43 +396,58 @@ pub(crate) fn map_tree_step(
         exec.buf
             .begin(TraceScope::Tree, ti as u64, stats::TRACE_TREE, size);
     }
-    let leaf_depth = |id: NodeId| arrivals[id.index()];
-    let key = exec
-        .structural
-        .is_on()
-        .then(|| CacheKey::of(tree, run.shapes[ti], &leaf_depth));
-    let fn_key = match (run.fn_metas.get(ti).and_then(Option::as_ref), &key) {
-        (Some(meta), Some(k)) => Some(meta.key(k)),
-        _ => None,
-    };
-    let sol = if let Some(sol) = exec.functional.get(fn_key) {
-        sol
-    } else if let Some(sol) = exec.structural.get(key) {
-        exec.functional.insert(fn_key, Arc::clone(&sol));
-        sol
+    let result = if let Some(depth) = single_lut_depth(tree, run.k, arrivals) {
+        TreeResult {
+            sol: None,
+            depth,
+            key: None,
+            fn_key: None,
+        }
     } else {
-        match map_tree_solution(tree, run.k, run.objective, &leaf_depth, scratch) {
-            Ok(sol) => {
-                let sol = exec.structural.insert(key, Arc::new(sol));
-                exec.functional.insert(fn_key, Arc::clone(&sol));
-                sol
+        let leaf_depth = |id: NodeId| arrivals[id.index()];
+        let key = exec
+            .structural
+            .is_on()
+            .then(|| CacheKey::of(tree, run.shapes[ti], &leaf_depth));
+        let fn_key = match (run.fn_metas.get(ti).and_then(Option::as_ref), &key) {
+            (Some(meta), Some(k)) => Some(meta.key(k)),
+            _ => None,
+        };
+        let sol = if let Some(sol) = exec.functional.get(fn_key) {
+            sol
+        } else if let Some(sol) = exec.structural.get(key) {
+            exec.functional.insert(fn_key, Arc::clone(&sol));
+            sol
+        } else {
+            match map_tree_solution(tree, run.k, run.objective, &leaf_depth, scratch) {
+                Ok(sol) => {
+                    let sol = exec.structural.insert(key, Arc::new(sol));
+                    exec.functional.insert(fn_key, Arc::clone(&sol));
+                    sol
+                }
+                Err(e) => {
+                    exec.buf
+                        .cancelled(TraceScope::Tree, ti as u64, stats::TRACE_TREE, 0);
+                    return Err(e);
+                }
             }
-            Err(e) => {
-                exec.buf
-                    .cancelled(TraceScope::Tree, ti as u64, stats::TRACE_TREE, 0);
-                return Err(e);
-            }
+        };
+        TreeResult {
+            depth: sol.dp.tree_depth(tree),
+            sol: Some(sol),
+            key,
+            fn_key,
         }
     };
     if traced {
-        let cost = u64::from(sol.dp.tree_cost(tree));
+        let cost = u64::from(result.luts(tree));
         exec.buf
             .end(TraceScope::Tree, ti as u64, stats::TRACE_TREE, cost);
     }
     if let (Some(t0), Some(hist)) = (t0, exec.tree_ns.as_mut()) {
         hist.record_duration(t0.elapsed());
     }
-    Ok((sol, key, fn_key))
+    Ok(result)
 }
 
 /// Maps every tree of the canonicalized forest and returns them, in tree
@@ -429,14 +499,9 @@ fn map_in_tree_order(
         if run.cancel.is_cancelled() {
             return Err(MapError::Cancelled);
         }
-        let (sol, key, fn_key) = map_tree_step(run, ti, &tree, &arrivals, &mut exec, &mut scratch)?;
-        arrivals[tree.root.index()] = sol.dp.tree_depth(&tree);
-        mapped.push(MappedTree {
-            tree,
-            sol,
-            key,
-            fn_key,
-        });
+        let result = map_tree_step(run, ti, &tree, &arrivals, &mut exec, &mut scratch)?;
+        arrivals[tree.root.index()] = result.depth;
+        mapped.push(MappedTree { tree, result });
         Ok(())
     });
     exec.flush(&run.telemetry);
@@ -578,8 +643,8 @@ fn map_wavefronts(
         // the next wavefront reads them.
         let published = Arc::make_mut(&mut arrivals);
         for &ti in wave {
-            let (sol, ..) = sols[ti].as_ref().expect("wavefront mapped every tree");
-            published[trees[ti].root.index()] = sol.dp.tree_depth(&trees[ti]);
+            let result = sols[ti].as_ref().expect("wavefront mapped every tree");
+            published[trees[ti].root.index()] = result.depth;
         }
     }
     if enabled {
@@ -598,14 +663,9 @@ fn map_wavefronts(
     Ok(trees
         .into_iter()
         .zip(sols)
-        .map(|(tree, sol)| {
-            let (sol, key, fn_key) = sol.expect("every wavefront tree mapped");
-            MappedTree {
-                tree,
-                sol,
-                key,
-                fn_key,
-            }
+        .map(|(tree, result)| MappedTree {
+            tree,
+            result: result.expect("every wavefront tree mapped"),
         })
         .collect())
 }

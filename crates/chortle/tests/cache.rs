@@ -204,10 +204,20 @@ fn every_cache_mode_is_bit_identical_at_every_worker_count() {
     }
 }
 
+/// Trees of `net`'s split forest with at most `k` leaf occurrences —
+/// the trees the mapper emits as one LUT without a DP solve.
+fn single_lut_trees(net: &Network, k: usize) -> u64 {
+    let mut forest = Forest::of(&net.simplified());
+    let threshold = MapOptions::builder(k).build().unwrap().split_threshold;
+    forest.split_wide_nodes(threshold.max(k));
+    forest.trees.iter().filter(|t| t.leaf_count() <= k).count() as u64
+}
+
 #[test]
 fn cache_counters_add_up() {
-    // On a forest with repeated shapes, hits + misses == trees, misses ==
-    // distinct (shape, depth) keys, and every hit replays whole LUTs.
+    // On a forest with repeated shapes, hits + misses + single-LUT trees
+    // == trees, misses == distinct (shape, depth) keys, and every hit
+    // replays whole LUTs.
     let net = random_network(0xcace_0003, 8, 30, 4);
     let telemetry = Telemetry::enabled();
     let options = MapOptions::builder(4)
@@ -221,7 +231,10 @@ fn cache_counters_add_up() {
         .counter(stats::CACHE_MISSES)
         .expect("misses reported");
     let trees = report.counter(stats::MAP_TREES).unwrap();
-    assert_eq!(hits + misses, trees);
+    let single = report.counter(stats::MAP_SINGLE_LUT_TREES).unwrap();
+    assert_eq!(single, single_lut_trees(&net, 4));
+    assert!(single < trees, "some tree must need the DP");
+    assert_eq!(hits + misses + single, trees);
     assert!(misses >= 1, "at least one shape must be computed");
     if hits > 0 {
         assert!(report.counter(stats::CACHE_REPLAYED_LUTS).unwrap() >= hits);
@@ -252,10 +265,74 @@ fn cache_counters_add_up() {
     }
 }
 
-/// Runs `net` under `cache` and returns the full counter snapshot.
-fn counters_under(net: &Network, cache: CacheMode, jobs: usize) -> chortle::MapStats {
+#[test]
+fn the_counter_identity_holds_for_every_jobs_and_cache_mode() {
+    // cache.hits + cache.misses + map.single_lut_trees == map.trees, and
+    // the single-LUT count is the forest's trees with at most K leaf
+    // occurrences, for every worker count and cache mode.
+    let mut rng = SplitMix64::new(0xcace_0007);
+    for round in 0..6 {
+        let net = random_network(rng.next_u64(), 8, 40, 6);
+        let k = rng.next_range(2, 7);
+        let expected = single_lut_trees(&net, k);
+        for jobs in [1, 2, 4] {
+            for cache in [
+                CacheMode::Off,
+                CacheMode::Tree,
+                CacheMode::Shared,
+                CacheMode::Fn,
+            ] {
+                let report = counters_under(&net, k, cache, jobs);
+                let ctx = format!("round={round} k={k} jobs={jobs} {cache:?}");
+                let trees = report.counter(stats::MAP_TREES).unwrap();
+                let single = report.counter(stats::MAP_SINGLE_LUT_TREES).unwrap();
+                assert_eq!(single, expected, "{ctx}");
+                if cache == CacheMode::Off {
+                    continue;
+                }
+                let hits = report.counter(stats::CACHE_HITS).unwrap();
+                let fn_hits = report.counter(stats::CACHE_FN_HITS).unwrap_or(0);
+                let misses = report.counter(stats::CACHE_MISSES).unwrap();
+                assert_eq!(hits + fn_hits + misses + single, trees, "{ctx}");
+            }
+        }
+    }
+}
+
+/// Adds `columns` five-leaf cones `outer(inner(a, b, c), d, e)` over
+/// the first five inputs, with random operations and edge polarities:
+/// structural misses of each other that the functional tier unites.
+fn add_skeleton_variants(net: &mut Network, rng: &mut SplitMix64, columns: usize) {
+    let leaves: Vec<Signal> = net.inputs()[..5]
+        .iter()
+        .map(|&id| Signal::new(id))
+        .collect();
+    let op = |rng: &mut SplitMix64| {
+        if rng.next_bool(1, 2) {
+            NodeOp::And
+        } else {
+            NodeOp::Or
+        }
+    };
+    let polarize = |rng: &mut SplitMix64, s: Signal| if rng.next_bool(1, 2) { !s } else { s };
+    for c in 0..columns {
+        let inner_fanins = leaves[..3].iter().map(|&s| polarize(rng, s)).collect();
+        let inner = Signal::new(net.add_gate(op(rng), inner_fanins));
+        let outer_fanins = vec![
+            polarize(rng, inner),
+            polarize(rng, leaves[3]),
+            polarize(rng, leaves[4]),
+        ];
+        let outer = Signal::new(net.add_gate(op(rng), outer_fanins));
+        net.add_output(format!("v{c}"), outer);
+    }
+}
+
+/// Runs `net` at `k` under `cache` and returns the full counter
+/// snapshot.
+fn counters_under(net: &Network, k: usize, cache: CacheMode, jobs: usize) -> chortle::MapStats {
     let telemetry = Telemetry::enabled();
-    let options = MapOptions::builder(4)
+    let options = MapOptions::builder(k)
         .cache(cache)
         .jobs(jobs)
         .telemetry(telemetry.clone())
@@ -268,19 +345,29 @@ fn counters_under(net: &Network, cache: CacheMode, jobs: usize) -> chortle::MapS
 #[test]
 fn fn_tier_counters_add_up_and_only_add_reuse() {
     // Polarity variants of shared shapes make the functional tier win
-    // where the structural one cannot.
+    // where the structural one cannot. The tier serves trees of K+1 to 6
+    // leaves (smaller ones fit one LUT), so each forest also gets a few
+    // five-leaf variants of one skeleton.
+    const K: usize = 4;
     let mut rng = SplitMix64::new(0xcace_0004);
     let mut fn_hit_seen = false;
     for round in 0..8 {
-        let net = random_network(rng.next_u64(), 8, 40, 4);
+        let mut net = random_network(rng.next_u64(), 8, 40, 4);
+        add_skeleton_variants(&mut net, &mut rng, 6);
         for jobs in [1, 4] {
-            let shared = counters_under(&net, CacheMode::Shared, jobs);
-            let fnr = counters_under(&net, CacheMode::Fn, jobs);
+            let shared = counters_under(&net, K, CacheMode::Shared, jobs);
+            let fnr = counters_under(&net, K, CacheMode::Fn, jobs);
             let trees = fnr.counter(stats::MAP_TREES).unwrap();
             let hits = fnr.counter(stats::CACHE_HITS).unwrap();
             let misses = fnr.counter(stats::CACHE_MISSES).unwrap();
             let fn_hits = fnr.counter(stats::CACHE_FN_HITS).unwrap();
             let fn_misses = fnr.counter(stats::CACHE_FN_MISSES).unwrap();
+            let single = fnr.counter(stats::MAP_SINGLE_LUT_TREES).unwrap();
+            assert_eq!(
+                single,
+                single_lut_trees(&net, K),
+                "(round={round} jobs={jobs})"
+            );
             // Attribution is structural-first: cache.hits is identical
             // to the Shared-mode value, and fn_hits is the *additional*
             // reuse the functional tier found.
@@ -290,7 +377,7 @@ fn fn_tier_counters_add_up_and_only_add_reuse() {
                 "structural hits changed under Fn (round={round} jobs={jobs})"
             );
             assert_eq!(
-                hits + fn_hits + misses,
+                hits + fn_hits + misses + single,
                 trees,
                 "counter contract broken (round={round} jobs={jobs})"
             );
@@ -312,7 +399,7 @@ fn fn_tier_counters_add_up_and_only_add_reuse() {
 fn shared_mode_reports_no_fn_counters() {
     let net = random_network(0xcace_0005, 8, 30, 4);
     for cache in [CacheMode::Tree, CacheMode::Shared] {
-        let report = counters_under(&net, cache, 1);
+        let report = counters_under(&net, 4, cache, 1);
         for counter in [
             stats::CACHE_FN_HITS,
             stats::CACHE_FN_MISSES,

@@ -5,15 +5,19 @@ use chortle::{map_network, CacheMode, CancelToken, MapError, MapOptions, WarmCac
 use chortle_netlist::{Network, NodeOp, Signal};
 
 /// A forest with enough trees that per-tree cancellation polls run many
-/// times under any driver.
+/// times under any driver. Every tree has more leaf occurrences than
+/// the K = 4 and 5 the tests map at, so each one reaches the DP and the
+/// cache instead of the single-LUT path.
 fn layered_network(width: usize) -> Network {
     let mut net = Network::new();
-    let inputs: Vec<Signal> = (0..width * 2)
+    let inputs: Vec<Signal> = (0..width * 6)
         .map(|i| Signal::new(net.add_input(format!("i{i}"))))
         .collect();
-    for (c, pair) in inputs.chunks(2).enumerate() {
-        let g1 = Signal::new(net.add_gate(NodeOp::And, vec![pair[0], pair[1]]));
-        let g2 = Signal::new(net.add_gate(NodeOp::Or, vec![g1, pair[0]]));
+    for (c, x) in inputs.chunks(6).enumerate() {
+        let g1 = Signal::new(net.add_gate(NodeOp::And, x.to_vec()));
+        let a = Signal::new(net.add_gate(NodeOp::And, vec![x[0], x[1]]));
+        let b = Signal::new(net.add_gate(NodeOp::And, vec![!x[2], x[3]]));
+        let g2 = Signal::new(net.add_gate(NodeOp::Or, vec![g1, a, b, x[4], !x[5]]));
         // g1 fans out (g2 and the output), so each column is two trees.
         net.add_output(format!("y{c}"), g2);
         net.add_output(format!("s{c}"), g1);

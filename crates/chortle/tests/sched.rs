@@ -189,12 +189,13 @@ fn wide_wavefronts_are_bit_identical_through_the_pooled_path() {
     }
 }
 
-/// Adds `count` small two-level cones (4 leaves each) that are
+/// Adds `count` small two-level cones (6 leaves each, wider than the
+/// K = 5 they are mapped at, so they reach the cache) that are
 /// input-negation and DeMorgan variants of one function: structural
 /// misses of each other that the functional tier unites.
 fn add_npn_cones(net: &mut Network, count: usize) {
     for c in 0..count {
-        let ins: Vec<Signal> = (0..4)
+        let ins: Vec<Signal> = (0..6)
             .map(|i| Signal::new(net.add_input(format!("n{c}i{i}"))))
             .collect();
         let leaf = |i: usize| if (c >> i) & 1 == 1 { !ins[i] } else { ins[i] };
@@ -205,7 +206,8 @@ fn add_npn_cones(net: &mut Network, count: usize) {
         };
         let g1 = Signal::new(net.add_gate(inner, vec![leaf(0), leaf(1)]));
         let g2 = Signal::new(net.add_gate(inner, vec![leaf(2), leaf(3)]));
-        let z = net.add_gate(outer, vec![g1, g2]);
+        let g3 = Signal::new(net.add_gate(inner, vec![leaf(4), leaf(5)]));
+        let z = net.add_gate(outer, vec![g1, g2, g3]);
         net.add_output(format!("n{c}z"), z.into());
     }
 }

@@ -7,7 +7,8 @@ use chortle_netlist::{Network, NodeOp, Signal, SplitMix64};
 use chortle_telemetry::schema::{shape, validate_report};
 
 /// A network whose forest levelizes into several wavefronts: two shared
-/// gates feed two consumers each, which feed a top cone.
+/// gates feed two consumers each, which feed a top cone. The top cone's
+/// five leaf occurrences are wider than K = 4, so it reaches the DP.
 fn layered_network() -> Network {
     let mut net = Network::new();
     let inputs: Vec<Signal> = (0..8)
@@ -15,7 +16,8 @@ fn layered_network() -> Network {
         .collect();
     let s1 = Signal::new(net.add_gate(NodeOp::And, vec![inputs[0], inputs[1], inputs[2]]));
     let s2 = Signal::new(net.add_gate(NodeOp::Or, vec![inputs[3], inputs[4]]));
-    let m1 = Signal::new(net.add_gate(NodeOp::Or, vec![s1, inputs[5]]));
+    let side = Signal::new(net.add_gate(NodeOp::And, vec![inputs[0], inputs[6]]));
+    let m1 = Signal::new(net.add_gate(NodeOp::Or, vec![s1, inputs[5], side]));
     let m2 = Signal::new(net.add_gate(NodeOp::And, vec![s1, s2, inputs[6]]));
     let top = Signal::new(net.add_gate(NodeOp::Or, vec![m1, m2, inputs[7]]));
     net.add_output("t", top);
@@ -111,6 +113,7 @@ fn mapper_reports_every_documented_stage_and_counter() {
         stats::DP_SCRATCH_GROWS,
         stats::MAP_NODES_SPLIT,
         stats::MAP_TREES,
+        stats::MAP_SINGLE_LUT_TREES,
         stats::CACHE_HITS,
         stats::CACHE_MISSES,
         stats::CACHE_SHARDS,

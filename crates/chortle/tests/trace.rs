@@ -117,38 +117,64 @@ fn tree_work_histogram_is_invariant_across_jobs_and_cache_modes() {
     assert!(nonempty_rounds > 0, "every round degenerated");
 }
 
+/// Columns of one six-leaf cone (wider than K = 4: solved once, then
+/// replayed) beside a two-leaf cone (one LUT, no DP).
+fn mixed_network(columns: usize) -> Network {
+    let mut net = Network::new();
+    for c in 0..columns {
+        let x: Vec<Signal> = (0..6)
+            .map(|i| Signal::new(net.add_input(format!("c{c}x{i}"))))
+            .collect();
+        let wide = net.add_gate(NodeOp::And, x.clone());
+        let narrow = net.add_gate(NodeOp::Or, vec![x[0], !x[1]]);
+        net.add_output(format!("w{c}"), wide.into());
+        net.add_output(format!("n{c}"), narrow.into());
+    }
+    net
+}
+
 #[test]
 fn solve_and_replay_instants_partition_the_forest() {
-    let net = random_network(0x7ace_0003, 8, 30, 5);
-    let (telemetry, options) = traced_options(4, 2, CacheMode::Shared);
-    map_network(&net, &options).expect("maps");
-    let trace = telemetry.trace_snapshot();
-    let report = telemetry.snapshot();
-    let trees = report.counter(stats::MAP_TREES).expect("map.trees");
-    let count = |name| {
-        trace
+    for (net, mixed) in [
+        (random_network(0x7ace_0003, 8, 30, 5), false),
+        (mixed_network(4), true),
+    ] {
+        let (telemetry, options) = traced_options(4, 2, CacheMode::Shared);
+        map_network(&net, &options).expect("maps");
+        let trace = telemetry.trace_snapshot();
+        let report = telemetry.snapshot();
+        let trees = report.counter(stats::MAP_TREES).expect("map.trees");
+        let count = |name| {
+            trace
+                .events
+                .iter()
+                .filter(|e| e.kind == TraceKind::Instant && e.name == name)
+                .count() as u64
+        };
+        let solves = count(stats::TRACE_SOLVE);
+        let replays = count(stats::TRACE_REPLAY);
+        let singles = count(stats::TRACE_SINGLE_LUT);
+        assert_eq!(
+            solves + replays + singles,
+            trees,
+            "every tree classified exactly once"
+        );
+        if mixed {
+            assert!(solves > 0 && replays > 0 && singles > 0);
+        }
+        // Under a shared cache the post-hoc classification and the live
+        // counters describe the same partition.
+        assert_eq!(Some(replays), report.counter(stats::CACHE_HITS));
+        assert_eq!(Some(solves), report.counter(stats::CACHE_MISSES));
+        assert_eq!(Some(singles), report.counter(stats::MAP_SINGLE_LUT_TREES));
+        // Each classified tree also opened and closed a tree span.
+        let begins = trace
             .events
             .iter()
-            .filter(|e| e.kind == TraceKind::Instant && e.name == name)
-            .count() as u64
-    };
-    let solves = count(stats::TRACE_SOLVE);
-    let replays = count(stats::TRACE_REPLAY);
-    assert_eq!(
-        solves + replays,
-        trees,
-        "every tree classified exactly once"
-    );
-    // Under a shared cache the post-hoc classification and the live
-    // counters describe the same partition.
-    assert_eq!(Some(replays), report.counter(stats::CACHE_HITS));
-    // Each classified tree also opened and closed a tree span.
-    let begins = trace
-        .events
-        .iter()
-        .filter(|e| e.kind == TraceKind::Begin && e.scope == TraceScope::Tree)
-        .count() as u64;
-    assert_eq!(begins, trees);
+            .filter(|e| e.kind == TraceKind::Begin && e.scope == TraceScope::Tree)
+            .count() as u64;
+        assert_eq!(begins, trees);
+    }
 }
 
 /// Groups span events by (scope, index) and asserts every `Begin` is

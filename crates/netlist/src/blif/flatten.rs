@@ -73,7 +73,7 @@ impl Flattener<'_> {
         let symbols = &mut *self.symbols;
         self.flat
             .logic
-            .extend_renamed(&model.logic, |net| rename.resolve(symbols, net));
+            .extend_renamed(&model.logic, |net| rename.resolve(symbols, net))?;
         for latch in &model.latches {
             self.flat.latches.push(RawLatch {
                 line: latch.line,

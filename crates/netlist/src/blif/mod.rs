@@ -145,7 +145,7 @@ pub(crate) fn elaborate_blocks(
         let out = b.output as usize;
         if signals[out].is_some() || by_output[out] != UNDEFINED {
             return Err(ParseBlifError::Syntax {
-                line: b.line,
+                line: b.line(),
                 message: format!("signal {:?} defined twice", symbols.name(b.output)),
             });
         }
@@ -192,7 +192,7 @@ pub(crate) fn elaborate_blocks(
                         let j = j as usize;
                         if marks[j] == Mark::Grey {
                             return Err(ParseBlifError::Syntax {
-                                line: block.line,
+                                line: block.line(),
                                 message: format!(
                                     "combinational cycle through {:?}",
                                     symbols.name(dep)

@@ -211,20 +211,24 @@ impl Symbols {
 
 /// One `.names` block (or `.conn` wire): its fanins and cube rows live in
 /// the arenas of the [`Blocks`] that holds it.
+///
+/// Offsets, counts and the line number are `u32`, which keeps a block at
+/// 28 bytes — a 10^6-gate netlist holds 10^6 of them at once. Input past
+/// the 32-bit range is rejected with [`ParseBlifError::TooLarge`].
 #[derive(Debug, Clone)]
 pub(crate) struct NamesBlock {
     pub(crate) output: Sym,
     /// Start of the fanins in [`Blocks::fanins`].
-    fanin_start: usize,
+    fanin_start: u32,
     /// Fanin count, which is also the cube-row stride.
-    width: usize,
+    width: u32,
     /// Start of the rows in [`Blocks::cubes`].
-    cube_start: usize,
+    cube_start: u32,
     /// Cube rows; a row has no bytes when the block has no fanins.
-    rows: usize,
+    rows: u32,
     /// Output phase: `true` when rows describe the on-set.
     pub(crate) on_set: bool,
-    pub(crate) line: usize,
+    line: u32,
 }
 
 impl NamesBlock {
@@ -232,6 +236,21 @@ impl NamesBlock {
     pub(crate) fn has_rows(&self) -> bool {
         self.rows > 0
     }
+
+    /// The 1-based line of the block's `.names` directive.
+    pub(crate) fn line(&self) -> usize {
+        self.line as usize
+    }
+
+    fn width(&self) -> usize {
+        self.width as usize
+    }
+}
+
+/// Narrows `value` to the `u32` a [`NamesBlock`] stores, or reports
+/// which quantity (`what`, at `line`) outgrew it.
+fn narrow(value: usize, line: usize, what: &'static str) -> Result<u32, ParseBlifError> {
+    u32::try_from(value).map_err(|_| ParseBlifError::TooLarge { line, what })
 }
 
 /// A list of `.names` blocks over two flat arenas: every fanin in one
@@ -246,42 +265,75 @@ pub(crate) struct Blocks {
 
 impl Blocks {
     /// Opens a block driving `output` from `fanins`, with no rows yet.
-    pub(crate) fn open(&mut self, fanins: &[Sym], output: Sym, line: usize) {
+    ///
+    /// # Errors
+    ///
+    /// [`ParseBlifError::TooLarge`] when `line` or the fanin arena passes
+    /// the 32-bit range.
+    pub(crate) fn open(
+        &mut self,
+        fanins: &[Sym],
+        output: Sym,
+        line: usize,
+    ) -> Result<(), ParseBlifError> {
+        let fanin_end = self.fanins.len() + fanins.len();
+        narrow(fanin_end, line, "the total of .names fanins")?;
         self.list.push(NamesBlock {
             output,
-            fanin_start: self.fanins.len(),
-            width: fanins.len(),
-            cube_start: self.cubes.len(),
+            fanin_start: self.fanins.len() as u32,
+            width: fanins.len() as u32,
+            cube_start: narrow(self.cubes.len(), line, "the total of cube bytes")?,
             rows: 0,
             on_set: true,
-            line,
+            line: narrow(line, line, "the line number")?,
         });
         self.fanins.extend_from_slice(fanins);
+        Ok(())
     }
 
     /// The fanins of `block`.
     pub(crate) fn inputs(&self, block: &NamesBlock) -> &[Sym] {
-        &self.fanins[block.fanin_start..block.fanin_start + block.width]
+        let start = block.fanin_start as usize;
+        &self.fanins[start..start + block.width()]
     }
 
     /// The cube rows of `block`, `block`'s fanin count bytes each. Only
     /// meaningful for a block with fanins; see [`NamesBlock::has_rows`].
     pub(crate) fn rows(&self, block: &NamesBlock) -> std::slice::ChunksExact<'_, u8> {
-        self.cube_bytes(block).chunks_exact(block.width.max(1))
+        self.cube_bytes(block).chunks_exact(block.width().max(1))
     }
 
     fn cube_bytes(&self, block: &NamesBlock) -> &[u8] {
-        &self.cubes[block.cube_start..block.cube_start + block.rows * block.width]
+        let start = block.cube_start as usize;
+        &self.cubes[start..start + block.rows as usize * block.width()]
     }
 
     /// Appends `src`'s blocks with every net passed through `rename`.
-    pub(crate) fn extend_renamed(&mut self, src: &Blocks, mut rename: impl FnMut(Sym) -> Sym) {
+    ///
+    /// # Errors
+    ///
+    /// [`ParseBlifError::TooLarge`], at the line of the first block that
+    /// does not fit, when the combined arenas pass the 32-bit range.
+    pub(crate) fn extend_renamed(
+        &mut self,
+        src: &Blocks,
+        mut rename: impl FnMut(Sym) -> Sym,
+    ) -> Result<(), ParseBlifError> {
         for block in &src.list {
-            let fanin_start = self.fanins.len();
+            let bytes = src.cube_bytes(block);
+            let fanin_start = narrow(
+                self.fanins.len() + block.width(),
+                block.line(),
+                "the total of .names fanins",
+            )? - block.width;
+            let cube_start = narrow(
+                self.cubes.len() + bytes.len(),
+                block.line(),
+                "the total of cube bytes",
+            )? - bytes.len() as u32;
             self.fanins
                 .extend(src.inputs(block).iter().map(|&net| rename(net)));
-            let cube_start = self.cubes.len();
-            self.cubes.extend_from_slice(src.cube_bytes(block));
+            self.cubes.extend_from_slice(bytes);
             self.list.push(NamesBlock {
                 output: rename(block.output),
                 fanin_start,
@@ -289,6 +341,7 @@ impl Blocks {
                 ..*block
             });
         }
+        Ok(())
     }
 }
 
@@ -491,7 +544,7 @@ fn parse_cube_row<'a>(
             .ok_or_else(|| syntax(line_no, "cube row is missing the output column"))?;
         (first, v)
     };
-    if mask.len() != block.width {
+    if mask.len() != block.width() {
         return Err(syntax(
             line_no,
             format!(
@@ -520,7 +573,12 @@ fn parse_cube_row<'a>(
             "mixed on-set and off-set rows in one .names",
         ));
     }
-    block.rows += 1;
+    narrow(
+        blocks.cubes.len() + mask.len(),
+        line_no,
+        "the total of cube bytes",
+    )?;
+    block.rows = narrow(block.rows as usize + 1, line_no, "the rows of one .names")?;
     blocks.cubes.extend_from_slice(mask.as_bytes());
     Ok(())
 }
@@ -654,7 +712,7 @@ impl<R: BufRead> ModelReader<R> {
                     let output = self.fanins.pop().ok_or_else(|| {
                         syntax(line_no, ".names requires at least an output signal")
                     })?;
-                    m.logic.open(&self.fanins, output, line_no);
+                    m.logic.open(&self.fanins, output, line_no)?;
                     open = true;
                 }
                 ".latch" => {
@@ -677,7 +735,7 @@ impl<R: BufRead> ModelReader<R> {
                         return Err(syntax(line_no, ".conn requires exactly two signals"));
                     }
                     let (from, to) = (symbols.intern(toks[0]), symbols.intern(toks[1]));
-                    m.logic.open(&[from], to, line_no);
+                    m.logic.open(&[from], to, line_no)?;
                     parse_cube_row(&mut m.logic, true, "1", std::iter::once("1"), line_no)?;
                 }
                 ".blackbox" => m.blackbox = true,
@@ -750,4 +808,38 @@ pub(crate) fn read_raw_design<R: BufRead>(
         symbols: reader.symbols,
     };
     Ok((design, stats))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_names_block_is_28_bytes() {
+        assert_eq!(std::mem::size_of::<NamesBlock>(), 28);
+    }
+
+    #[test]
+    fn quantities_past_32_bits_are_typed_errors() {
+        assert_eq!(narrow(u32::MAX as usize, 7, "rows"), Ok(u32::MAX));
+        let past = u32::MAX as usize + 1;
+        let err = narrow(past, 7, "the line number").unwrap_err();
+        assert_eq!(
+            err,
+            ParseBlifError::TooLarge {
+                line: 7,
+                what: "the line number"
+            }
+        );
+        assert!(err.to_string().contains("line 7"), "{err}");
+        let mut blocks = Blocks::default();
+        assert_eq!(
+            blocks.open(&[1, 2], 3, past),
+            Err(ParseBlifError::TooLarge {
+                line: past,
+                what: "the line number"
+            })
+        );
+        assert!(blocks.list.is_empty() && blocks.fanins.is_empty());
+    }
 }

@@ -411,8 +411,14 @@ fn cut_clouds(design: &Design) -> DesignClouds {
         }
     }
 
+    // Each input's position in the design's input order, so a cloud
+    // orders its boundary inputs by sorting only the ones it reads.
+    let mut input_pos = vec![u32::MAX; n];
+    for (pos, id) in logic.inputs().iter().enumerate() {
+        input_pos[id.index()] = pos as u32;
+    }
     for (idx, sinks) in component_sinks.into_iter().enumerate() {
-        clouds.push(extract_cloud(logic, &members[idx], &sinks));
+        clouds.push(extract_cloud(logic, &input_pos, &members[idx], &sinks));
     }
     DesignClouds {
         clouds,
@@ -421,8 +427,15 @@ fn cut_clouds(design: &Design) -> DesignClouds {
 }
 
 /// Copies one component's gates into a standalone network with boundary
-/// inputs and named sink outputs.
-fn extract_cloud(logic: &Network, members: &[NodeId], sinks: &[(String, Signal)]) -> Cloud {
+/// inputs and named sink outputs. `input_pos` gives each input node's
+/// position in `logic.inputs()`; the work is linear in the cloud's size,
+/// not in the design's input count.
+fn extract_cloud(
+    logic: &Network,
+    input_pos: &[u32],
+    members: &[NodeId],
+    sinks: &[(String, Signal)],
+) -> Cloud {
     let mut net = Network::new();
     let mut map: HashMap<NodeId, Signal> = HashMap::new();
     let mut marks = LiteralMarks::default();
@@ -430,19 +443,17 @@ fn extract_cloud(logic: &Network, members: &[NodeId], sinks: &[(String, Signal)]
     let mut consts: [Option<Signal>; 2] = [None, None];
 
     // Boundary inputs in the design's input order for determinism.
-    let mut used_inputs: HashMap<NodeId, ()> = HashMap::new();
-    for &id in members {
-        for fanin in logic.node(id).fanins() {
-            if logic.node(fanin.node()).op() == NodeOp::Input {
-                used_inputs.insert(fanin.node(), ());
-            }
-        }
-    }
-    for &id in logic.inputs() {
-        if used_inputs.contains_key(&id) {
-            let name = net_name(logic, id).into_owned();
-            map.insert(id, Signal::new(net.add_input(name)));
-        }
+    let mut used_inputs: Vec<NodeId> = members
+        .iter()
+        .flat_map(|&id| logic.node(id).fanins())
+        .map(|fanin| fanin.node())
+        .filter(|&dep| logic.node(dep).op() == NodeOp::Input)
+        .collect();
+    used_inputs.sort_unstable_by_key(|id| input_pos[id.index()]);
+    used_inputs.dedup();
+    for id in used_inputs {
+        let name = net_name(logic, id).into_owned();
+        map.insert(id, Signal::new(net.add_input(name)));
     }
 
     // Members are in ascending node order, which is topological. Each

@@ -57,6 +57,15 @@ pub enum ParseBlifError {
         /// Description of the problem.
         message: String,
     },
+    /// The input outgrew the reader's 32-bit block bookkeeping: a line
+    /// number, a `.names` row count, or the total of fanin references or
+    /// cube bytes passed 2^32 - 1.
+    TooLarge {
+        /// 1-based line number where the limit was passed.
+        line: usize,
+        /// What passed it.
+        what: &'static str,
+    },
 }
 
 impl fmt::Display for ParseBlifError {
@@ -73,6 +82,10 @@ impl fmt::Display for ParseBlifError {
             ParseBlifError::Hierarchy { line, message } => {
                 write!(f, "BLIF hierarchy error at line {line}: {message}")
             }
+            ParseBlifError::TooLarge { line, what } => write!(
+                f,
+                "BLIF input too large at line {line}: {what} exceeds 2^32 - 1"
+            ),
         }
     }
 }

@@ -643,7 +643,9 @@ impl Report {
         out
     }
 
-    /// Renders a human-readable summary (stages, counters, occupancy).
+    /// Renders a human-readable summary (stages, counters, histograms,
+    /// occupancy). Histograms named `*_ns` print as milliseconds; any
+    /// other histogram counts its own unit and prints plain numbers.
     pub fn to_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -687,17 +689,33 @@ impl Report {
                 .unwrap_or(0)
                 .max(5);
             for h in &self.histograms {
-                let ms = 1e-6;
-                let _ = writeln!(
-                    out,
-                    "  {:<hwidth$}  n={:<8} mean={:>10.4}ms  p50={:>10.4}ms  p95={:>10.4}ms  p99={:>10.4}ms",
-                    h.name,
-                    h.hist.count(),
-                    h.hist.mean() * ms,
-                    h.hist.quantile(0.5) as f64 * ms,
-                    h.hist.quantile(0.95) as f64 * ms,
-                    h.hist.quantile(0.99) as f64 * ms,
-                );
+                let (n, hist) = (h.hist.count(), &h.hist);
+                let q = |p: f64| hist.quantile(p);
+                if h.name.ends_with("_ns") {
+                    // Durations, by the `_ns` naming convention: in ms.
+                    let ms = 1e-6;
+                    let _ = writeln!(
+                        out,
+                        "  {:<hwidth$}  n={n:<8} mean={:>10.4}ms  p50={:>10.4}ms  p95={:>10.4}ms  p99={:>10.4}ms",
+                        h.name,
+                        hist.mean() * ms,
+                        q(0.5) as f64 * ms,
+                        q(0.95) as f64 * ms,
+                        q(0.99) as f64 * ms,
+                    );
+                } else {
+                    // Anything else counts its own unit (DP divisions,
+                    // gates, requests): plain numbers.
+                    let _ = writeln!(
+                        out,
+                        "  {:<hwidth$}  n={n:<8} mean={:>12.2}  p50={:>12}  p95={:>12}  p99={:>12}",
+                        h.name,
+                        hist.mean(),
+                        q(0.5),
+                        q(0.95),
+                        q(0.99),
+                    );
+                }
             }
         }
         if !self.wavefronts.is_empty() {
@@ -835,6 +853,25 @@ mod tests {
             Some(SCHEMA)
         );
         schema::validate_report(&json).expect("schema-valid");
+    }
+
+    #[test]
+    fn text_report_prints_only_ns_histograms_as_times() {
+        let t = Telemetry::enabled();
+        t.record_value("map.tree_ns", 2_000_000);
+        t.record_value("dp.tree_work", 37);
+        let text = t.snapshot().to_text();
+        let line = |name: &str| {
+            text.lines()
+                .find(|l| l.trim_start().starts_with(name))
+                .unwrap_or_else(|| panic!("no {name} line in {text}"))
+                .to_owned()
+        };
+        let time = line("map.tree_ns");
+        assert!(time.contains("ms"), "{time}");
+        let work = line("dp.tree_work");
+        assert!(!work.contains("ms"), "{work}");
+        assert!(work.contains("mean=       37.00"), "{work}");
     }
 
     #[test]

@@ -6,7 +6,13 @@
 //! `write_lut_blif` on a thread with a 256 KiB stack, so a new unbounded
 //! recursion fails this test instead of aborting a daemon worker or the
 //! CLI. A 10^6-gate chain goes through `parse_blif` → `map_network` →
-//! `write_lut_blif` the same way, within a stated time budget.
+//! `write_lut_blif` the same way, within a stated time budget, and a
+//! 10^5-gate chain closed through a latch goes through `parse_design` →
+//! `map_design`.
+//!
+//! Designs must cut in time linear in their size: a 64-stage × 256-bit
+//! register pipeline (16 384 clouds) goes through `Design::clouds`
+//! within a stated budget.
 //!
 //! Work the input controls must be bounded too: a 40-cube node with
 //! about 2^40 kernels goes through `optimize` and the CLI flow within the
@@ -16,11 +22,12 @@ use std::fmt::Write as _;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use chortle::{map_network, MapOptions};
+use chortle::{map_design, map_network, DesignOptions, MapOptions};
+use chortle_bench::pipelined_design;
 use chortle_cli::{run_flow, FlowOptions};
 use chortle_logic_opt::optimize;
 use chortle_netlist::{
-    check_equivalence, parse_blif, simulate_outputs, write_lut_blif, SplitMix64,
+    check_equivalence, parse_blif, parse_design, simulate_outputs, write_lut_blif, SplitMix64,
 };
 
 /// Stack of the thread the hostile inputs run on.
@@ -104,6 +111,61 @@ fn a_million_gate_chain_maps_on_a_small_stack_within_the_budget() {
     assert!(
         elapsed < MILLION_CHAIN_BUDGET,
         "took {elapsed:?}, budget {MILLION_CHAIN_BUDGET:?}"
+    );
+}
+
+/// [`chain_blif`] closed through a register: the chain starts at the
+/// latch output `q` and its last gate is both the primary output and the
+/// latch's data input, so the whole chain is one combinational cloud.
+fn latched_chain_blif(gates: usize) -> String {
+    let mut blif = chain_blif(gates).replacen(".names a0 x0", ".names q x0", 1);
+    let end = blif.rfind(".end").expect("the chain ends");
+    blif.insert_str(end, &format!(".latch x{gates} q re clk 0\n"));
+    blif
+}
+
+#[test]
+fn a_deep_chain_inside_a_latch_cloud_maps_on_a_small_stack() {
+    const GATES: usize = 100_000;
+    let blif = latched_chain_blif(GATES);
+    let (clouds, luts, netlist) = on_small_stack(move || {
+        let (design, _) = parse_design(&blif).expect("the design parses");
+        let options = DesignOptions::new(
+            MapOptions::builder(4)
+                .jobs(1)
+                .build()
+                .expect("valid options"),
+        );
+        let mapped = map_design(&design, &options).expect("the design maps");
+        (mapped.clouds.len(), mapped.luts, mapped.netlist)
+    });
+    assert_eq!(clouds, 1);
+    assert!((GATES / 4..=GATES / 2).contains(&luts), "{luts} LUTs");
+    assert!(netlist.contains(".latch "), "the register survives");
+}
+
+/// Wall-time budget of cutting the 64 × 256 pipeline into clouds. The
+/// linear cut takes about 45 ms in a release build on one core of a
+/// shared 2-vCPU host; scanning every design input once per cloud took
+/// 3.5 s there (16 384 clouds × about 16 640 inputs).
+const PIPELINE_CUT_BUDGET: Duration = Duration::from_secs(1);
+
+#[test]
+fn a_wide_deep_pipeline_cuts_into_clouds_within_the_budget() {
+    const STAGES: usize = 64;
+    const WIDTH: usize = 256;
+    let (design, _) =
+        parse_design(&pipelined_design("pipe", STAGES, WIDTH)).expect("the pipeline parses");
+    let started = Instant::now();
+    let cut = design.clouds();
+    let elapsed = started.elapsed();
+    assert_eq!(cut.clouds.len(), STAGES * WIDTH);
+    // Each cloud is one majority gate reading three boundary nets; the
+    // last stage's gates also drive a buffer to their output.
+    assert!(cut.clouds.iter().all(|c| c.network.num_inputs() == 3));
+    assert!(
+        elapsed < PIPELINE_CUT_BUDGET,
+        "took {elapsed:?}, budget {PIPELINE_CUT_BUDGET:?}"
     );
 }
 
