@@ -15,7 +15,7 @@
 //! direction beyond the threshold (default 25%) is flagged
 //! `REGRESSION` and makes the exit code nonzero. Everything else
 //! (tree/LUT counts, host facts, near-zero ratios like
-//! `overhead_vs_parallel` whose relative deltas are pure noise) is
+//! `overhead_vs_sequential` whose relative deltas are pure noise) is
 //! informational only, so a changed workload reads as a changed
 //! workload, not a failed gate. Per-element rows (`kernel[k=3].…`)
 //! and phase latency percentiles (`warm.p50_ms`) are likewise
@@ -28,10 +28,6 @@
 //! Embedded telemetry reports and latency histograms are skipped —
 //! their headline numbers (percentiles, stage seconds) already surface
 //! through the guarded metrics around them.
-//!
-//! Two snapshots whose `host.jobs` differ (or that record it in only one
-//! file) are not compared at all: the parallel rows then measure
-//! different schedules, so the diff fails before printing a delta.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -79,7 +75,7 @@ fn direction(path: &str) -> Direction {
         Direction::LowerIsBetter
     } else {
         // Counts, host facts, and near-zero ratios such as
-        // `overhead_vs_parallel`, where a relative delta amplifies
+        // `overhead_vs_sequential`, where a relative delta amplifies
         // noise into triple-digit percentages.
         Direction::Neutral
     }
@@ -164,27 +160,6 @@ fn compare(
     deltas
 }
 
-/// The worker count a snapshot's parallel rows ran with.
-const HOST_JOBS: &str = "host.jobs";
-
-/// Refuses to compare snapshots taken with different `host.jobs`.
-fn check_same_jobs(
-    base: &BTreeMap<String, f64>,
-    current: &BTreeMap<String, f64>,
-) -> Result<(), String> {
-    let (b, c) = (base.get(HOST_JOBS), current.get(HOST_JOBS));
-    if b == c {
-        return Ok(());
-    }
-    let show = |v: Option<&f64>| v.map_or_else(|| "absent".to_owned(), |v| v.to_string());
-    Err(format!(
-        "{HOST_JOBS} differs ({} in the baseline, {} in the current file): \
-         the snapshots ran different schedules; regenerate one on a matching host",
-        show(b),
-        show(c)
-    ))
-}
-
 fn load(path: &str) -> Result<BTreeMap<String, f64>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let value = json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))?;
@@ -240,7 +215,6 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Args, String> {
 fn run(args: &Args) -> Result<usize, String> {
     let base = load(&args.baseline)?;
     let current = load(&args.current)?;
-    check_same_jobs(&base, &current)?;
     let deltas = compare(&base, &current, args.threshold_pct);
     if deltas.is_empty() {
         return Err("the two files share no numeric metrics".to_owned());
@@ -356,11 +330,11 @@ mod tests {
         );
         assert_eq!(direction("cold.wall_s"), Direction::LowerIsBetter);
         assert_eq!(
-            direction("mapping_total.parallel_s"),
+            direction("mapping_total.sequential_s"),
             Direction::LowerIsBetter
         );
         assert_eq!(
-            direction("telemetry[k=2].overhead_vs_parallel"),
+            direction("telemetry[k=2].overhead_vs_sequential"),
             Direction::Neutral
         );
         assert_eq!(direction("kernel[k=2].luts"), Direction::Neutral);
@@ -369,10 +343,7 @@ mod tests {
         // metrics that would be guarded at the section level.
         assert_eq!(direction("kernel[k=2].hit_rate"), Direction::Neutral);
         assert_eq!(direction("kernel[k=3].baseline_s"), Direction::Neutral);
-        assert_eq!(
-            direction("mapping_chunked[k=2].speedup"),
-            Direction::Neutral
-        );
+        assert_eq!(direction("mapping[k=2].sequential_s"), Direction::Neutral);
         // Histogram-derived phase percentiles quantize to buckets and
         // are likewise informational.
         assert_eq!(direction("cold.p95_ms"), Direction::Neutral);
@@ -402,23 +373,6 @@ mod tests {
         let cur = metrics(r#"{"overload":{"queue_full":5,"wall_s":2.0}}"#);
         let deltas = compare(&base, &cur, 25.0);
         assert!(deltas.iter().all(|d| d.pct.is_none() && !d.regressed));
-    }
-
-    #[test]
-    fn snapshots_with_different_host_jobs_are_refused() {
-        let two = metrics(r#"{"host":{"cores":2,"jobs":2},"total":{"wall_s":1.0}}"#);
-        let also_two = metrics(r#"{"host":{"cores":1,"jobs":2},"total":{"wall_s":1.0}}"#);
-        let one = metrics(r#"{"host":{"cores":1,"jobs":1},"total":{"wall_s":1.0}}"#);
-        let none = metrics(r#"{"host":{"cores":1},"total":{"wall_s":1.0}}"#);
-        assert_eq!(check_same_jobs(&two, &also_two), Ok(()));
-        assert_eq!(check_same_jobs(&none, &none), Ok(()));
-        let err = check_same_jobs(&two, &one).unwrap_err();
-        assert!(
-            err.contains("host.jobs differs (2 in the baseline, 1"),
-            "{err}"
-        );
-        assert!(check_same_jobs(&one, &none).is_err());
-        assert!(check_same_jobs(&none, &one).is_err());
     }
 
     #[test]

@@ -19,9 +19,8 @@
 //!    which is the speedup a resident daemon exists to provide. On a
 //!    multi-core host warm throughput must exceed cold (asserted).
 //! 3. **concurrent** — the warm workload with more clients than cores:
-//!    several requests in flight at once, their wavefront chunks
-//!    interleaving on the mapper's process-wide work-stealing pool
-//!    (requests are sent with `jobs: 0` = host parallelism).
+//!    several requests in flight at once, spread over the daemon's
+//!    worker threads.
 //! 4. **batch** — the warm workload again, but shipped as v2
 //!    `map_batch` frames: many requests per round trip, one response
 //!    line per frame, entries resolved independently.
@@ -67,7 +66,7 @@
 //! (window totals never exceed cumulative) is asserted live.
 //!
 //! The JSON report (default `results/BENCH_serve.json`) embeds the
-//! server's final aggregate `chortle-telemetry/v1.7` report.
+//! server's final aggregate `chortle-telemetry/v1.8` report.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -93,16 +92,29 @@ const OVERLOAD_BURST: usize = 24;
 /// Retry rounds before the overload phase gives up on its stragglers.
 const OVERLOAD_MAX_ROUNDS: usize = 100;
 
-/// One timed phase: client-side request latencies (log-bucketed
-/// nanoseconds, same [`Histogram`] the server reports) and wall time.
+/// One timed phase: client-side round-trip latencies (log-bucketed
+/// nanoseconds, same [`Histogram`] the server reports), wall time, and
+/// the requests served. Every phase times one round trip per request
+/// except the batch phase, whose round trips carry many requests each.
 struct Phase {
     latency: Histogram,
     wall_s: f64,
+    requests: usize,
 }
 
 impl Phase {
+    /// A phase that timed one round trip per request.
+    fn per_request(latency: Histogram, wall_s: f64) -> Phase {
+        let requests = latency.count() as usize;
+        Phase {
+            latency,
+            wall_s,
+            requests,
+        }
+    }
+
     fn requests(&self) -> usize {
-        self.latency.count() as usize
+        self.requests
     }
 
     #[allow(clippy::cast_precision_loss)]
@@ -123,10 +135,8 @@ fn request(blif: &str, k: usize) -> MapRequest {
     MapRequest {
         blif: blif.to_owned(),
         k,
-        // 0 = host parallelism: each request's wavefront chunks go into
-        // the mapper's process-wide pool, where concurrent requests
-        // interleave (the wire default since chortle-serve gained the
-        // shared scheduler).
+        // Accepted and ignored by the daemon: each request maps on the
+        // worker that runs it.
         jobs: 0,
         optimize: false,
         // Two-tier warm cache (functional in front of structural) —
@@ -209,18 +219,15 @@ fn run_phase(
         }
     }
     (
-        Phase {
-            latency,
-            wall_s: start.elapsed().as_secs_f64(),
-        },
+        Phase::per_request(latency, start.elapsed().as_secs_f64()),
         run_hist,
     )
 }
 
 /// The batch phase: the whole workload shipped as `map_batch` frames of
 /// [`BATCH_CHUNK`] requests, one pass per `PASSES`, two client threads.
-/// The latency histogram times whole frames; throughput still counts
-/// individual requests. Returns (phase, frames sent, echoed run_ns).
+/// The latency histogram times whole frames; `requests` (and so
+/// throughput) counts the individual requests they carried. Returns (phase, frames sent, echoed run_ns).
 fn run_batch_phase(
     addr: &str,
     workload: &[(String, usize, String)],
@@ -301,6 +308,7 @@ fn run_batch_phase(
     let phase = Phase {
         latency,
         wall_s: start.elapsed().as_secs_f64(),
+        requests: requests_sent,
     };
     assert_eq!(requests_sent, workload.len() * PASSES);
     (phase, frames, run_hist)
@@ -362,10 +370,7 @@ fn run_fanout_phase(addr: &str, blif: &str, k: usize, expected: &str) -> (Phase,
             std::thread::sleep(Duration::from_millis(max_wait_ms.clamp(1, 1_000)));
         }
     }
-    let phase = Phase {
-        latency,
-        wall_s: start.elapsed().as_secs_f64(),
-    };
+    let phase = Phase::per_request(latency, start.elapsed().as_secs_f64());
     assert_eq!(
         phase.requests(),
         FANOUT_CONNECTIONS,
@@ -589,10 +594,7 @@ fn run_design_phase(
         }
     }
     (
-        Phase {
-            latency,
-            wall_s: start.elapsed().as_secs_f64(),
-        },
+        Phase::per_request(latency, start.elapsed().as_secs_f64()),
         run_hist,
     )
 }
@@ -734,8 +736,8 @@ fn main() {
     }
 
     // Concurrent-clients phase: the warm workload again, but with more
-    // clients than cores, so several requests are in flight at once and
-    // their wavefront chunks interleave on the mapper's shared pool.
+    // clients than cores, so several requests are in flight at once on
+    // the daemon's worker threads.
     // Cross-request parallelism shows up as this phase's throughput not
     // collapsing below the warm phase's (and exceeding it when the host
     // has cores to spare).

@@ -22,37 +22,27 @@
 //!    shape plus its DeMorgan dual — the workload the structural
 //!    fingerprint cannot unify but the NPN key collapses; bench-diff
 //!    gates `speedup` and `hit_rate` there as higher-is-better.
-//! 3. **Forest mapping**: [`chortle::map_network`] sequential (`jobs = 1`)
-//!    against the parallel wavefront scheduler at the host's resolved
-//!    auto job count (`--jobs 0`), full circuits compared for equality.
+//! 3. **Forest mapping** (`mapping`): [`chortle::map_network`] over the
+//!    suite, timed as it runs everywhere — in tree order on one thread.
 //! 4. **Equivalence checking** (`verify`): [`check_equivalence`] on
 //!    the mapped suite against the frozen bit-serial checker
 //!    ([`chortle_bench::baseline::baseline_check_equivalence`]), both
 //!    required to accept every circuit; bench-diff gates
 //!    `verify_total.speedup`.
-//! 5. **Chunked mapping** (`mapping_chunked`): sequential against the
-//!    chunked work-stealing scheduler at a *forced* `>= 2` worker count
-//!    on the suite plus a 256-bit ALU, with the run's `sched.*`
-//!    echoes (chunks, steals, pooled/inline waves) recorded per row.
-//! 6. **Design mapping** (`design_mapping`): [`chortle::map_design`] on
-//!    a generated register pipeline — latch-bounded combinational
-//!    clouds mapped sequentially against the cloud-axis fan-out at the
-//!    same forced worker count (DESIGN.md §17), assembled netlists
-//!    asserted byte-identical; `speedup` is bench-diff-gated.
-//! 7. **Logic optimization** (`optimize`): [`optimize_with`] against the
+//! 5. **Logic optimization** (`optimize`): [`optimize_with`] against the
 //!    frozen whole-network script
 //!    ([`chortle_bench::baseline::baseline_optimize`]) on the suite's
 //!    source networks plus a 64-wide, six-round DES-like network, once
 //!    (the script does not depend on K); every written BLIF and report
 //!    asserted identical; bench-diff gates `optimize_total.speedup`.
-//! 8. **BLIF parsing** (`parse`): [`parse_blif`] against the frozen
+//! 6. **BLIF parsing** (`parse`): [`parse_blif`] against the frozen
 //!    string-keyed reader
 //!    ([`chortle_bench::baseline::baseline_parse_blif`]) on the written
 //!    BLIF of the `map_large` netlists (a ≈7k-gate `random_logic`, a
 //!    64-wide six-round `des_like` and a 256-bit `alu`, each optimized)
 //!    and of the whole paper suite; the networks are asserted equal
 //!    before timing, and bench-diff gates `parse_total.speedup`.
-//! 9. **Mapper layers** (`normalize`, `render`): `Network::simplified`
+//! 7. **Mapper layers** (`normalize`, `render`): `Network::simplified`
 //!    against the frozen hash-set copy
 //!    ([`chortle_bench::baseline::baseline_simplified`]), and
 //!    [`write_lut_blif`] against the frozen `write!`-per-character copy
@@ -68,30 +58,28 @@
 //! count next to every speedup, so numbers from single-core machines
 //! read as what they are.
 //!
-//! A third pass per K re-maps the suite with an *enabled* telemetry sink
-//! and embeds the aggregated `chortle-telemetry/v1.7` report — per-stage
-//! wall time, DP counters, wavefront occupancy — in a `"telemetry"`
-//! section, together with the instrumentation overhead relative to the
-//! (disabled-sink) parallel row.
+//! A second pass per K re-maps the suite with an *enabled* telemetry sink
+//! and embeds the aggregated `chortle-telemetry/v1.8` report — per-stage
+//! wall time, DP counters — in a `"telemetry"` section, together with
+//! the instrumentation overhead relative to the (disabled-sink)
+//! `mapping` row.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use chortle::{
-    map_design, map_network, DesignOptions, Fingerprint, Forest, MapOptions, Telemetry, Tree,
-    TreeChild, TreeMapper,
+    map_network, Fingerprint, Forest, MapOptions, Telemetry, Tree, TreeChild, TreeMapper,
 };
 use chortle_bench::baseline::{
     baseline_check_equivalence, baseline_optimize, baseline_parse_blif, baseline_simplified,
     baseline_tree_cost, baseline_write_lut_blif,
 };
-use chortle_bench::{optimized_suite, pipelined_design};
+use chortle_bench::optimized_suite;
 use chortle_circuits::{alu, des_like, random_logic};
 use chortle_logic_opt::{optimize, optimize_with, OptimizeOptions};
 use chortle_netlist::{
-    check_equivalence, parse_blif, parse_design, write_blif, write_lut_blif, Network, NodeOp,
-    ParseBlifError,
+    check_equivalence, parse_blif, write_blif, write_lut_blif, Network, NodeOp, ParseBlifError,
 };
 
 const KS: [usize; 4] = [2, 3, 4, 5];
@@ -142,7 +130,6 @@ struct ForestRow {
     k: usize,
     luts: u64,
     sequential_s: f64,
-    parallel_s: f64,
 }
 
 struct VerifyRow {
@@ -175,37 +162,12 @@ struct ParseRow {
     optimized_s: f64,
 }
 
-struct ChunkedRow {
-    k: usize,
-    luts: u64,
-    sequential_s: f64,
-    /// The chunked work-stealing scheduler at the forced worker count
-    /// (`chunked_jobs`), chunk policy `auto`.
-    chunked_s: f64,
-    /// The `sched.*` echoes of one telemetry pass over the same
-    /// workload: how the scheduler actually carved and moved the work.
-    chunks: u64,
-    steals: u64,
-    pooled_waves: u64,
-    inline_waves: u64,
-}
-
-struct DesignRow {
-    k: usize,
-    /// Latch-bounded combinational clouds the pipeline cuts into.
-    clouds: usize,
-    luts: u64,
-    sequential_s: f64,
-    /// Cloud-axis fan-out at the forced `chunked_jobs` worker count.
-    parallel_s: f64,
-}
-
 struct TelemetryRow {
     k: usize,
-    /// One suite pass with an enabled sink (same jobs as the parallel
-    /// row), for the instrumentation-overhead column.
+    /// One suite pass with an enabled sink, for the
+    /// instrumentation-overhead column.
     enabled_s: f64,
-    /// The aggregated `chortle-telemetry/v1.7` report of that pass,
+    /// The aggregated `chortle-telemetry/v1.8` report of that pass,
     /// embedded verbatim (it is compact single-line JSON).
     report_json: String,
 }
@@ -482,10 +444,7 @@ fn measure_layers(nets: &[(String, Vec<Network>)]) -> (Vec<LayerRow>, Vec<LayerR
     let mut normalize = Vec::new();
     let mut render = Vec::new();
     for (name, networks) in nets {
-        let options = MapOptions::builder(4)
-            .jobs(1)
-            .build()
-            .expect("K = 4 is valid");
+        let options = MapOptions::builder(4).build().expect("K = 4 is valid");
         let circuits: Vec<_> = networks
             .iter()
             .map(|net| map_network(net, &options).expect("maps").circuit)
@@ -584,31 +543,13 @@ fn main() {
         .nth(1)
         .unwrap_or_else(|| "results/BENCH_map.json".to_owned());
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    // What `--jobs 0` (the CLI/daemon default) resolves to on this host;
-    // on a 1-core box this is 1 and the "parallel" rows honestly measure
-    // the sequential fall-through instead of oversubscription.
-    let jobs = chortle::resolve_jobs(0);
-    // The chunked section forces >= 2 workers so the pooled scheduler is
-    // exercised even on a 1-core host — its rows are labeled with the
-    // forced count, so they cannot masquerade as a host speedup.
-    let chunked_jobs = cores.clamp(2, 16);
-    eprintln!("perf: host cores = {cores}, auto jobs = {jobs}, chunked jobs = {chunked_jobs}");
+    eprintln!("perf: host cores = {cores}");
 
     let suite = optimized_suite();
     eprintln!("perf: {} benchmark networks", suite.len());
     // The 256-bit ripple ALU, optimized once: the datapath workload of
-    // the cached-kernel and chunked-mapping sections (hundreds of
-    // per-bit cones in wide wavefronts).
+    // the cached-kernel section (hundreds of repeated per-bit cones).
     let (alu_net, _) = optimize(&alu(256)).expect("alu is acyclic");
-    // The sequential workload of the `design_mapping` section: a 12-deep,
-    // 32-wide register pipeline, parsed and cut once (the section times
-    // mapping, not the front end).
-    let (pipe_design, pipe_stats) =
-        parse_design(&pipelined_design("pipe12x32", 12, 32)).expect("pipeline parses");
-    eprintln!(
-        "perf: design workload pipe12x32 ({} latches, {} logical lines)",
-        pipe_stats.latches, pipe_stats.logical_lines
-    );
 
     // Pre-extract the forests once per K; the kernel benchmark times the
     // DP alone, not forest construction.
@@ -618,8 +559,6 @@ fn main() {
     let mut forest_rows = Vec::new();
     let mut verify_rows: Vec<VerifyRow> = Vec::new();
     let mut telemetry_rows = Vec::new();
-    let mut chunked_rows: Vec<ChunkedRow> = Vec::new();
-    let mut design_rows: Vec<DesignRow> = Vec::new();
 
     // The script's source networks: the suite before optimization plus
     // a 64-wide, six-round DES-like network, a size at which the
@@ -776,43 +715,21 @@ fn main() {
             fn_tier = Some(ft);
         }
 
-        // End-to-end forest mapping, sequential vs parallel.
+        // End-to-end forest mapping.
         let seq_opts = MapOptions::builder(k).build().unwrap();
-        let par_opts = MapOptions::builder(k).jobs(jobs).build().unwrap();
         let (seq_maps, sequential_s) = best_of(MAP_ROUNDS, || {
             suite
                 .iter()
                 .map(|(_, net, _)| map_network(net, &seq_opts).expect("maps"))
                 .collect::<Vec<_>>()
         });
-        let (par_maps, parallel_s) = best_of(MAP_ROUNDS, || {
-            suite
-                .iter()
-                .map(|(_, net, _)| map_network(net, &par_opts).expect("maps"))
-                .collect::<Vec<_>>()
-        });
-        let mut luts = 0u64;
-        for (seq, par) in seq_maps.iter().zip(&par_maps) {
-            assert_eq!(seq.report, par.report, "parallel report diverged at k={k}");
-            assert_eq!(
-                seq.circuit, par.circuit,
-                "parallel circuit diverged at k={k}"
-            );
-            luts += seq.report.luts as u64;
-        }
+        let luts: u64 = seq_maps.iter().map(|m| m.report.luts as u64).sum();
         forest_rows.push(ForestRow {
             k,
             luts,
             sequential_s,
-            parallel_s,
         });
-        eprintln!(
-            "perf: mapping k={k} {:>6} LUTs  sequential {:.4}s  parallel({jobs}) {:.4}s  ({:.2}x)",
-            luts,
-            sequential_s,
-            parallel_s,
-            sequential_s / parallel_s
-        );
+        eprintln!("perf: mapping k={k} {luts:>6} LUTs  sequential {sequential_s:.4}s");
 
         // Equivalence checking of the mapped suite: the frozen
         // bit-serial checker against the block-parallel one. Both must
@@ -852,12 +769,11 @@ fn main() {
         );
 
         // Same suite with an enabled sink: per-stage breakdown plus the
-        // cost of the instrumentation itself, relative to the parallel
+        // cost of the instrumentation itself, relative to the mapping
         // row above (which runs with the default disabled handle).
         let (report, enabled_s) = best_of(MAP_ROUNDS, || {
             let telemetry = Telemetry::enabled();
             let tel_opts = MapOptions::builder(k)
-                .jobs(jobs)
                 .telemetry(telemetry.clone())
                 .build()
                 .expect("valid options");
@@ -867,9 +783,9 @@ fn main() {
             telemetry.snapshot()
         });
         eprintln!(
-            "perf: telemetry k={k} enabled {:.4}s  ({:+.1}% vs parallel)  {} stages, {} counters",
+            "perf: telemetry k={k} enabled {:.4}s  ({:+.1}% vs sequential)  {} stages, {} counters",
             enabled_s,
-            (enabled_s / parallel_s - 1.0) * 100.0,
+            (enabled_s / sequential_s - 1.0) * 100.0,
             report.stages.len(),
             report.counters.len()
         );
@@ -878,106 +794,6 @@ fn main() {
             enabled_s,
             report_json: report.to_json(),
         });
-
-        // The chunked work-stealing scheduler against sequential on a
-        // datapath-heavy workload (suite + the 256-bit ALU, whose wide
-        // per-bit wavefronts are what chunking exists for). Workers are
-        // forced to `chunked_jobs` so the pooled path runs even on a
-        // 1-core host; circuits are asserted identical either way.
-        let chunked_nets: Vec<&chortle_netlist::Network> = suite
-            .iter()
-            .map(|(_, net, _)| net)
-            .chain(std::iter::once(&alu_net))
-            .collect();
-        let chunked_opts = MapOptions::builder(k).jobs(chunked_jobs).build().unwrap();
-        let (cseq_maps, chunk_seq_s) = best_of(MAP_ROUNDS, || {
-            chunked_nets
-                .iter()
-                .map(|net| map_network(net, &seq_opts).expect("maps"))
-                .collect::<Vec<_>>()
-        });
-        let (cpar_maps, chunked_s) = best_of(MAP_ROUNDS, || {
-            chunked_nets
-                .iter()
-                .map(|net| map_network(net, &chunked_opts).expect("maps"))
-                .collect::<Vec<_>>()
-        });
-        let mut chunked_luts = 0u64;
-        for (seq, par) in cseq_maps.iter().zip(&cpar_maps) {
-            assert_eq!(seq.report, par.report, "chunked report diverged at k={k}");
-            assert_eq!(
-                seq.circuit, par.circuit,
-                "chunked circuit diverged at k={k}"
-            );
-            chunked_luts += seq.report.luts as u64;
-        }
-        // One telemetry pass over the same workload for the `sched.*`
-        // echoes — how the scheduler actually carved and moved the work.
-        let sched_telemetry = Telemetry::enabled();
-        let sched_opts = MapOptions::builder(k)
-            .jobs(chunked_jobs)
-            .telemetry(sched_telemetry.clone())
-            .build()
-            .expect("valid options");
-        for net in &chunked_nets {
-            map_network(net, &sched_opts).expect("maps");
-        }
-        let sched_report = sched_telemetry.snapshot();
-        let sched = |name| sched_report.counter(name).unwrap_or(0);
-        chunked_rows.push(ChunkedRow {
-            k,
-            luts: chunked_luts,
-            sequential_s: chunk_seq_s,
-            chunked_s,
-            chunks: sched(chortle::stats::SCHED_CHUNKS),
-            steals: sched(chortle::stats::SCHED_STEALS),
-            pooled_waves: sched(chortle::stats::SCHED_POOLED_WAVES),
-            inline_waves: sched(chortle::stats::SCHED_INLINE_WAVES),
-        });
-        eprintln!(
-            "perf: chunked k={k} {:>6} LUTs  sequential {:.4}s  chunked({chunked_jobs}) {:.4}s  ({:.2}x)",
-            chunked_luts,
-            chunk_seq_s,
-            chunked_s,
-            chunk_seq_s / chunked_s
-        );
-
-        // Sequential-design mapping: the pipeline's latch-bounded
-        // clouds mapped one by one against the cloud-axis fan-out at
-        // the same forced worker count. Per-cloud verification is off
-        // in both columns (it never changes the bytes and would time
-        // the checker, not the mapper); the assembled netlists must
-        // match byte for byte.
-        let mut dseq = DesignOptions::new(MapOptions::builder(k).build().unwrap());
-        dseq.verify = false;
-        let mut dpar =
-            DesignOptions::new(MapOptions::builder(k).jobs(chunked_jobs).build().unwrap());
-        dpar.verify = false;
-        let (seq_design, design_seq_s) = best_of(MAP_ROUNDS, || {
-            map_design(&pipe_design, &dseq).expect("maps")
-        });
-        let (par_design, design_par_s) = best_of(MAP_ROUNDS, || {
-            map_design(&pipe_design, &dpar).expect("maps")
-        });
-        assert_eq!(
-            seq_design.netlist, par_design.netlist,
-            "design fan-out diverged at k={k}"
-        );
-        design_rows.push(DesignRow {
-            k,
-            clouds: seq_design.clouds.len(),
-            luts: seq_design.luts as u64,
-            sequential_s: design_seq_s,
-            parallel_s: design_par_s,
-        });
-        eprintln!(
-            "perf: design  k={k} {:>3} clouds {:>6} LUTs  sequential {:.4}s  parallel({chunked_jobs}) {:.4}s  ({:.2}x)",
-            seq_design.clouds.len(),
-            seq_design.luts,
-            design_seq_s,
-            design_par_s,
-            design_seq_s / design_par_s
-        );
     }
 
     let kernel_base: f64 = kernel_rows.iter().map(|r| r.baseline_s).sum();
@@ -985,13 +801,8 @@ fn main() {
     let kernel_cached: f64 = cached_rows.iter().map(|r| r.cached_s).sum();
     let kernel_cached_plain: f64 = cached_rows.iter().map(|r| r.optimized_s).sum();
     let map_seq: f64 = forest_rows.iter().map(|r| r.sequential_s).sum();
-    let map_par: f64 = forest_rows.iter().map(|r| r.parallel_s).sum();
     let verify_base: f64 = verify_rows.iter().map(|r| r.baseline_s).sum();
     let verify_opt: f64 = verify_rows.iter().map(|r| r.optimized_s).sum();
-    let chunk_seq: f64 = chunked_rows.iter().map(|r| r.sequential_s).sum();
-    let chunk_par: f64 = chunked_rows.iter().map(|r| r.chunked_s).sum();
-    let design_seq: f64 = design_rows.iter().map(|r| r.sequential_s).sum();
-    let design_par: f64 = design_rows.iter().map(|r| r.parallel_s).sum();
     let optimize_base: f64 = optimize_rows.iter().map(|r| r.baseline_s).sum();
     let optimize_opt: f64 = optimize_rows.iter().map(|r| r.optimized_s).sum();
     let parse_base: f64 = parse_rows.iter().map(|r| r.baseline_s).sum();
@@ -999,10 +810,7 @@ fn main() {
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
-    let _ = writeln!(
-        json,
-        "  \"host\": {{ \"cores\": {cores}, \"jobs\": {jobs}, \"chunked_jobs\": {chunked_jobs} }},"
-    );
+    let _ = writeln!(json, "  \"host\": {{ \"cores\": {cores} }},");
     let _ = writeln!(
         json,
         "  \"rounds\": {{ \"kernel\": {KERNEL_ROUNDS}, \"mapping\": {MAP_ROUNDS} }},"
@@ -1077,22 +885,14 @@ fn main() {
         let comma = if i + 1 < forest_rows.len() { "," } else { "" };
         let _ = writeln!(
             json,
-            "    {{ \"k\": {}, \"luts\": {}, \"sequential_s\": {:.6}, \"parallel_s\": {:.6}, \
-             \"speedup\": {:.3} }}{comma}",
-            r.k,
-            r.luts,
-            r.sequential_s,
-            r.parallel_s,
-            r.sequential_s / r.parallel_s
+            "    {{ \"k\": {}, \"luts\": {}, \"sequential_s\": {:.6} }}{comma}",
+            r.k, r.luts, r.sequential_s
         );
     }
     let _ = writeln!(json, "  ],");
     let _ = writeln!(
         json,
-        "  \"mapping_total\": {{ \"sequential_s\": {:.6}, \"parallel_s\": {:.6}, \"speedup\": {:.3} }},",
-        map_seq,
-        map_par,
-        map_seq / map_par
+        "  \"mapping_total\": {{ \"sequential_s\": {map_seq:.6} }},"
     );
     let _ = writeln!(json, "  \"verify\": [");
     for (i, r) in verify_rows.iter().enumerate() {
@@ -1163,56 +963,6 @@ fn main() {
     );
     write_layer_section(&mut json, "normalize", &normalize_rows);
     write_layer_section(&mut json, "render", &render_rows);
-    let _ = writeln!(json, "  \"mapping_chunked\": [");
-    for (i, r) in chunked_rows.iter().enumerate() {
-        let comma = if i + 1 < chunked_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{ \"k\": {}, \"luts\": {}, \"sequential_s\": {:.6}, \"chunked_s\": {:.6}, \
-             \"speedup\": {:.3}, \"sched\": {{ \"chunks\": {}, \"steals\": {}, \
-             \"pooled_waves\": {}, \"inline_waves\": {} }} }}{comma}",
-            r.k,
-            r.luts,
-            r.sequential_s,
-            r.chunked_s,
-            r.sequential_s / r.chunked_s,
-            r.chunks,
-            r.steals,
-            r.pooled_waves,
-            r.inline_waves
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(
-        json,
-        "  \"mapping_chunked_total\": {{ \"sequential_s\": {:.6}, \"chunked_s\": {:.6}, \"speedup\": {:.3} }},",
-        chunk_seq,
-        chunk_par,
-        chunk_seq / chunk_par
-    );
-    let _ = writeln!(json, "  \"design_mapping\": [");
-    for (i, r) in design_rows.iter().enumerate() {
-        let comma = if i + 1 < design_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{ \"k\": {}, \"clouds\": {}, \"luts\": {}, \"sequential_s\": {:.6}, \
-             \"parallel_s\": {:.6}, \"speedup\": {:.3} }}{comma}",
-            r.k,
-            r.clouds,
-            r.luts,
-            r.sequential_s,
-            r.parallel_s,
-            r.sequential_s / r.parallel_s
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(
-        json,
-        "  \"design_mapping_total\": {{ \"sequential_s\": {:.6}, \"parallel_s\": {:.6}, \"speedup\": {:.3} }},",
-        design_seq,
-        design_par,
-        design_seq / design_par
-    );
     let _ = writeln!(json, "  \"telemetry\": [");
     for (i, r) in telemetry_rows.iter().enumerate() {
         let comma = if i + 1 < telemetry_rows.len() {
@@ -1220,14 +970,14 @@ fn main() {
         } else {
             ""
         };
-        let parallel_s = forest_rows[i].parallel_s;
+        let sequential_s = forest_rows[i].sequential_s;
         let _ = writeln!(
             json,
-            "    {{ \"k\": {}, \"enabled_s\": {:.6}, \"overhead_vs_parallel\": {:.3}, \
+            "    {{ \"k\": {}, \"enabled_s\": {:.6}, \"overhead_vs_sequential\": {:.3}, \
              \"report\": {} }}{comma}",
             r.k,
             r.enabled_s,
-            r.enabled_s / parallel_s - 1.0,
+            r.enabled_s / sequential_s - 1.0,
             r.report_json
         );
     }
@@ -1239,17 +989,15 @@ fn main() {
     }
     std::fs::write(&out_path, &json).expect("write report");
     eprintln!(
-        "perf: kernel {:.2}x, cached {:.2}x, mapping {:.2}x, verify {:.2}x, optimize {:.2}x, parse {:.2}x, normalize {:.2}x, render {:.2}x, chunked {:.2}x, design {:.2}x on {cores} core(s); report -> {out_path}",
+        "perf: kernel {:.2}x, cached {:.2}x, mapping {:.4}s, verify {:.2}x, optimize {:.2}x, parse {:.2}x, normalize {:.2}x, render {:.2}x on {cores} core(s); report -> {out_path}",
         kernel_base / kernel_opt,
         kernel_cached_plain / kernel_cached,
-        map_seq / map_par,
+        map_seq,
         verify_base / verify_opt,
         optimize_base / optimize_opt,
         parse_base / parse_opt,
         layer_speedup(&normalize_rows),
-        layer_speedup(&render_rows),
-        chunk_seq / chunk_par,
-        design_seq / design_par
+        layer_speedup(&render_rows)
     );
     print!("{json}");
 }

@@ -8,21 +8,21 @@
 //! and this module lets the mapper pay for each shape once:
 //!
 //! * [`TreeStore`] — a plain, unsynchronized map: the private store of
-//!   the tree-order loop (`jobs = 1`) when no warm cache applies.
+//!   one run when no warm cache applies.
 //! * [`SharedStore`] — an N-way sharded map behind [`std::sync::Mutex`]
-//!   shards, shared by every wavefront chunk of a pooled run (and by
-//!   every run attached to a [`WarmCache`]); hash-partitioning keeps
-//!   workers from serializing on one lock.
+//!   shards, shared by every run attached to a [`WarmCache`] (the
+//!   daemon's concurrent requests); hash-partitioning keeps workers from
+//!   serializing on one lock.
 //!
 //! The mapping step reaches either through a [`Store`], which also
 //! spells "this tier is off".
 //!
-//! Insertion is first-writer-wins: two workers racing on the same key
+//! Insertion is first-writer-wins: two runs racing on the same key
 //! have computed bit-identical solutions (the DP is deterministic), so
 //! whichever lands is correct and the loser's `Arc` is dropped. That, and
 //! the fact that replays are verbatim (the forest is canonicalized before
 //! mapping), is why every cache mode produces the same circuit as
-//! `CacheMode::Off` for every `jobs` value.
+//! `CacheMode::Off`.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -40,12 +40,12 @@ pub enum CacheMode {
     /// No memoization: every tree runs the full subset DP (the pre-cache
     /// behavior).
     Off,
-    /// Structural caching scoped to one run: the run's executors share
-    /// one store, but it never attaches to a [`WarmCache`], so nothing
-    /// carries over to the next run.
+    /// Structural caching scoped to one run: it never attaches to a
+    /// [`WarmCache`], so nothing carries over to the next run.
     Tree,
-    /// One sharded cache shared across the whole parallel wavefront (the
-    /// default): a shape mapped by any worker is a hit for all of them.
+    /// Structural caching that attaches to the run's [`WarmCache`], if
+    /// any (the default): a shape mapped by any run sharing the warm
+    /// cache is a hit for all of them. Without one it is [`CacheMode::Tree`].
     #[default]
     Shared,
     /// [`CacheMode::Shared`] plus a *functional* tier in front of it:
@@ -191,10 +191,10 @@ impl<K: std::hash::Hash + Eq> TreeStore<K> {
 
 /// Shard count of [`SharedStore`]. Sixteen shards keep lock contention
 /// negligible for any plausible worker count while the per-shard maps
-/// stay dense; reported as the `cache.shards` telemetry counter.
+/// stay dense.
 pub(crate) const SHARED_CACHE_SHARDS: usize = 16;
 
-/// A wavefront-shared, hash-partitioned solution store with relaxed
+/// A run-shared, hash-partitioned solution store with relaxed
 /// lookup tallies (read back by [`WarmCache::stats`] for the daemon's
 /// per-tier hit rates).
 pub(crate) struct SharedStore<K> {

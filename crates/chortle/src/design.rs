@@ -2,11 +2,8 @@
 //!
 //! [`map_design`] takes a flattened sequential [`Design`] (from
 //! [`chortle_netlist::read_design`]), cuts it at register boundaries
-//! into combinational clouds, and maps every cloud independently on the
-//! process-wide scheduler — clouds are the coarse work axis
-//! ([`crate::sched`]'s indexed items), and each cloud's own mapping may
-//! fan out tree chunks underneath, so a many-cloud design saturates the
-//! pool even when individual clouds are small.
+//! into combinational clouds, and maps every cloud independently, in
+//! cloud order, on the calling thread.
 //!
 //! Every cloud's [`Network`] comes straight from [`Design::clouds`],
 //! which builds it exactly as the single-model reader would elaborate
@@ -31,8 +28,7 @@ use chortle_netlist::{
 };
 use chortle_telemetry::Telemetry;
 
-use crate::map::{map_network, resolve_jobs, stats, MapError, MapOptions};
-use crate::sched::run_indexed;
+use crate::map::{map_network, stats, MapError, MapOptions};
 
 /// A per-cloud network transform run between parsing and mapping — the
 /// design-level analogue of the CLI's `--optimize` pass. Errors are
@@ -43,9 +39,8 @@ pub type CloudPreprocess = Arc<dyn Fn(&Network) -> Result<Network, String> + Sen
 /// mapper options plus the design-level knobs.
 #[derive(Clone)]
 pub struct DesignOptions {
-    /// Options every cloud is mapped with. `jobs` doubles as the cloud
-    /// fan-out width; the telemetry sink receives the `design.*`
-    /// counters and every cloud's `map.*` family.
+    /// Options every cloud is mapped with. The telemetry sink receives
+    /// the `design.*` counters and every cloud's `map.*` family.
     pub map: MapOptions,
     /// Optional per-cloud preprocess (e.g. network optimization) run
     /// on the cloud's network before it is mapped.
@@ -98,7 +93,7 @@ pub struct MappedDesign {
     /// The register-boundary cut the clouds were mapped from; each
     /// cloud's standalone source is its network written with
     /// [`chortle_netlist::write_blif`].
-    pub cut: Arc<DesignClouds>,
+    pub cut: DesignClouds,
     /// Sinks that bypassed mapping (input- or constant-driven).
     pub passthroughs: usize,
     /// Registers in the design.
@@ -137,9 +132,6 @@ pub enum DesignError {
         /// The checker's message.
         message: String,
     },
-    /// The scheduler failed outside any single cloud (a pool worker
-    /// panicked).
-    Scheduler(MapError),
 }
 
 impl std::fmt::Display for DesignError {
@@ -155,7 +147,6 @@ impl std::fmt::Display for DesignError {
             DesignError::Verification { cloud, message } => {
                 write!(f, "cloud {cloud} failed verification: {message}")
             }
-            DesignError::Scheduler(e) => write!(f, "design scheduling failed: {e}"),
         }
     }
 }
@@ -180,13 +171,11 @@ pub fn record_parse_stats(telemetry: &Telemetry, parse: &ParseStats) {
 }
 
 /// Maps a sequential design: cuts it into combinational clouds, maps
-/// every cloud on the process-wide scheduler, and reassembles a
-/// sequential LUT netlist around the original `.latch` lines.
+/// every cloud in cloud order, and reassembles a sequential LUT netlist
+/// around the original `.latch` lines.
 ///
 /// The produced netlist and every `design.*` counter are bit-identical
-/// across `jobs` values and cache modes — the per-cloud pipeline is
-/// deterministic and clouds are assembled in cloud order regardless of
-/// completion order.
+/// across cache modes — the per-cloud pipeline is deterministic.
 ///
 /// # Errors
 ///
@@ -195,7 +184,7 @@ pub fn record_parse_stats(telemetry: &Telemetry, parse: &ParseStats) {
 /// (in cloud order), or [`DesignError::Parse`] if the assembled netlist
 /// fails to re-parse.
 pub fn map_design(design: &Design, opts: &DesignOptions) -> Result<MappedDesign, DesignError> {
-    let cut = Arc::new(design.clouds());
+    let cut = design.clouds();
     let telemetry = &opts.map.telemetry;
     telemetry.add_counter(stats::DESIGN_CLOUDS, cut.clouds.len() as u64);
     telemetry.add_counter(stats::DESIGN_LATCHES, design.latches().len() as u64);
@@ -204,20 +193,12 @@ pub fn map_design(design: &Design, opts: &DesignOptions) -> Result<MappedDesign,
         telemetry.record_value(stats::HIST_CLOUD_WORK, cloud.gates as u64);
     }
 
-    let jobs = resolve_jobs(opts.map.jobs);
-    let map_opts = Arc::new(opts.map.clone());
-    let preprocess = opts.preprocess.clone();
-    let verify = opts.verify;
-    let worker_cut = Arc::clone(&cut);
-    let results = run_indexed(cut.clouds.len(), jobs, move |i| {
-        let network = &worker_cut.clouds[i].network;
-        map_cloud(i, network, &map_opts, preprocess.as_ref(), verify)
-    })
-    .map_err(DesignError::Scheduler)?;
-    let mut clouds = Vec::with_capacity(results.len());
-    for result in results {
-        clouds.push(result?);
-    }
+    let clouds = cut
+        .clouds
+        .iter()
+        .enumerate()
+        .map(|(i, cloud)| map_cloud(i, &cloud.network, opts))
+        .collect::<Result<Vec<_>, _>>()?;
 
     let luts: usize = clouds.iter().map(|c| c.luts).sum();
     let depth = clouds.iter().map(|c| c.depth).max().unwrap_or(0);
@@ -242,27 +223,24 @@ pub fn map_design(design: &Design, opts: &DesignOptions) -> Result<MappedDesign,
     })
 }
 
-/// The per-cloud pipeline: preprocess, map, verify, render. Runs as one
-/// scheduler item.
+/// The per-cloud pipeline: preprocess, map, verify, render.
 fn map_cloud(
     index: usize,
     network: &Network,
-    opts: &MapOptions,
-    preprocess: Option<&CloudPreprocess>,
-    verify: bool,
+    opts: &DesignOptions,
 ) -> Result<MappedCloud, DesignError> {
-    let network = match preprocess {
+    let network = match &opts.preprocess {
         Some(pre) => pre(network).map_err(|message| DesignError::Preprocess {
             cloud: index,
             message,
         })?,
         None => network.clone(),
     };
-    let mapping = map_network(&network, opts).map_err(|error| DesignError::Map {
+    let mapping = map_network(&network, &opts.map).map_err(|error| DesignError::Map {
         cloud: index,
         error,
     })?;
-    if verify {
+    if opts.verify {
         check_equivalence(&network, &mapping.circuit).map_err(|e| DesignError::Verification {
             cloud: index,
             message: e.to_string(),
@@ -300,19 +278,14 @@ mod tests {
 .end
 ";
 
-    fn options(jobs: usize) -> DesignOptions {
-        DesignOptions::new(
-            MapOptions::builder(4)
-                .jobs(jobs)
-                .build()
-                .expect("valid options"),
-        )
+    fn options() -> DesignOptions {
+        DesignOptions::new(MapOptions::builder(4).build().expect("valid options"))
     }
 
     #[test]
     fn maps_a_sequential_design_end_to_end() {
         let (design, _) = parse_design(TWO_CLOUDS).expect("parses");
-        let mapped = map_design(&design, &options(1)).expect("maps");
+        let mapped = map_design(&design, &options()).expect("maps");
         assert_eq!(mapped.name, "two_clouds");
         assert_eq!(mapped.clouds.len(), 2);
         assert_eq!(mapped.latches, 1);
@@ -337,30 +310,22 @@ mod tests {
     }
 
     #[test]
-    fn design_netlist_is_identical_across_jobs_and_cache() {
+    fn design_netlist_is_identical_across_cache_modes() {
         use crate::CacheMode;
         let (design, _) = parse_design(TWO_CLOUDS).expect("parses");
-        let baseline = map_design(&design, &options(1)).expect("maps").netlist;
-        for jobs in [2, 4] {
-            for cache in [
-                CacheMode::Off,
-                CacheMode::Tree,
-                CacheMode::Shared,
-                CacheMode::Fn,
-            ] {
-                let opts = DesignOptions::new(
-                    MapOptions::builder(4)
-                        .jobs(jobs)
-                        .cache(cache)
-                        .build()
-                        .unwrap(),
-                );
-                let mapped = map_design(&design, &opts).expect("maps");
-                assert_eq!(
-                    mapped.netlist, baseline,
-                    "jobs={jobs} cache={cache:?} must be bit-identical"
-                );
-            }
+        let baseline = map_design(&design, &options()).expect("maps").netlist;
+        for cache in [
+            CacheMode::Off,
+            CacheMode::Tree,
+            CacheMode::Shared,
+            CacheMode::Fn,
+        ] {
+            let opts = DesignOptions::new(MapOptions::builder(4).cache(cache).build().unwrap());
+            let mapped = map_design(&design, &opts).expect("maps");
+            assert_eq!(
+                mapped.netlist, baseline,
+                "cache={cache:?} must be bit-identical"
+            );
         }
     }
 
@@ -369,7 +334,7 @@ mod tests {
         // Every per-cloud artifact must be byte-identical to an offline
         // single-model run over the same cloud BLIF.
         let (design, _) = parse_design(TWO_CLOUDS).expect("parses");
-        let mapped = map_design(&design, &options(2)).expect("maps");
+        let mapped = map_design(&design, &options()).expect("maps");
         let opts = MapOptions::builder(4).build().unwrap();
         for (i, cloud) in mapped.clouds.iter().enumerate() {
             let source = write_blif(&mapped.cut.clouds[i].network, &format!("cloud{i}"));
@@ -383,7 +348,7 @@ mod tests {
     #[test]
     fn preprocess_feeds_the_mapper_and_errors_are_attributed() {
         let (design, _) = parse_design(TWO_CLOUDS).expect("parses");
-        let mut opts = options(1);
+        let mut opts = options();
         opts.preprocess = Some(Arc::new(|net: &Network| Ok(net.clone())));
         map_design(&design, &opts).expect("identity preprocess maps");
 
@@ -399,7 +364,7 @@ mod tests {
         let (design, parse) = parse_design(TWO_CLOUDS).expect("parses");
         let telemetry = Telemetry::enabled();
         record_parse_stats(&telemetry, &parse);
-        let mut opts = options(1);
+        let mut opts = options();
         opts.map.telemetry = telemetry.clone();
         map_design(&design, &opts).expect("maps");
         let report = telemetry.snapshot();
@@ -417,7 +382,7 @@ mod tests {
     #[test]
     fn passthroughs_survive_in_the_mapped_netlist() {
         let (design, _) = parse_design(TWO_CLOUDS).expect("parses");
-        let mapped = map_design(&design, &options(1)).expect("maps");
+        let mapped = map_design(&design, &options()).expect("maps");
         let (again, _) = read_design(mapped.netlist.as_bytes()).expect("round trips");
         // w == a for all inputs: simulate the two-output logic.
         let words: Vec<u64> = vec![0b1010, 0b1100, 0b1111, 0b0110];

@@ -3,23 +3,22 @@
 use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 
 use chortle_netlist::{check_equivalence, LutCircuit, LutError, LutSource, Network, NodeId};
 use chortle_telemetry::{Histogram, Telemetry, TraceScope};
 
-use crate::cache::{CacheKey, CacheMode, FnKey, WarmCache, SHARED_CACHE_SHARDS};
+use crate::cache::{CacheKey, CacheMode, FnKey, WarmCache};
 use crate::cancel::CancelToken;
 use crate::cover::emit_forest;
 use crate::dp::{DpCounters, Objective};
 use crate::pack::PackMode;
-use crate::sched::{ChunkPolicy, TreeResult};
+use crate::sched::TreeResult;
 use crate::tree::{shape_histogram_of, Fingerprint, FingerprintScratch, Forest, Tree};
 
 /// Names of the stages and counters the mapper reports into its
 /// [`Telemetry`] sink (see `DESIGN.md` §10 for the full catalogue and
 /// exact semantics). Every counter is a pure function of the input
-/// network and the options — identical totals for any `jobs` value.
+/// network and the options.
 pub mod stats {
     /// Stage: network normalization (`Network::simplified`).
     pub const STAGE_NORMALIZE: &str = "map.normalize";
@@ -31,8 +30,7 @@ pub mod stats {
     /// [`crate::Tree::canonicalize`]); runs in every cache mode so the
     /// produced circuit never depends on the cache setting.
     pub const STAGE_CANON: &str = "map.canon";
-    /// Stage: the subset-DP mapping of every tree (in tree order or in
-    /// wavefronts on the pool).
+    /// Stage: the subset-DP mapping of every tree, in tree order.
     pub const STAGE_DP: &str = "map.dp";
     /// Stage: functional-tier key material — packed truth tables and
     /// their NPN canonical forms (memoized per distinct table) plus
@@ -70,11 +68,11 @@ pub mod stats {
     pub const MAP_TREES: &str = "map.trees";
     /// Counter: trees with at most K leaf occurrences, mapped to one LUT
     /// without a cache key, a lookup or a DP solve. A pure function of
-    /// the forest and K, identical for every `jobs` value and cache mode.
+    /// the forest and K, identical for every cache mode.
     pub const MAP_SINGLE_LUT_TREES: &str = "map.single_lut_trees";
     /// Counter: trees whose DP solution replays a cache key seen earlier
-    /// in tree order. Derived from the forest, not from lock traffic, so
-    /// the total is identical for every `jobs` value. Reported only when
+    /// in tree order. Derived from the forest, not from cache traffic, so
+    /// the total is identical for every cache mode. Reported only when
     /// caching is on ([`crate::CacheMode::Off`] emits no `cache.*`
     /// counters).
     pub const CACHE_HITS: &str = "cache.hits";
@@ -82,17 +80,12 @@ pub mod stats {
     /// for a full subset-DP run.
     /// `hits + misses + map.single_lut_trees == map.trees`.
     pub const CACHE_MISSES: &str = "cache.misses";
-    /// Counter: shards of the DP-result cache. A configuration echo (16
-    /// under the wavefront schedule, whose chunks share one sharded
-    /// store; 1 under the `jobs = 1` tree-order loop) — excluded, like
-    /// the `sched.*` family, from the any-`jobs`-identical contract.
-    pub const CACHE_SHARDS: &str = "cache.shards";
     /// Counter: LUTs emitted from replayed (cache-hit) solutions.
     pub const CACHE_REPLAYED_LUTS: &str = "cache.replayed_luts";
     /// Counter: trees served by the *functional* tier — a structural
     /// miss whose `(NPN class, blind skeleton, depths)` key was seen
     /// earlier in tree order. Derived like [`CACHE_HITS`] (a pure
-    /// function of the forest, identical for any `jobs`); emitted only
+    /// function of the forest); emitted only
     /// under [`crate::CacheMode::Fn`]. In that mode
     /// `cache.hits + cache.fn_hits + cache.misses + map.single_lut_trees
     /// == map.trees`.
@@ -106,13 +99,12 @@ pub mod stats {
     pub const CACHE_FN_REPLAYED_LUTS: &str = "cache.fn_replayed_luts";
     /// Trace span: one tree's DP mapping (`Tree` scope, index = tree
     /// order; begin arg = tree node count, end arg = the tree's LUT
-    /// cost). Emitted by both schedules with identical sequences — only
-    /// the worker id and timestamps differ between `jobs` settings.
+    /// cost). Only the timestamps differ between runs.
     pub const TRACE_TREE: &str = "map.tree";
     /// Trace instant: the tree is the *first* occurrence of its cache
     /// key in tree order — it pays for a full subset-DP solve (arg =
     /// LUT cost). Derived from the forest, like [`CACHE_HITS`], so the
-    /// classification is identical for every `jobs` and cache mode.
+    /// classification is identical for every cache mode.
     pub const TRACE_SOLVE: &str = "dp.solve";
     /// Trace instant: the tree replays a key seen earlier in tree order
     /// (arg = LUT cost). See [`TRACE_SOLVE`].
@@ -120,28 +112,6 @@ pub mod stats {
     /// Trace instant: the tree fits one LUT and skipped the DP (arg = 1,
     /// its LUT cost). See [`MAP_SINGLE_LUT_TREES`].
     pub const TRACE_SINGLE_LUT: &str = "map.single_lut";
-    /// Trace span: one executor running one chunk of one wavefront
-    /// (`Sched` scope, index = wavefront; end arg = trees claimed).
-    /// Schedule-dependent by nature — excluded from the deterministic
-    /// trace identity.
-    pub const TRACE_WORKER: &str = "sched.worker";
-    /// Counter: chunks submitted to the work-stealing pool (inline
-    /// wavefronts contribute none). Deterministic given the options and
-    /// the host, but — like every `sched.*` counter — a *schedule*
-    /// echo, excluded from the any-`jobs`-identical counter contract
-    /// (only the wavefront schedule, `jobs >= 2`, emits the family).
-    pub const SCHED_CHUNKS: &str = "sched.chunks";
-    /// Counter: chunks taken from a deque other than their owner's —
-    /// the work-stealing traffic. Nondeterministic by nature; see
-    /// [`SCHED_CHUNKS`] for the exclusion.
-    pub const SCHED_STEALS: &str = "sched.steals";
-    /// Counter: wavefronts that fell through to running inline on the
-    /// submitting thread (too little estimated work, or a single chunk
-    /// or executor). See [`SCHED_CHUNKS`] for the exclusion.
-    pub const SCHED_INLINE_WAVES: &str = "sched.inline_waves";
-    /// Counter: wavefronts executed on the process-wide chunk pool.
-    /// See [`SCHED_CHUNKS`] for the exclusion.
-    pub const SCHED_POOLED_WAVES: &str = "sched.pooled_waves";
     /// Histogram: per-tree mapping wall time, nanoseconds. Bucketing is
     /// exact and merging is associative, but wall time itself varies
     /// run to run.
@@ -149,12 +119,11 @@ pub mod stats {
     /// Histogram: per-tree DP work, measured in utilization divisions
     /// (not nanoseconds), one sample per tree that went through the DP
     /// (single-LUT trees record none) — a deterministic work
-    /// distribution that is bit-identical for every `jobs` value and
-    /// cache mode.
+    /// distribution that is bit-identical for every cache mode.
     pub const HIST_TREE_WORK: &str = "dp.tree_work";
     /// Counter: combinational clouds cut from a sequential design and
     /// mapped by [`crate::map_design`]. Deterministic — a function of
-    /// the design, not the schedule.
+    /// the design.
     pub const DESIGN_CLOUDS: &str = "design.clouds";
     /// Counter: latches in the flattened sequential design.
     pub const DESIGN_LATCHES: &str = "design.latches";
@@ -164,8 +133,8 @@ pub mod stats {
     /// Counter: LUTs across all mapped clouds of the design.
     pub const DESIGN_CLOUD_LUTS: &str = "design.cloud_luts";
     /// Histogram: per-cloud gate count — a deterministic size
-    /// distribution, bit-identical for every `jobs` value and cache
-    /// mode (clouds are numbered in sink order).
+    /// distribution, bit-identical for every cache mode (clouds are
+    /// numbered in sink order).
     pub const HIST_CLOUD_WORK: &str = "design.cloud_work";
     /// Counter: logical (continuation-joined, comment-stripped) lines
     /// the streaming BLIF reader consumed.
@@ -214,11 +183,10 @@ pub(crate) fn flush_dp_counters(telemetry: &Telemetry, counters: &mut DpCounters
 /// // The fallible builder covers every knob, including telemetry:
 /// let opts = MapOptions::builder(4)
 ///     .split_threshold(8)?
-///     .jobs(2)
 ///     .cache(CacheMode::Off)
 ///     .telemetry(chortle::Telemetry::enabled())
 ///     .build()?;
-/// assert_eq!(opts.jobs, 2);
+/// assert_eq!(opts.cache, CacheMode::Off);
 /// # Ok::<(), chortle::MapError>(())
 /// ```
 #[derive(Clone, Debug)]
@@ -233,27 +201,15 @@ pub struct MapOptions {
     /// What to minimize: LUT count (the paper's objective, with a depth
     /// tie-break) or LUT depth (with an area tie-break).
     pub objective: Objective,
-    /// Worker threads for mapping the forest. 1 maps the trees in tree
-    /// order on the calling thread; more schedules them in dependency
-    /// wavefronts on the process-wide chunk pool. Any value produces the
-    /// identical circuit. The builder resolves 0 to the host's available
-    /// parallelism, capped — see [`resolve_jobs`].
-    pub jobs: usize,
-    /// How the wavefront scheduler groups trees into chunks
-    /// ([`ChunkPolicy::Auto`] by default). Every policy produces the
-    /// identical circuit, counters, and trace identity — the knob only
-    /// trades scheduling overhead against load balance.
-    pub chunk: ChunkPolicy,
     /// Observability sink the mapper reports stages, counters, and
-    /// wavefront occupancy into. Disabled by default (zero overhead);
+    /// trace events into. Disabled by default (zero overhead);
     /// see [`Telemetry::enabled`] and the [`stats`] name catalogue.
     pub telemetry: Telemetry,
     /// Cross-tree memoization of DP results ([`CacheMode::Shared`] by
     /// default). Every mode produces the identical circuit — see the
     /// bit-identity contract on [`CacheMode`].
     pub cache: CacheMode,
-    /// Cooperative cancellation, polled at tree boundaries by both
-    /// mapping schedules. The default token is inert; a fired token makes
+    /// Cooperative cancellation, polled at tree boundaries. The default token is inert; a fired token makes
     /// [`map_network`] return [`MapError::Cancelled`] with all partial
     /// work discarded.
     pub cancel: CancelToken,
@@ -281,8 +237,6 @@ impl MapOptions {
                 k,
                 split_threshold: 10,
                 objective: Objective::Area,
-                jobs: 1,
-                chunk: ChunkPolicy::Auto,
                 telemetry: Telemetry::disabled(),
                 cache: CacheMode::Shared,
                 cancel: CancelToken::default(),
@@ -290,19 +244,6 @@ impl MapOptions {
                 pack: PackMode::Off,
             },
         }
-    }
-}
-
-/// Resolves a user-facing `jobs` request: 0 means "use the host's
-/// available parallelism", capped at the scheduler pool's size (16) so
-/// auto-sizing never outruns the chunk hand-off cost. An explicit
-/// nonzero request is honored verbatim — the scheduler's inline
-/// fall-through still protects wavefronts too small to pay for it.
-pub fn resolve_jobs(jobs: usize) -> usize {
-    if jobs == 0 {
-        crate::sched::pool_size()
-    } else {
-        jobs
     }
 }
 
@@ -332,30 +273,6 @@ impl MapOptionsBuilder {
     pub fn objective(mut self, objective: Objective) -> Self {
         self.opts.objective = objective;
         self
-    }
-
-    /// Sets the worker-thread count (0 = host parallelism, 1 =
-    /// sequential).
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.opts.jobs = resolve_jobs(jobs);
-        self
-    }
-
-    /// Sets the wavefront scheduler's chunking policy (the default is
-    /// [`ChunkPolicy::Auto`]). Every policy produces the identical
-    /// circuit, counters, and trace identity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapError::InvalidChunk`] for
-    /// [`ChunkPolicy::Fixed`]`(0)` — a chunk must hold at least one
-    /// tree.
-    pub fn chunk(mut self, chunk: ChunkPolicy) -> Result<Self, MapError> {
-        if chunk == ChunkPolicy::Fixed(0) {
-            return Err(MapError::InvalidChunk);
-        }
-        self.opts.chunk = chunk;
-        Ok(self)
     }
 
     /// Attaches a telemetry sink.
@@ -434,18 +351,10 @@ pub enum MapError {
         /// The rejected value.
         threshold: usize,
     },
-    /// A fixed chunk size of 0 was requested — a scheduler chunk must
-    /// hold at least one tree (use [`ChunkPolicy::Auto`] for adaptive
-    /// sizing).
-    InvalidChunk,
     /// The run's [`CancelToken`](crate::CancelToken) fired (explicit
     /// cancellation or an expired deadline) before mapping finished.
     /// All partial work was discarded.
     Cancelled,
-    /// A scheduler pool worker panicked while mapping a chunk. The
-    /// wavefront's partial results were discarded and the worker
-    /// survived; this indicates an internal bug, not bad input.
-    WorkerPanicked,
     /// The don't-care packing post-pass produced a circuit that failed
     /// equivalence verification against the source network. The packed
     /// circuit was discarded; this indicates an internal bug in the
@@ -517,17 +426,8 @@ impl fmt::Display for MapError {
                     "split threshold {threshold} out of range (must be 2..=16)"
                 )
             }
-            MapError::InvalidChunk => {
-                write!(f, "chunk size must be at least 1 tree (or \"auto\")")
-            }
             MapError::Cancelled => {
                 write!(f, "mapping cancelled before completion")
-            }
-            MapError::WorkerPanicked => {
-                write!(
-                    f,
-                    "a scheduler worker panicked while mapping; partial results discarded"
-                )
             }
             MapError::PackVerification { output } => {
                 write!(
@@ -597,7 +497,7 @@ pub struct Mapping {
     pub report: MapReport,
     /// The canonical fingerprint of every tree of the split forest, in
     /// tree order; each equals the tree's [`Tree::fingerprint`].
-    shapes: Arc<Vec<Fingerprint>>,
+    shapes: Vec<Fingerprint>,
 }
 
 impl Mapping {
@@ -669,7 +569,7 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
     // never of the cache mode (the bit-identity contract of `CacheMode`).
     let shapes = {
         let _s = telemetry.span(stats::STAGE_CANON);
-        Arc::new(forest.canonicalize())
+        forest.canonicalize()
     };
 
     // Functional-tier key material: depths-independent, so it is
@@ -694,8 +594,7 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
     };
     // Kernel tallies are summed here, once per tree in tree order —
     // cached replays contribute the tally of the shape they share, and a
-    // racing duplicate computation contributes nothing extra — so the
-    // dp.* totals are identical to the uncached mapper for any schedule.
+    // so the dp.* totals are identical to the uncached mapper.
     let mut predicted: u64 = 0;
     let mut single_lut_trees: u64 = 0;
     let mut kernel_tally = DpCounters::default();
@@ -822,9 +721,8 @@ impl MappedTree {
 /// Derives the deterministic `cache.*` counters from the per-tree key
 /// sequence, in tree order: a tree is a *hit* when an earlier tree has
 /// the same key. Deliberately not counted at the cache data structure —
-/// which worker wins a racy insert is schedule-dependent, while this
-/// definition is a pure function of the forest. `cache.shards` is the
-/// one configuration echo outside that contract.
+/// whether a lookup hits there depends on what a warm cache already
+/// held, while this definition is a pure function of the forest.
 fn report_cache_counters(telemetry: &Telemetry, options: &MapOptions, mapped: &[MappedTree]) {
     if !telemetry.is_enabled() || !options.cache.is_enabled() {
         return;
@@ -897,19 +795,13 @@ fn report_cache_counters(telemetry: &Telemetry, options: &MapOptions, mapped: &[
         telemetry.add_counter(stats::CACHE_FN_MISSES, fn_misses);
         telemetry.add_counter(stats::CACHE_FN_REPLAYED_LUTS, fn_replayed);
     }
-    let shards = if options.jobs > 1 {
-        SHARED_CACHE_SHARDS
-    } else {
-        1
-    };
-    telemetry.add_counter(stats::CACHE_SHARDS, shards as u64);
 }
 
 /// Records the deterministic per-tree work histogram
 /// ([`stats::HIST_TREE_WORK`]): one sample per DP-mapped tree, in tree
 /// order, of the utilization divisions its solution cost. Replayed trees
 /// carry the tally of the shape they share, so the distribution is
-/// identical for every `jobs` value and every cache mode.
+/// identical for every cache mode.
 fn record_tree_work(telemetry: &Telemetry, mapped: &[MappedTree]) {
     if !telemetry.is_enabled() {
         return;

@@ -55,13 +55,11 @@ fn builder_covers_every_removed_chainer() {
         .split_threshold(12)
         .expect("in range")
         .objective(Objective::Depth)
-        .jobs(2)
         .build()
         .expect("valid K");
     assert_eq!(opts.k, 5);
     assert_eq!(opts.split_threshold, 12);
     assert_eq!(opts.objective, Objective::Depth);
-    assert_eq!(opts.jobs, 2);
     assert_eq!(opts.cache, CacheMode::Shared);
     // Defaults of the knobs the chainers never covered.
     assert!(!opts.cancel.is_cancelled());

@@ -142,20 +142,13 @@ fn child_kind(c: &TreeChild) -> (bool, usize, bool) {
     }
 }
 
-/// Maps `net` under the given cache mode and worker count, returning the
-/// mapping plus the telemetry counters that tally *work* (the
-/// configuration echo `cache.shards` and the `cache.*` hit statistics
+/// Maps `net` under the given cache mode, returning the mapping plus the
+/// telemetry counters that tally *work* (the `cache.*` hit statistics
 /// exist only when caching is on, so they are excluded from the
 /// cross-mode comparison).
-fn map_with(
-    net: &Network,
-    k: usize,
-    jobs: usize,
-    cache: CacheMode,
-) -> (chortle::Mapping, Vec<(String, u64)>) {
+fn map_with(net: &Network, k: usize, cache: CacheMode) -> (chortle::Mapping, Vec<(String, u64)>) {
     let telemetry = Telemetry::enabled();
     let options = MapOptions::builder(k)
-        .jobs(jobs)
         .cache(cache)
         .telemetry(telemetry.clone())
         .build()
@@ -165,40 +158,33 @@ fn map_with(
         .snapshot()
         .counters
         .iter()
-        .filter(|c| !c.name.starts_with("cache.") && !c.name.starts_with("sched."))
+        .filter(|c| !c.name.starts_with("cache."))
         .map(|c| (c.name.clone(), c.value))
         .collect();
     (mapping, counters)
 }
 
 #[test]
-fn every_cache_mode_is_bit_identical_at_every_worker_count() {
+fn every_cache_mode_is_bit_identical() {
     let mut rng = SplitMix64::new(0xcace_0002);
     for round in 0..6 {
         let net = random_network(rng.next_u64(), 8, 24, 5);
         for k in 2..=6 {
-            let (reference, ref_counters) = map_with(&net, k, 1, CacheMode::Off);
-            for jobs in [1, 2, 8] {
-                for cache in [
-                    CacheMode::Off,
-                    CacheMode::Tree,
-                    CacheMode::Shared,
-                    CacheMode::Fn,
-                ] {
-                    let (mapping, counters) = map_with(&net, k, jobs, cache);
-                    assert_eq!(
-                        reference.circuit, mapping.circuit,
-                        "circuit diverged (round={round} k={k} jobs={jobs} {cache:?})"
-                    );
-                    assert_eq!(
-                        reference.report, mapping.report,
-                        "report diverged (round={round} k={k} jobs={jobs} {cache:?})"
-                    );
-                    assert_eq!(
-                        ref_counters, counters,
-                        "work tallies diverged (round={round} k={k} jobs={jobs} {cache:?})"
-                    );
-                }
+            let (reference, ref_counters) = map_with(&net, k, CacheMode::Off);
+            for cache in [CacheMode::Tree, CacheMode::Shared, CacheMode::Fn] {
+                let (mapping, counters) = map_with(&net, k, cache);
+                assert_eq!(
+                    reference.circuit, mapping.circuit,
+                    "circuit diverged (round={round} k={k} {cache:?})"
+                );
+                assert_eq!(
+                    reference.report, mapping.report,
+                    "report diverged (round={round} k={k} {cache:?})"
+                );
+                assert_eq!(
+                    ref_counters, counters,
+                    "work tallies diverged (round={round} k={k} {cache:?})"
+                );
             }
         }
     }
@@ -252,7 +238,6 @@ fn cache_counters_add_up() {
     for counter in [
         stats::CACHE_HITS,
         stats::CACHE_MISSES,
-        stats::CACHE_SHARDS,
         stats::CACHE_REPLAYED_LUTS,
         stats::CACHE_FN_HITS,
         stats::CACHE_FN_MISSES,
@@ -266,35 +251,33 @@ fn cache_counters_add_up() {
 }
 
 #[test]
-fn the_counter_identity_holds_for_every_jobs_and_cache_mode() {
+fn the_counter_identity_holds_for_every_cache_mode() {
     // cache.hits + cache.misses + map.single_lut_trees == map.trees, and
     // the single-LUT count is the forest's trees with at most K leaf
-    // occurrences, for every worker count and cache mode.
+    // occurrences, for every cache mode.
     let mut rng = SplitMix64::new(0xcace_0007);
     for round in 0..6 {
         let net = random_network(rng.next_u64(), 8, 40, 6);
         let k = rng.next_range(2, 7);
         let expected = single_lut_trees(&net, k);
-        for jobs in [1, 2, 4] {
-            for cache in [
-                CacheMode::Off,
-                CacheMode::Tree,
-                CacheMode::Shared,
-                CacheMode::Fn,
-            ] {
-                let report = counters_under(&net, k, cache, jobs);
-                let ctx = format!("round={round} k={k} jobs={jobs} {cache:?}");
-                let trees = report.counter(stats::MAP_TREES).unwrap();
-                let single = report.counter(stats::MAP_SINGLE_LUT_TREES).unwrap();
-                assert_eq!(single, expected, "{ctx}");
-                if cache == CacheMode::Off {
-                    continue;
-                }
-                let hits = report.counter(stats::CACHE_HITS).unwrap();
-                let fn_hits = report.counter(stats::CACHE_FN_HITS).unwrap_or(0);
-                let misses = report.counter(stats::CACHE_MISSES).unwrap();
-                assert_eq!(hits + fn_hits + misses + single, trees, "{ctx}");
+        for cache in [
+            CacheMode::Off,
+            CacheMode::Tree,
+            CacheMode::Shared,
+            CacheMode::Fn,
+        ] {
+            let report = counters_under(&net, k, cache);
+            let ctx = format!("round={round} k={k} {cache:?}");
+            let trees = report.counter(stats::MAP_TREES).unwrap();
+            let single = report.counter(stats::MAP_SINGLE_LUT_TREES).unwrap();
+            assert_eq!(single, expected, "{ctx}");
+            if cache == CacheMode::Off {
+                continue;
             }
+            let hits = report.counter(stats::CACHE_HITS).unwrap();
+            let fn_hits = report.counter(stats::CACHE_FN_HITS).unwrap_or(0);
+            let misses = report.counter(stats::CACHE_MISSES).unwrap();
+            assert_eq!(hits + fn_hits + misses + single, trees, "{ctx}");
         }
     }
 }
@@ -330,11 +313,10 @@ fn add_skeleton_variants(net: &mut Network, rng: &mut SplitMix64, columns: usize
 
 /// Runs `net` at `k` under `cache` and returns the full counter
 /// snapshot.
-fn counters_under(net: &Network, k: usize, cache: CacheMode, jobs: usize) -> chortle::MapStats {
+fn counters_under(net: &Network, k: usize, cache: CacheMode) -> chortle::MapStats {
     let telemetry = Telemetry::enabled();
     let options = MapOptions::builder(k)
         .cache(cache)
-        .jobs(jobs)
         .telemetry(telemetry.clone())
         .build()
         .unwrap();
@@ -354,39 +336,33 @@ fn fn_tier_counters_add_up_and_only_add_reuse() {
     for round in 0..8 {
         let mut net = random_network(rng.next_u64(), 8, 40, 4);
         add_skeleton_variants(&mut net, &mut rng, 6);
-        for jobs in [1, 4] {
-            let shared = counters_under(&net, K, CacheMode::Shared, jobs);
-            let fnr = counters_under(&net, K, CacheMode::Fn, jobs);
-            let trees = fnr.counter(stats::MAP_TREES).unwrap();
-            let hits = fnr.counter(stats::CACHE_HITS).unwrap();
-            let misses = fnr.counter(stats::CACHE_MISSES).unwrap();
-            let fn_hits = fnr.counter(stats::CACHE_FN_HITS).unwrap();
-            let fn_misses = fnr.counter(stats::CACHE_FN_MISSES).unwrap();
-            let single = fnr.counter(stats::MAP_SINGLE_LUT_TREES).unwrap();
-            assert_eq!(
-                single,
-                single_lut_trees(&net, K),
-                "(round={round} jobs={jobs})"
-            );
-            // Attribution is structural-first: cache.hits is identical
-            // to the Shared-mode value, and fn_hits is the *additional*
-            // reuse the functional tier found.
-            assert_eq!(
-                hits,
-                shared.counter(stats::CACHE_HITS).unwrap(),
-                "structural hits changed under Fn (round={round} jobs={jobs})"
-            );
-            assert_eq!(
-                hits + fn_hits + misses + single,
-                trees,
-                "counter contract broken (round={round} jobs={jobs})"
-            );
-            // fn_misses counts fn-eligible trees that fully solved.
-            assert!(fn_misses <= misses, "(round={round} jobs={jobs})");
-            if fn_hits > 0 {
-                fn_hit_seen = true;
-                assert!(fnr.counter(stats::CACHE_FN_REPLAYED_LUTS).unwrap() >= fn_hits);
-            }
+        let shared = counters_under(&net, K, CacheMode::Shared);
+        let fnr = counters_under(&net, K, CacheMode::Fn);
+        let trees = fnr.counter(stats::MAP_TREES).unwrap();
+        let hits = fnr.counter(stats::CACHE_HITS).unwrap();
+        let misses = fnr.counter(stats::CACHE_MISSES).unwrap();
+        let fn_hits = fnr.counter(stats::CACHE_FN_HITS).unwrap();
+        let fn_misses = fnr.counter(stats::CACHE_FN_MISSES).unwrap();
+        let single = fnr.counter(stats::MAP_SINGLE_LUT_TREES).unwrap();
+        assert_eq!(single, single_lut_trees(&net, K), "(round={round})");
+        // Attribution is structural-first: cache.hits is identical
+        // to the Shared-mode value, and fn_hits is the *additional*
+        // reuse the functional tier found.
+        assert_eq!(
+            hits,
+            shared.counter(stats::CACHE_HITS).unwrap(),
+            "structural hits changed under Fn (round={round})"
+        );
+        assert_eq!(
+            hits + fn_hits + misses + single,
+            trees,
+            "counter contract broken (round={round})"
+        );
+        // fn_misses counts fn-eligible trees that fully solved.
+        assert!(fn_misses <= misses, "(round={round})");
+        if fn_hits > 0 {
+            fn_hit_seen = true;
+            assert!(fnr.counter(stats::CACHE_FN_REPLAYED_LUTS).unwrap() >= fn_hits);
         }
     }
     assert!(
@@ -399,7 +375,7 @@ fn fn_tier_counters_add_up_and_only_add_reuse() {
 fn shared_mode_reports_no_fn_counters() {
     let net = random_network(0xcace_0005, 8, 30, 4);
     for cache in [CacheMode::Tree, CacheMode::Shared] {
-        let report = counters_under(&net, 4, cache, 1);
+        let report = counters_under(&net, 4, cache);
         for counter in [
             stats::CACHE_FN_HITS,
             stats::CACHE_FN_MISSES,

@@ -1,8 +1,11 @@
 //! Integration tests for cooperative cancellation and the process-wide
 //! warm cache — the two hooks `chortle-serve` builds on.
 
-use chortle::{map_network, CacheMode, CancelToken, MapError, MapOptions, WarmCache};
-use chortle_netlist::{Network, NodeOp, Signal};
+use chortle::{
+    map_design, map_network, CacheMode, CancelToken, DesignError, DesignOptions, MapError,
+    MapOptions, WarmCache,
+};
+use chortle_netlist::{parse_design, write_blif, Network, NodeOp, Signal};
 
 /// A forest with enough trees that per-tree cancellation polls run many
 /// times under any driver. Every tree has more leaf occurrences than
@@ -27,20 +30,21 @@ fn layered_network(width: usize) -> Network {
 
 #[test]
 fn fired_token_cancels_both_drivers() {
+    // The network driver and the design driver, which maps its clouds
+    // through the same tree-order loop.
     let net = layered_network(16);
-    for jobs in [1, 4] {
-        let token = CancelToken::armed();
-        token.cancel();
-        let opts = MapOptions::builder(4)
-            .jobs(jobs)
-            .cancel(token)
-            .build()
-            .unwrap();
-        assert_eq!(
-            map_network(&net, &opts).unwrap_err(),
-            MapError::Cancelled,
-            "jobs={jobs}"
-        );
+    let token = CancelToken::armed();
+    token.cancel();
+    let opts = MapOptions::builder(4).cancel(token).build().unwrap();
+    assert_eq!(map_network(&net, &opts).unwrap_err(), MapError::Cancelled);
+    let blif = write_blif(&net, "layered");
+    let (design, _) = parse_design(&blif).expect("parses");
+    match map_design(&design, &DesignOptions::new(opts)) {
+        Err(DesignError::Map {
+            error: MapError::Cancelled,
+            ..
+        }) => {}
+        other => panic!("expected a cancelled cloud, got {other:?}"),
     }
 }
 
@@ -73,26 +77,23 @@ fn warm_cache_is_reused_across_runs_without_changing_the_circuit() {
     let baseline = map_network(&net, &MapOptions::builder(4).build().unwrap()).unwrap();
 
     let warm = WarmCache::new();
-    for jobs in [1, 4] {
-        let opts = MapOptions::builder(4)
-            .jobs(jobs)
-            .warm_cache(warm.clone())
-            .build()
-            .unwrap();
-        // Cold first run populates; warm second run replays. Both must be
-        // byte-identical to the un-warmed mapping.
-        let cold = map_network(&net, &opts).unwrap();
-        let shapes_after_cold = warm.shapes();
-        assert!(shapes_after_cold > 0, "jobs={jobs}: warm cache populated");
-        let rewarm = map_network(&net, &opts).unwrap();
-        assert_eq!(
-            warm.shapes(),
-            shapes_after_cold,
-            "jobs={jobs}: warm run added no new shapes"
-        );
-        assert_eq!(cold.circuit, baseline.circuit, "jobs={jobs}");
-        assert_eq!(rewarm.circuit, baseline.circuit, "jobs={jobs}");
-    }
+    let opts = MapOptions::builder(4)
+        .warm_cache(warm.clone())
+        .build()
+        .unwrap();
+    // Cold first run populates; warm second run replays. Both must be
+    // byte-identical to the un-warmed mapping.
+    let cold = map_network(&net, &opts).unwrap();
+    let shapes_after_cold = warm.shapes();
+    assert!(shapes_after_cold > 0, "warm cache populated");
+    let rewarm = map_network(&net, &opts).unwrap();
+    assert_eq!(
+        warm.shapes(),
+        shapes_after_cold,
+        "warm run added no new shapes"
+    );
+    assert_eq!(cold.circuit, baseline.circuit);
+    assert_eq!(rewarm.circuit, baseline.circuit);
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Integration contracts of the sequential-design pipeline: a
 //! handcrafted multi-model design cuts into the clouds its structure
-//! dictates, and no (jobs × cache) combination may change a single byte
+//! dictates, and no cache mode may change a single byte
 //! of the assembled netlist, any per-cloud result, or the `design.*`
 //! counters.
 
@@ -37,9 +37,7 @@ const MULTI_MODEL: &str = "\
 .end
 ";
 
-/// Every (jobs × cache) combination the mapper offers, against the
-/// jobs = 1 / cache-off reference.
-const JOBS: [usize; 3] = [1, 2, 4];
+/// Every cache mode the mapper offers, against the cache-off reference.
 const CACHES: [CacheMode; 4] = [
     CacheMode::Off,
     CacheMode::Tree,
@@ -47,11 +45,10 @@ const CACHES: [CacheMode; 4] = [
     CacheMode::Fn,
 ];
 
-fn map_with(jobs: usize, cache: CacheMode) -> (chortle::MappedDesign, String) {
+fn map_with(cache: CacheMode) -> (chortle::MappedDesign, String) {
     let (design, _) = parse_design(MULTI_MODEL).expect("fixture parses");
     let telemetry = Telemetry::enabled();
     let options = MapOptions::builder(4)
-        .jobs(jobs)
         .cache(cache)
         .telemetry(telemetry.clone())
         .build()
@@ -62,7 +59,7 @@ fn map_with(jobs: usize, cache: CacheMode) -> (chortle::MappedDesign, String) {
 
 #[test]
 fn multi_model_design_cuts_into_the_expected_clouds() {
-    let (mapped, _) = map_with(1, CacheMode::Off);
+    let (mapped, _) = map_with(CacheMode::Off);
     assert_eq!(mapped.latches, 2, "both registers survive flattening");
     assert_eq!(
         mapped.clouds.len(),
@@ -91,7 +88,7 @@ fn per_cloud_results_match_the_offline_mapper() {
     // Each cloud's `mapped` bytes must equal an offline `map_network`
     // run over that cloud's standalone BLIF — the in-design mapping is
     // the offline mapping, not an approximation of it.
-    let (mapped, _) = map_with(1, CacheMode::Off);
+    let (mapped, _) = map_with(CacheMode::Off);
     let options = MapOptions::builder(4).build().expect("valid options");
     let (design, _) = parse_design(MULTI_MODEL).expect("fixture parses");
     let cut = design.clouds();
@@ -107,36 +104,34 @@ fn per_cloud_results_match_the_offline_mapper() {
 }
 
 #[test]
-fn design_mapping_is_bit_identical_across_jobs_and_caches() {
-    let (reference, reference_report) = map_with(1, CacheMode::Off);
-    for &jobs in &JOBS {
-        for &cache in &CACHES {
-            let (mapped, report) = map_with(jobs, cache);
+fn design_mapping_is_bit_identical_across_caches() {
+    let (reference, reference_report) = map_with(CacheMode::Off);
+    for &cache in &CACHES {
+        let (mapped, report) = map_with(cache);
+        assert_eq!(
+            mapped.netlist, reference.netlist,
+            "netlist diverged at cache={cache:?}"
+        );
+        for (i, (got, want)) in mapped.clouds.iter().zip(&reference.clouds).enumerate() {
             assert_eq!(
-                mapped.netlist, reference.netlist,
-                "netlist diverged at jobs={jobs} cache={cache:?}"
+                got.mapped, want.mapped,
+                "cloud {i} diverged at cache={cache:?}"
             );
-            for (i, (got, want)) in mapped.clouds.iter().zip(&reference.clouds).enumerate() {
-                assert_eq!(
-                    got.mapped, want.mapped,
-                    "cloud {i} diverged at jobs={jobs} cache={cache:?}"
-                );
-                assert_eq!(got.network, want.network, "cloud {i} network changed");
-            }
-            // The design.* counters are part of the determinism
-            // contract too: same clouds, same latches, same LUT tally.
-            for counter in [
-                stats::DESIGN_CLOUDS,
-                stats::DESIGN_LATCHES,
-                stats::DESIGN_PASSTHROUGHS,
-                stats::DESIGN_CLOUD_LUTS,
-            ] {
-                assert_eq!(
-                    counter_value(&report, counter),
-                    counter_value(&reference_report, counter),
-                    "{counter} diverged at jobs={jobs} cache={cache:?}"
-                );
-            }
+            assert_eq!(got.network, want.network, "cloud {i} network changed");
+        }
+        // The design.* counters are part of the determinism contract
+        // too: same clouds, same latches, same LUT tally.
+        for counter in [
+            stats::DESIGN_CLOUDS,
+            stats::DESIGN_LATCHES,
+            stats::DESIGN_PASSTHROUGHS,
+            stats::DESIGN_CLOUD_LUTS,
+        ] {
+            assert_eq!(
+                counter_value(&report, counter),
+                counter_value(&reference_report, counter),
+                "{counter} diverged at cache={cache:?}"
+            );
         }
     }
 }

@@ -1,11 +1,15 @@
-//! Determinism of the parallel wavefront mapper: for any worker count,
-//! [`map_network`] must produce a circuit *bit-identical* to the
-//! `jobs = 1` tree-order mapper's — same LUTs, same order, same truth
-//! tables — and the identical [`MapReport`]. Randomized networks come
-//! from the in-repo [`SplitMix64`] generator, so the suite runs fully
-//! offline.
+//! Determinism of parallel requests: a mapping runs on one thread, and
+//! the only parallelism is several [`map_network`] calls at once — the
+//! daemon's worker threads — sharing one [`WarmCache`]. Every such call
+//! must produce a circuit *bit-identical* to a lone run's — same LUTs,
+//! same order, same truth tables — and the identical [`MapReport`],
+//! whichever thread fills a shared cache entry first. Randomized
+//! networks come from the in-repo [`SplitMix64`] generator, so the
+//! suite runs fully offline.
+//!
+//! [`MapReport`]: chortle::MapReport
 
-use chortle::{map_network, MapOptions, Objective};
+use chortle::{map_network, MapOptions, Mapping, Objective, WarmCache};
 use chortle_netlist::{check_equivalence, Network, NodeOp, Signal, SplitMix64};
 
 fn random_network(seed: u64, inputs: usize, gates: usize, max_arity: usize) -> Network {
@@ -39,33 +43,45 @@ fn random_network(seed: u64, inputs: usize, gates: usize, max_arity: usize) -> N
     net
 }
 
+/// Maps every `(network, options)` job on its own thread at once, all
+/// attached to one fresh warm cache, and returns the mappings in job
+/// order.
+fn map_concurrently(jobs: &[(&Network, MapOptions)]) -> Vec<Mapping> {
+    let warm = WarmCache::new();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = jobs
+            .iter()
+            .map(|(net, options)| {
+                let mut options = options.clone();
+                options.warm_cache = Some(warm.clone());
+                s.spawn(move || map_network(net, &options).expect("maps"))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("mapping thread"))
+            .collect()
+    })
+}
+
 #[test]
 fn parallel_mapping_is_bit_identical_across_k_and_objectives() {
     let mut rng = SplitMix64::new(0x9a11_0001);
-    for _ in 0..24 {
+    for _ in 0..12 {
         let net = random_network(rng.next_u64(), 8, 18, 5);
         for k in 2..=5 {
-            for base in [
-                MapOptions::builder(k).build().unwrap(),
-                MapOptions::builder(k)
-                    .objective(Objective::Depth)
-                    .build()
-                    .unwrap(),
-            ] {
-                let seq = map_network(&net, &base).unwrap();
-                for jobs in [2, 4] {
-                    let mut with_jobs = base.clone();
-                    with_jobs.jobs = jobs;
-                    let par = map_network(&net, &with_jobs).unwrap();
+            for objective in [Objective::Area, Objective::Depth] {
+                let options = MapOptions::builder(k).objective(objective).build().unwrap();
+                let lone = map_network(&net, &options).unwrap();
+                let jobs = [(&net, options.clone()), (&net, options)];
+                for par in map_concurrently(&jobs) {
                     assert_eq!(
-                        seq.report, par.report,
-                        "report diverged (k={k} jobs={jobs} {:?})",
-                        base.objective
+                        lone.report, par.report,
+                        "report diverged (k={k} {objective:?})"
                     );
                     assert_eq!(
-                        seq.circuit, par.circuit,
-                        "circuit diverged (k={k} jobs={jobs} {:?})",
-                        base.objective
+                        lone.circuit, par.circuit,
+                        "circuit diverged (k={k} {objective:?})"
                     );
                 }
             }
@@ -76,26 +92,33 @@ fn parallel_mapping_is_bit_identical_across_k_and_objectives() {
 #[test]
 fn parallel_mapping_is_equivalent_to_the_source_network() {
     let mut rng = SplitMix64::new(0x9a11_0002);
-    for _ in 0..32 {
-        let net = random_network(rng.next_u64(), 7, 14, 5);
+    for _ in 0..8 {
+        let nets: Vec<Network> = (0..4)
+            .map(|_| random_network(rng.next_u64(), 7, 14, 5))
+            .collect();
         let k = rng.next_range(2, 7);
-        let jobs = rng.next_range(2, 9);
-        let mapped =
-            map_network(&net, &MapOptions::builder(k).jobs(jobs).build().unwrap()).unwrap();
-        check_equivalence(&net, &mapped.circuit).unwrap();
-        assert!(mapped.circuit.luts().iter().all(|l| l.utilization() <= k));
+        let options = MapOptions::builder(k).build().unwrap();
+        let jobs: Vec<_> = nets.iter().map(|net| (net, options.clone())).collect();
+        for (net, mapped) in nets.iter().zip(map_concurrently(&jobs)) {
+            check_equivalence(net, &mapped.circuit).unwrap();
+            assert!(mapped.circuit.luts().iter().all(|l| l.utilization() <= k));
+        }
     }
 }
 
 #[test]
 fn oversubscribed_workers_are_harmless() {
-    // More workers than trees (and than cores) must still be identical.
+    // More concurrent calls than cores, all racing on the same warm
+    // cache entries, must still be identical to a lone run.
     let mut rng = SplitMix64::new(0x9a11_0003);
-    for _ in 0..8 {
+    for _ in 0..4 {
         let net = random_network(rng.next_u64(), 6, 8, 4);
-        let seq = map_network(&net, &MapOptions::builder(4).build().unwrap()).unwrap();
-        let par = map_network(&net, &MapOptions::builder(4).jobs(64).build().unwrap()).unwrap();
-        assert_eq!(seq.circuit, par.circuit);
-        assert_eq!(seq.report, par.report);
+        let options = MapOptions::builder(4).build().unwrap();
+        let lone = map_network(&net, &options).unwrap();
+        let jobs: Vec<_> = (0..8).map(|_| (&net, options.clone())).collect();
+        for par in map_concurrently(&jobs) {
+            assert_eq!(lone.circuit, par.circuit);
+            assert_eq!(lone.report, par.report);
+        }
     }
 }

@@ -1,13 +1,14 @@
 //! The mapper's observability contract: the JSON report's layout is
-//! pinned in a golden file, and every counter is *scheduling-independent*
-//! — bit-identical totals whether the forest maps on one thread or many.
+//! pinned in a golden file, and every counter is a pure function of the
+//! input — bit-identical totals whether a run maps alone or beside other
+//! runs sharing its warm cache.
 
-use chortle::{map_network, stats, MapOptions, Telemetry};
+use chortle::{map_network, stats, MapOptions, Telemetry, WarmCache};
 use chortle_netlist::{Network, NodeOp, Signal, SplitMix64};
 use chortle_telemetry::schema::{shape, validate_report};
 
-/// A network whose forest levelizes into several wavefronts: two shared
-/// gates feed two consumers each, which feed a top cone. The top cone's
+/// A network whose trees depend on each other: two shared gates feed two
+/// consumers each, which feed a top cone. The top cone's
 /// five leaf occurrences are wider than K = 4, so it reaches the DP.
 fn layered_network() -> Network {
     let mut net = Network::new();
@@ -58,10 +59,15 @@ fn random_network(seed: u64, inputs: usize, gates: usize, max_arity: usize) -> N
 }
 
 /// Maps `net` with a fresh enabled sink and returns the snapshot.
-fn mapped_report(net: &Network, k: usize, jobs: usize) -> chortle::MapStats {
+fn mapped_report(net: &Network, k: usize) -> chortle::MapStats {
+    mapped_report_warm(net, k, &WarmCache::new())
+}
+
+/// [`mapped_report`] with the run attached to `warm`.
+fn mapped_report_warm(net: &Network, k: usize, warm: &WarmCache) -> chortle::MapStats {
     let telemetry = Telemetry::enabled();
     let options = MapOptions::builder(k)
-        .jobs(jobs)
+        .warm_cache(warm.clone())
         .telemetry(telemetry.clone())
         .build()
         .expect("valid options");
@@ -71,13 +77,9 @@ fn mapped_report(net: &Network, k: usize, jobs: usize) -> chortle::MapStats {
 
 #[test]
 fn report_shape_matches_the_golden_file() {
-    let report = mapped_report(&layered_network(), 4, 2);
+    let report = mapped_report(&layered_network(), 4);
     let json = report.to_json();
     validate_report(&json).expect("schema-valid");
-    assert!(
-        !report.wavefronts.is_empty(),
-        "need wavefronts for the shape"
-    );
     let expected = include_str!("golden/report_schema.txt");
     assert_eq!(
         shape(&json).expect("shapes"),
@@ -89,7 +91,7 @@ fn report_shape_matches_the_golden_file() {
 
 #[test]
 fn mapper_reports_every_documented_stage_and_counter() {
-    let report = mapped_report(&layered_network(), 4, 1);
+    let report = mapped_report(&layered_network(), 4);
     for stage in [
         stats::STAGE_NORMALIZE,
         stats::STAGE_FOREST,
@@ -116,7 +118,6 @@ fn mapper_reports_every_documented_stage_and_counter() {
         stats::MAP_SINGLE_LUT_TREES,
         stats::CACHE_HITS,
         stats::CACHE_MISSES,
-        stats::CACHE_SHARDS,
         stats::CACHE_REPLAYED_LUTS,
     ] {
         assert!(
@@ -131,49 +132,30 @@ fn mapper_reports_every_documented_stage_and_counter() {
 #[test]
 fn counters_are_identical_for_any_worker_count() {
     // The property the whole counter design serves: every counter is a
-    // pure function of the input, so jobs=1 and jobs=N tally the same.
+    // pure function of the input, so a lone cold run and any number of
+    // concurrent runs sharing (and racing to fill) one warm cache tally
+    // the same — `cache.*` included, since hits are counted from the
+    // forest, not from the store.
     let mut rng = SplitMix64::new(0x7e1e_0001);
     for round in 0..12 {
         let net = random_network(rng.next_u64(), 8, 20, 6);
         let k = rng.next_range(2, 7);
-        let baseline = mapped_report(&net, k, 1);
-        for jobs in [2, 8] {
-            let parallel = mapped_report(&net, k, jobs);
-            // `cache.shards` and the `sched.*` family are schedule echoes
-            // (shard count of the store used, chunk/steal tallies of the
-            // schedule taken), not work tallies, so they are the counters
-            // allowed to vary with the worker count.
-            let tallies = |r: &chortle::MapStats| {
-                r.counters
-                    .iter()
-                    .filter(|c| c.name != stats::CACHE_SHARDS && !c.name.starts_with("sched."))
-                    .map(|c| (c.name.clone(), c.value))
-                    .collect::<Vec<_>>()
-            };
-            assert_eq!(
-                tallies(&baseline),
-                tallies(&parallel),
-                "counters diverged (round={round} k={k} jobs={jobs})"
-            );
+        let baseline = mapped_report(&net, k);
+        for workers in [2, 4] {
+            let warm = WarmCache::new();
+            let reports: Vec<_> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..workers)
+                    .map(|_| s.spawn(|| mapped_report_warm(&net, k, &warm)))
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for report in &reports {
+                assert_eq!(
+                    baseline.counters, report.counters,
+                    "counters diverged (round={round} k={k} workers={workers})"
+                );
+            }
         }
-    }
-}
-
-#[test]
-fn wavefront_occupancy_is_consistent() {
-    let report = mapped_report(&layered_network(), 4, 2);
-    assert!(report.wavefronts.len() >= 2, "layered forest levelizes");
-    let total_trees: usize = report.wavefronts.iter().map(|w| w.trees).sum();
-    assert_eq!(
-        total_trees as u64,
-        report.counter(stats::MAP_TREES).unwrap()
-    );
-    for wave in &report.wavefronts {
-        assert_eq!(wave.claimed.len(), wave.workers);
-        assert_eq!(wave.busy_s.len(), wave.workers);
-        assert_eq!(wave.claimed.iter().sum::<u64>(), wave.trees as u64);
-        let occ = wave.occupancy();
-        assert!((0.0..=1.0).contains(&occ), "occupancy {occ} out of range");
     }
 }
 
@@ -189,5 +171,4 @@ fn disabled_telemetry_reports_nothing() {
     assert!(!report.enabled);
     assert!(report.stages.is_empty());
     assert!(report.counters.is_empty());
-    assert!(report.wavefronts.is_empty());
 }

@@ -1,7 +1,7 @@
-//! The tracing contract: the non-`Sched` projection of a mapping trace
-//! and the deterministic `dp.tree_work` histogram are pure functions of
-//! the input — bit-identical for any `--jobs` and any `--cache` mode —
-//! and cancellation never leaves a `begin` without a closing event.
+//! The tracing contract: the identity projection of a mapping trace and
+//! the deterministic `dp.tree_work` histogram are pure functions of the
+//! input — bit-identical for any `--cache` mode — and cancellation never
+//! leaves a `begin` without a closing event.
 
 use chortle::{map_network, stats, CacheMode, CancelToken, MapError, MapOptions, Telemetry};
 use chortle::{TraceKind, TraceScope};
@@ -39,10 +39,9 @@ fn random_network(seed: u64, inputs: usize, gates: usize, max_arity: usize) -> N
     net
 }
 
-fn traced_options(k: usize, jobs: usize, cache: CacheMode) -> (Telemetry, MapOptions) {
+fn traced_options(k: usize, cache: CacheMode) -> (Telemetry, MapOptions) {
     let telemetry = Telemetry::traced();
     let options = MapOptions::builder(k)
-        .jobs(jobs)
         .cache(cache)
         .telemetry(telemetry.clone())
         .build()
@@ -51,42 +50,39 @@ fn traced_options(k: usize, jobs: usize, cache: CacheMode) -> (Telemetry, MapOpt
 }
 
 #[test]
-fn trace_identity_is_invariant_across_jobs_and_cache_modes() {
+fn trace_identity_is_invariant_across_cache_modes() {
     let mut rng = SplitMix64::new(0x7ace_0001);
     for round in 0..8 {
         let net = random_network(rng.next_u64(), 8, 24, 6);
         let k = rng.next_range(2, 7);
-        let (telemetry, options) = traced_options(k, 1, CacheMode::Off);
+        let (telemetry, options) = traced_options(k, CacheMode::Off);
         map_network(&net, &options).expect("maps");
         let baseline = telemetry.trace_snapshot();
         assert_eq!(baseline.dropped, 0);
         assert!(!baseline.events.is_empty(), "tracing captured nothing");
-        for jobs in [1, 2, 8] {
-            for cache in [CacheMode::Off, CacheMode::Tree, CacheMode::Shared] {
-                let (telemetry, options) = traced_options(k, jobs, cache);
-                map_network(&net, &options).expect("maps");
-                let trace = telemetry.trace_snapshot();
-                assert_eq!(
-                    baseline.identity(),
-                    trace.identity(),
-                    "trace identity diverged (round={round} k={k} jobs={jobs} cache={cache:?})"
-                );
-            }
+        for cache in [CacheMode::Off, CacheMode::Tree, CacheMode::Shared] {
+            let (telemetry, options) = traced_options(k, cache);
+            map_network(&net, &options).expect("maps");
+            let trace = telemetry.trace_snapshot();
+            assert_eq!(
+                baseline.identity(),
+                trace.identity(),
+                "trace identity diverged (round={round} k={k} cache={cache:?})"
+            );
         }
     }
 }
 
 #[test]
-fn tree_work_histogram_is_invariant_across_jobs_and_cache_modes() {
+fn tree_work_histogram_is_invariant_across_cache_modes() {
     let mut rng = SplitMix64::new(0x7ace_0002);
     let mut nonempty_rounds = 0;
     for round in 0..8 {
         let net = random_network(rng.next_u64(), 8, 24, 6);
         let k = rng.next_range(2, 7);
-        let report = |jobs, cache| {
+        let report = |cache| {
             let telemetry = Telemetry::enabled();
             let options = MapOptions::builder(k)
-                .jobs(jobs)
                 .cache(cache)
                 .telemetry(telemetry.clone())
                 .build()
@@ -94,7 +90,7 @@ fn tree_work_histogram_is_invariant_across_jobs_and_cache_modes() {
             map_network(&net, &options).expect("maps");
             telemetry.snapshot()
         };
-        let baseline = report(1, CacheMode::Off);
+        let baseline = report(CacheMode::Off);
         // A degenerate round can normalize to an empty forest, in which
         // case the histogram is absent — absence must then be invariant
         // too, so compare as an Option.
@@ -103,15 +99,13 @@ fn tree_work_histogram_is_invariant_across_jobs_and_cache_modes() {
             assert!(h.count() > 0);
             nonempty_rounds += 1;
         }
-        for jobs in [1, 2, 8] {
-            for cache in [CacheMode::Off, CacheMode::Tree, CacheMode::Shared] {
-                let r = report(jobs, cache);
-                assert_eq!(
-                    base_hist.as_ref(),
-                    r.histogram(stats::HIST_TREE_WORK),
-                    "dp.tree_work diverged (round={round} k={k} jobs={jobs} cache={cache:?})"
-                );
-            }
+        for cache in [CacheMode::Off, CacheMode::Tree, CacheMode::Shared] {
+            let r = report(cache);
+            assert_eq!(
+                base_hist.as_ref(),
+                r.histogram(stats::HIST_TREE_WORK),
+                "dp.tree_work diverged (round={round} k={k} cache={cache:?})"
+            );
         }
     }
     assert!(nonempty_rounds > 0, "every round degenerated");
@@ -139,7 +133,7 @@ fn solve_and_replay_instants_partition_the_forest() {
         (random_network(0x7ace_0003, 8, 30, 5), false),
         (mixed_network(4), true),
     ] {
-        let (telemetry, options) = traced_options(4, 2, CacheMode::Shared);
+        let (telemetry, options) = traced_options(4, CacheMode::Shared);
         map_network(&net, &options).expect("maps");
         let trace = telemetry.trace_snapshot();
         let report = telemetry.snapshot();
@@ -200,19 +194,17 @@ fn assert_spans_closed(trace: &chortle::Trace, context: &str) {
 fn cancellation_between_trees_leaves_no_partial_spans() {
     // Cancellation is polled at tree boundaries, so however the race
     // between the canceller and the mapper lands — before the run, mid
-    // wavefront, or after completion — every flushed `begin` must carry
+    // forest, or after completion — every flushed `begin` must carry
     // a matching `end` (or explicit `cancelled`) and the Chrome export
     // must stay balanced.
     let mut rng = SplitMix64::new(0x7ace_0004);
     let mut cancelled_runs = 0;
     for round in 0..24 {
         let net = random_network(rng.next_u64(), 10, 40, 6);
-        let jobs = [1, 2, 4][round % 3];
         let cache = [CacheMode::Off, CacheMode::Tree, CacheMode::Shared][round % 3];
         let telemetry = Telemetry::traced();
         let token = CancelToken::armed();
         let options = MapOptions::builder(4)
-            .jobs(jobs)
             .cache(cache)
             .telemetry(telemetry.clone())
             .cancel(token.clone())
@@ -241,10 +233,7 @@ fn cancellation_between_trees_leaves_no_partial_spans() {
             Err(e) => panic!("unexpected error: {e:?}"),
         }
         let trace = telemetry.trace_snapshot();
-        assert_spans_closed(
-            &trace,
-            &format!("round={round} jobs={jobs} cache={cache:?}"),
-        );
+        assert_spans_closed(&trace, &format!("round={round} cache={cache:?}"));
         validate_chrome_trace(&trace.to_chrome_json())
             .unwrap_or_else(|e| panic!("chrome trace invalid (round={round}): {e}"));
     }
@@ -254,18 +243,16 @@ fn cancellation_between_trees_leaves_no_partial_spans() {
 #[test]
 fn completed_trace_exports_valid_chrome_json() {
     let net = random_network(0x7ace_0005, 8, 24, 5);
-    for jobs in [1, 4] {
-        let (telemetry, options) = traced_options(4, jobs, CacheMode::Shared);
-        map_network(&net, &options).expect("maps");
-        let trace = telemetry.trace_snapshot();
-        assert_spans_closed(&trace, &format!("jobs={jobs}"));
-        let chrome = trace.to_chrome_json();
-        validate_chrome_trace(&chrome).expect("chrome-loadable");
-        // Stage spans from the pipeline and tree spans from the mapper
-        // both made it into the export.
-        assert!(chrome.contains("\"cat\":\"stage\""));
-        assert!(chrome.contains("\"cat\":\"tree\""));
-    }
+    let (telemetry, options) = traced_options(4, CacheMode::Shared);
+    map_network(&net, &options).expect("maps");
+    let trace = telemetry.trace_snapshot();
+    assert_spans_closed(&trace, "cache=Shared");
+    let chrome = trace.to_chrome_json();
+    validate_chrome_trace(&chrome).expect("chrome-loadable");
+    // Stage spans from the pipeline and tree spans from the mapper both
+    // made it into the export.
+    assert!(chrome.contains("\"cat\":\"stage\""));
+    assert!(chrome.contains("\"cat\":\"tree\""));
 }
 
 #[test]

@@ -1,9 +1,9 @@
 //! `report-check` — validate `chortle-map` observability output.
 //!
 //! Default mode reads one JSON telemetry report from stdin and checks it
-//! against the `chortle-telemetry/v1.7` schema: exact key layout, value
-//! kinds, and internal consistency (per-worker arrays sized to the
-//! worker count, histogram bucket counts summing to the sample count).
+//! against the `chortle-telemetry/v1.8` schema: exact key layout, value
+//! kinds, and internal consistency (histogram bucket counts summing to
+//! the sample count).
 //! With `--chrome-trace` it instead validates a `chortle-map --trace`
 //! file: well-formed Chrome trace-event JSON with `B`/`E` events
 //! balanced per thread. With `--prom` it validates a Prometheus

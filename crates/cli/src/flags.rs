@@ -56,13 +56,7 @@ pub const FLAGS: &[Flag] = &[
         name: "--jobs",
         alias: None,
         value: Some("N"),
-        help: "mapper worker threads; 0 = all cores (default 0)",
-    },
-    Flag {
-        name: "--chunk",
-        alias: None,
-        value: Some("POLICY"),
-        help: "trees per scheduler chunk: auto (default) or N >= 1",
+        help: "accepted for compatibility and ignored: mapping runs on one thread",
     },
     Flag {
         name: "--cache",

@@ -50,9 +50,9 @@ use chortle_netlist::{
 // One import serves downstream users: the core mapper types ride along
 // with the flow API.
 pub use chortle::{
-    map_design, map_network, record_parse_stats, CacheMode, ChunkPolicy, DesignError,
-    DesignOptions, Fingerprint, MapError, MapOptions, MapOptionsBuilder, MapReport, MapStats,
-    MappedCloud, MappedDesign, Mapping, Objective, PackMode, Telemetry,
+    map_design, map_network, record_parse_stats, CacheMode, DesignError, DesignOptions,
+    Fingerprint, MapError, MapOptions, MapOptionsBuilder, MapReport, MapStats, MappedCloud,
+    MappedDesign, Mapping, Objective, PackMode, Telemetry,
 };
 
 /// Names of the flow-level stages [`run_flow`] reports into the sink

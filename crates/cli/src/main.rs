@@ -20,8 +20,8 @@ use std::process::ExitCode;
 
 use chortle_cli::flags::{help_text, lookup};
 use chortle_cli::{
-    run_design_flow, run_flow, CacheMode, ChunkPolicy, FlowOptions, MapOptions, Mapper,
-    OutputFormat, PackMode, Telemetry,
+    run_design_flow, run_flow, CacheMode, FlowOptions, MapOptions, Mapper, OutputFormat, PackMode,
+    Telemetry,
 };
 use chortle_netlist::write_blif;
 
@@ -58,8 +58,6 @@ impl CliError {
 fn parse_args(args: impl Iterator<Item = String>) -> Result<Option<Cli>, CliError> {
     let mut k = 4usize;
     let mut split = 10usize;
-    let mut jobs = 0usize; // 0 = all cores (resolved by the library)
-    let mut chunk = ChunkPolicy::Auto;
     let mut cache = CacheMode::default();
     let mut pack = PackMode::default();
     let mut depth_objective = false;
@@ -134,17 +132,11 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Option<Cli>, CliErro
                 })?;
             }
             "--jobs" => {
-                jobs = value.parse().map_err(|_| {
+                // Validated so scripts keep failing loudly on a typo, then
+                // ignored: mapping has no intra-run parallelism.
+                value.parse::<usize>().map_err(|_| {
                     CliError::invalid("--jobs", format!("{value:?} is not an integer"))
                 })?;
-            }
-            "--chunk" => {
-                chunk = match value.as_str() {
-                    "auto" => ChunkPolicy::Auto,
-                    n => ChunkPolicy::Fixed(n.parse().map_err(|_| {
-                        CliError::invalid("--chunk", format!("{n:?} (expected auto or N >= 1)"))
-                    })?),
-                };
             }
             "--cache" => {
                 cache = match value.as_str() {
@@ -218,12 +210,7 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Option<Cli>, CliErro
     if cli.clouds.is_some() && !cli.design {
         return Err(CliError("--clouds requires --design".to_owned()));
     }
-    let mut builder = MapOptions::builder(k)
-        .jobs(jobs)
-        .chunk(chunk)
-        .map_err(|e| CliError::invalid("--chunk", e))?
-        .cache(cache)
-        .pack(pack);
+    let mut builder = MapOptions::builder(k).cache(cache).pack(pack);
     if depth_objective {
         builder = builder.objective(chortle_cli::Objective::Depth);
     }

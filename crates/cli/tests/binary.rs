@@ -102,11 +102,16 @@ fn file_round_trip() {
 fn jobs_flag_matches_sequential_output() {
     let (seq, _, ok) = run(&["-k", "3"], DEMO);
     assert!(ok);
+    // `--jobs` is accepted for compatibility and ignored ...
     for jobs in ["0", "4"] {
         let (par, _, ok) = run(&["-k", "3", "--jobs", jobs], DEMO);
         assert!(ok);
         assert_eq!(seq, par, "--jobs {jobs} must not change the circuit");
     }
+    // ... but still validated, so a typo fails loudly.
+    let (_, stderr, ok) = run(&["--jobs", "many"], DEMO);
+    assert!(!ok);
+    assert!(stderr.contains("invalid value for --jobs"), "{stderr}");
 }
 
 #[test]
@@ -180,6 +185,10 @@ fn unknown_flags_are_rejected() {
     assert!(!ok);
     assert!(stderr.contains("unknown argument"));
     assert!(stderr.contains("--frobnicate"));
+    // There is no chunk knob: mapping has one driver.
+    let (_, stderr, ok) = run(&["--chunk", "4"], DEMO);
+    assert!(!ok);
+    assert!(stderr.contains("unknown argument"), "{stderr}");
 }
 
 #[test]
@@ -199,8 +208,7 @@ fn invalid_values_name_the_flag() {
 }
 
 /// A Figure-1-style network: `g2` and `g3` fan out, so the forest has
-/// two dependency wavefronts and `--jobs 2` exercises the parallel
-/// mapper's occupancy recording.
+/// trees that read other trees' root depths.
 const FIGURE: &str = "\
 .model figure
 .inputs a b c d e
@@ -227,7 +235,6 @@ fn cache_modes_do_not_change_the_circuit() {
     for args in [
         &["-k", "3", "--cache", "tree"][..],
         &["-k", "3", "--cache", "shared"],
-        &["-k", "3", "--cache", "shared", "--jobs", "4"],
     ] {
         let (stdout, _, ok) = run(args, FIGURE);
         assert!(ok);
@@ -237,10 +244,7 @@ fn cache_modes_do_not_change_the_circuit() {
 
 #[test]
 fn report_json_is_schema_valid_and_owns_stdout() {
-    let (stdout, stderr, ok) = run(
-        &["--report", "json", "--jobs", "2", "--no-optimize"],
-        FIGURE,
-    );
+    let (stdout, stderr, ok) = run(&["--report", "json", "--no-optimize"], FIGURE);
     assert!(ok, "{stderr}");
     // Report owns stdout: exactly one line of JSON, no BLIF.
     assert_eq!(stdout.lines().count(), 1, "{stdout}");
@@ -255,8 +259,15 @@ fn report_json_is_schema_valid_and_owns_stdout() {
     for stage in ["flow.parse", "flow.map", "map.dp", "flow.render"] {
         assert!(names.contains(&stage), "missing stage {stage} in {names:?}");
     }
-    let wavefronts = report.get("wavefronts").and_then(|v| v.as_array()).unwrap();
-    assert!(wavefronts.len() >= 2, "expected >= 2 wavefronts");
+    let trees = report
+        .get("counters")
+        .and_then(|v| v.as_array())
+        .unwrap()
+        .iter()
+        .find(|c| c.get("name").and_then(|n| n.as_str()) == Some("map.trees"))
+        .and_then(|c| c.get("value").and_then(|v| v.as_u64()))
+        .expect("map.trees counter");
+    assert!(trees >= 3, "expected the fanout points to split the forest");
 }
 
 #[test]
@@ -273,10 +284,7 @@ fn report_text_is_human_readable() {
 #[test]
 fn trace_writes_chrome_trace_event_json() {
     let trace_path = std::env::temp_dir().join("chortle_cli_trace.json");
-    let (stdout, stderr, ok) = run(
-        &["--trace", trace_path.to_str().expect("utf8"), "--jobs", "2"],
-        FIGURE,
-    );
+    let (stdout, stderr, ok) = run(&["--trace", trace_path.to_str().expect("utf8")], FIGURE);
     assert!(ok, "{stderr}");
     // --trace does not claim stdout: the circuit still goes there.
     assert!(stdout.contains(".model mapped"));

@@ -30,9 +30,10 @@ use chortle_telemetry::log::{self, FieldValue, Level};
 /// event (with the crash-context ring flushed to stderr) before the
 /// default hook prints its message — so an operator tailing the JSONL
 /// log sees *what the daemon was doing* when a thread died, not just
-/// the panic line. A no-op while logging is off. Worker panics are
-/// still recovered by the scheduler's `catch_unwind` path; this hook
-/// observes them on the way through.
+/// the panic line. A no-op while logging is off. A panic inside a
+/// request is contained at the request boundary (the worker answers
+/// `internal` and keeps serving); this hook observes it on the way
+/// through.
 fn install_panic_hook() {
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
@@ -114,7 +115,7 @@ fn print_client_help() {
     println!();
     println!("Client options:");
     println!("  -k N                LUT input count (default 4)");
-    println!("  --jobs N            mapper worker threads; 0 = all cores (default 1)");
+    println!("  --jobs N            accepted and ignored; each request maps on one daemon worker");
     println!("  --cache MODE        DP cache: shared (default), fn, tree, or off");
     println!("  --objective GOAL    area (default) or depth");
     println!("  --no-optimize       skip the MIS-style optimization script");

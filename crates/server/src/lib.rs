@@ -35,7 +35,7 @@
 //!   drains in-flight work, and yields a final aggregate telemetry
 //!   report (`serve.*` counters plus the `serve.queue_ns`,
 //!   `serve.run_ns`, and `serve.admission.client_depth` histograms,
-//!   schema `chortle-telemetry/v1.7`);
+//!   schema `chortle-telemetry/v1.8`);
 //! - **live introspection**: `op: "stats"` answers uptime, per-op
 //!   request counters, queue depth and high-water mark, and the latency
 //!   histograms without disturbing the workers; `op: "trace"` dumps a
@@ -52,7 +52,7 @@
 //!   `report-check --prom`.
 //!
 //! Responses are byte-identical to the offline `chortle-map` CLI for
-//! the same `(BLIF, k, jobs, cache, objective, optimize)` — the server
+//! the same `(BLIF, k, cache, objective, optimize)` — the server
 //! is a faster way to run the same mapper, not a different mapper.
 //! That holds for every path: v1 `map`, v2 `map`, each entry of a v2
 //! `map_batch`, and `map_design` against `chortle-map --design`.

@@ -21,7 +21,7 @@
 //! Request keys: `proto` (required), `id` (optional string, echoed
 //! verbatim), `op` (`"map"` default, `"flush"`, `"stats"`, `"trace"`,
 //! `"shutdown"`); for `op: "map"` also `blif` (required), `k` (default
-//! 4), `jobs` (default 0 = host parallelism), `cache`
+//! 4), `jobs` (accepted and ignored), `cache`
 //! (`"shared"`/`"tree"`/`"off"`/`"fn"`), `objective` (`"area"`/`"depth"`),
 //! `optimize` (default true) and `deadline_ms`. Unknown keys, unknown
 //! enum values, and admin requests carrying map-only keys are rejected
@@ -167,8 +167,8 @@ pub struct MapRequest {
     pub blif: String,
     /// LUT input count (the mapper validates the 2..=8 range).
     pub k: usize,
-    /// Mapper worker threads (0 = host parallelism). Identical output
-    /// for every value — parallelism is a latency knob only.
+    /// Accepted for wire compatibility and echoed, but ignored: every
+    /// request maps on the worker thread that runs it.
     pub jobs: usize,
     /// DP memoization mode; `Shared` (the default) additionally taps the
     /// server's warm cross-request cache.

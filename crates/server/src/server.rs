@@ -14,14 +14,15 @@
 //! into single writes (order may interleave across worker completion,
 //! which is why responses echo the request `id`).
 //!
-//! Mapping parallelism is *not* per-request: every worker submits its
-//! wavefront chunks into the mapper's process-wide work-stealing pool
-//! (see `chortle`'s scheduler), so chunks from concurrent in-flight
-//! requests interleave on the same deques and a burst of small requests
-//! saturates the host instead of serializing behind one request's
-//! waves. The per-request `CancelToken` (deadline) is honored
-//! cooperatively at chunk boundaries, so one cancelled request never
-//! stalls the pool for its neighbors.
+//! The worker pool is the only parallelism: each request maps on the
+//! worker that popped it, in tree order, and concurrent requests share
+//! nothing but the warm cache. A burst of requests therefore spreads
+//! over the workers (one per core by default) instead of one request
+//! fanning out and competing with its neighbors. The per-request
+//! `CancelToken` (deadline) is honored cooperatively at tree
+//! boundaries, so a cancelled request frees its worker promptly. A
+//! request that panics is answered `internal` and its worker keeps
+//! serving (see [`contain_panic`]).
 //!
 //! ## Admission
 //!
@@ -247,7 +248,7 @@ impl ServeOptionsBuilder {
 pub struct ServerSummary {
     /// The aggregate server telemetry report (`serve.*` counters, the
     /// per-request stage, the latency and client-depth histograms) —
-    /// schema-valid `chortle-telemetry/v1.7`.
+    /// schema-valid `chortle-telemetry/v1.8`.
     pub report: Report,
     /// Final warm-cache generation.
     pub cache_generation: u64,
@@ -360,6 +361,28 @@ impl Shared {
     }
 }
 
+/// Runs one request's pipeline and answers a panic inside it as an
+/// `internal` rejection, so the worker thread survives to serve the
+/// next request. The panic itself is still reported by the process
+/// panic hook. The request's state is dropped with the unwind; the warm
+/// cache is only locked for single lookups and inserts, never across
+/// mapping work, so a panic leaves it consistent.
+fn contain_panic<T>(
+    run: impl FnOnce() -> Result<T, (RejectReason, String)>,
+) -> Result<T, (RejectReason, String)> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        Err((
+            RejectReason::Internal,
+            format!("the mapper panicked: {message}"),
+        ))
+    })
+}
+
 /// One worker: pop, execute, render, deliver, complete — until the
 /// queue closes and drains.
 fn worker_loop(shared: &Shared) {
@@ -374,10 +397,15 @@ fn worker_loop(shared: &Shared) {
                 RejectReason::DeadlineExceeded,
                 "deadline expired while queued".to_owned(),
             ))
-        } else if job.req.design {
-            service::execute_design(&job.req, &shared.warm, service::cancel_for(job.deadline))
         } else {
-            service::execute_map(&job.req, &shared.warm, service::cancel_for(job.deadline))
+            let cancel = service::cancel_for(job.deadline);
+            contain_panic(|| {
+                if job.req.design {
+                    service::execute_design(&job.req, &shared.warm, cancel)
+                } else {
+                    service::execute_map(&job.req, &shared.warm, cancel)
+                }
+            })
         };
         let run = start.elapsed();
         let run_ns = u64::try_from(run.as_nanos()).unwrap_or(u64::MAX);
@@ -745,5 +773,26 @@ fn stdio_writer(shared: &Shared) {
             break;
         }
         shared.completions.wait(Duration::from_millis(2));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_request_is_answered_internal() {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let outcome: Result<(), _> = contain_panic(|| panic!("planted bug"));
+        std::panic::set_hook(prev);
+        let (reason, detail) = outcome.unwrap_err();
+        assert_eq!(reason, RejectReason::Internal);
+        assert!(detail.contains("planted bug"), "{detail}");
+        // Results and typed rejections pass through untouched.
+        assert_eq!(contain_panic(|| Ok::<_, (RejectReason, String)>(7)), Ok(7));
+        let rejected: Result<(), _> =
+            contain_panic(|| Err((RejectReason::BadRequest, "no".to_owned())));
+        assert_eq!(rejected, Err((RejectReason::BadRequest, "no".to_owned())));
     }
 }

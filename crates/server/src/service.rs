@@ -4,7 +4,7 @@
 //! stage — parse, optional MIS-style optimization, Chortle mapping,
 //! BLIF render with the same `"mapped"` model name — so a server
 //! response's `netlist` is **byte-identical** to what `chortle-map`
-//! prints for the same `(BLIF, k, jobs, cache, objective, optimize)`.
+//! prints for the same `(BLIF, k, cache, objective, optimize)`.
 //! Equivalence verification is deliberately skipped server-side: it
 //! never changes the output bytes, and the offline CLI remains the
 //! place for one-shot assurance runs. Each request gets its own enabled
@@ -60,7 +60,6 @@ pub(crate) fn execute_map(
 ) -> Result<MapOutcome, (RejectReason, String)> {
     let telemetry = Telemetry::enabled();
     let options = MapOptions::builder(req.k)
-        .jobs(req.jobs)
         .cache(req.cache)
         .objective(req.objective)
         .telemetry(telemetry.clone())
@@ -128,7 +127,6 @@ pub(crate) fn execute_design(
 ) -> Result<MapOutcome, (RejectReason, String)> {
     let telemetry = Telemetry::enabled();
     let options = MapOptions::builder(req.k)
-        .jobs(req.jobs)
         .cache(req.cache)
         .objective(req.objective)
         .telemetry(telemetry.clone())
@@ -164,8 +162,7 @@ pub(crate) fn execute_design(
             DesignError::Map {
                 error: MapError::Cancelled,
                 ..
-            }
-            | DesignError::Scheduler(MapError::Cancelled) => deadline_rejection(),
+            } => deadline_rejection(),
             other => (
                 RejectReason::Internal,
                 format!("design mapping failed: {other}"),

@@ -896,7 +896,7 @@ fn map_design_matches_the_offline_design_pipeline() {
     assert_eq!(reparsed.latches().len(), 1);
 
     // The embedded report carries the design.* and blif.* namespaces
-    // and validates against schema v1.7.
+    // and validates against the current schema.
     chortle_telemetry::schema::validate_report(&mapped.report_json)
         .expect("per-request design report validates against the schema");
     assert!(mapped.report_json.contains("\"design.clouds\""));

@@ -1,15 +1,13 @@
 //! Std-only observability for the Chortle mapping pipeline.
 //!
-//! The pipeline (`logic-opt → forest → wavefront → subset-DP`) reports
-//! into a single [`Telemetry`] handle:
+//! The pipeline (`logic-opt → forest → subset-DP`) reports into a
+//! single [`Telemetry`] handle:
 //!
 //! * **spans** — wall-time of named pipeline stages ([`Telemetry::span`]),
 //! * **counters** — monotonically accumulated event counts
 //!   ([`Telemetry::add_counter`]); producers define counts so that the
-//!   totals are *scheduling-independent* (identical for any worker
-//!   count),
-//! * **wavefront events** — per-wavefront worker occupancy of the
-//!   parallel forest mapper ([`Telemetry::record_wavefront`]).
+//!   totals are a function of the workload alone (identical for any
+//!   cache mode).
 //!
 //! A handle is either **enabled** (shared, thread-safe recorder behind an
 //! `Arc`) or **disabled** (the default). Disabled handles are a single
@@ -35,7 +33,9 @@
 //! Schema v1.7 adds the live observability plane: a process-global
 //! structured logger ([`log`]) whose closed `log.*` counter namespace
 //! can mirror into a handle, and Prometheus text exposition of any
-//! report ([`prom`]).
+//! report ([`prom`]). Schema v1.8 drops the per-wavefront occupancy
+//! array and the scheduler trace scope with the parallel forest mapper
+//! they described.
 //!
 //! # Examples
 //!
@@ -76,7 +76,7 @@ pub use trace::{
 
 /// Identifier of the report layout, embedded in every JSON report and
 /// checked by [`schema::validate_report`].
-pub const SCHEMA: &str = "chortle-telemetry/v1.7";
+pub const SCHEMA: &str = "chortle-telemetry/v1.8";
 
 /// Default capacity (in events) of a traced handle's event store.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
@@ -96,8 +96,6 @@ struct Inner {
     counters: Mutex<BTreeMap<&'static str, u64>>,
     /// Histograms, name-sorted for deterministic reports.
     histograms: Mutex<BTreeMap<&'static str, Histogram>>,
-    /// Wavefront events in recording order.
-    wavefronts: Mutex<Vec<WavefrontStat>>,
     /// Trace recorder; present only on handles built with
     /// [`Telemetry::traced`].
     trace: Option<TraceShared>,
@@ -110,7 +108,7 @@ struct TraceShared {
     capacity: usize,
     /// Allocator for `Stage`-scope span indices (driver-side spans are
     /// created in a deterministic program order, so this sequence is
-    /// schedule-independent).
+    /// run-independent).
     stage_seq: AtomicU64,
     state: Mutex<TraceState>,
 }
@@ -274,13 +272,6 @@ impl Telemetry {
         }
     }
 
-    /// Records one wavefront of the parallel forest mapper.
-    pub fn record_wavefront(&self, stat: WavefrontStat) {
-        if let Some(inner) = &self.inner {
-            inner.wavefronts.lock().expect("telemetry lock").push(stat);
-        }
-    }
-
     /// A per-worker trace buffer bound to this handle's epoch; inert
     /// (records nothing) unless the handle is tracing.
     pub fn trace_buffer(&self, worker: u32) -> TraceBuffer {
@@ -371,8 +362,7 @@ impl Telemetry {
             .collect();
         if let Some(tr) = &inner.trace {
             // Observation echoes, not workload counters: how much trace
-            // data this handle captured (schedule-dependent — scheduler
-            // events vary with the worker count).
+            // data this handle captured.
             let state = tr.state.lock().expect("telemetry lock");
             counters.insert("trace.events", state.events.len() as u64);
             counters.insert("trace.dropped", state.dropped);
@@ -394,13 +384,11 @@ impl Telemetry {
                 hist: hist.clone(),
             })
             .collect();
-        let wavefronts = inner.wavefronts.lock().expect("telemetry lock").clone();
         Report {
             enabled: true,
             stages,
             counters,
             histograms,
-            wavefronts,
         }
     }
 }
@@ -485,42 +473,6 @@ pub struct HistogramStat {
     pub hist: Histogram,
 }
 
-/// Worker occupancy of one wavefront of the parallel forest mapper.
-///
-/// `claimed[w]` and `busy_s[w]` describe worker `w`: how many trees it
-/// pulled off the shared cursor and how long its mapping loop ran. These
-/// depend on OS scheduling and are *not* required to be identical across
-/// runs or worker counts — unlike [`Report::counters`].
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct WavefrontStat {
-    /// Wavefront index (0 = trees fed only by primary inputs).
-    pub index: usize,
-    /// Trees in this wavefront.
-    pub trees: usize,
-    /// Workers that mapped it.
-    pub workers: usize,
-    /// Wall time of the whole wavefront, in seconds.
-    pub seconds: f64,
-    /// Trees claimed per worker (`len() == workers`).
-    pub claimed: Vec<u64>,
-    /// Busy seconds per worker (`len() == workers`).
-    pub busy_s: Vec<f64>,
-}
-
-impl WavefrontStat {
-    /// Fraction of the wavefront's worker-seconds actually spent mapping:
-    /// `sum(busy_s) / (workers · seconds)`, clamped to `0..=1`. Zero when
-    /// the wavefront was too fast to measure.
-    pub fn occupancy(&self) -> f64 {
-        let capacity = self.seconds * self.workers as f64;
-        if capacity <= 0.0 {
-            0.0
-        } else {
-            (self.busy_s.iter().sum::<f64>() / capacity).clamp(0.0, 1.0)
-        }
-    }
-}
-
 /// An immutable snapshot of a [`Telemetry`] handle.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Report {
@@ -529,18 +481,16 @@ pub struct Report {
     pub enabled: bool,
     /// Stage wall times, in first-recorded order.
     pub stages: Vec<StageStat>,
-    /// Counters, sorted by name. Producers guarantee these are
-    /// scheduling-independent: the same workload yields bit-identical
-    /// values for any `jobs` setting (`cache.shards` and `trace.*` are
-    /// the documented configuration/observation-echo exceptions).
+    /// Counters, sorted by name. Producers guarantee these are a
+    /// function of the workload: the same workload yields bit-identical
+    /// values for any cache mode (`trace.*` is the documented
+    /// observation-echo exception).
     pub counters: Vec<CounterStat>,
     /// Histograms, sorted by name. Bucket *boundaries* are exact, so
     /// histograms of deterministic quantities (e.g. per-tree DP work)
-    /// are bit-identical across worker counts; wall-time histograms
-    /// vary with the run but always merge consistently.
+    /// are bit-identical across runs; wall-time histograms vary with the
+    /// run but always merge consistently.
     pub histograms: Vec<HistogramStat>,
-    /// Wavefront occupancy events, in wavefront order per mapping call.
-    pub wavefronts: Vec<WavefrontStat>,
 }
 
 impl Report {
@@ -608,43 +558,11 @@ impl Report {
             h.hist.write_json_fields(&mut out);
             out.push('}');
         }
-        out.push_str("],\"wavefronts\":[");
-        for (i, w) in self.wavefronts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = std::fmt::Write::write_fmt(
-                &mut out,
-                format_args!(
-                    "{{\"index\":{},\"trees\":{},\"workers\":{},\"seconds\":",
-                    w.index, w.trees, w.workers
-                ),
-            );
-            json::write_f64(&mut out, w.seconds);
-            out.push_str(",\"occupancy\":");
-            json::write_f64(&mut out, w.occupancy());
-            out.push_str(",\"claimed\":[");
-            for (j, c) in w.claimed.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&c.to_string());
-            }
-            out.push_str("],\"busy_s\":[");
-            for (j, b) in w.busy_s.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                json::write_f64(&mut out, *b);
-            }
-            out.push_str("]}");
-        }
         out.push_str("]}");
         out
     }
 
-    /// Renders a human-readable summary (stages, counters, histograms,
-    /// occupancy). Histograms named `*_ns` print as milliseconds; any
+    /// Renders a human-readable summary (stages, counters, histograms). Histograms named `*_ns` print as milliseconds; any
     /// other histogram counts its own unit and prints plain numbers.
     pub fn to_text(&self) -> String {
         use std::fmt::Write as _;
@@ -718,20 +636,6 @@ impl Report {
                 }
             }
         }
-        if !self.wavefronts.is_empty() {
-            let _ = writeln!(out, "wavefronts:");
-            for w in &self.wavefronts {
-                let _ = writeln!(
-                    out,
-                    "  wave {:>3}: {:>5} trees, {} worker(s), {:>9.6}s, occupancy {:>5.1}%",
-                    w.index,
-                    w.trees,
-                    w.workers,
-                    w.seconds,
-                    w.occupancy() * 100.0
-                );
-            }
-        }
         out
     }
 }
@@ -746,7 +650,6 @@ mod tests {
         assert!(!t.is_enabled());
         t.add_counter("x", 5);
         t.record_stage("s", 1.0);
-        t.record_wavefront(WavefrontStat::default());
         drop(t.span("s"));
         let report = t.snapshot();
         assert_eq!(report, Report::default());
@@ -820,32 +723,10 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_math() {
-        let w = WavefrontStat {
-            index: 0,
-            trees: 4,
-            workers: 2,
-            seconds: 1.0,
-            claimed: vec![2, 2],
-            busy_s: vec![0.5, 0.5],
-        };
-        assert!((w.occupancy() - 0.5).abs() < 1e-12);
-        assert_eq!(WavefrontStat::default().occupancy(), 0.0);
-    }
-
-    #[test]
     fn json_roundtrips_through_parser() {
         let t = Telemetry::enabled();
         t.add_counter("dp.divisions", 42);
         t.record_stage("map.dp", 0.125);
-        t.record_wavefront(WavefrontStat {
-            index: 0,
-            trees: 3,
-            workers: 2,
-            seconds: 0.5,
-            claimed: vec![2, 1],
-            busy_s: vec![0.25, 0.125],
-        });
         let json = t.snapshot().to_json();
         let value = json::parse(&json).expect("valid JSON");
         assert_eq!(
@@ -879,18 +760,11 @@ mod tests {
         let t = Telemetry::enabled();
         t.add_counter("dp.divisions", 42);
         t.record_stage("map.dp", 0.125);
-        t.record_wavefront(WavefrontStat {
-            index: 1,
-            trees: 3,
-            workers: 2,
-            seconds: 0.5,
-            claimed: vec![2, 1],
-            busy_s: vec![0.25, 0.125],
-        });
+        t.record_value("dp.tree_work", 37);
         let text = t.snapshot().to_text();
         assert!(text.contains("map.dp"));
         assert!(text.contains("dp.divisions"));
-        assert!(text.contains("wave   1"));
+        assert!(text.contains("dp.tree_work"));
         assert!(Telemetry::disabled()
             .snapshot()
             .to_text()

@@ -3,7 +3,7 @@
 //! The logger is process-global and **off by default**: every
 //! [`event`] call is a single relaxed atomic load until [`init`] raises
 //! the level, so instrumented code (the daemon's admission path, the
-//! scheduler's panic recovery, the cache tiers) pays nothing in the
+//! daemon's panic containment, the cache tiers) pays nothing in the
 //! offline pipeline and telemetry reports stay bit-identical whether or
 //! not the logging code is compiled in. That invariant is what lets
 //! logging be *always wired* without threatening the determinism rails.
@@ -372,7 +372,7 @@ mod tests {
             7,
             1_000,
             Level::Error,
-            "sched.pool",
+            "serve.worker",
             "worker panicked",
             &[
                 ("worker", FieldValue::U64(2)),
@@ -384,7 +384,7 @@ mod tests {
         );
         assert_eq!(
             line,
-            "{\"seq\":7,\"t_ns\":1000,\"level\":\"error\",\"target\":\"sched.pool\",\
+            "{\"seq\":7,\"t_ns\":1000,\"level\":\"error\",\"target\":\"serve.worker\",\
              \"msg\":\"worker panicked\",\"worker\":2,\
              \"detail\":\"index out of bounds: \\\"x\\\"\",\"recovered\":true,\
              \"skew\":0.5,\"delta\":-3}"

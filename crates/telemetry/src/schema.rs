@@ -1,8 +1,8 @@
 //! Structural validation of JSON telemetry reports.
 //!
 //! [`validate_report`] checks a report against the [`crate::SCHEMA`]
-//! layout — key set, kinds, and internal consistency (per-worker arrays
-//! sized to the worker count). [`shape`] renders the *shape* of any JSON
+//! layout — key set, kinds, and internal consistency (histogram bucket
+//! counts summing to the sample count). [`shape`] renders the *shape* of any JSON
 //! document (every key path with its kind, values elided), which the
 //! golden-file schema test pins so the report layout cannot drift
 //! silently.
@@ -52,7 +52,6 @@ pub const TRACE_COUNTERS: &[&str] = &["trace.events", "trace.dropped"];
 pub const CACHE_COUNTERS: &[&str] = &[
     "cache.hits",
     "cache.misses",
-    "cache.shards",
     "cache.replayed_luts",
     // Schema v1.5: the NPN-canonical functional tier (CacheMode::Fn).
     "cache.fn_hits",
@@ -89,7 +88,7 @@ pub const BLIF_COUNTERS: &[&str] = &[
 /// telemetry handle via [`crate::log::set_counter_sink`]. Closed since
 /// schema v1.7: [`validate_report`] rejects any other `log.*` name.
 /// Like `trace.*`, these are observation echoes, exempt from the
-/// scheduling-independence guarantee.
+/// guarantee that counters are a function of the workload.
 pub const LOG_COUNTERS: &[&str] = &[
     "log.events",
     "log.errors",
@@ -102,21 +101,13 @@ pub const LOG_COUNTERS: &[&str] = &[
 /// # Errors
 ///
 /// Returns a human-readable description of the first deviation: parse
-/// errors, missing/unknown keys, wrong kinds, a wrong `schema` tag, or
-/// worker arrays that do not match the worker count.
+/// errors, missing/unknown keys, wrong kinds, or a wrong `schema` tag.
 pub fn validate_report(input: &str) -> Result<(), String> {
     let value = json::parse(input).map_err(|e| format!("not valid JSON: {e}"))?;
     let root = expect_keys(
         &value,
         "$",
-        &[
-            "schema",
-            "enabled",
-            "stages",
-            "counters",
-            "histograms",
-            "wavefronts",
-        ],
+        &["schema", "enabled", "stages", "counters", "histograms"],
     )?;
 
     let tag = root[0]
@@ -232,45 +223,6 @@ pub fn validate_report(input: &str) -> Result<(), String> {
         }
     }
 
-    for (i, wave) in expect_array(&value, "wavefronts")?.iter().enumerate() {
-        let path = format!("$.wavefronts[{i}]");
-        let members = expect_keys(
-            wave,
-            &path,
-            &[
-                "index",
-                "trees",
-                "workers",
-                "seconds",
-                "occupancy",
-                "claimed",
-                "busy_s",
-            ],
-        )?;
-        expect_u64(&members[0].1, &format!("{path}.index"))?;
-        expect_u64(&members[1].1, &format!("{path}.trees"))?;
-        let workers = expect_u64(&members[2].1, &format!("{path}.workers"))?;
-        expect_number(&members[3].1, &format!("{path}.seconds"))?;
-        let occupancy = expect_number(&members[4].1, &format!("{path}.occupancy"))?;
-        if !(0.0..=1.0).contains(&occupancy) {
-            return Err(format!("{path}.occupancy is {occupancy}, expected 0..=1"));
-        }
-        for (key, idx) in [("claimed", 5), ("busy_s", 6)] {
-            let arr = members[idx]
-                .1
-                .as_array()
-                .ok_or_else(|| format!("{path}.{key} must be an array"))?;
-            if arr.len() as u64 != workers {
-                return Err(format!(
-                    "{path}.{key} has {} entries for {workers} workers",
-                    arr.len()
-                ));
-            }
-            for (j, v) in arr.iter().enumerate() {
-                expect_number(v, &format!("{path}.{key}[{j}]"))?;
-            }
-        }
-    }
     Ok(())
 }
 
@@ -423,7 +375,7 @@ fn expect_number(value: &Value, path: &str) -> Result<f64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Telemetry, WavefrontStat};
+    use crate::Telemetry;
 
     fn sample_report() -> String {
         let t = Telemetry::enabled();
@@ -431,14 +383,6 @@ mod tests {
         t.add_counter("dp.divisions", 10);
         t.record_value("map.tree_ns", 900);
         t.record_value("map.tree_ns", 1_100);
-        t.record_wavefront(WavefrontStat {
-            index: 0,
-            trees: 2,
-            workers: 2,
-            seconds: 0.5,
-            claimed: vec![1, 1],
-            busy_s: vec![0.2, 0.2],
-        });
         t.snapshot().to_json()
     }
 
@@ -450,7 +394,7 @@ mod tests {
 
     #[test]
     fn rejects_wrong_schema_tag() {
-        let json = sample_report().replace("chortle-telemetry/v1.7", "bogus/v0");
+        let json = sample_report().replace("chortle-telemetry/v1.8", "bogus/v0");
         let err = validate_report(&json).unwrap_err();
         assert!(err.contains("$.schema"), "{err}");
     }
@@ -458,7 +402,7 @@ mod tests {
     #[test]
     fn rejects_missing_and_extra_keys() {
         let err =
-            validate_report(r#"{"schema":"chortle-telemetry/v1.7","enabled":true}"#).unwrap_err();
+            validate_report(r#"{"schema":"chortle-telemetry/v1.8","enabled":true}"#).unwrap_err();
         assert!(err.contains("expected"), "{err}");
         let json = sample_report().replace("\"counters\":", "\"extras\":");
         assert!(validate_report(&json).is_err());
@@ -502,13 +446,6 @@ mod tests {
         t.add_counter("trace.evnets", 1);
         let err = validate_report(&t.snapshot().to_json()).unwrap_err();
         assert!(err.contains("trace.evnets"), "{err}");
-    }
-
-    #[test]
-    fn rejects_mis_sized_worker_arrays() {
-        let json = sample_report().replace("\"claimed\":[1,1]", "\"claimed\":[1]");
-        let err = validate_report(&json).unwrap_err();
-        assert!(err.contains("claimed"), "{err}");
     }
 
     #[test]
@@ -623,7 +560,7 @@ mod tests {
         let s = shape(&sample_report()).expect("shapes");
         assert!(s.contains("$.stages[] object"));
         assert!(s.contains("$.stages[].seconds number"));
-        assert!(s.contains("$.wavefronts[].claimed array"));
+        assert!(s.contains("$.histograms[].buckets[].count number"));
         assert!(!s.contains("0.25"), "values must be elided:\n{s}");
     }
 }

@@ -12,13 +12,11 @@
 //! # Determinism contract
 //!
 //! [`Trace::identity`] projects the merged events down to what the
-//! mapper guarantees is a pure function of the input: it drops
-//! [`TraceScope::Sched`] events (worker claims are decided by OS
-//! scheduling), worker ids, and timestamps. For the same network and
-//! options, that projection is **bit-identical for any `--jobs` and any
-//! `--cache` mode** — the property tests in `crates/chortle` pin this.
-//! Everything else (timestamps, scheduler events) is observational and
-//! varies run to run.
+//! mapper guarantees is a pure function of the input: it drops worker
+//! ids and timestamps. For the same network and options, that
+//! projection is **bit-identical for any `--cache` mode** — the
+//! property tests in `crates/chortle` pin this. Timestamps are
+//! observational and vary run to run.
 //!
 //! # Chrome trace export
 //!
@@ -34,7 +32,7 @@ use crate::json::{self, Value};
 /// Which sequence namespace a trace event's `index` counts in.
 ///
 /// The variant order is the merge order: all driver stage events sort
-/// before tree events, which sort before scheduler events.
+/// before tree events, which sort before request events.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TraceScope {
     /// Driver-side pipeline stages (spans recorded on one thread);
@@ -42,10 +40,6 @@ pub enum TraceScope {
     Stage,
     /// Per-tree mapping events; `index` is the tree's forest index.
     Tree,
-    /// Wavefront scheduler events (claim/busy windows); `index` is the
-    /// wavefront. Schedule-dependent — excluded from
-    /// [`Trace::identity`].
-    Sched,
     /// Daemon per-request lifecycle; `index` is the admission ordinal.
     Request,
 }
@@ -56,7 +50,6 @@ impl TraceScope {
         match self {
             TraceScope::Stage => "stage",
             TraceScope::Tree => "tree",
-            TraceScope::Sched => "sched",
             TraceScope::Request => "request",
         }
     }
@@ -216,14 +209,13 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// The schedule-independent projection: every non-`Sched` event,
-    /// in merge order, without worker ids or timestamps. For one
-    /// mapping run this is bit-identical across `--jobs` and `--cache`
-    /// settings (property-tested in `crates/chortle`).
+    /// The run-independent projection: every event, in merge order,
+    /// without worker ids or timestamps. For one mapping run this is
+    /// bit-identical across `--cache` settings (property-tested in
+    /// `crates/chortle`).
     pub fn identity(&self) -> Vec<IdentityEvent> {
         self.events
             .iter()
-            .filter(|e| e.scope != TraceScope::Sched)
             .map(|e| IdentityEvent {
                 scope: e.scope,
                 index: e.index,
@@ -241,19 +233,17 @@ impl Trace {
     /// pairs stay balanced per thread.
     pub fn to_chrome_json(&self) -> String {
         use std::fmt::Write as _;
-        // Rank for timestamp ties: close inner scopes (Tree ⊂ Sched ⊂
-        // Stage) before opening the next span at the same instant.
+        // Rank for timestamp ties: close inner scopes (Tree ⊂ Stage)
+        // before opening the next span at the same instant.
         fn tie_rank(e: &TraceEvent) -> u8 {
             match (e.kind, e.scope) {
                 (TraceKind::End | TraceKind::Cancelled, TraceScope::Tree | TraceScope::Request) => {
                     0
                 }
-                (TraceKind::End | TraceKind::Cancelled, TraceScope::Sched) => 1,
-                (TraceKind::End | TraceKind::Cancelled, TraceScope::Stage) => 2,
-                (TraceKind::Begin, TraceScope::Stage) => 3,
-                (TraceKind::Begin, TraceScope::Sched) => 4,
-                (TraceKind::Begin, TraceScope::Tree | TraceScope::Request) => 5,
-                (TraceKind::Instant, _) => 6,
+                (TraceKind::End | TraceKind::Cancelled, TraceScope::Stage) => 1,
+                (TraceKind::Begin, TraceScope::Stage) => 2,
+                (TraceKind::Begin, TraceScope::Tree | TraceScope::Request) => 3,
+                (TraceKind::Instant, _) => 4,
             }
         }
         let mut ordered: Vec<&TraceEvent> = self.events.iter().collect();
@@ -407,18 +397,24 @@ mod tests {
     }
 
     #[test]
-    fn identity_drops_sched_workers_and_time() {
+    fn identity_drops_workers_and_time() {
         let t = Telemetry::traced();
-        let mut buf = t.trace_buffer(7);
-        buf.begin(TraceScope::Sched, 0, "sched.worker", 9);
-        buf.begin(TraceScope::Tree, 0, "map.tree", 4);
-        buf.cancelled(TraceScope::Tree, 0, "map.tree", 0);
-        buf.end(TraceScope::Sched, 0, "sched.worker", 9);
-        t.trace_flush(&mut buf);
-        let identity = t.trace_snapshot().identity();
-        assert_eq!(identity.len(), 2, "sched events projected away");
-        assert_eq!(identity[0].kind, TraceKind::Begin);
-        assert_eq!(identity[1].kind, TraceKind::Cancelled);
+        let mut a = t.trace_buffer(7);
+        a.begin(TraceScope::Tree, 0, "map.tree", 4);
+        a.cancelled(TraceScope::Tree, 0, "map.tree", 0);
+        t.trace_flush(&mut a);
+        let first = t.trace_snapshot().identity();
+        assert_eq!(first.len(), 2);
+        assert_eq!(first[0].kind, TraceKind::Begin);
+        assert_eq!(first[1].kind, TraceKind::Cancelled);
+        // The same events from another worker, at later times, project
+        // to the same identity.
+        let u = Telemetry::traced();
+        let mut b = u.trace_buffer(0);
+        b.begin(TraceScope::Tree, 0, "map.tree", 4);
+        b.cancelled(TraceScope::Tree, 0, "map.tree", 0);
+        u.trace_flush(&mut b);
+        assert_eq!(u.trace_snapshot().identity(), first);
     }
 
     #[test]
@@ -440,11 +436,9 @@ mod tests {
         {
             let _outer = t.span("flow.map");
             let mut buf = t.trace_buffer(1);
-            buf.begin(TraceScope::Sched, 0, "sched.worker", 0);
             buf.begin(TraceScope::Tree, 0, "map.tree", 3);
             buf.instant(TraceScope::Tree, 0, "dp.solve", 1);
             buf.end(TraceScope::Tree, 0, "map.tree", 2);
-            buf.end(TraceScope::Sched, 0, "sched.worker", 1);
             t.trace_flush(&mut buf);
         }
         let chrome = t.trace_snapshot().to_chrome_json();

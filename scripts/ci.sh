@@ -49,15 +49,14 @@ grep -q '"ph":"B"' "$trace_tmp/run.json" \
   || { echo "ci: trace file has no begin events" >&2; exit 1; }
 rm -rf "$trace_tmp"
 
-echo "==> cache identity smoke (--cache off vs tree/shared/fn, jobs 1 vs 4)"
+echo "==> cache identity smoke (--cache off vs tree/shared/fn)"
 ref="$(printf "$smoke_blif" \
   | cargo run -q -p chortle-cli --bin chortle-map -- --cache off)"
-for mode_jobs in "tree 1" "shared 1" "shared 4" "fn 1" "fn 4"; do
-  set -- $mode_jobs
+for mode in tree shared fn; do
   out="$(printf "$smoke_blif" \
-    | cargo run -q -p chortle-cli --bin chortle-map -- --cache "$1" --jobs "$2")"
+    | cargo run -q -p chortle-cli --bin chortle-map -- --cache "$mode")"
   [[ "$out" == "$ref" ]] \
-    || { echo "ci: --cache $1 --jobs $2 changed the circuit" >&2; exit 1; }
+    || { echo "ci: --cache $mode changed the circuit" >&2; exit 1; }
 done
 
 echo "==> don't-care packing smoke (--pack dc, equivalence-checked in-process)"
@@ -70,14 +69,6 @@ ref_luts="$(printf '%s\n' "$ref" | grep -c '^\.names')"
 packed_luts="$(printf '%s\n' "$packed" | grep -c '^\.names')"
 [[ "$packed_luts" -le "$ref_luts" ]] \
   || { echo "ci: --pack dc grew the circuit ($ref_luts -> $packed_luts LUTs)" >&2; exit 1; }
-
-echo "==> chunked scheduler identity smoke (--chunk 1/auto/64, jobs 4 vs sequential)"
-for chunk in 1 auto 64; do
-  out="$(printf "$smoke_blif" \
-    | cargo run -q -p chortle-cli --bin chortle-map -- --jobs 4 --chunk "$chunk")"
-  [[ "$out" == "$ref" ]] \
-    || { echo "ci: --chunk $chunk --jobs 4 changed the circuit" >&2; exit 1; }
-done
 
 echo "==> serve smoke (daemon on an ephemeral port vs offline CLI)"
 serve_tmp="$(mktemp -d)"
@@ -341,7 +332,7 @@ if [[ "$quick" == 0 ]]; then
   echo "==> bench-diff vs committed snapshots (threshold 40%)"
   # Regenerate both benchmark snapshots and gate them against the
   # committed ones. The generous threshold absorbs host noise; a real
-  # scheduler regression (like the pre-chunking 0.62x mapping_total)
+  # regression in a gated section (a kernel or checker speedup halving)
   # blows well past it. The perf run is pinned to one CPU, like the
   # snapshot it is compared with (see scripts/perf-pinned.sh).
   bench_tmp="$(mktemp -d)"

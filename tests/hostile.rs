@@ -8,7 +8,9 @@
 //! CLI. A 10^6-gate chain goes through `parse_blif` → `map_network` →
 //! `write_lut_blif` the same way, within a stated time budget, and a
 //! 10^5-gate chain closed through a latch goes through `parse_design` →
-//! `map_design`.
+//! `map_design`. The 10^5-gate chain also goes through the in-process
+//! daemon as a v2 `map` frame, on the daemon's own worker threads, which
+//! must answer within a stated time budget and keep serving.
 //!
 //! Designs must cut in time linear in their size: a 64-stage × 256-bit
 //! register pipeline (16 384 clouds) goes through `Design::clouds`
@@ -29,6 +31,7 @@ use chortle_logic_opt::optimize;
 use chortle_netlist::{
     check_equivalence, parse_blif, parse_design, simulate_outputs, write_lut_blif, SplitMix64,
 };
+use chortle_server::{Client, MapReply, MapRequest, ServeOptions, Server};
 
 /// Stack of the thread the hostile inputs run on.
 const SMALL_STACK: usize = 256 * 1024;
@@ -66,10 +69,7 @@ fn a_deep_chain_maps_on_a_small_stack() {
     let blif = chain_blif(GATES);
     let (luts, text) = on_small_stack(move || {
         let network = parse_blif(&blif).expect("the chain parses");
-        let options = MapOptions::builder(4)
-            .jobs(1)
-            .build()
-            .expect("valid options");
+        let options = MapOptions::builder(4).build().expect("valid options");
         let mapping = map_network(&network, &options).expect("the chain maps");
         check_equivalence(&network, &mapping.circuit).expect("the cover is equivalent");
         let text = write_lut_blif(&network, &mapping.circuit, "chain");
@@ -79,6 +79,69 @@ fn a_deep_chain_maps_on_a_small_stack() {
     // the gate count.
     assert!((GATES / 4..=GATES / 2).contains(&luts), "{luts} LUTs");
     assert!(text.starts_with(".model chain\n"));
+}
+
+/// Wall-time budget of the 10^5-gate chain through the daemon: frame
+/// parse, BLIF parse, map and render on a worker thread, plus the
+/// response. The offline path takes well under a second in a release
+/// build; the budget leaves room for the test profile and a loaded
+/// host.
+const DAEMON_CHAIN_BUDGET: Duration = Duration::from_secs(30);
+
+#[test]
+fn a_deep_chain_through_the_daemon_answers_within_the_budget() {
+    const GATES: usize = 100_000;
+    let blif = chain_blif(GATES);
+    let server = Server::bind(&ServeOptions::builder().workers(2).build()).expect("bind");
+    let addr = server.local_addr().expect("bound address").to_string();
+    let handle = server.handle();
+    let run = thread::spawn(move || server.run());
+
+    let mut client = Client::connect(&addr).expect("connect");
+    let req = MapRequest {
+        blif: blif.clone(),
+        optimize: false,
+        ..MapRequest::default()
+    };
+    let started = Instant::now();
+    let reply = client.map("chain", &req).expect("the daemon answers");
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed <= DAEMON_CHAIN_BUDGET,
+        "the chain took {elapsed:?} (budget {DAEMON_CHAIN_BUDGET:?})"
+    );
+    match reply {
+        MapReply::Mapped(mapped) => {
+            // Byte-identical to the offline mapper under the same knobs.
+            let network = parse_blif(&blif).expect("the chain parses");
+            let options = MapOptions::builder(4).build().expect("valid options");
+            let offline = map_network(&network, &options).expect("the chain maps");
+            assert_eq!(mapped.luts, offline.circuit.num_luts());
+            assert_eq!(
+                mapped.netlist,
+                write_lut_blif(&network, &offline.circuit, "mapped")
+            );
+        }
+        MapReply::Rejected(r) => {
+            assert_ne!(r.reason, "internal", "the chain crashed a worker: {r:?}");
+        }
+        other => panic!("unexpected reply {other:?}"),
+    }
+    // Both workers still serve: two small requests in a row.
+    for i in 0..2 {
+        let small = MapRequest {
+            blif: chain_blif(16),
+            optimize: false,
+            ..MapRequest::default()
+        };
+        let reply = client.map(&format!("small{i}"), &small).expect("answers");
+        assert!(
+            matches!(reply, MapReply::Mapped(_)),
+            "a worker stopped serving: {reply:?}"
+        );
+    }
+    handle.shutdown();
+    run.join().expect("the daemon exits cleanly");
 }
 
 /// Wall-time budget of the 10^6-gate chain: parse, map and render. It
@@ -96,10 +159,7 @@ fn a_million_gate_chain_maps_on_a_small_stack_within_the_budget() {
         let started = Instant::now();
         let network = parse_blif(&blif).expect("the chain parses");
         drop(blif);
-        let options = MapOptions::builder(4)
-            .jobs(1)
-            .build()
-            .expect("valid options");
+        let options = MapOptions::builder(4).build().expect("valid options");
         let mapping = map_network(&network, &options).expect("the chain maps");
         let text = write_lut_blif(&network, &mapping.circuit, "chain");
         let elapsed = started.elapsed();
@@ -130,12 +190,7 @@ fn a_deep_chain_inside_a_latch_cloud_maps_on_a_small_stack() {
     let blif = latched_chain_blif(GATES);
     let (clouds, luts, netlist) = on_small_stack(move || {
         let (design, _) = parse_design(&blif).expect("the design parses");
-        let options = DesignOptions::new(
-            MapOptions::builder(4)
-                .jobs(1)
-                .build()
-                .expect("valid options"),
-        );
+        let options = DesignOptions::new(MapOptions::builder(4).build().expect("valid options"));
         let mapped = map_design(&design, &options).expect("the design maps");
         (mapped.clouds.len(), mapped.luts, mapped.netlist)
     });
@@ -207,7 +262,7 @@ fn a_kernel_rich_node_optimizes_within_the_budget() {
                 "optimize changed the function"
             );
         }
-        let options = MapOptions::builder(4).jobs(1).build().expect("valid");
+        let options = MapOptions::builder(4).build().expect("valid");
         let mapping = map_network(&optimized, &options).expect("maps");
         check_equivalence(&optimized, &mapping.circuit).expect("mapping is equivalent");
         let flow = FlowOptions {

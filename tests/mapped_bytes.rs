@@ -5,8 +5,8 @@
 //! three large netlists as the `map_large` benchmark builds them
 //! (generated, optimized, written and re-parsed), at K = 2..8 so the
 //! multi-word truth-table path is covered. Each (circuit, K) is mapped
-//! under every cache mode (`off`, `shared`, `fn`) and at one and two
-//! jobs, and all six outputs must hash to the one pinned value. A
+//! under every cache mode (`off`, `shared`, `fn`), and all three
+//! outputs must hash to the one pinned value. A
 //! 15-stage, 64-bit register pipeline pins `write_mapped_design_blif`
 //! through `map_design` the same way.
 //!
@@ -27,9 +27,6 @@ const KS: std::ops::RangeInclusive<usize> = 2..=8;
 /// Cache modes every (circuit, K) is mapped under.
 const CACHES: [CacheMode; 3] = [CacheMode::Off, CacheMode::Shared, CacheMode::Fn];
 
-/// Worker counts every (circuit, K) is mapped with.
-const JOBS: [usize; 2] = [1, 2];
-
 /// FNV-1a, 64-bit.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -37,30 +34,27 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-fn options(k: usize, cache: CacheMode, jobs: usize) -> MapOptions {
+fn options(k: usize, cache: CacheMode) -> MapOptions {
     MapOptions::builder(k)
         .cache(cache)
-        .jobs(jobs)
         .build()
         .expect("K = 2..8 is valid")
 }
 
-/// The one hash of `net` mapped at `k` under every cache mode and job
-/// count; panics if any two of them differ.
+/// The one hash of `net` mapped at `k` under every cache mode; panics if
+/// any two of them differ.
 fn mapped_hash(name: &str, net: &Network, k: usize) -> u64 {
     let mut pinned: Option<u64> = None;
     for cache in CACHES {
-        for jobs in JOBS {
-            let mapping = map_network(net, &options(k, cache, jobs))
-                .unwrap_or_else(|e| panic!("{name}@K{k}: {e}"));
-            let hash = fnv1a64(write_lut_blif(net, &mapping.circuit, "mapped").as_bytes());
-            match pinned {
-                None => pinned = Some(hash),
-                Some(first) => assert_eq!(
-                    first, hash,
-                    "{name}@K{k}: cache {cache:?}, jobs {jobs} differs from cache off, jobs 1"
-                ),
-            }
+        let mapping =
+            map_network(net, &options(k, cache)).unwrap_or_else(|e| panic!("{name}@K{k}: {e}"));
+        let hash = fnv1a64(write_lut_blif(net, &mapping.circuit, "mapped").as_bytes());
+        match pinned {
+            None => pinned = Some(hash),
+            Some(first) => assert_eq!(
+                first, hash,
+                "{name}@K{k}: cache {cache:?} differs from cache off"
+            ),
         }
     }
     pinned.expect("at least one mode")
@@ -132,16 +126,14 @@ fn large_mappings_keep_their_bytes() {
 fn design_mapping_keeps_its_bytes() {
     let (design, _) = parse_design(&pipelined_design("pipe", 15, 64)).expect("pipeline parses");
     for cache in CACHES {
-        for jobs in JOBS {
-            let mut opts = DesignOptions::new(options(4, cache, jobs));
-            opts.verify = false;
-            let mapped = map_design(&design, &opts).expect("pipeline maps");
-            assert_eq!(
-                fnv1a64(mapped.netlist.as_bytes()),
-                PIPE15X64_K4,
-                "pipe15x64@K4: cache {cache:?}, jobs {jobs}"
-            );
-        }
+        let mut opts = DesignOptions::new(options(4, cache));
+        opts.verify = false;
+        let mapped = map_design(&design, &opts).expect("pipeline maps");
+        assert_eq!(
+            fnv1a64(mapped.netlist.as_bytes()),
+            PIPE15X64_K4,
+            "pipe15x64@K4: cache {cache:?}"
+        );
     }
 }
 
@@ -153,7 +145,7 @@ fn frozen_copies_match_the_live_code() {
             let normal = net.simplified();
             assert_eq!(baseline_simplified(net), normal, "{}", b.name);
             for k in [2, 4, 7] {
-                let mapping = map_network(net, &options(k, CacheMode::Shared, 1)).expect("maps");
+                let mapping = map_network(net, &options(k, CacheMode::Shared)).expect("maps");
                 assert_eq!(
                     baseline_write_lut_blif(net, &mapping.circuit, "mapped"),
                     write_lut_blif(net, &mapping.circuit, "mapped"),

@@ -1,16 +1,18 @@
 //! Optimality oracle: the production subset-DP mapper must report exactly
 //! the same minimum LUT counts as the literal transcription of the
 //! paper's pseudo-code (explicit partition + utilization-division
-//! enumeration), on real trees extracted from the benchmark suite.
+//! enumeration), on real trees extracted from the benchmark suite, and
+//! no tree's cost may fall below the counting lower bound.
 
 use chortle::reference::reference_tree_cost;
 use chortle::{
     map_network, stats, tree_lut_cost, CacheMode, Forest, MapOptions, Telemetry, TraceKind,
     TraceScope, WarmCache,
 };
-use chortle_circuits::benchmark;
+use chortle_bench::optimized_suite;
+use chortle_circuits::{alu, benchmark, des_like, random_logic};
 use chortle_logic_opt::optimize;
-use chortle_netlist::{check_equivalence, Network, NodeOp, Signal};
+use chortle_netlist::{check_equivalence, Network, NodeOp, Signal, SplitMix64};
 
 #[test]
 fn production_dp_is_optimal_on_suite_trees() {
@@ -37,6 +39,62 @@ fn production_dp_is_optimal_on_suite_trees() {
         }
     }
     assert!(checked >= 50, "too few trees exercised ({checked})");
+}
+
+/// In Chortle's cover model the LUTs covering a tree form a tree
+/// themselves, so n LUTs of at most K inputs cover a tree with L leaf
+/// occurrences only if n·K ≥ L + n − 1: every leaf occurrence and every
+/// LUT but the root feeds one LUT input. Hence n ≥ ⌈(L − 1)/(K − 1)⌉.
+/// Checks every tree that reaches the DP (L > K), split as
+/// `map_network` splits, over the optimized suite and one draw of each
+/// `map_large` generator.
+#[test]
+fn dp_costs_meet_the_counting_lower_bound() {
+    let mut rng = SplitMix64::new(1 ^ 0x5EED_BE4C_0000_0000);
+    let s = [rng.next_u64(), rng.next_u64()];
+    let optimized = |net| optimize(&net).expect("generated netlists are acyclic").0;
+    let mut nets: Vec<(String, Network)> = optimized_suite()
+        .into_iter()
+        .map(|(name, net, _)| (name, net))
+        .collect();
+    nets.push((
+        "random7k".to_owned(),
+        optimized(random_logic(s[0], 600, 7000, 400, 4)),
+    ));
+    nets.push(("des64x6".to_owned(), optimized(des_like(s[1], 64, 6))));
+    nets.push(("alu256".to_owned(), optimized(alu(256))));
+    let normals: Vec<(String, Network)> = nets
+        .into_iter()
+        .map(|(name, net)| (name, net.simplified()))
+        .collect();
+    for k in 2..=6 {
+        let threshold = MapOptions::builder(k).build().unwrap().split_threshold;
+        let (mut at_bound, mut above) = (0usize, 0usize);
+        for (name, normal) in &normals {
+            let mut forest = Forest::of(normal);
+            forest.split_wide_nodes(threshold.max(k));
+            for tree in &forest.trees {
+                let leaves = tree.leaf_count();
+                if leaves <= k {
+                    continue;
+                }
+                let bound = (leaves - 1).div_ceil(k - 1);
+                let cost = tree_lut_cost(tree, k) as usize;
+                assert!(
+                    cost >= bound,
+                    "{name}: tree at {:?} K={k} costs {cost} LUTs, below the bound {bound}",
+                    tree.root
+                );
+                if cost == bound {
+                    at_bound += 1;
+                } else {
+                    above += 1;
+                }
+            }
+        }
+        assert!(at_bound + above > 0, "no DP tree at K={k}");
+        println!("K={k}: {at_bound} DP trees at the counting bound, {above} above it");
+    }
 }
 
 #[test]
