@@ -184,19 +184,50 @@ fn best_of<T>(rounds: usize, mut f: impl FnMut() -> T) -> (T, f64) {
     let mut best = f64::INFINITY;
     let mut value = None;
     for _ in 0..rounds {
-        let t = Instant::now();
-        let mut iterations = 0u32;
-        let elapsed = loop {
-            value = Some(f());
-            iterations += 1;
-            let elapsed = t.elapsed().as_secs_f64();
-            if elapsed >= MIN_ROUND_S {
-                break elapsed;
-            }
-        };
-        best = best.min(elapsed / f64::from(iterations));
+        let (v, per_call) = timed_round(&mut f);
+        value = Some(v);
+        best = best.min(per_call);
     }
     (value.expect("at least one round"), best)
+}
+
+/// [`best_of`] for two workloads compared with each other: each round
+/// times `f` and then `g`, so host drift lands on both columns alike
+/// instead of on whichever loop ran during it.
+fn best_of_pair<A, B>(
+    rounds: usize,
+    mut f: impl FnMut() -> A,
+    mut g: impl FnMut() -> B,
+) -> ((A, f64), (B, f64)) {
+    let (mut best_f, mut best_g) = (f64::INFINITY, f64::INFINITY);
+    let (mut value_f, mut value_g) = (None, None);
+    for _ in 0..rounds {
+        let (a, per_call) = timed_round(&mut f);
+        value_f = Some(a);
+        best_f = best_f.min(per_call);
+        let (b, per_call) = timed_round(&mut g);
+        value_g = Some(b);
+        best_g = best_g.min(per_call);
+    }
+    (
+        (value_f.expect("at least one round"), best_f),
+        (value_g.expect("at least one round"), best_g),
+    )
+}
+
+/// One timing round: `f` repeated for at least [`MIN_ROUND_S`]; returns
+/// the last value and the seconds per call.
+fn timed_round<T>(f: &mut impl FnMut() -> T) -> (T, f64) {
+    let t = Instant::now();
+    let mut iterations = 0u32;
+    loop {
+        let value = f();
+        iterations += 1;
+        let elapsed = t.elapsed().as_secs_f64();
+        if elapsed >= MIN_ROUND_S {
+            return (value, elapsed / f64::from(iterations));
+        }
+    }
 }
 
 /// The DeMorgan dual of a tree: every gate flipped And ↔ Or and every
@@ -292,7 +323,7 @@ fn measure_fn_tier(cached_trees: &[Tree], k: usize) -> FnTier {
     frontier.extend(variants);
 
     // Tier one alone: fingerprint every tree, solve each distinct shape.
-    let (structural_luts, structural_s) = best_of(KERNEL_ROUNDS, || {
+    let structural = || {
         let mut mapper = TreeMapper::new();
         let mut scratch = chortle::FingerprintScratch::default();
         let mut cache: HashMap<Fingerprint, u64> = HashMap::new();
@@ -303,7 +334,7 @@ fn measure_fn_tier(cached_trees: &[Tree], k: usize) -> FnTier {
                 .or_insert_with(|| u64::from(mapper.tree_cost(t, k).expect("narrow fanin")));
         }
         total
-    });
+    };
 
     // The two-tier pass, mirroring the mapper's `--cache fn` lookup:
     // trees of ≤ MAX_CANON_VARS leaves key on (vars, NPN canon, blind
@@ -313,8 +344,9 @@ fn measure_fn_tier(cached_trees: &[Tree], k: usize) -> FnTier {
     // cost. Canonicalization goes through the same process-wide memo
     // the mapper itself uses (`canonical_npn_u64_cached`), so best-of
     // rounds report the steady state a warm process sees; the cold
-    // canonical search is paid once, in round one.
-    let (fn_luts, fn_s) = best_of(KERNEL_ROUNDS, || {
+    // canonical search is paid once, in round one. Each pass takes under
+    // a millisecond, so the two alternate within every round.
+    let functional = || {
         let mut mapper = TreeMapper::new();
         let mut scratch = chortle::FingerprintScratch::default();
         let mut fn_cache: HashMap<(usize, u64, Fingerprint), u64> = HashMap::new();
@@ -334,7 +366,9 @@ fn measure_fn_tier(cached_trees: &[Tree], k: usize) -> FnTier {
             };
         }
         total
-    });
+    };
+    let ((structural_luts, structural_s), (fn_luts, fn_s)) =
+        best_of_pair(KERNEL_ROUNDS, structural, functional);
     assert_eq!(fn_luts, structural_luts, "fn-tier kernel diverged at k={k}");
 
     // Untimed tally of the tier shape: how many frontier trees the

@@ -3,19 +3,17 @@
 //! The subset DP of `dp.rs` is a pure function of a tree's *canonical
 //! shape* plus the arrival depths of its leaves — never of leaf
 //! identities — so two trees with the same [`CacheKey`] share their
-//! entire [`ShapeSolution`]. Real forests repeat shapes constantly
-//! (chains, balanced pairs, the halves produced by wide-node splitting),
-//! and this module lets the mapper pay for each shape once:
+//! entire [`ShapeSolution`]. Forests repeat shapes (chains, balanced
+//! pairs, the halves produced by wide-node splitting), and requests to a
+//! long-lived daemon repeat whole circuits, so a [`WarmCache`] lets every
+//! run attached to it pay for each shape once.
 //!
-//! * [`TreeStore`] — a plain, unsynchronized map: the private store of
-//!   one run when no warm cache applies.
-//! * [`SharedStore`] — an N-way sharded map behind [`std::sync::Mutex`]
-//!   shards, shared by every run attached to a [`WarmCache`] (the
-//!   daemon's concurrent requests); hash-partitioning keeps workers from
-//!   serializing on one lock.
-//!
-//! The mapping step reaches either through a [`Store`], which also
-//! spells "this tier is off".
+//! The warm cache is the only store. Each of its `(k, objective)`
+//! segments is a [`SharedStore`]: an N-way sharded map behind
+//! [`std::sync::Mutex`] shards, shared by every attached run (the
+//! daemon's concurrent requests); hash-partitioning keeps workers from
+//! serializing on one lock. Without a warm cache the run keeps no store:
+//! it computes no key and solves every tree.
 //!
 //! Insertion is first-writer-wins: two runs racing on the same key
 //! have computed bit-identical solutions (the DP is deterministic), so
@@ -34,18 +32,21 @@ use chortle_netlist::{mix64, NodeId};
 use crate::dp::{Objective, ShapeSolution};
 use crate::tree::{Fingerprint, Tree, TreeChild};
 
-/// How the mapper memoizes DP results across trees.
+/// How a run attached to a [`WarmCache`] memoizes DP results.
+///
+/// Without a warm cache every mode behaves like [`CacheMode::Off`]: the
+/// run keeps no store, computes no key and solves every tree. The
+/// deterministic `cache.*` counters are reported for [`CacheMode::Shared`]
+/// and [`CacheMode::Fn`] either way, since they are derived from the
+/// forest rather than from store traffic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CacheMode {
-    /// No memoization: every tree runs the full subset DP (the pre-cache
-    /// behavior).
+    /// No memoization: every tree runs the full subset DP, and the run
+    /// never touches the warm cache.
     Off,
-    /// Structural caching scoped to one run: it never attaches to a
-    /// [`WarmCache`], so nothing carries over to the next run.
-    Tree,
-    /// Structural caching that attaches to the run's [`WarmCache`], if
-    /// any (the default): a shape mapped by any run sharing the warm
-    /// cache is a hit for all of them. Without one it is [`CacheMode::Tree`].
+    /// Structural caching in the run's [`WarmCache`], if any (the
+    /// default): a shape mapped by any run sharing the warm cache is a
+    /// hit for all of them.
     #[default]
     Shared,
     /// [`CacheMode::Shared`] plus a *functional* tier in front of it:
@@ -58,15 +59,10 @@ pub enum CacheMode {
 }
 
 impl CacheMode {
-    /// Whether this mode caches at all.
+    /// Whether this mode caches at all: it attaches to the run's
+    /// [`WarmCache`] and reports the `cache.*` counters.
     pub(crate) fn is_enabled(self) -> bool {
         !matches!(self, CacheMode::Off)
-    }
-
-    /// Whether this mode's structural tier attaches to a [`WarmCache`]
-    /// when the run carries one ([`CacheMode::Tree`] stays run-scoped).
-    pub(crate) fn uses_shared(self) -> bool {
-        matches!(self, CacheMode::Shared | CacheMode::Fn)
     }
 
     /// Whether this mode adds the functional (NPN) tier.
@@ -165,30 +161,6 @@ impl ShardKey for FnKey {
     }
 }
 
-/// An unsynchronized solution store: the private store of the
-/// tree-order loop.
-#[derive(Default)]
-pub(crate) struct TreeStore<K> {
-    map: HashMap<K, Arc<ShapeSolution>>,
-}
-
-impl<K: std::hash::Hash + Eq> TreeStore<K> {
-    pub(crate) fn new() -> Self {
-        TreeStore {
-            map: HashMap::new(),
-        }
-    }
-
-    pub(crate) fn get(&self, key: &K) -> Option<Arc<ShapeSolution>> {
-        self.map.get(key).cloned()
-    }
-
-    /// First-writer-wins insert, like [`SharedStore::insert`].
-    pub(crate) fn insert(&mut self, key: K, sol: Arc<ShapeSolution>) -> Arc<ShapeSolution> {
-        self.map.entry(key).or_insert(sol).clone()
-    }
-}
-
 /// Shard count of [`SharedStore`]. Sixteen shards keep lock contention
 /// negligible for any plausible worker count while the per-shard maps
 /// stay dense.
@@ -275,54 +247,26 @@ impl<K: ShardKey> SharedStore<K> {
     }
 }
 
-/// One cache tier as an executor sees it: off, a private store, or a
-/// store shared with the run's other executors (and, when warm, with
-/// other runs).
-pub(crate) enum Store<'a, K> {
-    /// The tier is off: lookups miss and inserts keep nothing.
-    Off,
-    /// A store private to this executor.
-    Local(TreeStore<K>),
-    /// A sharded store shared across executors.
-    Shared(&'a SharedStore<K>),
+/// Looks `key` up in one tier; a tier that is off (`None`) or a tree
+/// without a key for it misses without touching any tally.
+pub(crate) fn tier_get<K: ShardKey>(
+    tier: Option<&SharedStore<K>>,
+    key: Option<K>,
+) -> Option<Arc<ShapeSolution>> {
+    tier?.get(&key?)
 }
 
-impl<'a, K: ShardKey + Copy> Store<'a, K> {
-    /// The shared store when there is one, else a private store if the
-    /// tier is on, else [`Store::Off`].
-    pub(crate) fn new(shared: Option<&'a SharedStore<K>>, on: bool) -> Self {
-        match shared {
-            Some(s) => Store::Shared(s),
-            None if on => Store::Local(TreeStore::new()),
-            None => Store::Off,
-        }
-    }
-
-    /// Whether the tier is on.
-    pub(crate) fn is_on(&self) -> bool {
-        !matches!(self, Store::Off)
-    }
-
-    /// Looks `key` up; a missing key (the tree has none) misses without
-    /// touching the store or its tallies.
-    pub(crate) fn get(&self, key: Option<K>) -> Option<Arc<ShapeSolution>> {
-        let key = key?;
-        match self {
-            Store::Off => None,
-            Store::Local(s) => s.get(&key),
-            Store::Shared(s) => s.get(&key),
-        }
-    }
-
-    /// First-writer-wins insert; returns the solution that ended up
-    /// stored, so racing duplicates share one allocation (`sol` itself
-    /// when nothing is stored).
-    pub(crate) fn insert(&mut self, key: Option<K>, sol: Arc<ShapeSolution>) -> Arc<ShapeSolution> {
-        match (self, key) {
-            (Store::Local(s), Some(key)) => s.insert(key, sol),
-            (Store::Shared(s), Some(key)) => s.insert(key, sol),
-            _ => sol,
-        }
+/// First-writer-wins insert into one tier; returns the solution that
+/// ended up stored, so racing duplicates share one allocation (`sol`
+/// itself when the tier is off or the tree has no key for it).
+pub(crate) fn tier_insert<K: ShardKey>(
+    tier: Option<&SharedStore<K>>,
+    key: Option<K>,
+    sol: Arc<ShapeSolution>,
+) -> Arc<ShapeSolution> {
+    match (tier, key) {
+        (Some(store), Some(key)) => store.insert(key, sol),
+        _ => sol,
     }
 }
 
@@ -340,10 +284,9 @@ impl<'a, K: ShardKey + Copy> Store<'a, K> {
 /// problem regardless of how it was produced.
 ///
 /// Runs only consult the handle under [`CacheMode::Shared`] and
-/// [`CacheMode::Fn`] — the other modes stay run-scoped — and every
-/// mode still produces the bit-identical circuit (replays are verbatim
-/// and first-writer-wins keeps racing duplicates harmless, exactly as
-/// within one run).
+/// [`CacheMode::Fn`], and every mode still produces the bit-identical
+/// circuit (replays are verbatim and first-writer-wins keeps racing
+/// duplicates harmless).
 ///
 /// Clones share the underlying store. [`WarmCache::flush`] empties every
 /// segment and bumps a monotonically increasing *generation*, which
@@ -547,17 +490,31 @@ mod tests {
         let a = dummy_solution(&tree, 4);
         let b = dummy_solution(&tree, 4);
 
-        let mut private = TreeStore::new();
-        private.insert(key, a.clone());
-        private.insert(key, b.clone());
-        assert!(Arc::ptr_eq(&private.get(&key).unwrap(), &a));
-
         let shared = SharedCache::new();
-        let kept = shared.insert(key, a.clone());
+        let kept = tier_insert(Some(&shared), Some(key), a.clone());
         assert!(Arc::ptr_eq(&kept, &a));
-        let kept = shared.insert(key, b);
+        let kept = tier_insert(Some(&shared), Some(key), b.clone());
         assert!(Arc::ptr_eq(&kept, &a), "first writer must win");
-        assert!(Arc::ptr_eq(&shared.get(&key).unwrap(), &a));
+        assert!(Arc::ptr_eq(
+            &tier_get(Some(&shared), Some(key)).unwrap(),
+            &a
+        ));
+
+        let functional = SharedFnCache::new();
+        let fnk = fn_key_of(&tree, key.depths);
+        tier_insert(Some(&functional), Some(fnk), a.clone());
+        let kept = tier_insert(Some(&functional), Some(fnk), b.clone());
+        assert!(Arc::ptr_eq(&kept, &a), "first writer must win");
+
+        // An absent tier or key keeps nothing and misses untallied.
+        assert!(Arc::ptr_eq(&tier_insert(None, Some(key), b.clone()), &b));
+        assert!(Arc::ptr_eq(
+            &tier_insert(Some(&shared), None, b.clone()),
+            &b
+        ));
+        assert!(tier_get::<CacheKey>(None, Some(key)).is_none());
+        assert!(tier_get(Some(&shared), None).is_none());
+        assert_eq!((shared.hit_count(), shared.miss_count()), (1, 0));
     }
 
     #[test]

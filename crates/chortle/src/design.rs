@@ -311,21 +311,27 @@ mod tests {
 
     #[test]
     fn design_netlist_is_identical_across_cache_modes() {
-        use crate::CacheMode;
+        use crate::{CacheMode, WarmCache};
         let (design, _) = parse_design(TWO_CLOUDS).expect("parses");
         let baseline = map_design(&design, &options()).expect("maps").netlist;
-        for cache in [
-            CacheMode::Off,
-            CacheMode::Tree,
-            CacheMode::Shared,
-            CacheMode::Fn,
-        ] {
-            let opts = DesignOptions::new(MapOptions::builder(4).cache(cache).build().unwrap());
-            let mapped = map_design(&design, &opts).expect("maps");
+        let map = |cache: CacheMode, warm: Option<&WarmCache>| {
+            let mut opts = MapOptions::builder(4).cache(cache).build().unwrap();
+            opts.warm_cache = warm.cloned();
+            map_design(&design, &DesignOptions::new(opts))
+                .expect("maps")
+                .netlist
+        };
+        for cache in [CacheMode::Off, CacheMode::Shared, CacheMode::Fn] {
             assert_eq!(
-                mapped.netlist, baseline,
+                map(cache, None),
+                baseline,
                 "cache={cache:?} must be bit-identical"
             );
+            // Cold, then warm, against one fresh warm cache.
+            let warm = WarmCache::new();
+            for pass in ["cold", "warm"] {
+                assert_eq!(map(cache, Some(&warm)), baseline, "cache={cache:?} {pass}");
+            }
         }
     }
 

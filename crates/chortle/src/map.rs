@@ -35,7 +35,8 @@ pub mod stats {
     /// Stage: functional-tier key material — packed truth tables and
     /// their NPN canonical forms (memoized per distinct table) plus
     /// blind skeleton fingerprints. Runs only under
-    /// [`crate::CacheMode::Fn`].
+    /// [`crate::CacheMode::Fn`], and only when the run carries a warm
+    /// cache or telemetry is on (the `cache.fn_*` counters need it).
     pub const STAGE_FNMETA: &str = "map.fnmeta";
     /// Stage: LUT-circuit reconstruction and emission.
     pub const STAGE_EMIT: &str = "map.emit";
@@ -70,44 +71,46 @@ pub mod stats {
     /// without a cache key, a lookup or a DP solve. A pure function of
     /// the forest and K, identical for every cache mode.
     pub const MAP_SINGLE_LUT_TREES: &str = "map.single_lut_trees";
-    /// Counter: trees whose DP solution replays a cache key seen earlier
-    /// in tree order. Derived from the forest, not from cache traffic, so
-    /// the total is identical for every cache mode. Reported only when
-    /// caching is on ([`crate::CacheMode::Off`] emits no `cache.*`
+    /// Counter: DP trees whose cache key was seen earlier in tree
+    /// order. Derived from the forest, not from store traffic, so the
+    /// total is identical for every cache mode and whatever a warm cache
+    /// already held (a run without one replays nothing). Reported only
+    /// when caching is on ([`crate::CacheMode::Off`] emits no `cache.*`
     /// counters).
     pub const CACHE_HITS: &str = "cache.hits";
-    /// Counter: distinct cache keys in the forest — the trees that pay
-    /// for a full subset-DP run.
+    /// Counter: DP trees whose cache key is the first of its kind in
+    /// tree order — the distinct keys of the forest.
     /// `hits + misses + map.single_lut_trees == map.trees`.
     pub const CACHE_MISSES: &str = "cache.misses";
-    /// Counter: LUTs emitted from replayed (cache-hit) solutions.
+    /// Counter: LUTs in the covers of the trees counted by
+    /// [`CACHE_HITS`].
     pub const CACHE_REPLAYED_LUTS: &str = "cache.replayed_luts";
-    /// Counter: trees served by the *functional* tier — a structural
-    /// miss whose `(NPN class, blind skeleton, depths)` key was seen
-    /// earlier in tree order. Derived like [`CACHE_HITS`] (a pure
-    /// function of the forest); emitted only
+    /// Counter: structural misses whose *functional*
+    /// `(NPN class, blind skeleton, depths)` key was seen earlier in
+    /// tree order. Derived like [`CACHE_HITS`] (a pure function of the
+    /// forest); emitted only
     /// under [`crate::CacheMode::Fn`]. In that mode
     /// `cache.hits + cache.fn_hits + cache.misses + map.single_lut_trees
     /// == map.trees`.
     pub const CACHE_FN_HITS: &str = "cache.fn_hits";
-    /// Counter: functional-tier-eligible trees (≤ 6 leaves) that missed
-    /// both tiers and paid for a full solve. Emitted only under
-    /// [`crate::CacheMode::Fn`]; `fn_misses <= misses`.
+    /// Counter: functional-tier-eligible trees (≤ 6 leaves) whose keys
+    /// in both tiers are the first of their kind in tree order. Emitted
+    /// only under [`crate::CacheMode::Fn`]; `fn_misses <= misses`.
     pub const CACHE_FN_MISSES: &str = "cache.fn_misses";
-    /// Counter: LUTs emitted from functional-tier replays. Emitted only
-    /// under [`crate::CacheMode::Fn`].
+    /// Counter: LUTs in the covers of the trees counted by
+    /// [`CACHE_FN_HITS`]. Emitted only under [`crate::CacheMode::Fn`].
     pub const CACHE_FN_REPLAYED_LUTS: &str = "cache.fn_replayed_luts";
     /// Trace span: one tree's DP mapping (`Tree` scope, index = tree
     /// order; begin arg = tree node count, end arg = the tree's LUT
     /// cost). Only the timestamps differ between runs.
     pub const TRACE_TREE: &str = "map.tree";
-    /// Trace instant: the tree is the *first* occurrence of its cache
-    /// key in tree order — it pays for a full subset-DP solve (arg =
-    /// LUT cost). Derived from the forest, like [`CACHE_HITS`], so the
-    /// classification is identical for every cache mode.
+    /// Trace instant: the tree is the *first* occurrence of its
+    /// structural cache key in tree order (arg = LUT cost). Derived from
+    /// the forest, like [`CACHE_HITS`], so the classification is
+    /// identical for every cache mode.
     pub const TRACE_SOLVE: &str = "dp.solve";
-    /// Trace instant: the tree replays a key seen earlier in tree order
-    /// (arg = LUT cost). See [`TRACE_SOLVE`].
+    /// Trace instant: the tree's structural cache key was seen earlier
+    /// in tree order (arg = LUT cost). See [`TRACE_SOLVE`].
     pub const TRACE_REPLAY: &str = "dp.replay";
     /// Trace instant: the tree fits one LUT and skipped the DP (arg = 1,
     /// its LUT cost). See [`MAP_SINGLE_LUT_TREES`].
@@ -216,7 +219,7 @@ pub struct MapOptions {
     /// A process-lifetime [`WarmCache`] consulted (and populated) under
     /// [`CacheMode::Shared`] and [`CacheMode::Fn`], so repeated runs
     /// over recurring shapes skip the subset DP entirely. `None` (the
-    /// default) keeps caches scoped to a single run.
+    /// default) keeps no cache: every tree that needs the DP solves it.
     pub warm_cache: Option<WarmCache>,
     /// The opt-in don't-care packing post-pass ([`PackMode::Off`] by
     /// default). [`PackMode::Dc`] shrinks and merges emitted LUTs using
@@ -281,9 +284,10 @@ impl MapOptionsBuilder {
         self
     }
 
-    /// Selects how DP results are memoized across trees (the default is
-    /// [`CacheMode::Shared`]). Every mode produces the identical circuit;
-    /// the knob only trades memory for repeated kernel work.
+    /// Selects how DP results are memoized in the run's warm cache (the
+    /// default is [`CacheMode::Shared`]). Every mode produces the
+    /// identical circuit; the knob only trades memory for repeated
+    /// kernel work, and only a run with a warm cache memoizes at all.
     pub fn cache(mut self, cache: CacheMode) -> Self {
         self.opts.cache = cache;
         self
@@ -575,14 +579,15 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
     // Functional-tier key material: depths-independent, so it is
     // computed once here (sequentially, with the NPN canonicalization
     // memoized per distinct packed table) and the per-tree `FnKey` is
-    // assembled at DP time from this plus the depth hash the structural
-    // key already carries. Empty outside `CacheMode::Fn`.
-    let fn_metas = if options.cache.uses_fn() {
-        let _s = telemetry.span(stats::STAGE_FNMETA);
-        compute_fn_metas(&forest.trees, options.k)
-    } else {
-        Vec::new()
-    };
+    // assembled from this plus the structural key's depth hash. Only a
+    // warm functional segment or the `cache.fn_*` counters read it.
+    let fn_metas =
+        if options.cache.uses_fn() && (options.warm_cache.is_some() || telemetry.is_enabled()) {
+            let _s = telemetry.span(stats::STAGE_FNMETA);
+            compute_fn_metas(&forest.trees, options.k)
+        } else {
+            Vec::new()
+        };
 
     let mut report = MapReport {
         trees: forest.trees.len(),
@@ -590,7 +595,7 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
     };
     let mapped = {
         let _s = telemetry.span(stats::STAGE_DP);
-        crate::sched::map_forest(normal.len(), forest.trees, &shapes, fn_metas, options)?
+        crate::sched::map_forest(normal.len(), forest.trees, &shapes, &fn_metas, options)?
     };
     // Kernel tallies are summed here, once per tree in tree order —
     // cached replays contribute the tally of the shape they share, and a
@@ -609,9 +614,8 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
     }
     telemetry.add_counter(stats::MAP_SINGLE_LUT_TREES, single_lut_trees);
     flush_dp_counters(telemetry, &mut kernel_tally);
-    report_cache_counters(telemetry, options, &mapped);
+    classify_trees(telemetry, options, &normal, &shapes, &fn_metas, &mapped);
     record_tree_work(telemetry, &mapped);
-    trace_classification(telemetry, &normal, &shapes, &mapped);
 
     // Primary inputs survive normalization in order; translate the
     // normal-form ids back to the caller's network ids.
@@ -699,9 +703,9 @@ fn compute_fn_metas(trees: &[Tree], k: usize) -> Vec<Option<FnMeta>> {
 }
 
 /// One mapped tree: the concrete (canonicalized) tree and its mapping —
-/// the DP solution it shares with every other tree of the same cache key
-/// and that key (when caching was on), or no solution when the tree fits
-/// one LUT. This is what flows from the mapping drivers into cover
+/// its DP solution (shared through the warm cache with every tree of the
+/// same key, when one was attached) and its keys, or no solution when the
+/// tree fits one LUT. This is what flows from the mapping drivers into cover
 /// emission — reconstruction reads decisions from the solution and leaf
 /// identities from `tree`.
 pub(crate) struct MappedTree {
@@ -718,47 +722,82 @@ impl MappedTree {
     }
 }
 
-/// Derives the deterministic `cache.*` counters from the per-tree key
-/// sequence, in tree order: a tree is a *hit* when an earlier tree has
-/// the same key. Deliberately not counted at the cache data structure —
-/// whether a lookup hits there depends on what a warm cache already
-/// held, while this definition is a pure function of the forest.
-fn report_cache_counters(telemetry: &Telemetry, options: &MapOptions, mapped: &[MappedTree]) {
-    if !telemetry.is_enabled() || !options.cache.is_enabled() {
+/// Classifies every tree by the first occurrence of its cache key in
+/// tree order, and reports the result as the `cache.*` counters (when
+/// the mode caches) and as one trace instant per tree (when tracing):
+/// [`stats::TRACE_SINGLE_LUT`] for a tree that fit one LUT,
+/// [`stats::TRACE_SOLVE`] for the first tree with its structural key,
+/// [`stats::TRACE_REPLAY`] for a later one.
+///
+/// A tree is a *hit* when an earlier tree has the same key. This is
+/// deliberately not counted at the store: whether a lookup hits there
+/// depends on what a warm cache already held, while this definition is
+/// a pure function of the forest, identical for every cache mode. The
+/// keys the mapping step computed (a run with a warm segment) are
+/// reused; the others are recomputed here from the published root
+/// depths.
+fn classify_trees(
+    telemetry: &Telemetry,
+    options: &MapOptions,
+    normal: &Network,
+    shapes: &[Fingerprint],
+    fn_metas: &[Option<FnMeta>],
+    mapped: &[MappedTree],
+) {
+    let counting = telemetry.is_enabled() && options.cache.is_enabled();
+    if !counting && !telemetry.is_tracing() {
         return;
     }
+    let mut buf = telemetry.trace_buffer(0);
+    let mut arrivals = vec![0u32; normal.len()];
     let mut seen: HashSet<CacheKey> = HashSet::with_capacity(mapped.len());
     let mut seen_fn: HashSet<FnKey> = HashSet::new();
     let (mut hits, mut misses, mut replayed) = (0u64, 0u64, 0u64);
     let (mut fn_hits, mut fn_misses, mut fn_replayed) = (0u64, 0u64, 0u64);
-    for m in mapped {
+    for (ti, m) in mapped.iter().enumerate() {
+        let luts = u64::from(m.luts());
         // Single-LUT trees have no key: they are neither hits nor misses.
-        let Some(key) = m.result.key else {
-            continue;
-        };
-        // Attribution is structural-first: a tree both tiers could
-        // serve counts as a structural hit, so `cache.hits` is
-        // unchanged from `CacheMode::Shared` and `cache.fn_hits` is
-        // exactly the *additional* reuse the functional tier unlocks.
-        // (The runtime lookup order is functional-first, which is
-        // equivalent work-wise: either tier's hit skips the solve.)
-        let fn_key = m.result.fn_key;
-        if seen.contains(&key) {
-            hits += 1;
-            replayed += u64::from(m.luts());
-        } else if fn_key.is_some_and(|fk| seen_fn.contains(&fk)) {
-            fn_hits += 1;
-            fn_replayed += u64::from(m.luts());
+        let name = if m.result.sol.is_none() {
+            stats::TRACE_SINGLE_LUT
         } else {
-            misses += 1;
-            if fn_key.is_some() {
-                fn_misses += 1;
+            let (key, fn_key) = match m.result.key {
+                Some(key) => (key, m.result.fn_key),
+                None => {
+                    let key = CacheKey::of(&m.tree, shapes[ti], &|id| arrivals[id.index()]);
+                    let meta = fn_metas.get(ti).and_then(Option::as_ref);
+                    (key, meta.map(|meta| meta.key(&key)))
+                }
+            };
+            // Attribution is structural-first: a tree both tiers could
+            // serve counts as a structural hit, so `cache.hits` is
+            // unchanged from `CacheMode::Shared` and `cache.fn_hits` is
+            // exactly the *additional* reuse the functional tier unlocks.
+            // (The runtime lookup order is functional-first, which is
+            // equivalent work-wise: either tier's hit skips the solve.)
+            let name = if !seen.insert(key) {
+                hits += 1;
+                replayed += luts;
+                stats::TRACE_REPLAY
+            } else if fn_key.is_some_and(|fk| seen_fn.contains(&fk)) {
+                fn_hits += 1;
+                fn_replayed += luts;
+                stats::TRACE_SOLVE
+            } else {
+                misses += 1;
+                fn_misses += u64::from(fn_key.is_some());
+                stats::TRACE_SOLVE
+            };
+            if let Some(fk) = fn_key {
+                seen_fn.insert(fk);
             }
-        }
-        seen.insert(key);
-        if let Some(fk) = fn_key {
-            seen_fn.insert(fk);
-        }
+            name
+        };
+        buf.instant(TraceScope::Tree, ti as u64, name, luts);
+        arrivals[m.tree.root.index()] = m.result.depth;
+    }
+    telemetry.trace_flush(&mut buf);
+    if !counting {
+        return;
     }
     {
         // Per-run cache-tier attribution for operators tailing the
@@ -766,11 +805,10 @@ fn report_cache_counters(telemetry: &Telemetry, options: &MapOptions, mapped: &[
         // visible per request instead of only in aggregate.
         use chortle_telemetry::log::{self, FieldValue, Level};
         if log::enabled(Level::Debug) {
-            let mode = match options.cache {
-                CacheMode::Off => "off",
-                CacheMode::Tree => "tree",
-                CacheMode::Shared => "shared",
-                CacheMode::Fn => "fn",
+            let mode = if options.cache.uses_fn() {
+                "fn"
+            } else {
+                "shared"
             };
             log::event(
                 Level::Debug,
@@ -813,44 +851,6 @@ fn record_tree_work(telemetry: &Telemetry, mapped: &[MappedTree]) {
     if !work.is_empty() {
         telemetry.merge_histogram(stats::HIST_TREE_WORK, &work);
     }
-}
-
-/// Emits the classification instants ([`stats::TRACE_SINGLE_LUT`],
-/// [`stats::TRACE_SOLVE`] / [`stats::TRACE_REPLAY`]) for a tracing
-/// sink. Solve-vs-replay uses the same deterministic first-occurrence
-/// definition as [`report_cache_counters`], but recomputes the keys
-/// here so [`CacheMode::Off`] runs classify identically to caching runs
-/// — the trace identity is a pure function of the forest.
-fn trace_classification(
-    telemetry: &Telemetry,
-    normal: &Network,
-    shapes: &[Fingerprint],
-    mapped: &[MappedTree],
-) {
-    if !telemetry.is_tracing() {
-        return;
-    }
-    let mut buf = telemetry.trace_buffer(0);
-    let mut arrivals = vec![0u32; normal.len()];
-    let mut seen: HashSet<CacheKey> = HashSet::with_capacity(mapped.len());
-    for (ti, m) in mapped.iter().enumerate() {
-        let name = if m.result.sol.is_none() {
-            stats::TRACE_SINGLE_LUT
-        } else {
-            let key = m
-                .result
-                .key
-                .unwrap_or_else(|| CacheKey::of(&m.tree, shapes[ti], &|id| arrivals[id.index()]));
-            if seen.insert(key) {
-                stats::TRACE_SOLVE
-            } else {
-                stats::TRACE_REPLAY
-            }
-        };
-        buf.instant(TraceScope::Tree, ti as u64, name, u64::from(m.luts()));
-        arrivals[m.tree.root.index()] = m.result.depth;
-    }
-    telemetry.trace_flush(&mut buf);
 }
 
 #[cfg(test)]

@@ -27,13 +27,13 @@ fn options_builders_compose() {
         .split_threshold(12)
         .expect("in range")
         .objective(Objective::Depth)
-        .cache(CacheMode::Tree)
+        .cache(CacheMode::Fn)
         .build()
         .expect("valid K");
     assert_eq!(opts.k, 5);
     assert_eq!(opts.split_threshold, 12);
     assert_eq!(opts.objective, Objective::Depth);
-    assert_eq!(opts.cache, CacheMode::Tree);
+    assert_eq!(opts.cache, CacheMode::Fn);
     assert_eq!(Objective::default(), Objective::Area);
     assert_eq!(CacheMode::default(), CacheMode::Shared);
 }

@@ -1,10 +1,12 @@
 //! Contracts of the cross-tree DP-result cache: canonical fingerprints
-//! capture structural isomorphism exactly, and no cache mode — at any
-//! worker count — may change a single bit of the mapped circuit or any
-//! work tally. Random cases come from the in-repo [`SplitMix64`]
-//! generator, so the suite runs fully offline.
+//! capture structural isomorphism exactly, and no cache mode — with or
+//! without a warm cache, cold or warm — may change a single bit of the
+//! mapped circuit or any work tally. Random cases come from the in-repo
+//! [`SplitMix64`] generator, so the suite runs fully offline.
 
-use chortle::{map_network, stats, CacheMode, Forest, MapOptions, Telemetry, Tree, TreeChild};
+use chortle::{
+    map_network, stats, CacheMode, Forest, MapOptions, Telemetry, Tree, TreeChild, WarmCache,
+};
 use chortle_netlist::{Network, NodeId, NodeOp, Signal, SplitMix64};
 
 fn random_network(seed: u64, inputs: usize, gates: usize, max_arity: usize) -> Network {
@@ -142,18 +144,18 @@ fn child_kind(c: &TreeChild) -> (bool, usize, bool) {
     }
 }
 
-/// Maps `net` under the given cache mode, returning the mapping plus the
-/// telemetry counters that tally *work* (the `cache.*` hit statistics
-/// exist only when caching is on, so they are excluded from the
-/// cross-mode comparison).
-fn map_with(net: &Network, k: usize, cache: CacheMode) -> (chortle::Mapping, Vec<(String, u64)>) {
+/// Maps `net` under the given cache mode (attached to `warm`, if any),
+/// returning the mapping plus the telemetry counters that tally *work*
+/// (the `cache.*` hit statistics exist only when caching is on, so they
+/// are excluded from the cross-mode comparison).
+fn map_with(
+    net: &Network,
+    k: usize,
+    cache: CacheMode,
+    warm: Option<&WarmCache>,
+) -> (chortle::Mapping, Vec<(String, u64)>) {
     let telemetry = Telemetry::enabled();
-    let options = MapOptions::builder(k)
-        .cache(cache)
-        .telemetry(telemetry.clone())
-        .build()
-        .expect("valid options");
-    let mapping = map_network(net, &options).expect("maps");
+    let mapping = map_network(net, &options_for(k, cache, warm, telemetry.clone())).expect("maps");
     let counters = telemetry
         .snapshot()
         .counters
@@ -164,28 +166,55 @@ fn map_with(net: &Network, k: usize, cache: CacheMode) -> (chortle::Mapping, Vec
     (mapping, counters)
 }
 
+/// Runs each caching mode twice against one fresh [`WarmCache`], cold
+/// and then warm, and hands every run to `check` as `(mode, warm,
+/// context)`. The warm run must replay: when the cold run stored any
+/// solution, it must hit without a single new miss.
+fn cold_and_warm(mut check: impl FnMut(CacheMode, &WarmCache, &str)) {
+    for cache in [CacheMode::Shared, CacheMode::Fn] {
+        let warm = WarmCache::new();
+        check(cache, &warm, &format!("{cache:?} cold"));
+        let cold = warm.stats();
+        check(cache, &warm, &format!("{cache:?} warm"));
+        let rewarm = warm.stats();
+        if cold.shapes > 0 {
+            assert!(
+                rewarm.hits + rewarm.fn_hits > cold.hits + cold.fn_hits,
+                "{cache:?}: the warm run replayed nothing"
+            );
+            assert_eq!(
+                (rewarm.misses, rewarm.fn_misses),
+                (cold.misses, cold.fn_misses),
+                "{cache:?}: the warm run missed"
+            );
+        }
+    }
+}
+
 #[test]
 fn every_cache_mode_is_bit_identical() {
     let mut rng = SplitMix64::new(0xcace_0002);
     for round in 0..6 {
         let net = random_network(rng.next_u64(), 8, 24, 5);
         for k in 2..=6 {
-            let (reference, ref_counters) = map_with(&net, k, CacheMode::Off);
-            for cache in [CacheMode::Tree, CacheMode::Shared, CacheMode::Fn] {
-                let (mapping, counters) = map_with(&net, k, cache);
+            let (reference, ref_counters) = map_with(&net, k, CacheMode::Off, None);
+            let same = |mapping: chortle::Mapping, counters: Vec<(String, u64)>, ctx: &str| {
+                let ctx = format!("round={round} k={k} {ctx}");
                 assert_eq!(
                     reference.circuit, mapping.circuit,
-                    "circuit diverged (round={round} k={k} {cache:?})"
+                    "circuit diverged ({ctx})"
                 );
-                assert_eq!(
-                    reference.report, mapping.report,
-                    "report diverged (round={round} k={k} {cache:?})"
-                );
-                assert_eq!(
-                    ref_counters, counters,
-                    "work tallies diverged (round={round} k={k} {cache:?})"
-                );
+                assert_eq!(reference.report, mapping.report, "report diverged ({ctx})");
+                assert_eq!(ref_counters, counters, "work tallies diverged ({ctx})");
+            };
+            for cache in [CacheMode::Shared, CacheMode::Fn] {
+                let (mapping, counters) = map_with(&net, k, cache, None);
+                same(mapping, counters, &format!("{cache:?}"));
             }
+            cold_and_warm(|cache, warm, ctx| {
+                let (mapping, counters) = map_with(&net, k, cache, Some(warm));
+                same(mapping, counters, ctx);
+            });
         }
     }
 }
@@ -254,19 +283,15 @@ fn cache_counters_add_up() {
 fn the_counter_identity_holds_for_every_cache_mode() {
     // cache.hits + cache.misses + map.single_lut_trees == map.trees, and
     // the single-LUT count is the forest's trees with at most K leaf
-    // occurrences, for every cache mode.
+    // occurrences, for every cache mode. A run attached to a warm cache,
+    // cold or warm, reports exactly the counters of a run without one.
     let mut rng = SplitMix64::new(0xcace_0007);
     for round in 0..6 {
         let net = random_network(rng.next_u64(), 8, 40, 6);
         let k = rng.next_range(2, 7);
         let expected = single_lut_trees(&net, k);
-        for cache in [
-            CacheMode::Off,
-            CacheMode::Tree,
-            CacheMode::Shared,
-            CacheMode::Fn,
-        ] {
-            let report = counters_under(&net, k, cache);
+        for cache in [CacheMode::Off, CacheMode::Shared, CacheMode::Fn] {
+            let report = counters_under(&net, k, cache, None);
             let ctx = format!("round={round} k={k} {cache:?}");
             let trees = report.counter(stats::MAP_TREES).unwrap();
             let single = report.counter(stats::MAP_SINGLE_LUT_TREES).unwrap();
@@ -279,6 +304,14 @@ fn the_counter_identity_holds_for_every_cache_mode() {
             let misses = report.counter(stats::CACHE_MISSES).unwrap();
             assert_eq!(hits + fn_hits + misses + single, trees, "{ctx}");
         }
+        cold_and_warm(|cache, warm, ctx| {
+            let attached = counters_under(&net, k, cache, Some(warm));
+            assert_eq!(
+                attached.counters,
+                counters_under(&net, k, cache, None).counters,
+                "round={round} k={k} {ctx}"
+            );
+        });
     }
 }
 
@@ -311,16 +344,33 @@ fn add_skeleton_variants(net: &mut Network, rng: &mut SplitMix64, columns: usize
     }
 }
 
-/// Runs `net` at `k` under `cache` and returns the full counter
-/// snapshot.
-fn counters_under(net: &Network, k: usize, cache: CacheMode) -> chortle::MapStats {
+/// The options of one run under `cache` at `k`, attached to `warm` if
+/// given.
+fn options_for(
+    k: usize,
+    cache: CacheMode,
+    warm: Option<&WarmCache>,
+    telemetry: Telemetry,
+) -> MapOptions {
+    let builder = MapOptions::builder(k).cache(cache).telemetry(telemetry);
+    match warm {
+        Some(warm) => builder.warm_cache(warm.clone()),
+        None => builder,
+    }
+    .build()
+    .unwrap()
+}
+
+/// Runs `net` at `k` under `cache` (attached to `warm`, if any) and
+/// returns the full counter snapshot.
+fn counters_under(
+    net: &Network,
+    k: usize,
+    cache: CacheMode,
+    warm: Option<&WarmCache>,
+) -> chortle::MapStats {
     let telemetry = Telemetry::enabled();
-    let options = MapOptions::builder(k)
-        .cache(cache)
-        .telemetry(telemetry.clone())
-        .build()
-        .unwrap();
-    map_network(net, &options).expect("maps");
+    map_network(net, &options_for(k, cache, warm, telemetry.clone())).expect("maps");
     telemetry.snapshot()
 }
 
@@ -336,8 +386,8 @@ fn fn_tier_counters_add_up_and_only_add_reuse() {
     for round in 0..8 {
         let mut net = random_network(rng.next_u64(), 8, 40, 4);
         add_skeleton_variants(&mut net, &mut rng, 6);
-        let shared = counters_under(&net, K, CacheMode::Shared);
-        let fnr = counters_under(&net, K, CacheMode::Fn);
+        let shared = counters_under(&net, K, CacheMode::Shared, None);
+        let fnr = counters_under(&net, K, CacheMode::Fn, None);
         let trees = fnr.counter(stats::MAP_TREES).unwrap();
         let hits = fnr.counter(stats::CACHE_HITS).unwrap();
         let misses = fnr.counter(stats::CACHE_MISSES).unwrap();
@@ -374,8 +424,9 @@ fn fn_tier_counters_add_up_and_only_add_reuse() {
 #[test]
 fn shared_mode_reports_no_fn_counters() {
     let net = random_network(0xcace_0005, 8, 30, 4);
-    for cache in [CacheMode::Tree, CacheMode::Shared] {
-        let report = counters_under(&net, 4, cache);
+    let warm = WarmCache::new();
+    for attached in [None, Some(&warm)] {
+        let report = counters_under(&net, 4, CacheMode::Shared, attached);
         for counter in [
             stats::CACHE_FN_HITS,
             stats::CACHE_FN_MISSES,
@@ -383,7 +434,8 @@ fn shared_mode_reports_no_fn_counters() {
         ] {
             assert!(
                 report.counter(counter).is_none(),
-                "{counter} reported under {cache:?}"
+                "{counter} reported (warm cache attached: {})",
+                attached.is_some()
             );
         }
     }
@@ -391,7 +443,6 @@ fn shared_mode_reports_no_fn_counters() {
 
 #[test]
 fn warm_cache_segments_both_tiers() {
-    use chortle::WarmCache;
     let net = random_network(0xcace_0006, 8, 40, 4);
     let warm = WarmCache::new();
     let options = MapOptions::builder(4)

@@ -121,13 +121,15 @@ fn warm_cache_segments_do_not_leak_across_options() {
 fn warm_cache_is_inert_outside_shared_mode() {
     let net = layered_network(4);
     let warm = WarmCache::new();
-    for mode in [CacheMode::Off, CacheMode::Tree] {
-        let opts = MapOptions::builder(4)
-            .cache(mode)
-            .warm_cache(warm.clone())
-            .build()
-            .unwrap();
-        map_network(&net, &opts).unwrap();
-        assert_eq!(warm.shapes(), 0, "{mode:?} must not touch the warm cache");
-    }
+    let opts = MapOptions::builder(4)
+        .cache(CacheMode::Off)
+        .warm_cache(warm.clone())
+        .build()
+        .unwrap();
+    map_network(&net, &opts).unwrap();
+    assert_eq!(
+        warm.stats(),
+        chortle::WarmStats::default(),
+        "off must not touch the warm cache"
+    );
 }

@@ -1,10 +1,10 @@
 //! Integration contracts of the sequential-design pipeline: a
 //! handcrafted multi-model design cuts into the clouds its structure
-//! dictates, and no cache mode may change a single byte
-//! of the assembled netlist, any per-cloud result, or the `design.*`
-//! counters.
+//! dictates, and no cache mode, with or without a warm cache, may
+//! change a single byte of the assembled netlist, any per-cloud result,
+//! or the `design.*` counters.
 
-use chortle::{map_design, stats, CacheMode, DesignOptions, MapOptions, Telemetry};
+use chortle::{map_design, stats, CacheMode, DesignOptions, MapOptions, Telemetry, WarmCache};
 use chortle_netlist::{
     check_networks, parse_blif, parse_design, read_design, write_blif, write_lut_blif,
 };
@@ -37,29 +37,22 @@ const MULTI_MODEL: &str = "\
 .end
 ";
 
-/// Every cache mode the mapper offers, against the cache-off reference.
-const CACHES: [CacheMode; 4] = [
-    CacheMode::Off,
-    CacheMode::Tree,
-    CacheMode::Shared,
-    CacheMode::Fn,
-];
-
-fn map_with(cache: CacheMode) -> (chortle::MappedDesign, String) {
+fn map_with(cache: CacheMode, warm: Option<&WarmCache>) -> (chortle::MappedDesign, String) {
     let (design, _) = parse_design(MULTI_MODEL).expect("fixture parses");
     let telemetry = Telemetry::enabled();
-    let options = MapOptions::builder(4)
+    let mut options = MapOptions::builder(4)
         .cache(cache)
         .telemetry(telemetry.clone())
         .build()
         .expect("valid options");
+    options.warm_cache = warm.cloned();
     let mapped = map_design(&design, &DesignOptions::new(options)).expect("design maps");
     (mapped, telemetry.snapshot().to_json())
 }
 
 #[test]
 fn multi_model_design_cuts_into_the_expected_clouds() {
-    let (mapped, _) = map_with(CacheMode::Off);
+    let (mapped, _) = map_with(CacheMode::Off, None);
     assert_eq!(mapped.latches, 2, "both registers survive flattening");
     assert_eq!(
         mapped.clouds.len(),
@@ -88,7 +81,7 @@ fn per_cloud_results_match_the_offline_mapper() {
     // Each cloud's `mapped` bytes must equal an offline `map_network`
     // run over that cloud's standalone BLIF — the in-design mapping is
     // the offline mapping, not an approximation of it.
-    let (mapped, _) = map_with(CacheMode::Off);
+    let (mapped, _) = map_with(CacheMode::Off, None);
     let options = MapOptions::builder(4).build().expect("valid options");
     let (design, _) = parse_design(MULTI_MODEL).expect("fixture parses");
     let cut = design.clouds();
@@ -105,17 +98,35 @@ fn per_cloud_results_match_the_offline_mapper() {
 
 #[test]
 fn design_mapping_is_bit_identical_across_caches() {
-    let (reference, reference_report) = map_with(CacheMode::Off);
-    for &cache in &CACHES {
-        let (mapped, report) = map_with(cache);
+    let (reference, reference_report) = map_with(CacheMode::Off, None);
+    // Every mode without a warm cache, then the caching modes twice
+    // against one fresh warm cache (cold, then warm).
+    let mut runs: Vec<(String, (chortle::MappedDesign, String))> = Vec::new();
+    for cache in [CacheMode::Off, CacheMode::Shared, CacheMode::Fn] {
+        runs.push((format!("{cache:?}"), map_with(cache, None)));
+    }
+    for cache in [CacheMode::Shared, CacheMode::Fn] {
+        let warm = WarmCache::new();
+        runs.push((format!("{cache:?} cold"), map_with(cache, Some(&warm))));
+        let cold = warm.stats();
+        runs.push((format!("{cache:?} warm"), map_with(cache, Some(&warm))));
+        let rewarm = warm.stats();
+        if cold.shapes > 0 {
+            assert!(
+                rewarm.hits + rewarm.fn_hits > cold.hits + cold.fn_hits,
+                "{cache:?}"
+            );
+        }
+    }
+    for (cache, (mapped, report)) in &runs {
         assert_eq!(
             mapped.netlist, reference.netlist,
-            "netlist diverged at cache={cache:?}"
+            "netlist diverged at cache={cache}"
         );
         for (i, (got, want)) in mapped.clouds.iter().zip(&reference.clouds).enumerate() {
             assert_eq!(
                 got.mapped, want.mapped,
-                "cloud {i} diverged at cache={cache:?}"
+                "cloud {i} diverged at cache={cache}"
             );
             assert_eq!(got.network, want.network, "cloud {i} network changed");
         }
@@ -128,9 +139,9 @@ fn design_mapping_is_bit_identical_across_caches() {
             stats::DESIGN_CLOUD_LUTS,
         ] {
             assert_eq!(
-                counter_value(&report, counter),
+                counter_value(report, counter),
                 counter_value(&reference_report, counter),
-                "{counter} diverged at cache={cache:?}"
+                "{counter} diverged at cache={cache}"
             );
         }
     }

@@ -1,9 +1,12 @@
 //! The tracing contract: the identity projection of a mapping trace and
 //! the deterministic `dp.tree_work` histogram are pure functions of the
-//! input — bit-identical for any `--cache` mode — and cancellation never
-//! leaves a `begin` without a closing event.
+//! input — bit-identical for any `--cache` mode, with or without a warm
+//! cache — and cancellation never leaves a `begin` without a closing
+//! event.
 
-use chortle::{map_network, stats, CacheMode, CancelToken, MapError, MapOptions, Telemetry};
+use chortle::{
+    map_network, stats, CacheMode, CancelToken, MapError, MapOptions, Telemetry, WarmCache,
+};
 use chortle::{TraceKind, TraceScope};
 use chortle_netlist::{Network, NodeOp, Signal, SplitMix64};
 use chortle_telemetry::validate_chrome_trace;
@@ -49,27 +52,72 @@ fn traced_options(k: usize, cache: CacheMode) -> (Telemetry, MapOptions) {
     (telemetry, options)
 }
 
+/// Every cache mode without a warm cache, then each caching mode twice
+/// against one fresh [`WarmCache`] (cold, then warm): the runs whose
+/// traces and histograms must agree.
+fn every_run(k: usize) -> Vec<(String, MapOptions)> {
+    let mut runs = Vec::new();
+    for cache in [CacheMode::Off, CacheMode::Shared, CacheMode::Fn] {
+        let options = MapOptions::builder(k).cache(cache).build().unwrap();
+        runs.push((format!("{cache:?}"), options));
+    }
+    for cache in [CacheMode::Shared, CacheMode::Fn] {
+        let warm = WarmCache::new();
+        for pass in ["cold", "warm"] {
+            let options = MapOptions::builder(k)
+                .cache(cache)
+                .warm_cache(warm.clone())
+                .build()
+                .unwrap();
+            runs.push((format!("{cache:?} {pass}"), options));
+        }
+    }
+    runs
+}
+
+/// `options` reporting into `telemetry`.
+fn with_sink(options: &MapOptions, telemetry: &Telemetry) -> MapOptions {
+    let mut options = options.clone();
+    options.telemetry = telemetry.clone();
+    options
+}
+
 #[test]
 fn trace_identity_is_invariant_across_cache_modes() {
     let mut rng = SplitMix64::new(0x7ace_0001);
     for round in 0..8 {
         let net = random_network(rng.next_u64(), 8, 24, 6);
         let k = rng.next_range(2, 7);
-        let (telemetry, options) = traced_options(k, CacheMode::Off);
-        map_network(&net, &options).expect("maps");
-        let baseline = telemetry.trace_snapshot();
+        let trace_of = |options: &MapOptions| {
+            let telemetry = Telemetry::traced();
+            map_network(&net, &with_sink(options, &telemetry)).expect("maps");
+            telemetry.trace_snapshot()
+        };
+        let plain = |cache| MapOptions::builder(k).cache(cache).build().unwrap();
+        let baseline = trace_of(&plain(CacheMode::Off));
         assert_eq!(baseline.dropped, 0);
         assert!(!baseline.events.is_empty(), "tracing captured nothing");
-        for cache in [CacheMode::Off, CacheMode::Tree, CacheMode::Shared] {
-            let (telemetry, options) = traced_options(k, cache);
-            map_network(&net, &options).expect("maps");
-            let trace = telemetry.trace_snapshot();
+        // The functional tier adds its `map.fnmeta` stage span; every
+        // other event matches, so `fn` runs agree with a cold `fn` run.
+        let fn_baseline = trace_of(&plain(CacheMode::Fn));
+        for (run, options) in every_run(k) {
+            let want = if options.cache == CacheMode::Fn {
+                &fn_baseline
+            } else {
+                &baseline
+            };
             assert_eq!(
-                baseline.identity(),
-                trace.identity(),
-                "trace identity diverged (round={round} k={k} cache={cache:?})"
+                want.identity(),
+                trace_of(&options).identity(),
+                "trace identity diverged (round={round} k={k} cache={run})"
             );
         }
+        let tree_events = |trace: &chortle::Trace| {
+            let mut identity = trace.identity();
+            identity.retain(|e| e.scope == TraceScope::Tree);
+            identity
+        };
+        assert_eq!(tree_events(&baseline), tree_events(&fn_baseline));
     }
 }
 
@@ -80,17 +128,17 @@ fn tree_work_histogram_is_invariant_across_cache_modes() {
     for round in 0..8 {
         let net = random_network(rng.next_u64(), 8, 24, 6);
         let k = rng.next_range(2, 7);
-        let report = |cache| {
+        let report = |options: &MapOptions| {
             let telemetry = Telemetry::enabled();
-            let options = MapOptions::builder(k)
-                .cache(cache)
-                .telemetry(telemetry.clone())
-                .build()
-                .expect("valid options");
-            map_network(&net, &options).expect("maps");
+            map_network(&net, &with_sink(options, &telemetry)).expect("maps");
             telemetry.snapshot()
         };
-        let baseline = report(CacheMode::Off);
+        let baseline = report(
+            &MapOptions::builder(k)
+                .cache(CacheMode::Off)
+                .build()
+                .unwrap(),
+        );
         // A degenerate round can normalize to an empty forest, in which
         // case the histogram is absent — absence must then be invariant
         // too, so compare as an Option.
@@ -99,12 +147,12 @@ fn tree_work_histogram_is_invariant_across_cache_modes() {
             assert!(h.count() > 0);
             nonempty_rounds += 1;
         }
-        for cache in [CacheMode::Off, CacheMode::Tree, CacheMode::Shared] {
-            let r = report(cache);
+        for (run, options) in every_run(k) {
+            let r = report(&options);
             assert_eq!(
                 base_hist.as_ref(),
                 r.histogram(stats::HIST_TREE_WORK),
-                "dp.tree_work diverged (round={round} k={k} cache={cache:?})"
+                "dp.tree_work diverged (round={round} k={k} cache={run})"
             );
         }
     }
@@ -201,7 +249,7 @@ fn cancellation_between_trees_leaves_no_partial_spans() {
     let mut cancelled_runs = 0;
     for round in 0..24 {
         let net = random_network(rng.next_u64(), 10, 40, 6);
-        let cache = [CacheMode::Off, CacheMode::Tree, CacheMode::Shared][round % 3];
+        let cache = [CacheMode::Off, CacheMode::Shared, CacheMode::Fn][round % 3];
         let telemetry = Telemetry::traced();
         let token = CancelToken::armed();
         let options = MapOptions::builder(4)

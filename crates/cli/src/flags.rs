@@ -62,7 +62,8 @@ pub const FLAGS: &[Flag] = &[
         name: "--cache",
         alias: None,
         value: Some("MODE"),
-        help: "DP-result cache: shared (default), tree, off, or fn",
+        help:
+            "DP-result cache: shared (default), off, or fn (only chortle-serve keeps a warm cache)",
     },
     Flag {
         name: "--pack",

@@ -141,13 +141,12 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Option<Cli>, CliErro
             "--cache" => {
                 cache = match value.as_str() {
                     "off" => CacheMode::Off,
-                    "tree" => CacheMode::Tree,
                     "shared" => CacheMode::Shared,
                     "fn" => CacheMode::Fn,
                     other => {
                         return Err(CliError::invalid(
                             "--cache",
-                            format!("{other:?} (expected off, tree, shared or fn)"),
+                            format!("{other:?} (expected off, shared or fn)"),
                         ))
                     }
                 };

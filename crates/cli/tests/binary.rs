@@ -233,13 +233,20 @@ fn cache_modes_do_not_change_the_circuit() {
     let (reference, _, ok) = run(&["-k", "3", "--cache", "off"], FIGURE);
     assert!(ok);
     for args in [
-        &["-k", "3", "--cache", "tree"][..],
-        &["-k", "3", "--cache", "shared"],
+        &["-k", "3", "--cache", "shared"][..],
+        &["-k", "3", "--cache", "fn"],
     ] {
         let (stdout, _, ok) = run(args, FIGURE);
         assert!(ok);
         assert_eq!(reference, stdout, "{args:?} changed the circuit");
     }
+    // `tree` is rejected here; only the wire still accepts it, as `off`.
+    let (_, stderr, ok) = run(&["-k", "3", "--cache", "tree"], FIGURE);
+    assert!(!ok);
+    assert!(
+        stderr.contains("invalid value for --cache: \"tree\" (expected off, shared or fn)"),
+        "{stderr}"
+    );
 }
 
 #[test]

@@ -116,7 +116,7 @@ fn print_client_help() {
     println!("Client options:");
     println!("  -k N                LUT input count (default 4)");
     println!("  --jobs N            accepted and ignored; each request maps on one daemon worker");
-    println!("  --cache MODE        DP cache: shared (default), fn, tree, or off");
+    println!("  --cache MODE        DP cache: shared (default), fn, or off");
     println!("  --objective GOAL    area (default) or depth");
     println!("  --no-optimize       skip the MIS-style optimization script");
     println!(
@@ -165,13 +165,12 @@ fn parse_client_args(
             "--cache" => {
                 req.cache = match value("--cache")?.as_str() {
                     "off" => chortle::CacheMode::Off,
-                    "tree" => chortle::CacheMode::Tree,
                     "shared" => chortle::CacheMode::Shared,
                     "fn" => chortle::CacheMode::Fn,
                     other => {
                         return Err(format!(
-                        "invalid value for --cache: {other:?} (expected off, tree, shared or fn)"
-                    ))
+                            "invalid value for --cache: {other:?} (expected off, shared or fn)"
+                        ))
                     }
                 }
             }

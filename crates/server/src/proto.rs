@@ -22,10 +22,15 @@
 //! verbatim), `op` (`"map"` default, `"flush"`, `"stats"`, `"trace"`,
 //! `"shutdown"`); for `op: "map"` also `blif` (required), `k` (default
 //! 4), `jobs` (accepted and ignored), `cache`
-//! (`"shared"`/`"tree"`/`"off"`/`"fn"`), `objective` (`"area"`/`"depth"`),
+//! (`"shared"`/`"off"`/`"fn"`), `objective` (`"area"`/`"depth"`),
 //! `optimize` (default true) and `deadline_ms`. Unknown keys, unknown
 //! enum values, and admin requests carrying map-only keys are rejected
 //! — a versioned protocol fails loudly instead of guessing.
+//!
+//! `"cache":"tree"` names a retired mode that cached within one run
+//! only. Frames are frozen, so both versions still accept it, as
+//! `"off"`: neither mode ever touched the warm cache, and both map to
+//! the same bytes. The renderer never writes it.
 //!
 //! ## v2 additions (see DESIGN.md §15)
 //!
@@ -534,13 +539,14 @@ fn parse_map_fields(
     let cache = match value.get("cache") {
         None => CacheMode::Shared,
         Some(v) => match v.as_str() {
-            Some("off") => CacheMode::Off,
-            Some("tree") => CacheMode::Tree,
+            // "tree" is the retired run-private mode, accepted as "off":
+            // neither touched the warm cache, and their bytes are equal.
+            Some("off" | "tree") => CacheMode::Off,
             Some("shared") => CacheMode::Shared,
             Some("fn") => CacheMode::Fn,
             _ => {
                 return Err(fail(format!(
-                    "\"cache\" must be \"off\", \"tree\", \"shared\" or \"fn\", found {}",
+                    "\"cache\" must be \"off\", \"shared\" or \"fn\", found {}",
                     describe(v)
                 )))
             }
@@ -703,7 +709,6 @@ fn write_map_knobs(out: &mut String, req: &MapRequest, version: ProtocolVersion)
     use std::fmt::Write as _;
     let cache = match req.cache {
         CacheMode::Off => "off",
-        CacheMode::Tree => "tree",
         CacheMode::Shared => "shared",
         CacheMode::Fn => "fn",
     };
@@ -1193,6 +1198,23 @@ mod tests {
     }
 
     #[test]
+    fn the_retired_tree_cache_mode_parses_as_off() {
+        for proto in [PROTOCOL_V1, PROTOCOL_V2] {
+            let req = parse_request(&map_line(proto, r#","cache":"tree""#)).expect("parses");
+            let Op::Map(m) = req.op else {
+                panic!("expected map")
+            };
+            assert_eq!(m.cache, chortle::CacheMode::Off, "{proto}");
+        }
+        let err = parse_request(&map_line(PROTOCOL_V2, r#","cache":"ram""#)).unwrap_err();
+        assert!(
+            err.detail.contains("\"off\", \"shared\" or \"fn\""),
+            "{}",
+            err.detail
+        );
+    }
+
+    #[test]
     fn parses_admin_ops_in_both_versions() {
         for (proto, version) in [(PROTOCOL_V1, V1), (PROTOCOL_V2, V2)] {
             for (name, op) in [
@@ -1433,7 +1455,7 @@ mod tests {
             blif: ".model m\n.end\n".into(),
             k: 5,
             jobs: 2,
-            cache: chortle::CacheMode::Tree,
+            cache: chortle::CacheMode::Off,
             objective: chortle::Objective::Depth,
             optimize: false,
             deadline_ms: Some(125),
@@ -1445,7 +1467,7 @@ mod tests {
         assert_eq!(
             line,
             "{\"proto\":\"chortle-serve/v1\",\"id\":\"rt\",\"op\":\"map\",\
-             \"blif\":\".model m\\n.end\\n\",\"k\":5,\"jobs\":2,\"cache\":\"tree\",\
+             \"blif\":\".model m\\n.end\\n\",\"k\":5,\"jobs\":2,\"cache\":\"off\",\
              \"objective\":\"depth\",\"optimize\":false,\"deadline_ms\":125}"
         );
         let parsed = parse_request(&line).expect("round trips");

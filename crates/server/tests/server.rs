@@ -129,7 +129,7 @@ fn responses_are_byte_identical_to_the_offline_pipeline() {
         let baseline = offline(blif, 4, Objective::Area, true);
         let mut sent = 0;
         for jobs in [1, 4] {
-            for cache in [CacheMode::Off, CacheMode::Tree, CacheMode::Shared] {
+            for cache in [CacheMode::Off, CacheMode::Shared, CacheMode::Fn] {
                 let mut req = request(blif);
                 req.jobs = jobs;
                 req.cache = cache;

@@ -49,10 +49,10 @@ grep -q '"ph":"B"' "$trace_tmp/run.json" \
   || { echo "ci: trace file has no begin events" >&2; exit 1; }
 rm -rf "$trace_tmp"
 
-echo "==> cache identity smoke (--cache off vs tree/shared/fn)"
+echo "==> cache identity smoke (--cache off vs shared/fn)"
 ref="$(printf "$smoke_blif" \
   | cargo run -q -p chortle-cli --bin chortle-map -- --cache off)"
-for mode in tree shared fn; do
+for mode in shared fn; do
   out="$(printf "$smoke_blif" \
     | cargo run -q -p chortle-cli --bin chortle-map -- --cache "$mode")"
   [[ "$out" == "$ref" ]] \
@@ -98,7 +98,7 @@ done
 # netlist must be byte-identical to the offline CLI under the same flags.
 client_flags=("-k 4 --cache shared --jobs 1" \
               "-k 5 --cache off --jobs 2 --objective depth" \
-              "-k 4 --cache tree --no-optimize")
+              "-k 4 --cache fn --no-optimize")
 client_pids=()
 for i in 0 1 2; do
   printf "$smoke_blif" | cargo run -q -p chortle-server --bin chortle-serve -- \

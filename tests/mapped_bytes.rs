@@ -5,16 +5,17 @@
 //! three large netlists as the `map_large` benchmark builds them
 //! (generated, optimized, written and re-parsed), at K = 2..8 so the
 //! multi-word truth-table path is covered. Each (circuit, K) is mapped
-//! under every cache mode (`off`, `shared`, `fn`), and all three
-//! outputs must hash to the one pinned value. A
-//! 15-stage, 64-bit register pipeline pins `write_mapped_design_blif`
-//! through `map_design` the same way.
+//! under `off`, then under `shared` and `fn` twice each against one
+//! fresh warm cache (cold, then warm, so the replay path runs), and all
+//! five outputs must hash to the one pinned value. A 15-stage, 64-bit
+//! register pipeline pins `write_mapped_design_blif` through
+//! `map_design` the same way.
 //!
 //! The tables were generated from the mapper before its hot path was
 //! reworked; a mismatch means the output bytes changed. The failure
 //! message prints the whole table as computed, for an intended change.
 
-use chortle::{map_design, map_network, CacheMode, DesignOptions, MapOptions};
+use chortle::{map_design, map_network, CacheMode, DesignOptions, MapOptions, WarmCache};
 use chortle_bench::baseline::{baseline_simplified, baseline_write_lut_blif};
 use chortle_bench::pipelined_design;
 use chortle_circuits::{alu, des_like, random_logic, suite};
@@ -23,9 +24,6 @@ use chortle_netlist::{parse_blif, parse_design, write_blif, write_lut_blif, Netw
 
 /// LUT sizes every circuit is mapped at.
 const KS: std::ops::RangeInclusive<usize> = 2..=8;
-
-/// Cache modes every (circuit, K) is mapped under.
-const CACHES: [CacheMode; 3] = [CacheMode::Off, CacheMode::Shared, CacheMode::Fn];
 
 /// FNV-1a, 64-bit.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -41,23 +39,48 @@ fn options(k: usize, cache: CacheMode) -> MapOptions {
         .expect("K = 2..8 is valid")
 }
 
+/// The hash of `map` under `off`, after checking that `shared` and `fn`,
+/// each mapped twice against one fresh [`WarmCache`] (cold, then warm),
+/// hash the same. `map` takes the run's options and returns the output
+/// bytes' hash. When the cold run stored a solution, the warm run must
+/// replay: hits grow and no lookup misses.
+fn hash_under_every_cache(what: &str, k: usize, map: impl Fn(&MapOptions) -> u64) -> u64 {
+    let pinned = map(&options(k, CacheMode::Off));
+    for cache in [CacheMode::Shared, CacheMode::Fn] {
+        let warm = WarmCache::new();
+        let mut opts = options(k, cache);
+        opts.warm_cache = Some(warm.clone());
+        for pass in ["cold", "warm"] {
+            let before = warm.stats();
+            let hash = map(&opts);
+            assert_eq!(
+                hash, pinned,
+                "{what}: {cache:?} {pass} differs from cache off"
+            );
+            let after = warm.stats();
+            if pass == "warm" && before.shapes > 0 {
+                assert!(
+                    after.hits + after.fn_hits > before.hits + before.fn_hits,
+                    "{what}: {cache:?} warm run replayed nothing"
+                );
+                assert_eq!(
+                    (after.misses, after.fn_misses),
+                    (before.misses, before.fn_misses),
+                    "{what}: {cache:?} warm run missed"
+                );
+            }
+        }
+    }
+    pinned
+}
+
 /// The one hash of `net` mapped at `k` under every cache mode; panics if
 /// any two of them differ.
 fn mapped_hash(name: &str, net: &Network, k: usize) -> u64 {
-    let mut pinned: Option<u64> = None;
-    for cache in CACHES {
-        let mapping =
-            map_network(net, &options(k, cache)).unwrap_or_else(|e| panic!("{name}@K{k}: {e}"));
-        let hash = fnv1a64(write_lut_blif(net, &mapping.circuit, "mapped").as_bytes());
-        match pinned {
-            None => pinned = Some(hash),
-            Some(first) => assert_eq!(
-                first, hash,
-                "{name}@K{k}: cache {cache:?} differs from cache off"
-            ),
-        }
-    }
-    pinned.expect("at least one mode")
+    hash_under_every_cache(&format!("{name}@K{k}"), k, |opts| {
+        let mapping = map_network(net, opts).unwrap_or_else(|e| panic!("{name}@K{k}: {e}"));
+        fnv1a64(write_lut_blif(net, &mapping.circuit, "mapped").as_bytes())
+    })
 }
 
 /// Hashes every circuit at every K and compares with `table`; on a
@@ -125,16 +148,13 @@ fn large_mappings_keep_their_bytes() {
 #[test]
 fn design_mapping_keeps_its_bytes() {
     let (design, _) = parse_design(&pipelined_design("pipe", 15, 64)).expect("pipeline parses");
-    for cache in CACHES {
-        let mut opts = DesignOptions::new(options(4, cache));
+    let hash = hash_under_every_cache("pipe15x64@K4", 4, |opts| {
+        let mut opts = DesignOptions::new(opts.clone());
         opts.verify = false;
         let mapped = map_design(&design, &opts).expect("pipeline maps");
-        assert_eq!(
-            fnv1a64(mapped.netlist.as_bytes()),
-            PIPE15X64_K4,
-            "pipe15x64@K4: cache {cache:?}"
-        );
-    }
+        fnv1a64(mapped.netlist.as_bytes())
+    });
+    assert_eq!(hash, PIPE15X64_K4, "pipe15x64@K4");
 }
 
 #[test]
