@@ -66,7 +66,7 @@
 //! (window totals never exceed cumulative) is asserted live.
 //!
 //! The JSON report (default `results/BENCH_serve.json`) embeds the
-//! server's final aggregate `chortle-telemetry/v1.8` report.
+//! server's final aggregate `chortle-telemetry/v1.9` report.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -139,10 +139,9 @@ fn request(blif: &str, k: usize) -> MapRequest {
         // worker that runs it.
         jobs: 0,
         optimize: false,
-        // Two-tier warm cache (functional in front of structural) —
-        // the widest reuse the daemon offers, and byte-identical to
-        // every other cache mode by construction.
-        cache: chortle::CacheMode::Fn,
+        // The warm cache, byte-identical to every other cache mode by
+        // construction.
+        cache: chortle::CacheMode::Shared,
         ..MapRequest::default()
     }
 }
@@ -704,9 +703,8 @@ fn main() {
     let speedup = warm.throughput() / cold.throughput();
     eprintln!("loadgen: warm-cache throughput speedup {speedup:.2}x");
 
-    // The live per-tier view right after the warm passes: the stats
-    // "cache" object, with the rates computed client-side from the raw
-    // counters.
+    // The live view right after the warm passes: the stats "cache"
+    // object, with the rate computed client-side from the raw counters.
     let mut warm_stats = Client::connect(&addr).expect("connect for warm stats");
     let warm_cache = match warm_stats
         .stats("loadgen-warm-stats")
@@ -716,15 +714,13 @@ fn main() {
         other => panic!("expected Stats, got {other:?}"),
     };
     eprintln!(
-        "loadgen: warm cache {} shapes ({:.1}% structural hit), {} fn classes ({:.1}% fn hit)",
+        "loadgen: warm cache {} shapes ({:.1}% hit)",
         warm_cache.shapes,
-        warm_cache.hit_rate() * 100.0,
-        warm_cache.fn_entries,
-        warm_cache.fn_hit_rate() * 100.0
+        warm_cache.hit_rate() * 100.0
     );
     assert!(
-        warm_cache.fn_hits > 0,
-        "the fn-mode passes must hit the functional tier"
+        warm_cache.hits > 0,
+        "the warm passes must hit the structural store"
     );
     if cores > 1 {
         assert!(
@@ -932,23 +928,17 @@ fn main() {
         let _ = writeln!(json, " }},");
     }
     let _ = writeln!(json, "  \"warm_speedup\": {speedup:.3},");
-    // Snapshot of the two warm-cache tiers right after the warm phase
-    // (the counts keep growing in later phases; this is the warm
-    // steady state). Both `hit_rate` leaves are bench-diff-gated as
-    // higher-is-better.
+    // Snapshot of the warm cache right after the warm phase (the counts
+    // keep growing in later phases; this is the warm steady state). The
+    // `hit_rate` leaf is bench-diff-gated as higher-is-better.
     let _ = writeln!(
         json,
         "  \"warm_cache\": {{ \"structural\": {{ \"shapes\": {}, \"hits\": {}, \"misses\": {}, \
-         \"hit_rate\": {:.3} }}, \"fn\": {{ \"classes\": {}, \"hits\": {}, \"misses\": {}, \
          \"hit_rate\": {:.3} }} }},",
         warm_cache.shapes,
         warm_cache.hits,
         warm_cache.misses,
-        warm_cache.hit_rate(),
-        warm_cache.fn_entries,
-        warm_cache.fn_hits,
-        warm_cache.fn_misses,
-        warm_cache.fn_hit_rate()
+        warm_cache.hit_rate()
     );
     let _ = writeln!(
         json,

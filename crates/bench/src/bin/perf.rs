@@ -14,14 +14,14 @@
 //!    (datapath regularity) through a shape-memoized pass (fingerprint
 //!    lookup, solve once per distinct shape) — the `kernel_cached`
 //!    section, speedup measured against the optimized kernel on the same
-//!    extended tree set, hashing cost included. At K=4 a second,
-//!    two-tier benchmark (`kernel_cached.fn_tier`) measures the
-//!    functional cache (NPN-canonical truth table × blind skeleton,
-//!    mirroring `--cache fn`) against the structural tier alone on the
-//!    *distinct-shape frontier* — one representative per structural
-//!    shape plus its DeMorgan dual — the workload the structural
-//!    fingerprint cannot unify but the NPN key collapses; bench-diff
-//!    gates `speedup` and `hit_rate` there as higher-is-better.
+//!    extended tree set, hashing cost included. At K=4 a second
+//!    benchmark (`kernel_cached.fn_tier`) times the mapper's cache key,
+//!    the blind skeleton, against the full fingerprint on the
+//!    *distinct-shape frontier* — one representative per full
+//!    fingerprint plus its DeMorgan and polarity variants — the
+//!    workload the full fingerprint cannot unify but the blind key
+//!    collapses; bench-diff gates `speedup` and `hit_rate` there as
+//!    higher-is-better.
 //! 3. **Forest mapping** (`mapping`): [`chortle::map_network`] over the
 //!    suite, timed as it runs everywhere — in tree order on one thread.
 //! 4. **Equivalence checking** (`verify`): [`check_equivalence`] on
@@ -59,7 +59,7 @@
 //! read as what they are.
 //!
 //! A second pass per K re-maps the suite with an *enabled* telemetry sink
-//! and embeds the aggregated `chortle-telemetry/v1.8` report — per-stage
+//! and embeds the aggregated `chortle-telemetry/v1.9` report — per-stage
 //! wall time, DP counters — in a `"telemetry"` section, together with
 //! the instrumentation overhead relative to the (disabled-sink)
 //! `mapping` row.
@@ -107,22 +107,19 @@ struct CachedKernelRow {
     optimized_s: f64,
 }
 
-/// The functional tier's gated benchmark (K = 4): the two-tier memoized
-/// kernel against the structural tier alone, on the distinct-shape
-/// frontier plus DeMorgan duals.
+/// The cache key's gated benchmark (K = 4): a kernel memoized on the
+/// blind skeleton against one memoized on the full fingerprint, on the
+/// distinct-shape frontier plus its op and polarity variants.
 struct FnTier {
-    /// Frontier trees (one per structural shape, plus one dual each).
+    /// Frontier trees (one per full fingerprint, plus its variants).
     trees: usize,
-    /// Frontier trees small enough (≤ [`chortle_mis::MAX_CANON_VARS`]
-    /// leaves) for the functional tier.
+    /// Frontier trees the blind key serves: all of them.
     eligible: usize,
-    /// Distinct functional classes (NPN canon × blind skeleton) among
-    /// the eligible trees.
+    /// Distinct blind skeletons among the frontier trees.
     classes: usize,
-    /// The structural-tier-only pass over the frontier.
+    /// The pass keyed on the full fingerprint.
     structural_s: f64,
-    /// The two-tier pass (functional in front of structural) over the
-    /// same frontier, extraction and canonicalization cost included.
+    /// The pass keyed on the blind skeleton, hashing cost included.
     fn_s: f64,
 }
 
@@ -167,7 +164,7 @@ struct TelemetryRow {
     /// One suite pass with an enabled sink, for the
     /// instrumentation-overhead column.
     enabled_s: f64,
-    /// The aggregated `chortle-telemetry/v1.8` report of that pass,
+    /// The aggregated `chortle-telemetry/v1.9` report of that pass,
     /// embedded verbatim (it is compact single-line JSON).
     report_json: String,
 }
@@ -232,11 +229,10 @@ fn timed_round<T>(f: &mut impl FnMut() -> T) -> (T, f64) {
 
 /// The DeMorgan dual of a tree: every gate flipped And ↔ Or and every
 /// leaf's polarity toggled (internal edge polarities kept). This
-/// computes the complement of the original function — NPN-equivalent to
-/// it (output negation) with an identical blind skeleton — yet the tree
-/// is structurally novel: the structural fingerprint hashes gates and
-/// polarities, so the structural tier must re-solve every dual while
-/// the functional tier replays it.
+/// computes the complement of the original function with an identical
+/// blind skeleton, yet the tree is structurally novel: the full
+/// fingerprint hashes gates and polarities, so a cache keyed on it must
+/// re-solve every dual while the blind key replays it.
 fn demorgan_dual(tree: &Tree) -> Tree {
     let mut dual = tree.clone();
     for node in &mut dual.nodes {
@@ -255,10 +251,9 @@ fn demorgan_dual(tree: &Tree) -> Tree {
 }
 
 /// A copy of the tree with the polarity of its `i`-th leaf occurrence
-/// toggled, or `None` if the tree has fewer leaves. Input negation:
-/// NPN-equivalent to the original with the same blind skeleton, yet
-/// structurally distinct — another replay the functional tier captures
-/// and the structural tier cannot.
+/// toggled, or `None` if the tree has fewer leaves: the same blind
+/// skeleton, yet structurally distinct — another replay the blind key
+/// captures and the full fingerprint cannot.
 fn flip_leaf(tree: &Tree, i: usize) -> Option<Tree> {
     let mut flipped = tree.clone();
     let mut next = 0usize;
@@ -276,35 +271,32 @@ fn flip_leaf(tree: &Tree, i: usize) -> Option<Tree> {
     None
 }
 
-/// The gated `kernel_cached.fn_tier` benchmark. The `rows` above
-/// already measure the structural tier's best case — a workload that is
-/// almost entirely repeated shapes — where a second tier can only add
-/// overhead. The functional tier's value is on the *frontier* the
-/// structural fingerprint must solve one by one: here, one
-/// representative per distinct structural shape among the
-/// tier-eligible trees (≤ `MAX_CANON_VARS` leaves), each paired with
-/// its [`demorgan_dual`] — same function class and skeleton,
-/// structurally novel — the precise reuse (op/polarity variants of one
-/// function) the NPN key exists to capture, per the paper's §4
-/// observation that a K-LUT implements every NPN variant of a function
-/// for free. Wider trees take the identical structural fall-through in
-/// both passes (and are timed in the rows above), so they are left out
-/// rather than diluting both columns equally.
+/// The gated `kernel_cached.fn_tier` benchmark: the mapper's cache key
+/// (the blind skeleton) against the op- and polarity-sensitive full
+/// fingerprint. The `rows` above already measure a workload of mostly
+/// repeated shapes, where both keys hit alike. The keys differ on the
+/// *frontier* the full fingerprint must solve one by one: here, one
+/// representative per distinct full fingerprint among the trees, each
+/// with its [`demorgan_dual`] and leaf-polarity flips — same skeleton,
+/// different fingerprint — the reuse the blind key exists to capture,
+/// since a K-LUT implements every op and polarity variant of a tree for
+/// free. The row keeps the field names of the functional tier it
+/// replaced: `structural_s` times the full fingerprint, `fn_s` the blind
+/// key, and `classes` counts the distinct skeletons.
 fn measure_fn_tier(cached_trees: &[Tree], k: usize) -> FnTier {
     let mut seen: HashSet<Fingerprint> = HashSet::new();
     let mut scratch = chortle::FingerprintScratch::default();
     let mut frontier: Vec<Tree> = Vec::new();
     for t in cached_trees {
-        if t.packed_truth_table().is_some() && seen.insert(t.fingerprint_with(&mut scratch)) {
+        if seen.insert(t.fingerprint_with(&mut scratch)) {
             frontier.push(t.clone());
         }
     }
-    // Each representative rides with five NPN variants — its DeMorgan
-    // dual, two single-leaf polarity flips, and their duals — all in
-    // the representative's function class and blind skeleton, all
-    // structurally distinct. (Variants can collide with another
-    // representative's shape; dedup keeps the structural column's
-    // solve count honest.)
+    // Each representative rides with five variants — its DeMorgan dual,
+    // two single-leaf polarity flips, and their duals — all with the
+    // representative's blind skeleton, all with other fingerprints.
+    // (Variants can collide with another representative's shape; dedup
+    // keeps the full-fingerprint column's solve count honest.)
     let mut variants: Vec<Tree> = Vec::new();
     for t in &frontier {
         let mut family = vec![demorgan_dual(t)];
@@ -322,73 +314,36 @@ fn measure_fn_tier(cached_trees: &[Tree], k: usize) -> FnTier {
     }
     frontier.extend(variants);
 
-    // Tier one alone: fingerprint every tree, solve each distinct shape.
-    let structural = || {
+    // Hash every tree with `key`, solve each distinct key once. Hashing
+    // runs inside the timed region, so the speedup is net of its cost.
+    // Both passes alternate within every round.
+    let pass = |key: fn(&Tree, &mut chortle::FingerprintScratch) -> Fingerprint| {
         let mut mapper = TreeMapper::new();
         let mut scratch = chortle::FingerprintScratch::default();
         let mut cache: HashMap<Fingerprint, u64> = HashMap::new();
         let mut total = 0u64;
         for t in &frontier {
             total += *cache
-                .entry(t.fingerprint_with(&mut scratch))
+                .entry(key(t, &mut scratch))
                 .or_insert_with(|| u64::from(mapper.tree_cost(t, k).expect("narrow fanin")));
         }
         total
     };
+    let ((full_luts, structural_s), (blind_luts, fn_s)) = best_of_pair(
+        KERNEL_ROUNDS,
+        || pass(Tree::fingerprint_with),
+        || pass(Tree::blind_fingerprint_with),
+    );
+    assert_eq!(blind_luts, full_luts, "blind-key kernel diverged at k={k}");
 
-    // The two-tier pass, mirroring the mapper's `--cache fn` lookup:
-    // trees of ≤ MAX_CANON_VARS leaves key on (vars, NPN canon, blind
-    // skeleton); wider trees fall back to the structural tier. Truth
-    // table extraction, canonicalization and blind hashing all run
-    // *inside* the timed region — the speedup is net of the tier's own
-    // cost. Canonicalization goes through the same process-wide memo
-    // the mapper itself uses (`canonical_npn_u64_cached`), so best-of
-    // rounds report the steady state a warm process sees; the cold
-    // canonical search is paid once, in round one. Each pass takes under
-    // a millisecond, so the two alternate within every round.
-    let functional = || {
-        let mut mapper = TreeMapper::new();
-        let mut scratch = chortle::FingerprintScratch::default();
-        let mut fn_cache: HashMap<(usize, u64, Fingerprint), u64> = HashMap::new();
-        let mut shape_cache: HashMap<Fingerprint, u64> = HashMap::new();
-        let mut total = 0u64;
-        for t in &frontier {
-            total += match t.packed_truth_table() {
-                Some((table, vars)) => {
-                    let canon = chortle_mis::canonical_npn_u64_cached(table, vars);
-                    *fn_cache
-                        .entry((vars, canon, t.blind_fingerprint_with(&mut scratch)))
-                        .or_insert_with(|| u64::from(mapper.tree_cost(t, k).expect("narrow fanin")))
-                }
-                None => *shape_cache
-                    .entry(t.fingerprint_with(&mut scratch))
-                    .or_insert_with(|| u64::from(mapper.tree_cost(t, k).expect("narrow fanin"))),
-            };
-        }
-        total
-    };
-    let ((structural_luts, structural_s), (fn_luts, fn_s)) =
-        best_of_pair(KERNEL_ROUNDS, structural, functional);
-    assert_eq!(fn_luts, structural_luts, "fn-tier kernel diverged at k={k}");
-
-    // Untimed tally of the tier shape: how many frontier trees the
-    // functional key covers and how many classes they collapse into.
-    let mut fn_keys: HashSet<(usize, u64, Fingerprint)> = HashSet::new();
-    let mut eligible = 0usize;
-    for t in &frontier {
-        if let Some((table, vars)) = t.packed_truth_table() {
-            eligible += 1;
-            fn_keys.insert((
-                vars,
-                chortle_mis::canonical_npn_u64_cached(table, vars),
-                t.blind_fingerprint_with(&mut scratch),
-            ));
-        }
-    }
+    let skeletons: HashSet<Fingerprint> = frontier
+        .iter()
+        .map(|t| t.blind_fingerprint_with(&mut scratch))
+        .collect();
     FnTier {
         trees: frontier.len(),
-        eligible,
-        classes: fn_keys.len(),
+        eligible: frontier.len(),
+        classes: skeletons.len(),
         structural_s,
         fn_s,
     }
@@ -737,10 +692,9 @@ fn main() {
         if k == 4 {
             let ft = measure_fn_tier(&cached_trees, k);
             eprintln!(
-                "perf: fn-tier k={k} {:>4} classes of {:>4} eligible / {:>4} frontier trees  \
-                 structural {:.4}s  fn {:.4}s  ({:.2}x)",
+                "perf: fn-tier k={k} {:>4} skeletons of {:>4} frontier trees  \
+                 full fingerprint {:.4}s  blind key {:.4}s  ({:.2}x)",
                 ft.classes,
-                ft.eligible,
                 ft.trees,
                 ft.structural_s,
                 ft.fn_s,
@@ -890,7 +844,7 @@ fn main() {
         );
     }
     let _ = writeln!(json, "    ],");
-    // The gated functional-tier summary, at an object path
+    // The gated cache-key summary, at an object path
     // (`kernel_cached.fn_tier.*`) so bench-diff's direction rules apply
     // — `speedup` and `hit_rate` here are HigherIsBetter.
     let ft = fn_tier.as_ref().expect("K=4 is in the sweep");

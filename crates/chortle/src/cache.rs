@@ -1,12 +1,13 @@
 //! Cross-tree structural memoization of DP results.
 //!
-//! The subset DP of `dp.rs` is a pure function of a tree's *canonical
-//! shape* plus the arrival depths of its leaves — never of leaf
-//! identities — so two trees with the same [`CacheKey`] share their
-//! entire [`ShapeSolution`]. Forests repeat shapes (chains, balanced
-//! pairs, the halves produced by wide-node splitting), and requests to a
-//! long-lived daemon repeat whole circuits, so a [`WarmCache`] lets every
-//! run attached to it pay for each shape once.
+//! The subset DP of `dp.rs` is a pure function of a tree's canonical
+//! *blind skeleton* plus the arrival depths of its leaves — never of leaf
+//! identities, gate operations or edge polarities — so two trees with the
+//! same [`CacheKey`] share their entire [`ShapeSolution`]. Forests repeat
+//! shapes (chains, balanced pairs, the halves produced by wide-node
+//! splitting), and requests to a long-lived daemon repeat whole circuits,
+//! so a [`WarmCache`] lets every run attached to it pay for each shape
+//! once.
 //!
 //! The warm cache is the only store. Each of its `(k, objective)`
 //! segments is a [`SharedStore`]: an N-way sharded map behind
@@ -37,42 +38,43 @@ use crate::tree::{Fingerprint, Tree, TreeChild};
 /// Without a warm cache every mode behaves like [`CacheMode::Off`]: the
 /// run keeps no store, computes no key and solves every tree. The
 /// deterministic `cache.*` counters are reported for [`CacheMode::Shared`]
-/// and [`CacheMode::Fn`] either way, since they are derived from the
-/// forest rather than from store traffic.
+/// either way, since they are derived from the forest rather than from
+/// store traffic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum CacheMode {
     /// No memoization: every tree runs the full subset DP, and the run
     /// never touches the warm cache.
     Off,
-    /// Structural caching in the run's [`WarmCache`], if any (the
-    /// default): a shape mapped by any run sharing the warm cache is a
-    /// hit for all of them.
+    /// Caching in the run's [`WarmCache`], if any (the default): a
+    /// skeleton mapped by any run sharing the warm cache is a hit for
+    /// all of them.
     #[default]
     Shared,
-    /// [`CacheMode::Shared`] plus a *functional* tier in front of it:
-    /// small subtrees (≤ 6 leaves) additionally key their solution on
-    /// the NPN class of their truth table and their blind skeleton, so
-    /// trees that differ only in gate operations or edge polarities —
-    /// structural misses — still reuse each other's DP results.
-    /// Lookup order is functional → structural → solve.
-    Fn,
 }
 
 impl CacheMode {
+    /// The retired functional (NPN) tier's mode, kept as an alias of
+    /// [`CacheMode::Shared`] so existing callers still compile: the
+    /// blind-skeleton key already unites every tree that tier did.
+    #[allow(non_upper_case_globals)]
+    pub const Fn: CacheMode = CacheMode::Shared;
+
     /// Whether this mode caches at all: it attaches to the run's
     /// [`WarmCache`] and reports the `cache.*` counters.
     pub(crate) fn is_enabled(self) -> bool {
         !matches!(self, CacheMode::Off)
     }
-
-    /// Whether this mode adds the functional (NPN) tier.
-    pub(crate) fn uses_fn(self) -> bool {
-        matches!(self, CacheMode::Fn)
-    }
 }
 
-/// The memoization key: canonical shape fingerprint plus a hash of the
-/// leaf arrival-depth sequence.
+/// The memoization key: the canonical tree's blind skeleton fingerprint
+/// plus a hash of the leaf arrival-depth sequence.
+///
+/// The skeleton suffices because a K-input LUT implements any function
+/// of its inputs: `minmap` reads only which children a node has and how
+/// deep its leaves arrive, never gate operations or edge polarities, and
+/// canonicalization aligns the leaf slots of every tree of one skeleton
+/// (`Tree::canonicalize`). Cover emission takes operations and
+/// polarities from the member tree itself, so a replay is exact.
 ///
 /// The depth component matters because `minmap` costs carry wire depths:
 /// under the area objective depths break ties, under the depth objective
@@ -82,7 +84,7 @@ impl CacheMode {
 /// the wrong solution) needs a 2⁻¹²⁸ hash accident.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub(crate) struct CacheKey {
-    /// [`Tree::fingerprint`] of the canonicalized tree.
+    /// [`Tree::blind_fingerprint`] of the canonicalized tree.
     pub shape: Fingerprint,
     /// Hash of the leaf depths in canonical traversal order.
     pub depths: Fingerprint,
@@ -113,77 +115,30 @@ impl CacheKey {
     }
 }
 
-/// The functional-tier memoization key: the NPN class of the subtree's
-/// packed truth table, its blind skeleton fingerprint, and the leaf
-/// arrival-depth hash.
-///
-/// Only trees of ≤ 6 leaves get one (`Tree::packed_truth_table`). The
-/// blind component pins the exact skeleton — the DP is a pure function
-/// of the skeleton plus depths and reads neither gate operations nor
-/// edge polarities, so two trees with equal blind fingerprints and
-/// equal depth sequences have *bit-identical* `ShapeSolution`s and the
-/// cached solution replays verbatim at cover emission (which takes
-/// operations and polarities from the member tree itself). The NPN
-/// class scopes sharing to functionally-equivalent trees and is what
-/// the tier is segmented on observationally; the N/P/N transform that
-/// witnesses the equivalence is recomputable via
-/// `chortle_mis::canonical_npn_with_transform`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) struct FnKey {
-    /// Leaf-slot count of the subtree (≤ 6).
-    pub vars: u8,
-    /// NPN canonical form of the packed truth table.
-    pub canon: u64,
-    /// [`Tree::blind_fingerprint`] of the canonicalized tree.
-    pub blind: Fingerprint,
-    /// Hash of the leaf depths in canonical traversal order (shared
-    /// with [`CacheKey::depths`]).
-    pub depths: Fingerprint,
-}
-
-/// Hash-partitioning for the sharded stores: which shard owns a key.
-pub(crate) trait ShardKey: std::hash::Hash + Eq {
-    /// A well-mixed 64-bit digest of the key.
-    fn shard_hash(&self) -> u64;
-}
-
-impl ShardKey for CacheKey {
+impl CacheKey {
+    /// A well-mixed 64-bit digest of the key: which shard owns it.
     fn shard_hash(&self) -> u64 {
         self.shape.lo ^ self.depths.lo.rotate_left(17)
     }
 }
 
-impl ShardKey for FnKey {
-    fn shard_hash(&self) -> u64 {
-        mix64(self.canon ^ u64::from(self.vars))
-            ^ self.blind.lo.rotate_left(11)
-            ^ self.depths.lo.rotate_left(29)
-    }
-}
-
-/// Shard count of [`SharedStore`]. Sixteen shards keep lock contention
+/// Shard count of [`SharedCache`]. Sixteen shards keep lock contention
 /// negligible for any plausible worker count while the per-shard maps
 /// stay dense.
 pub(crate) const SHARED_CACHE_SHARDS: usize = 16;
 
 /// A run-shared, hash-partitioned solution store with relaxed
 /// lookup tallies (read back by [`WarmCache::stats`] for the daemon's
-/// per-tier hit rates).
-pub(crate) struct SharedStore<K> {
-    shards: Vec<Mutex<HashMap<K, Arc<ShapeSolution>>>>,
+/// hit rate).
+pub(crate) struct SharedCache {
+    shards: Vec<Mutex<HashMap<CacheKey, Arc<ShapeSolution>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-/// The structural shared store ([`CacheMode::Shared`] and up).
-pub(crate) type SharedCache = SharedStore<CacheKey>;
-
-/// The functional-tier shared store ([`CacheMode::Fn`]).
-pub(crate) type SharedFnCache = SharedStore<FnKey>;
-
-impl<K: ShardKey> SharedStore<K> {
+impl SharedCache {
     pub(crate) fn new() -> Self {
-        SharedStore {
+        SharedCache {
             shards: (0..SHARED_CACHE_SHARDS)
                 .map(|_| Mutex::new(HashMap::new()))
                 .collect(),
@@ -194,11 +149,11 @@ impl<K: ShardKey> SharedStore<K> {
 
     /// Which shard owns a key. Key digests are already avalanche-mixed,
     /// so the low bits partition uniformly.
-    fn shard(&self, key: &K) -> &Mutex<HashMap<K, Arc<ShapeSolution>>> {
+    fn shard(&self, key: &CacheKey) -> &Mutex<HashMap<CacheKey, Arc<ShapeSolution>>> {
         &self.shards[(key.shard_hash() as usize) % self.shards.len()]
     }
 
-    pub(crate) fn get(&self, key: &K) -> Option<Arc<ShapeSolution>> {
+    pub(crate) fn get(&self, key: &CacheKey) -> Option<Arc<ShapeSolution>> {
         let found = self
             .shard(key)
             .lock()
@@ -219,7 +174,7 @@ impl<K: ShardKey> SharedStore<K> {
     /// First-writer-wins insert: returns the `Arc` that ended up in the
     /// cache (the existing one on a race, since all writers computed
     /// identical solutions).
-    pub(crate) fn insert(&self, key: K, sol: Arc<ShapeSolution>) -> Arc<ShapeSolution> {
+    pub(crate) fn insert(&self, key: CacheKey, sol: Arc<ShapeSolution>) -> Arc<ShapeSolution> {
         self.shard(&key)
             .lock()
             .expect("cache shard poisoned")
@@ -247,21 +202,21 @@ impl<K: ShardKey> SharedStore<K> {
     }
 }
 
-/// Looks `key` up in one tier; a tier that is off (`None`) or a tree
-/// without a key for it misses without touching any tally.
-pub(crate) fn tier_get<K: ShardKey>(
-    tier: Option<&SharedStore<K>>,
-    key: Option<K>,
+/// Looks `key` up in the store; a store that is off (`None`) or a tree
+/// without a key misses without touching any tally.
+pub(crate) fn tier_get(
+    tier: Option<&SharedCache>,
+    key: Option<CacheKey>,
 ) -> Option<Arc<ShapeSolution>> {
     tier?.get(&key?)
 }
 
-/// First-writer-wins insert into one tier; returns the solution that
+/// First-writer-wins insert into the store; returns the solution that
 /// ended up stored, so racing duplicates share one allocation (`sol`
-/// itself when the tier is off or the tree has no key for it).
-pub(crate) fn tier_insert<K: ShardKey>(
-    tier: Option<&SharedStore<K>>,
-    key: Option<K>,
+/// itself when the store is off or the tree has no key).
+pub(crate) fn tier_insert(
+    tier: Option<&SharedCache>,
+    key: Option<CacheKey>,
     sol: Arc<ShapeSolution>,
 ) -> Arc<ShapeSolution> {
     match (tier, key) {
@@ -272,7 +227,7 @@ pub(crate) fn tier_insert<K: ShardKey>(
 
 /// A process-lifetime DP cache reused *across* mapping runs.
 ///
-/// A [`CacheKey`] fingerprints a tree's canonical shape and leaf depths
+/// A [`CacheKey`] fingerprints a tree's blind skeleton and leaf depths
 /// but deliberately not the options it was mapped under, so solutions
 /// mapped with different `k` or [`Objective`] must never share a store.
 /// The warm cache therefore keeps one [`SharedCache`] *segment per
@@ -280,13 +235,12 @@ pub(crate) fn tier_insert<K: ShardKey>(
 /// `MapOptionsBuilder::warm_cache`) checks its segment out and both
 /// reads and populates it, so the next run with the same options starts
 /// warm. `split_threshold` needs no segment: trees are split *before*
-/// canonicalization, so an identical canonical shape is an identical DP
-/// problem regardless of how it was produced.
+/// canonicalization, so an identical canonical skeleton is an identical
+/// DP problem regardless of how it was produced.
 ///
-/// Runs only consult the handle under [`CacheMode::Shared`] and
-/// [`CacheMode::Fn`], and every mode still produces the bit-identical
-/// circuit (replays are verbatim and first-writer-wins keeps racing
-/// duplicates harmless).
+/// Runs only consult the handle under [`CacheMode::Shared`], and every
+/// mode still produces the bit-identical circuit (replays are verbatim
+/// and first-writer-wins keeps racing duplicates harmless).
 ///
 /// Clones share the underlying store. [`WarmCache::flush`] empties every
 /// segment and bumps a monotonically increasing *generation*, which
@@ -300,49 +254,38 @@ pub struct WarmCache {
 #[derive(Default)]
 struct WarmInner {
     segments: Mutex<HashMap<(usize, Objective), Arc<SharedCache>>>,
-    fn_segments: Mutex<HashMap<(usize, Objective), Arc<SharedFnCache>>>,
     generation: AtomicU64,
 }
 
-/// Per-tier entry counts and lookup tallies of a [`WarmCache`],
-/// aggregated across its `(k, objective)` segments since the last
-/// flush. Lookup tallies are relaxed observational counters bumped at
-/// the warm lookup sites; they are *not* the deterministic per-run
-/// `cache.*` report counters.
+/// Entry count and lookup tallies of a [`WarmCache`], aggregated across
+/// its `(k, objective)` segments since the last flush. Lookup tallies are
+/// relaxed observational counters bumped at the warm lookup site; they
+/// are *not* the deterministic per-run `cache.*` report counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WarmStats {
-    /// Structural-tier entries (canonical shape × depth profile).
+    /// Cached solutions (blind skeleton × depth profile).
     pub shapes: usize,
-    /// Functional-tier entries (NPN class × blind skeleton × depths).
-    pub fn_entries: usize,
-    /// Structural-tier lookup hits.
+    /// Lookup hits.
     pub hits: u64,
-    /// Structural-tier lookup misses.
+    /// Lookup misses.
     pub misses: u64,
-    /// Functional-tier lookup hits.
+    /// Always 0. The functional tier these counted was folded into the
+    /// one store; the field stays so that callers reading it still
+    /// build.
     pub fn_hits: u64,
-    /// Functional-tier lookup misses.
+    /// Always 0, like [`WarmStats::fn_hits`], and kept for the same
+    /// reason.
     pub fn_misses: u64,
 }
 
 impl WarmStats {
-    /// Structural hit rate in [0, 1]; 0 when no lookups happened.
+    /// Hit rate in [0, 1]; 0 when no lookups happened.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             0.0
         } else {
             self.hits as f64 / total as f64
-        }
-    }
-
-    /// Functional hit rate in [0, 1]; 0 when no lookups happened.
-    pub fn fn_hit_rate(&self) -> f64 {
-        let total = self.fn_hits + self.fn_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.fn_hits as f64 / total as f64
         }
     }
 }
@@ -353,7 +296,7 @@ impl WarmCache {
         WarmCache::default()
     }
 
-    /// The structural segment for one `(k, objective)` configuration,
+    /// The segment for one `(k, objective)` configuration,
     /// created empty on first use.
     pub(crate) fn segment(&self, k: usize, objective: Objective) -> Arc<SharedCache> {
         self.inner
@@ -365,23 +308,7 @@ impl WarmCache {
             .clone()
     }
 
-    /// The functional-tier segment for one `(k, objective)`
-    /// configuration, created empty on first use. Segmented identically
-    /// to the structural tier: an `FnKey` fingerprints neither `k` nor
-    /// the objective, and solutions under different options must never
-    /// mix.
-    pub(crate) fn fn_segment(&self, k: usize, objective: Objective) -> Arc<SharedFnCache> {
-        self.inner
-            .fn_segments
-            .lock()
-            .expect("warm cache poisoned")
-            .entry((k, objective))
-            .or_insert_with(|| Arc::new(SharedFnCache::new()))
-            .clone()
-    }
-
-    /// Discards every cached solution in both tiers and returns the new
-    /// generation.
+    /// Discards every cached solution and returns the new generation.
     ///
     /// In-flight runs holding a segment finish against the old store
     /// (their results stay correct — the store never changes answers,
@@ -389,11 +316,6 @@ impl WarmCache {
     pub fn flush(&self) -> u64 {
         self.inner
             .segments
-            .lock()
-            .expect("warm cache poisoned")
-            .clear();
-        self.inner
-            .fn_segments
             .lock()
             .expect("warm cache poisoned")
             .clear();
@@ -405,10 +327,8 @@ impl WarmCache {
         self.inner.generation.load(Ordering::Acquire)
     }
 
-    /// Total cached *structural* shape solutions across all segments
-    /// (an observability figure; racy under concurrent inserts). The
-    /// functional tier's entries are reported separately by
-    /// [`WarmCache::stats`].
+    /// Total cached solutions across all segments (an observability
+    /// figure; racy under concurrent inserts).
     pub fn shapes(&self) -> usize {
         self.inner
             .segments
@@ -419,7 +339,7 @@ impl WarmCache {
             .sum()
     }
 
-    /// Per-tier entry counts and hit rates, aggregated across segments.
+    /// Entry count and lookup tallies, aggregated across segments.
     pub fn stats(&self) -> WarmStats {
         let mut stats = WarmStats::default();
         for s in self
@@ -433,17 +353,6 @@ impl WarmCache {
             stats.hits += s.hit_count();
             stats.misses += s.miss_count();
         }
-        for s in self
-            .inner
-            .fn_segments
-            .lock()
-            .expect("warm cache poisoned")
-            .values()
-        {
-            stats.fn_entries += s.len();
-            stats.fn_hits += s.hit_count();
-            stats.fn_misses += s.miss_count();
-        }
         stats
     }
 }
@@ -454,7 +363,6 @@ impl fmt::Debug for WarmCache {
         f.debug_struct("WarmCache")
             .field("generation", &self.generation())
             .field("shapes", &stats.shapes)
-            .field("fn_entries", &stats.fn_entries)
             .finish()
     }
 }
@@ -473,20 +381,35 @@ mod tests {
     }
 
     fn two_input_tree() -> Tree {
-        use chortle_netlist::{Network, NodeOp};
+        gate_tree(chortle_netlist::NodeOp::And, 2, false)
+    }
+
+    /// The cache key of `tree` canonicalized, with every leaf at `depth`.
+    fn key_of(tree: &mut Tree, depth: u32) -> CacheKey {
+        tree.canonicalize();
+        CacheKey::of(tree, tree.blind_fingerprint(), &|_| depth)
+    }
+
+    /// One `op` gate over `inputs` primary inputs, the first inverted if
+    /// `invert_first`.
+    fn gate_tree(op: chortle_netlist::NodeOp, inputs: usize, invert_first: bool) -> Tree {
+        use chortle_netlist::{Network, Signal};
         let mut net = Network::new();
-        let a = net.add_input("a");
-        let b = net.add_input("b");
-        let g = net.add_gate(NodeOp::And, vec![a.into(), b.into()]);
+        let mut fanins: Vec<Signal> = (0..inputs)
+            .map(|i| Signal::new(net.add_input(format!("i{i}"))))
+            .collect();
+        if invert_first {
+            fanins[0] = !fanins[0];
+        }
+        let g = net.add_gate(op, fanins);
         net.add_output("z", g.into());
         crate::tree::Forest::of(&net).trees.remove(0)
     }
 
     #[test]
-    fn first_writer_wins_in_both_stores() {
+    fn first_writer_wins() {
         let mut tree = two_input_tree();
-        let shape = tree.canonicalize();
-        let key = CacheKey::of(&tree, shape, &|_| 0);
+        let key = key_of(&mut tree, 0);
         let a = dummy_solution(&tree, 4);
         let b = dummy_solution(&tree, 4);
 
@@ -500,19 +423,13 @@ mod tests {
             &a
         ));
 
-        let functional = SharedFnCache::new();
-        let fnk = fn_key_of(&tree, key.depths);
-        tier_insert(Some(&functional), Some(fnk), a.clone());
-        let kept = tier_insert(Some(&functional), Some(fnk), b.clone());
-        assert!(Arc::ptr_eq(&kept, &a), "first writer must win");
-
-        // An absent tier or key keeps nothing and misses untallied.
+        // An absent store or key keeps nothing and misses untallied.
         assert!(Arc::ptr_eq(&tier_insert(None, Some(key), b.clone()), &b));
         assert!(Arc::ptr_eq(
             &tier_insert(Some(&shared), None, b.clone()),
             &b
         ));
-        assert!(tier_get::<CacheKey>(None, Some(key)).is_none());
+        assert!(tier_get(None, Some(key)).is_none());
         assert!(tier_get(Some(&shared), None).is_none());
         assert_eq!((shared.hit_count(), shared.miss_count()), (1, 0));
     }
@@ -520,21 +437,30 @@ mod tests {
     #[test]
     fn depth_sequence_distinguishes_keys() {
         let mut tree = two_input_tree();
-        let shape = tree.canonicalize();
-        let flat = CacheKey::of(&tree, shape, &|_| 0);
-        let deep = CacheKey::of(&tree, shape, &|_| 3);
+        let flat = key_of(&mut tree, 0);
+        let deep = key_of(&mut tree, 3);
         assert_eq!(flat.shape, deep.shape);
         assert_ne!(flat, deep);
         // Same depths, same key — the hash is a pure function.
-        assert_eq!(flat, CacheKey::of(&tree, shape, &|_| 0));
+        assert_eq!(flat, key_of(&mut tree, 0));
+    }
+
+    #[test]
+    fn keys_unite_op_and_polarity_variants_and_separate_skeletons() {
+        use chortle_netlist::NodeOp;
+        let key = key_of(&mut gate_tree(NodeOp::And, 2, false), 0);
+        // Other operations and polarities over one skeleton share a key.
+        assert_eq!(key, key_of(&mut gate_tree(NodeOp::Or, 2, false), 0));
+        assert_eq!(key, key_of(&mut gate_tree(NodeOp::Or, 2, true), 0));
+        // A different skeleton does not.
+        assert_ne!(key, key_of(&mut gate_tree(NodeOp::And, 3, false), 0));
     }
 
     #[test]
     fn warm_cache_segments_by_k_and_objective() {
         let warm = WarmCache::new();
         let mut tree = two_input_tree();
-        let shape = tree.canonicalize();
-        let key = CacheKey::of(&tree, shape, &|_| 0);
+        let key = key_of(&mut tree, 0);
 
         warm.segment(4, Objective::Area)
             .insert(key, dummy_solution(&tree, 4));
@@ -552,70 +478,27 @@ mod tests {
         assert!(warm.segment(4, Objective::Area).get(&key).is_none());
     }
 
-    fn fn_key_of(tree: &Tree, depths: Fingerprint) -> FnKey {
-        let (table, vars) = tree.packed_truth_table().expect("small tree");
-        FnKey {
-            vars: vars as u8,
-            canon: chortle_mis::canonical_npn_u64(table, vars),
-            blind: tree.blind_fingerprint(),
-            depths,
-        }
-    }
-
-    #[test]
-    fn fn_keys_unite_npn_variants_and_separate_skeletons() {
-        use chortle_netlist::{Network, NodeOp};
-        let mut tree = two_input_tree();
-        let shape = tree.canonicalize();
-        let key = CacheKey::of(&tree, shape, &|_| 0);
-        // The OR variant: structural miss, functional hit.
-        let mut or_net = Network::new();
-        let a = or_net.add_input("a");
-        let b = or_net.add_input("b");
-        let g = or_net.add_gate(NodeOp::Or, vec![a.into(), b.into()]);
-        or_net.add_output("z", g.into());
-        let mut or_tree = crate::tree::Forest::of(&or_net).trees.remove(0);
-        let or_shape = or_tree.canonicalize();
-        let or_key = CacheKey::of(&or_tree, or_shape, &|_| 0);
-        assert_ne!(key, or_key, "AND and OR are structural misses");
-        assert_eq!(
-            fn_key_of(&tree, key.depths),
-            fn_key_of(&or_tree, or_key.depths),
-            "AND and OR share one functional key"
-        );
-        // A different depth profile separates functional keys too.
-        let deep = CacheKey::of(&tree, shape, &|_| 3);
-        assert_ne!(fn_key_of(&tree, key.depths), fn_key_of(&tree, deep.depths));
-    }
-
     #[test]
     fn warm_cache_reports_per_tier_stats() {
         let warm = WarmCache::new();
         let mut tree = two_input_tree();
-        let shape = tree.canonicalize();
-        let key = CacheKey::of(&tree, shape, &|_| 0);
-        let fnk = fn_key_of(&tree, key.depths);
+        let key = key_of(&mut tree, 0);
         let sol = dummy_solution(&tree, 4);
 
         let seg = warm.segment(4, Objective::Area);
-        let fseg = warm.fn_segment(4, Objective::Area);
-        assert!(seg.get(&key).is_none()); // one structural miss
-        seg.insert(key, sol.clone());
-        assert!(seg.get(&key).is_some()); // one structural hit
-        assert!(fseg.get(&fnk).is_none()); // one functional miss
-        fseg.insert(fnk, sol);
-        assert!(fseg.get(&fnk).is_some()); // one functional hit
+        assert!(seg.get(&key).is_none()); // one miss
+        seg.insert(key, sol);
+        assert!(seg.get(&key).is_some()); // one hit
 
         let stats = warm.stats();
         assert_eq!(stats.shapes, 1);
-        assert_eq!(stats.fn_entries, 1);
         assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert_eq!((stats.fn_hits, stats.fn_misses), (1, 1));
+        // The retired functional tier's tallies stay zero.
+        assert_eq!((stats.fn_hits, stats.fn_misses), (0, 0));
         assert_eq!(stats.hit_rate(), 0.5);
-        assert_eq!(stats.fn_hit_rate(), 0.5);
-        assert_eq!(warm.shapes(), 1, "shapes() stays structural-only");
+        assert_eq!(warm.shapes(), 1);
 
-        // Flush empties both tiers and resets the tallies.
+        // Flush empties the store and resets the tallies.
         warm.flush();
         let stats = warm.stats();
         assert_eq!(stats, WarmStats::default());

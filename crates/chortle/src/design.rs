@@ -321,7 +321,7 @@ mod tests {
                 .expect("maps")
                 .netlist
         };
-        for cache in [CacheMode::Off, CacheMode::Shared, CacheMode::Fn] {
+        for cache in [CacheMode::Off, CacheMode::Shared] {
             assert_eq!(
                 map(cache, None),
                 baseline,

@@ -7,13 +7,13 @@ use std::fmt;
 use chortle_netlist::{check_equivalence, LutCircuit, LutError, LutSource, Network, NodeId};
 use chortle_telemetry::{Histogram, Telemetry, TraceScope};
 
-use crate::cache::{CacheKey, CacheMode, FnKey, WarmCache};
+use crate::cache::{CacheKey, CacheMode, WarmCache};
 use crate::cancel::CancelToken;
 use crate::cover::emit_forest;
 use crate::dp::{DpCounters, Objective};
 use crate::pack::PackMode;
 use crate::sched::TreeResult;
-use crate::tree::{shape_histogram_of, Fingerprint, FingerprintScratch, Forest, Tree};
+use crate::tree::{shape_histogram_of, Fingerprint, Forest, Tree};
 
 /// Names of the stages and counters the mapper reports into its
 /// [`Telemetry`] sink (see `DESIGN.md` §10 for the full catalogue and
@@ -32,12 +32,6 @@ pub mod stats {
     pub const STAGE_CANON: &str = "map.canon";
     /// Stage: the subset-DP mapping of every tree, in tree order.
     pub const STAGE_DP: &str = "map.dp";
-    /// Stage: functional-tier key material — packed truth tables and
-    /// their NPN canonical forms (memoized per distinct table) plus
-    /// blind skeleton fingerprints. Runs only under
-    /// [`crate::CacheMode::Fn`], and only when the run carries a warm
-    /// cache or telemetry is on (the `cache.fn_*` counters need it).
-    pub const STAGE_FNMETA: &str = "map.fnmeta";
     /// Stage: LUT-circuit reconstruction and emission.
     pub const STAGE_EMIT: &str = "map.emit";
     /// Stage: the opt-in don't-care packing post-pass plus its
@@ -71,12 +65,21 @@ pub mod stats {
     /// without a cache key, a lookup or a DP solve. A pure function of
     /// the forest and K, identical for every cache mode.
     pub const MAP_SINGLE_LUT_TREES: &str = "map.single_lut_trees";
-    /// Counter: DP trees whose cache key was seen earlier in tree
-    /// order. Derived from the forest, not from store traffic, so the
-    /// total is identical for every cache mode and whatever a warm cache
-    /// already held (a run without one replays nothing). Reported only
-    /// when caching is on ([`crate::CacheMode::Off`] emits no `cache.*`
-    /// counters).
+    /// Counter: DP trees whose LUT cost meets the counting lower bound
+    /// ⌈(L − 1)/(K − 1)⌉, L being the tree's leaf occurrences: trees
+    /// proved area-optimal by arithmetic alone. Reported only under
+    /// [`crate::Objective::Area`].
+    pub const MAP_TREES_AT_BOUND: &str = "map.trees_at_bound";
+    /// Counter: LUTs above the counting lower bound, summed over the DP
+    /// trees (see [`MAP_TREES_AT_BOUND`]). Reported only under
+    /// [`crate::Objective::Area`].
+    pub const MAP_BOUND_GAP: &str = "map.bound_gap";
+    /// Counter: DP trees whose cache key (blind skeleton and leaf
+    /// depths) was seen earlier in tree order. Derived from the forest,
+    /// not from store traffic, so the total is identical for every cache
+    /// mode and whatever a warm cache already held (a run without one
+    /// replays nothing). Reported only when caching is on
+    /// ([`crate::CacheMode::Off`] emits no `cache.*` counters).
     pub const CACHE_HITS: &str = "cache.hits";
     /// Counter: DP trees whose cache key is the first of its kind in
     /// tree order — the distinct keys of the forest.
@@ -85,32 +88,17 @@ pub mod stats {
     /// Counter: LUTs in the covers of the trees counted by
     /// [`CACHE_HITS`].
     pub const CACHE_REPLAYED_LUTS: &str = "cache.replayed_luts";
-    /// Counter: structural misses whose *functional*
-    /// `(NPN class, blind skeleton, depths)` key was seen earlier in
-    /// tree order. Derived like [`CACHE_HITS`] (a pure function of the
-    /// forest); emitted only
-    /// under [`crate::CacheMode::Fn`]. In that mode
-    /// `cache.hits + cache.fn_hits + cache.misses + map.single_lut_trees
-    /// == map.trees`.
-    pub const CACHE_FN_HITS: &str = "cache.fn_hits";
-    /// Counter: functional-tier-eligible trees (≤ 6 leaves) whose keys
-    /// in both tiers are the first of their kind in tree order. Emitted
-    /// only under [`crate::CacheMode::Fn`]; `fn_misses <= misses`.
-    pub const CACHE_FN_MISSES: &str = "cache.fn_misses";
-    /// Counter: LUTs in the covers of the trees counted by
-    /// [`CACHE_FN_HITS`]. Emitted only under [`crate::CacheMode::Fn`].
-    pub const CACHE_FN_REPLAYED_LUTS: &str = "cache.fn_replayed_luts";
     /// Trace span: one tree's DP mapping (`Tree` scope, index = tree
     /// order; begin arg = tree node count, end arg = the tree's LUT
     /// cost). Only the timestamps differ between runs.
     pub const TRACE_TREE: &str = "map.tree";
-    /// Trace instant: the tree is the *first* occurrence of its
-    /// structural cache key in tree order (arg = LUT cost). Derived from
-    /// the forest, like [`CACHE_HITS`], so the classification is
-    /// identical for every cache mode.
+    /// Trace instant: the tree is the *first* occurrence of its cache
+    /// key in tree order (arg = LUT cost). Derived from the forest, like
+    /// [`CACHE_HITS`], so the classification is identical for every
+    /// cache mode.
     pub const TRACE_SOLVE: &str = "dp.solve";
-    /// Trace instant: the tree's structural cache key was seen earlier
-    /// in tree order (arg = LUT cost). See [`TRACE_SOLVE`].
+    /// Trace instant: the tree's cache key was seen earlier in tree
+    /// order (arg = LUT cost). See [`TRACE_SOLVE`].
     pub const TRACE_REPLAY: &str = "dp.replay";
     /// Trace instant: the tree fits one LUT and skipped the DP (arg = 1,
     /// its LUT cost). See [`MAP_SINGLE_LUT_TREES`].
@@ -217,9 +205,9 @@ pub struct MapOptions {
     /// work discarded.
     pub cancel: CancelToken,
     /// A process-lifetime [`WarmCache`] consulted (and populated) under
-    /// [`CacheMode::Shared`] and [`CacheMode::Fn`], so repeated runs
-    /// over recurring shapes skip the subset DP entirely. `None` (the
-    /// default) keeps no cache: every tree that needs the DP solves it.
+    /// [`CacheMode::Shared`], so repeated runs over recurring shapes
+    /// skip the subset DP entirely. `None` (the default) keeps no cache:
+    /// every tree that needs the DP solves it.
     pub warm_cache: Option<WarmCache>,
     /// The opt-in don't-care packing post-pass ([`PackMode::Off`] by
     /// default). [`PackMode::Dc`] shrinks and merges emitted LUTs using
@@ -301,7 +289,7 @@ impl MapOptionsBuilder {
 
     /// Attaches a process-lifetime warm cache; see
     /// [`MapOptions::warm_cache`]. Only consulted under
-    /// [`CacheMode::Shared`] and [`CacheMode::Fn`].
+    /// [`CacheMode::Shared`].
     pub fn warm_cache(mut self, warm: WarmCache) -> Self {
         self.opts.warm_cache = Some(warm);
         self
@@ -368,8 +356,9 @@ pub enum MapError {
         output: String,
     },
     /// A LUT-count invariant failed — the emitted circuit disagrees with
-    /// the DP's predicted cost, or packing grew the circuit. The circuit
-    /// was discarded; this indicates an internal bug, never bad input.
+    /// the DP's predicted cost, packing grew the circuit, or a tree's
+    /// cost fell below the counting lower bound. The circuit was
+    /// discarded; this indicates an internal bug, never bad input.
     LutCount {
         /// Which invariant failed.
         check: LutCheck,
@@ -388,10 +377,15 @@ pub enum LutCheck {
     Emit,
     /// Don't-care packing never adds LUTs.
     Pack,
+    /// No tree maps to fewer LUTs than the counting lower bound
+    /// ⌈(L − 1)/(K − 1)⌉ over its L leaf occurrences: in Chortle's cover
+    /// model the n LUTs of a tree form a tree, so n·K ≥ L + n − 1.
+    Bound,
 }
 
 /// Checks one [`LutCheck`] invariant: `actual` must equal `expected`
-/// ([`LutCheck::Emit`]) or not exceed it ([`LutCheck::Pack`]).
+/// ([`LutCheck::Emit`]), not exceed it ([`LutCheck::Pack`]) or not fall
+/// below it ([`LutCheck::Bound`]).
 ///
 /// # Errors
 ///
@@ -400,6 +394,7 @@ pub(crate) fn check_lut_count(check: LutCheck, expected: u64, actual: u64) -> Re
     let holds = match check {
         LutCheck::Emit => actual == expected,
         LutCheck::Pack => actual <= expected,
+        LutCheck::Bound => actual >= expected,
     };
     if holds {
         Ok(())
@@ -455,6 +450,15 @@ impl fmt::Display for MapError {
             } => write!(
                 f,
                 "don't-care packing grew the circuit from {expected} to {actual} LUTs; \
+                 circuit discarded"
+            ),
+            MapError::LutCount {
+                check: LutCheck::Bound,
+                expected,
+                actual,
+            } => write!(
+                f,
+                "a tree maps to {actual} LUTs, below its counting lower bound of {expected}; \
                  circuit discarded"
             ),
         }
@@ -571,23 +575,10 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
     // Canonicalize unconditionally — not just when caching — so the
     // emitted circuit is a function of the input and the options alone,
     // never of the cache mode (the bit-identity contract of `CacheMode`).
-    let shapes = {
+    let (shapes, skeletons) = {
         let _s = telemetry.span(stats::STAGE_CANON);
-        forest.canonicalize()
+        forest.canonicalize_keyed()
     };
-
-    // Functional-tier key material: depths-independent, so it is
-    // computed once here (sequentially, with the NPN canonicalization
-    // memoized per distinct packed table) and the per-tree `FnKey` is
-    // assembled from this plus the structural key's depth hash. Only a
-    // warm functional segment or the `cache.fn_*` counters read it.
-    let fn_metas =
-        if options.cache.uses_fn() && (options.warm_cache.is_some() || telemetry.is_enabled()) {
-            let _s = telemetry.span(stats::STAGE_FNMETA);
-            compute_fn_metas(&forest.trees, options.k)
-        } else {
-            Vec::new()
-        };
 
     let mut report = MapReport {
         trees: forest.trees.len(),
@@ -595,26 +586,39 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
     };
     let mapped = {
         let _s = telemetry.span(stats::STAGE_DP);
-        crate::sched::map_forest(normal.len(), forest.trees, &shapes, &fn_metas, options)?
+        crate::sched::map_forest(normal.len(), forest.trees, &skeletons, options)?
     };
     // Kernel tallies are summed here, once per tree in tree order —
-    // cached replays contribute the tally of the shape they share, and a
-    // so the dp.* totals are identical to the uncached mapper.
+    // cached replays contribute the tally of the solution they share, so
+    // the dp.* totals are identical to the uncached mapper; a single-LUT
+    // tree contributes no tally.
     let mut predicted: u64 = 0;
     let mut single_lut_trees: u64 = 0;
+    let (mut trees_at_bound, mut bound_gap) = (0u64, 0u64);
     let mut kernel_tally = DpCounters::default();
     for m in &mapped {
         report.tree_nodes += m.tree.nodes.len();
         report.max_fanin = report.max_fanin.max(m.tree.max_fanin());
-        predicted += u64::from(m.luts());
+        let luts = u64::from(m.luts());
+        predicted += luts;
         match &m.result.sol {
-            Some(sol) => kernel_tally.add(&sol.tally),
+            Some(sol) => {
+                kernel_tally.add(&sol.tally);
+                let bound = (m.tree.leaf_count() as u64 - 1).div_ceil(options.k as u64 - 1);
+                check_lut_count(LutCheck::Bound, bound, luts)?;
+                trees_at_bound += u64::from(luts == bound);
+                bound_gap += luts - bound;
+            }
             None => single_lut_trees += 1,
         }
     }
     telemetry.add_counter(stats::MAP_SINGLE_LUT_TREES, single_lut_trees);
+    if options.objective == Objective::Area {
+        telemetry.add_counter(stats::MAP_TREES_AT_BOUND, trees_at_bound);
+        telemetry.add_counter(stats::MAP_BOUND_GAP, bound_gap);
+    }
     flush_dp_counters(telemetry, &mut kernel_tally);
-    classify_trees(telemetry, options, &normal, &shapes, &fn_metas, &mapped);
+    classify_trees(telemetry, options, &normal, &skeletons, &mapped);
     record_tree_work(telemetry, &mapped);
 
     // Primary inputs survive normalization in order; translate the
@@ -653,65 +657,16 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
     })
 }
 
-/// The depths-independent part of a functional-tier key: leaf-slot
-/// count, NPN canonical form of the packed truth table, and the blind
-/// skeleton fingerprint. `None` for trees wider than
-/// `chortle_mis::MAX_CANON_VARS` leaves, which only the structural tier
-/// serves, and for trees that fit one LUT, which no tier serves.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct FnMeta {
-    /// Leaf-slot count (≤ 6).
-    pub vars: u8,
-    /// NPN canonical form of the tree's packed truth table.
-    pub canon: u64,
-    /// [`Tree::blind_fingerprint`] of the canonicalized tree.
-    pub blind: Fingerprint,
-}
-
-impl FnMeta {
-    /// Assembles the full functional key by adding the depth hash the
-    /// structural key already computed.
-    pub(crate) fn key(&self, structural: &CacheKey) -> FnKey {
-        FnKey {
-            vars: self.vars,
-            canon: self.canon,
-            blind: self.blind,
-            depths: structural.depths,
-        }
-    }
-}
-
-/// Computes every tree's [`FnMeta`]. NPN canonicalization goes through
-/// the process-wide memo ([`chortle_mis::canonical_npn_u64_cached`]) —
-/// real forests repeat a handful of small functions constantly, and the
-/// 6-variable canonical search (720 permutations × a 64-step Gray walk)
-/// is far too expensive to rerun per tree, or even per request in the
-/// daemon.
-fn compute_fn_metas(trees: &[Tree], k: usize) -> Vec<Option<FnMeta>> {
-    let mut scratch = FingerprintScratch::default();
-    trees
-        .iter()
-        .map(|tree| {
-            let (table, vars) = tree.packed_truth_table().filter(|&(_, vars)| vars > k)?;
-            Some(FnMeta {
-                vars: vars as u8,
-                canon: chortle_mis::canonical_npn_u64_cached(table, vars),
-                blind: tree.blind_fingerprint_with(&mut scratch),
-            })
-        })
-        .collect()
-}
-
 /// One mapped tree: the concrete (canonicalized) tree and its mapping —
 /// its DP solution (shared through the warm cache with every tree of the
-/// same key, when one was attached) and its keys, or no solution when the
+/// same key, when one was attached) and its key, or no solution when the
 /// tree fits one LUT. This is what flows from the mapping drivers into cover
 /// emission — reconstruction reads decisions from the solution and leaf
 /// identities from `tree`.
 pub(crate) struct MappedTree {
     /// The canonicalized tree.
     pub tree: Tree,
-    /// The tree's solution, root depth and keys.
+    /// The tree's solution, root depth and key.
     pub result: TreeResult,
 }
 
@@ -726,7 +681,7 @@ impl MappedTree {
 /// tree order, and reports the result as the `cache.*` counters (when
 /// the mode caches) and as one trace instant per tree (when tracing):
 /// [`stats::TRACE_SINGLE_LUT`] for a tree that fit one LUT,
-/// [`stats::TRACE_SOLVE`] for the first tree with its structural key,
+/// [`stats::TRACE_SOLVE`] for the first tree with its key,
 /// [`stats::TRACE_REPLAY`] for a later one.
 ///
 /// A tree is a *hit* when an earlier tree has the same key. This is
@@ -734,14 +689,13 @@ impl MappedTree {
 /// depends on what a warm cache already held, while this definition is
 /// a pure function of the forest, identical for every cache mode. The
 /// keys the mapping step computed (a run with a warm segment) are
-/// reused; the others are recomputed here from the published root
-/// depths.
+/// reused; the others are recomputed here from `skeletons` and the
+/// published root depths.
 fn classify_trees(
     telemetry: &Telemetry,
     options: &MapOptions,
     normal: &Network,
-    shapes: &[Fingerprint],
-    fn_metas: &[Option<FnMeta>],
+    skeletons: &[Fingerprint],
     mapped: &[MappedTree],
 ) {
     let counting = telemetry.is_enabled() && options.cache.is_enabled();
@@ -751,46 +705,24 @@ fn classify_trees(
     let mut buf = telemetry.trace_buffer(0);
     let mut arrivals = vec![0u32; normal.len()];
     let mut seen: HashSet<CacheKey> = HashSet::with_capacity(mapped.len());
-    let mut seen_fn: HashSet<FnKey> = HashSet::new();
     let (mut hits, mut misses, mut replayed) = (0u64, 0u64, 0u64);
-    let (mut fn_hits, mut fn_misses, mut fn_replayed) = (0u64, 0u64, 0u64);
     for (ti, m) in mapped.iter().enumerate() {
         let luts = u64::from(m.luts());
         // Single-LUT trees have no key: they are neither hits nor misses.
         let name = if m.result.sol.is_none() {
             stats::TRACE_SINGLE_LUT
         } else {
-            let (key, fn_key) = match m.result.key {
-                Some(key) => (key, m.result.fn_key),
-                None => {
-                    let key = CacheKey::of(&m.tree, shapes[ti], &|id| arrivals[id.index()]);
-                    let meta = fn_metas.get(ti).and_then(Option::as_ref);
-                    (key, meta.map(|meta| meta.key(&key)))
-                }
-            };
-            // Attribution is structural-first: a tree both tiers could
-            // serve counts as a structural hit, so `cache.hits` is
-            // unchanged from `CacheMode::Shared` and `cache.fn_hits` is
-            // exactly the *additional* reuse the functional tier unlocks.
-            // (The runtime lookup order is functional-first, which is
-            // equivalent work-wise: either tier's hit skips the solve.)
-            let name = if !seen.insert(key) {
+            let key = m.result.key.unwrap_or_else(|| {
+                CacheKey::of(&m.tree, skeletons[ti], &|id| arrivals[id.index()])
+            });
+            if seen.insert(key) {
+                misses += 1;
+                stats::TRACE_SOLVE
+            } else {
                 hits += 1;
                 replayed += luts;
                 stats::TRACE_REPLAY
-            } else if fn_key.is_some_and(|fk| seen_fn.contains(&fk)) {
-                fn_hits += 1;
-                fn_replayed += luts;
-                stats::TRACE_SOLVE
-            } else {
-                misses += 1;
-                fn_misses += u64::from(fn_key.is_some());
-                stats::TRACE_SOLVE
-            };
-            if let Some(fk) = fn_key {
-                seen_fn.insert(fk);
             }
-            name
         };
         buf.instant(TraceScope::Tree, ti as u64, name, luts);
         arrivals[m.tree.root.index()] = m.result.depth;
@@ -805,21 +737,13 @@ fn classify_trees(
         // visible per request instead of only in aggregate.
         use chortle_telemetry::log::{self, FieldValue, Level};
         if log::enabled(Level::Debug) {
-            let mode = if options.cache.uses_fn() {
-                "fn"
-            } else {
-                "shared"
-            };
             log::event(
                 Level::Debug,
                 "map.cache",
                 "cache tier attribution",
                 &[
-                    ("mode", FieldValue::Str(mode)),
                     ("hits", FieldValue::U64(hits)),
                     ("misses", FieldValue::U64(misses)),
-                    ("fn_hits", FieldValue::U64(fn_hits)),
-                    ("fn_misses", FieldValue::U64(fn_misses)),
                     ("replayed_luts", FieldValue::U64(replayed)),
                 ],
             );
@@ -828,11 +752,6 @@ fn classify_trees(
     telemetry.add_counter(stats::CACHE_HITS, hits);
     telemetry.add_counter(stats::CACHE_MISSES, misses);
     telemetry.add_counter(stats::CACHE_REPLAYED_LUTS, replayed);
-    if options.cache.uses_fn() {
-        telemetry.add_counter(stats::CACHE_FN_HITS, fn_hits);
-        telemetry.add_counter(stats::CACHE_FN_MISSES, fn_misses);
-        telemetry.add_counter(stats::CACHE_FN_REPLAYED_LUTS, fn_replayed);
-    }
 }
 
 /// Records the deterministic per-tree work histogram
@@ -871,10 +790,13 @@ mod tests {
         assert_eq!(check_lut_count(LutCheck::Emit, 7, 7), Ok(()));
         assert_eq!(check_lut_count(LutCheck::Pack, 7, 7), Ok(()));
         assert_eq!(check_lut_count(LutCheck::Pack, 7, 5), Ok(()));
+        assert_eq!(check_lut_count(LutCheck::Bound, 7, 7), Ok(()));
+        assert_eq!(check_lut_count(LutCheck::Bound, 7, 9), Ok(()));
         for (check, expected, actual) in [
             (LutCheck::Emit, 7, 6),
             (LutCheck::Emit, 7, 8),
             (LutCheck::Pack, 7, 8),
+            (LutCheck::Bound, 7, 6),
         ] {
             let err = check_lut_count(check, expected, actual).unwrap_err();
             assert_eq!(

@@ -3,12 +3,12 @@
 //! Every tree goes through one step, [`map_tree_step`]: a tree with at
 //! most K leaf occurrences becomes one LUT outright; any other tree
 //! solves the subset DP, unless the run attached to a warm cache, in
-//! which case it computes its cache keys and tries the functional tier,
-//! then the structural tier, before solving. [`map_forest`] runs that
-//! step over the forest in tree order on the calling thread. The forest
-//! is topologically ordered (leaf trees precede their consumers), and a
-//! tree depends on earlier trees only through their root depths, so
-//! every leaf depth is published before a tree reads it.
+//! which case it computes its cache key and looks it up before solving.
+//! [`map_forest`] runs that step over the forest in tree order on the
+//! calling thread. The forest is topologically ordered (leaf trees
+//! precede their consumers), and a tree depends on earlier trees only
+//! through their root depths, so every leaf depth is published before a
+//! tree reads it.
 //!
 //! There is no intra-request parallelism: concurrent requests run on
 //! the daemon's worker threads, each through this one loop, and share
@@ -20,26 +20,23 @@ use std::time::Instant;
 use chortle_netlist::NodeId;
 use chortle_telemetry::{Histogram, TraceBuffer, TraceScope};
 
-use crate::cache::{tier_get, tier_insert, CacheKey, FnKey, SharedCache, SharedFnCache};
+use crate::cache::{tier_get, tier_insert, CacheKey, SharedCache};
 use crate::dp::{map_tree_solution, DpScratch, Objective, ShapeSolution};
-use crate::map::{stats, FnMeta, MapError, MapOptions, MappedTree};
+use crate::map::{stats, MapError, MapOptions, MappedTree};
 use crate::tree::{Fingerprint, Tree, TreeChild};
 
 /// One tree's mapping: its DP solution, the depth of its root LUT's
-/// output, and the structural and functional cache keys it was looked up
-/// under, if the run attached to a warm cache. A tree that fits one LUT has
-/// no solution and no keys (see [`single_lut_depth`]).
+/// output, and the cache key it was looked up under, if the run attached
+/// to a warm cache. A tree that fits one LUT has no solution and no key
+/// (see [`single_lut_depth`]).
 pub(crate) struct TreeResult {
     /// The (possibly shared) DP solution; `None` on the single-LUT path.
     pub sol: Option<Arc<ShapeSolution>>,
     /// Depth of the root LUT's output.
     pub depth: u32,
-    /// The structural cache key; `None` unless a warm segment was
-    /// attached, and on the single-LUT path.
+    /// The cache key; `None` unless a warm segment was attached, and on
+    /// the single-LUT path.
     pub key: Option<CacheKey>,
-    /// The functional-tier key; `None` without a warm functional segment,
-    /// for trees wider than 6 leaves, and on the single-LUT path.
-    pub fn_key: Option<FnKey>,
 }
 
 impl TreeResult {
@@ -78,37 +75,28 @@ pub(crate) fn single_lut_depth(tree: &Tree, k: usize, arrivals: &[u32]) -> Optio
 }
 
 /// The run-invariant inputs of [`map_tree_step`]: the forest's key
-/// material, the DP options, and the warm cache segments the run
+/// material, the DP options, and the warm cache segment the run
 /// attaches to.
 struct ForestRun<'a> {
-    /// Canonical shape fingerprints, indexed by tree.
-    shapes: &'a [Fingerprint],
-    /// Per-tree functional metadata (truth-table canon, blind shape),
-    /// indexed by tree; empty unless the mode has a functional tier and
-    /// the run carries a warm cache or telemetry.
-    fn_metas: &'a [Option<FnMeta>],
+    /// Canonical blind skeleton fingerprints, indexed by tree.
+    skeletons: &'a [Fingerprint],
     /// LUT input count.
     k: usize,
     /// Mapping objective.
     objective: Objective,
-    /// The warm cache's structural segment, when the run carries a warm
-    /// cache and its mode caches. `None` means no key and no lookup.
+    /// The warm cache's segment, when the run carries a warm cache and
+    /// its mode caches. `None` means no key and no lookup.
     cache: Option<Arc<SharedCache>>,
-    /// The functional tier's warm segment, when the mode also has that
-    /// tier.
-    fn_cache: Option<Arc<SharedFnCache>>,
 }
 
 /// Maps `tree`, tree `ti` of the forest. `arrivals` holds the published
 /// depth of every earlier tree's root (0 for primary inputs and
 /// constants). A tree that fits one LUT takes the single-LUT path: no
 /// key, no lookup, no DP. Otherwise, when a warm segment is attached,
-/// the tree computes its keys and consults the functional tier first,
-/// then the structural one; a structural hit back-fills the functional
-/// tier, and a solve inserts into both. Without a warm segment the tree
-/// computes no key and solves. The tree's trace span opens and closes
-/// here — closed as cancelled when the DP fails, so every begin stays
-/// matched.
+/// the tree computes its key and looks it up, and a miss solves and
+/// inserts. Without a warm segment the tree computes no key and solves.
+/// The tree's trace span opens and closes here — closed as cancelled
+/// when the DP fails, so every begin stays matched.
 ///
 /// # Errors
 ///
@@ -131,28 +119,16 @@ fn map_tree_step(
             sol: None,
             depth,
             key: None,
-            fn_key: None,
         }
     } else {
         let leaf_depth = |id: NodeId| arrivals[id.index()];
-        let (cache, fn_cache) = (run.cache.as_deref(), run.fn_cache.as_deref());
-        let key = cache.map(|_| CacheKey::of(tree, run.shapes[ti], &leaf_depth));
-        let fn_key = match (run.fn_metas.get(ti).and_then(Option::as_ref), &key) {
-            (Some(meta), Some(k)) => Some(meta.key(k)),
-            _ => None,
-        };
-        let sol = if let Some(sol) = tier_get(fn_cache, fn_key) {
-            sol
-        } else if let Some(sol) = tier_get(cache, key) {
-            tier_insert(fn_cache, fn_key, Arc::clone(&sol));
+        let cache = run.cache.as_deref();
+        let key = cache.map(|_| CacheKey::of(tree, run.skeletons[ti], &leaf_depth));
+        let sol = if let Some(sol) = tier_get(cache, key) {
             sol
         } else {
             match map_tree_solution(tree, run.k, run.objective, &leaf_depth, scratch) {
-                Ok(sol) => {
-                    let sol = tier_insert(cache, key, Arc::new(sol));
-                    tier_insert(fn_cache, fn_key, Arc::clone(&sol));
-                    sol
-                }
+                Ok(sol) => tier_insert(cache, key, Arc::new(sol)),
                 Err(e) => {
                     buf.cancelled(TraceScope::Tree, ti as u64, stats::TRACE_TREE, 0);
                     return Err(e);
@@ -163,7 +139,6 @@ fn map_tree_step(
             depth: sol.dp.tree_depth(tree),
             sol: Some(sol),
             key,
-            fn_key,
         }
     };
     if traced {
@@ -175,8 +150,9 @@ fn map_tree_step(
 
 /// Maps every tree of the canonicalized forest in tree order on the
 /// calling thread, with one scratch arena throughout, and returns them
-/// with their (possibly shared) solutions. `nodes` is the node count of
-/// the normalized network the trees index into. Cancellation is polled
+/// with their (possibly shared) solutions. `skeletons` holds each tree's
+/// canonical blind fingerprint, and `nodes` is the node count of the
+/// normalized network the trees index into. Cancellation is polled
 /// between trees, so no tree span is open when it fires.
 ///
 /// # Errors
@@ -186,21 +162,19 @@ fn map_tree_step(
 pub(crate) fn map_forest(
     nodes: usize,
     trees: Vec<Tree>,
-    shapes: &[Fingerprint],
-    fn_metas: &[Option<FnMeta>],
+    skeletons: &[Fingerprint],
     options: &MapOptions,
 ) -> Result<Vec<MappedTree>, MapError> {
-    let (k, objective, mode) = (options.k, options.objective, options.cache);
-    let warm = options.warm_cache.as_ref().filter(|_| mode.is_enabled());
+    let (k, objective) = (options.k, options.objective);
     let run = ForestRun {
-        shapes,
-        fn_metas,
+        skeletons,
         k,
         objective,
-        cache: warm.map(|w| w.segment(k, objective)),
-        fn_cache: warm
-            .filter(|_| mode.uses_fn())
-            .map(|w| w.fn_segment(k, objective)),
+        cache: options
+            .warm_cache
+            .as_ref()
+            .filter(|_| options.cache.is_enabled())
+            .map(|w| w.segment(k, objective)),
     };
     let telemetry = &options.telemetry;
     let mut scratch = DpScratch::new();

@@ -21,10 +21,10 @@ use chortle_netlist::{mix64, Network, NodeId, NodeOp, Signal};
 /// fingerprint. The converse direction holds up to a 2⁻¹²⁸ hash-collision
 /// probability.
 ///
-/// Fingerprints are the keys of [`Forest::shape_histogram`] and of the
-/// mapper's cross-tree DP-result cache (see `CacheMode`): the subset DP
-/// is a pure function of the shape (plus leaf depths), so trees sharing a
-/// fingerprint share their whole `minmap` solution.
+/// Fingerprints are the keys of [`Forest::shape_histogram`]. The
+/// mapper's cross-tree DP-result cache (see `CacheMode`) keys on the
+/// coarser *blind* skeleton fingerprint ([`Tree::blind_fingerprint`]),
+/// which erases operations and polarities as well.
 ///
 /// Built bottom-up from the in-repo SplitMix64 finalizer
 /// ([`mix64`]) — no external hashing dependencies.
@@ -268,8 +268,7 @@ impl Tree {
     /// they are and which edges invert — are isomorphic. The subset DP
     /// reads nothing else of a tree beyond this skeleton (plus leaf
     /// depths), so blind-equal trees share their whole `minmap`
-    /// solution; this is the structural half of the functional cache
-    /// tier's key.
+    /// solution; this is the shape half of the DP cache's key.
     pub fn blind_fingerprint(&self) -> Fingerprint {
         self.blind_fingerprint_with(&mut FingerprintScratch::default())
     }
@@ -290,75 +289,6 @@ impl Tree {
         fps[self.root_index()]
     }
 
-    /// Extracts the tree's function as a packed `u64` truth table over
-    /// its leaf *slots*, or `None` if the tree has more than
-    /// [`chortle_mis::MAX_CANON_VARS`] leaves.
-    ///
-    /// Variable `i` is the `i`-th leaf occurrence in node/child
-    /// traversal order (the same order the cache key hashes leaf
-    /// depths in); duplicate references to one source signal get
-    /// distinct variables, matching how the DP treats them as distinct
-    /// slots. Edge polarities are folded in, so the table is the tree's
-    /// function of the *non-inverted* leaf sources.
-    pub fn packed_truth_table(&self) -> Option<(u64, usize)> {
-        // Count leaves with an early bail-out: wide trees (the common
-        // reject) leave after their seventh leaf instead of paying a
-        // full `leaf_count` walk — this sits on the mapper's per-tree
-        // hot path under `--cache fn`.
-        let mut vars = 0usize;
-        for node in &self.nodes {
-            for c in &node.children {
-                if matches!(c, TreeChild::Leaf(_)) {
-                    vars += 1;
-                    if vars > chortle_mis::MAX_CANON_VARS {
-                        return None;
-                    }
-                }
-            }
-        }
-        let mut next = 0usize;
-        let mut values: Vec<u64> = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            let mut acc: u64 = match node.op {
-                NodeOp::And => u64::MAX,
-                NodeOp::Or => 0,
-                _ => unreachable!("tree nodes are gates"),
-            };
-            for c in &node.children {
-                let v = match *c {
-                    TreeChild::Node { index, inverted } => {
-                        if inverted {
-                            !values[index]
-                        } else {
-                            values[index]
-                        }
-                    }
-                    TreeChild::Leaf(sig) => {
-                        let w = PT_VAR_MASKS[next];
-                        next += 1;
-                        if sig.is_inverted() {
-                            !w
-                        } else {
-                            w
-                        }
-                    }
-                };
-                acc = match node.op {
-                    NodeOp::And => acc & v,
-                    NodeOp::Or => acc | v,
-                    _ => unreachable!("tree nodes are gates"),
-                };
-            }
-            values.push(acc);
-        }
-        let mask = if vars >= 6 {
-            u64::MAX
-        } else {
-            (1u64 << (1usize << vars)) - 1
-        };
-        Some((values[self.root_index()] & mask, vars))
-    }
-
     /// Rewrites the tree into its canonical form and returns its
     /// [`Fingerprint`].
     ///
@@ -371,8 +301,8 @@ impl Tree {
     ///    because equal tokens mean isomorphic sub-shapes. The
     ///    blind-primary order means trees that differ only in gate
     ///    operations or edge polarities place their subtrees and leaf
-    ///    slots *identically* — the alignment the functional cache tier
-    ///    relies on to reuse DP solutions across N/P/N variants;
+    ///    slots *identically* — the alignment the DP cache relies on to
+    ///    replay one solution onto every tree of a blind skeleton;
     /// 2. the node array is renumbered into the post-order walk of the
     ///    reordered tree, so isomorphic trees end up with *identical*
     ///    node arrays (up to leaf signal identities).
@@ -382,18 +312,19 @@ impl Tree {
     /// blind-primary child order and identical to [`Tree::fingerprint`].
     ///
     /// After canonicalization the subset DP — whose tie-breaks depend on
-    /// child and node order — visits isomorphic trees identically, which
-    /// is what lets a cached `minmap` solution be replayed verbatim onto
-    /// any tree with the same fingerprint (and, because the DP never
-    /// reads operations or polarities, onto any tree with the same
-    /// blind skeleton — see [`Tree::blind_fingerprint`]).
+    /// child and node order — visits trees with the same blind skeleton
+    /// identically (it never reads operations or polarities), which is
+    /// what lets a cached `minmap` solution be replayed verbatim onto
+    /// any tree with the same [`Tree::blind_fingerprint`].
     pub fn canonicalize(&mut self) -> Fingerprint {
-        self.canonicalize_with(&mut CanonScratch::default())
+        self.canonicalize_with(&mut CanonScratch::default()).0
     }
 
     /// [`Tree::canonicalize`] with caller-owned scratch buffers, so a
     /// forest canonicalizes without allocating per tree or per node.
-    fn canonicalize_with(&mut self, scratch: &mut CanonScratch) -> Fingerprint {
+    /// Returns the full fingerprint and the [`Tree::blind_fingerprint`]
+    /// the same pass computes, `(full, blind)`.
+    fn canonicalize_with(&mut self, scratch: &mut CanonScratch) -> (Fingerprint, Fingerprint) {
         let CanonScratch {
             fps,
             blind,
@@ -428,7 +359,7 @@ impl Tree {
             tokens.sort_unstable();
             fps.push(node_fingerprint(node.op, tokens));
         }
-        let fp = fps[self.root_index()];
+        let keys = (fps[self.root_index()], blind[self.root_index()]);
         // Pass 2: number the nodes in the post-order walk of the sorted
         // tree, with an explicit stack of (node, next child) so depth
         // costs heap, not call stack.
@@ -470,7 +401,7 @@ impl Tree {
                 new_index.swap(i, j);
             }
         }
-        fp
+        keys
     }
 
     /// Splits every node with more than `threshold` children into a
@@ -649,11 +580,18 @@ impl Forest {
     /// Applies [`Tree::canonicalize`] to every tree; returns the
     /// fingerprints in tree order.
     pub fn canonicalize(&mut self) -> Vec<Fingerprint> {
+        self.canonicalize_keyed().0
+    }
+
+    /// [`Forest::canonicalize`], also returning every canonical tree's
+    /// [`Tree::blind_fingerprint`] (the DP cache's shape key), from the
+    /// same pass: `(full, blind)`, each in tree order.
+    pub(crate) fn canonicalize_keyed(&mut self) -> (Vec<Fingerprint>, Vec<Fingerprint>) {
         let mut scratch = CanonScratch::default();
         self.trees
             .iter_mut()
             .map(|tree| tree.canonicalize_with(&mut scratch))
-            .collect()
+            .unzip()
     }
 
     /// Counts the forest's trees by structural shape.
@@ -1048,70 +986,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn packed_truth_table_matches_eval() {
-        // Duplicate leaves get distinct variables, so use a tree whose
-        // slots map 1:1 onto distinct inputs and check against eval.
-        let tree = specimen(["a", "b", "c"], false);
-        let (table, vars) = tree.packed_truth_table().unwrap();
-        assert_eq!(vars, 3);
-        // Recover the slot → NodeId order (traversal order).
-        let slots: Vec<NodeId> = tree
-            .nodes
-            .iter()
-            .flat_map(|n| &n.children)
-            .filter_map(|c| match c {
-                TreeChild::Leaf(s) => Some(s.node()),
-                _ => None,
-            })
-            .collect();
-        for bits in 0..(1u64 << vars) {
-            let leaf = |id: NodeId| {
-                let pos = slots.iter().position(|&s| s == id).unwrap();
-                (bits >> pos) & 1 == 1
-            };
-            assert_eq!((table >> bits) & 1 == 1, tree.eval(&leaf), "minterm {bits}");
-        }
-    }
-
-    #[test]
-    fn packed_truth_table_rejects_wide_trees() {
-        let mut net = Network::new();
-        let inputs: Vec<_> = (0..7).map(|i| net.add_input(format!("i{i}"))).collect();
-        let g = net.add_gate(
-            NodeOp::And,
-            inputs.iter().map(|&i| Signal::new(i)).collect(),
-        );
-        net.add_output("z", g.into());
-        let forest = Forest::of(&net);
-        assert!(forest.trees[0].packed_truth_table().is_none());
-    }
-
-    #[test]
-    fn npn_variants_share_a_canonical_class() {
-        // AND(a, b) and OR(a, b) are NPN-equivalent; their packed tables
-        // must land in one canonical class.
-        let mut and_net = Network::new();
-        let a = and_net.add_input("a");
-        let b = and_net.add_input("b");
-        let g = and_net.add_gate(NodeOp::And, vec![a.into(), b.into()]);
-        and_net.add_output("z", g.into());
-        let and_tree = Forest::of(&and_net).trees.remove(0);
-        let mut or_net = Network::new();
-        let a = or_net.add_input("a");
-        let b = or_net.add_input("b");
-        let g = or_net.add_gate(NodeOp::Or, vec![a.into(), b.into()]);
-        or_net.add_output("z", g.into());
-        let or_tree = Forest::of(&or_net).trees.remove(0);
-        let (ta, va) = and_tree.packed_truth_table().unwrap();
-        let (to, vo) = or_tree.packed_truth_table().unwrap();
-        assert_ne!(ta, to);
-        assert_eq!(
-            chortle_mis::canonical_npn_u64(ta, va),
-            chortle_mis::canonical_npn_u64(to, vo)
-        );
     }
 
     #[test]

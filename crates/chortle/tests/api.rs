@@ -27,15 +27,17 @@ fn options_builders_compose() {
         .split_threshold(12)
         .expect("in range")
         .objective(Objective::Depth)
-        .cache(CacheMode::Fn)
+        .cache(CacheMode::Off)
         .build()
         .expect("valid K");
     assert_eq!(opts.k, 5);
     assert_eq!(opts.split_threshold, 12);
     assert_eq!(opts.objective, Objective::Depth);
-    assert_eq!(opts.cache, CacheMode::Fn);
+    assert_eq!(opts.cache, CacheMode::Off);
     assert_eq!(Objective::default(), Objective::Area);
     assert_eq!(CacheMode::default(), CacheMode::Shared);
+    // The retired functional tier's name is an alias of `Shared`.
+    assert_eq!(CacheMode::Fn, CacheMode::Shared);
 }
 
 #[test]

@@ -4,8 +4,11 @@
 //! mapped circuit or any work tally. Random cases come from the in-repo
 //! [`SplitMix64`] generator, so the suite runs fully offline.
 
+use std::collections::HashSet;
+
 use chortle::{
-    map_network, stats, CacheMode, Forest, MapOptions, Telemetry, Tree, TreeChild, WarmCache,
+    map_network, stats, CacheMode, Fingerprint, Forest, MapOptions, Telemetry, Tree, TreeChild,
+    WarmCache,
 };
 use chortle_netlist::{Network, NodeId, NodeOp, Signal, SplitMix64};
 
@@ -166,28 +169,20 @@ fn map_with(
     (mapping, counters)
 }
 
-/// Runs each caching mode twice against one fresh [`WarmCache`], cold
+/// Runs the caching mode twice against one fresh [`WarmCache`], cold
 /// and then warm, and hands every run to `check` as `(mode, warm,
 /// context)`. The warm run must replay: when the cold run stored any
 /// solution, it must hit without a single new miss.
 fn cold_and_warm(mut check: impl FnMut(CacheMode, &WarmCache, &str)) {
-    for cache in [CacheMode::Shared, CacheMode::Fn] {
-        let warm = WarmCache::new();
-        check(cache, &warm, &format!("{cache:?} cold"));
-        let cold = warm.stats();
-        check(cache, &warm, &format!("{cache:?} warm"));
-        let rewarm = warm.stats();
-        if cold.shapes > 0 {
-            assert!(
-                rewarm.hits + rewarm.fn_hits > cold.hits + cold.fn_hits,
-                "{cache:?}: the warm run replayed nothing"
-            );
-            assert_eq!(
-                (rewarm.misses, rewarm.fn_misses),
-                (cold.misses, cold.fn_misses),
-                "{cache:?}: the warm run missed"
-            );
-        }
+    let cache = CacheMode::Shared;
+    let warm = WarmCache::new();
+    check(cache, &warm, "cold");
+    let cold = warm.stats();
+    check(cache, &warm, "warm");
+    let rewarm = warm.stats();
+    if cold.shapes > 0 {
+        assert!(rewarm.hits > cold.hits, "the warm run replayed nothing");
+        assert_eq!(rewarm.misses, cold.misses, "the warm run missed");
     }
 }
 
@@ -207,10 +202,8 @@ fn every_cache_mode_is_bit_identical() {
                 assert_eq!(reference.report, mapping.report, "report diverged ({ctx})");
                 assert_eq!(ref_counters, counters, "work tallies diverged ({ctx})");
             };
-            for cache in [CacheMode::Shared, CacheMode::Fn] {
-                let (mapping, counters) = map_with(&net, k, cache, None);
-                same(mapping, counters, &format!("{cache:?}"));
-            }
+            let (mapping, counters) = map_with(&net, k, CacheMode::Shared, None);
+            same(mapping, counters, "Shared");
             cold_and_warm(|cache, warm, ctx| {
                 let (mapping, counters) = map_with(&net, k, cache, Some(warm));
                 same(mapping, counters, ctx);
@@ -219,12 +212,18 @@ fn every_cache_mode_is_bit_identical() {
     }
 }
 
-/// Trees of `net`'s split forest with at most `k` leaf occurrences —
-/// the trees the mapper emits as one LUT without a DP solve.
-fn single_lut_trees(net: &Network, k: usize) -> u64 {
+/// `net`'s forest, split as [`map_network`] splits it at `k`.
+fn split_forest(net: &Network, k: usize) -> Forest {
     let mut forest = Forest::of(&net.simplified());
     let threshold = MapOptions::builder(k).build().unwrap().split_threshold;
     forest.split_wide_nodes(threshold.max(k));
+    forest
+}
+
+/// Trees of `net`'s split forest with at most `k` leaf occurrences —
+/// the trees the mapper emits as one LUT without a DP solve.
+fn single_lut_trees(net: &Network, k: usize) -> u64 {
+    let forest = split_forest(net, k);
     forest.trees.iter().filter(|t| t.leaf_count() <= k).count() as u64
 }
 
@@ -256,25 +255,12 @@ fn cache_counters_add_up() {
     }
 
     // Mode Off reports no cache counters at all.
-    let telemetry = Telemetry::enabled();
-    let options = MapOptions::builder(4)
-        .cache(CacheMode::Off)
-        .telemetry(telemetry.clone())
-        .build()
-        .unwrap();
-    map_network(&net, &options).expect("maps");
-    let report = telemetry.snapshot();
-    for counter in [
-        stats::CACHE_HITS,
-        stats::CACHE_MISSES,
-        stats::CACHE_REPLAYED_LUTS,
-        stats::CACHE_FN_HITS,
-        stats::CACHE_FN_MISSES,
-        stats::CACHE_FN_REPLAYED_LUTS,
-    ] {
+    let report = counters_under(&net, 4, CacheMode::Off, None);
+    for counter in &report.counters {
         assert!(
-            report.counter(counter).is_none(),
-            "{counter} with cache off"
+            !counter.name.starts_with("cache."),
+            "{} with cache off",
+            counter.name
         );
     }
 }
@@ -290,7 +276,7 @@ fn the_counter_identity_holds_for_every_cache_mode() {
         let net = random_network(rng.next_u64(), 8, 40, 6);
         let k = rng.next_range(2, 7);
         let expected = single_lut_trees(&net, k);
-        for cache in [CacheMode::Off, CacheMode::Shared, CacheMode::Fn] {
+        for cache in [CacheMode::Off, CacheMode::Shared] {
             let report = counters_under(&net, k, cache, None);
             let ctx = format!("round={round} k={k} {cache:?}");
             let trees = report.counter(stats::MAP_TREES).unwrap();
@@ -300,9 +286,8 @@ fn the_counter_identity_holds_for_every_cache_mode() {
                 continue;
             }
             let hits = report.counter(stats::CACHE_HITS).unwrap();
-            let fn_hits = report.counter(stats::CACHE_FN_HITS).unwrap_or(0);
             let misses = report.counter(stats::CACHE_MISSES).unwrap();
-            assert_eq!(hits + fn_hits + misses + single, trees, "{ctx}");
+            assert_eq!(hits + misses + single, trees, "{ctx}");
         }
         cold_and_warm(|cache, warm, ctx| {
             let attached = counters_under(&net, k, cache, Some(warm));
@@ -315,11 +300,13 @@ fn the_counter_identity_holds_for_every_cache_mode() {
     }
 }
 
-/// Adds `columns` five-leaf cones `outer(inner(a, b, c), d, e)` over
-/// the first five inputs, with random operations and edge polarities:
-/// structural misses of each other that the functional tier unites.
+/// Adds `columns` pairs of cones over the first eight inputs, with random
+/// operations and edge polarities: a five-leaf `outer(inner(a, b, c), d,
+/// e)` and an eight-leaf `outer(inner(a, b, c), inner(d, e, f), g, h)`.
+/// The cones of one width differ in their full fingerprints but share a
+/// blind skeleton, hence a cache key.
 fn add_skeleton_variants(net: &mut Network, rng: &mut SplitMix64, columns: usize) {
-    let leaves: Vec<Signal> = net.inputs()[..5]
+    let leaves: Vec<Signal> = net.inputs()[..8]
         .iter()
         .map(|&id| Signal::new(id))
         .collect();
@@ -331,16 +318,18 @@ fn add_skeleton_variants(net: &mut Network, rng: &mut SplitMix64, columns: usize
         }
     };
     let polarize = |rng: &mut SplitMix64, s: Signal| if rng.next_bool(1, 2) { !s } else { s };
+    let gate = |net: &mut Network, rng: &mut SplitMix64, fanins: &[Signal]| {
+        let fanins = fanins.iter().map(|&s| polarize(rng, s)).collect();
+        Signal::new(net.add_gate(op(rng), fanins))
+    };
     for c in 0..columns {
-        let inner_fanins = leaves[..3].iter().map(|&s| polarize(rng, s)).collect();
-        let inner = Signal::new(net.add_gate(op(rng), inner_fanins));
-        let outer_fanins = vec![
-            polarize(rng, inner),
-            polarize(rng, leaves[3]),
-            polarize(rng, leaves[4]),
-        ];
-        let outer = Signal::new(net.add_gate(op(rng), outer_fanins));
-        net.add_output(format!("v{c}"), outer);
+        let inner = gate(net, rng, &leaves[..3]);
+        let narrow = gate(net, rng, &[inner, leaves[3], leaves[4]]);
+        net.add_output(format!("v{c}"), narrow);
+        let left = gate(net, rng, &leaves[..3]);
+        let right = gate(net, rng, &leaves[3..6]);
+        let wide = gate(net, rng, &[left, right, leaves[6], leaves[7]]);
+        net.add_output(format!("w{c}"), wide);
     }
 }
 
@@ -374,51 +363,63 @@ fn counters_under(
     telemetry.snapshot()
 }
 
+/// Distinct values of `key` over the trees of `trees`.
+fn distinct(trees: &[&Tree], key: fn(&Tree) -> Fingerprint) -> u64 {
+    trees.iter().map(|t| key(t)).collect::<HashSet<_>>().len() as u64
+}
+
 #[test]
 fn fn_tier_counters_add_up_and_only_add_reuse() {
-    // Polarity variants of shared shapes make the functional tier win
-    // where the structural one cannot. The tier serves trees of K+1 to 6
-    // leaves (smaller ones fit one LUT), so each forest also gets a few
-    // five-leaf variants of one skeleton.
+    // The cache key is the blind skeleton, so the op and polarity
+    // variants of one skeleton share a solution at any width: every
+    // variant after the first is a hit, where the full fingerprint would
+    // hit only exact repeats. The variants' leaves are primary inputs
+    // (depth 0), so their keys differ only in the skeleton.
     const K: usize = 4;
     let mut rng = SplitMix64::new(0xcace_0004);
-    let mut fn_hit_seen = false;
+    let mut gained = 0;
     for round in 0..8 {
+        let mut variants = Network::new();
+        for i in 0..8 {
+            variants.add_input(format!("i{i}"));
+        }
+        add_skeleton_variants(&mut variants, &mut rng, 6);
+        let forest = split_forest(&variants, K);
+        let dp: Vec<&Tree> = forest.trees.iter().filter(|t| t.leaf_count() > K).collect();
+        assert_eq!(dp.len(), forest.trees.len(), "(round={round})");
+        assert_eq!(distinct(&dp, Tree::blind_fingerprint), 2, "(round={round})");
+        let report = counters_under(&variants, K, CacheMode::Shared, None);
+        let hits = report.counter(stats::CACHE_HITS).unwrap();
+        assert_eq!(hits, dp.len() as u64 - 2, "(round={round})");
+        assert_eq!(report.counter(stats::CACHE_MISSES), Some(2));
+        let full_key_hits = dp.len() as u64 - distinct(&dp, Tree::fingerprint);
+        assert!(hits >= full_key_hits, "(round={round})");
+        gained += hits - full_key_hits;
+
+        // Replays of the variants, cold and warm, emit the bytes of a
+        // run that solves every tree.
+        let (reference, _) = map_with(&variants, K, CacheMode::Off, None);
+        cold_and_warm(|cache, warm, ctx| {
+            let (mapping, _) = map_with(&variants, K, cache, Some(warm));
+            assert_eq!(reference.circuit, mapping.circuit, "round={round} {ctx}");
+        });
+
+        // Inside a random forest the counters still add up.
         let mut net = random_network(rng.next_u64(), 8, 40, 4);
         add_skeleton_variants(&mut net, &mut rng, 6);
-        let shared = counters_under(&net, K, CacheMode::Shared, None);
-        let fnr = counters_under(&net, K, CacheMode::Fn, None);
-        let trees = fnr.counter(stats::MAP_TREES).unwrap();
-        let hits = fnr.counter(stats::CACHE_HITS).unwrap();
-        let misses = fnr.counter(stats::CACHE_MISSES).unwrap();
-        let fn_hits = fnr.counter(stats::CACHE_FN_HITS).unwrap();
-        let fn_misses = fnr.counter(stats::CACHE_FN_MISSES).unwrap();
-        let single = fnr.counter(stats::MAP_SINGLE_LUT_TREES).unwrap();
+        let report = counters_under(&net, K, CacheMode::Shared, None);
+        let trees = report.counter(stats::MAP_TREES).unwrap();
+        let single = report.counter(stats::MAP_SINGLE_LUT_TREES).unwrap();
         assert_eq!(single, single_lut_trees(&net, K), "(round={round})");
-        // Attribution is structural-first: cache.hits is identical
-        // to the Shared-mode value, and fn_hits is the *additional*
-        // reuse the functional tier found.
         assert_eq!(
-            hits,
-            shared.counter(stats::CACHE_HITS).unwrap(),
-            "structural hits changed under Fn (round={round})"
-        );
-        assert_eq!(
-            hits + fn_hits + misses + single,
+            report.counter(stats::CACHE_HITS).unwrap()
+                + report.counter(stats::CACHE_MISSES).unwrap()
+                + single,
             trees,
             "counter contract broken (round={round})"
         );
-        // fn_misses counts fn-eligible trees that fully solved.
-        assert!(fn_misses <= misses, "(round={round})");
-        if fn_hits > 0 {
-            fn_hit_seen = true;
-            assert!(fnr.counter(stats::CACHE_FN_REPLAYED_LUTS).unwrap() >= fn_hits);
-        }
     }
-    assert!(
-        fn_hit_seen,
-        "the functional tier never beat the structural one across 8 random forests"
-    );
+    assert!(gained > 0, "the blind key never beat the full fingerprint");
 }
 
 #[test]
@@ -427,14 +428,11 @@ fn shared_mode_reports_no_fn_counters() {
     let warm = WarmCache::new();
     for attached in [None, Some(&warm)] {
         let report = counters_under(&net, 4, CacheMode::Shared, attached);
-        for counter in [
-            stats::CACHE_FN_HITS,
-            stats::CACHE_FN_MISSES,
-            stats::CACHE_FN_REPLAYED_LUTS,
-        ] {
+        for counter in &report.counters {
             assert!(
-                report.counter(counter).is_none(),
-                "{counter} reported (warm cache attached: {})",
+                !counter.name.starts_with("cache.fn_"),
+                "{} reported (warm cache attached: {})",
+                counter.name,
                 attached.is_some()
             );
         }
@@ -443,32 +441,31 @@ fn shared_mode_reports_no_fn_counters() {
 
 #[test]
 fn warm_cache_segments_both_tiers() {
+    // One store: the retired functional tier's tallies stay zero.
     let net = random_network(0xcace_0006, 8, 40, 4);
     let warm = WarmCache::new();
     let options = MapOptions::builder(4)
-        .cache(CacheMode::Fn)
+        .cache(CacheMode::Shared)
         .warm_cache(warm.clone())
         .build()
         .unwrap();
     map_network(&net, &options).expect("maps");
     let after_first = warm.stats();
-    assert!(after_first.shapes > 0, "structural tier stayed empty");
-    assert!(after_first.fn_entries > 0, "functional tier stayed empty");
-    assert_eq!(after_first.fn_entries, warm.stats().fn_entries);
+    assert!(after_first.shapes > 0, "the store stayed empty");
+    assert_eq!((after_first.fn_hits, after_first.fn_misses), (0, 0));
 
     // A warm re-run of the same network hits on every tree: the second
     // run's misses add nothing.
     map_network(&net, &options).expect("maps again");
     let after_second = warm.stats();
     assert_eq!(after_second.shapes, after_first.shapes);
-    assert_eq!(after_second.fn_entries, after_first.fn_entries);
-    assert!(after_second.hits + after_second.fn_hits > after_first.hits + after_first.fn_hits);
+    assert_eq!(after_second.misses, after_first.misses);
+    assert!(after_second.hits > after_first.hits);
     assert!(after_second.hit_rate() > 0.0);
+    assert_eq!((after_second.fn_hits, after_second.fn_misses), (0, 0));
 
     warm.flush();
-    let flushed = warm.stats();
-    assert_eq!(flushed.shapes, 0);
-    assert_eq!(flushed.fn_entries, 0);
+    assert_eq!(warm.stats(), chortle::WarmStats::default());
 }
 
 #[test]

@@ -102,21 +102,24 @@ fn design_mapping_is_bit_identical_across_caches() {
     // Every mode without a warm cache, then the caching modes twice
     // against one fresh warm cache (cold, then warm).
     let mut runs: Vec<(String, (chortle::MappedDesign, String))> = Vec::new();
-    for cache in [CacheMode::Off, CacheMode::Shared, CacheMode::Fn] {
+    for cache in [CacheMode::Off, CacheMode::Shared] {
         runs.push((format!("{cache:?}"), map_with(cache, None)));
     }
-    for cache in [CacheMode::Shared, CacheMode::Fn] {
-        let warm = WarmCache::new();
-        runs.push((format!("{cache:?} cold"), map_with(cache, Some(&warm))));
-        let cold = warm.stats();
-        runs.push((format!("{cache:?} warm"), map_with(cache, Some(&warm))));
-        let rewarm = warm.stats();
-        if cold.shapes > 0 {
-            assert!(
-                rewarm.hits + rewarm.fn_hits > cold.hits + cold.fn_hits,
-                "{cache:?}"
-            );
-        }
+    let warm = WarmCache::new();
+    runs.push((
+        "Shared cold".into(),
+        map_with(CacheMode::Shared, Some(&warm)),
+    ));
+    let cold = warm.stats();
+    runs.push((
+        "Shared warm".into(),
+        map_with(CacheMode::Shared, Some(&warm)),
+    ));
+    if cold.shapes > 0 {
+        assert!(
+            warm.stats().hits > cold.hits,
+            "the warm run replayed nothing"
+        );
     }
     for (cache, (mapped, report)) in &runs {
         assert_eq!(

@@ -116,6 +116,8 @@ fn mapper_reports_every_documented_stage_and_counter() {
         stats::MAP_NODES_SPLIT,
         stats::MAP_TREES,
         stats::MAP_SINGLE_LUT_TREES,
+        stats::MAP_TREES_AT_BOUND,
+        stats::MAP_BOUND_GAP,
         stats::CACHE_HITS,
         stats::CACHE_MISSES,
         stats::CACHE_REPLAYED_LUTS,

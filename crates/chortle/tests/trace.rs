@@ -57,20 +57,18 @@ fn traced_options(k: usize, cache: CacheMode) -> (Telemetry, MapOptions) {
 /// traces and histograms must agree.
 fn every_run(k: usize) -> Vec<(String, MapOptions)> {
     let mut runs = Vec::new();
-    for cache in [CacheMode::Off, CacheMode::Shared, CacheMode::Fn] {
+    for cache in [CacheMode::Off, CacheMode::Shared] {
         let options = MapOptions::builder(k).cache(cache).build().unwrap();
         runs.push((format!("{cache:?}"), options));
     }
-    for cache in [CacheMode::Shared, CacheMode::Fn] {
-        let warm = WarmCache::new();
-        for pass in ["cold", "warm"] {
-            let options = MapOptions::builder(k)
-                .cache(cache)
-                .warm_cache(warm.clone())
-                .build()
-                .unwrap();
-            runs.push((format!("{cache:?} {pass}"), options));
-        }
+    let warm = WarmCache::new();
+    for pass in ["cold", "warm"] {
+        let options = MapOptions::builder(k)
+            .cache(CacheMode::Shared)
+            .warm_cache(warm.clone())
+            .build()
+            .unwrap();
+        runs.push((format!("Shared {pass}"), options));
     }
     runs
 }
@@ -97,27 +95,13 @@ fn trace_identity_is_invariant_across_cache_modes() {
         let baseline = trace_of(&plain(CacheMode::Off));
         assert_eq!(baseline.dropped, 0);
         assert!(!baseline.events.is_empty(), "tracing captured nothing");
-        // The functional tier adds its `map.fnmeta` stage span; every
-        // other event matches, so `fn` runs agree with a cold `fn` run.
-        let fn_baseline = trace_of(&plain(CacheMode::Fn));
         for (run, options) in every_run(k) {
-            let want = if options.cache == CacheMode::Fn {
-                &fn_baseline
-            } else {
-                &baseline
-            };
             assert_eq!(
-                want.identity(),
+                baseline.identity(),
                 trace_of(&options).identity(),
                 "trace identity diverged (round={round} k={k} cache={run})"
             );
         }
-        let tree_events = |trace: &chortle::Trace| {
-            let mut identity = trace.identity();
-            identity.retain(|e| e.scope == TraceScope::Tree);
-            identity
-        };
-        assert_eq!(tree_events(&baseline), tree_events(&fn_baseline));
     }
 }
 
@@ -249,7 +233,11 @@ fn cancellation_between_trees_leaves_no_partial_spans() {
     let mut cancelled_runs = 0;
     for round in 0..24 {
         let net = random_network(rng.next_u64(), 10, 40, 6);
-        let cache = [CacheMode::Off, CacheMode::Shared, CacheMode::Fn][round % 3];
+        let cache = if round % 3 == 0 {
+            CacheMode::Off
+        } else {
+            CacheMode::Shared
+        };
         let telemetry = Telemetry::traced();
         let token = CancelToken::armed();
         let options = MapOptions::builder(4)

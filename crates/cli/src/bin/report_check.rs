@@ -1,7 +1,7 @@
 //! `report-check` — validate `chortle-map` observability output.
 //!
 //! Default mode reads one JSON telemetry report from stdin and checks it
-//! against the `chortle-telemetry/v1.8` schema: exact key layout, value
+//! against the `chortle-telemetry/v1.9` schema: exact key layout, value
 //! kinds, and internal consistency (histogram bucket counts summing to
 //! the sample count).
 //! With `--chrome-trace` it instead validates a `chortle-map --trace`

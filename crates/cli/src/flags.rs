@@ -62,8 +62,7 @@ pub const FLAGS: &[Flag] = &[
         name: "--cache",
         alias: None,
         value: Some("MODE"),
-        help:
-            "DP-result cache: shared (default), off, or fn (only chortle-serve keeps a warm cache)",
+        help: "DP-result cache: shared (default) or off (only chortle-serve keeps a warm cache)",
     },
     Flag {
         name: "--pack",

@@ -142,11 +142,10 @@ fn parse_args(args: impl Iterator<Item = String>) -> Result<Option<Cli>, CliErro
                 cache = match value.as_str() {
                     "off" => CacheMode::Off,
                     "shared" => CacheMode::Shared,
-                    "fn" => CacheMode::Fn,
                     other => {
                         return Err(CliError::invalid(
                             "--cache",
-                            format!("{other:?} (expected off, shared or fn)"),
+                            format!("{other:?} (expected off or shared)"),
                         ))
                     }
                 };

@@ -166,33 +166,6 @@ pub fn canonical_npn_u64(table: u64, vars: usize) -> u64 {
     best
 }
 
-/// [`canonical_npn_u64`] behind a process-wide memo.
-///
-/// Canonicalization is a pure function of `(table, vars)` and real
-/// netlists draw their small-cone functions from a modest pool, so one
-/// bounded, process-lifetime table turns the repeat cost into a hash
-/// probe — across the trees of one run, across runs, and across daemon
-/// requests alike. The memo stops growing at a fixed cap (further
-/// misses are computed but not stored), so a pathological table stream
-/// cannot balloon resident memory.
-pub fn canonical_npn_u64_cached(table: u64, vars: usize) -> u64 {
-    use std::collections::HashMap;
-    use std::sync::{OnceLock, RwLock};
-    const MEMO_CAP: usize = 1 << 20;
-    static MEMO: OnceLock<RwLock<HashMap<(u64, u8), u64>>> = OnceLock::new();
-    let memo = MEMO.get_or_init(|| RwLock::new(HashMap::new()));
-    let key = (table, vars as u8);
-    if let Some(&canon) = memo.read().expect("canon memo poisoned").get(&key) {
-        return canon;
-    }
-    let canon = canonical_npn_u64(table, vars);
-    let mut write = memo.write().expect("canon memo poisoned");
-    if write.len() < MEMO_CAP {
-        write.insert(key, canon);
-    }
-    canon
-}
-
 /// A recorded element of the NPN group: the transform that carries a
 /// table onto its canonical form.
 ///

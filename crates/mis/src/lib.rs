@@ -44,9 +44,8 @@ mod mapper;
 
 pub use act1::{act1_library, ACT1_MAX_VARS};
 pub use canon::{
-    apply_npn_u64, canonical_npn, canonical_npn_u64, canonical_npn_u64_cached,
-    canonical_npn_with_transform, count_npn_classes, count_p_classes_nonconstant, NpnTransform,
-    MAX_CANON_VARS,
+    apply_npn_u64, canonical_npn, canonical_npn_u64, canonical_npn_with_transform,
+    count_npn_classes, count_p_classes_nonconstant, NpnTransform, MAX_CANON_VARS,
 };
 pub use decomp::binary_decompose;
 pub use library::Library;

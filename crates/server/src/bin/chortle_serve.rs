@@ -116,7 +116,7 @@ fn print_client_help() {
     println!("Client options:");
     println!("  -k N                LUT input count (default 4)");
     println!("  --jobs N            accepted and ignored; each request maps on one daemon worker");
-    println!("  --cache MODE        DP cache: shared (default), fn, or off");
+    println!("  --cache MODE        DP cache: shared (default) or off");
     println!("  --objective GOAL    area (default) or depth");
     println!("  --no-optimize       skip the MIS-style optimization script");
     println!(
@@ -166,10 +166,9 @@ fn parse_client_args(
                 req.cache = match value("--cache")?.as_str() {
                     "off" => chortle::CacheMode::Off,
                     "shared" => chortle::CacheMode::Shared,
-                    "fn" => chortle::CacheMode::Fn,
                     other => {
                         return Err(format!(
-                            "invalid value for --cache: {other:?} (expected off, shared or fn)"
+                            "invalid value for --cache: {other:?} (expected off or shared)"
                         ))
                     }
                 }
@@ -340,11 +339,9 @@ fn client_main(mut args: impl Iterator<Item = String>) -> ExitCode {
                     "uptime {uptime_s}s, queue depth {queue_depth} (high water {queue_high_water})"
                 );
                 eprintln!(
-                    "warm cache: {} shapes ({:.1}% hit), {} fn classes ({:.1}% hit)",
+                    "warm cache: {} shapes ({:.1}% hit)",
                     warm.shapes,
-                    warm.hit_rate() * 100.0,
-                    warm.fn_entries,
-                    warm.fn_hit_rate() * 100.0
+                    warm.hit_rate() * 100.0
                 );
                 println!("{report_json}");
                 ExitCode::SUCCESS
@@ -356,13 +353,12 @@ fn client_main(mut args: impl Iterator<Item = String>) -> ExitCode {
             MetricsReply::Metrics(m) => {
                 eprintln!(
                     "window {}s ({} observed): {:.2} qps, shed {:.1}%, \
-                     cache hit {:.1}% / fn {:.1}%",
+                     cache hit {:.1}%",
                     m.window_s,
                     m.seconds,
                     m.qps,
                     m.shed_rate * 100.0,
-                    m.cache_hit_rate * 100.0,
-                    m.fn_cache_hit_rate * 100.0
+                    m.cache_hit_rate * 100.0
                 );
                 eprintln!(
                     "latency p50 {}ns p95 {}ns p99 {}ns; window {}/{}/{} \

@@ -247,9 +247,8 @@ pub enum StatsReply {
         /// Completed-request traces evicted from the bounded
         /// `op: "trace"` ring (`None` on v1 — its shape is frozen).
         trace_dropped: Option<u64>,
-        /// Per-tier warm-cache entry counts and lookup tallies
-        /// (hit rates via [`WarmStats::hit_rate`] /
-        /// [`WarmStats::fn_hit_rate`]).
+        /// Warm-cache entry count and lookup tallies (hit rate via
+        /// [`WarmStats::hit_rate`]).
         warm: WarmStats,
         /// The aggregate server report, re-serialized.
         report_json: String,
@@ -295,7 +294,7 @@ pub enum ShutdownReply {
 }
 
 /// Parses the `"cache"` object of a `stats` response into the typed
-/// per-tier tallies.
+/// tallies.
 fn parse_warm_stats(tiers: &Value) -> Result<WarmStats, String> {
     let field = |key: &str| -> Result<u64, String> {
         tiers
@@ -305,11 +304,9 @@ fn parse_warm_stats(tiers: &Value) -> Result<WarmStats, String> {
     };
     Ok(WarmStats {
         shapes: field("shapes")? as usize,
-        fn_entries: field("fn_entries")? as usize,
         hits: field("hits")?,
         misses: field("misses")?,
-        fn_hits: field("fn_hits")?,
-        fn_misses: field("fn_misses")?,
+        ..WarmStats::default()
     })
 }
 
@@ -524,7 +521,6 @@ fn parse_metrics(value: &Value) -> Result<MetricsSnapshot, String> {
         qps: float("qps")?,
         shed_rate: float("shed_rate")?,
         cache_hit_rate: float("cache_hit_rate")?,
-        fn_cache_hit_rate: float("fn_cache_hit_rate")?,
         p50_ns: int("p50_ns")?,
         p95_ns: int("p95_ns")?,
         p99_ns: int("p99_ns")?,
@@ -902,11 +898,9 @@ mod tests {
         }
         let tiers = WarmStats {
             shapes: 6,
-            fn_entries: 3,
             hits: 8,
             misses: 2,
-            fn_hits: 5,
-            fn_misses: 5,
+            ..WarmStats::default()
         };
         let gauges = crate::proto::StatsGauges {
             cache_generation: 1,
@@ -927,7 +921,6 @@ mod tests {
                 assert_eq!((uptime_s, queue_depth, queue_high_water), (9, 0, 4));
                 assert_eq!(warm, tiers);
                 assert!((warm.hit_rate() - 0.8).abs() < 1e-12);
-                assert!((warm.fn_hit_rate() - 0.5).abs() < 1e-12);
             }
             other => panic!("expected StatsOk, got {other:?}"),
         }

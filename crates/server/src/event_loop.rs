@@ -692,13 +692,8 @@ fn exposition(shared: &Arc<Shared>) -> String {
         ),
         (
             "serve.window_cache_hit_rate",
-            "Structural warm-cache hit rate over the sliding window.",
+            "Warm-cache hit rate over the sliding window.",
             m.cache_hit_rate,
-        ),
-        (
-            "serve.window_fn_cache_hit_rate",
-            "Functional warm-cache hit rate over the sliding window.",
-            m.fn_cache_hit_rate,
         ),
     ];
     prom::render_exposition(&report, gauges)

@@ -35,7 +35,7 @@
 //!   drains in-flight work, and yields a final aggregate telemetry
 //!   report (`serve.*` counters plus the `serve.queue_ns`,
 //!   `serve.run_ns`, and `serve.admission.client_depth` histograms,
-//!   schema `chortle-telemetry/v1.8`);
+//!   schema `chortle-telemetry/v1.9`);
 //! - **live introspection**: `op: "stats"` answers uptime, per-op
 //!   request counters, queue depth and high-water mark, and the latency
 //!   histograms without disturbing the workers; `op: "trace"` dumps a

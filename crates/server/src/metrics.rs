@@ -5,7 +5,7 @@
 //! dashboards want *rates over the recent past*. This module keeps a
 //! bounded ring of per-second [`Cum`] deltas (one bucket per elapsed
 //! second, at most [`WindowAggregator::window_s`] of them) and derives
-//! windowed qps, shed rate, per-tier cache hit rates, and latency
+//! windowed qps, shed rate, the cache hit rate, and latency
 //! quantiles from their sum.
 //!
 //! Two invariants make the numbers trustworthy:
@@ -46,14 +46,10 @@ pub(crate) struct Cum {
     /// Requests shed at admission (`serve.admission.shed_over_quota`
     /// plus `serve.admission.shed_queue_full`).
     pub shed: u64,
-    /// Structural warm-cache tier lookup hits.
+    /// Warm-cache lookup hits.
     pub hits: u64,
-    /// Structural warm-cache tier lookup misses.
+    /// Warm-cache lookup misses.
     pub misses: u64,
-    /// Functional warm-cache tier lookup hits.
-    pub fn_hits: u64,
-    /// Functional warm-cache tier lookup misses.
-    pub fn_misses: u64,
     /// The `serve.run_ns` execution-latency histogram.
     pub run_hist: Histogram,
 }
@@ -68,8 +64,6 @@ impl Cum {
             shed: 0,
             hits: 0,
             misses: 0,
-            fn_hits: 0,
-            fn_misses: 0,
             run_hist: Histogram::new(),
         }
     }
@@ -85,8 +79,6 @@ impl Cum {
                 + counter(stats::ADMISSION_SHED_QUEUE_FULL),
             hits: warm.hits,
             misses: warm.misses,
-            fn_hits: warm.fn_hits,
-            fn_misses: warm.fn_misses,
             run_hist: report
                 .histogram(stats::HIST_RUN_NS)
                 .cloned()
@@ -103,8 +95,6 @@ impl Cum {
             shed: self.shed.saturating_sub(earlier.shed),
             hits: self.hits.saturating_sub(earlier.hits),
             misses: self.misses.saturating_sub(earlier.misses),
-            fn_hits: self.fn_hits.saturating_sub(earlier.fn_hits),
-            fn_misses: self.fn_misses.saturating_sub(earlier.fn_misses),
             run_hist: self.run_hist.diff(&earlier.run_hist),
         }
     }
@@ -116,8 +106,6 @@ impl Cum {
         self.shed += other.shed;
         self.hits += other.hits;
         self.misses += other.misses;
-        self.fn_hits += other.fn_hits;
-        self.fn_misses += other.fn_misses;
         self.run_hist.merge(&other.run_hist);
     }
 }
@@ -207,7 +195,6 @@ impl WindowAggregator {
             qps: window.completed as f64 / seconds.max(1) as f64,
             shed_rate: rate(window.shed, window.accepted + window.shed),
             cache_hit_rate: rate(window.hits, window.hits + window.misses),
-            fn_cache_hit_rate: rate(window.fn_hits, window.fn_hits + window.fn_misses),
             p50_ns: window.run_hist.quantile(0.5),
             p95_ns: window.run_hist.quantile(0.95),
             p99_ns: window.run_hist.quantile(0.99),

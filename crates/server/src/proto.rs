@@ -22,7 +22,7 @@
 //! verbatim), `op` (`"map"` default, `"flush"`, `"stats"`, `"trace"`,
 //! `"shutdown"`); for `op: "map"` also `blif` (required), `k` (default
 //! 4), `jobs` (accepted and ignored), `cache`
-//! (`"shared"`/`"off"`/`"fn"`), `objective` (`"area"`/`"depth"`),
+//! (`"shared"`/`"off"`), `objective` (`"area"`/`"depth"`),
 //! `optimize` (default true) and `deadline_ms`. Unknown keys, unknown
 //! enum values, and admin requests carrying map-only keys are rejected
 //! — a versioned protocol fails loudly instead of guessing.
@@ -30,7 +30,11 @@
 //! `"cache":"tree"` names a retired mode that cached within one run
 //! only. Frames are frozen, so both versions still accept it, as
 //! `"off"`: neither mode ever touched the warm cache, and both map to
-//! the same bytes. The renderer never writes it.
+//! the same bytes. `"cache":"fn"` names a retired functional (NPN) tier
+//! in front of the shared store; both versions accept it as
+//! `"shared"`, whose blind-skeleton key already unites every tree that
+//! tier did, and both map to the same bytes. The renderer writes
+//! neither.
 //!
 //! ## v2 additions (see DESIGN.md §15)
 //!
@@ -542,11 +546,11 @@ fn parse_map_fields(
             // "tree" is the retired run-private mode, accepted as "off":
             // neither touched the warm cache, and their bytes are equal.
             Some("off" | "tree") => CacheMode::Off,
-            Some("shared") => CacheMode::Shared,
-            Some("fn") => CacheMode::Fn,
+            // "fn" is the retired functional tier, accepted as "shared".
+            Some("shared" | "fn") => CacheMode::Shared,
             _ => {
                 return Err(fail(format!(
-                    "\"cache\" must be \"off\", \"shared\" or \"fn\", found {}",
+                    "\"cache\" must be \"off\" or \"shared\", found {}",
                     describe(v)
                 )))
             }
@@ -710,7 +714,6 @@ fn write_map_knobs(out: &mut String, req: &MapRequest, version: ProtocolVersion)
     let cache = match req.cache {
         CacheMode::Off => "off",
         CacheMode::Shared => "shared",
-        CacheMode::Fn => "fn",
     };
     let objective = match req.objective {
         Objective::Area => "area",
@@ -934,11 +937,9 @@ pub struct StatsGauges {
 
 /// Renders the success response of a `stats` request: the live gauges
 /// (uptime, queue depth and its high-water mark, cache generation),
-/// the per-tier warm-cache tallies (`cache`: entry counts plus lookup
-/// hits/misses for the structural and functional tiers — hit rates are
-/// the obvious ratios, computed client-side via
-/// [`chortle::WarmStats::hit_rate`] and
-/// [`chortle::WarmStats::fn_hit_rate`]), and the aggregate server
+/// the warm-cache tallies (`cache`: entry count plus lookup hits and
+/// misses — the hit rate is computed client-side via
+/// [`chortle::WarmStats::hit_rate`]), and the aggregate server
 /// report (which carries the per-op request counters and the
 /// `serve.queue_ns`/`serve.run_ns` latency histograms).
 pub fn render_stats_ok(
@@ -967,9 +968,8 @@ pub fn render_stats_ok(
         out.push_str(&format!(",\"trace_dropped\":{trace_dropped}"));
     }
     out.push_str(&format!(
-        ",\"cache\":{{\"shapes\":{},\"fn_entries\":{},\"hits\":{},\"misses\":{}\
-         ,\"fn_hits\":{},\"fn_misses\":{}}},\"report\":",
-        warm.shapes, warm.fn_entries, warm.hits, warm.misses, warm.fn_hits, warm.fn_misses
+        ",\"cache\":{{\"shapes\":{},\"hits\":{},\"misses\":{}}},\"report\":",
+        warm.shapes, warm.hits, warm.misses
     ));
     out.push_str(report_json);
     out.push('}');
@@ -995,10 +995,8 @@ pub struct MetricsSnapshot {
     /// Shed admissions over total admission attempts in the window
     /// (`0..=1`).
     pub shed_rate: f64,
-    /// Structural-tier warm-cache hit rate over the window (`0..=1`).
+    /// Warm-cache hit rate over the window (`0..=1`).
     pub cache_hit_rate: f64,
-    /// Functional-tier warm-cache hit rate over the window (`0..=1`).
-    pub fn_cache_hit_rate: f64,
     /// Median request execution time in the window, nanoseconds.
     pub p50_ns: u64,
     /// 95th-percentile execution time in the window, nanoseconds.
@@ -1034,7 +1032,6 @@ pub fn render_metrics_ok(id: &str, m: &MetricsSnapshot) -> String {
         ("qps", m.qps),
         ("shed_rate", m.shed_rate),
         ("cache_hit_rate", m.cache_hit_rate),
-        ("fn_cache_hit_rate", m.fn_cache_hit_rate),
     ] {
         let _ = write!(out, ",\"{key}\":");
         json::write_f64(&mut out, value);
@@ -1199,16 +1196,20 @@ mod tests {
 
     #[test]
     fn the_retired_tree_cache_mode_parses_as_off() {
+        use chortle::CacheMode::{Off, Shared};
         for proto in [PROTOCOL_V1, PROTOCOL_V2] {
-            let req = parse_request(&map_line(proto, r#","cache":"tree""#)).expect("parses");
-            let Op::Map(m) = req.op else {
-                panic!("expected map")
-            };
-            assert_eq!(m.cache, chortle::CacheMode::Off, "{proto}");
+            for (spelling, mode) in [("tree", Off), ("fn", Shared)] {
+                let line = map_line(proto, &format!(r#","cache":"{spelling}""#));
+                let req = parse_request(&line).expect("parses");
+                let Op::Map(m) = req.op else {
+                    panic!("expected map")
+                };
+                assert_eq!(m.cache, mode, "{proto} {spelling}");
+            }
         }
         let err = parse_request(&map_line(PROTOCOL_V2, r#","cache":"ram""#)).unwrap_err();
         assert!(
-            err.detail.contains("\"off\", \"shared\" or \"fn\""),
+            err.detail.contains("\"off\" or \"shared\""),
             "{}",
             err.detail
         );
@@ -1668,7 +1669,6 @@ mod tests {
             qps: 3.0,
             shed_rate: 0.25,
             cache_hit_rate: 0.5,
-            fn_cache_hit_rate: 0.0,
             p50_ns: 725,
             p95_ns: 1024,
             p99_ns: 1024,
@@ -1684,7 +1684,7 @@ mod tests {
             ok,
             "{\"proto\":\"chortle-serve/v2\",\"id\":\"m\",\"status\":\"ok\",\
              \"op\":\"metrics\",\"window_s\":60,\"seconds\":2,\"qps\":3,\
-             \"shed_rate\":0.25,\"cache_hit_rate\":0.5,\"fn_cache_hit_rate\":0,\
+             \"shed_rate\":0.25,\"cache_hit_rate\":0.5,\
              \"p50_ns\":725,\"p95_ns\":1024,\"p99_ns\":1024,\
              \"window\":{\"accepted\":6,\"completed\":6,\"shed\":2},\
              \"cumulative\":{\"accepted\":6,\"completed\":6,\"shed\":2}}"
@@ -1764,11 +1764,9 @@ mod tests {
                 },
                 &WarmStats {
                     shapes: 5,
-                    fn_entries: 2,
                     hits: 10,
                     misses: 4,
-                    fn_hits: 3,
-                    fn_misses: 1,
+                    ..WarmStats::default()
                 },
                 "{\"schema\":\"x\"}",
             ),
@@ -1814,11 +1812,9 @@ mod tests {
         );
         let tiers = stats.get("cache").expect("stats carries a cache object");
         assert_eq!(tiers.get("shapes").and_then(Value::as_u64), Some(5));
-        assert_eq!(tiers.get("fn_entries").and_then(Value::as_u64), Some(2));
         assert_eq!(tiers.get("hits").and_then(Value::as_u64), Some(10));
         assert_eq!(tiers.get("misses").and_then(Value::as_u64), Some(4));
-        assert_eq!(tiers.get("fn_hits").and_then(Value::as_u64), Some(3));
-        assert_eq!(tiers.get("fn_misses").and_then(Value::as_u64), Some(1));
+        assert_eq!(tiers.as_object().map(<[_]>::len), Some(3));
         let rej = chortle_telemetry::json::parse(&cases[4]).unwrap();
         assert_eq!(
             rej.get("reason").and_then(Value::as_str),

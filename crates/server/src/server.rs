@@ -248,7 +248,7 @@ impl ServeOptionsBuilder {
 pub struct ServerSummary {
     /// The aggregate server telemetry report (`serve.*` counters, the
     /// per-request stage, the latency and client-depth histograms) —
-    /// schema-valid `chortle-telemetry/v1.8`.
+    /// schema-valid `chortle-telemetry/v1.9`.
     pub report: Report,
     /// Final warm-cache generation.
     pub cache_generation: u64,

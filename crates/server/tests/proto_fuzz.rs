@@ -27,7 +27,7 @@ fn map_request() -> MapRequest {
         blif: ".model m\n.inputs a b\n.outputs z\n.names a b z\n11 1\n.end\n".into(),
         k: 5,
         jobs: 2,
-        cache: CacheMode::Fn,
+        cache: CacheMode::Shared,
         objective: Objective::Depth,
         optimize: false,
         deadline_ms: Some(125),
@@ -172,12 +172,12 @@ fn every_cache_spelling_is_accepted_or_rejected_typed() {
         .collect();
     assert_eq!(frames.len(), 4, "v1 map, v2 map, map_design, map_batch");
     for frame in &frames {
-        assert!(frame.contains("\"cache\":\"fn\""), "{frame}");
+        assert!(frame.contains("\"cache\":\"shared\""), "{frame}");
         for (spelling, want) in [
             ("\"off\"", Some(CacheMode::Off)),
             ("\"tree\"", Some(CacheMode::Off)),
             ("\"shared\"", Some(CacheMode::Shared)),
-            ("\"fn\"", Some(CacheMode::Fn)),
+            ("\"fn\"", Some(CacheMode::Shared)),
             ("\"TREE\"", None),
             ("\"\"", None),
             ("\"ram\"", None),
@@ -187,7 +187,7 @@ fn every_cache_spelling_is_accepted_or_rejected_typed() {
             ("[\"off\"]", None),
             ("{\"mode\":\"off\"}", None),
         ] {
-            let line = frame.replace("\"cache\":\"fn\"", &format!("\"cache\":{spelling}"));
+            let line = frame.replace("\"cache\":\"shared\"", &format!("\"cache\":{spelling}"));
             match (check(&line), want) {
                 (Ok(()), Some(mode)) => {
                     let caches: Vec<CacheMode> = match parse_request(&line).unwrap().op {

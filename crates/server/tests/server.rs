@@ -129,7 +129,7 @@ fn responses_are_byte_identical_to_the_offline_pipeline() {
         let baseline = offline(blif, 4, Objective::Area, true);
         let mut sent = 0;
         for jobs in [1, 4] {
-            for cache in [CacheMode::Off, CacheMode::Shared, CacheMode::Fn] {
+            for cache in [CacheMode::Off, CacheMode::Shared] {
                 let mut req = request(blif);
                 req.jobs = jobs;
                 req.cache = cache;
@@ -142,7 +142,7 @@ fn responses_are_byte_identical_to_the_offline_pipeline() {
                 sent += 1;
             }
         }
-        assert_eq!(sent, 6);
+        assert_eq!(sent, 4);
 
         // Warm repeat (shared cache already populated by the loop above).
         let mapped = expect_mapped(
@@ -167,9 +167,9 @@ fn responses_are_byte_identical_to_the_offline_pipeline() {
     }
 
     let summary = shut_down(&addr, run);
-    assert_eq!(summary.report.counter("serve.completed"), Some(24));
-    assert_eq!(summary.report.counter("serve.accepted"), Some(24));
-    assert_eq!(summary.report.counter("serve.admission.admitted"), Some(24));
+    assert_eq!(summary.report.counter("serve.completed"), Some(18));
+    assert_eq!(summary.report.counter("serve.accepted"), Some(18));
+    assert_eq!(summary.report.counter("serve.admission.admitted"), Some(18));
 }
 
 #[test]
@@ -573,33 +573,29 @@ fn flush_bumps_the_generation_and_empties_the_warm_cache() {
 
 #[test]
 fn fn_cache_requests_reuse_the_functional_tier_across_requests() {
+    // `"cache":"fn"` names the retired functional tier; the daemon serves
+    // it from the shared store, so repeats replay warm entries.
     let (addr, run) = start(ServeOptions::default());
     let mut client = Client::connect(&addr).expect("connect");
     let blif = write_blif(&benchmark("frg1").unwrap(), "frg1");
 
     let shared = expect_mapped(client.map("m0", &request(&blif)).expect("roundtrip"));
-    let req = MapRequest {
-        cache: CacheMode::Fn,
-        ..request(&blif)
-    };
-    let first = expect_mapped(client.map("m1", &req).expect("roundtrip"));
-    assert_eq!(
-        first.netlist, shared.netlist,
-        "the functional tier never changes the mapping"
-    );
-    let second = expect_mapped(client.map("m2", &req).expect("roundtrip"));
-    assert_eq!(second.netlist, shared.netlist);
+    let stream = TcpStream::connect(&addr).expect("connect");
+    for (version, id) in [(ProtocolVersion::V1, "m1"), (ProtocolVersion::V2, "m2")] {
+        let frame = proto::render_map_request(version, id, &request(&blif))
+            .replace("\"cache\":\"shared\"", "\"cache\":\"fn\"");
+        assert!(frame.contains("\"cache\":\"fn\""), "{frame}");
+        match &burst(&stream, &[frame], 1)[id] {
+            Response::MapOk { netlist, .. } => assert_eq!(*netlist, shared.netlist, "{id}"),
+            other => panic!("{id}: expected MapOk, got {other:?}"),
+        }
+    }
 
     match client.stats("s").expect("roundtrip") {
         StatsReply::Stats { warm, .. } => {
-            assert!(warm.shapes > 0, "structural tier populated: {warm:?}");
-            assert!(warm.fn_entries > 0, "functional tier populated: {warm:?}");
-            assert!(
-                warm.fn_hits > 0,
-                "repeat fn requests replay warm functional entries: {warm:?}"
-            );
-            assert!(warm.hit_rate() > 0.0);
-            assert!(warm.fn_hit_rate() > 0.0);
+            assert!(warm.shapes > 0, "store populated: {warm:?}");
+            assert!(warm.hits > 0, "fn requests replay warm entries: {warm:?}");
+            assert_eq!((warm.fn_hits, warm.fn_misses), (0, 0), "{warm:?}");
         }
         other => panic!("expected Stats, got {other:?}"),
     }

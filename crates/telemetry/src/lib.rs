@@ -35,7 +35,9 @@
 //! can mirror into a handle, and Prometheus text exposition of any
 //! report ([`prom`]). Schema v1.8 drops the per-wavefront occupancy
 //! array and the scheduler trace scope with the parallel forest mapper
-//! they described.
+//! they described. Schema v1.9 drops the mapper's `cache.fn_*` counters
+//! and the metrics window's `fn_cache_hit_rate` with the functional
+//! cache tier they described.
 //!
 //! # Examples
 //!
@@ -76,7 +78,7 @@ pub use trace::{
 
 /// Identifier of the report layout, embedded in every JSON report and
 /// checked by [`schema::validate_report`].
-pub const SCHEMA: &str = "chortle-telemetry/v1.8";
+pub const SCHEMA: &str = "chortle-telemetry/v1.9";
 
 /// Default capacity (in events) of a traced handle's event store.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;

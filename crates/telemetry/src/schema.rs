@@ -45,19 +45,12 @@ pub const SERVE_COUNTERS: &[&str] = &[
 pub const TRACE_COUNTERS: &[&str] = &["trace.events", "trace.dropped"];
 
 /// The documented counters of the reserved `cache.` namespace — the
-/// mapper's DP-result cache statistics. Closed since schema v1.5,
-/// which added the functional (`cache.fn_*`) tier: [`validate_report`]
-/// rejects any other `cache.*` name, so a mistyped or undocumented
-/// cache counter fails validation instead of shipping silently.
-pub const CACHE_COUNTERS: &[&str] = &[
-    "cache.hits",
-    "cache.misses",
-    "cache.replayed_luts",
-    // Schema v1.5: the NPN-canonical functional tier (CacheMode::Fn).
-    "cache.fn_hits",
-    "cache.fn_misses",
-    "cache.fn_replayed_luts",
-];
+/// mapper's DP-result cache statistics. Closed since schema v1.5:
+/// [`validate_report`] rejects any other `cache.*` name, so a mistyped
+/// or undocumented cache counter fails validation instead of shipping
+/// silently. Schema v1.9 dropped the functional tier's `cache.fn_*`
+/// counters with the tier.
+pub const CACHE_COUNTERS: &[&str] = &["cache.hits", "cache.misses", "cache.replayed_luts"];
 
 /// The documented counters of the reserved `design.` namespace — the
 /// sequential-design mapping pipeline (register-bounded combinational
@@ -245,7 +238,6 @@ pub fn validate_metrics_fragment(value: &Value) -> Result<(), String> {
             "qps",
             "shed_rate",
             "cache_hit_rate",
-            "fn_cache_hit_rate",
             "p50_ns",
             "p95_ns",
             "p99_ns",
@@ -259,21 +251,17 @@ pub fn validate_metrics_fragment(value: &Value) -> Result<(), String> {
     if qps < 0.0 {
         return Err(format!("$metrics.qps is {qps}, expected >= 0"));
     }
-    for (idx, key) in [
-        (3, "shed_rate"),
-        (4, "cache_hit_rate"),
-        (5, "fn_cache_hit_rate"),
-    ] {
+    for (idx, key) in [(3, "shed_rate"), (4, "cache_hit_rate")] {
         let rate = expect_number(&members[idx].1, &format!("$metrics.{key}"))?;
         if !(0.0..=1.0).contains(&rate) {
             return Err(format!("$metrics.{key} is {rate}, expected 0..=1"));
         }
     }
-    for (idx, key) in [(6, "p50_ns"), (7, "p95_ns"), (8, "p99_ns")] {
+    for (idx, key) in [(5, "p50_ns"), (6, "p95_ns"), (7, "p99_ns")] {
         expect_u64(&members[idx].1, &format!("$metrics.{key}"))?;
     }
     let mut totals = [[0u64; 3]; 2];
-    for (slot, (idx, section)) in [(9usize, "window"), (10, "cumulative")].iter().enumerate() {
+    for (slot, (idx, section)) in [(8usize, "window"), (9, "cumulative")].iter().enumerate() {
         let path = format!("$metrics.{section}");
         let fields = expect_keys(&members[*idx].1, &path, &["accepted", "completed", "shed"])?;
         for (j, (key, v)) in fields.iter().enumerate() {
@@ -394,7 +382,7 @@ mod tests {
 
     #[test]
     fn rejects_wrong_schema_tag() {
-        let json = sample_report().replace("chortle-telemetry/v1.8", "bogus/v0");
+        let json = sample_report().replace("chortle-telemetry/v1.9", "bogus/v0");
         let err = validate_report(&json).unwrap_err();
         assert!(err.contains("$.schema"), "{err}");
     }
@@ -402,7 +390,7 @@ mod tests {
     #[test]
     fn rejects_missing_and_extra_keys() {
         let err =
-            validate_report(r#"{"schema":"chortle-telemetry/v1.8","enabled":true}"#).unwrap_err();
+            validate_report(r#"{"schema":"chortle-telemetry/v1.9","enabled":true}"#).unwrap_err();
         assert!(err.contains("expected"), "{err}");
         let json = sample_report().replace("\"counters\":", "\"extras\":");
         assert!(validate_report(&json).is_err());
@@ -482,11 +470,14 @@ mod tests {
             t.add_counter(name, 1);
         }
         validate_report(&t.snapshot().to_json()).expect("documented cache counters validate");
-        // … while an undocumented one (e.g. a typo) is rejected by name.
-        let t = Telemetry::enabled();
-        t.add_counter("cache.fn_hit", 1);
-        let err = validate_report(&t.snapshot().to_json()).unwrap_err();
-        assert!(err.contains("cache.fn_hit"), "{err}");
+        // … while an undocumented one (a typo, or a counter of the
+        // retired functional tier) is rejected by name.
+        for name in ["cache.fn_hit", "cache.fn_hits"] {
+            let t = Telemetry::enabled();
+            t.add_counter(name, 1);
+            let err = validate_report(&t.snapshot().to_json()).unwrap_err();
+            assert!(err.contains(name), "{err}");
+        }
         // pack.* remains open alongside the closed namespaces.
         let t = Telemetry::enabled();
         t.add_counter("pack.dropped_inputs", 1);
@@ -539,7 +530,7 @@ mod tests {
     #[test]
     fn metrics_fragment_validates_shape_and_arithmetic() {
         let good = r#"{"window_s":60,"seconds":2,"qps":3.0,"shed_rate":0.25,
-            "cache_hit_rate":0.5,"fn_cache_hit_rate":0.0,
+            "cache_hit_rate":0.5,
             "p50_ns":725,"p95_ns":1024,"p99_ns":1024,
             "window":{"accepted":6,"completed":6,"shed":2},
             "cumulative":{"accepted":6,"completed":6,"shed":2}}"#;

@@ -211,8 +211,7 @@ pub struct Trace {
 impl Trace {
     /// The run-independent projection: every event, in merge order,
     /// without worker ids or timestamps. For one mapping run this is
-    /// bit-identical across `--cache` settings and warm-cache states,
-    /// except that `fn` adds its `map.fnmeta` stage span
+    /// bit-identical across `--cache` settings and warm-cache states
     /// (property-tested in `crates/chortle`).
     pub fn identity(&self) -> Vec<IdentityEvent> {
         self.events

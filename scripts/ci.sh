@@ -49,22 +49,20 @@ grep -q '"ph":"B"' "$trace_tmp/run.json" \
   || { echo "ci: trace file has no begin events" >&2; exit 1; }
 rm -rf "$trace_tmp"
 
-echo "==> cache identity smoke (--cache off vs shared/fn)"
+echo "==> cache identity smoke (--cache off vs shared)"
 ref="$(printf "$smoke_blif" \
   | cargo run -q -p chortle-cli --bin chortle-map -- --cache off)"
-for mode in shared fn; do
-  out="$(printf "$smoke_blif" \
-    | cargo run -q -p chortle-cli --bin chortle-map -- --cache "$mode")"
-  [[ "$out" == "$ref" ]] \
-    || { echo "ci: --cache $mode changed the circuit" >&2; exit 1; }
-done
+out="$(printf "$smoke_blif" \
+  | cargo run -q -p chortle-cli --bin chortle-map -- --cache shared)"
+[[ "$out" == "$ref" ]] \
+  || { echo "ci: --cache shared changed the circuit" >&2; exit 1; }
 
 echo "==> don't-care packing smoke (--pack dc, equivalence-checked in-process)"
 # The dc post-pass proves equivalence internally (it refuses to emit an
 # unproven merge); here we check the other contract: it never increases
 # the LUT count.
 packed="$(printf "$smoke_blif" \
-  | cargo run -q -p chortle-cli --bin chortle-map -- --cache fn --pack dc)"
+  | cargo run -q -p chortle-cli --bin chortle-map -- --cache shared --pack dc)"
 ref_luts="$(printf '%s\n' "$ref" | grep -c '^\.names')"
 packed_luts="$(printf '%s\n' "$packed" | grep -c '^\.names')"
 [[ "$packed_luts" -le "$ref_luts" ]] \
@@ -98,7 +96,7 @@ done
 # netlist must be byte-identical to the offline CLI under the same flags.
 client_flags=("-k 4 --cache shared --jobs 1" \
               "-k 5 --cache off --jobs 2 --objective depth" \
-              "-k 4 --cache fn --no-optimize")
+              "-k 4 --cache shared --no-optimize")
 client_pids=()
 for i in 0 1 2; do
   printf "$smoke_blif" | cargo run -q -p chortle-server --bin chortle-serve -- \
