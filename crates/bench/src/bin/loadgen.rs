@@ -79,7 +79,7 @@ use chortle_server::{
     proto, BatchReply, Client, FlushReply, MapReply, MapRequest, Mapped, MetricsReply,
     MetricsSnapshot, ProtocolVersion, Response, ServeOptions, Server, ShutdownReply, StatsReply,
 };
-use chortle_telemetry::{json, Histogram};
+use chortle_telemetry::{catalogue, json, Histogram};
 
 /// Passes over the workload per phase (cold flushes before each pass).
 const PASSES: usize = 3;
@@ -787,7 +787,7 @@ fn main() {
                 name,
             );
             server_run.record(mapped.run_ns);
-            design_clouds += report_counter(&mapped.report_json, "design.clouds");
+            design_clouds += report_counter(&mapped.report_json, catalogue::DESIGN_CLOUDS);
             mapped.netlist
         })
         .collect();
@@ -838,7 +838,7 @@ fn main() {
             queue_high_water,
             ..
         } => {
-            let live = report_histogram(&report_json, "serve.run_ns");
+            let live = report_histogram(&report_json, catalogue::SERVE_RUN_NS);
             assert_eq!(
                 live, server_run,
                 "op:\"stats\" run_ns histogram diverged from the echoed run_ns values"
@@ -863,7 +863,11 @@ fn main() {
     chortle_telemetry::schema::validate_report(&summary.report.to_json())
         .expect("final server report validates");
     assert!(
-        summary.report.counter("serve.batch_frames").unwrap_or(0) >= batch_frames as u64,
+        summary
+            .report
+            .counter(catalogue::SERVE_BATCH_FRAMES)
+            .unwrap_or(0)
+            >= batch_frames as u64,
         "the batch phase's frames are counted"
     );
 

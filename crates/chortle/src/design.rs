@@ -26,9 +26,9 @@ use chortle_netlist::{
     check_equivalence, parse_design, write_lut_blif, write_mapped_design_blif, Design,
     DesignClouds, LutCircuit, Network, ParseBlifError, ParseStats,
 };
-use chortle_telemetry::Telemetry;
+use chortle_telemetry::{catalogue, Telemetry};
 
-use crate::map::{map_network, stats, MapError, MapOptions};
+use crate::map::{map_network, MapError, MapOptions};
 
 /// A per-cloud network transform run between parsing and mapping — the
 /// design-level analogue of the CLI's `--optimize` pass. Errors are
@@ -162,12 +162,12 @@ impl From<ParseBlifError> for DesignError {
 /// Records the streaming reader's [`ParseStats`] as `blif.*` counters.
 /// A no-op on a disabled sink.
 pub fn record_parse_stats(telemetry: &Telemetry, parse: &ParseStats) {
-    telemetry.add_counter(stats::BLIF_LOGICAL_LINES, parse.logical_lines);
-    telemetry.add_counter(stats::BLIF_MODELS, parse.models);
-    telemetry.add_counter(stats::BLIF_SUBCKTS, parse.subckts);
-    telemetry.add_counter(stats::BLIF_LATCHES, parse.latches);
-    telemetry.add_counter(stats::BLIF_EXDC_BLOCKS, parse.exdc_blocks);
-    telemetry.add_counter(stats::BLIF_SKIPPED_DIRECTIVES, parse.skipped_directives);
+    telemetry.add_counter(catalogue::BLIF_LOGICAL_LINES, parse.logical_lines);
+    telemetry.add_counter(catalogue::BLIF_MODELS, parse.models);
+    telemetry.add_counter(catalogue::BLIF_SUBCKTS, parse.subckts);
+    telemetry.add_counter(catalogue::BLIF_LATCHES, parse.latches);
+    telemetry.add_counter(catalogue::BLIF_EXDC_BLOCKS, parse.exdc_blocks);
+    telemetry.add_counter(catalogue::BLIF_SKIPPED_DIRECTIVES, parse.skipped_directives);
 }
 
 /// Maps a sequential design: cuts it into combinational clouds, maps
@@ -186,11 +186,14 @@ pub fn record_parse_stats(telemetry: &Telemetry, parse: &ParseStats) {
 pub fn map_design(design: &Design, opts: &DesignOptions) -> Result<MappedDesign, DesignError> {
     let cut = design.clouds();
     let telemetry = &opts.map.telemetry;
-    telemetry.add_counter(stats::DESIGN_CLOUDS, cut.clouds.len() as u64);
-    telemetry.add_counter(stats::DESIGN_LATCHES, design.latches().len() as u64);
-    telemetry.add_counter(stats::DESIGN_PASSTHROUGHS, cut.passthroughs.len() as u64);
+    telemetry.add_counter(catalogue::DESIGN_CLOUDS, cut.clouds.len() as u64);
+    telemetry.add_counter(catalogue::DESIGN_LATCHES, design.latches().len() as u64);
+    telemetry.add_counter(
+        catalogue::DESIGN_PASSTHROUGHS,
+        cut.passthroughs.len() as u64,
+    );
     for cloud in &cut.clouds {
-        telemetry.record_value(stats::HIST_CLOUD_WORK, cloud.gates as u64);
+        telemetry.record_value(catalogue::DESIGN_CLOUD_WORK, cloud.gates as u64);
     }
 
     let clouds = cut
@@ -202,7 +205,7 @@ pub fn map_design(design: &Design, opts: &DesignOptions) -> Result<MappedDesign,
 
     let luts: usize = clouds.iter().map(|c| c.luts).sum();
     let depth = clouds.iter().map(|c| c.depth).max().unwrap_or(0);
-    telemetry.add_counter(stats::DESIGN_CLOUD_LUTS, luts as u64);
+    telemetry.add_counter(catalogue::DESIGN_CLOUD_LUTS, luts as u64);
 
     let pairs: Vec<(&Network, &LutCircuit)> =
         clouds.iter().map(|c| (&c.network, &c.circuit)).collect();
@@ -374,14 +377,16 @@ mod tests {
         opts.map.telemetry = telemetry.clone();
         map_design(&design, &opts).expect("maps");
         let report = telemetry.snapshot();
-        assert_eq!(report.counter(stats::DESIGN_CLOUDS), Some(2));
-        assert_eq!(report.counter(stats::DESIGN_LATCHES), Some(1));
-        assert_eq!(report.counter(stats::DESIGN_PASSTHROUGHS), Some(1));
-        assert!(report.counter(stats::DESIGN_CLOUD_LUTS).unwrap() >= 2);
-        assert_eq!(report.counter(stats::BLIF_MODELS), Some(1));
-        assert_eq!(report.counter(stats::BLIF_LATCHES), Some(1));
-        assert!(report.counter(stats::BLIF_LOGICAL_LINES).unwrap() > 5);
-        let hist = report.histogram(stats::HIST_CLOUD_WORK).expect("histogram");
+        assert_eq!(report.counter(catalogue::DESIGN_CLOUDS), Some(2));
+        assert_eq!(report.counter(catalogue::DESIGN_LATCHES), Some(1));
+        assert_eq!(report.counter(catalogue::DESIGN_PASSTHROUGHS), Some(1));
+        assert!(report.counter(catalogue::DESIGN_CLOUD_LUTS).unwrap() >= 2);
+        assert_eq!(report.counter(catalogue::BLIF_MODELS), Some(1));
+        assert_eq!(report.counter(catalogue::BLIF_LATCHES), Some(1));
+        assert!(report.counter(catalogue::BLIF_LOGICAL_LINES).unwrap() > 5);
+        let hist = report
+            .histogram(catalogue::DESIGN_CLOUD_WORK)
+            .expect("histogram");
         assert_eq!(hist.count(), 2);
     }
 

@@ -71,16 +71,14 @@ pub use design::{
 };
 pub use dp::Objective;
 pub use duplication::{duplicate_fanout_gates, map_network_best};
-pub use map::{
-    map_network, stats, LutCheck, MapError, MapOptions, MapOptionsBuilder, MapReport, Mapping,
-};
+pub use map::{map_network, LutCheck, MapError, MapOptions, MapOptionsBuilder, MapReport, Mapping};
 pub use pack::PackMode;
 pub use tree::{Fingerprint, FingerprintScratch, Forest, Tree, TreeChild, TreeNode};
 
 // Observability: re-exported so downstream crates need no direct
 // dependency on the telemetry crate for the common path.
 pub use chortle_telemetry::{
-    Histogram, Report as MapStats, Telemetry, Trace, TraceEvent, TraceKind, TraceScope,
+    catalogue, Histogram, Report as MapStats, Telemetry, Trace, TraceEvent, TraceKind, TraceScope,
 };
 
 /// Cost of the optimal mapping of a single tree (exposed for benches and

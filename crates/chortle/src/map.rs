@@ -5,7 +5,7 @@ use std::error::Error;
 use std::fmt;
 
 use chortle_netlist::{check_equivalence, LutCircuit, LutError, LutSource, Network, NodeId};
-use chortle_telemetry::{Histogram, Telemetry, TraceScope};
+use chortle_telemetry::{catalogue, Histogram, Telemetry, TraceScope};
 
 use crate::cache::{CacheKey, CacheMode, WarmCache};
 use crate::cancel::CancelToken;
@@ -15,145 +15,17 @@ use crate::pack::PackMode;
 use crate::sched::TreeResult;
 use crate::tree::{shape_histogram_of, Fingerprint, Forest, Tree};
 
-/// Names of the stages and counters the mapper reports into its
-/// [`Telemetry`] sink (see `DESIGN.md` §10 for the full catalogue and
-/// exact semantics). Every counter is a pure function of the input
-/// network and the options.
-pub mod stats {
-    /// Stage: network normalization (`Network::simplified`).
-    pub const STAGE_NORMALIZE: &str = "map.normalize";
-    /// Stage: fanout-free forest construction.
-    pub const STAGE_FOREST: &str = "map.forest";
-    /// Stage: wide-node pre-splitting.
-    pub const STAGE_SPLIT: &str = "map.split";
-    /// Stage: canonical reordering and renumbering of every tree (see
-    /// [`crate::Tree::canonicalize`]); runs in every cache mode so the
-    /// produced circuit never depends on the cache setting.
-    pub const STAGE_CANON: &str = "map.canon";
-    /// Stage: the subset-DP mapping of every tree, in tree order.
-    pub const STAGE_DP: &str = "map.dp";
-    /// Stage: LUT-circuit reconstruction and emission.
-    pub const STAGE_EMIT: &str = "map.emit";
-    /// Stage: the opt-in don't-care packing post-pass plus its
-    /// per-circuit equivalence verification (`--pack dc` only).
-    pub const STAGE_PACK: &str = "map.pack";
-    /// Counter: LUT inputs dropped by the don't-care packing post-pass
-    /// (emitted only under [`crate::PackMode::Dc`]).
-    pub const PACK_DROPPED_INPUTS: &str = "pack.dropped_inputs";
-    /// Counter: LUTs removed by the packing post-pass — constants,
-    /// buffers collapsed into their source, and exact duplicates merged
-    /// (emitted only under [`crate::PackMode::Dc`]).
-    pub const PACK_REMOVED_LUTS: &str = "pack.removed_luts";
-    /// Counter: utilization divisions enumerated by the DP kernels.
-    pub const DP_DIVISIONS: &str = "dp.divisions";
-    /// Counter: intermediate-node blocks examined by the submask walks.
-    pub const DP_GROUP_BLOCKS: &str = "dp.group_blocks";
-    /// Counter: submask walks skipped by the `nd_feasible` prune.
-    pub const DP_PRUNED_WALKS: &str = "dp.pruned_walks";
-    /// Counter: tree nodes pushed through a DP kernel.
-    pub const DP_TREE_NODES: &str = "dp.tree_nodes";
-    /// Counter: nodes served from the tree-local scratch high-water
-    /// capacity (see `DpCounters` for why the mark is tree-local).
-    pub const DP_SCRATCH_HITS: &str = "dp.scratch_hits";
-    /// Counter: nodes that raised the tree-local scratch high-water mark.
-    pub const DP_SCRATCH_GROWS: &str = "dp.scratch_grows";
-    /// Counter: wide tree nodes halved before mapping.
-    pub const MAP_NODES_SPLIT: &str = "map.nodes_split";
-    /// Counter: fanout-free trees in the mapped forest.
-    pub const MAP_TREES: &str = "map.trees";
-    /// Counter: trees with at most K leaf occurrences, mapped to one LUT
-    /// without a cache key, a lookup or a DP solve. A pure function of
-    /// the forest and K, identical for every cache mode.
-    pub const MAP_SINGLE_LUT_TREES: &str = "map.single_lut_trees";
-    /// Counter: DP trees whose LUT cost meets the counting lower bound
-    /// ⌈(L − 1)/(K − 1)⌉, L being the tree's leaf occurrences: trees
-    /// proved area-optimal by arithmetic alone. Reported only under
-    /// [`crate::Objective::Area`].
-    pub const MAP_TREES_AT_BOUND: &str = "map.trees_at_bound";
-    /// Counter: LUTs above the counting lower bound, summed over the DP
-    /// trees (see [`MAP_TREES_AT_BOUND`]). Reported only under
-    /// [`crate::Objective::Area`].
-    pub const MAP_BOUND_GAP: &str = "map.bound_gap";
-    /// Counter: DP trees whose cache key (blind skeleton and leaf
-    /// depths) was seen earlier in tree order. Derived from the forest,
-    /// not from store traffic, so the total is identical for every cache
-    /// mode and whatever a warm cache already held (a run without one
-    /// replays nothing). Reported only when caching is on
-    /// ([`crate::CacheMode::Off`] emits no `cache.*` counters).
-    pub const CACHE_HITS: &str = "cache.hits";
-    /// Counter: DP trees whose cache key is the first of its kind in
-    /// tree order — the distinct keys of the forest.
-    /// `hits + misses + map.single_lut_trees == map.trees`.
-    pub const CACHE_MISSES: &str = "cache.misses";
-    /// Counter: LUTs in the covers of the trees counted by
-    /// [`CACHE_HITS`].
-    pub const CACHE_REPLAYED_LUTS: &str = "cache.replayed_luts";
-    /// Trace span: one tree's DP mapping (`Tree` scope, index = tree
-    /// order; begin arg = tree node count, end arg = the tree's LUT
-    /// cost). Only the timestamps differ between runs.
-    pub const TRACE_TREE: &str = "map.tree";
-    /// Trace instant: the tree is the *first* occurrence of its cache
-    /// key in tree order (arg = LUT cost). Derived from the forest, like
-    /// [`CACHE_HITS`], so the classification is identical for every
-    /// cache mode.
-    pub const TRACE_SOLVE: &str = "dp.solve";
-    /// Trace instant: the tree's cache key was seen earlier in tree
-    /// order (arg = LUT cost). See [`TRACE_SOLVE`].
-    pub const TRACE_REPLAY: &str = "dp.replay";
-    /// Trace instant: the tree fits one LUT and skipped the DP (arg = 1,
-    /// its LUT cost). See [`MAP_SINGLE_LUT_TREES`].
-    pub const TRACE_SINGLE_LUT: &str = "map.single_lut";
-    /// Histogram: per-tree mapping wall time, nanoseconds. Bucketing is
-    /// exact and merging is associative, but wall time itself varies
-    /// run to run.
-    pub const HIST_TREE_NS: &str = "map.tree_ns";
-    /// Histogram: per-tree DP work, measured in utilization divisions
-    /// (not nanoseconds), one sample per tree that went through the DP
-    /// (single-LUT trees record none) — a deterministic work
-    /// distribution that is bit-identical for every cache mode.
-    pub const HIST_TREE_WORK: &str = "dp.tree_work";
-    /// Counter: combinational clouds cut from a sequential design and
-    /// mapped by [`crate::map_design`]. Deterministic — a function of
-    /// the design.
-    pub const DESIGN_CLOUDS: &str = "design.clouds";
-    /// Counter: latches in the flattened sequential design.
-    pub const DESIGN_LATCHES: &str = "design.latches";
-    /// Counter: sinks (primary outputs or latch data inputs) driven
-    /// directly by an input or a constant, bypassing mapping.
-    pub const DESIGN_PASSTHROUGHS: &str = "design.passthroughs";
-    /// Counter: LUTs across all mapped clouds of the design.
-    pub const DESIGN_CLOUD_LUTS: &str = "design.cloud_luts";
-    /// Histogram: per-cloud gate count — a deterministic size
-    /// distribution, bit-identical for every cache mode (clouds are
-    /// numbered in sink order).
-    pub const HIST_CLOUD_WORK: &str = "design.cloud_work";
-    /// Counter: logical (continuation-joined, comment-stripped) lines
-    /// the streaming BLIF reader consumed.
-    pub const BLIF_LOGICAL_LINES: &str = "blif.logical_lines";
-    /// Counter: `.model` blocks in the parsed file.
-    pub const BLIF_MODELS: &str = "blif.models";
-    /// Counter: `.subckt` instantiations expanded during flattening.
-    pub const BLIF_SUBCKTS: &str = "blif.subckts";
-    /// Counter: `.latch` directives across all models.
-    pub const BLIF_LATCHES: &str = "blif.latches";
-    /// Counter: `.exdc` blocks skipped by the reader.
-    pub const BLIF_EXDC_BLOCKS: &str = "blif.exdc_blocks";
-    /// Counter: body-less metadata directives (`.attr`, `.param`,
-    /// `.cname`, `.clock`, ...) skipped by the reader.
-    pub const BLIF_SKIPPED_DIRECTIVES: &str = "blif.skipped_directives";
-}
-
 /// Flushes a scratch arena's accumulated kernel counters into a
 /// telemetry sink, resetting them. Safe to call with a disabled sink
 /// (each add is then a no-op).
 pub(crate) fn flush_dp_counters(telemetry: &Telemetry, counters: &mut DpCounters) {
     let c = counters.take();
-    telemetry.add_counter(stats::DP_DIVISIONS, c.divisions);
-    telemetry.add_counter(stats::DP_GROUP_BLOCKS, c.group_blocks);
-    telemetry.add_counter(stats::DP_PRUNED_WALKS, c.pruned_walks);
-    telemetry.add_counter(stats::DP_TREE_NODES, c.tree_nodes);
-    telemetry.add_counter(stats::DP_SCRATCH_HITS, c.scratch_hits);
-    telemetry.add_counter(stats::DP_SCRATCH_GROWS, c.scratch_grows);
+    telemetry.add_counter(catalogue::DP_DIVISIONS, c.divisions);
+    telemetry.add_counter(catalogue::DP_GROUP_BLOCKS, c.group_blocks);
+    telemetry.add_counter(catalogue::DP_PRUNED_WALKS, c.pruned_walks);
+    telemetry.add_counter(catalogue::DP_TREE_NODES, c.tree_nodes);
+    telemetry.add_counter(catalogue::DP_SCRATCH_HITS, c.scratch_hits);
+    telemetry.add_counter(catalogue::DP_SCRATCH_GROWS, c.scratch_grows);
 }
 
 /// Configuration of the Chortle mapper.
@@ -194,7 +66,7 @@ pub struct MapOptions {
     pub objective: Objective,
     /// Observability sink the mapper reports stages, counters, and
     /// trace events into. Disabled by default (zero overhead);
-    /// see [`Telemetry::enabled`] and the [`stats`] name catalogue.
+    /// see [`Telemetry::enabled`] and the [`catalogue`] of names.
     pub telemetry: Telemetry,
     /// Cross-tree memoization of DP results ([`CacheMode::Shared`] by
     /// default). Every mode produces the identical circuit — see the
@@ -556,27 +428,27 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
     }
     let telemetry = &options.telemetry;
     let normal = {
-        let _s = telemetry.span(stats::STAGE_NORMALIZE);
+        let _s = telemetry.span(catalogue::MAP_NORMALIZE);
         network.simplified()
     };
     let mut forest = {
-        let _s = telemetry.span(stats::STAGE_FOREST);
+        let _s = telemetry.span(catalogue::MAP_FOREST);
         Forest::of(&normal)
     };
     // Never split a node that already fits the subset search and the LUT.
     let threshold = options.split_threshold.max(options.k);
     let splits = {
-        let _s = telemetry.span(stats::STAGE_SPLIT);
+        let _s = telemetry.span(catalogue::MAP_SPLIT);
         forest.split_wide_nodes(threshold)
     };
-    telemetry.add_counter(stats::MAP_NODES_SPLIT, splits as u64);
-    telemetry.add_counter(stats::MAP_TREES, forest.trees.len() as u64);
+    telemetry.add_counter(catalogue::MAP_NODES_SPLIT, splits as u64);
+    telemetry.add_counter(catalogue::MAP_TREES, forest.trees.len() as u64);
 
     // Canonicalize unconditionally — not just when caching — so the
     // emitted circuit is a function of the input and the options alone,
     // never of the cache mode (the bit-identity contract of `CacheMode`).
     let (shapes, skeletons) = {
-        let _s = telemetry.span(stats::STAGE_CANON);
+        let _s = telemetry.span(catalogue::MAP_CANON);
         forest.canonicalize_keyed()
     };
 
@@ -585,7 +457,7 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
         ..MapReport::default()
     };
     let mapped = {
-        let _s = telemetry.span(stats::STAGE_DP);
+        let _s = telemetry.span(catalogue::MAP_DP);
         crate::sched::map_forest(normal.len(), forest.trees, &skeletons, options)?
     };
     // Kernel tallies are summed here, once per tree in tree order —
@@ -612,10 +484,10 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
             None => single_lut_trees += 1,
         }
     }
-    telemetry.add_counter(stats::MAP_SINGLE_LUT_TREES, single_lut_trees);
+    telemetry.add_counter(catalogue::MAP_SINGLE_LUT_TREES, single_lut_trees);
     if options.objective == Objective::Area {
-        telemetry.add_counter(stats::MAP_TREES_AT_BOUND, trees_at_bound);
-        telemetry.add_counter(stats::MAP_BOUND_GAP, bound_gap);
+        telemetry.add_counter(catalogue::MAP_TREES_AT_BOUND, trees_at_bound);
+        telemetry.add_counter(catalogue::MAP_BOUND_GAP, bound_gap);
     }
     flush_dp_counters(telemetry, &mut kernel_tally);
     classify_trees(telemetry, options, &normal, &skeletons, &mapped);
@@ -631,13 +503,13 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
     let input_source = |id: NodeId| LutSource::Input(orig_input[id.index()]);
 
     let mut circuit: LutCircuit = {
-        let _s = telemetry.span(stats::STAGE_EMIT);
+        let _s = telemetry.span(catalogue::MAP_EMIT);
         emit_forest(&normal, &mapped, &input_source, options.k)?
     };
     report.luts = circuit.num_luts();
     check_lut_count(LutCheck::Emit, predicted, report.luts as u64)?;
     if options.pack == PackMode::Dc {
-        let _s = telemetry.span(stats::STAGE_PACK);
+        let _s = telemetry.span(catalogue::MAP_PACK);
         let (packed, pstats) = crate::pack::pack_circuit(&circuit)?;
         // Every packed circuit is verified against the source network
         // before it replaces the exact one — the pass is allowed to be
@@ -645,8 +517,8 @@ pub fn map_network(network: &Network, options: &MapOptions) -> Result<Mapping, M
         check_equivalence(network, &packed)
             .map_err(|e| MapError::PackVerification { output: e.output })?;
         check_lut_count(LutCheck::Pack, report.luts as u64, packed.num_luts() as u64)?;
-        telemetry.add_counter(stats::PACK_DROPPED_INPUTS, pstats.dropped_inputs);
-        telemetry.add_counter(stats::PACK_REMOVED_LUTS, pstats.removed_luts);
+        telemetry.add_counter(catalogue::PACK_DROPPED_INPUTS, pstats.dropped_inputs);
+        telemetry.add_counter(catalogue::PACK_REMOVED_LUTS, pstats.removed_luts);
         report.luts = packed.num_luts();
         circuit = packed;
     }
@@ -680,9 +552,9 @@ impl MappedTree {
 /// Classifies every tree by the first occurrence of its cache key in
 /// tree order, and reports the result as the `cache.*` counters (when
 /// the mode caches) and as one trace instant per tree (when tracing):
-/// [`stats::TRACE_SINGLE_LUT`] for a tree that fit one LUT,
-/// [`stats::TRACE_SOLVE`] for the first tree with its key,
-/// [`stats::TRACE_REPLAY`] for a later one.
+/// [`catalogue::MAP_SINGLE_LUT`] for a tree that fit one LUT,
+/// [`catalogue::DP_SOLVE`] for the first tree with its key,
+/// [`catalogue::DP_REPLAY`] for a later one.
 ///
 /// A tree is a *hit* when an earlier tree has the same key. This is
 /// deliberately not counted at the store: whether a lookup hits there
@@ -710,18 +582,18 @@ fn classify_trees(
         let luts = u64::from(m.luts());
         // Single-LUT trees have no key: they are neither hits nor misses.
         let name = if m.result.sol.is_none() {
-            stats::TRACE_SINGLE_LUT
+            catalogue::MAP_SINGLE_LUT
         } else {
             let key = m.result.key.unwrap_or_else(|| {
                 CacheKey::of(&m.tree, skeletons[ti], &|id| arrivals[id.index()])
             });
             if seen.insert(key) {
                 misses += 1;
-                stats::TRACE_SOLVE
+                catalogue::DP_SOLVE
             } else {
                 hits += 1;
                 replayed += luts;
-                stats::TRACE_REPLAY
+                catalogue::DP_REPLAY
             }
         };
         buf.instant(TraceScope::Tree, ti as u64, name, luts);
@@ -749,13 +621,13 @@ fn classify_trees(
             );
         }
     }
-    telemetry.add_counter(stats::CACHE_HITS, hits);
-    telemetry.add_counter(stats::CACHE_MISSES, misses);
-    telemetry.add_counter(stats::CACHE_REPLAYED_LUTS, replayed);
+    telemetry.add_counter(catalogue::CACHE_HITS, hits);
+    telemetry.add_counter(catalogue::CACHE_MISSES, misses);
+    telemetry.add_counter(catalogue::CACHE_REPLAYED_LUTS, replayed);
 }
 
 /// Records the deterministic per-tree work histogram
-/// ([`stats::HIST_TREE_WORK`]): one sample per DP-mapped tree, in tree
+/// ([`catalogue::DP_TREE_WORK`]): one sample per DP-mapped tree, in tree
 /// order, of the utilization divisions its solution cost. Replayed trees
 /// carry the tally of the shape they share, so the distribution is
 /// identical for every cache mode.
@@ -768,7 +640,7 @@ fn record_tree_work(telemetry: &Telemetry, mapped: &[MappedTree]) {
         work.record(sol.tally.divisions);
     }
     if !work.is_empty() {
-        telemetry.merge_histogram(stats::HIST_TREE_WORK, &work);
+        telemetry.merge_histogram(catalogue::DP_TREE_WORK, &work);
     }
 }
 

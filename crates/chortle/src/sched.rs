@@ -18,11 +18,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use chortle_netlist::NodeId;
-use chortle_telemetry::{Histogram, TraceBuffer, TraceScope};
+use chortle_telemetry::{catalogue, Histogram, TraceBuffer, TraceScope};
 
 use crate::cache::{tier_get, tier_insert, CacheKey, SharedCache};
 use crate::dp::{map_tree_solution, DpScratch, Objective, ShapeSolution};
-use crate::map::{stats, MapError, MapOptions, MappedTree};
+use crate::map::{MapError, MapOptions, MappedTree};
 use crate::tree::{Fingerprint, Tree, TreeChild};
 
 /// One tree's mapping: its DP solution, the depth of its root LUT's
@@ -112,7 +112,7 @@ fn map_tree_step(
     let traced = buf.is_enabled();
     if traced {
         let size = tree.nodes.len() as u64;
-        buf.begin(TraceScope::Tree, ti as u64, stats::TRACE_TREE, size);
+        buf.begin(TraceScope::Tree, ti as u64, catalogue::MAP_TREE, size);
     }
     let result = if let Some(depth) = single_lut_depth(tree, run.k, arrivals) {
         TreeResult {
@@ -130,7 +130,7 @@ fn map_tree_step(
             match map_tree_solution(tree, run.k, run.objective, &leaf_depth, scratch) {
                 Ok(sol) => tier_insert(cache, key, Arc::new(sol)),
                 Err(e) => {
-                    buf.cancelled(TraceScope::Tree, ti as u64, stats::TRACE_TREE, 0);
+                    buf.cancelled(TraceScope::Tree, ti as u64, catalogue::MAP_TREE, 0);
                     return Err(e);
                 }
             }
@@ -143,7 +143,7 @@ fn map_tree_step(
     };
     if traced {
         let cost = u64::from(result.luts(tree));
-        buf.end(TraceScope::Tree, ti as u64, stats::TRACE_TREE, cost);
+        buf.end(TraceScope::Tree, ti as u64, catalogue::MAP_TREE, cost);
     }
     Ok(result)
 }
@@ -198,7 +198,7 @@ pub(crate) fn map_forest(
     });
     telemetry.trace_flush(&mut buf);
     if let Some(hist) = tree_ns.filter(|h| !h.is_empty()) {
-        telemetry.merge_histogram(stats::HIST_TREE_NS, &hist);
+        telemetry.merge_histogram(catalogue::MAP_TREE_NS, &hist);
     }
     outcome.map(|()| mapped)
 }

@@ -7,7 +7,7 @@
 use std::collections::HashSet;
 
 use chortle::{
-    map_network, stats, CacheMode, Fingerprint, Forest, MapOptions, Telemetry, Tree, TreeChild,
+    catalogue, map_network, CacheMode, Fingerprint, Forest, MapOptions, Telemetry, Tree, TreeChild,
     WarmCache,
 };
 use chortle_netlist::{Network, NodeId, NodeOp, Signal, SplitMix64};
@@ -240,18 +240,20 @@ fn cache_counters_add_up() {
         .unwrap();
     map_network(&net, &options).expect("maps");
     let report = telemetry.snapshot();
-    let hits = report.counter(stats::CACHE_HITS).expect("hits reported");
+    let hits = report
+        .counter(catalogue::CACHE_HITS)
+        .expect("hits reported");
     let misses = report
-        .counter(stats::CACHE_MISSES)
+        .counter(catalogue::CACHE_MISSES)
         .expect("misses reported");
-    let trees = report.counter(stats::MAP_TREES).unwrap();
-    let single = report.counter(stats::MAP_SINGLE_LUT_TREES).unwrap();
+    let trees = report.counter(catalogue::MAP_TREES).unwrap();
+    let single = report.counter(catalogue::MAP_SINGLE_LUT_TREES).unwrap();
     assert_eq!(single, single_lut_trees(&net, 4));
     assert!(single < trees, "some tree must need the DP");
     assert_eq!(hits + misses + single, trees);
     assert!(misses >= 1, "at least one shape must be computed");
     if hits > 0 {
-        assert!(report.counter(stats::CACHE_REPLAYED_LUTS).unwrap() >= hits);
+        assert!(report.counter(catalogue::CACHE_REPLAYED_LUTS).unwrap() >= hits);
     }
 
     // Mode Off reports no cache counters at all.
@@ -279,14 +281,14 @@ fn the_counter_identity_holds_for_every_cache_mode() {
         for cache in [CacheMode::Off, CacheMode::Shared] {
             let report = counters_under(&net, k, cache, None);
             let ctx = format!("round={round} k={k} {cache:?}");
-            let trees = report.counter(stats::MAP_TREES).unwrap();
-            let single = report.counter(stats::MAP_SINGLE_LUT_TREES).unwrap();
+            let trees = report.counter(catalogue::MAP_TREES).unwrap();
+            let single = report.counter(catalogue::MAP_SINGLE_LUT_TREES).unwrap();
             assert_eq!(single, expected, "{ctx}");
             if cache == CacheMode::Off {
                 continue;
             }
-            let hits = report.counter(stats::CACHE_HITS).unwrap();
-            let misses = report.counter(stats::CACHE_MISSES).unwrap();
+            let hits = report.counter(catalogue::CACHE_HITS).unwrap();
+            let misses = report.counter(catalogue::CACHE_MISSES).unwrap();
             assert_eq!(hits + misses + single, trees, "{ctx}");
         }
         cold_and_warm(|cache, warm, ctx| {
@@ -389,9 +391,9 @@ fn fn_tier_counters_add_up_and_only_add_reuse() {
         assert_eq!(dp.len(), forest.trees.len(), "(round={round})");
         assert_eq!(distinct(&dp, Tree::blind_fingerprint), 2, "(round={round})");
         let report = counters_under(&variants, K, CacheMode::Shared, None);
-        let hits = report.counter(stats::CACHE_HITS).unwrap();
+        let hits = report.counter(catalogue::CACHE_HITS).unwrap();
         assert_eq!(hits, dp.len() as u64 - 2, "(round={round})");
-        assert_eq!(report.counter(stats::CACHE_MISSES), Some(2));
+        assert_eq!(report.counter(catalogue::CACHE_MISSES), Some(2));
         let full_key_hits = dp.len() as u64 - distinct(&dp, Tree::fingerprint);
         assert!(hits >= full_key_hits, "(round={round})");
         gained += hits - full_key_hits;
@@ -408,12 +410,12 @@ fn fn_tier_counters_add_up_and_only_add_reuse() {
         let mut net = random_network(rng.next_u64(), 8, 40, 4);
         add_skeleton_variants(&mut net, &mut rng, 6);
         let report = counters_under(&net, K, CacheMode::Shared, None);
-        let trees = report.counter(stats::MAP_TREES).unwrap();
-        let single = report.counter(stats::MAP_SINGLE_LUT_TREES).unwrap();
+        let trees = report.counter(catalogue::MAP_TREES).unwrap();
+        let single = report.counter(catalogue::MAP_SINGLE_LUT_TREES).unwrap();
         assert_eq!(single, single_lut_trees(&net, K), "(round={round})");
         assert_eq!(
-            report.counter(stats::CACHE_HITS).unwrap()
-                + report.counter(stats::CACHE_MISSES).unwrap()
+            report.counter(catalogue::CACHE_HITS).unwrap()
+                + report.counter(catalogue::CACHE_MISSES).unwrap()
                 + single,
             trees,
             "counter contract broken (round={round})"

@@ -4,7 +4,7 @@
 //! change a single byte of the assembled netlist, any per-cloud result,
 //! or the `design.*` counters.
 
-use chortle::{map_design, stats, CacheMode, DesignOptions, MapOptions, Telemetry, WarmCache};
+use chortle::{catalogue, map_design, CacheMode, DesignOptions, MapOptions, Telemetry, WarmCache};
 use chortle_netlist::{
     check_networks, parse_blif, parse_design, read_design, write_blif, write_lut_blif,
 };
@@ -136,10 +136,10 @@ fn design_mapping_is_bit_identical_across_caches() {
         // The design.* counters are part of the determinism contract
         // too: same clouds, same latches, same LUT tally.
         for counter in [
-            stats::DESIGN_CLOUDS,
-            stats::DESIGN_LATCHES,
-            stats::DESIGN_PASSTHROUGHS,
-            stats::DESIGN_CLOUD_LUTS,
+            catalogue::DESIGN_CLOUDS,
+            catalogue::DESIGN_LATCHES,
+            catalogue::DESIGN_PASSTHROUGHS,
+            catalogue::DESIGN_CLOUD_LUTS,
         ] {
             assert_eq!(
                 counter_value(report, counter),

@@ -3,7 +3,7 @@
 //! input — bit-identical totals whether a run maps alone or beside other
 //! runs sharing its warm cache.
 
-use chortle::{map_network, stats, MapOptions, Telemetry, WarmCache};
+use chortle::{catalogue, map_network, MapOptions, Telemetry, WarmCache};
 use chortle_netlist::{Network, NodeOp, Signal, SplitMix64};
 use chortle_telemetry::schema::{shape, validate_report};
 
@@ -93,12 +93,12 @@ fn report_shape_matches_the_golden_file() {
 fn mapper_reports_every_documented_stage_and_counter() {
     let report = mapped_report(&layered_network(), 4);
     for stage in [
-        stats::STAGE_NORMALIZE,
-        stats::STAGE_FOREST,
-        stats::STAGE_SPLIT,
-        stats::STAGE_CANON,
-        stats::STAGE_DP,
-        stats::STAGE_EMIT,
+        catalogue::MAP_NORMALIZE,
+        catalogue::MAP_FOREST,
+        catalogue::MAP_SPLIT,
+        catalogue::MAP_CANON,
+        catalogue::MAP_DP,
+        catalogue::MAP_EMIT,
     ] {
         let s = report
             .stage(stage)
@@ -107,28 +107,28 @@ fn mapper_reports_every_documented_stage_and_counter() {
         assert!(s.seconds >= 0.0, "{stage}");
     }
     for counter in [
-        stats::DP_DIVISIONS,
-        stats::DP_GROUP_BLOCKS,
-        stats::DP_PRUNED_WALKS,
-        stats::DP_TREE_NODES,
-        stats::DP_SCRATCH_HITS,
-        stats::DP_SCRATCH_GROWS,
-        stats::MAP_NODES_SPLIT,
-        stats::MAP_TREES,
-        stats::MAP_SINGLE_LUT_TREES,
-        stats::MAP_TREES_AT_BOUND,
-        stats::MAP_BOUND_GAP,
-        stats::CACHE_HITS,
-        stats::CACHE_MISSES,
-        stats::CACHE_REPLAYED_LUTS,
+        catalogue::DP_DIVISIONS,
+        catalogue::DP_GROUP_BLOCKS,
+        catalogue::DP_PRUNED_WALKS,
+        catalogue::DP_TREE_NODES,
+        catalogue::DP_SCRATCH_HITS,
+        catalogue::DP_SCRATCH_GROWS,
+        catalogue::MAP_NODES_SPLIT,
+        catalogue::MAP_TREES,
+        catalogue::MAP_SINGLE_LUT_TREES,
+        catalogue::MAP_TREES_AT_BOUND,
+        catalogue::MAP_BOUND_GAP,
+        catalogue::CACHE_HITS,
+        catalogue::CACHE_MISSES,
+        catalogue::CACHE_REPLAYED_LUTS,
     ] {
         assert!(
             report.counter(counter).is_some(),
             "missing counter {counter}"
         );
     }
-    assert!(report.counter(stats::DP_DIVISIONS).unwrap() > 0);
-    assert!(report.counter(stats::MAP_TREES).unwrap() > 0);
+    assert!(report.counter(catalogue::DP_DIVISIONS).unwrap() > 0);
+    assert!(report.counter(catalogue::MAP_TREES).unwrap() > 0);
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! event.
 
 use chortle::{
-    map_network, stats, CacheMode, CancelToken, MapError, MapOptions, Telemetry, WarmCache,
+    catalogue, map_network, CacheMode, CancelToken, MapError, MapOptions, Telemetry, WarmCache,
 };
 use chortle::{TraceKind, TraceScope};
 use chortle_netlist::{Network, NodeOp, Signal, SplitMix64};
@@ -126,7 +126,7 @@ fn tree_work_histogram_is_invariant_across_cache_modes() {
         // A degenerate round can normalize to an empty forest, in which
         // case the histogram is absent — absence must then be invariant
         // too, so compare as an Option.
-        let base_hist = baseline.histogram(stats::HIST_TREE_WORK).cloned();
+        let base_hist = baseline.histogram(catalogue::DP_TREE_WORK).cloned();
         if let Some(h) = &base_hist {
             assert!(h.count() > 0);
             nonempty_rounds += 1;
@@ -135,7 +135,7 @@ fn tree_work_histogram_is_invariant_across_cache_modes() {
             let r = report(&options);
             assert_eq!(
                 base_hist.as_ref(),
-                r.histogram(stats::HIST_TREE_WORK),
+                r.histogram(catalogue::DP_TREE_WORK),
                 "dp.tree_work diverged (round={round} k={k} cache={run})"
             );
         }
@@ -169,7 +169,7 @@ fn solve_and_replay_instants_partition_the_forest() {
         map_network(&net, &options).expect("maps");
         let trace = telemetry.trace_snapshot();
         let report = telemetry.snapshot();
-        let trees = report.counter(stats::MAP_TREES).expect("map.trees");
+        let trees = report.counter(catalogue::MAP_TREES).expect("map.trees");
         let count = |name| {
             trace
                 .events
@@ -177,9 +177,9 @@ fn solve_and_replay_instants_partition_the_forest() {
                 .filter(|e| e.kind == TraceKind::Instant && e.name == name)
                 .count() as u64
         };
-        let solves = count(stats::TRACE_SOLVE);
-        let replays = count(stats::TRACE_REPLAY);
-        let singles = count(stats::TRACE_SINGLE_LUT);
+        let solves = count(catalogue::DP_SOLVE);
+        let replays = count(catalogue::DP_REPLAY);
+        let singles = count(catalogue::MAP_SINGLE_LUT);
         assert_eq!(
             solves + replays + singles,
             trees,
@@ -190,9 +190,12 @@ fn solve_and_replay_instants_partition_the_forest() {
         }
         // Under a shared cache the post-hoc classification and the live
         // counters describe the same partition.
-        assert_eq!(Some(replays), report.counter(stats::CACHE_HITS));
-        assert_eq!(Some(solves), report.counter(stats::CACHE_MISSES));
-        assert_eq!(Some(singles), report.counter(stats::MAP_SINGLE_LUT_TREES));
+        assert_eq!(Some(replays), report.counter(catalogue::CACHE_HITS));
+        assert_eq!(Some(solves), report.counter(catalogue::CACHE_MISSES));
+        assert_eq!(
+            Some(singles),
+            report.counter(catalogue::MAP_SINGLE_LUT_TREES)
+        );
         // Each classified tree also opened and closed a tree span.
         let begins = trace
             .events

@@ -46,6 +46,7 @@ use chortle_netlist::{
     check_equivalence, lut_circuit_to_dot, parse_blif, write_lut_blif, write_lut_verilog, LutStats,
     Network, NetworkStats, ParseBlifError,
 };
+use chortle_telemetry::catalogue;
 
 // One import serves downstream users: the core mapper types ride along
 // with the flow API.
@@ -54,23 +55,6 @@ pub use chortle::{
     Fingerprint, MapError, MapOptions, MapOptionsBuilder, MapReport, MapStats, MappedCloud,
     MappedDesign, Mapping, Objective, PackMode, Telemetry,
 };
-
-/// Names of the flow-level stages [`run_flow`] reports into the sink
-/// attached via [`MapOptionsBuilder::telemetry`] (nested mapper and
-/// optimizer stages use the `map.*` / `dp.*` / `opt.*` names — see
-/// [`chortle::stats`] and [`chortle_logic_opt::stats`]).
-pub mod stats {
-    /// Stage: BLIF parsing.
-    pub const STAGE_PARSE: &str = "flow.parse";
-    /// Stage: the MIS-style optimization script (when enabled).
-    pub const STAGE_OPTIMIZE: &str = "flow.optimize";
-    /// Stage: technology mapping.
-    pub const STAGE_MAP: &str = "flow.map";
-    /// Stage: functional equivalence verification (when enabled).
-    pub const STAGE_VERIFY: &str = "flow.verify";
-    /// Stage: serializing the mapped circuit.
-    pub const STAGE_RENDER: &str = "flow.render";
-}
 
 /// Output format of the mapped circuit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -225,11 +209,11 @@ pub fn run_flow(blif: &str, options: &FlowOptions) -> Result<FlowResult, FlowErr
         return Err(FlowError::UnsupportedK { k, max: max_k });
     }
     let parsed = {
-        let _s = telemetry.span(stats::STAGE_PARSE);
+        let _s = telemetry.span(catalogue::FLOW_PARSE);
         parse_blif(blif)?
     };
     let network = if options.optimize {
-        let _s = telemetry.span(stats::STAGE_OPTIMIZE);
+        let _s = telemetry.span(catalogue::FLOW_OPTIMIZE);
         let opt_options = chortle_logic_opt::OptimizeOptions::default();
         let (optimized, _) = optimize_with_telemetry(&parsed, &opt_options, telemetry)
             .map_err(|e| FlowError::Internal(format!("optimization failed: {e}")))?;
@@ -239,7 +223,7 @@ pub fn run_flow(blif: &str, options: &FlowOptions) -> Result<FlowResult, FlowErr
     };
 
     let (circuit, shape_histogram) = {
-        let _s = telemetry.span(stats::STAGE_MAP);
+        let _s = telemetry.span(catalogue::FLOW_MAP);
         match options.mapper {
             Mapper::Chortle => {
                 let mapping = map_network(&network, &options.map)?;
@@ -261,12 +245,12 @@ pub fn run_flow(blif: &str, options: &FlowOptions) -> Result<FlowResult, FlowErr
     };
 
     if options.verify {
-        let _s = telemetry.span(stats::STAGE_VERIFY);
+        let _s = telemetry.span(catalogue::FLOW_VERIFY);
         check_equivalence(&network, &circuit)
             .map_err(|e| FlowError::Internal(format!("verification failed: {e}")))?;
     }
 
-    let _render = telemetry.span(stats::STAGE_RENDER);
+    let _render = telemetry.span(catalogue::FLOW_RENDER);
     let lut_stats = LutStats::of(&circuit);
     let rendered = match options.format {
         OutputFormat::Blif => write_lut_blif(&network, &circuit, "mapped"),
@@ -309,7 +293,7 @@ pub fn run_design_flow(blif: &str, options: &FlowOptions) -> Result<MappedDesign
         return Err(FlowError::Internal("--design emits BLIF only".to_owned()));
     }
     let (design, parse_stats) = {
-        let _s = telemetry.span(stats::STAGE_PARSE);
+        let _s = telemetry.span(catalogue::FLOW_PARSE);
         chortle_netlist::parse_design(blif)?
     };
     record_parse_stats(telemetry, &parse_stats);
@@ -324,7 +308,7 @@ pub fn run_design_flow(blif: &str, options: &FlowOptions) -> Result<MappedDesign
                 .map_err(|e| e.to_string())
         }));
     }
-    let _s = telemetry.span(stats::STAGE_MAP);
+    let _s = telemetry.span(catalogue::FLOW_MAP);
     map_design(&design, &design_opts).map_err(FlowError::Design)
 }
 
@@ -407,11 +391,11 @@ mod tests {
         run_flow(DEMO, &options).expect("flow runs");
         let report = telemetry.snapshot();
         for stage in [
-            stats::STAGE_PARSE,
-            stats::STAGE_OPTIMIZE,
-            stats::STAGE_MAP,
-            stats::STAGE_VERIFY,
-            stats::STAGE_RENDER,
+            catalogue::FLOW_PARSE,
+            catalogue::FLOW_OPTIMIZE,
+            catalogue::FLOW_MAP,
+            catalogue::FLOW_VERIFY,
+            catalogue::FLOW_RENDER,
             "opt.eliminate",
             "map.dp",
         ] {

@@ -55,7 +55,7 @@ pub use kernels::{is_level0_kernel, kernels, level0_kernels, Kernel};
 pub use network::SopNetwork;
 pub use script::{
     optimize, optimize_sop_network, optimize_sop_network_with_telemetry, optimize_with,
-    optimize_with_telemetry, stats, OptimizeOptions, OptimizeReport,
+    optimize_with_telemetry, OptimizeOptions, OptimizeReport,
 };
 pub use sop::Sop;
 pub use two_level::{minimize_exact, MAX_EXACT_VARS};

@@ -7,35 +7,10 @@
 //! mapping.
 
 use chortle_netlist::{Network, NetworkError};
-use chortle_telemetry::Telemetry;
+use chortle_telemetry::{catalogue, Telemetry};
 
 use crate::extract::{extract_cubes, extract_kernels};
 use crate::network::SopNetwork;
-
-/// Names of the stages and counters the optimization script reports into
-/// its [`Telemetry`] sink (see the repository's `DESIGN.md` §10).
-pub mod stats {
-    /// Stage: node elimination (MIS' `eliminate`).
-    pub const STAGE_ELIMINATE: &str = "opt.eliminate";
-    /// Stage: cheap per-node SOP minimization (both passes).
-    pub const STAGE_MINIMIZE: &str = "opt.minimize";
-    /// Stage: exact two-level minimization (when enabled).
-    pub const STAGE_EXACT: &str = "opt.exact";
-    /// Stage: espresso-style heuristic minimization (when enabled).
-    pub const STAGE_HEURISTIC: &str = "opt.heuristic";
-    /// Stage: greedy kernel extraction.
-    pub const STAGE_KERNELS: &str = "opt.kernels";
-    /// Stage: greedy cube extraction.
-    pub const STAGE_CUBES: &str = "opt.cubes";
-    /// Stage: factoring the SOP network back into an AND/OR network.
-    pub const STAGE_FACTOR: &str = "opt.factor";
-    /// Counter: nodes eliminated by inlining.
-    pub const ELIMINATED: &str = "opt.eliminated";
-    /// Counter: kernels + cubes extracted as new nodes.
-    pub const EXTRACTED: &str = "opt.extracted";
-    /// Counter: SOP literals removed by the whole script.
-    pub const LITERALS_SAVED: &str = "opt.literals_saved";
-}
 
 /// Tuning knobs of [`optimize_with`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -127,7 +102,7 @@ pub fn optimize_with(
 }
 
 /// [`optimize_with`] reporting per-stage wall times and counters into a
-/// [`Telemetry`] sink (stage names in [`stats`]). A disabled sink makes
+/// [`Telemetry`] sink (stage names in [`catalogue`]). A disabled sink makes
 /// this identical to [`optimize_with`].
 ///
 /// # Errors
@@ -170,15 +145,15 @@ pub fn optimize_sop_network_with_telemetry(
         ..OptimizeReport::default()
     };
     {
-        let _s = telemetry.span(stats::STAGE_ELIMINATE);
+        let _s = telemetry.span(catalogue::OPT_ELIMINATE);
         report.eliminated = sop_net.eliminate(options.eliminate_threshold);
     }
     {
-        let _s = telemetry.span(stats::STAGE_MINIMIZE);
+        let _s = telemetry.span(catalogue::OPT_MINIMIZE);
         sop_net.minimize_nodes();
     }
     if options.exact_node_minimization {
-        let _s = telemetry.span(stats::STAGE_EXACT);
+        let _s = telemetry.span(catalogue::OPT_EXACT);
         for var in sop_net.node_vars() {
             let sop = sop_net.node_sop(var).expect("node").clone();
             if let Ok(min) = crate::two_level::minimize_exact(&sop) {
@@ -189,7 +164,7 @@ pub fn optimize_sop_network_with_telemetry(
         }
     }
     if options.heuristic_node_minimization {
-        let _s = telemetry.span(stats::STAGE_HEURISTIC);
+        let _s = telemetry.span(catalogue::OPT_HEURISTIC);
         for var in sop_net.node_vars() {
             let sop = sop_net.node_sop(var).expect("node").clone();
             let min = crate::espresso::heuristic_minimize(&sop);
@@ -199,23 +174,23 @@ pub fn optimize_sop_network_with_telemetry(
         }
     }
     if options.kernel_extraction {
-        let _s = telemetry.span(stats::STAGE_KERNELS);
+        let _s = telemetry.span(catalogue::OPT_KERNELS);
         report.extracted += extract_kernels(sop_net)?.extracted;
     }
     if options.cube_extraction {
-        let _s = telemetry.span(stats::STAGE_CUBES);
+        let _s = telemetry.span(catalogue::OPT_CUBES);
         report.extracted += extract_cubes(sop_net).extracted;
     }
     let net = {
-        let _s = telemetry.span(stats::STAGE_FACTOR);
+        let _s = telemetry.span(catalogue::OPT_FACTOR);
         sop_net.minimize_nodes();
         report.literals_after = sop_net.literal_count();
         sop_net.to_network()?
     };
-    telemetry.add_counter(stats::ELIMINATED, report.eliminated as u64);
-    telemetry.add_counter(stats::EXTRACTED, report.extracted as u64);
+    telemetry.add_counter(catalogue::OPT_ELIMINATED, report.eliminated as u64);
+    telemetry.add_counter(catalogue::OPT_EXTRACTED, report.extracted as u64);
     telemetry.add_counter(
-        stats::LITERALS_SAVED,
+        catalogue::OPT_LITERALS_SAVED,
         report.literals_before.saturating_sub(report.literals_after) as u64,
     );
     Ok((net, report))

@@ -48,7 +48,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use chortle_telemetry::log::{self, FieldValue, Level};
-use chortle_telemetry::prom;
+use chortle_telemetry::{catalogue, prom};
 
 use crate::admission::ShedReason;
 use crate::conn::Conn;
@@ -57,7 +57,7 @@ use crate::proto::{
     self, parse_request, BatchItem, MapRequest, Op, ProtocolVersion, RejectReason, RequestTrace,
     ShedHint,
 };
-use crate::server::{stats, Shared};
+use crate::server::Shared;
 
 /// One admitted unit of mapping work.
 pub(crate) struct Job {
@@ -251,7 +251,9 @@ pub(crate) fn run(listener: &TcpListener, metrics: Option<&TcpListener>, shared:
             loop {
                 match listener.accept() {
                     Ok((stream, _)) => {
-                        shared.telemetry.add_counter(stats::CONNECTIONS, 1);
+                        shared
+                            .telemetry
+                            .add_counter(catalogue::SERVE_CONNECTIONS, 1);
                         if let Ok(conn) = Conn::new(stream) {
                             conns.insert(next_cid, conn);
                             next_cid += 1;
@@ -312,7 +314,9 @@ pub(crate) fn run(listener: &TcpListener, metrics: Option<&TcpListener>, shared:
             progressed = true;
             if let Some(conn) = conns.get_mut(&cid) {
                 if conn.queue_frame(&frame) {
-                    shared.telemetry.add_counter(stats::COALESCED_FRAMES, 1);
+                    shared
+                        .telemetry
+                        .add_counter(catalogue::SERVE_COALESCED_FRAMES, 1);
                 }
             }
             // else: the peer hung up and was dropped — its answers are
@@ -371,7 +375,9 @@ pub(crate) fn run(listener: &TcpListener, metrics: Option<&TcpListener>, shared:
 /// Answers a frame of `len`+ bytes over [`proto::MAX_FRAME_BYTES`] from
 /// connection `cid` with a `bad_request`; the caller stops reading it.
 pub(crate) fn reject_oversized(shared: &Shared, cid: u64, len: usize) {
-    shared.telemetry.add_counter(stats::REJECTED_BAD_REQUEST, 1);
+    shared
+        .telemetry
+        .add_counter(catalogue::SERVE_REJECTED_BAD_REQUEST, 1);
     let detail = format!(
         "frame of {len}+ bytes exceeds the {}-byte frame limit; closing",
         proto::MAX_FRAME_BYTES
@@ -394,7 +400,7 @@ pub(crate) fn dispatch(shared: &Arc<Shared>, cid: u64, line: &str) {
     let request = match parse_request(line) {
         Ok(request) => request,
         Err(e) => {
-            telemetry.add_counter(stats::REJECTED_BAD_REQUEST, 1);
+            telemetry.add_counter(catalogue::SERVE_REJECTED_BAD_REQUEST, 1);
             let frame =
                 proto::render_rejected(e.version, &e.id, RejectReason::BadRequest, &e.detail, None);
             shared.completions.push(cid, frame);
@@ -404,7 +410,7 @@ pub(crate) fn dispatch(shared: &Arc<Shared>, cid: u64, line: &str) {
     let version = request.version;
     match request.op {
         Op::Hello => {
-            telemetry.add_counter(stats::HELLO_REQUESTS, 1);
+            telemetry.add_counter(catalogue::SERVE_HELLO_REQUESTS, 1);
             let frame = proto::render_hello_ok(&request.id, &shared.limits);
             shared.completions.push(cid, frame);
         }
@@ -412,10 +418,10 @@ pub(crate) fn dispatch(shared: &Arc<Shared>, cid: u64, line: &str) {
             admit(shared, cid, version, &request.id, req, None);
         }
         Op::MapBatch(batch) => {
-            telemetry.add_counter(stats::BATCH_FRAMES, 1);
-            telemetry.add_counter(stats::BATCH_REQUESTS, batch.requests.len() as u64);
+            telemetry.add_counter(catalogue::SERVE_BATCH_FRAMES, 1);
+            telemetry.add_counter(catalogue::SERVE_BATCH_REQUESTS, batch.requests.len() as u64);
             if batch.requests.len() > shared.limits.batch_limit {
-                telemetry.add_counter(stats::REJECTED_BAD_REQUEST, 1);
+                telemetry.add_counter(catalogue::SERVE_REJECTED_BAD_REQUEST, 1);
                 let detail = format!(
                     "batch of {} exceeds the server's batch_limit of {}",
                     batch.requests.len(),
@@ -449,12 +455,12 @@ pub(crate) fn dispatch(shared: &Arc<Shared>, cid: u64, line: &str) {
         }
         Op::Flush => {
             let generation = shared.warm.flush();
-            telemetry.add_counter(stats::FLUSHES, 1);
+            telemetry.add_counter(catalogue::SERVE_FLUSHES, 1);
             let frame = proto::render_flush_ok(version, &request.id, generation);
             shared.completions.push(cid, frame);
         }
         Op::Stats => {
-            telemetry.add_counter(stats::STATS_REQUESTS, 1);
+            telemetry.add_counter(catalogue::SERVE_STATS_REQUESTS, 1);
             let frame = proto::render_stats_ok(
                 version,
                 &request.id,
@@ -474,7 +480,7 @@ pub(crate) fn dispatch(shared: &Arc<Shared>, cid: u64, line: &str) {
             shared.completions.push(cid, frame);
         }
         Op::Metrics => {
-            telemetry.add_counter(stats::METRICS_REQUESTS, 1);
+            telemetry.add_counter(catalogue::SERVE_METRICS_REQUESTS, 1);
             // Roll first so a daemon without event-loop traffic (stdio
             // mode, or an idle loop) still ages its window before
             // answering.
@@ -485,7 +491,7 @@ pub(crate) fn dispatch(shared: &Arc<Shared>, cid: u64, line: &str) {
             shared.completions.push(cid, frame);
         }
         Op::Trace => {
-            telemetry.add_counter(stats::TRACE_REQUESTS, 1);
+            telemetry.add_counter(catalogue::SERVE_TRACE_REQUESTS, 1);
             let entries: Vec<RequestTrace> = {
                 let ring = shared.ring.lock().expect("trace ring poisoned");
                 ring.iter().cloned().collect()
@@ -517,7 +523,7 @@ fn admit(
 ) {
     let telemetry = &shared.telemetry;
     if shared.stopping() {
-        telemetry.add_counter(stats::REJECTED_SHUTDOWN, 1);
+        telemetry.add_counter(catalogue::SERVE_REJECTED_SHUTDOWN, 1);
         resolve_rejected(
             shared,
             cid,
@@ -547,9 +553,9 @@ fn admit(
     };
     match shared.admission.offer(cid, priority, job) {
         Ok(depth) => {
-            telemetry.add_counter(stats::ACCEPTED, 1);
-            telemetry.add_counter(stats::ADMISSION_ADMITTED, 1);
-            telemetry.record_value(stats::HIST_CLIENT_DEPTH, depth as u64);
+            telemetry.add_counter(catalogue::SERVE_ACCEPTED, 1);
+            telemetry.add_counter(catalogue::SERVE_ADMISSION_ADMITTED, 1);
+            telemetry.record_value(catalogue::SERVE_ADMISSION_CLIENT_DEPTH, depth as u64);
         }
         Err((shed, job)) => {
             let hint = ShedHint {
@@ -558,8 +564,8 @@ fn admit(
             };
             let (reason, detail, hint) = match shed.reason {
                 ShedReason::OverQuota => {
-                    telemetry.add_counter(stats::REJECTED_QUEUE_FULL, 1);
-                    telemetry.add_counter(stats::ADMISSION_SHED_OVER_QUOTA, 1);
+                    telemetry.add_counter(catalogue::SERVE_REJECTED_QUEUE_FULL, 1);
+                    telemetry.add_counter(catalogue::SERVE_ADMISSION_SHED_OVER_QUOTA, 1);
                     (
                         RejectReason::OverQuota,
                         format!(
@@ -570,8 +576,8 @@ fn admit(
                     )
                 }
                 ShedReason::QueueFull => {
-                    telemetry.add_counter(stats::REJECTED_QUEUE_FULL, 1);
-                    telemetry.add_counter(stats::ADMISSION_SHED_QUEUE_FULL, 1);
+                    telemetry.add_counter(catalogue::SERVE_REJECTED_QUEUE_FULL, 1);
+                    telemetry.add_counter(catalogue::SERVE_ADMISSION_SHED_QUEUE_FULL, 1);
                     (
                         RejectReason::QueueFull,
                         "admission queue is full; retry later".to_owned(),
@@ -579,7 +585,7 @@ fn admit(
                     )
                 }
                 ShedReason::Closed => {
-                    telemetry.add_counter(stats::REJECTED_SHUTDOWN, 1);
+                    telemetry.add_counter(catalogue::SERVE_REJECTED_SHUTDOWN, 1);
                     (
                         RejectReason::ShuttingDown,
                         "server is draining and no longer admits work".to_owned(),
@@ -588,7 +594,7 @@ fn admit(
                 }
             };
             if hint.is_some() && version == ProtocolVersion::V2 {
-                telemetry.add_counter(stats::ADMISSION_HINTED, 1);
+                telemetry.add_counter(catalogue::SERVE_ADMISSION_HINTED, 1);
             }
             if log::enabled(Level::Warn) {
                 log::event(
@@ -660,41 +666,19 @@ fn exposition(shared: &Arc<Shared>) -> String {
     shared.window.observe(sec, &now);
     let m = shared.window.snapshot(&now);
     let gauges: &[prom::Gauge<'_>] = &[
+        (catalogue::SERVE_UPTIME_S, sec as f64),
+        (catalogue::SERVE_QUEUE_DEPTH, shared.admission.len() as f64),
         (
-            "serve.uptime_s",
-            "Whole seconds since the daemon started (monotonic clock).",
-            sec as f64,
-        ),
-        (
-            "serve.queue_depth",
-            "Jobs queued at scrape time.",
-            shared.admission.len() as f64,
-        ),
-        (
-            "serve.queue_high_water",
-            "Deepest the admission queue has ever been.",
+            catalogue::SERVE_QUEUE_HIGH_WATER,
             shared.admission.high_water() as f64,
         ),
         (
-            "serve.trace_ring_dropped",
-            "Completed-request traces evicted from the bounded op:\"trace\" ring.",
+            catalogue::SERVE_TRACE_RING_DROPPED,
             shared.trace_evicted.load(Ordering::Relaxed) as f64,
         ),
-        (
-            "serve.window_qps",
-            "Completed requests per second over the sliding window.",
-            m.qps,
-        ),
-        (
-            "serve.window_shed_rate",
-            "Shed fraction of admission attempts over the sliding window.",
-            m.shed_rate,
-        ),
-        (
-            "serve.window_cache_hit_rate",
-            "Warm-cache hit rate over the sliding window.",
-            m.cache_hit_rate,
-        ),
+        (catalogue::SERVE_WINDOW_QPS, m.qps),
+        (catalogue::SERVE_WINDOW_SHED_RATE, m.shed_rate),
+        (catalogue::SERVE_WINDOW_CACHE_HIT_RATE, m.cache_hit_rate),
     ];
     prom::render_exposition(&report, gauges)
 }

@@ -83,6 +83,5 @@ pub use proto::{
     PROTOCOLS, PROTOCOL_V1, PROTOCOL_V2,
 };
 pub use server::{
-    run_daemon, serve_stdio, stats, ServeOptions, ServeOptionsBuilder, Server, ServerHandle,
-    ServerSummary,
+    run_daemon, serve_stdio, ServeOptions, ServeOptionsBuilder, Server, ServerHandle, ServerSummary,
 };

@@ -30,10 +30,9 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use chortle::WarmStats;
-use chortle_telemetry::{Histogram, Report};
+use chortle_telemetry::{catalogue, Histogram, Report};
 
 use crate::proto::MetricsSnapshot;
-use crate::server::stats;
 
 /// Cumulative totals at one instant — the aggregator's unit of
 /// observation. Windowed values are differences of these.
@@ -73,14 +72,14 @@ impl Cum {
     pub fn capture(report: &Report, warm: &WarmStats) -> Cum {
         let counter = |name: &str| report.counter(name).unwrap_or(0);
         Cum {
-            accepted: counter(stats::ACCEPTED),
-            completed: counter(stats::COMPLETED),
-            shed: counter(stats::ADMISSION_SHED_OVER_QUOTA)
-                + counter(stats::ADMISSION_SHED_QUEUE_FULL),
+            accepted: counter(catalogue::SERVE_ACCEPTED),
+            completed: counter(catalogue::SERVE_COMPLETED),
+            shed: counter(catalogue::SERVE_ADMISSION_SHED_OVER_QUOTA)
+                + counter(catalogue::SERVE_ADMISSION_SHED_QUEUE_FULL),
             hits: warm.hits,
             misses: warm.misses,
             run_hist: report
-                .histogram(stats::HIST_RUN_NS)
+                .histogram(catalogue::SERVE_RUN_NS)
                 .cloned()
                 .unwrap_or_else(Histogram::new),
         }

@@ -19,16 +19,9 @@ use chortle::{
 };
 use chortle_logic_opt::{optimize_with_telemetry, OptimizeOptions};
 use chortle_netlist::{parse_blif, parse_design, write_lut_blif, Network};
-use chortle_telemetry::Telemetry;
+use chortle_telemetry::{catalogue, Telemetry};
 
 use crate::proto::{MapRequest, RejectReason};
-
-/// Flow-stage names, matching the offline CLI's so per-request reports
-/// read the same either way.
-const STAGE_PARSE: &str = "flow.parse";
-const STAGE_OPTIMIZE: &str = "flow.optimize";
-const STAGE_MAP: &str = "flow.map";
-const STAGE_RENDER: &str = "flow.render";
 
 /// A successfully mapped request, ready to render into a response.
 pub(crate) struct MapOutcome {
@@ -69,7 +62,7 @@ pub(crate) fn execute_map(
         .map_err(|e| (RejectReason::BadRequest, e.to_string()))?;
 
     let parsed = {
-        let _s = telemetry.span(STAGE_PARSE);
+        let _s = telemetry.span(catalogue::FLOW_PARSE);
         parse_blif(&req.blif)
             .map_err(|e| (RejectReason::BadRequest, format!("cannot parse input: {e}")))?
     };
@@ -77,7 +70,7 @@ pub(crate) fn execute_map(
         return Err(deadline_rejection());
     }
     let network = if req.optimize {
-        let _s = telemetry.span(STAGE_OPTIMIZE);
+        let _s = telemetry.span(catalogue::FLOW_OPTIMIZE);
         let (optimized, _) =
             optimize_with_telemetry(&parsed, &OptimizeOptions::default(), &telemetry)
                 .map_err(|e| (RejectReason::Internal, format!("optimization failed: {e}")))?;
@@ -90,12 +83,12 @@ pub(crate) fn execute_map(
     }
 
     let mapping = {
-        let _s = telemetry.span(STAGE_MAP);
+        let _s = telemetry.span(catalogue::FLOW_MAP);
         map_network(&network, &options).map_err(map_rejection)?
     };
 
     let netlist = {
-        let _s = telemetry.span(STAGE_RENDER);
+        let _s = telemetry.span(catalogue::FLOW_RENDER);
         write_lut_blif(&network, &mapping.circuit, "mapped")
     };
     Ok(MapOutcome {
@@ -136,7 +129,7 @@ pub(crate) fn execute_design(
         .map_err(|e| (RejectReason::BadRequest, e.to_string()))?;
 
     let (design, parse_stats) = {
-        let _s = telemetry.span(STAGE_PARSE);
+        let _s = telemetry.span(catalogue::FLOW_PARSE);
         parse_design(&req.blif)
             .map_err(|e| (RejectReason::BadRequest, format!("cannot parse input: {e}")))?
     };
@@ -157,7 +150,7 @@ pub(crate) fn execute_design(
     }
 
     let mapped = {
-        let _s = telemetry.span(STAGE_MAP);
+        let _s = telemetry.span(catalogue::FLOW_MAP);
         map_design(&design, &design_opts).map_err(|e| match e {
             DesignError::Map {
                 error: MapError::Cancelled,

@@ -1076,6 +1076,19 @@ fn metrics_endpoint_serves_valid_prometheus_exposition() {
     ] {
         assert!(body.contains(needle), "exposition lost {needle:?}:\n{body}");
     }
+    // Each HELP line names its family's unit: admission depth counts
+    // requests, while run time stays in nanoseconds.
+    let help = |name: &str| {
+        let prefix = format!("# HELP {name} ");
+        body.lines()
+            .find(|l| l.starts_with(&prefix))
+            .unwrap_or_else(|| panic!("no HELP for {name}:\n{body}"))
+            .to_owned()
+    };
+    let depth = help("chortle_serve_admission_client_depth");
+    assert!(depth.ends_with(" (requests)."), "{depth}");
+    let run_ns = help("chortle_serve_run_ns");
+    assert!(run_ns.ends_with(" (nanoseconds)."), "{run_ns}");
 
     // Any other path (or method) is a 404, and the daemon survives it.
     let mut bad = TcpStream::connect(scrape_addr).expect("connect bad path");

@@ -58,6 +58,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod catalogue;
 pub mod hist;
 pub mod json;
 pub mod log;
@@ -251,7 +252,7 @@ impl Telemetry {
     }
 
     /// Records one sample into the named histogram (created empty on
-    /// first use). Values are nanoseconds by convention.
+    /// first use), in the unit the [`catalogue`] declares for `name`.
     pub fn record_value(&self, name: &'static str, value: u64) {
         if let Some(inner) = &self.inner {
             let mut hists = inner.histograms.lock().expect("telemetry lock");
@@ -366,8 +367,8 @@ impl Telemetry {
             // Observation echoes, not workload counters: how much trace
             // data this handle captured.
             let state = tr.state.lock().expect("telemetry lock");
-            counters.insert("trace.events", state.events.len() as u64);
-            counters.insert("trace.dropped", state.dropped);
+            counters.insert(catalogue::TRACE_EVENTS, state.events.len() as u64);
+            counters.insert(catalogue::TRACE_DROPPED, state.dropped);
         }
         let counters = counters
             .into_iter()

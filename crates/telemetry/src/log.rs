@@ -22,7 +22,7 @@
 //! bounded ring ([`ring_snapshot`]) so a panic hook can dump recent
 //! context, and an optional [`Telemetry`] handle
 //! ([`set_counter_sink`]) receives the closed `log.*` counter
-//! namespace (see [`crate::schema::LOG_COUNTERS`]).
+//! namespace (declared in [`crate::catalogue`]).
 //!
 //! # Examples
 //!
@@ -50,6 +50,7 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::catalogue;
 use crate::json;
 use crate::Telemetry;
 
@@ -302,17 +303,17 @@ pub fn event(level: Level, target: &str, msg: &str, fields: &[(&str, FieldValue<
     }
     s.ring.push_back(line.clone());
     if let Some(t) = &s.counters {
-        t.add_counter("log.events", 1);
+        t.add_counter(catalogue::LOG_EVENTS, 1);
         match level {
-            Level::Error => t.add_counter("log.errors", 1),
-            Level::Warn => t.add_counter("log.warnings", 1),
+            Level::Error => t.add_counter(catalogue::LOG_ERRORS, 1),
+            Level::Warn => t.add_counter(catalogue::LOG_WARNINGS, 1),
             _ => {}
         }
         if s.ring_evicted > 0 {
             // Idempotent re-assert would double-count; report the delta.
             let evicted = s.ring_evicted;
             s.ring_evicted = 0;
-            t.add_counter("log.ring_evicted", evicted);
+            t.add_counter(catalogue::LOG_RING_EVICTED, evicted);
         }
     }
     match &mut s.sink {

@@ -6,8 +6,9 @@
 //! family with `quantile` labels, and each family carries a `# HELP` /
 //! `# TYPE` pair. Metric names are derived mechanically from telemetry
 //! names by [`metric_name`] (`serve.run_ns` → `chortle_serve_run_ns`),
-//! so the closed counter namespaces of [`crate::schema`] map onto a
-//! closed, valid metric set — a property test pins that.
+//! so the [`catalogue`] maps onto a closed, valid metric set — a
+//! property test pins that — and each HELP line is the catalogue
+//! entry's help text and unit.
 //!
 //! [`validate_exposition`] is the consumer-side check `report-check
 //! --prom` runs against a live `/metrics` scrape: metric and label
@@ -29,15 +30,17 @@
 
 use std::collections::BTreeMap;
 
+use crate::catalogue::{self, Kind};
 use crate::json;
 use crate::Report;
 
 /// Prefix of every metric this crate renders.
 pub const METRIC_PREFIX: &str = "chortle_";
 
-/// One gauge sample for [`render_exposition`]: `(name, help, value)`
-/// with `name` already a raw telemetry-style name (dots allowed).
-pub type Gauge<'a> = (&'a str, &'a str, f64);
+/// One gauge sample for [`render_exposition`]: `(name, value)` with
+/// `name` a raw telemetry-style name (dots allowed), normally a
+/// [`Kind::Gauge`] entry of the [`catalogue`].
+pub type Gauge<'a> = (&'a str, f64);
 
 /// Derives the Prometheus metric name for a telemetry counter or
 /// histogram name: [`METRIC_PREFIX`] plus the name with every
@@ -65,16 +68,22 @@ fn escape_help(out: &mut String, text: &str) {
     }
 }
 
-fn push_family(out: &mut String, name: &str, help: &str, kind: &str) {
+/// Writes the HELP/TYPE preamble of the family for telemetry name
+/// `raw`: the catalogue's help and unit when `raw` is an entry of
+/// `kind`, a generic line naming `raw` otherwise.
+fn push_family(out: &mut String, name: &str, raw: &str, kind: Kind, prom_type: &str) {
     out.push_str("# HELP ");
     out.push_str(name);
     out.push(' ');
-    escape_help(out, help);
+    match catalogue::lookup(raw).filter(|e| e.kind == kind) {
+        Some(e) => escape_help(out, &format!("{} ({}).", e.help, e.unit)),
+        None => escape_help(out, &format!("Uncatalogued chortle {prom_type} {raw}.")),
+    }
     out.push('\n');
     out.push_str("# TYPE ");
     out.push_str(name);
     out.push(' ');
-    out.push_str(kind);
+    out.push_str(prom_type);
     out.push('\n');
 }
 
@@ -87,12 +96,7 @@ pub fn render_exposition(report: &Report, gauges: &[Gauge<'_>]) -> String {
     let mut out = String::with_capacity(1024);
     for c in &report.counters {
         let name = metric_name(&c.name);
-        push_family(
-            &mut out,
-            &name,
-            &format!("Chortle counter {}.", c.name),
-            "counter",
-        );
+        push_family(&mut out, &name, &c.name, Kind::Counter, "counter");
         out.push_str(&name);
         out.push(' ');
         out.push_str(&c.value.to_string());
@@ -100,12 +104,7 @@ pub fn render_exposition(report: &Report, gauges: &[Gauge<'_>]) -> String {
     }
     for h in &report.histograms {
         let name = metric_name(&h.name);
-        push_family(
-            &mut out,
-            &name,
-            &format!("Chortle histogram {} (nanoseconds).", h.name),
-            "summary",
-        );
+        push_family(&mut out, &name, &h.name, Kind::Histogram, "summary");
         for (q, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
             out.push_str(&name);
             out.push_str("{quantile=\"");
@@ -123,9 +122,9 @@ pub fn render_exposition(report: &Report, gauges: &[Gauge<'_>]) -> String {
         out.push_str(&h.hist.count().to_string());
         out.push('\n');
     }
-    for (raw, help, value) in gauges {
+    for (raw, value) in gauges {
         let name = metric_name(raw);
-        push_family(&mut out, &name, help, "gauge");
+        push_family(&mut out, &name, raw, Kind::Gauge, "gauge");
         out.push_str(&name);
         out.push(' ');
         json::write_f64(&mut out, *value);
@@ -368,12 +367,19 @@ mod tests {
     fn renders_validating_exposition() {
         let text = render_exposition(
             &seeded_report(),
-            &[
-                ("serve.queue_depth", "Requests admitted and waiting.", 3.0),
-                ("serve.window.qps", "Completed requests per second.", 1.5),
-            ],
+            &[("serve.queue_depth", 3.0), ("serve.window.qps", 1.5)],
         );
         validate_exposition(&text).expect("self-rendered exposition validates");
+        assert!(text.contains(
+            "# HELP chortle_serve_run_ns Time each job spent executing on its worker, \
+             echoed per response as run_ns (nanoseconds).\n"
+        ));
+        assert!(
+            text.contains("# HELP chortle_serve_queue_depth Jobs queued at scrape time (jobs).\n")
+        );
+        assert!(text.contains(
+            "# HELP chortle_serve_window_qps Uncatalogued chortle gauge serve.window.qps.\n"
+        ));
         assert!(text.contains("# TYPE chortle_serve_completed counter"));
         assert!(text.contains("chortle_serve_completed 6"));
         assert!(text.contains("# TYPE chortle_serve_run_ns summary"));
@@ -394,25 +400,33 @@ mod tests {
 
     #[test]
     fn every_closed_namespace_counter_renders_a_valid_name() {
-        // Property: the schema's closed namespaces map onto valid
-        // Prometheus names, each rendering a validating family.
+        // Property: every catalogued counter, histogram and gauge — the
+        // closed counter namespaces among them — maps onto a valid
+        // Prometheus name whose family validates and whose HELP line
+        // carries the entry's unit.
         let t = Telemetry::enabled();
-        let all = crate::schema::SERVE_COUNTERS
-            .iter()
-            .chain(crate::schema::TRACE_COUNTERS)
-            .chain(crate::schema::CACHE_COUNTERS)
-            .chain(crate::schema::DESIGN_COUNTERS)
-            .chain(crate::schema::BLIF_COUNTERS)
-            .chain(crate::schema::LOG_COUNTERS);
-        for name in all {
+        let mut gauges = Vec::new();
+        for e in catalogue::ENTRIES {
+            match e.kind {
+                Kind::Counter => t.add_counter(e.name, 1),
+                Kind::Histogram => t.record_value(e.name, 1),
+                Kind::Gauge => gauges.push((e.name, 1.0)),
+                Kind::Stage | Kind::Trace => continue,
+            }
             assert!(
-                valid_metric_name(&metric_name(name)),
-                "{name} renders an invalid metric name"
+                valid_metric_name(&metric_name(e.name)),
+                "{} renders an invalid metric name",
+                e.name
             );
-            t.add_counter(name, 1);
         }
-        let text = render_exposition(&t.snapshot(), &[]);
-        validate_exposition(&text).expect("all closed-namespace counters validate");
+        let text = render_exposition(&t.snapshot(), &gauges);
+        validate_exposition(&text).expect("all catalogued families validate");
+        for e in catalogue::ENTRIES {
+            if !matches!(e.kind, Kind::Stage | Kind::Trace) {
+                let help = format!("# HELP {} {} ({}).\n", metric_name(e.name), e.help, e.unit);
+                assert!(text.contains(&help), "missing {help:?}");
+            }
+        }
     }
 
     #[test]

@@ -7,87 +7,16 @@
 //! golden-file schema test pins so the report layout cannot drift
 //! silently.
 
+use crate::catalogue::{self, Kind};
 use crate::json::{self, Value};
 
-/// The documented counters of the reserved `serve.` namespace — the
-/// aggregate report the `chortle-serve` daemon emits at shutdown (and on
-/// `stats` requests). Closed since schema v1.2: [`validate_report`]
-/// rejects any other `serve.*` name.
-pub const SERVE_COUNTERS: &[&str] = &[
-    "serve.connections",
-    "serve.accepted",
-    "serve.completed",
-    "serve.rejected_queue_full",
-    "serve.rejected_deadline",
-    "serve.rejected_bad_request",
-    "serve.rejected_shutdown",
-    "serve.drained",
-    "serve.flushes",
-    "serve.stats_requests",
-    "serve.trace_requests",
-    // Schema v1.4: the event-driven serving core (protocol v2).
-    "serve.hello_requests",
-    "serve.batch_frames",
-    "serve.batch_requests",
-    "serve.coalesced_frames",
-    "serve.admission.admitted",
-    "serve.admission.shed_over_quota",
-    "serve.admission.shed_queue_full",
-    "serve.admission.hinted",
-    // Schema v1.7: the live observability plane.
-    "serve.metrics_requests",
-];
-
-/// The documented counters of the reserved `trace.` namespace —
-/// observation echoes a tracing handle adds to its own report. Closed
-/// since schema v1.3: [`validate_report`] rejects any other `trace.*`
-/// name.
-pub const TRACE_COUNTERS: &[&str] = &["trace.events", "trace.dropped"];
-
-/// The documented counters of the reserved `cache.` namespace — the
-/// mapper's DP-result cache statistics. Closed since schema v1.5:
-/// [`validate_report`] rejects any other `cache.*` name, so a mistyped
-/// or undocumented cache counter fails validation instead of shipping
-/// silently. Schema v1.9 dropped the functional tier's `cache.fn_*`
-/// counters with the tier.
-pub const CACHE_COUNTERS: &[&str] = &["cache.hits", "cache.misses", "cache.replayed_luts"];
-
-/// The documented counters of the reserved `design.` namespace — the
-/// sequential-design mapping pipeline (register-bounded combinational
-/// clouds). Closed since schema v1.6: [`validate_report`] rejects any
-/// other `design.*` counter name (the `design.cloud_work` histogram
-/// lives in the histogram section, not here).
-pub const DESIGN_COUNTERS: &[&str] = &[
-    "design.clouds",
-    "design.latches",
-    "design.passthroughs",
-    "design.cloud_luts",
-];
-
-/// The documented counters of the reserved `blif.` namespace — the
-/// streaming BLIF reader's input statistics. Closed since schema v1.6:
-/// [`validate_report`] rejects any other `blif.*` name.
-pub const BLIF_COUNTERS: &[&str] = &[
-    "blif.logical_lines",
-    "blif.models",
-    "blif.subckts",
-    "blif.latches",
-    "blif.exdc_blocks",
-    "blif.skipped_directives",
-];
-
-/// The documented counters of the reserved `log.` namespace — volume
-/// echoes the structured logger ([`crate::log`]) mirrors into a
-/// telemetry handle via [`crate::log::set_counter_sink`]. Closed since
-/// schema v1.7: [`validate_report`] rejects any other `log.*` name.
-/// Like `trace.*`, these are observation echoes, exempt from the
-/// guarantee that counters are a function of the workload.
-pub const LOG_COUNTERS: &[&str] = &[
-    "log.events",
-    "log.errors",
-    "log.warnings",
-    "log.ring_evicted",
-];
+/// The closed counter namespaces: a counter whose name starts with one
+/// of these must be a [`Kind::Counter`] entry of the [`catalogue`], so a
+/// mistyped or undocumented counter fails validation instead of
+/// shipping silently. `serve.` closed in schema v1.2, `trace.` in v1.3,
+/// `cache.` in v1.5, `design.` and `blif.` in v1.6, `log.` in v1.7.
+/// Every other namespace stays open (mapper counters come and go).
+const CLOSED_NAMESPACES: &[&str] = &["serve.", "trace.", "cache.", "design.", "blif.", "log."];
 
 /// Validates that `input` is a schema-conformant telemetry report.
 ///
@@ -127,56 +56,12 @@ pub fn validate_report(input: &str) -> Result<(), String> {
         let members = expect_keys(counter, &path, &["name", "value"])?;
         let name = expect_string(&members[0].1, &format!("{path}.name"))?;
         expect_u64(&members[1].1, &format!("{path}.value"))?;
-        // Schema v1.2: `serve.` is a *closed* namespace — the aggregate
-        // report of the `chortle-serve` daemon may only use the
-        // documented counter set, so a typo'd server counter fails
-        // validation instead of shipping silently. v1.3 closes the
-        // `trace.` observation-echo namespace the same way.
-        if name.starts_with("serve.") && !SERVE_COUNTERS.contains(&name) {
-            return Err(format!(
-                "{path}.name {name:?} is not a documented serve.* counter \
-                 (expected one of {SERVE_COUNTERS:?})"
-            ));
-        }
-        if name.starts_with("trace.") && !TRACE_COUNTERS.contains(&name) {
-            return Err(format!(
-                "{path}.name {name:?} is not a documented trace.* counter \
-                 (expected one of {TRACE_COUNTERS:?})"
-            ));
-        }
-        // Schema v1.5 closes the mapper's `cache.` namespace too: the
-        // counter set doubles as the compatibility contract between
-        // the two cache tiers and every report consumer.
-        if name.starts_with("cache.") && !CACHE_COUNTERS.contains(&name) {
-            return Err(format!(
-                "{path}.name {name:?} is not a documented cache.* counter \
-                 (expected one of {CACHE_COUNTERS:?})"
-            ));
-        }
-        // Schema v1.6 closes the sequential-design pipeline's `design.`
-        // namespace and the streaming reader's `blif.` namespace: both
-        // are cross-surface contracts (CLI, daemon, loadgen) and must
-        // not grow undocumented names.
-        if name.starts_with("design.") && !DESIGN_COUNTERS.contains(&name) {
-            return Err(format!(
-                "{path}.name {name:?} is not a documented design.* counter \
-                 (expected one of {DESIGN_COUNTERS:?})"
-            ));
-        }
-        if name.starts_with("blif.") && !BLIF_COUNTERS.contains(&name) {
-            return Err(format!(
-                "{path}.name {name:?} is not a documented blif.* counter \
-                 (expected one of {BLIF_COUNTERS:?})"
-            ));
-        }
-        // Schema v1.7 closes the structured logger's `log.` namespace:
-        // logging volume rides every daemon report, so its counter set
-        // is part of the cross-surface contract too.
-        if name.starts_with("log.") && !LOG_COUNTERS.contains(&name) {
-            return Err(format!(
-                "{path}.name {name:?} is not a documented log.* counter \
-                 (expected one of {LOG_COUNTERS:?})"
-            ));
+        if let Some(ns) = CLOSED_NAMESPACES.iter().find(|ns| name.starts_with(*ns)) {
+            if catalogue::lookup(name).map(|e| e.kind) != Some(Kind::Counter) {
+                return Err(format!(
+                    "{path}.name {name:?} is not a catalogued {ns}* counter"
+                ));
+            }
         }
     }
 
@@ -443,88 +328,96 @@ mod tests {
         assert!(err.contains("value"), "{err}");
     }
 
-    #[test]
-    fn serve_namespace_is_closed() {
-        // Every documented serve.* counter passes …
+    /// Every catalogued counter of `ns` validates, while each of `typos`
+    /// (names under `ns` the catalogue does not hold) is rejected by name.
+    fn assert_namespace_closed(ns: &str, typos: &[&'static str]) {
+        assert!(CLOSED_NAMESPACES.contains(&ns));
         let t = Telemetry::enabled();
-        for name in SERVE_COUNTERS {
-            t.add_counter(name, 1);
+        for e in catalogue::ENTRIES
+            .iter()
+            .filter(|e| e.kind == Kind::Counter && e.name.starts_with(ns))
+        {
+            t.add_counter(e.name, 1);
         }
-        validate_report(&t.snapshot().to_json()).expect("documented serve counters validate");
-        // … while an undocumented one (e.g. a typo) is rejected by name.
-        let t = Telemetry::enabled();
-        t.add_counter("serve.rejected_deadlin", 1);
-        let err = validate_report(&t.snapshot().to_json()).unwrap_err();
-        assert!(err.contains("serve.rejected_deadlin"), "{err}");
-        // Other namespaces remain open (mapper counters come and go).
-        let t = Telemetry::enabled();
-        t.add_counter("dp.some_future_counter", 1);
-        validate_report(&t.snapshot().to_json()).expect("non-serve namespaces stay open");
-    }
-
-    #[test]
-    fn cache_namespace_is_closed() {
-        // Every documented cache.* counter passes …
-        let t = Telemetry::enabled();
-        for name in CACHE_COUNTERS {
-            t.add_counter(name, 1);
-        }
-        validate_report(&t.snapshot().to_json()).expect("documented cache counters validate");
-        // … while an undocumented one (a typo, or a counter of the
-        // retired functional tier) is rejected by name.
-        for name in ["cache.fn_hit", "cache.fn_hits"] {
+        validate_report(&t.snapshot().to_json())
+            .unwrap_or_else(|err| panic!("catalogued {ns}* counters validate: {err}"));
+        for name in typos {
             let t = Telemetry::enabled();
             t.add_counter(name, 1);
             let err = validate_report(&t.snapshot().to_json()).unwrap_err();
             assert!(err.contains(name), "{err}");
         }
-        // pack.* remains open alongside the closed namespaces.
-        let t = Telemetry::enabled();
-        t.add_counter("pack.dropped_inputs", 1);
-        validate_report(&t.snapshot().to_json()).expect("pack namespace stays open");
+    }
+
+    #[test]
+    fn serve_namespace_is_closed() {
+        assert_namespace_closed("serve.", &["serve.rejected_deadlin"]);
+    }
+
+    #[test]
+    fn cache_namespace_is_closed() {
+        // A typo, or a counter of the retired functional tier.
+        assert_namespace_closed("cache.", &["cache.fn_hit", "cache.fn_hits"]);
     }
 
     #[test]
     fn design_namespace_is_closed() {
-        // Every documented design.* counter passes, and the
-        // design.cloud_work histogram rides the histogram section.
-        let t = Telemetry::enabled();
-        for name in DESIGN_COUNTERS {
-            t.add_counter(name, 1);
-        }
-        t.record_value("design.cloud_work", 3);
-        validate_report(&t.snapshot().to_json()).expect("documented design counters validate");
-        // … while an undocumented one (e.g. a typo) is rejected by name.
-        let t = Telemetry::enabled();
-        t.add_counter("design.cloud", 1);
-        let err = validate_report(&t.snapshot().to_json()).unwrap_err();
-        assert!(err.contains("design.cloud"), "{err}");
+        assert_namespace_closed("design.", &["design.cloud"]);
     }
 
     #[test]
     fn blif_namespace_is_closed() {
-        let t = Telemetry::enabled();
-        for name in BLIF_COUNTERS {
-            t.add_counter(name, 1);
-        }
-        validate_report(&t.snapshot().to_json()).expect("documented blif counters validate");
-        let t = Telemetry::enabled();
-        t.add_counter("blif.lines", 1);
-        let err = validate_report(&t.snapshot().to_json()).unwrap_err();
-        assert!(err.contains("blif.lines"), "{err}");
+        assert_namespace_closed("blif.", &["blif.lines"]);
     }
 
     #[test]
     fn log_namespace_is_closed() {
+        assert_namespace_closed("log.", &["log.evnets"]);
+    }
+
+    #[test]
+    fn closed_namespaces_admit_only_catalogue_counters() {
+        // Every catalogued counter validates together; the
+        // design.cloud_work histogram rides the histogram section.
         let t = Telemetry::enabled();
-        for name in LOG_COUNTERS {
-            t.add_counter(name, 1);
+        for e in catalogue::ENTRIES
+            .iter()
+            .filter(|e| e.kind == Kind::Counter)
+        {
+            t.add_counter(e.name, 1);
         }
-        validate_report(&t.snapshot().to_json()).expect("documented log counters validate");
-        let t = Telemetry::enabled();
-        t.add_counter("log.evnets", 1);
-        let err = validate_report(&t.snapshot().to_json()).unwrap_err();
-        assert!(err.contains("log.evnets"), "{err}");
+        t.record_value(catalogue::DESIGN_CLOUD_WORK, 3);
+        validate_report(&t.snapshot().to_json()).expect("catalogued counters validate");
+        // Each closed namespace holds the counters it held when it closed.
+        for (ns, counters) in [
+            ("serve.", 20),
+            ("trace.", 2),
+            ("cache.", 3),
+            ("design.", 4),
+            ("blif.", 6),
+            ("log.", 4),
+        ] {
+            assert!(CLOSED_NAMESPACES.contains(&ns));
+            let found = catalogue::ENTRIES
+                .iter()
+                .filter(|e| e.kind == Kind::Counter && e.name.starts_with(ns))
+                .count();
+            assert_eq!(found, counters, "{ns}* counters");
+        }
+        assert_eq!(CLOSED_NAMESPACES.len(), 6);
+        // Catalogued names of another kind are rejected as counters …
+        for name in ["serve.run_ns", "design.cloud_work"] {
+            let t = Telemetry::enabled();
+            t.add_counter(name, 1);
+            let err = validate_report(&t.snapshot().to_json()).unwrap_err();
+            assert!(err.contains(name), "{err}");
+        }
+        // … while the other namespaces stay open.
+        for name in ["dp.some_future_counter", "pack.dropped_inputs"] {
+            let t = Telemetry::enabled();
+            t.add_counter(name, 1);
+            validate_report(&t.snapshot().to_json()).expect("open namespaces accept any name");
+        }
     }
 
     #[test]

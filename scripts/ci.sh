@@ -58,8 +58,11 @@ out="$(printf "$smoke_blif" \
   || { echo "ci: --cache shared changed the circuit" >&2; exit 1; }
 
 echo "==> don't-care packing smoke (--pack dc, equivalence-checked in-process)"
-# The dc post-pass proves equivalence internally (it refuses to emit an
-# unproven merge); here we check the other contract: it never increases
+# The dc post-pass ends with check_equivalence of the packed circuit
+# against the network and refuses to emit one that fails it. That check
+# is exhaustive up to MAX_VARS = 16 inputs and samples random patterns
+# above, so it proves equivalence only on narrow circuits (this smoke's
+# has 3 inputs). Here we check the other contract: it never increases
 # the LUT count.
 packed="$(printf "$smoke_blif" \
   | cargo run -q -p chortle-cli --bin chortle-map -- --cache shared --pack dc)"

@@ -6,7 +6,7 @@
 
 use chortle::reference::reference_tree_cost;
 use chortle::{
-    map_network, stats, tree_lut_cost, CacheMode, Forest, MapOptions, Telemetry, TraceKind,
+    catalogue, map_network, tree_lut_cost, CacheMode, Forest, MapOptions, Telemetry, TraceKind,
     TraceScope, WarmCache,
 };
 use chortle_bench::optimized_suite;
@@ -80,8 +80,8 @@ fn dp_costs_meet_the_counting_lower_bound() {
                 .unwrap();
             map_network(normal, &options).expect("maps");
             let report = telemetry.snapshot();
-            reported_at_bound += report.counter(stats::MAP_TREES_AT_BOUND).unwrap();
-            reported_gap += report.counter(stats::MAP_BOUND_GAP).unwrap();
+            reported_at_bound += report.counter(catalogue::MAP_TREES_AT_BOUND).unwrap();
+            reported_gap += report.counter(catalogue::MAP_BOUND_GAP).unwrap();
             let mut forest = Forest::of(normal);
             forest.split_wide_nodes(threshold.max(k));
             for tree in &forest.trees {
@@ -223,7 +223,7 @@ fn fn_tier_replays_match_the_reference_optimum() {
                 .iter()
                 .filter(|e| {
                     e.scope == TraceScope::Tree
-                        && e.name == stats::TRACE_TREE
+                        && e.name == catalogue::MAP_TREE
                         && e.kind == TraceKind::End
                 })
                 .map(|e| e.arg)
