@@ -7,9 +7,9 @@
 //!
 //! Every cloud's [`Network`] comes straight from [`Design::clouds`],
 //! which builds it exactly as the single-model reader would elaborate
-//! the cloud's standalone BLIF. It is optionally preprocessed (the CLI
-//! hooks its `--optimize` pass in here), mapped with [`map_network`],
-//! equivalence-checked, and rendered with
+//! the cloud's standalone BLIF. It is optionally optimized with the
+//! MIS-style script ([`DesignOptions::optimize`]), mapped with
+//! [`map_network`], equivalence-checked, and rendered with
 //! [`chortle_netlist::write_lut_blif`]. That shared canonical form is
 //! what makes a cloud mapped inside a design byte-identical to the same
 //! cloud written with [`chortle_netlist::write_blif`] and mapped as a
@@ -20,42 +20,39 @@
 //! assembled netlist is re-parsed through our own reader before being
 //! returned, so a [`MappedDesign`] always round-trips.
 
-use std::sync::Arc;
-
+use chortle_logic_opt::{optimize_with_telemetry, OptimizeOptions};
 use chortle_netlist::{
     check_equivalence, parse_design, write_lut_blif, write_mapped_design_blif, Design,
-    DesignClouds, LutCircuit, Network, ParseBlifError, ParseStats,
+    DesignClouds, LutCircuit, Network, NetworkError, ParseBlifError, ParseStats,
 };
 use chortle_telemetry::{catalogue, Telemetry};
 
 use crate::map::{map_network, MapError, MapOptions};
 
-/// A per-cloud network transform run between parsing and mapping — the
-/// design-level analogue of the CLI's `--optimize` pass. Errors are
-/// reported as [`DesignError::Preprocess`] with the cloud index.
-pub type CloudPreprocess = Arc<dyn Fn(&Network) -> Result<Network, String> + Send + Sync>;
-
 /// Configuration of the sequential-design pipeline: the per-cloud
 /// mapper options plus the design-level knobs.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct DesignOptions {
     /// Options every cloud is mapped with. The telemetry sink receives
-    /// the `design.*` counters and every cloud's `map.*` family.
+    /// the `design.*` counters and every cloud's `opt.*` and `map.*`
+    /// families.
     pub map: MapOptions,
-    /// Optional per-cloud preprocess (e.g. network optimization) run
-    /// on the cloud's network before it is mapped.
-    pub preprocess: Option<CloudPreprocess>,
-    /// Equivalence-check every mapped cloud against its (preprocessed)
+    /// Run the MIS-style optimization script on every cloud's network
+    /// before it is mapped — the design-level `--optimize`. Off by
+    /// default.
+    pub optimize: bool,
+    /// Equivalence-check every mapped cloud against its (optimized)
     /// source network. On by default; servers may disable it.
     pub verify: bool,
 }
 
 impl DesignOptions {
-    /// Design options with no preprocess and per-cloud verification on.
+    /// Design options with optimization off and per-cloud verification
+    /// on.
     pub fn new(map: MapOptions) -> DesignOptions {
         DesignOptions {
             map,
-            preprocess: None,
+            optimize: false,
             verify: true,
         }
     }
@@ -68,7 +65,7 @@ pub struct MappedCloud {
     /// `chortle-map` run over the cloud's [`chortle_netlist::write_blif`]
     /// text would produce.
     pub mapped: String,
-    /// The (possibly preprocessed) cloud network the circuit's input ids
+    /// The (possibly optimized) cloud network the circuit's input ids
     /// refer to.
     pub network: Network,
     /// The cloud's LUT circuit; outputs are named after its sink nets.
@@ -117,12 +114,12 @@ pub enum DesignError {
         /// The mapper's error.
         error: MapError,
     },
-    /// The preprocess callback rejected one cloud.
-    Preprocess {
+    /// The optimization script failed on one cloud.
+    Optimize {
         /// Index of the failing cloud.
         cloud: usize,
-        /// The callback's message.
-        message: String,
+        /// The optimizer's error.
+        error: NetworkError,
     },
     /// A mapped cloud failed equivalence verification against its
     /// source network — an internal bug, never bad input.
@@ -141,8 +138,8 @@ impl std::fmt::Display for DesignError {
             DesignError::Map { cloud, error } => {
                 write!(f, "mapping cloud {cloud} failed: {error}")
             }
-            DesignError::Preprocess { cloud, message } => {
-                write!(f, "preprocessing cloud {cloud} failed: {message}")
+            DesignError::Optimize { cloud, error } => {
+                write!(f, "optimizing cloud {cloud} failed: {error}")
             }
             DesignError::Verification { cloud, message } => {
                 write!(f, "cloud {cloud} failed verification: {message}")
@@ -179,7 +176,7 @@ pub fn record_parse_stats(telemetry: &Telemetry, parse: &ParseStats) {
 ///
 /// # Errors
 ///
-/// Returns [`DesignError::Map`] / [`DesignError::Preprocess`] /
+/// Returns [`DesignError::Map`] / [`DesignError::Optimize`] /
 /// [`DesignError::Verification`] attributed to the first failing cloud
 /// (in cloud order), or [`DesignError::Parse`] if the assembled netlist
 /// fails to re-parse.
@@ -226,18 +223,28 @@ pub fn map_design(design: &Design, opts: &DesignOptions) -> Result<MappedDesign,
     })
 }
 
-/// The per-cloud pipeline: preprocess, map, verify, render.
+/// The per-cloud pipeline: optimize, map, verify, render. A fired
+/// cancellation token stops the cloud before the optimizer starts.
 fn map_cloud(
     index: usize,
     network: &Network,
     opts: &DesignOptions,
 ) -> Result<MappedCloud, DesignError> {
-    let network = match &opts.preprocess {
-        Some(pre) => pre(network).map_err(|message| DesignError::Preprocess {
-            cloud: index,
-            message,
-        })?,
-        None => network.clone(),
+    let network = if opts.optimize {
+        if opts.map.cancel.is_cancelled() {
+            return Err(DesignError::Map {
+                cloud: index,
+                error: MapError::Cancelled,
+            });
+        }
+        optimize_with_telemetry(network, &OptimizeOptions::default(), &opts.map.telemetry)
+            .map_err(|error| DesignError::Optimize {
+                cloud: index,
+                error,
+            })?
+            .0
+    } else {
+        network.clone()
     };
     let mapping = map_network(&network, &opts.map).map_err(|error| DesignError::Map {
         cloud: index,
@@ -355,17 +362,34 @@ mod tests {
     }
 
     #[test]
-    fn preprocess_feeds_the_mapper_and_errors_are_attributed() {
+    fn optimize_feeds_the_mapper_and_cancels_are_attributed() {
         let (design, _) = parse_design(TWO_CLOUDS).expect("parses");
         let mut opts = options();
-        opts.preprocess = Some(Arc::new(|net: &Network| Ok(net.clone())));
-        map_design(&design, &opts).expect("identity preprocess maps");
-
-        opts.preprocess = Some(Arc::new(|_: &Network| Err("nope".to_owned())));
-        match map_design(&design, &opts) {
-            Err(DesignError::Preprocess { cloud: 0, message }) => assert_eq!(message, "nope"),
-            other => panic!("expected a preprocess error, got {other:?}"),
+        opts.optimize = true;
+        let mapped = map_design(&design, &opts).expect("optimized design maps");
+        for (i, cloud) in mapped.clouds.iter().enumerate() {
+            let optimized = chortle_logic_opt::optimize(&mapped.cut.clouds[i].network)
+                .expect("cloud optimizes")
+                .0;
+            assert_eq!(write_blif(&cloud.network, "c"), write_blif(&optimized, "c"));
+            let circuit = map_network(&optimized, &opts.map).expect("maps").circuit;
+            assert_eq!(cloud.mapped, write_lut_blif(&optimized, &circuit, "mapped"));
         }
+
+        // A fired token stops the first cloud before its optimizer runs.
+        let token = crate::CancelToken::armed();
+        token.cancel();
+        opts.map.cancel = token;
+        opts.map.telemetry = Telemetry::enabled();
+        match map_design(&design, &opts) {
+            Err(DesignError::Map {
+                cloud: 0,
+                error: MapError::Cancelled,
+            }) => {}
+            other => panic!("expected a cancelled first cloud, got {other:?}"),
+        }
+        let report = opts.map.telemetry.snapshot();
+        assert!(report.stages.iter().all(|s| !s.name.starts_with("opt.")));
     }
 
     #[test]

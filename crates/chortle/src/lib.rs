@@ -56,6 +56,7 @@ mod design;
 mod dp;
 mod duplication;
 pub mod figures;
+mod flow;
 mod map;
 mod pack;
 pub mod reference;
@@ -66,14 +67,20 @@ pub use cache::{CacheMode, WarmCache, WarmStats};
 pub use cancel::CancelToken;
 pub use crf::{crf_network_cost, crf_tree_cost, CrfTreeCost};
 pub use design::{
-    map_design, record_parse_stats, CloudPreprocess, DesignError, DesignOptions, MappedCloud,
-    MappedDesign,
+    map_design, record_parse_stats, DesignError, DesignOptions, MappedCloud, MappedDesign,
 };
 pub use dp::Objective;
 pub use duplication::{duplicate_fanout_gates, map_network_best};
+pub use flow::{
+    run_design_flow, run_flow, FlowError, FlowOptions, FlowResult, Mapper, OutputFormat,
+};
 pub use map::{map_network, LutCheck, MapError, MapOptions, MapOptionsBuilder, MapReport, Mapping};
 pub use pack::PackMode;
 pub use tree::{Fingerprint, FingerprintScratch, Forest, Tree, TreeChild, TreeNode};
+
+// The optimizer the flow runs, re-exported so callers of the flow can run
+// the same script step by step without a dependency of their own.
+pub use chortle_logic_opt as logic_opt;
 
 // Observability: re-exported so downstream crates need no direct
 // dependency on the telemetry crate for the common path.

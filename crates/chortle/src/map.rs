@@ -377,7 +377,7 @@ pub struct Mapping {
     pub report: MapReport,
     /// The canonical fingerprint of every tree of the split forest, in
     /// tree order; each equals the tree's [`Tree::fingerprint`].
-    shapes: Vec<Fingerprint>,
+    pub(crate) shapes: Vec<Fingerprint>,
 }
 
 impl Mapping {

@@ -2,8 +2,8 @@
 //! warm cache — the two hooks `chortle-serve` builds on.
 
 use chortle::{
-    map_design, map_network, CacheMode, CancelToken, DesignError, DesignOptions, MapError,
-    MapOptions, WarmCache,
+    catalogue, map_design, map_network, run_design_flow, run_flow, CacheMode, CancelToken,
+    DesignError, DesignOptions, FlowError, FlowOptions, MapError, MapOptions, Telemetry, WarmCache,
 };
 use chortle_netlist::{parse_design, write_blif, Network, NodeOp, Signal};
 
@@ -45,6 +45,46 @@ fn fired_token_cancels_both_drivers() {
             ..
         }) => {}
         other => panic!("expected a cancelled cloud, got {other:?}"),
+    }
+}
+
+#[test]
+fn fired_token_stops_both_flows_before_the_optimizer() {
+    // The flows poll the token after parse, so with optimization on an
+    // expired deadline never reaches the optimizer or the mapper.
+    let blif = write_blif(&layered_network(16), "layered");
+    let token = CancelToken::armed();
+    token.cancel();
+    for design in [false, true] {
+        let telemetry = Telemetry::enabled();
+        let options = FlowOptions {
+            map: MapOptions::builder(4)
+                .cancel(token.clone())
+                .telemetry(telemetry.clone())
+                .build()
+                .unwrap(),
+            ..FlowOptions::default()
+        };
+        let err = if design {
+            run_design_flow(&blif, &options).map(|_| ()).unwrap_err()
+        } else {
+            run_flow(&blif, &options).map(|_| ()).unwrap_err()
+        };
+        assert!(
+            matches!(err, FlowError::Cancelled),
+            "design {design}: {err}"
+        );
+        let report = telemetry.snapshot();
+        assert!(report.stage(catalogue::FLOW_PARSE).is_some());
+        for stage in &report.stages {
+            assert!(
+                stage.name != catalogue::FLOW_OPTIMIZE
+                    && stage.name != catalogue::FLOW_MAP
+                    && !stage.name.starts_with("opt."),
+                "design {design}: stage {} ran after the token fired",
+                stage.name
+            );
+        }
     }
 }
 

@@ -249,18 +249,24 @@ fn print_shape_histogram(histogram: &[(chortle_cli::Fingerprint, usize)]) {
     }
 }
 
+/// Prints `message` to stderr and returns the failing exit code.
+fn fail(message: impl std::fmt::Display) -> ExitCode {
+    eprintln!("{message}");
+    ExitCode::FAILURE
+}
+
+/// Writes `text` to `path`, or fails with `cannot write PATH: ...`.
+fn write_file(path: &str, text: &str) -> Result<(), ExitCode> {
+    std::fs::write(path, text).map_err(|e| fail(format!("cannot write {path}: {e}")))
+}
+
 /// The `--design` path: sequential input, per-cloud mapping, sequential
 /// LUT netlist out. `--clouds DIR` additionally dumps every cloud and
 /// its mapped form, byte-identical to an offline `chortle-map` run over
 /// the same cloud file.
-fn run_design(blif: &str, cli: &Cli) -> ExitCode {
-    let result = match run_design_flow(blif, &cli.options) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("chortle-map: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn run_design(blif: &str, cli: &Cli) -> Result<(), ExitCode> {
+    let result =
+        run_design_flow(blif, &cli.options).map_err(|e| fail(format!("chortle-map: {e}")))?;
 
     if cli.stats {
         eprintln!(
@@ -274,49 +280,56 @@ fn run_design(blif: &str, cli: &Cli) -> ExitCode {
     }
 
     if let Some(dir) = &cli.clouds {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {dir}: {e}");
-            return ExitCode::FAILURE;
-        }
+        std::fs::create_dir_all(dir).map_err(|e| fail(format!("cannot create {dir}: {e}")))?;
         for (i, (cloud, mapped)) in result.cut.clouds.iter().zip(&result.clouds).enumerate() {
             let source = write_blif(&cloud.network, &format!("cloud{i}"));
             for (suffix, text) in [("blif", &source), ("mapped.blif", &mapped.mapped)] {
-                let path = format!("{dir}/cloud{i}.{suffix}");
-                if let Err(e) = std::fs::write(&path, text) {
-                    eprintln!("cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
+                write_file(&format!("{dir}/cloud{i}.{suffix}"), text)?;
             }
         }
     }
+    write_outputs(cli, &result.netlist, Vec::new)
+}
 
-    if let Some(path) = &cli.trace {
-        let trace = cli.options.map.telemetry.trace_snapshot();
-        if let Err(e) = std::fs::write(path, trace.to_chrome_json()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+/// The combinational path: one BLIF model through the flow.
+fn run_combinational(blif: &str, cli: &Cli) -> Result<(), ExitCode> {
+    let result = run_flow(blif, &cli.options).map_err(|e| fail(format!("chortle-map: {e}")))?;
+    if cli.stats {
+        eprintln!("network: {}", result.network_stats());
+        eprintln!("mapped:  {}", result.lut_stats());
     }
+    write_outputs(cli, &result.output_blif, || result.shape_histogram())
+}
 
+/// The tail both paths share: `--trace` to its file, `--report` to
+/// stdout (a text report followed by `shapes`, the forest's shape
+/// histogram), then the circuit to `-o FILE`, or to stdout when no
+/// report owns it.
+fn write_outputs(
+    cli: &Cli,
+    circuit: &str,
+    shapes: impl FnOnce() -> Vec<(chortle_cli::Fingerprint, usize)>,
+) -> Result<(), ExitCode> {
+    let telemetry = &cli.options.map.telemetry;
+    if let Some(path) = &cli.trace {
+        write_file(path, &telemetry.trace_snapshot().to_chrome_json())?;
+    }
     if let Some(format) = cli.report {
-        let report = cli.options.map.telemetry.snapshot();
+        let report = telemetry.snapshot();
         match format {
             ReportFormat::Json => println!("{}", report.to_json()),
-            ReportFormat::Text => print!("{}", report.to_text()),
-        }
-    }
-
-    match &cli.output {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &result.netlist) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
+            ReportFormat::Text => {
+                print!("{}", report.to_text());
+                print_shape_histogram(&shapes());
             }
         }
-        None if cli.report.is_none() => print!("{}", result.netlist),
+    }
+    match &cli.output {
+        Some(path) => write_file(path, circuit)?,
+        None if cli.report.is_none() => print!("{circuit}"),
         None => {}
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -328,76 +341,27 @@ fn main() -> ExitCode {
     let cli = match parse_args(args) {
         Ok(Some(cli)) => cli,
         Ok(None) => return ExitCode::SUCCESS,
-        Err(CliError(msg)) => {
-            eprintln!("chortle-map: {msg} (try --help)");
-            return ExitCode::FAILURE;
-        }
+        Err(CliError(msg)) => return fail(format!("chortle-map: {msg} (try --help)")),
     };
 
     let blif = match &cli.input {
         Some(path) => match std::fs::read_to_string(path) {
             Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return fail(format!("cannot read {path}: {e}")),
         },
         None => {
             let mut s = String::new();
             if let Err(e) = std::io::stdin().read_to_string(&mut s) {
-                eprintln!("cannot read stdin: {e}");
-                return ExitCode::FAILURE;
+                return fail(format!("cannot read stdin: {e}"));
             }
             s
         }
     };
 
-    if cli.design {
-        return run_design(&blif, &cli);
-    }
-
-    let result = match run_flow(&blif, &cli.options) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("chortle-map: {e}");
-            return ExitCode::FAILURE;
-        }
+    let run = if cli.design {
+        run_design(&blif, &cli)
+    } else {
+        run_combinational(&blif, &cli)
     };
-
-    if cli.stats {
-        eprintln!("network: {}", result.network_stats);
-        eprintln!("mapped:  {}", result.lut_stats);
-    }
-
-    if let Some(path) = &cli.trace {
-        let trace = cli.options.map.telemetry.trace_snapshot();
-        if let Err(e) = std::fs::write(path, trace.to_chrome_json()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-
-    // --report owns stdout; the circuit then goes only to -o FILE.
-    if let Some(format) = cli.report {
-        let report = cli.options.map.telemetry.snapshot();
-        match format {
-            ReportFormat::Json => println!("{}", report.to_json()),
-            ReportFormat::Text => {
-                print!("{}", report.to_text());
-                print_shape_histogram(&result.shape_histogram);
-            }
-        }
-    }
-
-    match &cli.output {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &result.output_blif) {
-                eprintln!("cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        None if cli.report.is_none() => print!("{}", result.output_blif),
-        None => {}
-    }
-    ExitCode::SUCCESS
+    run.err().unwrap_or(ExitCode::SUCCESS)
 }

@@ -348,19 +348,19 @@ pub fn parse_response(line: &str) -> Result<Response, String> {
         "ok" => match str_field("op")?.as_str() {
             // map_design answers carry the identical payload shape; the
             // echoed id (and the sequential netlist) tell them apart.
-            "map" | "map_design" => Ok(Response::MapOk {
-                id,
-                luts: u64_field("luts")? as usize,
-                depth: u64_field("depth")? as usize,
-                cache_generation: u64_field("cache_generation")?,
-                run_ns: u64_field("run_ns")?,
-                netlist: str_field("netlist")?,
-                report_json: value
-                    .get("report")
-                    .map(Value::to_json)
-                    .ok_or("response is missing \"report\"")?,
-                trace_id: optional_trace_id(&value),
-            }),
+            "map" | "map_design" => {
+                let m = parse_mapped(&value, "response")?;
+                Ok(Response::MapOk {
+                    id,
+                    luts: m.luts,
+                    depth: m.depth,
+                    cache_generation: m.cache_generation,
+                    run_ns: m.run_ns,
+                    netlist: m.netlist,
+                    report_json: m.report_json,
+                    trace_id: m.trace_id,
+                })
+            }
             "map_batch" => Ok(Response::BatchOk {
                 id,
                 results: parse_batch_results(&value)?,
@@ -454,34 +454,39 @@ fn parse_batch_results(value: &Value) -> Result<Vec<MapReply>, String> {
                 .ok_or("batch entry is missing string field \"status\"")?;
             match status {
                 "rejected" => Ok(MapReply::Rejected(parse_rejection(entry)?)),
-                "ok" => {
-                    let number = |key: &str| {
-                        entry
-                            .get(key)
-                            .and_then(Value::as_u64)
-                            .ok_or_else(|| format!("batch entry is missing integer field {key:?}"))
-                    };
-                    Ok(MapReply::Mapped(Mapped {
-                        luts: number("luts")? as usize,
-                        depth: number("depth")? as usize,
-                        cache_generation: number("cache_generation")?,
-                        run_ns: number("run_ns")?,
-                        netlist: entry
-                            .get("netlist")
-                            .and_then(Value::as_str)
-                            .map(str::to_owned)
-                            .ok_or("batch entry is missing string field \"netlist\"")?,
-                        report_json: entry
-                            .get("report")
-                            .map(Value::to_json)
-                            .ok_or("batch entry is missing \"report\"")?,
-                        trace_id: optional_trace_id(entry),
-                    }))
-                }
+                "ok" => Ok(MapReply::Mapped(parse_mapped(entry, "batch entry")?)),
                 other => Err(format!("unknown batch entry status {other:?}")),
             }
         })
         .collect()
+}
+
+/// Parses a mapped payload: the body of a `map`/`map_design` response
+/// or an `ok` entry of a `map_batch` response, which carry the same
+/// fields. `what` names the container in error messages.
+fn parse_mapped(value: &Value, what: &str) -> Result<Mapped, String> {
+    let number = |key: &str| {
+        value
+            .get(key)
+            .and_then(Value::as_u64)
+            .ok_or_else(|| format!("{what} is missing integer field {key:?}"))
+    };
+    Ok(Mapped {
+        luts: number("luts")? as usize,
+        depth: number("depth")? as usize,
+        cache_generation: number("cache_generation")?,
+        run_ns: number("run_ns")?,
+        netlist: value
+            .get("netlist")
+            .and_then(Value::as_str)
+            .map(str::to_owned)
+            .ok_or_else(|| format!("{what} is missing string field \"netlist\""))?,
+        report_json: value
+            .get("report")
+            .map(Value::to_json)
+            .ok_or_else(|| format!("{what} is missing \"report\""))?,
+        trace_id: optional_trace_id(value),
+    })
 }
 
 /// The optional `trace_id` echo — empty when the request carried none

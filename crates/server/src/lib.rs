@@ -51,11 +51,14 @@
 //!   Prometheus text exposition on `--metrics-addr` validated by
 //!   `report-check --prom`.
 //!
-//! Responses are byte-identical to the offline `chortle-map` CLI for
-//! the same `(BLIF, k, cache, objective, optimize)` — the server
-//! is a faster way to run the same mapper, not a different mapper.
-//! That holds for every path: v1 `map`, v2 `map`, each entry of a v2
-//! `map_batch`, and `map_design` against `chortle-map --design`.
+//! Every request runs the offline CLI's own flow
+//! ([`chortle::run_flow`], or [`chortle::run_design_flow`] for
+//! `map_design`) with verification off, so responses are
+//! byte-identical to `chortle-map` for the same `(BLIF, k, cache,
+//! objective, optimize)` — the server is a faster way to run the same
+//! flow, not a second copy of it. That holds for every path: v1 `map`,
+//! v2 `map`, each entry of a v2 `map_batch`, and `map_design` against
+//! `chortle-map --design`.
 //!
 //! Everything is `std`-only, like the rest of the workspace.
 

@@ -335,13 +335,7 @@ fn worker_loop(shared: &Shared) {
             ))
         } else {
             let cancel = service::cancel_for(job.deadline);
-            contain_panic(|| {
-                if job.req.design {
-                    service::execute_design(&job.req, &shared.warm, cancel)
-                } else {
-                    service::execute_map(&job.req, &shared.warm, cancel)
-                }
-            })
+            contain_panic(|| service::execute(&job.req, &shared.warm, cancel))
         };
         let run = start.elapsed();
         let run_ns = u64::try_from(run.as_nanos()).unwrap_or(u64::MAX);

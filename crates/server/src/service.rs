@@ -1,25 +1,24 @@
-//! The per-request mapping pipeline.
+//! The per-request adapter around the mapping flow.
 //!
-//! Mirrors the offline CLI flow (`chortle-cli::run_flow`) stage for
-//! stage — parse, optional MIS-style optimization, Chortle mapping,
-//! BLIF render with the same `"mapped"` model name — so a server
+//! The daemon runs the offline CLI's own flow ([`chortle::run_flow`],
+//! or [`chortle::run_design_flow`] for `map_design`) with the Chortle
+//! mapper, BLIF output and the `"mapped"` model name, so a server
 //! response's `netlist` is **byte-identical** to what `chortle-map`
 //! prints for the same `(BLIF, k, cache, objective, optimize)`.
-//! Equivalence verification is deliberately skipped server-side: it
-//! never changes the output bytes, and the offline CLI remains the
-//! place for one-shot assurance runs. Each request gets its own enabled
-//! [`Telemetry`] sink whose report is embedded in the response.
+//! Equivalence verification is deliberately off server-side: it never
+//! changes the output bytes, and the offline CLI remains the place for
+//! one-shot assurance runs. Each request gets its own enabled
+//! [`Telemetry`] sink whose report is embedded in the response, and the
+//! request's cancellation token, which the flow polls between stages
+//! and the mapper at tree boundaries.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use chortle::{
-    map_design, map_network, record_parse_stats, CancelToken, DesignError, DesignOptions, MapError,
-    MapOptions, WarmCache,
+    run_design_flow, run_flow, CancelToken, FlowError, FlowOptions, MapOptions, Mapper,
+    OutputFormat, WarmCache,
 };
-use chortle_logic_opt::{optimize_with_telemetry, OptimizeOptions};
-use chortle_netlist::{parse_blif, parse_design, write_lut_blif, Network};
-use chortle_telemetry::{catalogue, Telemetry};
+use chortle_telemetry::Telemetry;
 
 use crate::proto::{MapRequest, RejectReason};
 
@@ -36,156 +35,68 @@ pub(crate) struct MapOutcome {
     pub report_json: String,
 }
 
-/// Executes one `map` request against the server's warm cache under a
-/// cancellation token.
+/// Executes one `map` or `map_design` request against the server's warm
+/// cache under a cancellation token.
 ///
 /// # Errors
 ///
 /// Returns the typed rejection to send: `bad_request` for anything
 /// wrong with the request itself (unparseable BLIF, out-of-range `k`),
 /// `deadline_exceeded` when `cancel` fired mid-run (partial work
-/// discarded — the drivers drop everything on the floor), and
-/// `internal` for mapper invariant failures that should never happen.
-pub(crate) fn execute_map(
+/// discarded), and `internal` for optimizer or mapper failures that
+/// should never happen.
+pub(crate) fn execute(
     req: &MapRequest,
     warm: &WarmCache,
     cancel: CancelToken,
 ) -> Result<MapOutcome, (RejectReason, String)> {
     let telemetry = Telemetry::enabled();
-    let options = MapOptions::builder(req.k)
+    let map = MapOptions::builder(req.k)
         .cache(req.cache)
         .objective(req.objective)
         .telemetry(telemetry.clone())
-        .cancel(cancel.clone())
+        .cancel(cancel)
         .warm_cache(warm.clone())
         .build()
         .map_err(|e| (RejectReason::BadRequest, e.to_string()))?;
-
-    let parsed = {
-        let _s = telemetry.span(catalogue::FLOW_PARSE);
-        parse_blif(&req.blif)
-            .map_err(|e| (RejectReason::BadRequest, format!("cannot parse input: {e}")))?
+    let options = FlowOptions {
+        map,
+        mapper: Mapper::Chortle,
+        optimize: req.optimize,
+        verify: false,
+        format: OutputFormat::Blif,
     };
-    if cancel.is_cancelled() {
-        return Err(deadline_rejection());
-    }
-    let network = if req.optimize {
-        let _s = telemetry.span(catalogue::FLOW_OPTIMIZE);
-        let (optimized, _) =
-            optimize_with_telemetry(&parsed, &OptimizeOptions::default(), &telemetry)
-                .map_err(|e| (RejectReason::Internal, format!("optimization failed: {e}")))?;
-        optimized
+    let (luts, depth, netlist) = if req.design {
+        let mapped = run_design_flow(&req.blif, &options).map_err(rejection)?;
+        (mapped.luts, mapped.depth, mapped.netlist)
     } else {
-        parsed
-    };
-    if cancel.is_cancelled() {
-        return Err(deadline_rejection());
-    }
-
-    let mapping = {
-        let _s = telemetry.span(catalogue::FLOW_MAP);
-        map_network(&network, &options).map_err(map_rejection)?
-    };
-
-    let netlist = {
-        let _s = telemetry.span(catalogue::FLOW_RENDER);
-        write_lut_blif(&network, &mapping.circuit, "mapped")
+        let mapped = run_flow(&req.blif, &options).map_err(rejection)?;
+        (mapped.luts, mapped.depth, mapped.output_blif)
     };
     Ok(MapOutcome {
-        luts: mapping.circuit.num_luts(),
-        depth: mapping.circuit.depth(),
+        luts,
+        depth,
         netlist,
         report_json: telemetry.snapshot().to_json(),
     })
 }
 
-/// Executes one `map_design` request: the sequential-design pipeline
-/// (DESIGN.md §17) behind the same stage names and the same warm cache
-/// as `execute_map`. The `optimize` knob hooks the MIS-style script in
-/// as the per-cloud preprocess — exactly where the offline CLI's
-/// `--design` path runs it — so the assembled netlist is byte-identical
-/// to `chortle-map --design` with the same parameters. Per-cloud
-/// equivalence verification stays an offline-CLI concern, like the
-/// combinational path's.
-///
-/// # Errors
-///
-/// `bad_request` for unparseable designs or out-of-range knobs,
-/// `deadline_exceeded` when `cancel` fired mid-run, and `internal` for
-/// pipeline failures that should never happen.
-pub(crate) fn execute_design(
-    req: &MapRequest,
-    warm: &WarmCache,
-    cancel: CancelToken,
-) -> Result<MapOutcome, (RejectReason, String)> {
-    let telemetry = Telemetry::enabled();
-    let options = MapOptions::builder(req.k)
-        .cache(req.cache)
-        .objective(req.objective)
-        .telemetry(telemetry.clone())
-        .cancel(cancel.clone())
-        .warm_cache(warm.clone())
-        .build()
-        .map_err(|e| (RejectReason::BadRequest, e.to_string()))?;
-
-    let (design, parse_stats) = {
-        let _s = telemetry.span(catalogue::FLOW_PARSE);
-        parse_design(&req.blif)
-            .map_err(|e| (RejectReason::BadRequest, format!("cannot parse input: {e}")))?
-    };
-    record_parse_stats(&telemetry, &parse_stats);
-    if cancel.is_cancelled() {
-        return Err(deadline_rejection());
-    }
-
-    let mut design_opts = DesignOptions::new(options);
-    design_opts.verify = false;
-    if req.optimize {
-        let telemetry = telemetry.clone();
-        design_opts.preprocess = Some(Arc::new(move |net: &Network| {
-            optimize_with_telemetry(net, &OptimizeOptions::default(), &telemetry)
-                .map(|(optimized, _)| optimized)
-                .map_err(|e| e.to_string())
-        }));
-    }
-
-    let mapped = {
-        let _s = telemetry.span(catalogue::FLOW_MAP);
-        map_design(&design, &design_opts).map_err(|e| match e {
-            DesignError::Map {
-                error: MapError::Cancelled,
-                ..
-            } => deadline_rejection(),
-            other => (
-                RejectReason::Internal,
-                format!("design mapping failed: {other}"),
-            ),
-        })?
-    };
-    Ok(MapOutcome {
-        luts: mapped.luts,
-        depth: mapped.depth,
-        netlist: mapped.netlist,
-        report_json: telemetry.snapshot().to_json(),
-    })
-}
-
-/// The wire rejection for a failed [`map_network`] run: an expired
-/// deadline is `deadline_exceeded`; anything else — a failed
-/// release-mode invariant such as [`MapError::LutCount`] included — is
-/// a typed `internal` rejection carrying the error's message.
-fn map_rejection(e: MapError) -> (RejectReason, String) {
+/// The wire rejection for a failed flow: an expired deadline is
+/// `deadline_exceeded`, bad input is `bad_request`, and anything else —
+/// a failed release-mode invariant such as [`chortle::MapError::LutCount`]
+/// included — is a typed `internal` rejection carrying the error's
+/// message.
+fn rejection(e: FlowError) -> (RejectReason, String) {
     match e {
-        MapError::Cancelled => deadline_rejection(),
-        other => (RejectReason::Internal, format!("mapping failed: {other}")),
+        FlowError::Cancelled => (
+            RejectReason::DeadlineExceeded,
+            "deadline expired before mapping finished; partial work discarded".into(),
+        ),
+        FlowError::Parse(_) | FlowError::UnsupportedK { .. } => {
+            (RejectReason::BadRequest, e.to_string())
+        }
+        _ => (RejectReason::Internal, e.to_string()),
     }
-}
-
-fn deadline_rejection() -> (RejectReason, String) {
-    (
-        RejectReason::DeadlineExceeded,
-        "deadline expired before mapping finished; partial work discarded".into(),
-    )
 }
 
 /// Builds the cancellation token for a job with an optional absolute
@@ -197,6 +108,13 @@ pub(crate) fn cancel_for(deadline: Option<Instant>) -> CancelToken {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chortle::MapError;
+
+    const COMB: &str = ".model comb\n.inputs a b c\n.outputs z\n\
+                        .names a b t\n11 1\n.names t c z\n1- 1\n-1 1\n.end\n";
+    const SEQ: &str = ".model seq\n.inputs a b c\n.outputs z\n.latch d q re clk 0\n\
+                       .names a b t\n11 1\n.names t c d\n1- 1\n-1 1\n\
+                       .names q b z\n01 1\n.end\n";
 
     #[test]
     fn invariant_failures_reject_as_internal() {
@@ -205,10 +123,45 @@ mod tests {
             expected: 3,
             actual: 4,
         };
-        let (reason, detail) = map_rejection(e.clone());
+        let (reason, detail) = rejection(FlowError::from(e.clone()));
         assert_eq!(reason, RejectReason::Internal);
-        assert!(detail.ends_with(&e.to_string()), "{detail}");
-        let (reason, _) = map_rejection(MapError::Cancelled);
+        assert_eq!(detail, format!("mapping failed: {e}"));
+        let (reason, _) = rejection(FlowError::from(MapError::Cancelled));
         assert_eq!(reason, RejectReason::DeadlineExceeded);
+    }
+
+    #[test]
+    fn fired_tokens_reject_as_deadline_exceeded_before_optimizing() {
+        let warm = WarmCache::new();
+        for (design, blif) in [(false, COMB), (true, SEQ)] {
+            let req = MapRequest {
+                blif: blif.to_owned(),
+                optimize: true,
+                design,
+                ..MapRequest::default()
+            };
+            let token = CancelToken::armed();
+            token.cancel();
+            let Err((reason, detail)) = execute(&req, &warm, token) else {
+                panic!("a fired token must reject (design: {design})");
+            };
+            assert_eq!(reason, RejectReason::DeadlineExceeded);
+            assert_eq!(
+                detail,
+                "deadline expired before mapping finished; partial work discarded"
+            );
+            // Bad input still answers bad_request with the parser's text.
+            let bad = MapRequest {
+                blif: ".model x\n.names a\n2 1\n.end\n".to_owned(),
+                ..req
+            };
+            let Err((reason, detail)) = execute(&bad, &warm, CancelToken::default()) else {
+                panic!("malformed BLIF must reject (design: {design})");
+            };
+            assert_eq!(reason, RejectReason::BadRequest);
+            assert!(detail.starts_with("cannot parse input: "), "{detail}");
+        }
+        // Nothing ran far enough to store a DP solution.
+        assert_eq!(warm.stats().shapes, 0);
     }
 }

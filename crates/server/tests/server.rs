@@ -39,7 +39,7 @@ fn request(blif: &str) -> MapRequest {
 fn offline(blif: &str, k: usize, objective: Objective, optimize: bool) -> String {
     let parsed = chortle_netlist::parse_blif(blif).expect("test circuit parses");
     let network = if optimize {
-        chortle_logic_opt::optimize(&parsed).expect("optimizes").0
+        chortle::logic_opt::optimize(&parsed).expect("optimizes").0
     } else {
         parsed
     };
@@ -865,25 +865,35 @@ fn map_design_matches_the_offline_design_pipeline() {
     );
     assert!(mapped.luts >= 1);
 
-    // Ground truth: the same sequential pipeline run offline, with the
-    // optimize pass hooked in where the CLI's `--design` path runs it.
-    // The server skips per-cloud verification, which never changes the
-    // output bytes.
+    // Ground truth: the same sequential pipeline composed offline — cut
+    // the design into clouds, optimize each cloud, map it and reassemble
+    // the netlist around the latches. The server skips per-cloud
+    // verification, which never changes the output bytes.
     let (design, _) = chortle_netlist::parse_design(SEQ_DESIGN).expect("fixture parses");
     let options = chortle::MapOptions::builder(4)
         .cache(CacheMode::Off)
         .build()
         .expect("valid options");
-    let mut design_opts = chortle::DesignOptions::new(options);
-    design_opts.verify = false;
-    design_opts.preprocess = Some(std::sync::Arc::new(|net: &chortle_netlist::Network| {
-        chortle_logic_opt::optimize(net)
-            .map(|(optimized, _)| optimized)
-            .map_err(|e| e.to_string())
-    }));
-    let offline = chortle::map_design(&design, &design_opts).expect("offline design maps");
-    assert_eq!(mapped.netlist, offline.netlist);
-    assert_eq!((mapped.luts, mapped.depth), (offline.luts, offline.depth));
+    let cut = design.clouds();
+    let clouds: Vec<(chortle_netlist::Network, chortle_netlist::LutCircuit)> = cut
+        .clouds
+        .iter()
+        .map(|cloud| {
+            let network = chortle::logic_opt::optimize(&cloud.network)
+                .expect("cloud optimizes")
+                .0;
+            let circuit = chortle::map_network(&network, &options)
+                .expect("cloud maps")
+                .circuit;
+            (network, circuit)
+        })
+        .collect();
+    let pairs: Vec<_> = clouds.iter().map(|(n, c)| (n, c)).collect();
+    let netlist = chortle_netlist::write_mapped_design_blif(&design, &cut, &pairs);
+    let luts: usize = clouds.iter().map(|(_, c)| c.num_luts()).sum();
+    let depth = clouds.iter().map(|(_, c)| c.depth()).max().unwrap_or(0);
+    assert_eq!(mapped.netlist, netlist);
+    assert_eq!((mapped.luts, mapped.depth), (luts, depth));
 
     // The assembled netlist is itself a parseable sequential design
     // with the register boundary intact.

@@ -68,8 +68,8 @@ macro_rules! catalogue {
 }
 
 catalogue! {
-    // The end-to-end flow (`chortle-cli::run_flow` and the daemon's
-    // per-request pipeline, which reads the same).
+    // The end-to-end flow (`chortle::run_flow`), which `chortle-map`
+    // and every daemon request run.
     Stage FLOW_PARSE = "flow.parse", "seconds", "BLIF parsing";
     Stage FLOW_OPTIMIZE = "flow.optimize", "seconds", "The MIS-style optimization script, when enabled";
     Stage FLOW_MAP = "flow.map", "seconds", "Technology mapping";
